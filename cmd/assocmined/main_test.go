@@ -484,7 +484,7 @@ func TestMetricszCountersAdvance(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST: %d", resp.StatusCode)
 	}
-	pollUntil(t, ts, v.ID, func(v service.View) bool { return v.Status.Terminal() })
+	done := pollUntil(t, ts, v.ID, func(v service.View) bool { return v.Status.Terminal() })
 
 	after := metricsJSON(t, ts.URL)
 	for _, name := range []string{
@@ -500,11 +500,19 @@ func TestMetricszCountersAdvance(t *testing.T) {
 		}
 	}
 	// Histograms expose {count,sum,buckets}; one job means at least one
-	// new observation in queue wait, job duration, and the eclat phases.
-	for _, name := range []string{
+	// new observation in queue wait, job duration, and each eclat phase
+	// the job ran. The transformation phase exists only on the horizontal
+	// path; a job mined from vertical sets never runs it.
+	hists := []string{
 		"service_queue_wait_ns", "service_job_duration_ns",
-		"mine_phase_initialization_ns", "mine_phase_transformation_ns", "mine_phase_asynchronous_ns",
-	} {
+		"mine_phase_initialization_ns", "mine_phase_asynchronous_ns",
+	}
+	for _, p := range done.Phases {
+		if p.Name == "transformation" {
+			hists = append(hists, "mine_phase_transformation_ns")
+		}
+	}
+	for _, name := range hists {
 		h, ok := after[name].(map[string]any)
 		if !ok {
 			t.Fatalf("histogram %q missing from /metricsz", name)

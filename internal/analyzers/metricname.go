@@ -18,6 +18,13 @@ var metricRegFuncs = map[string]int{
 	"Histogram": 3,
 }
 
+// retiredMetricNames maps metric names deleted on purpose to the name
+// that now carries the quantity. Registering a retired name again would
+// split one quantity across two names, which is why it was retired.
+var retiredMetricNames = map[string]string{
+	"eclat_classes_mined_total": "eclat_classes_total",
+}
+
 // metricNameRE is the exposition-safe naming convention: snake_case,
 // starting with a letter. A trailing underscore is allowed so that
 // dynamic-name prefixes ("mine_phase_") can be validated too.
@@ -29,11 +36,12 @@ var metricNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 // in _total, and nothing but counters ends in _total. Dynamic names
 // must be concatenations whose constant segments are package-level
 // constants (e.g. mnMinePhasePrefix + obsv.SanitizeName(x) + mnNSSuffix).
+// Retired names (retiredMetricNames) may not be registered again.
 var MetricName = &Analyzer{
 	Name:        "metricname",
 	IgnoreTests: true,
 	Doc: "obsv metric names must be snake_case package-level constants; counters end in " +
-		"_total and only counters do; dynamic names concatenate constant segments",
+		"_total and only counters do; dynamic names concatenate constant segments; retired names stay retired",
 	Run: runMetricName,
 }
 
@@ -174,6 +182,10 @@ func validateMetricName(pass *Pass, at ast.Expr, regFunc, name string, complete 
 		return
 	}
 	if !complete {
+		return
+	}
+	if repl, retired := retiredMetricNames[name]; retired {
+		pass.Reportf(at.Pos(), "metric name %q is retired; count under %s", name, repl)
 		return
 	}
 	isTotal := strings.HasSuffix(name, "_total")

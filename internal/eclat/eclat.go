@@ -516,25 +516,25 @@ type vertical struct {
 	// class) instead of pair tid-lists — the CHARM root level, whose
 	// members are frequent singletons rather than L2 pairs.
 	roots [][]member
-	// ooc, when non-nil, marks a budgeted out-of-core run: lists is nil
-	// and member lists are re-derived per class inside the class's
-	// residency window (see ooc.go).
-	ooc *oocState
+	// sets, when non-nil, marks a vertical-input run: lists is nil and
+	// member lists are derived per class from the item sets (see
+	// ooc.go), inside the class's residency window when budgeted.
+	sets *itemSets
 }
 
 // members assembles the sorted, representation-resolved member list of
 // class ci — the one entry every engine driver fetches class operands
-// through.
-func (v *vertical) members(ci int, repr tidlist.Repr, ks *tidlist.KernelStats) []member {
+// through. Work done to assemble them is charged to st.
+func (v *vertical) members(ci int, repr tidlist.Repr, st *Stats) []member {
 	if v.roots != nil {
 		m := v.roots[ci]
-		applyClassRepr(m, repr, ks)
+		applyClassRepr(m, repr, &st.Kernel)
 		return m
 	}
-	if v.ooc != nil {
-		return v.ooc.classMembers(&v.classes[ci], repr, ks)
+	if v.sets != nil {
+		return v.sets.classMembers(&v.classes[ci], repr, st)
 	}
-	return classMembers(&v.classes[ci], v.lists, repr, ks)
+	return classMembers(&v.classes[ci], v.lists, repr, &st.Kernel)
 }
 
 // buildVertical runs the one-scan initialization (global 1- and 2-itemset

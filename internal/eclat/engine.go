@@ -319,7 +319,7 @@ func (e *engine) runSequential(ctx context.Context, st *Stats, ar *arena, sink E
 		}
 		before := *st
 		e.v.acquire(ci)
-		e.pol.explore(ctx, w, e.v.members(ci, e.opts.Representation, &st.Kernel), emit)
+		e.pol.explore(ctx, w, e.v.members(ci, e.opts.Representation, st), emit)
 		e.v.release(ci)
 		flushStats(&before, st)
 		mClasses.Inc()

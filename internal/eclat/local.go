@@ -15,18 +15,16 @@ import (
 	"repro/internal/obsv"
 )
 
-// Shared-memory parallel mining metrics. Steals and classes are counted
-// once per event by the coordinator path (cheap); per-worker busy time is
-// observed once per worker at run end.
+// Shared-memory parallel mining metrics. Steals are counted once per
+// event (cheap); per-worker busy time is observed once per worker at run
+// end. Classes go to eclat_classes_total, as on the sequential driver.
 const (
 	mnSteals       = "eclat_steals_total"
-	mnClassesMined = "eclat_classes_mined_total"
 	mnWorkerBusyNS = "eclat_worker_busy_ns"
 )
 
 var (
 	mSteals       = obsv.Default.Counter(mnSteals, "work-stealing transfers between MineParallelLocal workers")
-	mClassesMined = obsv.Default.Counter(mnClassesMined, "equivalence classes mined by MineParallelLocal workers")
 	mWorkerBusyNS = obsv.Default.Histogram(mnWorkerBusyNS, "per-worker busy nanoseconds of MineParallelLocal runs",
 		[]int64{1_000_000, 10_000_000, 100_000_000, 1_000_000_000, 10_000_000_000})
 )
@@ -170,7 +168,7 @@ func (e *engine) runParallel(ctx context.Context, workers int, st *Stats, sink E
 	for w := range deques {
 		deques[w] = &wsDeque{}
 	}
-	if v.ooc != nil {
+	if v.budgeted() {
 		for w, span := range spanSchedule(v.classes, workers) {
 			q := deques[w]
 			for _, ci := range span {
@@ -218,13 +216,13 @@ func (e *engine) runParallel(ctx context.Context, workers int, st *Stats, sink E
 			mine := func(t classTask) {
 				acc = acc[:0]
 				v.acquire(t.ci)
-				e.pol.explore(ctx, wk, v.members(t.ci, e.opts.Representation, &wst.Kernel), emit)
+				e.pol.explore(ctx, wk, v.members(t.ci, e.opts.Representation, wst), emit)
 				v.release(t.ci)
 				out := make([]mining.FrequentItemset, len(acc))
 				copy(out, acc)
 				classOut[t.ci] = out
 				flushStats(&prev, wst)
-				mClassesMined.Inc()
+				mClasses.Inc()
 			}
 
 			for ctx.Err() == nil {

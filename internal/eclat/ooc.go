@@ -10,7 +10,7 @@ import (
 
 const mnClassRefetches = "eclat_class_refetches_total"
 
-var mClassRefetches = obsv.Default.Counter(mnClassRefetches, "equivalence classes whose pair tid-lists were re-derived from item sets under a residency budget")
+var mClassRefetches = obsv.Default.Counter(mnClassRefetches, "equivalence classes whose pair tid-lists were derived from item sets under a residency budget")
 
 // Residency is the engine's view of a store residency budget
 // (structurally satisfied by *store.Residency, so neither package
@@ -36,43 +36,37 @@ type Residency interface {
 	Done()
 }
 
-// oocState is the budgeted counterpart of vertical.lists: instead of
-// retaining every surviving L2 pair tid-list for the whole run — the
-// allocation the budget exists to avoid — it keeps only the item sets
-// (views over the store mapping) and re-derives a class's pair lists
-// when the class is mined, inside its Acquire/Release window. The
-// re-intersections charge none of the run's work counters (they would
-// break counter-equality with the in-core path); their volume is
-// observable as eclat_class_refetches_total.
-type oocState struct {
-	items  []tidlist.Set
-	minsup int
-	res    Residency
+// itemSets is the class-operand source of a vertical-input run: vertical
+// L2 retains no pair tid-lists, only the item sets (possibly views over
+// a store mapping), and each class's pair lists are derived when the
+// class is mined. Under a residency budget that happens inside the
+// class's Acquire/Release window; in-core is the same path with no
+// residency.
+type itemSets struct {
+	items []tidlist.Set
+	res   Residency // nil: unbudgeted
 }
 
-// classMembers re-derives the sorted, representation-resolved member
-// list of class from the item sets. The intersections use a local
-// scratch and a throwaway kernel-stats block; only the final
-// representation conversion charges ks, exactly as the in-core
-// classMembers does.
-func (o *oocState) classMembers(class *eqclass.Class, repr tidlist.Repr, ks *tidlist.KernelStats) []member {
-	mClassRefetches.Inc()
-	var refetch tidlist.KernelStats
+// classMembers derives the sorted, representation-resolved member list
+// of class from the item sets. Every member pair passed minsup in the L2
+// count, so the intersections need no short circuit. They are charged to
+// st like the recursion's own kernel calls, so the per-class flush
+// publishes them and budgeted and unbudgeted runs count identically.
+func (s *itemSets) classMembers(class *eqclass.Class, repr tidlist.Repr, st *Stats) []member {
+	if s.res != nil {
+		mClassRefetches.Inc()
+	}
 	var scratch tidlist.Set
 	out := make([]member, 0, len(class.Members))
 	for _, set := range class.Members {
-		tids, _, ok := tidlist.IntersectSetsSC(scratch, o.items[int(set[0])], o.items[int(set[1])], o.minsup, &refetch)
+		tids, ops := tidlist.IntersectSets(scratch, s.items[int(set[0])], s.items[int(set[1])], &st.Kernel)
+		st.Intersections++
+		st.IntersectOps += int64(ops)
 		scratch = tids
-		if !ok {
-			// Unreachable in practice: only pairs that passed minsup
-			// during L2 become class members, and the item sets have not
-			// changed since.
-			continue
-		}
-		out = append(out, member{set: set, tids: append(tidlist.List(nil), tidlist.TIDsOf(tids)...)})
+		out = append(out, member{set: set, tids: tids.AppendTIDs(make(tidlist.List, 0, tids.Support()))})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].set.Less(out[j].set) })
-	applyClassRepr(out, repr, ks)
+	applyClassRepr(out, repr, &st.Kernel)
 	return out
 }
 
@@ -157,17 +151,20 @@ func spanSchedule(classes []eqclass.Class, workers int) [][]int {
 	return out
 }
 
+// budgeted reports whether the run mines under a residency budget.
+func (v *vertical) budgeted() bool { return v.sets != nil && v.sets.res != nil }
+
 // acquire/release bracket one class mine with the residency layer; they
-// are no-ops for in-core runs so the engine drivers call them
+// are no-ops for unbudgeted runs so the engine drivers call them
 // unconditionally.
 func (v *vertical) acquire(ci int) {
-	if v.ooc != nil {
-		v.ooc.res.Acquire(ci)
+	if v.budgeted() {
+		v.sets.res.Acquire(ci)
 	}
 }
 
 func (v *vertical) release(ci int) {
-	if v.ooc != nil {
-		v.ooc.res.Release(ci)
+	if v.budgeted() {
+		v.sets.res.Release(ci)
 	}
 }

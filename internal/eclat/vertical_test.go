@@ -3,10 +3,12 @@ package eclat
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/db"
+	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/testutil"
 	"repro/internal/tidlist"
@@ -27,15 +29,43 @@ func verticalSets(d *db.Database, repr tidlist.Repr) []tidlist.Set {
 		if len(l) == 0 {
 			continue
 		}
-		if repr == tidlist.ReprBitset {
+		switch repr {
+		case tidlist.ReprBitset:
 			var bs tidlist.Bitset
 			bs.SetTIDs(l)
 			sets[it] = &bs
-		} else {
+		case tidlist.ReprRoaring:
+			sets[it] = tidlist.NewRoaring(l)
+		default:
 			sets[it] = l
 		}
 	}
 	return sets
+}
+
+// offsetTIDs renumbers d's transactions to base, base+stride, ... — a
+// partition whose TIDs start far from 0 and leave gaps. A stride large
+// enough makes the TID span dwarf the data, the sparse-row path of the
+// vertical L2 count.
+func offsetTIDs(d *db.Database, base, stride int) *db.Database {
+	out := &db.Database{NumItems: d.NumItems, Transactions: make([]db.Transaction, len(d.Transactions))}
+	for i, tx := range d.Transactions {
+		out.Transactions[i] = db.Transaction{TID: itemset.TID(base + i*stride), Items: tx.Items}
+	}
+	return out
+}
+
+// classMemberCount is Σ members over the L2 classes the horizontal path
+// mines for (d, minsup, opts) — the exact number of pair tid-lists the
+// vertical path derives.
+func classMemberCount(d *db.Database, minsup int, opts Options) int64 {
+	var st Stats
+	v := buildVertical(context.Background(), d, minsup, &st, opts)
+	var n int64
+	for _, c := range v.classes {
+		n += int64(len(c.Members))
+	}
+	return n
 }
 
 func resultBytes(t *testing.T, res *mining.Result) []byte {
@@ -48,37 +78,80 @@ func resultBytes(t *testing.T, res *mining.Result) []byte {
 }
 
 // TestMineVerticalLocalMatchesHorizontal is the differential contract of
-// the vertical path: for every input representation, mining
-// representation and worker count, MineVerticalLocal's serialized result
-// is byte-identical to the horizontal sequential miner's, and it never
-// scans horizontal data.
+// the vertical path: for every dataset shape, query, input
+// representation, mining representation and worker count,
+// MineVerticalLocal's serialized result is byte-identical to the
+// horizontal sequential miner's, and it never scans horizontal data.
+//
+// It also bounds the vertical path's work: its L2 count runs no kernel,
+// so its intersections exceed the horizontal path's by exactly the pair
+// tid-lists it derives, one per class member. A return of the pairwise
+// O(F²) L2 pass fails this.
 func TestMineVerticalLocalMatchesHorizontal(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	type dataset struct {
+		name string
+		d    *db.Database
+	}
+	var datasets []dataset
 	for _, numTx := range []int{60, 250} {
-		d := testutil.RandomDB(rng, numTx, 30, 8)
-		minsup := 3
-		want, _ := MineSequential(d, minsup)
-		wantBytes := resultBytes(t, want)
+		datasets = append(datasets, dataset{fmt.Sprintf("tx=%d", numTx), testutil.RandomDB(rng, numTx, 30, 8)})
+	}
+	base := testutil.RandomDB(rng, 200, 30, 8)
+	datasets = append(datasets,
+		dataset{"offset-gaps", offsetTIDs(base, 1_000_000, 3)},
+		dataset{"offset-scattered", offsetTIDs(base, 70_000, 5_000)})
+	queries := []struct {
+		name string
+		opts Options
+	}{
+		{"all", Options{}},
+		{"must", Options{MustContain: []itemset.Item{3}}},
+		{"topk", Options{TopK: 25}},
+	}
+	const minsup = 3
 
-		for _, inputRepr := range []tidlist.Repr{tidlist.ReprSparse, tidlist.ReprBitset} {
-			in := VerticalInput{NumTransactions: d.Len(), Items: verticalSets(d, inputRepr)}
-			for _, mineRepr := range []tidlist.Repr{tidlist.ReprAuto, tidlist.ReprSparse, tidlist.ReprBitset} {
-				for _, workers := range []int{1, 2, 4} {
-					res, st, err := MineVerticalLocal(context.Background(), in, minsup,
-						Options{Representation: mineRepr, Workers: workers})
-					if err != nil {
-						t.Fatalf("numTx=%d input=%v repr=%v workers=%d: %v",
-							numTx, inputRepr, mineRepr, workers, err)
-					}
-					if got := resultBytes(t, res); !bytes.Equal(got, wantBytes) {
-						t.Fatalf("numTx=%d input=%v repr=%v workers=%d: vertical result differs from horizontal",
-							numTx, inputRepr, mineRepr, workers)
-					}
-					if st.Scans != 0 {
-						t.Fatalf("vertical mine reported %d horizontal scans", st.Scans)
-					}
-					if st.Workers != workers {
-						t.Fatalf("st.Workers = %d, want %d", st.Workers, workers)
+	for _, ds := range datasets {
+		for _, q := range queries {
+			want, wantSt, err := MineSequentialOpts(context.Background(), ds.d, minsup, q.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBytes := resultBytes(t, want)
+			derived := classMemberCount(ds.d, minsup, q.opts)
+
+			for _, inputRepr := range []tidlist.Repr{tidlist.ReprSparse, tidlist.ReprBitset, tidlist.ReprRoaring} {
+				in := VerticalInput{NumTransactions: ds.d.Len(), Items: verticalSets(ds.d, inputRepr)}
+				for _, mineRepr := range []tidlist.Repr{tidlist.ReprAuto, tidlist.ReprSparse, tidlist.ReprBitset, tidlist.ReprRoaring} {
+					for _, workers := range []int{1, 2, 4} {
+						name := fmt.Sprintf("%s/%s/input=%v/repr=%v/workers=%d", ds.name, q.name, inputRepr, mineRepr, workers)
+						opts := q.opts
+						opts.Representation, opts.Workers = mineRepr, workers
+						res, st, err := MineVerticalLocal(context.Background(), in, minsup, opts)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if got := resultBytes(t, res); !bytes.Equal(got, wantBytes) {
+							t.Fatalf("%s: vertical result differs from horizontal", name)
+						}
+						if st.Scans != 0 {
+							t.Fatalf("%s: vertical mine reported %d horizontal scans", name, st.Scans)
+						}
+						if st.Workers != workers {
+							t.Fatalf("%s: st.Workers = %d, want %d", name, st.Workers, workers)
+						}
+						// A top-k threshold rises in emission order, which
+						// only a sequential run shares with the reference.
+						if q.opts.TopK > 0 && workers > 1 {
+							continue
+						}
+						if extra := st.Intersections - wantSt.Intersections; extra != derived {
+							t.Fatalf("%s: vertical ran %d intersections beyond the horizontal path, want %d (one per class member)",
+								name, extra, derived)
+						}
+						if st.ShortCircuited != wantSt.ShortCircuited {
+							t.Fatalf("%s: short-circuited %d, horizontal %d", name, st.ShortCircuited, wantSt.ShortCircuited)
+						}
 					}
 				}
 			}
@@ -86,8 +159,8 @@ func TestMineVerticalLocalMatchesHorizontal(t *testing.T) {
 	}
 }
 
-// TestMineVerticalLocalCancel proves the vertical path honors ctx during
-// the pairwise L2 build and the class recursion.
+// TestMineVerticalLocalCancel proves the vertical path honors an
+// already-canceled ctx.
 func TestMineVerticalLocalCancel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	d := testutil.RandomDB(rng, 200, 25, 8)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"container/list"
 	"sync"
 
@@ -32,10 +33,34 @@ type CacheStats struct {
 	MaxBytes  int64 `json:"maxBytes"`
 }
 
-// Cache is a byte-bounded LRU of mining results keyed by
-// (dataset, algorithm, minsup, variant). Results are stored by pointer
-// and must be treated as immutable by all readers — the mining paths
-// never mutate a result after Sort, so sharing is safe.
+// Body is a finished result in its served form: the mining.Write
+// encoding plus the number of itemsets it holds. Keeping results encoded
+// makes the cache budget count the bytes actually held, and lets a
+// cache hit be served without re-encoding. Data is shared by every
+// reader and must never be written.
+type Body struct {
+	Data     []byte
+	Itemsets int
+}
+
+// encodeBody serializes res into its served form.
+func encodeBody(res *mining.Result) (Body, error) {
+	var buf bytes.Buffer
+	if err := mining.Write(&buf, res); err != nil {
+		return Body{}, err
+	}
+	// Copy out of the buffer's doubling growth so the body holds exactly
+	// the bytes it counts.
+	return Body{Data: bytes.Clone(buf.Bytes()), Itemsets: res.Len()}, nil
+}
+
+// Decode parses the body back into a result.
+func (b Body) Decode() (*mining.Result, error) {
+	return mining.Read(bytes.NewReader(b.Data))
+}
+
+// Cache is a byte-bounded LRU of encoded mining results keyed by
+// (dataset, algorithm, minsup, variant), charged at their body length.
 type Cache struct {
 	mu        sync.Mutex
 	maxBytes  int64
@@ -48,13 +73,12 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	key   Key
-	res   *mining.Result
-	bytes int64
+	key  Key
+	body Body
 }
 
-// NewCache builds a cache bounded to maxBytes of estimated result
-// payload (default 64 MiB when maxBytes <= 0).
+// NewCache builds a cache bounded to maxBytes of encoded result bodies
+// (default 64 MiB when maxBytes <= 0).
 func NewCache(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = 64 << 20
@@ -66,49 +90,40 @@ func NewCache(maxBytes int64) *Cache {
 	}
 }
 
-// resultBytes estimates the heap footprint of a result: slice header plus
-// items for each itemset, plus the support int.
-func resultBytes(res *mining.Result) int64 {
-	var b int64 = 48 // Result struct itself
-	for _, f := range res.Itemsets {
-		b += 24 /* slice header */ + 8 /* support */ + 4*int64(len(f.Set))
-	}
-	return b
-}
-
-// Get returns the cached result for k, marking it most recently used.
-func (c *Cache) Get(k Key) (*mining.Result, bool) {
+// Get returns the cached body for k, marking it most recently used.
+func (c *Cache) Get(k Key) (Body, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.index[k]
 	if !ok {
 		c.misses++
 		cacheMisses.Inc()
-		return nil, false
+		return Body{}, false
 	}
 	c.hits++
 	cacheHits.Inc()
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return el.Value.(*cacheEntry).body, true
 }
 
-// Put stores res under k, evicting least-recently-used entries until the
-// byte budget holds. A result larger than the whole budget is not cached.
-func (c *Cache) Put(k Key, res *mining.Result) {
-	bytes := resultBytes(res)
-	if bytes > c.maxBytes {
+// Put stores body under k, evicting least-recently-used entries until
+// the byte budget holds. A body larger than the whole budget is not
+// cached.
+func (c *Cache) Put(k Key, body Body) {
+	size := int64(len(body.Data))
+	if size > c.maxBytes {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.index[k]; ok { // refresh existing entry
 		ent := el.Value.(*cacheEntry)
-		c.sizeBytes += bytes - ent.bytes
-		ent.res, ent.bytes = res, bytes
+		c.sizeBytes += size - int64(len(ent.body.Data))
+		ent.body = body
 		c.ll.MoveToFront(el)
 	} else {
-		c.index[k] = c.ll.PushFront(&cacheEntry{key: k, res: res, bytes: bytes})
-		c.sizeBytes += bytes
+		c.index[k] = c.ll.PushFront(&cacheEntry{key: k, body: body})
+		c.sizeBytes += size
 	}
 	for c.sizeBytes > c.maxBytes {
 		oldest := c.ll.Back()
@@ -118,7 +133,7 @@ func (c *Cache) Put(k Key, res *mining.Result) {
 		ent := oldest.Value.(*cacheEntry)
 		c.ll.Remove(oldest)
 		delete(c.index, ent.key)
-		c.sizeBytes -= ent.bytes
+		c.sizeBytes -= int64(len(ent.body.Data))
 		c.evictions++
 		cacheEvictions.Inc()
 	}
@@ -135,7 +150,7 @@ func (c *Cache) DropDataset(name string) {
 		if ent := el.Value.(*cacheEntry); ent.key.Dataset == name {
 			c.ll.Remove(el)
 			delete(c.index, ent.key)
-			c.sizeBytes -= ent.bytes
+			c.sizeBytes -= int64(len(ent.body.Data))
 		}
 		el = next
 	}

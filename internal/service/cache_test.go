@@ -4,19 +4,11 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"repro/internal/itemset"
-	"repro/internal/mining"
 )
 
-// resultOfSize builds a result whose resultBytes is deterministic: n
-// 1-itemsets of 36 bytes each plus the 48-byte header.
-func resultOfSize(n int) *mining.Result {
-	res := &mining.Result{MinSup: 1, NumTransactions: n}
-	for i := 0; i < n; i++ {
-		res.Add(itemset.Itemset{itemset.Item(i)}, i+1)
-	}
-	return res
+// bodyOfSize builds a body of exactly n bytes claiming n itemsets.
+func bodyOfSize(n int) Body {
+	return Body{Data: make([]byte, n), Itemsets: n}
 }
 
 func TestCacheHitMissCounters(t *testing.T) {
@@ -25,24 +17,24 @@ func TestCacheHitMissCounters(t *testing.T) {
 	if _, ok := c.Get(k); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(k, resultOfSize(3))
-	res, ok := c.Get(k)
-	if !ok || res.Len() != 3 {
-		t.Fatalf("get after put: ok=%v len=%d", ok, res.Len())
+	c.Put(k, bodyOfSize(3))
+	body, ok := c.Get(k)
+	if !ok || body.Itemsets != 3 {
+		t.Fatalf("get after put: ok=%v itemsets=%d", ok, body.Itemsets)
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss / 1 entry", st)
 	}
-	if st.SizeBytes != resultBytes(res) {
-		t.Fatalf("size accounting %d != %d", st.SizeBytes, resultBytes(res))
+	if st.SizeBytes != int64(len(body.Data)) {
+		t.Fatalf("size accounting %d != %d", st.SizeBytes, len(body.Data))
 	}
 }
 
 func TestCacheDistinguishesKeyFields(t *testing.T) {
 	c := NewCache(1 << 20)
 	base := Key{Dataset: "d", Algorithm: "Eclat", MinSup: 5, Variant: VariantAll}
-	c.Put(base, resultOfSize(1))
+	c.Put(base, bodyOfSize(1))
 	for _, k := range []Key{
 		{Dataset: "other", Algorithm: "Eclat", MinSup: 5, Variant: VariantAll},
 		{Dataset: "d", Algorithm: "Apriori", MinSup: 5, Variant: VariantAll},
@@ -56,17 +48,17 @@ func TestCacheDistinguishesKeyFields(t *testing.T) {
 }
 
 func TestCacheEvictsLRUUnderSizePressure(t *testing.T) {
-	one := resultBytes(resultOfSize(1))
-	c := NewCache(3 * one) // room for exactly three single-itemset results
+	const one = 40
+	c := NewCache(3 * one) // room for exactly three bodies
 	keys := make([]Key, 4)
 	for i := range keys {
 		keys[i] = Key{Dataset: fmt.Sprint("d", i), MinSup: 1}
 	}
-	c.Put(keys[0], resultOfSize(1))
-	c.Put(keys[1], resultOfSize(1))
-	c.Put(keys[2], resultOfSize(1))
+	c.Put(keys[0], bodyOfSize(one))
+	c.Put(keys[1], bodyOfSize(one))
+	c.Put(keys[2], bodyOfSize(one))
 	c.Get(keys[0]) // freshen 0 so 1 is now the LRU
-	c.Put(keys[3], resultOfSize(1))
+	c.Put(keys[3], bodyOfSize(one))
 
 	if _, ok := c.Get(keys[1]); ok {
 		t.Fatal("LRU entry 1 should have been evicted")
@@ -85,20 +77,20 @@ func TestCacheEvictsLRUUnderSizePressure(t *testing.T) {
 func TestCacheRefreshSameKeyAdjustsSize(t *testing.T) {
 	c := NewCache(1 << 20)
 	k := Key{Dataset: "d", MinSup: 1}
-	c.Put(k, resultOfSize(10))
-	c.Put(k, resultOfSize(2))
+	c.Put(k, bodyOfSize(10))
+	c.Put(k, bodyOfSize(2))
 	st := c.Stats()
 	if st.Entries != 1 {
 		t.Fatalf("entries = %d, want 1", st.Entries)
 	}
-	if st.SizeBytes != resultBytes(resultOfSize(2)) {
-		t.Fatalf("size = %d after shrink, want %d", st.SizeBytes, resultBytes(resultOfSize(2)))
+	if st.SizeBytes != 2 {
+		t.Fatalf("size = %d after shrink, want 2", st.SizeBytes)
 	}
 }
 
 func TestCacheRejectsOversizedEntry(t *testing.T) {
 	c := NewCache(100)
-	c.Put(Key{Dataset: "big"}, resultOfSize(1000))
+	c.Put(Key{Dataset: "big"}, bodyOfSize(1000))
 	if st := c.Stats(); st.Entries != 0 || st.SizeBytes != 0 {
 		t.Fatalf("oversized entry was cached: %+v", st)
 	}
@@ -107,7 +99,7 @@ func TestCacheRejectsOversizedEntry(t *testing.T) {
 // TestCacheConcurrentAccess exercises parallel Put/Get/Stats under size
 // pressure so -race can catch unlocked paths and eviction races.
 func TestCacheConcurrentAccess(t *testing.T) {
-	one := resultBytes(resultOfSize(1))
+	const one = 40
 	c := NewCache(8 * one) // small enough to evict constantly
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -117,7 +109,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				k := Key{Dataset: fmt.Sprint("d", (g+i)%16), MinSup: 1}
 				if i%2 == 0 {
-					c.Put(k, resultOfSize(1))
+					c.Put(k, bodyOfSize(one))
 				} else {
 					c.Get(k)
 				}

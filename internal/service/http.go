@@ -12,7 +12,6 @@ import (
 
 	"repro"
 	"repro/internal/db"
-	"repro/internal/mining"
 	"repro/internal/obsv"
 )
 
@@ -231,7 +230,7 @@ func NewHandler(s *Service) http.Handler {
 			writeError(w, http.StatusNotFound, err)
 			return
 		}
-		res, err := s.Result(id)
+		body, err := s.ResultBody(id)
 		if err != nil {
 			code := http.StatusConflict // not done yet (or failed/canceled)
 			if v.Status == StatusQueued || v.Status == StatusRunning {
@@ -241,11 +240,10 @@ func NewHandler(s *Service) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Header().Set("X-Itemsets", strconv.Itoa(res.Len()))
-		if err := mining.Write(w, res); err != nil {
-			// Headers are gone; nothing to do but drop the connection.
-			return
-		}
+		w.Header().Set("X-Itemsets", strconv.Itoa(body.Itemsets))
+		// A failed write means the headers are gone; nothing to do but
+		// drop the connection.
+		_, _ = w.Write(body.Data)
 	})
 
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/mining"
 	"repro/internal/obsv"
 )
 
@@ -178,7 +177,7 @@ type Job struct {
 	mu       sync.Mutex
 	status   Status
 	err      string
-	result   *mining.Result
+	body     Body // the encoded result, once done
 	info     *repro.RunInfo
 	trace    *obsv.Trace // per-job phase tracer, set when the job starts
 	cached   bool        // result came from the cache, no mine ran
@@ -245,8 +244,8 @@ func (j *Job) Snapshot() View {
 		Started:        j.started,
 		Finished:       j.finished,
 	}
-	if j.result != nil {
-		v.Itemsets = j.result.Len()
+	if j.status == StatusDone {
+		v.Itemsets = j.body.Itemsets
 	}
 	if !j.started.IsZero() && j.started.After(j.created) {
 		v.QueueWaitNS = j.started.Sub(j.created).Nanoseconds()
@@ -269,14 +268,15 @@ func (j *Job) Snapshot() View {
 	return v
 }
 
-// Result returns the job's result once done (nil otherwise).
-func (j *Job) Result() *mining.Result {
+// Body returns the job's encoded result; ok is false until the job is
+// done.
+func (j *Job) Body() (body Body, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.status != StatusDone {
-		return nil
+		return Body{}, false
 	}
-	return j.result
+	return j.body, true
 }
 
 // Done returns a channel closed when the job reaches a terminal status.

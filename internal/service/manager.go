@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/mining"
 	"repro/internal/obsv"
 )
 
@@ -51,9 +50,9 @@ var ErrShuttingDown = errors.New("service: shutting down")
 // ErrUnknownJob is returned for job IDs the manager has never issued.
 var ErrUnknownJob = errors.New("service: unknown job")
 
-// RunFunc executes one job and returns its result. It must honor ctx:
-// on cancellation it should return promptly with ctx.Err().
-type RunFunc func(ctx context.Context, job *Job) (*mining.Result, *repro.RunInfo, error)
+// RunFunc executes one job and returns its encoded result. It must
+// honor ctx: on cancellation it should return promptly with ctx.Err().
+type RunFunc func(ctx context.Context, job *Job) (Body, *repro.RunInfo, error)
 
 // ManagerConfig sizes the worker pool and queue.
 type ManagerConfig struct {
@@ -157,7 +156,7 @@ func (m *Manager) Submit(req Request, key Key) (*Job, error) {
 
 // Insert registers an already-terminal job (used for cache hits, which
 // never pass through the queue) so it is queryable like any other job.
-func (m *Manager) Insert(req Request, key Key, res *mining.Result, cached bool) *Job {
+func (m *Manager) Insert(req Request, key Key, body Body, cached bool) *Job {
 	now := time.Now()
 	j := &Job{
 		Req:      req,
@@ -165,7 +164,7 @@ func (m *Manager) Insert(req Request, key Key, res *mining.Result, cached bool) 
 		cancel:   func() {},
 		done:     make(chan struct{}),
 		status:   StatusDone,
-		result:   res,
+		body:     body,
 		cached:   cached,
 		created:  now,
 		started:  now,
@@ -337,7 +336,7 @@ func (m *Manager) runJob(j *Job) {
 		jobsRunning.Add(-1)
 	}()
 
-	res, info, err := m.run(obsv.WithTrace(j.ctx, tr), j)
+	body, info, err := m.run(obsv.WithTrace(j.ctx, tr), j)
 	j.cancel() // release the context's resources
 
 	j.mu.Lock()
@@ -350,7 +349,7 @@ func (m *Manager) runJob(j *Job) {
 	switch {
 	case err == nil:
 		j.status = StatusDone
-		j.result = res
+		j.body = body
 		j.info = info
 		m.completed.Add(1)
 		jobsCompleted.Inc()

@@ -9,23 +9,22 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/mining"
 )
 
 // instantRun completes immediately with an empty result.
-func instantRun(ctx context.Context, j *Job) (*mining.Result, *repro.RunInfo, error) {
-	return &mining.Result{MinSup: j.Key.MinSup}, nil, nil
+func instantRun(ctx context.Context, j *Job) (Body, *repro.RunInfo, error) {
+	return Body{}, nil, nil
 }
 
 // gatedRun blocks every run until release is closed (or ctx is
 // canceled), making queue occupancy deterministic in tests.
 func gatedRun(release <-chan struct{}) RunFunc {
-	return func(ctx context.Context, j *Job) (*mining.Result, *repro.RunInfo, error) {
+	return func(ctx context.Context, j *Job) (Body, *repro.RunInfo, error) {
 		select {
 		case <-release:
-			return &mining.Result{MinSup: j.Key.MinSup}, nil, nil
+			return Body{}, nil, nil
 		case <-ctx.Done():
-			return nil, nil, ctx.Err()
+			return Body{}, nil, ctx.Err()
 		}
 	}
 }

@@ -22,7 +22,8 @@ type Config struct {
 	// Workers / QueueDepth size the job manager (see ManagerConfig).
 	Workers    int
 	QueueDepth int
-	// CacheBytes bounds the result cache (default 64 MiB).
+	// CacheBytes bounds the result cache by the length of the encoded
+	// result bodies it holds (default 64 MiB).
 	CacheBytes int64
 	// ParallelBudget caps the total mining goroutines across concurrently
 	// running jobs (0 means runtime.GOMAXPROCS(0)). Each job gets
@@ -105,7 +106,7 @@ func New(cfg Config) (*Service, error) {
 		func() int64 { return int64(s.mgr.QueueLen()) })
 	obsv.Default.GaugeFunc(mnCacheEntries, "entries in the result cache",
 		func() int64 { return int64(s.cache.Len()) })
-	obsv.Default.GaugeFunc(mnCacheBytes, "estimated bytes held by the result cache",
+	obsv.Default.GaugeFunc(mnCacheBytes, "encoded result bytes held by the result cache",
 		func() int64 { return s.cache.Stats().SizeBytes })
 	obsv.Default.GaugeFunc(mnDatasets, "registered datasets",
 		func() int64 { return int64(len(s.reg.List())) })
@@ -216,18 +217,18 @@ func (s *Service) Submit(req Request) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	if res, ok := s.cache.Get(key); ok {
-		return s.mgr.Insert(req, key, res, true), nil
+	if body, ok := s.cache.Get(key); ok {
+		return s.mgr.Insert(req, key, body, true), nil
 	}
 	return s.mgr.Submit(req, key)
 }
 
-// runJob executes one job against the registry and stores a successful
-// result in the cache.
-func (s *Service) runJob(ctx context.Context, j *Job) (*mining.Result, *repro.RunInfo, error) {
+// runJob executes one job against the registry, encodes its result, and
+// stores the body in the cache.
+func (s *Service) runJob(ctx context.Context, j *Job) (Body, *repro.RunInfo, error) {
 	ds, err := s.reg.Get(j.Req.Dataset)
 	if err != nil {
-		return nil, nil, err
+		return Body{}, nil, err
 	}
 	// A job's explicit budget wins; otherwise the service default
 	// applies. MineFrom picks the out-of-core path only when the
@@ -253,13 +254,13 @@ func (s *Service) runJob(ctx context.Context, j *Job) (*mining.Result, *repro.Ru
 	case VariantMaximal:
 		d, derr := ds.Database()
 		if derr != nil {
-			return nil, nil, derr
+			return Body{}, nil, derr
 		}
 		res, info, err = repro.MineMaximal(ctx, d, opts)
 	case VariantClosed:
 		d, derr := ds.Database()
 		if derr != nil {
-			return nil, nil, derr
+			return Body{}, nil, derr
 		}
 		res, info, err = repro.MineClosed(ctx, d, opts)
 	default:
@@ -271,10 +272,14 @@ func (s *Service) runJob(ctx context.Context, j *Job) (*mining.Result, *repro.Ru
 		res, info, err = repro.MineFrom(ctx, ds, opts)
 	}
 	if err != nil {
-		return nil, nil, err
+		return Body{}, nil, err
 	}
-	s.cache.Put(j.Key, res)
-	return res, info, nil
+	body, err := encodeBody(res)
+	if err != nil {
+		return Body{}, nil, err
+	}
+	s.cache.Put(j.Key, body)
+	return body, info, nil
 }
 
 // effectiveParallelism resolves a job's requested worker count against
@@ -301,17 +306,26 @@ func (s *Service) Job(id string) (View, error) {
 // Jobs lists all jobs.
 func (s *Service) Jobs() []View { return s.mgr.List() }
 
-// Result returns the finished result of a job, or an error naming the
-// job's current status when it is not done.
-func (s *Service) Result(id string) (*mining.Result, error) {
+// ResultBody returns the finished result of a job in its served form,
+// or an error naming the job's current status when it is not done.
+func (s *Service) ResultBody(id string) (Body, error) {
 	j, err := s.mgr.Get(id)
+	if err != nil {
+		return Body{}, err
+	}
+	if body, ok := j.Body(); ok {
+		return body, nil
+	}
+	return Body{}, fmt.Errorf("service: job %s is %s, not done", id, j.Snapshot().Status)
+}
+
+// Result decodes the finished result of a job (see ResultBody).
+func (s *Service) Result(id string) (*mining.Result, error) {
+	body, err := s.ResultBody(id)
 	if err != nil {
 		return nil, err
 	}
-	if res := j.Result(); res != nil {
-		return res, nil
-	}
-	return nil, fmt.Errorf("service: job %s is %s, not done", id, j.Snapshot().Status)
+	return body.Decode()
 }
 
 // Cancel cancels a job (no-op if already terminal) and returns its

@@ -3,11 +3,15 @@ package service
 import (
 	"bytes"
 	"context"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"repro"
 	"repro/internal/db"
 	"repro/internal/itemset"
+	"repro/internal/mining"
 )
 
 func genDataset(t testing.TB, tx int) *db.Database {
@@ -69,6 +73,61 @@ func TestServiceMineMatchesDirectCall(t *testing.T) {
 	}
 	if !bytes.Equal(gotBuf.Bytes(), wantBuf.Bytes()) {
 		t.Fatal("service result differs from direct repro.Mine result")
+	}
+}
+
+// TestServedBodyMatchesFreshMine pins the encoded-result contract: the
+// body GET /v1/jobs/{id}/result serves — first run and cache hit alike —
+// is byte-equal to mining.Write of a fresh mine, X-Itemsets carries its
+// itemset count, and the cache is charged exactly the body lengths it
+// holds.
+func TestServedBodyMatchesFreshMine(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1, QueueDepth: 8}, 500)
+	h := NewHandler(s)
+	ds, _ := s.Registry().Get("t10")
+	d, err := ds.Database()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cached int64
+	for _, pct := range []float64{1.0, 2.0, 1.0} {
+		j, err := s.Submit(Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportPct: pct})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := s.Wait(context.Background(), j.ID)
+		if err != nil || v.Status != StatusDone {
+			t.Fatalf("pct=%v: %v %v", pct, v.Status, err)
+		}
+		want, _, err := repro.Mine(context.Background(), d, repro.MineOptions{SupportPct: pct})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantBuf bytes.Buffer
+		if err := mining.Write(&wantBuf, want); err != nil {
+			t.Fatal(err)
+		}
+
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+j.ID+"/result", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("pct=%v: GET result = %d", pct, rec.Code)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), wantBuf.Bytes()) {
+			t.Fatalf("pct=%v (cached=%v): served body differs from mining.Write of a fresh mine", pct, v.Cached)
+		}
+		if got := rec.Header().Get("X-Itemsets"); got != strconv.Itoa(want.Len()) {
+			t.Fatalf("pct=%v: X-Itemsets = %q, want %d", pct, got, want.Len())
+		}
+		if v.Itemsets != want.Len() {
+			t.Fatalf("pct=%v: view itemsets = %d, want %d", pct, v.Itemsets, want.Len())
+		}
+		if !v.Cached {
+			cached += int64(wantBuf.Len())
+		}
+		if got := s.Cache().Stats().SizeBytes; got != cached {
+			t.Fatalf("pct=%v: cache holds %d bytes, want the %d body bytes cached so far", pct, got, cached)
+		}
 	}
 }
 
