@@ -171,7 +171,7 @@ func BenchmarkAblationShortCircuit(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var ops float64
 			for i := 0; i < b.N; i++ {
-				_, st, _ := eclat.MineSequentialOpts(context.Background(), d, minsup, eclat.Options{NoShortCircuit: off})
+				_, st, _ := eclat.MineParallelLocal(context.Background(), d, minsup, eclat.Options{Workers: 1, NoShortCircuit: off})
 				ops = float64(st.IntersectOps)
 			}
 			b.ReportMetric(ops/1e6, "Mops")
@@ -371,7 +371,7 @@ func BenchmarkMaximalVsFull(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		var n int
 		for i := 0; i < b.N; i++ {
-			res, _ := eclat.MineSequential(d, minsup)
+			res, _, _ := eclat.MineParallelLocal(context.Background(), d, minsup, eclat.Options{Workers: 1})
 			n = res.Len()
 		}
 		b.ReportMetric(float64(n), "itemsets")
@@ -380,7 +380,7 @@ func BenchmarkMaximalVsFull(b *testing.B) {
 		var n int
 		var hits int64
 		for i := 0; i < b.N; i++ {
-			res, st, _ := eclat.MineMaximalOpts(context.Background(), d, minsup, eclat.Options{})
+			res, st, _ := eclat.MineParallelLocal(context.Background(), d, minsup, eclat.Options{Workers: 1, Policy: eclat.PolicyMaximal})
 			n = res.Len()
 			hits = st.LookaheadHits
 		}
@@ -397,7 +397,7 @@ func BenchmarkDiffsetsVsTidlists(b *testing.B) {
 	b.Run("tidlists", func(b *testing.B) {
 		var ops float64
 		for i := 0; i < b.N; i++ {
-			_, st := eclat.MineSequential(d, minsup)
+			_, st, _ := eclat.MineParallelLocal(context.Background(), d, minsup, eclat.Options{Workers: 1})
 			ops = float64(st.IntersectOps)
 		}
 		b.ReportMetric(ops/1e6, "Mops")
@@ -405,8 +405,8 @@ func BenchmarkDiffsetsVsTidlists(b *testing.B) {
 	b.Run("diffsets", func(b *testing.B) {
 		var ops float64
 		for i := 0; i < b.N; i++ {
-			_, st, _ := eclat.MineSequentialDiffsetsOpts(context.Background(), d, minsup, eclat.Options{})
-			ops = float64(st.DiffOps)
+			_, st, _ := eclat.MineParallelLocal(context.Background(), d, minsup, eclat.Options{Workers: 1, Policy: eclat.PolicyDiffsets})
+			ops = float64(st.IntersectOps)
 		}
 		b.ReportMetric(ops/1e6, "Mops")
 	})
@@ -420,7 +420,7 @@ func BenchmarkClosedMining(b *testing.B) {
 	b.Run("filter", func(b *testing.B) {
 		var n int
 		for i := 0; i < b.N; i++ {
-			res, _, _ := eclat.MineClosedOpts(context.Background(), d, minsup, eclat.Options{})
+			res, _, _ := eclat.MineParallelLocal(context.Background(), d, minsup, eclat.Options{Workers: 1, Policy: eclat.PolicyClosed})
 			n = res.Len()
 		}
 		b.ReportMetric(float64(n), "closed")
@@ -428,7 +428,7 @@ func BenchmarkClosedMining(b *testing.B) {
 	b.Run("charm", func(b *testing.B) {
 		var n int
 		for i := 0; i < b.N; i++ {
-			res, _, _ := eclat.MineClosedCHARMOpts(context.Background(), d, minsup, eclat.Options{})
+			res, _, _ := eclat.MineParallelLocal(context.Background(), d, minsup, eclat.Options{Workers: 1, Policy: eclat.PolicyCharm})
 			n = res.Len()
 		}
 		b.ReportMetric(float64(n), "closed")
@@ -501,7 +501,7 @@ func BenchmarkSequentialEclat(b *testing.B) {
 	d := getDB(b, 10_000, 1997)
 	minsup := d.MinSupCount(0.5)
 	for i := 0; i < b.N; i++ {
-		eclat.MineSequential(d, minsup)
+		eclat.MineParallelLocal(context.Background(), d, minsup, eclat.Options{Workers: 1})
 	}
 }
 

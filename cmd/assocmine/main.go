@@ -156,9 +156,18 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
+	output, kind := repro.OutputAll, "frequent"
+	switch {
+	case *maximal:
+		output, kind = repro.OutputMaximal, "maximal frequent"
+	case *closed:
+		output, kind = repro.OutputClosed, "closed frequent"
+	}
+
 	start := time.Now()
 	opts := repro.MineOptions{
 		Algorithm:      algo,
+		Output:         output,
 		SupportPct:     *support,
 		Hosts:          *hosts,
 		ProcsPerHost:   *procs,
@@ -171,32 +180,17 @@ func run(args []string, stdout io.Writer) error {
 	tr := obsv.NewTrace()
 	ctx := obsv.WithTrace(context.Background(), tr)
 	// The mining input is a repro.Source either way: -load serves the
-	// stored dataset (vertical views over the mapping, horizontal decoded
-	// only if an algorithm scans it), everything else wraps the in-memory
-	// database. MineFrom picks the path, so no branching on input shape.
+	// stored dataset (vertical views over the mapping for every output,
+	// horizontal decoded only if an algorithm scans it), everything else
+	// wraps the in-memory database. MineFrom picks the path, so no
+	// branching on input shape or output.
 	var src repro.Source
 	if stored != nil {
 		src = stored
 	} else {
 		src = repro.HorizontalSource(d)
 	}
-	var res *repro.Result
-	var info *repro.RunInfo
-	kind := "frequent"
-	switch {
-	case *maximal:
-		kind = "maximal frequent"
-		if d, err = src.Horizontal(); err == nil {
-			res, info, err = repro.MineMaximal(ctx, d, opts)
-		}
-	case *closed:
-		kind = "closed frequent"
-		if d, err = src.Horizontal(); err == nil {
-			res, info, err = repro.MineClosed(ctx, d, opts)
-		}
-	default:
-		res, info, err = repro.MineFrom(ctx, src, opts)
-	}
+	res, info, err := repro.MineFrom(ctx, src, opts)
 	if err != nil {
 		return err
 	}

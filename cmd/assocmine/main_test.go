@@ -74,9 +74,8 @@ func TestRunWritesResult(t *testing.T) {
 }
 
 // TestRunSaveAndLoad round-trips a dataset through the persistent
-// store: -save writes a dataset directory, -load mines from it with the
-// same output as the original run, and the variants fall back to the
-// stored horizontal data.
+// store: -save writes a dataset directory, and -load mines from it with
+// the same output as the in-memory run, for every output and algorithm.
 func TestRunSaveAndLoad(t *testing.T) {
 	in := writeFIMI(t, strings.Repeat("1 2 3\n1 2\n2 3 4\n", 30))
 	dsPath := filepath.Join(t.TempDir(), "tri.ds")
@@ -89,12 +88,17 @@ func TestRunSaveAndLoad(t *testing.T) {
 		t.Fatalf("save output:\n%s", out.String())
 	}
 
+	// Every -load run, whatever output or algorithm it asks for, must
+	// byte-equal the same run on the in-memory database.
 	for _, extra := range [][]string{
 		{},
 		{"-repr", "sparse"},
 		{"-repr", "bitset"},
 		{"-parallel", "2"},
 		{"-maximal"},
+		{"-maximal", "-parallel", "2"},
+		{"-closed"},
+		{"-closed", "-repr", "roaring"},
 		{"-algo", "apriori"},
 	} {
 		loadOut := filepath.Join(t.TempDir(), "load.txt")
@@ -103,22 +107,26 @@ func TestRunSaveAndLoad(t *testing.T) {
 		if err := run(args, &out); err != nil {
 			t.Fatalf("%v: %v", extra, err)
 		}
-		if len(extra) > 0 && (extra[0] == "-maximal" || extra[0] == "-algo") {
-			continue // variants don't match the full result byte-for-byte
+		memOut := origOut
+		if len(extra) > 0 {
+			memOut = filepath.Join(t.TempDir(), "mem.txt")
+			args = append([]string{"-db", in, "-format", "fimi", "-support", "10", "-o", memOut}, extra...)
+			if err := run(args, &out); err != nil {
+				t.Fatalf("%v in memory: %v", extra, err)
+			}
 		}
 		got, err := os.ReadFile(loadOut)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := os.ReadFile(origOut)
+		want, err := os.ReadFile(memOut)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%v: -load result differs from the original mine", extra)
+			t.Fatalf("%v: -load result differs from the in-memory mine", extra)
 		}
 	}
-
 	// -load excludes the other input sources, and -save with -load is
 	// rejected.
 	if err := run([]string{"-load", dsPath, "-gen", "100"}, &out); err == nil {

@@ -823,52 +823,60 @@ func TestHTTPDatasetRegistrationAndRemoval(t *testing.T) {
 // TestJobPhaseSpanAccounting checks the span bookkeeping end to end: a
 // finished job reports its phase spans, and the wall-clock spans sum to
 // the job latency within tolerance (they cannot exceed it, and the
-// uninstrumented remainder must be small).
+// uninstrumented remainder must be small) — for an all-frequent and a
+// maximal job alike.
 func TestJobPhaseSpanAccounting(t *testing.T) {
 	ts, _ := newServer(t, service.Config{Workers: 1, QueueDepth: 4}, map[string]int{"t10": 2000})
 
-	v, resp := postJob(t, ts, `{"dataset":"t10","algorithm":"eclat","supportPct":0.5}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST: %d", resp.StatusCode)
-	}
-	done := pollUntil(t, ts, v.ID, func(v service.View) bool { return v.Status.Terminal() })
-	if done.Status != service.StatusDone {
-		t.Fatalf("job ended %s", done.Status)
-	}
-	if done.DurationNS <= 0 {
-		t.Fatalf("DurationNS = %d, want > 0", done.DurationNS)
-	}
-	if done.QueueWaitNS < 0 {
-		t.Fatalf("QueueWaitNS = %d, want >= 0", done.QueueWaitNS)
-	}
-	names := map[string]bool{}
-	var sum int64
-	for _, sp := range done.Phases {
-		if sp.Virtual() {
-			continue
+	for _, body := range []string{
+		`{"dataset":"t10","algorithm":"eclat","supportPct":0.5}`,
+		`{"dataset":"t10","algorithm":"eclat","variant":"maximal","supportPct":0.5}`,
+	} {
+		v, resp := postJob(t, ts, body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST %s: %d", body, resp.StatusCode)
 		}
-		names[sp.Name] = true
-		sum += sp.DurationNS
-	}
-	// Eclat jobs mine from the registry's memoized vertical transform
-	// (repro.MineFrom), so the horizontal transformation phase never
-	// runs — only initialization and the asynchronous class recursion.
-	for _, want := range []string{"initialization", "asynchronous"} {
-		if !names[want] {
-			t.Fatalf("phase %q missing from job view (got %v)", want, done.Phases)
+		done := pollUntil(t, ts, v.ID, func(v service.View) bool { return v.Status.Terminal() })
+		if done.Status != service.StatusDone {
+			t.Fatalf("%s: job ended %s", body, done.Status)
 		}
-	}
-	if names["transformation"] {
-		t.Fatalf("vertical mining path ran the horizontal transformation phase (got %v)", done.Phases)
-	}
-	if sum <= 0 || sum > done.DurationNS {
-		t.Fatalf("phase sum %d outside (0, job duration %d]", sum, done.DurationNS)
-	}
-	// The job does almost nothing outside the traced phases; allow a
-	// generous absolute slack for scheduler noise.
-	if slack := done.DurationNS - sum; slack > (50 * time.Millisecond).Nanoseconds() {
-		t.Fatalf("untraced remainder %dns too large (duration %d, phases %d)",
-			slack, done.DurationNS, sum)
+		if done.DurationNS <= 0 {
+			t.Fatalf("%s: DurationNS = %d, want > 0", body, done.DurationNS)
+		}
+		if done.QueueWaitNS < 0 {
+			t.Fatalf("%s: QueueWaitNS = %d, want >= 0", body, done.QueueWaitNS)
+		}
+		names := map[string]bool{}
+		var sum int64
+		for _, sp := range done.Phases {
+			if sp.Virtual() {
+				continue
+			}
+			names[sp.Name] = true
+			sum += sp.DurationNS
+		}
+		// Eclat jobs of every variant mine from the registry's memoized
+		// vertical transform (repro.MineFrom), so the horizontal
+		// transformation phase never runs — only initialization, the
+		// asynchronous class recursion and the final reduction, then the
+		// service's result encoding.
+		for _, want := range []string{"initialization", "asynchronous", "reduction", "encode"} {
+			if !names[want] {
+				t.Fatalf("%s: phase %q missing from job view (got %v)", body, want, done.Phases)
+			}
+		}
+		if names["transformation"] {
+			t.Fatalf("%s: vertical mining path ran the horizontal transformation phase (got %v)", body, done.Phases)
+		}
+		if sum <= 0 || sum > done.DurationNS {
+			t.Fatalf("%s: phase sum %d outside (0, job duration %d]", body, sum, done.DurationNS)
+		}
+		// The job does almost nothing outside the traced phases; allow a
+		// generous absolute slack for scheduler noise.
+		if slack := done.DurationNS - sum; slack > (50 * time.Millisecond).Nanoseconds() {
+			t.Fatalf("%s: untraced remainder %dns too large (duration %d, phases %d)",
+				body, slack, done.DurationNS, sum)
+		}
 	}
 }
 

@@ -32,7 +32,7 @@ var allMiners = map[string]minerFunc{
 		return res
 	},
 	"eclat-seq": func(d *db.Database, minsup int, _ [2]int) *mining.Result {
-		res, _ := eclat.MineSequential(d, minsup)
+		res, _, _ := eclat.MineParallelLocal(context.Background(), d, minsup, eclat.Options{Workers: 1})
 		return res
 	},
 	"eclat-par": func(d *db.Database, minsup int, hp [2]int) *mining.Result {
@@ -61,7 +61,7 @@ var allMiners = map[string]minerFunc{
 		return res
 	},
 	"eclat-noshortcircuit": func(d *db.Database, minsup int, _ [2]int) *mining.Result {
-		res, _, _ := eclat.MineSequentialOpts(context.Background(), d, minsup, eclat.Options{NoShortCircuit: true})
+		res, _, _ := eclat.MineParallelLocal(context.Background(), d, minsup, eclat.Options{Workers: 1, NoShortCircuit: true})
 		return res
 	},
 	"eclat-roundrobin": func(d *db.Database, minsup int, hp [2]int) *mining.Result {
@@ -97,7 +97,7 @@ var allMiners = map[string]minerFunc{
 		return res
 	},
 	"eclat-diffsets": func(d *db.Database, minsup int, _ [2]int) *mining.Result {
-		res, _, _ := eclat.MineSequentialDiffsetsOpts(context.Background(), d, minsup, eclat.Options{})
+		res, _, _ := eclat.MineParallelLocal(context.Background(), d, minsup, eclat.Options{Workers: 1, Policy: eclat.PolicyDiffsets})
 		return res
 	},
 }
@@ -127,7 +127,7 @@ func TestResultIndependentOfClusterShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(4096))
 	d := testutil.RandomDB(rng, 250, 14, 7)
 	minsup := 5
-	base, _ := eclat.MineSequential(d, minsup)
+	base, _, _ := eclat.MineParallelLocal(context.Background(), d, minsup, eclat.Options{Workers: 1})
 	for _, name := range []string{"eclat-par", "eclat-hybrid", "countdist", "datadist", "canddist"} {
 		mine := allMiners[name]
 		for _, hp := range [][2]int{{1, 1}, {1, 2}, {2, 1}, {2, 2}, {3, 2}, {2, 3}, {1, 8}} {

@@ -5,29 +5,41 @@ import (
 	"strings"
 )
 
-// deprecatedMiners maps qualified function names to their context-first
-// replacement. Both calling and re-declaring any of them is a ctxfirst
-// diagnostic: the public *Context wrappers were deleted outright when
-// repro.Source/MineFrom landed, and the internal *Ctx spellings were
-// folded into the canonical entry points — none of the names may come
-// back.
+// deprecatedMiners maps qualified function names to their replacement.
+// Both calling and re-declaring any of them is a ctxfirst diagnostic: the
+// public *Context wrappers were deleted outright when
+// repro.Source/MineFrom landed, the internal *Ctx spellings were folded
+// into the canonical entry points, and the per-variant eclat entry points
+// were folded into the two local ones — none of the names may come back.
 var deprecatedMiners = map[string]string{
 	"repro.MineContext":                      "repro.Mine",
 	"repro.MineMaximalContext":               "repro.MineMaximal",
 	"repro.MineClosedContext":                "repro.MineClosed",
 	"repro.MineVertical":                     "repro.MineFrom",
-	"repro/internal/eclat.MineSequentialCtx": "eclat.MineSequentialOpts",
 	"repro/internal/apriori.MineCtx":         "apriori.Mine",
+	"repro/internal/eclat.MineSequentialCtx": localEclat,
 	// The non-Options eclat entry points were retired when the class-task
 	// engine unified the eight variants: every caller threads Options (and
-	// with it TopK/MustContain/Workers) through the *Opts spellings.
+	// with it TopK/MustContain/Workers) through the Options spellings.
 	"repro/internal/eclat.Mine":                   "eclat.MineOpts",
 	"repro/internal/eclat.MineHybrid":             "eclat.MineHybridOpts",
-	"repro/internal/eclat.MineClosed":             "eclat.MineClosedOpts",
-	"repro/internal/eclat.MineMaximal":            "eclat.MineMaximalOpts",
-	"repro/internal/eclat.MineSequentialDiffsets": "eclat.MineSequentialDiffsetsOpts",
-	"repro/internal/eclat.MineClosedCHARM":        "eclat.MineClosedCHARMOpts",
+	"repro/internal/eclat.MineClosed":             localEclat,
+	"repro/internal/eclat.MineMaximal":            localEclat,
+	"repro/internal/eclat.MineSequentialDiffsets": localEclat,
+	"repro/internal/eclat.MineClosedCHARM":        localEclat,
+	// One local core replaced the per-variant local entry points: the
+	// search is Options.Policy, the sequential driver Workers: 1.
+	"repro/internal/eclat.MineSequential":             localEclat,
+	"repro/internal/eclat.MineSequentialOpts":         localEclat,
+	"repro/internal/eclat.MineMaximalOpts":            localEclat,
+	"repro/internal/eclat.MineClosedOpts":             localEclat,
+	"repro/internal/eclat.MineSequentialDiffsetsOpts": localEclat,
+	"repro/internal/eclat.MineClosedCHARMOpts":        localEclat,
 }
+
+// localEclat is the replacement every retired local eclat entry point
+// names.
+const localEclat = "eclat.MineParallelLocal with Options.Policy"
 
 // CtxFirst enforces the context-first API contract introduced by the
 // observability PR: a context.Context parameter must come first in any

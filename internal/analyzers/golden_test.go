@@ -133,7 +133,8 @@ func TestCtxFirstGolden(t *testing.T) {
 
 // TestCtxFirstRetiredEclatGolden checks the declaration ban inside the
 // eclat package itself: the six entry points retired by the class-task
-// engine may not be re-declared, while the kept spellings stay silent.
+// engine and the six folded into the one local core may not be
+// re-declared, while the kept spellings stay silent.
 func TestCtxFirstRetiredEclatGolden(t *testing.T) {
 	testAnalyzer(t, CtxFirst, "ctxfirst_eclat", "repro/internal/eclat", "repro")
 }

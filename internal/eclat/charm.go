@@ -11,77 +11,59 @@ import (
 	"repro/internal/tidlist"
 )
 
-// CharmStats counts the work of a CHARM run.
-type CharmStats struct {
-	Scans         int
-	Intersections int64
-	Merges        int64 // itemset extensions via the tid-set containment properties
-	Subsumptions  int64 // candidates discarded by the closed-set check
-	// Kernel is the representation-dispatch accounting (see Stats.Kernel).
-	Kernel tidlist.KernelStats
-}
-
-// MineClosedCHARMOpts discovers the closed frequent itemsets with the
-// CHARM search (Zaki & Hsiao) — the successor algorithm that prunes the
-// search space itself rather than filtering afterwards like
-// MineClosedOpts. Its four tid-set properties fold equal-support
-// extensions into their generators: when t(X) = t(Y) the two itemsets
-// always co-occur and collapse into one node; when t(X) ⊂ t(Y), X's
-// closure absorbs Y's items; only incomparable tid-sets spawn new search
-// nodes. A candidate enters the closed set only if no equal-support
-// superset is already there.
-//
-// The result equals MineClosedOpts's (tested property); the work profile
-// differs — CHARM never enumerates the non-closed lattice. On the engine
-// the whole search is one task (extensions merge across prefixes, so it
-// is not class-decomposable): Workers, TopK and MustContain are ignored.
-func MineClosedCHARMOpts(ctx context.Context, d *db.Database, minsup int, opts Options) (*mining.Result, CharmStats, error) {
-	if minsup < 1 {
-		minsup = 1
-	}
-	opts.TopK, opts.MustContain = 0, nil
-	var st Stats
-	st.Workers = 1
-
-	v := buildVerticalItems(d, minsup, &st)
-	eng := newEngine(v, minsup, opts, policyCharm{})
-	ext, err := eng.run(ctx, 1, &st, nil, v.res.Add)
-	ce := ext.(*charmExt)
-	cst := CharmStats{
-		Scans:         st.Scans,
-		Intersections: st.Intersections,
-		Merges:        ce.merges,
-		Subsumptions:  ce.subs,
-		Kernel:        st.Kernel,
-	}
-	if err != nil {
-		return nil, cst, err
-	}
-	v.res.Sort()
-	return v.res, cst, nil
-}
-
-// buildVerticalItems is the one-scan initialization CHARM starts from:
-// per-item tid-lists (CHARM needs the 1-itemset lists; unlike Eclat it
-// skips the triangular pair-counting pass for a simpler lattice root).
-// The frequent singletons form the root members of one engine task.
+// buildVerticalItems is the one-scan initialization PolicyCharm starts
+// from on horizontal data: per-item tid-lists (CHARM needs the 1-itemset
+// lists; unlike Eclat it skips the triangular pair-counting pass for a
+// simpler lattice root).
 func buildVerticalItems(d *db.Database, minsup int, st *Stats) *vertical {
-	res := &mining.Result{MinSup: minsup, NumTransactions: d.Len()}
 	st.Scans++
-	itemLists := make([]tidlist.List, d.NumItems)
+	lists := make([]tidlist.List, d.NumItems)
 	for _, tx := range d.Transactions {
 		for _, it := range tx.Items {
-			itemLists[it] = append(itemLists[it], tx.TID)
+			lists[it] = append(lists[it], tx.TID)
 		}
 	}
+	items := make([]tidlist.Set, len(lists))
+	for it, l := range lists {
+		items[it] = l
+	}
+	return charmRoots(d.Len(), items, minsup, st)
+}
+
+// charmRoots makes the frequent singletons of items (index = item id,
+// nil entries absent) the root members of CHARM's one engine task. The
+// search never writes its operands, so the roots may alias the sets.
+func charmRoots(numTx int, items []tidlist.Set, minsup int, st *Stats) *vertical {
 	var roots []member
-	for it, l := range itemLists {
-		if len(l) >= minsup {
-			roots = append(roots, member{set: itemset.Itemset{itemset.Item(it)}, tids: l})
+	for it, s := range items {
+		if s != nil && s.Support() >= minsup {
+			roots = append(roots, member{set: itemset.Itemset{itemset.Item(it)}, tids: tidlist.TIDsOf(s)})
 		}
 	}
 	st.Classes = 1
-	return &vertical{res: res, classes: make([]eqclass.Class, 1), roots: [][]member{roots}}
+	return &vertical{
+		res:     &mining.Result{MinSup: minsup, NumTransactions: numTx},
+		classes: make([]eqclass.Class, 1),
+		roots:   [][]member{roots},
+	}
+}
+
+// charmExplore runs the CHARM search over the task's root members and
+// emits the closed sets its accumulator kept. Extensions merge across
+// prefixes, so the accumulator spans the whole search and the emission
+// happens once, after it completes.
+func charmExplore(ctx context.Context, members []member, minsup int, st *Stats, emit Emitter) {
+	nodes := make([]*charmNode, len(members))
+	for i, m := range members {
+		nodes[i] = &charmNode{set: m.set, tids: m.tids}
+	}
+	acc := &charmAcc{byHash: map[int64][]mining.FrequentItemset{}}
+	charmExtend(ctx, nodes, minsup, acc, st)
+	for _, bucket := range acc.byHash {
+		for _, f := range bucket {
+			emit(f.Set, f.Support)
+		}
+	}
 }
 
 // charmNode is one search node: an itemset (which may grow via the
@@ -101,11 +83,11 @@ type charmChild struct {
 
 // charmExtend processes one level of sibling nodes, sorted by increasing
 // support (CHARM's ordering heuristic: low-support nodes merge into their
-// high-support partners most often). Work counters land in st, the
-// merge/subsumption tallies in ext. Cancellation is checked once per
+// high-support partners most often). Work counters and the
+// merge/subsumption tallies land in st. Cancellation is checked once per
 // node; on an expired ctx the walk unwinds with a partial accumulator
 // (the caller discards it).
-func charmExtend(ctx context.Context, nodes []*charmNode, minsup int, acc *charmAcc, st *Stats, ext *charmExt) {
+func charmExtend(ctx context.Context, nodes []*charmNode, minsup int, acc *charmAcc, st *Stats) {
 	sort.SliceStable(nodes, func(i, j int) bool {
 		si, sj := nodes[i].tids.Support(), nodes[j].tids.Support()
 		if si != sj {
@@ -133,13 +115,13 @@ func charmExtend(ctx context.Context, nodes []*charmNode, minsup int, acc *charm
 			switch {
 			case ySup == nodes[i].tids.Support() && ySup == nodes[j].tids.Support():
 				// t(Xi) = t(Xj): Xj always co-occurs with Xi — fold it in.
-				ext.merges++
+				st.Merges++
 				nodes[i].set = nodes[i].set.Union(nodes[j].set)
 				nodes[j] = nil
 			case ySup == nodes[i].tids.Support():
 				// t(Xi) ⊂ t(Xj): Xi implies Xj; Xi's closure absorbs it,
 				// Xj lives on (it occurs without Xi too).
-				ext.merges++
+				st.Merges++
 				nodes[i].set = nodes[i].set.Union(nodes[j].set)
 			case ySup == nodes[j].tids.Support():
 				// t(Xi) ⊃ t(Xj): Xj implies Xi; the combination replaces
@@ -159,9 +141,9 @@ func charmExtend(ctx context.Context, nodes []*charmNode, minsup int, acc *charm
 			for k, ch := range children {
 				level[k] = &charmNode{set: nodes[i].set.Union(ch.extra), tids: ch.tids}
 			}
-			charmExtend(ctx, level, minsup, acc, st, ext)
+			charmExtend(ctx, level, minsup, acc, st)
 		}
-		acc.insert(nodes[i].set, nodes[i].tids.Support(), nodes[i].tids, ext)
+		acc.insert(nodes[i].set, nodes[i].tids.Support(), nodes[i].tids, st)
 	}
 }
 
@@ -172,11 +154,11 @@ type charmAcc struct {
 	byHash map[int64][]mining.FrequentItemset
 }
 
-func (a *charmAcc) insert(set itemset.Itemset, sup int, tids tidlist.Set, ext *charmExt) {
+func (a *charmAcc) insert(set itemset.Itemset, sup int, tids tidlist.Set, st *Stats) {
 	h := tidlist.HashTIDs(tids)
 	for _, f := range a.byHash[h] {
 		if f.Support == sup && set.SubsetOf(f.Set) {
-			ext.subs++
+			st.Subsumptions++
 			return
 		}
 	}

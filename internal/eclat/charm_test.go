@@ -17,8 +17,8 @@ func TestCharmMatchesClosedFilter(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		d := testutil.RandomDB(rng, 100+trial*25, 11, 6)
 		for _, minsup := range []int{2, 4, 8} {
-			want, _, _ := MineClosedOpts(context.Background(), d, minsup, Options{})
-			got, _, _ := MineClosedCHARMOpts(context.Background(), d, minsup, Options{})
+			want, _, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyClosed})
+			got, _, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyCharm})
 			if !mining.Equal(got, want) {
 				t.Fatalf("trial %d minsup %d:\n%s", trial, minsup, mining.Diff(got, want))
 			}
@@ -29,8 +29,8 @@ func TestCharmMatchesClosedFilter(t *testing.T) {
 func TestCharmOnGeneratedData(t *testing.T) {
 	d := gen.MustGenerate(gen.T10I6(1500))
 	minsup := d.MinSupCount(1.0)
-	want, _, _ := MineClosedOpts(context.Background(), d, minsup, Options{})
-	got, st, _ := MineClosedCHARMOpts(context.Background(), d, minsup, Options{})
+	want, _, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyClosed})
+	got, st, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyCharm})
 	if !mining.Equal(got, want) {
 		t.Fatal(mining.Diff(got, want))
 	}
@@ -41,7 +41,7 @@ func TestCharmOnGeneratedData(t *testing.T) {
 	// fire on correlated data — see the dedicated test); the subsumption
 	// check, however, must be doing work whenever non-closed candidates
 	// exist.
-	full, _ := MineSequential(d, minsup)
+	full, _ := mineSeq(t, d, minsup)
 	if full.Len() > got.Len() && st.Subsumptions == 0 && st.Merges == 0 {
 		t.Fatal("non-closed sets exist but CHARM never merged or subsumed")
 	}
@@ -58,7 +58,7 @@ func TestCharmCollapsesPerfectCorrelation(t *testing.T) {
 		}
 		d.Transactions = append(d.Transactions, db.Transaction{TID: itemset.TID(i), Items: items})
 	}
-	got, st, _ := MineClosedCHARMOpts(context.Background(), d, 5, Options{})
+	got, st, _ := MineParallelLocal(context.Background(), d, 5, Options{Workers: 1, Policy: PolicyCharm})
 	// Closed sets: {1,2,3} (sup 30), {1,2,3,5} (sup 10).
 	if got.Len() != 2 {
 		t.Fatalf("closed sets = %v, want 2", got.Itemsets)
@@ -74,14 +74,14 @@ func TestCharmCollapsesPerfectCorrelation(t *testing.T) {
 func TestCharmSubsumptionCounter(t *testing.T) {
 	rng := rand.New(rand.NewSource(173))
 	d := testutil.RandomDB(rng, 200, 10, 6)
-	_, st, _ := MineClosedCHARMOpts(context.Background(), d, 4, Options{})
+	_, st, _ := MineParallelLocal(context.Background(), d, 4, Options{Workers: 1, Policy: PolicyCharm})
 	if st.Intersections == 0 {
 		t.Fatal("no intersections recorded")
 	}
 }
 
 func TestCharmEmptyDatabase(t *testing.T) {
-	res, _, _ := MineClosedCHARMOpts(context.Background(), &db.Database{NumItems: 3}, 1, Options{})
+	res, _, _ := MineParallelLocal(context.Background(), &db.Database{NumItems: 3}, 1, Options{Workers: 1, Policy: PolicyCharm})
 	if res.Len() != 0 {
 		t.Fatal("empty database has no closed sets")
 	}

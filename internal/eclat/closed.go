@@ -1,57 +1,16 @@
 package eclat
 
 import (
-	"context"
-
-	"repro/internal/db"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 )
 
-// MineClosedOpts discovers the closed frequent itemsets: those with no
-// strict superset of equal support. Closed sets are the lossless
-// compression of the frequent collection — together with their supports
-// they determine the support of every frequent itemset, unlike the
-// (smaller, lossy) maximal sets of MineMaximalOpts.
-//
-// The implementation mines the full collection on the class-task engine
-// and applies the closure filter by the immediate-superset property: an
-// itemset is non-closed iff one of its single-item extensions has the
-// same support, so marking each frequent set's (k-1)-subsets of equal
-// support as non-closed visits each frequent set only k times.
-//
-// opts.Workers > 1 mines the underlying full collection with the
-// work-stealing pool; the filter input is byte-identical at every worker
-// count, so the closed output is too. opts.Workers ≤ 0 means 1 — the
-// historical sequential default. TopK and MustContain are ignored (their
-// adaptive pruning is unsound against the closed output contract).
-func MineClosedOpts(ctx context.Context, d *db.Database, minsup int, opts Options) (*mining.Result, Stats, error) {
-	if minsup < 1 {
-		minsup = 1
-	}
-	opts.TopK, opts.MustContain = 0, nil
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	var st Stats
-	st.Workers = workers
-
-	v := buildVertical(ctx, d, minsup, &st, opts)
-	eng := newEngine(v, minsup, opts, policyAll{})
-	if _, err := eng.run(ctx, workers, &st, &arena{}, v.res.Add); err != nil {
-		return nil, st, err
-	}
-	eng.finish(v.res, &st)
-
-	res := &mining.Result{MinSup: v.res.MinSup, NumTransactions: v.res.NumTransactions}
-	res.Itemsets = closedFilter(v.res.Itemsets)
-	res.Sort()
-	return res, st, nil
-}
-
 // closedFilter returns the closed subsets of a complete frequent
-// collection (each itemset paired with its exact support).
+// collection (each itemset paired with its exact support), in input
+// order. By the immediate-superset property an itemset is non-closed iff
+// one of its single-item extensions has the same support, so marking
+// each frequent set's (k-1)-subsets of equal support as non-closed
+// visits each frequent set only k times.
 func closedFilter(all []mining.FrequentItemset) []mining.FrequentItemset {
 	sup := make(map[string]int, len(all))
 	for _, f := range all {

@@ -36,9 +36,9 @@ func TestClosedMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		d := testutil.RandomDB(rng, 120+trial*20, 11, 6)
 		for _, minsup := range []int{3, 6} {
-			full, _ := MineSequential(d, minsup)
+			full, _ := mineSeq(t, d, minsup)
 			want := oracleClosed(full)
-			got, _, _ := MineClosedOpts(context.Background(), d, minsup, Options{})
+			got, _, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyClosed})
 			if !mining.Equal(got, want) {
 				t.Fatalf("trial %d minsup %d:\n%s", trial, minsup, mining.Diff(got, want))
 			}
@@ -50,9 +50,9 @@ func TestClosedBetweenMaximalAndFull(t *testing.T) {
 	// |maximal| <= |closed| <= |full|, and every maximal set is closed.
 	d := gen.MustGenerate(gen.T10I6(1500))
 	minsup := d.MinSupCount(1.0)
-	full, _ := MineSequential(d, minsup)
-	closed, _, _ := MineClosedOpts(context.Background(), d, minsup, Options{})
-	maximal, _, _ := MineMaximalOpts(context.Background(), d, minsup, Options{})
+	full, _ := mineSeq(t, d, minsup)
+	closed, _, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyClosed})
+	maximal, _, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyMaximal})
 	if !(maximal.Len() <= closed.Len() && closed.Len() <= full.Len()) {
 		t.Fatalf("|maximal|=%d |closed|=%d |full|=%d out of order",
 			maximal.Len(), closed.Len(), full.Len())
@@ -71,8 +71,8 @@ func TestSupportFromClosedLossless(t *testing.T) {
 	rng := rand.New(rand.NewSource(157))
 	d := testutil.RandomDB(rng, 180, 10, 6)
 	minsup := 5
-	full, _ := MineSequential(d, minsup)
-	closed, _, _ := MineClosedOpts(context.Background(), d, minsup, Options{})
+	full, _ := mineSeq(t, d, minsup)
+	closed, _, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyClosed})
 	for _, f := range full.Itemsets {
 		if got := SupportFromClosed(closed, f.Set); got != f.Support {
 			t.Fatalf("support of %v from closed = %d, want %d", f.Set, got, f.Support)

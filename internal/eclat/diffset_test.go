@@ -17,8 +17,8 @@ func TestDiffsetsMatchStandardEclat(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		d := testutil.RandomDB(rng, 120+trial*25, 12, 7)
 		for _, minsup := range []int{2, 4, 8} {
-			want, _ := MineSequential(d, minsup)
-			got, _, _ := MineSequentialDiffsetsOpts(context.Background(), d, minsup, Options{})
+			want, _ := mineSeq(t, d, minsup)
+			got, _, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyDiffsets})
 			if !mining.Equal(got, want) {
 				t.Fatalf("trial %d minsup %d:\n%s", trial, minsup, mining.Diff(got, want))
 			}
@@ -29,7 +29,7 @@ func TestDiffsetsMatchStandardEclat(t *testing.T) {
 func TestDiffsetsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(143))
 	d := testutil.RandomDB(rng, 150, 10, 6)
-	got, _, _ := MineSequentialDiffsetsOpts(context.Background(), d, 4, Options{})
+	got, _, _ := MineParallelLocal(context.Background(), d, 4, Options{Workers: 1, Policy: PolicyDiffsets})
 	want := testutil.BruteForce(d, 4)
 	if !mining.Equal(got, want) {
 		t.Fatal(mining.Diff(got, want))
@@ -39,8 +39,8 @@ func TestDiffsetsMatchBruteForce(t *testing.T) {
 func TestDiffsetsOnGeneratedData(t *testing.T) {
 	d := gen.MustGenerate(gen.T10I6(3000))
 	minsup := d.MinSupCount(0.5)
-	want, _ := MineSequential(d, minsup)
-	got, st, _ := MineSequentialDiffsetsOpts(context.Background(), d, minsup, Options{})
+	want, _ := mineSeq(t, d, minsup)
+	got, st, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyDiffsets})
 	if !mining.Equal(got, want) {
 		t.Fatal(mining.Diff(got, want))
 	}
@@ -79,8 +79,8 @@ func TestDiffsetsShrinkDeepLists(t *testing.T) {
 	// trade-off Zaki's own follow-up reports).
 	minsup := 200
 
-	want, _ := MineSequential(d, minsup)
-	got, st, _ := MineSequentialDiffsetsOpts(context.Background(), d, minsup, Options{})
+	want, _ := mineSeq(t, d, minsup)
+	got, st, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyDiffsets})
 	if !mining.Equal(got, want) {
 		t.Fatal(mining.Diff(got, want))
 	}
@@ -101,7 +101,7 @@ func TestDiffsetsShrinkDeepLists(t *testing.T) {
 }
 
 func TestDiffsetsEmptyDatabase(t *testing.T) {
-	res, _, _ := MineSequentialDiffsetsOpts(context.Background(), &db.Database{NumItems: 3}, 1, Options{})
+	res, _, _ := MineParallelLocal(context.Background(), &db.Database{NumItems: 3}, 1, Options{Workers: 1, Policy: PolicyDiffsets})
 	if res.Len() != 0 {
 		t.Fatal("empty database should mine nothing")
 	}

@@ -99,21 +99,18 @@ type Options struct {
 	// word-packed dense kernel, ReprRoaring forces the containerized
 	// compressed kernels.
 	Representation tidlist.Repr
-	// NoDiffsets disables the dEclat diffset transition: every sub-class
-	// carries full tid-lists even past the density break-even where
-	// diffsets become the smaller encoding. The zero value (diffsets on)
-	// is the default; the ablation benchmarks flip this to isolate the
-	// transition's effect.
-	NoDiffsets bool
 	// DiffsetBreakEven overrides the density threshold at which a
 	// sub-class switches to diffsets (see DefaultDiffsetBreakEven).
-	// Zero means the measured default; values > 1 never switch (useful
-	// in tests that pin the tid-list path without the NoDiffsets knob).
+	// Zero means the measured default; values > 1 never switch (the
+	// tid-list-only ablation).
 	DiffsetBreakEven float64
-	// Workers is the number of real goroutines MineParallelLocal mines
-	// with (0 means runtime.GOMAXPROCS(0)). MineMaximalOpts and
-	// MineClosedOpts honor it too (0 means 1 there — their historical
-	// sequential default); the simulated-cluster entry points ignore it.
+	// Policy selects the search and its output (see Policy). The zero
+	// value is the paper's all-frequent search.
+	Policy Policy
+	// Workers is the number of real goroutines the local entry points
+	// mine with: 1 runs the sequential driver, N > 1 the work-stealing
+	// driver, and ≤ 0 means runtime.GOMAXPROCS(0). The simulated-cluster
+	// entry points ignore it.
 	Workers int
 	// TopK, when > 0, mines the k highest-support itemsets instead of a
 	// fixed-threshold collection: the engine's support heap adaptively
@@ -121,38 +118,98 @@ type Options struct {
 	// the result is truncated to k by support (ties broken
 	// lexicographically). Output is byte-identical to a full mine at the
 	// same floor followed by Result.TruncateTopK. Honored by the local
-	// all-frequent entry points (MineSequentialOpts, MineParallelLocal,
-	// MineVerticalLocal); the variant and cluster forms ignore it.
+	// entry points under PolicyAll; every other policy and the cluster
+	// forms clear it (adaptive pruning is unsound against their output
+	// contracts).
 	TopK int
 	// MustContain, when non-empty, restricts mining to itemsets
 	// containing every listed item (a targeted query): equivalence
 	// classes whose prefix cannot contain the items are skipped
 	// entirely, and emissions are filtered. Output equals post-filtering
-	// a full mine. Honored by the same entry points as TopK.
+	// a full mine. Honored and cleared exactly like TopK.
 	MustContain []itemset.Item
 }
 
-// Stats counts the work of a sequential or shared-memory-parallel run
-// (the simulated parallel forms report through cluster.Report instead).
+// Policy selects the search the engine runs over every equivalence
+// class, and with it the output the final reduction shapes.
+type Policy int
+
+const (
+	// PolicyAll is Compute_Frequent (figure 3): every frequent itemset,
+	// each sub-class switching to dEclat diffsets once its density
+	// crosses the break-even.
+	PolicyAll Policy = iota
+	// PolicyMaximal keeps only the maximal frequent itemsets (no frequent
+	// superset), found with the MaxEclat hybrid search of the authors'
+	// companion report [18]: before expanding a class bottom-up, a
+	// top-down lookahead intersects all its tid-lists, and if the class's
+	// top itemset is frequent the whole sub-lattice collapses into one
+	// candidate. The final reduction drops candidates subsumed by other
+	// candidates; supports stay exact.
+	PolicyMaximal
+	// PolicyClosed keeps only the closed itemsets (no strict superset of
+	// equal support), the lossless compression of the frequent
+	// collection: the search is PolicyAll's, and the final reduction
+	// applies the closure filter by the immediate-superset property.
+	PolicyClosed
+	// PolicyCharm finds the closed itemsets with the CHARM search (Zaki &
+	// Hsiao), which prunes the search space instead of filtering
+	// afterwards: equal-support extensions fold into their generators
+	// through the four tid-set containment properties, and a candidate is
+	// kept only if no equal-support superset is already closed. CHARM
+	// merges across prefixes, so it is one task over the frequent
+	// singletons rather than one per L2 class; its output equals
+	// PolicyClosed's.
+	PolicyCharm
+	// PolicyDiffsets is pure dEclat: every sub-class takes the diffset
+	// form at once instead of at the density break-even. For class
+	// prefix P the recursion carries d(PXY) = t(PX) \ t(PY) at the first
+	// level and d(PXY) = d(PY) \ d(PX) below it, with
+	// sup(PXY) = sup(PX) - |d(PXY)|; the output equals PolicyAll's.
+	PolicyDiffsets
+)
+
+// Stats counts the work of a local (sequential or shared-memory-parallel)
+// run; the simulated parallel forms report through cluster.Report
+// instead. The policy counters stay zero under the policies that do not
+// produce them.
 type Stats struct {
-	Scans          int
-	Intersections  int64 // tid-set intersections attempted
+	Scans int
+	// Intersections counts tid-set kernel calls: intersections, the
+	// differences of the diffset recursion, and the folds of the maximal
+	// lookahead.
+	Intersections  int64
 	ShortCircuited int64 // intersections aborted by the support bound
 	// IntersectOps counts kernel operations: element comparisons for the
 	// sparse merge kernel, 64-bit words touched for the dense kernel (the
 	// per-kind split is in Kernel).
 	IntersectOps int64
 	Classes      int // top-level equivalence classes mined
-	// Workers is the number of mining goroutines a MineParallelLocal run
-	// used (1 for sequential runs).
+	// Workers is the number of mining goroutines the run used.
 	Workers int
-	// Steals counts the work-stealing events of a MineParallelLocal run
-	// (always 0 for sequential runs).
+	// Steals counts the work-stealing events of the run (always 0 with
+	// one worker).
 	Steals int64
-	// DiffsetClasses counts the sub-classes the recursion switched to
-	// the dEclat diffset representation (0 when Options.NoDiffsets is
-	// set or nothing crossed the density break-even).
+	// DiffsetClasses counts the sub-classes PolicyAll's recursion
+	// switched to the dEclat diffset representation.
 	DiffsetClasses int64
+	// ListBytes is the total bytes of the diffsets the recursion kept, in
+	// their chosen encoding — the volume the diffset trade-off prices.
+	ListBytes int64
+	// Lookaheads and LookaheadHits count PolicyMaximal's class-collapse
+	// attempts and the classes whose full union was frequent.
+	Lookaheads    int64
+	LookaheadHits int64
+	// Merges counts PolicyCharm's itemset extensions via the tid-set
+	// containment properties; Subsumptions its candidates discarded by
+	// the closed-set check.
+	Merges       int64
+	Subsumptions int64
+	// Candidates is the size of the collection the final reduction
+	// started from: the seeded L1/L2 plus every emission (for
+	// PolicyMaximal, the locally-maximal sets before the subsumption
+	// filter).
+	Candidates int
 	// EffectiveMinSup is the minimum support the run ended at: the
 	// caller's floor, raised by the top-k support heap when Options.TopK
 	// is set (equal to the floor otherwise).
@@ -165,13 +222,18 @@ type Stats struct {
 }
 
 // merge folds a worker's counters into the run totals. Scans, Classes,
-// Workers and Steals are run-level figures owned by the coordinator and
-// are deliberately not summed.
+// Workers, Steals, Candidates and EffectiveMinSup are run-level figures
+// owned by the coordinator and are deliberately not summed.
 func (s *Stats) merge(w *Stats) {
 	s.Intersections += w.Intersections
 	s.ShortCircuited += w.ShortCircuited
 	s.IntersectOps += w.IntersectOps
 	s.DiffsetClasses += w.DiffsetClasses
+	s.ListBytes += w.ListBytes
+	s.Lookaheads += w.Lookaheads
+	s.LookaheadHits += w.LookaheadHits
+	s.Merges += w.Merges
+	s.Subsumptions += w.Subsumptions
 	s.Kernel.Add(w.Kernel)
 }
 
@@ -212,19 +274,16 @@ func computeFrequent(ctx context.Context, members []member, th *threshold, st *S
 	// the buffer-reuse discipline of the sparse-only loop survives the
 	// abstraction.
 	breakEven := diffsetBreakEven(opts)
-	var span int
-	if breakEven > 0 {
-		span = classSpan(members)
-	}
+	span := classSpan(members)
 	var scratch tidlist.Set
 	for i := 0; i < len(members)-1; i++ {
 		if ctx.Err() != nil {
 			return
 		}
 		minsup := th.current()
-		if breakEven > 0 && diffsetWins(members, i, span, breakEven) {
+		if diffsetWins(members, i, span, breakEven) {
 			st.DiffsetClasses++
-			diffTransition(ctx, members, i, th, st, ar, nil, emit)
+			diffTransition(ctx, members, i, th, st, ar, emit)
 			continue
 		}
 		mark := ar.mark()
@@ -276,12 +335,8 @@ func computeFrequent(ctx context.Context, members []member, th *threshold, st *S
 // at ≥ 50%.
 const DefaultDiffsetBreakEven = 0.5
 
-// diffsetBreakEven resolves the run's diffset-transition threshold:
-// 0 disables the transition entirely.
+// diffsetBreakEven resolves the run's diffset-transition threshold.
 func diffsetBreakEven(opts Options) float64 {
-	if opts.NoDiffsets {
-		return 0
-	}
 	if opts.DiffsetBreakEven > 0 {
 		return opts.DiffsetBreakEven
 	}
@@ -328,18 +383,22 @@ func diffsetWins(members []member, i, span int, breakEven float64) bool {
 	return float64(sum) >= breakEven*float64(span)*float64(n)
 }
 
+// dmember is one itemset of the current level, represented by its diffset
+// relative to its generating parent and its exact support.
+type dmember struct {
+	set   itemset.Itemset
+	diffs tidlist.Set
+	sup   int
+}
+
 // diffTransition opens the sub-class prefixed by members[i] in diffset
 // form — the dEclat first transition: each child carries
 // d(PXY) = t(PX) \ t(PY) with sup(PXY) = sup(PX) - |d(PXY)|, and the
 // recursion below continues in computeFrequentDiffCtx. The emitted
 // (itemset, support) pairs are identical to the tid-list path's (tested
-// property); only the intermediate encoding differs.
-//
-// lb, when non-nil, accumulates the bytes of every kept diffset — the
-// DiffStats.ListBytes figure of the pure-diffset policy. The automatic
-// transition inside computeFrequent passes nil (Stats has no such
-// figure, keeping its counters exactly as before the engine refactor).
-func diffTransition(ctx context.Context, members []member, i int, th *threshold, st *Stats, ar *arena, lb *int64, emit Emitter) {
+// property); only the intermediate encoding differs. Every kept diffset
+// is charged to st.ListBytes.
+func diffTransition(ctx context.Context, members []member, i int, th *threshold, st *Stats, ar *arena, emit Emitter) {
 	minsup := th.current()
 	mark := ar.mark()
 	defer ar.release(mark)
@@ -356,9 +415,7 @@ func diffTransition(ctx context.Context, members []member, i int, th *threshold,
 			continue
 		}
 		kept := ar.cloneSet(diffs)
-		if lb != nil {
-			*lb += kept.SizeBytes()
-		}
+		st.ListBytes += kept.SizeBytes()
 		next = append(next, dmember{
 			set:   members[i].set.Join(members[j].set),
 			diffs: kept,
@@ -369,7 +426,7 @@ func diffTransition(ctx context.Context, members []member, i int, th *threshold,
 		emit(m.set, m.sup)
 	}
 	if len(next) > 1 {
-		computeFrequentDiffCtx(ctx, next, th, st, ar, lb, emit)
+		computeFrequentDiffCtx(ctx, next, th, st, ar, emit)
 	}
 }
 
@@ -380,7 +437,7 @@ func diffTransition(ctx context.Context, members []member, i int, th *threshold,
 // the support is known only after the full difference — but the sets
 // shrink level over level instead of the supports, which is exactly the
 // trade the break-even gate prices.
-func computeFrequentDiffCtx(ctx context.Context, members []dmember, th *threshold, st *Stats, ar *arena, lb *int64, emit Emitter) {
+func computeFrequentDiffCtx(ctx context.Context, members []dmember, th *threshold, st *Stats, ar *arena, emit Emitter) {
 	var scratch tidlist.Set
 	for i := 0; i < len(members)-1; i++ {
 		if ctx.Err() != nil {
@@ -399,9 +456,7 @@ func computeFrequentDiffCtx(ctx context.Context, members []dmember, th *threshol
 				continue
 			}
 			kept := ar.cloneSet(diffs)
-			if lb != nil {
-				*lb += kept.SizeBytes()
-			}
+			st.ListBytes += kept.SizeBytes()
 			next = append(next, dmember{
 				set:   members[i].set.Join(members[j].set),
 				diffs: kept,
@@ -412,7 +467,7 @@ func computeFrequentDiffCtx(ctx context.Context, members []dmember, th *threshol
 			emit(m.set, m.sup)
 		}
 		if len(next) > 1 {
-			computeFrequentDiffCtx(ctx, next, th, st, ar, lb, emit)
+			computeFrequentDiffCtx(ctx, next, th, st, ar, emit)
 		}
 		ar.release(mark)
 	}
@@ -461,53 +516,11 @@ func applyClassRepr(members []member, repr tidlist.Repr, ks *tidlist.KernelStats
 	}
 }
 
-// MineSequential runs Eclat on a single processor: one pass for global
-// item and 2-itemset counts, one pass to invert the database into
-// per-pair tid-lists, then in-memory class-by-class mining. Like the
-// parallel form it reads the horizontal data twice; the third "scan" of
-// the paper (reading the inverted lists back from disk) has no in-memory
-// counterpart here.
-//
-// This is the convenience form for tests, benchmarks and experiments: no
-// cancellation (background context) and the paper's default options. The
-// canonical context-first entry point is MineSequentialOpts.
-func MineSequential(d *db.Database, minsup int) (*mining.Result, Stats) {
-	res, st, _ := MineSequentialOpts(context.Background(), d, minsup, Options{})
-	return res, st
-}
-
-// MineSequentialOpts is the canonical context-first sequential entry
-// point: MineSequential with explicit variant options and cooperative
-// cancellation. ctx is consulted between equivalence classes (see
-// computeFrequent), so a cancel or deadline stops the mine promptly
-// without slowing the intersection inner loop. On cancellation it
-// returns (nil, partial stats, ctx.Err()).
-func MineSequentialOpts(ctx context.Context, d *db.Database, minsup int, opts Options) (*mining.Result, Stats, error) {
-	return mineSequential(ctx, d, minsup, opts, &arena{})
-}
-
-// mineSequential is MineSequentialOpts with an explicit (possibly nil)
-// scratch arena, the knob the allocation benchmarks use to measure the
-// arena's effect.
-func mineSequential(ctx context.Context, d *db.Database, minsup int, opts Options, ar *arena) (*mining.Result, Stats, error) {
-	if minsup < 1 {
-		minsup = 1
-	}
-	var st Stats
-	st.Workers = 1
-	v := buildVertical(ctx, d, minsup, &st, opts)
-	eng := newEngine(v, minsup, opts, policyAll{})
-	if _, err := eng.run(ctx, 1, &st, ar, v.res.Add); err != nil {
-		return nil, st, err
-	}
-	eng.finish(v.res, &st)
-	return v.res, st, nil
-}
-
-// vertical is the output of the initialization and transformation phases
-// shared by MineSequentialOpts and MineParallelLocal: the result seeded
-// with L1 and L2, the pruned equivalence classes, and the global per-pair
-// tid-lists the asynchronous phase mines from.
+// vertical is what the local entry points hand the mining core: the
+// result seeded with L1 and L2, the pruned equivalence classes, and the
+// source of each class's member tid-lists — the global per-pair
+// tid-lists of a horizontal run, the item sets of a vertical one, or the
+// CHARM roots.
 type vertical struct {
 	res     *mining.Result
 	classes []eqclass.Class

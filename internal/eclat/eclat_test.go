@@ -15,6 +15,20 @@ import (
 	"repro/internal/testutil"
 )
 
+// allPolicies lists every engine search, in declaration order.
+var allPolicies = []Policy{PolicyAll, PolicyMaximal, PolicyClosed, PolicyCharm, PolicyDiffsets}
+
+// mineSeq mines d on one worker under the all-frequent policy — the
+// sequential baseline the equivalence tests compare against.
+func mineSeq(t testing.TB, d *db.Database, minsup int) (*mining.Result, Stats) {
+	t.Helper()
+	res, st, err := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, st
+}
+
 func TestSequentialTinyKnownAnswer(t *testing.T) {
 	d := &db.Database{NumItems: 4, Transactions: []db.Transaction{
 		{TID: 0, Items: itemset.New(0, 1, 2)},
@@ -22,7 +36,7 @@ func TestSequentialTinyKnownAnswer(t *testing.T) {
 		{TID: 2, Items: itemset.New(0, 1, 3)},
 		{TID: 3, Items: itemset.New(0, 2)},
 	}}
-	res, st := MineSequential(d, 2)
+	res, st := mineSeq(t, d, 2)
 	m := res.SupportMap()
 	if m[itemset.New(0, 1, 2).Key()] != 2 {
 		t.Fatalf("sup({0,1,2}) = %d, want 2", m[itemset.New(0, 1, 2).Key()])
@@ -43,7 +57,7 @@ func TestSequentialMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		d := testutil.RandomDB(rng, 60, 12, 6)
 		for _, minsup := range []int{1, 2, 3, 5, 10} {
-			got, _ := MineSequential(d, minsup)
+			got, _ := mineSeq(t, d, minsup)
 			want := testutil.BruteForce(d, minsup)
 			if !mining.Equal(got, want) {
 				t.Fatalf("trial %d minsup %d:\n%s", trial, minsup, mining.Diff(got, want))
@@ -55,7 +69,7 @@ func TestSequentialMatchesBruteForce(t *testing.T) {
 func TestSequentialMatchesApriori(t *testing.T) {
 	d := gen.MustGenerate(gen.T10I6(1500))
 	minsup := d.MinSupCount(1.0)
-	ecl, _ := MineSequential(d, minsup)
+	ecl, _ := mineSeq(t, d, minsup)
 	apr, _, _ := apriori.Mine(context.Background(), d, minsup)
 	if !mining.Equal(ecl, apr) {
 		t.Fatalf("Eclat and Apriori disagree on %s:\n%s", gen.T10I6(1500).Name(), mining.Diff(ecl, apr))
@@ -68,7 +82,7 @@ func TestSequentialMatchesApriori(t *testing.T) {
 func TestShortCircuitCountersAdvance(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	d := testutil.RandomDB(rng, 200, 15, 8)
-	_, st := MineSequential(d, 20)
+	_, st := mineSeq(t, d, 20)
 	if st.Intersections == 0 {
 		t.Skip("no intersections at this support; adjust test data")
 	}
@@ -81,7 +95,7 @@ func TestParallelMatchesSequentialAcrossConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	d := testutil.RandomDB(rng, 300, 14, 7)
 	minsup := 6
-	want, _ := MineSequential(d, minsup)
+	want, _ := mineSeq(t, d, minsup)
 	configs := [][2]int{{1, 1}, {1, 2}, {2, 1}, {2, 2}, {4, 2}, {1, 8}, {3, 3}}
 	for _, hp := range configs {
 		cl := cluster.New(cluster.Default(hp[0], hp[1]))
@@ -175,11 +189,11 @@ func TestParallelMoreProcsThanTransactions(t *testing.T) {
 	}
 }
 
-func TestMineSequentialOptsCanceled(t *testing.T) {
+func TestSequentialDriverCanceled(t *testing.T) {
 	d := gen.MustGenerate(gen.T10I6(1500))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, _, err := MineSequentialOpts(ctx, d, 10, Options{})
+	res, _, err := MineParallelLocal(ctx, d, 10, Options{Workers: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -188,14 +202,28 @@ func TestMineSequentialOptsCanceled(t *testing.T) {
 	}
 }
 
-func TestMineSequentialOptsBackgroundMatchesPlain(t *testing.T) {
+// TestSequentialArenaMatchesHeap pins the allocation ablation to the
+// real path: the one-worker core with its scratch arena and with the
+// nil-arena heap fallback mines the same bytes with the same counters
+// under every policy.
+func TestSequentialArenaMatchesHeap(t *testing.T) {
 	d := gen.MustGenerate(gen.T10I6(1500))
-	want, _ := MineSequential(d, 10)
-	got, _, err := MineSequentialOpts(context.Background(), d, 10, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Itemsets) != len(got.Itemsets) {
-		t.Fatalf("ctx variant mined %d itemsets, plain mined %d", len(got.Itemsets), len(want.Itemsets))
+	for _, policy := range allPolicies {
+		opts := Options{Workers: 1, Policy: policy}
+		var got [2]*mining.Result
+		var st [2]Stats
+		for i, ar := range []*arena{{}, nil} {
+			var err error
+			got[i], st[i], err = mineLocal(context.Background(), 10, opts, ar, horizontalBuild(context.Background(), d))
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !byteIdentical(got[0], got[1]) {
+			t.Fatalf("policy %d: arena and heap runs differ:\n%s", policy, mining.Diff(got[0], got[1]))
+		}
+		if st[0] != st[1] {
+			t.Fatalf("policy %d: arena stats %+v, heap stats %+v", policy, st[0], st[1])
+		}
 	}
 }

@@ -125,142 +125,53 @@ func (t *threshold) current() int {
 
 // worker bundles the per-goroutine mining state every policy explores
 // with: the run (or worker-local) Stats, the run options, the shared
-// threshold, a scratch arena, and the policy's extra-counter block.
+// threshold and a scratch arena.
 type worker struct {
 	st   *Stats
 	opts Options
 	th   *threshold
 	ar   *arena
-	ext  any
 }
 
-// ExplorePolicy is a search strategy over one equivalence class: the
-// all-frequent recursion of figure 3, the MaxEclat lookahead search, the
-// dEclat diffset recursion, or the CHARM closed-set search. Policies are
-// stateless values; per-run counters that Stats does not cover live in
-// the ext block (newExt per worker, mergeExt at run end).
-type ExplorePolicy interface {
-	// newExt allocates the policy's extra-counter block (nil if none).
-	newExt() any
-	// mergeExt folds one worker's block into the run block.
-	mergeExt(dst, src any)
-	// explore mines one class's members, emitting every (itemset,
-	// support) the policy's output contract includes.
-	explore(ctx context.Context, w *worker, members []member, emit Emitter)
-}
-
-// policyAll is the paper's Compute_Frequent: emit every frequent itemset
-// derivable from the class (diffset auto-transition included).
-type policyAll struct{}
-
-func (policyAll) newExt() any       { return nil }
-func (policyAll) mergeExt(_, _ any) {}
-func (policyAll) explore(ctx context.Context, w *worker, members []member, emit Emitter) {
-	computeFrequent(ctx, members, w.th, w.st, w.opts, w.ar, emit)
-}
-
-// maxExt carries the MaxEclat lookahead counters.
-type maxExt struct {
-	lookaheads int64
-	hits       int64
-}
-
-// policyMaximal is the MaxEclat hybrid search: emit locally-maximal sets
-// only (the caller applies the global subsumption filter).
-type policyMaximal struct{}
-
-func (policyMaximal) newExt() any { return &maxExt{} }
-func (policyMaximal) mergeExt(dst, src any) {
-	d, s := dst.(*maxExt), src.(*maxExt)
-	d.lookaheads += s.lookaheads
-	d.hits += s.hits
-}
-func (policyMaximal) explore(ctx context.Context, w *worker, members []member, emit Emitter) {
-	computeMaximal(ctx, members, w.th, w.st, w.ext.(*maxExt), w.ar, emit)
-}
-
-// diffExt carries the diffset byte-volume counter.
-type diffExt struct {
-	listBytes int64
-}
-
-// policyDiffsets is pure dEclat: every sub-class takes the diffset first
-// transition immediately instead of waiting for the density break-even.
-type policyDiffsets struct{}
-
-func (policyDiffsets) newExt() any { return &diffExt{} }
-func (policyDiffsets) mergeExt(dst, src any) {
-	dst.(*diffExt).listBytes += src.(*diffExt).listBytes
-}
-func (policyDiffsets) explore(ctx context.Context, w *worker, members []member, emit Emitter) {
-	lb := &w.ext.(*diffExt).listBytes
-	for i := 0; i < len(members)-1; i++ {
-		if ctx.Err() != nil {
-			return
+// explore mines one class's members under the run's policy, emitting
+// every (itemset, support) its search produces; the final reduction
+// turns the emissions into the policy's output.
+func (w *worker) explore(ctx context.Context, members []member, emit Emitter) {
+	switch w.opts.Policy {
+	case PolicyMaximal:
+		computeMaximal(ctx, members, w.th, w.st, w.ar, emit)
+	case PolicyCharm:
+		charmExplore(ctx, members, w.th.current(), w.st, emit)
+	case PolicyDiffsets:
+		for i := 0; i < len(members)-1; i++ {
+			if ctx.Err() != nil {
+				return
+			}
+			diffTransition(ctx, members, i, w.th, w.st, w.ar, emit)
 		}
-		diffTransition(ctx, members, i, w.th, w.st, w.ar, lb, emit)
+	default: // PolicyAll, PolicyClosed
+		computeFrequent(ctx, members, w.th, w.st, w.opts, w.ar, emit)
 	}
 }
 
-// charmExt carries the CHARM merge/subsumption counters and the run's
-// closed-set accumulator (CHARM is a single global task, so there is
-// exactly one).
-type charmExt struct {
-	merges int64
-	subs   int64
-	acc    *charmAcc
-}
-
-// policyCharm is the CHARM closed-set search over the singleton roots.
-// It is not class-decomposable (extensions merge across prefixes), so
-// the engine runs it as one task; emission happens once, from the
-// accumulator, after the search completes.
-type policyCharm struct{}
-
-func (policyCharm) newExt() any {
-	return &charmExt{acc: &charmAcc{byHash: map[int64][]mining.FrequentItemset{}}}
-}
-func (policyCharm) mergeExt(dst, src any) {
-	d, s := dst.(*charmExt), src.(*charmExt)
-	d.merges += s.merges
-	d.subs += s.subs
-	if d.acc == nil || len(d.acc.byHash) == 0 {
-		d.acc = s.acc
-	}
-}
-func (policyCharm) explore(ctx context.Context, w *worker, members []member, emit Emitter) {
-	ext := w.ext.(*charmExt)
-	nodes := make([]*charmNode, len(members))
-	for i, m := range members {
-		nodes[i] = &charmNode{set: m.set, tids: m.tids}
-	}
-	charmExtend(ctx, nodes, w.th.current(), ext.acc, w.st, ext)
-	for _, bucket := range ext.acc.byHash {
-		for _, f := range bucket {
-			emit(f.Set, f.Support)
-		}
-	}
-}
-
-// engine is the class-task engine every Mine* entry point binds a policy
-// to: it owns class iteration, emit filtering (targeted queries), top-k
-// threshold raising, per-class stats flushing, ctx checks, and — under
+// engine is the class-task engine every entry point runs on: it owns
+// class iteration, emit filtering (targeted queries), top-k threshold
+// raising, per-class stats flushing, ctx checks, and — under
 // Workers > 1 — the work-stealing deques with the deterministic
 // class-index-order merge.
 type engine struct {
 	v    *vertical
 	th   *threshold
 	opts Options
-	pol  ExplorePolicy
 	must []itemset.Item // canonical (sorted, deduped) MustContain
 }
 
-func newEngine(v *vertical, minsup int, opts Options, pol ExplorePolicy) *engine {
+func newEngine(v *vertical, minsup int, opts Options) *engine {
 	th := fixedThreshold(minsup)
 	if opts.TopK > 0 {
 		th = &threshold{floor: minsup, heap: newSupportHeap(opts.TopK)}
 	}
-	return &engine{v: v, th: th, opts: opts, pol: pol, must: canonMust(opts.MustContain)}
+	return &engine{v: v, th: th, opts: opts, must: canonMust(opts.MustContain)}
 }
 
 // wrapEmit layers the engine's emit hooks under a sink: the targeted
@@ -286,11 +197,11 @@ func (e *engine) wrapEmit(sink Emitter) Emitter {
 	return emit
 }
 
-// run mines every class of e.v, delivering emissions to sink in
-// class-index order (the sequential mining order) regardless of worker
-// count. ar is the sequential path's scratch arena (parallel workers own
-// their own); the returned value is the policy's merged ext block.
-func (e *engine) run(ctx context.Context, workers int, st *Stats, ar *arena, sink Emitter) (any, error) {
+// run mines every class of e.v on opts.Workers goroutines, appending the
+// emissions to e.v.res in class-index order (the sequential mining
+// order) regardless of worker count. ar is the sequential driver's
+// scratch arena (parallel workers own their own).
+func (e *engine) run(ctx context.Context, st *Stats, ar *arena) error {
 	if e.th.heap != nil {
 		// Seed the heap with the already-known L1/L2 supports so the
 		// effective threshold starts rising before the first class.
@@ -298,46 +209,69 @@ func (e *engine) run(ctx context.Context, workers int, st *Stats, ar *arena, sin
 			e.th.heap.offer(f.Support)
 		}
 	}
-	if workers > 1 {
-		return e.runParallel(ctx, workers, st, sink)
+	if e.opts.Workers > 1 {
+		return e.runParallel(ctx, st)
 	}
-	return e.runSequential(ctx, st, ar, sink)
+	return e.runSequential(ctx, st, ar)
 }
 
 // runSequential is the single-goroutine driver: mine class by class,
 // flushing the intersection counters to the metrics registry at class
 // granularity.
-func (e *engine) runSequential(ctx context.Context, st *Stats, ar *arena, sink Emitter) (any, error) {
+func (e *engine) runSequential(ctx context.Context, st *Stats, ar *arena) error {
 	tr := obsv.TraceFrom(ctx)
 	sp := tr.Start("asynchronous")
-	ext := e.pol.newExt()
-	w := &worker{st: st, opts: e.opts, th: e.th, ar: ar, ext: ext}
-	emit := e.wrapEmit(sink)
+	w := &worker{st: st, opts: e.opts, th: e.th, ar: ar}
+	emit := e.wrapEmit(e.v.res.Add)
 	for ci := range e.v.classes {
 		if err := ctx.Err(); err != nil {
-			return ext, err
+			return err
 		}
 		before := *st
 		e.v.acquire(ci)
-		e.pol.explore(ctx, w, e.v.members(ci, e.opts.Representation, st), emit)
+		w.explore(ctx, e.v.members(ci, e.opts.Representation, st), emit)
 		e.v.release(ci)
 		flushStats(&before, st)
 		mClasses.Inc()
 	}
 	sp.End()
-	return ext, ctx.Err()
+	return ctx.Err()
 }
 
-// finish applies the engine's post-mine output shaping shared by every
-// all-collection entry point: canonical sort, then — under TopK — the
-// support-descending truncation, plus the raise-count metric.
-func (e *engine) finish(res *mining.Result, st *Stats) {
-	res.Sort()
+// finish is a local run's final reduction (§5.4), traced as its own
+// "reduction" phase after the asynchronous one: the run's closing
+// figures land in st and reduce shapes the collection into the policy's
+// output.
+func (e *engine) finish(ctx context.Context, st *Stats) *mining.Result {
+	sp := obsv.TraceFrom(ctx).Start("reduction")
+	defer sp.End()
+	st.Candidates = len(e.v.res.Itemsets)
 	st.EffectiveMinSup = e.th.current()
 	if e.th.heap != nil {
-		res.TruncateTopK(e.th.heap.k)
 		mTopKRaises.Add(e.th.heap.raises.Load())
 	}
+	return reduce(e.v.res, e.opts.Policy, e.opts.TopK)
+}
+
+// reduce shapes a run's collection — the seeded L1/L2 plus every
+// emission — into the policy's output, for the local and the
+// simulated-cluster entry points alike: the global subsumption filter
+// for PolicyMaximal (local filtering cannot be final: a set from one
+// class can be subsumed by a set from another), the closure filter for
+// PolicyClosed, then the canonical sort and, under top-k, the
+// support-ordered truncation. Both filters are independent of the
+// collection's order, which is what makes the output byte-identical at
+// every worker count and cluster shape.
+func reduce(res *mining.Result, policy Policy, topK int) *mining.Result {
+	switch policy {
+	case PolicyMaximal:
+		res.Itemsets = filterMaximal(res.Itemsets)
+	case PolicyClosed:
+		res.Itemsets = closedFilter(res.Itemsets)
+	}
+	res.Sort()
+	res.TruncateTopK(topK)
+	return res
 }
 
 // canonMust returns the canonical targeted-item list: sorted ascending,

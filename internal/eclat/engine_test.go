@@ -18,11 +18,11 @@ func TestMaximalClosedMulticoreSteals(t *testing.T) {
 	d := gen.MustGenerate(gen.T10I6(2000))
 	minsup := d.MinSupCount(0.6)
 
-	seqMax, _, err := MineMaximalOpts(context.Background(), d, minsup, Options{})
+	seqMax, _, err := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyMaximal})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqClosed, _, err := MineClosedOpts(context.Background(), d, minsup, Options{})
+	seqClosed, _, err := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyClosed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestMaximalClosedMulticoreSteals(t *testing.T) {
 	const attempts = 50
 	stole := false
 	for i := 0; i < attempts && !stole; i++ {
-		res, st, err := MineMaximalOpts(context.Background(), d, minsup, Options{Workers: 4})
+		res, st, err := MineParallelLocal(context.Background(), d, minsup, Options{Policy: PolicyMaximal, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestMaximalClosedMulticoreSteals(t *testing.T) {
 
 	stole = false
 	for i := 0; i < attempts && !stole; i++ {
-		res, st, err := MineClosedOpts(context.Background(), d, minsup, Options{Workers: 4})
+		res, st, err := MineParallelLocal(context.Background(), d, minsup, Options{Policy: PolicyClosed, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

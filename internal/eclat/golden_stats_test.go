@@ -149,13 +149,23 @@ func parseGoldenRepr(t *testing.T, s string) tidlist.Repr {
 	return r
 }
 
+// goldenKeys names each policy's output fingerprint in the golden file.
+var goldenKeys = map[Policy]string{
+	PolicyAll:      "all",
+	PolicyMaximal:  "maximal",
+	PolicyClosed:   "closed",
+	PolicyCharm:    "charm",
+	PolicyDiffsets: "diffsets",
+}
+
 // TestEngineMatchesGoldenStats drives every engine policy over the
-// frozen profile: the all-frequent counters at workers 1–8, the maximal
-// counters at workers 1–8, the pure-diffset counters, and the output
-// fingerprints of all eight variants (sequential, parallel-local,
-// maximal, diffsets, closed, CHARM, cluster, hybrid, maximal-cluster).
-// Workers and Steals are scheduling figures, not work counters, and are
-// deliberately outside the comparison.
+// frozen profile through MineParallelLocal at workers 1–8: the output
+// fingerprint of each policy, the all-frequent counters (which the
+// closed policy shares: it runs the same search), the maximal counters,
+// and the pure-diffset counters; then the fingerprints of the three
+// simulated-cluster forms, and of the cluster and hybrid forms under
+// every other policy. Workers and Steals are scheduling figures,
+// not work counters, and are deliberately outside the comparison.
 func TestEngineMatchesGoldenStats(t *testing.T) {
 	dbs := map[string]*db.Database{}
 	for _, e := range loadGoldens(t) {
@@ -165,85 +175,49 @@ func TestEngineMatchesGoldenStats(t *testing.T) {
 			dbs[e.Dataset] = d
 		}
 		repr := parseGoldenRepr(t, e.Repr)
-		opts := Options{Representation: repr}
 		t.Run(e.Dataset+"/"+e.Repr, func(t *testing.T) {
-			res, st, err := MineSequentialOpts(context.Background(), d, e.MinSup, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := statsOf(&st); got != e.Stats {
-				t.Errorf("sequential stats = %+v, want %+v", got, e.Stats)
-			}
-			if fp := goldenFingerprint(res); fp != e.Fingerprints["all"] {
-				t.Errorf("sequential fingerprint = %#x, want %#x", fp, e.Fingerprints["all"])
-			}
-
 			for workers := 1; workers <= 8; workers++ {
-				o := opts
-				o.Workers = workers
-				pres, pst, err := MineParallelLocal(context.Background(), d, e.MinSup, o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := statsOf(&pst); got != e.Stats {
-					t.Errorf("parallel workers=%d stats = %+v, want %+v", workers, got, e.Stats)
-				}
-				if fp := goldenFingerprint(pres); fp != e.Fingerprints["all"] {
-					t.Errorf("parallel workers=%d fingerprint = %#x, want %#x", workers, fp, e.Fingerprints["all"])
-				}
-
-				mres, mst, err := MineMaximalOpts(context.Background(), d, e.MinSup, o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := maxGold{
-					statsGold:     statsOf(&mst.Stats),
-					Lookaheads:    mst.Lookaheads,
-					LookaheadHits: mst.LookaheadHits,
-					Candidates:    mst.Candidates,
-				}
-				if got != e.Max {
-					t.Errorf("maximal workers=%d stats = %+v, want %+v", workers, got, e.Max)
-				}
-				if fp := goldenFingerprint(mres); fp != e.Fingerprints["maximal"] {
-					t.Errorf("maximal workers=%d fingerprint = %#x, want %#x", workers, fp, e.Fingerprints["maximal"])
-				}
-
-				cres, _, err := MineClosedOpts(context.Background(), d, e.MinSup, o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fp := goldenFingerprint(cres); fp != e.Fingerprints["closed"] {
-					t.Errorf("closed workers=%d fingerprint = %#x, want %#x", workers, fp, e.Fingerprints["closed"])
+				for _, policy := range allPolicies {
+					key := goldenKeys[policy]
+					opts := Options{Representation: repr, Workers: workers, Policy: policy}
+					res, st, err := MineParallelLocal(context.Background(), d, e.MinSup, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fp := goldenFingerprint(res); fp != e.Fingerprints[key] {
+						t.Errorf("%s workers=%d fingerprint = %#x, want %#x", key, workers, fp, e.Fingerprints[key])
+					}
+					switch policy {
+					case PolicyAll, PolicyClosed:
+						if got := statsOf(&st); got != e.Stats {
+							t.Errorf("%s workers=%d stats = %+v, want %+v", key, workers, got, e.Stats)
+						}
+					case PolicyMaximal:
+						got := maxGold{
+							statsGold:     statsOf(&st),
+							Lookaheads:    st.Lookaheads,
+							LookaheadHits: st.LookaheadHits,
+							Candidates:    st.Candidates,
+						}
+						if got != e.Max {
+							t.Errorf("maximal workers=%d stats = %+v, want %+v", workers, got, e.Max)
+						}
+					case PolicyDiffsets:
+						got := diffGold{
+							Scans:         st.Scans,
+							Intersections: st.Intersections,
+							DiffOps:       st.IntersectOps,
+							ListBytes:     st.ListBytes,
+							Kernel:        kernelOf(&st.Kernel),
+						}
+						if got != e.Diff {
+							t.Errorf("diffsets workers=%d stats = %+v, want %+v", workers, got, e.Diff)
+						}
+					}
 				}
 			}
 
-			dres, dst, err := MineSequentialDiffsetsOpts(context.Background(), d, e.MinSup, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotDiff := diffGold{
-				Scans:         dst.Scans,
-				Intersections: dst.Intersections,
-				DiffOps:       dst.DiffOps,
-				ListBytes:     dst.ListBytes,
-				Kernel:        kernelOf(&dst.Kernel),
-			}
-			if gotDiff != e.Diff {
-				t.Errorf("diffsets stats = %+v, want %+v", gotDiff, e.Diff)
-			}
-			if fp := goldenFingerprint(dres); fp != e.Fingerprints["diffsets"] {
-				t.Errorf("diffsets fingerprint = %#x, want %#x", fp, e.Fingerprints["diffsets"])
-			}
-
-			chres, _, err := MineClosedCHARMOpts(context.Background(), d, e.MinSup, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fp := goldenFingerprint(chres); fp != e.Fingerprints["charm"] {
-				t.Errorf("charm fingerprint = %#x, want %#x", fp, e.Fingerprints["charm"])
-			}
-
+			opts := Options{Representation: repr}
 			clres, _ := MineOpts(cluster.New(cluster.Default(2, 2)), d, e.MinSup, opts)
 			if fp := goldenFingerprint(clres); fp != e.Fingerprints["cluster"] {
 				t.Errorf("cluster fingerprint = %#x, want %#x", fp, e.Fingerprints["cluster"])
@@ -255,6 +229,21 @@ func TestEngineMatchesGoldenStats(t *testing.T) {
 			mpres, _ := MineMaximalParallelOpts(cluster.New(cluster.Default(2, 2)), d, e.MinSup, opts)
 			if fp := goldenFingerprint(mpres); fp != e.Fingerprints["maximalCluster"] {
 				t.Errorf("maximal-cluster fingerprint = %#x, want %#x", fp, e.Fingerprints["maximalCluster"])
+			}
+			// The cluster forms select the search through Policy and share
+			// the local final reduction, so every policy's cluster output
+			// carries its local fingerprint.
+			for _, policy := range allPolicies[1:] {
+				opts.Policy = policy
+				key := goldenKeys[policy]
+				clres, _ := MineOpts(cluster.New(cluster.Default(2, 2)), d, e.MinSup, opts)
+				if fp := goldenFingerprint(clres); fp != e.Fingerprints[key] {
+					t.Errorf("cluster %s fingerprint = %#x, want %#x", key, fp, e.Fingerprints[key])
+				}
+				hyres, _ := MineHybridOpts(cluster.New(cluster.Default(2, 2)), d, e.MinSup, opts)
+				if fp := goldenFingerprint(hyres); fp != e.Fingerprints[key] {
+					t.Errorf("hybrid %s fingerprint = %#x, want %#x", key, fp, e.Fingerprints[key])
+				}
 			}
 		})
 	}

@@ -26,15 +26,20 @@ import (
 // the classes are sub-scheduled across its processors for the
 // asynchronous phase. This removes both the per-processor disk
 // contention and the T-way exchange that limit flat Eclat when P > 1.
-// The class mining routes through the engine's all-frequent policy; the
-// host-level SPMD orchestration (cooperative scans, leader exchange,
-// sub-scheduling) is what this entry point adds. TopK and MustContain
-// are ignored on the cluster forms.
+// The classes are mined under opts.Policy and the gathered collection
+// goes through the same final reduction as MineOpts; the host-level SPMD
+// orchestration (cooperative scans, leader exchange, sub-scheduling) is
+// what this entry point adds. TopK, MustContain and Workers are ignored
+// on the cluster forms, and PolicyCharm runs as PolicyClosed (see
+// MineOpts).
 func MineHybridOpts(cl *cluster.Cluster, d *db.Database, minsup int, opts Options) (*mining.Result, cluster.Report) {
 	if minsup < 1 {
 		minsup = 1
 	}
 	opts.TopK, opts.MustContain = 0, nil
+	if opts.Policy == PolicyCharm {
+		opts.Policy = PolicyClosed
+	}
 	cfg := cl.Config()
 	h, pp := cfg.Hosts, cfg.ProcsPerHost
 	t := cl.NumProcs()
@@ -180,7 +185,7 @@ func MineHybridOpts(cl *cluster.Cluster, d *db.Database, minsup int, opts Option
 		subSched := eqclass.Schedule(sub, pp)
 		var myBytes int64
 		var st Stats
-		w := &worker{st: &st, opts: opts, th: fixedThreshold(minsup), ar: &arena{}, ext: policyAll{}.newExt()}
+		w := &worker{st: &st, opts: opts, th: fixedThreshold(minsup), ar: &arena{}}
 		for i := range sub {
 			if subSched.Owner[i] != p.ID()-leader {
 				continue
@@ -193,7 +198,7 @@ func MineHybridOpts(cl *cluster.Cluster, d *db.Database, minsup int, opts Option
 				myBytes += n
 			}
 			members := classMembers(&sub[i], lists, opts.Representation, &st.Kernel)
-			policyAll{}.explore(context.Background(), w, members, local.Add)
+			w.explore(context.Background(), members, local.Add)
 		}
 		p.ChargeScan(myBytes, pp)
 		chargeKernel(p, &st)
@@ -219,8 +224,7 @@ func MineHybridOpts(cl *cluster.Cluster, d *db.Database, minsup int, opts Option
 	for _, local := range locals {
 		res.Itemsets = append(res.Itemsets, local.Itemsets...)
 	}
-	res.Sort()
 	rep := cl.Report()
 	rep.Representation = opts.Representation.String()
-	return res, rep
+	return reduce(res, opts.Policy, 0), rep
 }

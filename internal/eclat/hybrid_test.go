@@ -14,7 +14,7 @@ func TestHybridMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	d := testutil.RandomDB(rng, 300, 14, 7)
 	minsup := 6
-	want, _ := MineSequential(d, minsup)
+	want, _ := mineSeq(t, d, minsup)
 	for _, hp := range [][2]int{{1, 1}, {1, 4}, {2, 2}, {4, 2}, {2, 4}, {3, 3}} {
 		cl := cluster.New(cluster.Default(hp[0], hp[1]))
 		got, rep := MineHybridOpts(cl, d, minsup, Options{})

@@ -104,58 +104,83 @@ func (q *wsDeque) stealInto(dst *wsDeque, qi, dsti int) int {
 	return n
 }
 
-// MineParallelLocal mines d on opts.Workers real goroutines sharing this
-// process's memory — the paper's asynchronous phase (section 5.3) mapped
-// onto a multicore host instead of the simulated cluster. Initialization
-// and transformation run once on the calling goroutine; the top-level
-// equivalence classes are then dealt to per-worker deques by the greedy
-// C(s,2) weight schedule (section 5.2.1) and mined with work stealing:
-// an idle worker takes the back half of the queue of the victim holding
-// the most queued weight, so one skewed class cannot serialize the run
-// the way it can under the paper's static schedule.
+// MineParallelLocal mines horizontal data on this host — the paper's
+// asynchronous phase (section 5.3) mapped onto a multicore host instead
+// of the simulated cluster. Initialization (one scan counting L1 and, in
+// the triangular array, L2) and transformation (a second scan building
+// the per-pair tid-lists) run once on the calling goroutine; the
+// top-level equivalence classes are then mined under opts.Policy on
+// opts.Workers goroutines. PolicyCharm scans once for per-item tid-lists
+// instead: its search starts from the frequent singletons.
 //
-// The result is byte-identical to MineSequential at every worker count:
-// each class is mined single-threaded into its own slot, slots are
-// concatenated in class-index order (the sequential mining order), and
-// the final Sort is a total order over the distinct itemsets.
+// Above one worker the classes are dealt to per-worker deques by the
+// greedy C(s,2) weight schedule (section 5.2.1) and mined with work
+// stealing: an idle worker takes the back half of the queue of the
+// victim holding the most queued weight, so one skewed class cannot
+// serialize the run the way it can under the paper's static schedule.
+// The result is byte-identical at every worker count: each class is
+// mined single-threaded into its own slot, slots are concatenated in
+// class-index order (the sequential mining order), and the final
+// reduction is order-independent.
 //
-// opts.Workers ≤ 0 means runtime.GOMAXPROCS(0). On context cancellation
-// every worker drains, the partial result is discarded and ctx.Err() is
-// returned; no goroutines outlive the call.
+// On context cancellation every worker drains, the partial result is
+// discarded and ctx.Err() is returned; no goroutines outlive the call.
 func MineParallelLocal(ctx context.Context, d *db.Database, minsup int, opts Options) (*mining.Result, Stats, error) {
+	return mineLocal(ctx, minsup, opts, &arena{}, horizontalBuild(ctx, d))
+}
+
+// horizontalBuild returns MineParallelLocal's build step (see mineLocal).
+func horizontalBuild(ctx context.Context, d *db.Database) func(int, Options, *Stats) *vertical {
+	return func(minsup int, opts Options, st *Stats) *vertical {
+		if opts.Policy == PolicyCharm {
+			return buildVerticalItems(d, minsup, st)
+		}
+		return buildVertical(ctx, d, minsup, st, opts)
+	}
+}
+
+// mineLocal is the one mining core behind both local entry points. It
+// normalizes the options once — minsup at least 1, workers resolved
+// (≤ 0 means GOMAXPROCS), TopK and MustContain cleared for every policy
+// but PolicyAll, the only output contract their pruning is sound
+// against — then builds the run's vertical through build, mines every
+// class with the sequential driver at one worker (on scratch arena ar;
+// nil is the heap fallback the allocation ablation measures) or the
+// work-stealing driver above, and ends with the final reduction.
+func mineLocal(ctx context.Context, minsup int, opts Options, ar *arena, build func(minsup int, opts Options, st *Stats) *vertical) (*mining.Result, Stats, error) {
 	if minsup < 1 {
 		minsup = 1
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if opts.Policy != PolicyAll {
+		opts.TopK, opts.MustContain = 0, nil
 	}
-
-	var st Stats
-	st.Workers = workers
-	v := buildVertical(ctx, d, minsup, &st, opts)
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
+	}
+	st := Stats{Workers: opts.Workers}
+	v := build(minsup, opts, &st)
 	if err := ctx.Err(); err != nil {
 		return nil, st, err
 	}
-	eng := newEngine(v, minsup, opts, policyAll{})
-	if _, err := eng.run(ctx, workers, &st, nil, v.res.Add); err != nil {
+	eng := newEngine(v, minsup, opts)
+	if err := eng.run(ctx, &st, ar); err != nil {
 		return nil, st, err
 	}
-	eng.finish(v.res, &st)
-	return v.res, st, nil
+	return eng.finish(ctx, &st), st, nil
 }
 
 // runParallel is the engine's work-stealing driver, shared by every
 // policy and entry point that mines with Workers > 1: deal the top-level
-// classes to per-worker deques, mine with stealing, then deliver the
-// per-class outputs to the sink in class-index order (the sequential
+// classes to per-worker deques, mine with stealing, then append the
+// per-class outputs to e.v.res in class-index order (the sequential
 // mining order), so the bytes match the sequential driver regardless of
 // which worker mined what. Worker counters are folded into st;
 // st.Steals is overwritten with the run's steal count.
-func (e *engine) runParallel(ctx context.Context, workers int, st *Stats, sink Emitter) (any, error) {
+func (e *engine) runParallel(ctx context.Context, st *Stats) error {
 	tr := obsv.TraceFrom(ctx)
 	sp := tr.Start("asynchronous")
 	v := e.v
+	workers := e.opts.Workers
 
 	// Deal classes to deques with the greedy weighted schedule, then order
 	// each deque heaviest-first so owners start on the big classes while
@@ -192,7 +217,6 @@ func (e *engine) runParallel(ctx context.Context, workers int, st *Stats, sink E
 	// popped ci writes the slot, so no lock is needed.
 	classOut := make([][]mining.FrequentItemset, len(v.classes))
 	workerStats := make([]Stats, workers)
-	exts := make([]any, workers)
 	var steals atomic.Int64
 
 	var wg sync.WaitGroup
@@ -205,9 +229,7 @@ func (e *engine) runParallel(ctx context.Context, workers int, st *Stats, sink E
 
 			wst := &workerStats[self]
 			var prev Stats
-			ext := e.pol.newExt()
-			exts[self] = ext
-			wk := &worker{st: wst, opts: e.opts, th: e.th, ar: &arena{}, ext: ext}
+			wk := &worker{st: wst, opts: e.opts, th: e.th, ar: &arena{}}
 			var acc []mining.FrequentItemset
 			emit := e.wrapEmit(func(set itemset.Itemset, sup int) {
 				acc = append(acc, mining.FrequentItemset{Set: set, Support: sup})
@@ -216,7 +238,7 @@ func (e *engine) runParallel(ctx context.Context, workers int, st *Stats, sink E
 			mine := func(t classTask) {
 				acc = acc[:0]
 				v.acquire(t.ci)
-				e.pol.explore(ctx, wk, v.members(t.ci, e.opts.Representation, wst), emit)
+				wk.explore(ctx, v.members(t.ci, e.opts.Representation, wst), emit)
 				v.release(t.ci)
 				out := make([]mining.FrequentItemset, len(acc))
 				copy(out, acc)
@@ -261,20 +283,11 @@ func (e *engine) runParallel(ctx context.Context, workers int, st *Stats, sink E
 		st.merge(&workerStats[w])
 	}
 	st.Steals = steals.Load()
-	ext := e.pol.newExt()
-	for _, we := range exts {
-		if we != nil {
-			e.pol.mergeExt(ext, we)
-		}
-	}
 	if err := ctx.Err(); err != nil {
-		return ext, err
+		return err
 	}
-
 	for _, out := range classOut {
-		for _, f := range out {
-			sink(f.Set, f.Support)
-		}
+		v.res.Itemsets = append(v.res.Itemsets, out...)
 	}
-	return ext, nil
+	return nil
 }

@@ -28,8 +28,8 @@ func TestParallelLocalMatchesSequentialExactly(t *testing.T) {
 	d := gen.MustGenerate(gen.T10I6(2000))
 	minsup := d.MinSupCount(0.6)
 	for _, repr := range []tidlist.Repr{tidlist.ReprAuto, tidlist.ReprSparse, tidlist.ReprBitset} {
-		opts := Options{Representation: repr}
-		want, wantSt, err := MineSequentialOpts(context.Background(), d, minsup, opts)
+		opts := Options{Representation: repr, Workers: 1}
+		want, wantSt, err := MineParallelLocal(context.Background(), d, minsup, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

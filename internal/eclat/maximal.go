@@ -4,80 +4,17 @@ import (
 	"context"
 	"sort"
 
-	"repro/internal/db"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/tidlist"
 )
 
-// MaxStats extends Stats with the lookahead counters of the maximal
-// search.
-type MaxStats struct {
-	Stats
-	Lookaheads    int64 // class-collapse attempts
-	LookaheadHits int64 // classes whose full union was frequent
-	Candidates    int   // locally-maximal sets before global subsumption filtering
-}
-
-// MineMaximalOpts discovers only the maximal frequent itemsets (those
-// with no frequent superset) using the MaxEclat hybrid search of the
-// authors' companion report [18] ("New algorithms for fast discovery of
-// association rules"): the usual bottom-up class recursion is augmented
-// with a top-down lookahead that first intersects an entire class's
-// tid-lists — if the class's top itemset is frequent, the whole sub-
-// lattice collapses into one maximal set without enumerating it.
-//
-// Supports in the result are exact. The union of the subsets of the
-// returned sets equals the full frequent-itemset collection mined by
-// MineSequentialOpts at the same threshold (tested property).
-//
-// The search runs on the class-task engine: opts.Workers > 1 mines the
-// classes with the work-stealing pool and the result is identical to the
-// sequential run (the global subsumption filter is order-independent).
-// opts.Workers ≤ 0 means 1 — the historical sequential default. TopK and
-// MustContain are ignored (their adaptive pruning is unsound against the
-// maximal output contract).
-func MineMaximalOpts(ctx context.Context, d *db.Database, minsup int, opts Options) (*mining.Result, MaxStats, error) {
-	if minsup < 1 {
-		minsup = 1
-	}
-	opts.TopK, opts.MustContain = 0, nil
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	var st MaxStats
-	st.Workers = workers
-
-	v := buildVertical(ctx, d, minsup, &st.Stats, opts)
-	// Candidate maximal sets: the frequent singletons and pairs seeded
-	// into v.res (they survive the final filter only if nothing subsumes
-	// them), then every locally-maximal set the class search emits.
-	cands := append([]mining.FrequentItemset(nil), v.res.Itemsets...)
-	eng := newEngine(v, minsup, opts, policyMaximal{})
-	ext, err := eng.run(ctx, workers, &st.Stats, &arena{}, func(set itemset.Itemset, sup int) {
-		cands = append(cands, mining.FrequentItemset{Set: set, Support: sup})
-	})
-	me := ext.(*maxExt)
-	st.Lookaheads, st.LookaheadHits = me.lookaheads, me.hits
-	if err != nil {
-		return nil, st, err
-	}
-	st.Candidates = len(cands)
-
-	res := &mining.Result{MinSup: minsup, NumTransactions: d.Len()}
-	for _, f := range filterMaximal(cands) {
-		res.Add(f.Set, f.Support)
-	}
-	res.Sort()
-	return res, st, nil
-}
-
-// computeMaximal mines one class, emitting locally-maximal frequent sets
-// (a superset of the globally maximal ones; the caller filters). Work
-// counters land in st; the lookahead tallies in ext. Cancellation is
-// checked once per sub-class, as in computeFrequent.
-func computeMaximal(ctx context.Context, members []member, th *threshold, st *Stats, ext *maxExt, ar *arena, emit Emitter) {
+// computeMaximal mines one class under PolicyMaximal, emitting
+// locally-maximal frequent sets (a superset of the globally maximal
+// ones; the final reduction filters). Work counters and lookahead
+// tallies land in st. Cancellation is checked once per sub-class, as in
+// computeFrequent.
+func computeMaximal(ctx context.Context, members []member, th *threshold, st *Stats, ar *arena, emit Emitter) {
 	if len(members) == 0 {
 		return
 	}
@@ -94,7 +31,7 @@ func computeMaximal(ctx context.Context, members []member, th *threshold, st *St
 	// intermediate allocations and the §5.3 bound aborts the fold as
 	// early as the operand order allows. On abort the partial result is
 	// discarded with the lookahead (the ok=false contract).
-	ext.lookaheads++
+	st.Lookaheads++
 	opSets := make([]tidlist.Set, len(members))
 	for i, m := range members {
 		opSets[i] = m.tids
@@ -103,7 +40,7 @@ func computeMaximal(ctx context.Context, members []member, th *threshold, st *St
 	st.Intersections += int64(folds)
 	st.IntersectOps += int64(ops)
 	if feasible {
-		ext.hits++
+		st.LookaheadHits++
 		union := members[0].set
 		for _, m := range members[1:] {
 			union = union.Union(m.set)
@@ -138,7 +75,7 @@ func computeMaximal(ctx context.Context, members []member, th *threshold, st *St
 		if len(next) == 0 {
 			emit(members[i].set, members[i].tids.Support())
 		} else {
-			computeMaximal(ctx, next, th, st, ext, ar, emit)
+			computeMaximal(ctx, next, th, st, ar, emit)
 		}
 		ar.release(mark)
 	}
@@ -146,9 +83,9 @@ func computeMaximal(ctx context.Context, members []member, th *threshold, st *St
 
 // filterMaximal removes every candidate subsumed by another candidate,
 // returning the true maximal sets (deduplicated). The outcome is
-// independent of the candidate order (it sorts first), which is what
-// makes the parallel and cluster maximal miners byte-identical to the
-// sequential one.
+// independent of the candidate order (it sorts cands in place first),
+// which is what makes the parallel and cluster maximal miners
+// byte-identical to the sequential one.
 func filterMaximal(cands []mining.FrequentItemset) []mining.FrequentItemset {
 	// Sort by size descending so keepers accumulate largest-first, and
 	// dedupe identical sets.

@@ -38,9 +38,9 @@ func TestMaximalMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		d := testutil.RandomDB(rng, 120+trial*20, 12, 6)
 		for _, minsup := range []int{3, 6, 12} {
-			full, _ := MineSequential(d, minsup)
+			full, _ := mineSeq(t, d, minsup)
 			want := oracleMaximal(full)
-			got, _, _ := MineMaximalOpts(context.Background(), d, minsup, Options{})
+			got, _, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyMaximal})
 			if !mining.Equal(got, want) {
 				t.Fatalf("trial %d minsup %d:\n%s", trial, minsup, mining.Diff(got, want))
 			}
@@ -51,9 +51,9 @@ func TestMaximalMatchesOracle(t *testing.T) {
 func TestMaximalOnGeneratedData(t *testing.T) {
 	d := gen.MustGenerate(gen.T10I6(2000))
 	minsup := d.MinSupCount(1.0)
-	full, fullStats := MineSequential(d, minsup)
+	full, fullStats := mineSeq(t, d, minsup)
 	want := oracleMaximal(full)
-	got, st, _ := MineMaximalOpts(context.Background(), d, minsup, Options{})
+	got, st, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyMaximal})
 	if !mining.Equal(got, want) {
 		t.Fatal(mining.Diff(got, want))
 	}
@@ -81,7 +81,7 @@ func TestMaximalLookaheadCollapsesCliqueData(t *testing.T) {
 			TID: itemset.TID(i), Items: pattern,
 		})
 	}
-	got, st, _ := MineMaximalOpts(context.Background(), d, 40, Options{})
+	got, st, _ := MineParallelLocal(context.Background(), d, 40, Options{Workers: 1, Policy: PolicyMaximal})
 	if got.Len() != 1 || !got.Itemsets[0].Set.Equal(pattern) {
 		t.Fatalf("maximal = %v, want just %v", got.Itemsets, pattern)
 	}
@@ -99,8 +99,8 @@ func TestMaximalSubsetsCoverFullResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	d := testutil.RandomDB(rng, 200, 12, 6)
 	minsup := 5
-	full, _ := MineSequential(d, minsup)
-	maxres, _, _ := MineMaximalOpts(context.Background(), d, minsup, Options{})
+	full, _ := mineSeq(t, d, minsup)
+	maxres, _, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyMaximal})
 	for _, f := range full.Itemsets {
 		covered := false
 		for _, m := range maxres.Itemsets {
@@ -125,7 +125,7 @@ func TestMaximalSubsetsCoverFullResult(t *testing.T) {
 func TestMaximalNoSubsumedPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	d := testutil.RandomDB(rng, 150, 10, 6)
-	got, _, _ := MineMaximalOpts(context.Background(), d, 4, Options{})
+	got, _, _ := MineParallelLocal(context.Background(), d, 4, Options{Workers: 1, Policy: PolicyMaximal})
 	for i, a := range got.Itemsets {
 		for j, b := range got.Itemsets {
 			if i != j && a.Set.SubsetOf(b.Set) {
@@ -139,7 +139,7 @@ func TestMaximalParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	d := testutil.RandomDB(rng, 250, 13, 7)
 	for _, minsup := range []int{4, 8} {
-		want, _, _ := MineMaximalOpts(context.Background(), d, minsup, Options{})
+		want, _, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyMaximal})
 		for _, hp := range [][2]int{{1, 1}, {2, 2}, {4, 1}, {1, 4}, {3, 2}} {
 			cl := cluster.New(cluster.Default(hp[0], hp[1]))
 			got, rep := MineMaximalParallel(cl, d, minsup)
@@ -156,7 +156,7 @@ func TestMaximalParallelMatchesSequential(t *testing.T) {
 func TestMaximalParallelOnGeneratedData(t *testing.T) {
 	d := gen.MustGenerate(gen.T10I6(1500))
 	minsup := d.MinSupCount(1.0)
-	want, _, _ := MineMaximalOpts(context.Background(), d, minsup, Options{})
+	want, _, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyMaximal})
 	cl := cluster.New(cluster.Default(2, 2))
 	got, _ := MineMaximalParallel(cl, d, minsup)
 	if !mining.Equal(got, want) {
@@ -165,7 +165,7 @@ func TestMaximalParallelOnGeneratedData(t *testing.T) {
 }
 
 func TestMaximalEmptyDatabase(t *testing.T) {
-	res, _, _ := MineMaximalOpts(context.Background(), &db.Database{NumItems: 4}, 1, Options{})
+	res, _, _ := MineParallelLocal(context.Background(), &db.Database{NumItems: 4}, 1, Options{Workers: 1, Policy: PolicyMaximal})
 	if res.Len() != 0 {
 		t.Fatal("empty database has no maximal sets")
 	}

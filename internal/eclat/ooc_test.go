@@ -36,51 +36,56 @@ func oocDataset(t testing.TB, numTx int, segBytes int64) *store.Dataset {
 }
 
 // TestOOCMatchesInCoreExactly is the acceptance contract of the
-// out-of-core path: for every representation, worker count and budget,
-// a budgeted mine over the store mapping is byte-identical to the
-// in-core mine AND reports exactly the same work counters — the budget
-// changes paging behavior, never the algorithm.
+// out-of-core path: for every output policy, representation, worker
+// count and budget, a budgeted mine over the store mapping is
+// byte-identical to the in-core mine AND reports exactly the same work
+// counters — the budget changes paging behavior, never the algorithm.
 func TestOOCMatchesInCoreExactly(t *testing.T) {
 	const segBytes = 64
 	ds := oocDataset(t, 250, segBytes)
 	in := VerticalInput{NumTransactions: ds.NumTransactions(), Items: ds.Sets(tidlist.ReprSparse)}
 	minsup := 3
 
-	for _, repr := range []tidlist.Repr{tidlist.ReprAuto, tidlist.ReprSparse, tidlist.ReprBitset, tidlist.ReprRoaring} {
-		opts := Options{Representation: repr, Workers: 1}
-		want, wantSt, err := MineVerticalLocal(context.Background(), in, minsup, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantBytes := resultBytes(t, want)
+	for _, policy := range []Policy{PolicyAll, PolicyMaximal, PolicyClosed} {
+		for _, repr := range []tidlist.Repr{tidlist.ReprAuto, tidlist.ReprSparse, tidlist.ReprBitset, tidlist.ReprRoaring} {
+			opts := Options{Representation: repr, Workers: 1, Policy: policy}
+			want, wantSt, err := MineVerticalLocal(context.Background(), in, minsup, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBytes := resultBytes(t, want)
 
-		for _, budget := range []int64{segBytes, 2 * segBytes} {
-			for _, workers := range []int{1, 2, 4} {
-				name := fmt.Sprintf("repr=%v/budget=%d/workers=%d", repr, budget, workers)
-				r := ds.NewResidency(budget)
-				if r == nil {
-					t.Fatalf("%s: NewResidency = nil (mapping %d bytes)", name, ds.BytesMapped())
-				}
-				bin := in
-				bin.Residency = r
-				got, st, err := MineVerticalLocal(context.Background(), bin, minsup,
-					Options{Representation: repr, Workers: workers})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !bytes.Equal(resultBytes(t, got), wantBytes) {
-					t.Fatalf("%s: budgeted result differs from in-core", name)
-				}
-				if st.Intersections != wantSt.Intersections ||
-					st.ShortCircuited != wantSt.ShortCircuited ||
-					st.IntersectOps != wantSt.IntersectOps ||
-					st.Classes != wantSt.Classes ||
-					st.DiffsetClasses != wantSt.DiffsetClasses ||
-					st.Kernel != wantSt.Kernel {
-					t.Fatalf("%s: counters diverged from in-core:\n got %+v\nwant %+v", name, st, wantSt)
-				}
-				if n := r.ResidentSegments(); n != 0 {
-					t.Fatalf("%s: %d segments still resident after the run", name, n)
+			for _, budget := range []int64{segBytes, 2 * segBytes} {
+				for _, workers := range []int{1, 2, 4} {
+					name := fmt.Sprintf("policy=%d/repr=%v/budget=%d/workers=%d", policy, repr, budget, workers)
+					r := ds.NewResidency(budget)
+					if r == nil {
+						t.Fatalf("%s: NewResidency = nil (mapping %d bytes)", name, ds.BytesMapped())
+					}
+					bin := in
+					bin.Residency = r
+					got, st, err := MineVerticalLocal(context.Background(), bin, minsup,
+						Options{Representation: repr, Workers: workers, Policy: policy})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !bytes.Equal(resultBytes(t, got), wantBytes) {
+						t.Fatalf("%s: budgeted result differs from in-core", name)
+					}
+					if st.Intersections != wantSt.Intersections ||
+						st.ShortCircuited != wantSt.ShortCircuited ||
+						st.IntersectOps != wantSt.IntersectOps ||
+						st.Classes != wantSt.Classes ||
+						st.DiffsetClasses != wantSt.DiffsetClasses ||
+						st.Lookaheads != wantSt.Lookaheads ||
+						st.LookaheadHits != wantSt.LookaheadHits ||
+						st.Candidates != wantSt.Candidates ||
+						st.Kernel != wantSt.Kernel {
+						t.Fatalf("%s: counters diverged from in-core:\n got %+v\nwant %+v", name, st, wantSt)
+					}
+					if n := r.ResidentSegments(); n != 0 {
+						t.Fatalf("%s: %d segments still resident after the run", name, n)
+					}
 				}
 			}
 		}

@@ -31,18 +31,24 @@ type pairList struct {
 
 // MineOpts runs four-phase parallel Eclat (figure 2) on the simulated
 // cluster. The database is block-partitioned across all T processors;
-// each processor executes the SPMD program. The returned result is the
-// globally assembled set of frequent itemsets, identical to
-// MineSequentialOpts's on the same inputs. TopK and MustContain are
-// ignored on the cluster forms (use the local entry points).
+// each processor executes the SPMD program, mining its classes under
+// opts.Policy, and the final reduction shapes the gathered collection
+// exactly as the local entry points do, so the result is identical to
+// MineParallelLocal's on the same inputs. PolicyCharm's search is one
+// global task, not class-decomposable, so the cluster produces its
+// (identical) closed output through PolicyClosed. TopK, MustContain and
+// Workers are ignored on the cluster forms (use the local entry points).
 func MineOpts(cl *cluster.Cluster, d *db.Database, minsup int, opts Options) (*mining.Result, cluster.Report) {
 	if minsup < 1 {
 		minsup = 1
 	}
 	opts.TopK, opts.MustContain = 0, nil
-	globalItems, globalPairs, locals := clusterMine(cl, d, minsup, opts, policyAll{})
+	if opts.Policy == PolicyCharm {
+		opts.Policy = PolicyClosed
+	}
+	globalItems, globalPairs, locals := clusterMine(cl, d, minsup, opts)
 
-	// Assemble the global result exactly as processor 0 prints it.
+	// Assemble the global collection as processor 0 gathers it.
 	res := &mining.Result{MinSup: minsup, NumTransactions: d.Len()}
 	for it, c := range globalItems {
 		if c >= minsup {
@@ -55,21 +61,38 @@ func MineOpts(cl *cluster.Cluster, d *db.Database, minsup int, opts Options) (*m
 	for _, local := range locals {
 		res.Itemsets = append(res.Itemsets, local...)
 	}
-	res.Sort()
 	rep := cl.Report()
 	rep.Representation = opts.Representation.String()
-	return res, rep
+	return reduce(res, opts.Policy, 0), rep
 }
 
-// clusterMine is the four-phase SPMD program shared by every simulated-
-// cluster entry point: initialization (section 5.1), transformation with
-// the scheduled tid-list exchange (section 5.2), the asynchronous phase
-// mining each owned class through pol (section 5.3), and the final
-// reduction gathering the per-processor emissions (section 5.4). It
-// returns the globally reduced item/pair counts and each processor's
-// emitted itemsets; result assembly differs per policy and stays with
-// the caller.
-func clusterMine(cl *cluster.Cluster, d *db.Database, minsup int, opts Options, pol ExplorePolicy) (globalItems []int, globalPairs []paircount.FrequentPair, locals [][]mining.FrequentItemset) {
+// MineMaximalParallel runs the MaxEclat hybrid search on the simulated
+// cluster, reusing Eclat's four-phase structure: the equivalence classes
+// are scheduled and their tid-lists exchanged exactly as in MineOpts,
+// each processor mines its classes with the lookahead search, and the
+// final reduction gathers the locally-maximal candidates for the global
+// subsumption filter (local filtering alone cannot be final, because a
+// set from one class can be subsumed by a set owned by another
+// processor). Results equal MineParallelLocal's under PolicyMaximal.
+func MineMaximalParallel(cl *cluster.Cluster, d *db.Database, minsup int) (*mining.Result, cluster.Report) {
+	return MineMaximalParallelOpts(cl, d, minsup, Options{})
+}
+
+// MineMaximalParallelOpts is MineMaximalParallel with explicit variant
+// options (notably the tid-set representation): MineOpts under
+// PolicyMaximal.
+func MineMaximalParallelOpts(cl *cluster.Cluster, d *db.Database, minsup int, opts Options) (*mining.Result, cluster.Report) {
+	opts.Policy = PolicyMaximal
+	return MineOpts(cl, d, minsup, opts)
+}
+
+// clusterMine is the four-phase SPMD program of MineOpts: initialization
+// (section 5.1), transformation with the scheduled tid-list exchange
+// (section 5.2), the asynchronous phase mining each owned class under
+// opts.Policy (section 5.3), and the final reduction gathering the
+// per-processor emissions (section 5.4). It returns the globally reduced
+// item/pair counts and each processor's emitted itemsets.
+func clusterMine(cl *cluster.Cluster, d *db.Database, minsup int, opts Options) (globalItems []int, globalPairs []paircount.FrequentPair, locals [][]mining.FrequentItemset) {
 	t := cl.NumProcs()
 	parts := d.Partition(t)
 	locals = make([][]mining.FrequentItemset, t)
@@ -236,13 +259,13 @@ func clusterMine(cl *cluster.Cluster, d *db.Database, minsup int, opts Options, 
 		p.SetPhase(PhaseAsync)
 		p.ChargeScan(ownedBytes, p.HostProcs())
 		var st Stats
-		w := &worker{st: &st, opts: opts, th: fixedThreshold(minsup), ar: &arena{}, ext: pol.newExt()}
+		w := &worker{st: &st, opts: opts, th: fixedThreshold(minsup), ar: &arena{}}
 		var acc []mining.FrequentItemset
 		emit := func(set itemset.Itemset, sup int) {
 			acc = append(acc, mining.FrequentItemset{Set: set, Support: sup})
 		}
 		for _, ci := range sched.ClassesOf(p.ID()) {
-			pol.explore(context.Background(), w, classMembers(&classes[ci], lists, opts.Representation, &st.Kernel), emit)
+			w.explore(context.Background(), classMembers(&classes[ci], lists, opts.Representation, &st.Kernel), emit)
 		}
 		chargeKernel(p, &st)
 		locals[p.ID()] = acc

@@ -15,16 +15,14 @@ import (
 )
 
 // reprVariants runs every eclat-family miner under a given
-// representation. The parallel entries build a fresh simulated cluster
-// per run, as Cluster clocks are single-use.
+// representation: each engine policy on one worker, and the simulated-
+// cluster forms. The cluster entries build a fresh simulated cluster per
+// run, as Cluster clocks are single-use.
 var reprVariants = []struct {
 	name string
 	mine func(d *db.Database, minsup int, opts Options) *mining.Result
 }{
-	{"sequential", func(d *db.Database, minsup int, opts Options) *mining.Result {
-		res, _, _ := MineSequentialOpts(context.Background(), d, minsup, opts)
-		return res
-	}},
+	{"sequential", localVariant(PolicyAll)},
 	{"parallel", func(d *db.Database, minsup int, opts Options) *mining.Result {
 		res, _ := MineOpts(cluster.New(cluster.Default(2, 2)), d, minsup, opts)
 		return res
@@ -33,26 +31,23 @@ var reprVariants = []struct {
 		res, _ := MineHybridOpts(cluster.New(cluster.Default(2, 2)), d, minsup, opts)
 		return res
 	}},
-	{"maximal", func(d *db.Database, minsup int, opts Options) *mining.Result {
-		res, _, _ := MineMaximalOpts(context.Background(), d, minsup, opts)
-		return res
-	}},
+	{"maximal", localVariant(PolicyMaximal)},
 	{"maximal-parallel", func(d *db.Database, minsup int, opts Options) *mining.Result {
 		res, _ := MineMaximalParallelOpts(cluster.New(cluster.Default(2, 2)), d, minsup, opts)
 		return res
 	}},
-	{"closed", func(d *db.Database, minsup int, opts Options) *mining.Result {
-		res, _, _ := MineClosedOpts(context.Background(), d, minsup, opts)
+	{"closed", localVariant(PolicyClosed)},
+	{"charm", localVariant(PolicyCharm)},
+	{"diffsets", localVariant(PolicyDiffsets)},
+}
+
+// localVariant mines under policy on one worker.
+func localVariant(policy Policy) func(d *db.Database, minsup int, opts Options) *mining.Result {
+	return func(d *db.Database, minsup int, opts Options) *mining.Result {
+		opts.Workers, opts.Policy = 1, policy
+		res, _, _ := MineParallelLocal(context.Background(), d, minsup, opts)
 		return res
-	}},
-	{"charm", func(d *db.Database, minsup int, opts Options) *mining.Result {
-		res, _, _ := MineClosedCHARMOpts(context.Background(), d, minsup, opts)
-		return res
-	}},
-	{"diffsets", func(d *db.Database, minsup int, opts Options) *mining.Result {
-		res, _, _ := MineSequentialDiffsetsOpts(context.Background(), d, minsup, opts)
-		return res
-	}},
+	}
 }
 
 var allReprs = []tidlist.Repr{tidlist.ReprSparse, tidlist.ReprBitset, tidlist.ReprRoaring, tidlist.ReprAuto}
@@ -97,7 +92,7 @@ func TestRepresentationsMatchBruteForce(t *testing.T) {
 	for _, minsup := range []int{2, 4, 8} {
 		want := testutil.BruteForce(d, minsup)
 		for _, r := range allReprs {
-			got, _, _ := MineSequentialOpts(context.Background(), d, minsup, Options{Representation: r})
+			got, _, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Representation: r})
 			if !mining.Equal(got, want) {
 				t.Fatalf("minsup %d repr %v differs from brute force:\n%s", minsup, r, mining.Diff(got, want))
 			}
@@ -111,7 +106,7 @@ func TestRepresentationsMatchBruteForce(t *testing.T) {
 func TestBitsetRunDispatchesDenseKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	d := testutil.RandomDB(rng, 200, 12, 7)
-	_, st, _ := MineSequentialOpts(context.Background(), d, 4, Options{Representation: tidlist.ReprBitset})
+	_, st, _ := MineParallelLocal(context.Background(), d, 4, Options{Workers: 1, Representation: tidlist.ReprBitset})
 	if st.Intersections == 0 {
 		t.Skip("no intersections at this support; adjust test data")
 	}
@@ -122,7 +117,7 @@ func TestBitsetRunDispatchesDenseKernel(t *testing.T) {
 		t.Fatal("dense dispatches must touch words")
 	}
 	// A sparse run on the same data must not touch the dense kernel.
-	_, st, _ = MineSequentialOpts(context.Background(), d, 4, Options{Representation: tidlist.ReprSparse})
+	_, st, _ = MineParallelLocal(context.Background(), d, 4, Options{Workers: 1, Representation: tidlist.ReprSparse})
 	if st.Kernel.DenseIntersections() != 0 || st.Kernel.WordsTouched() != 0 {
 		t.Fatal("explicit sparse run dispatched to the dense kernel")
 	}
@@ -135,14 +130,14 @@ func TestAdaptivePolicySwitchesByDensity(t *testing.T) {
 	// Dense: 10 items over 120 transactions, every class far above 1/32
 	// density, so auto must pack classes into bitsets.
 	dense := testutil.RandomDB(rng, 120, 8, 6)
-	_, st, _ := MineSequentialOpts(context.Background(), dense, 2, Options{Representation: tidlist.ReprAuto})
+	_, st, _ := MineParallelLocal(context.Background(), dense, 2, Options{Workers: 1, Representation: tidlist.ReprAuto})
 	if st.Intersections > 0 && st.Kernel.DenseIntersections() == 0 {
 		t.Fatal("auto on dense data never used the bitset kernel")
 	}
 	// Sparse: supports near minsup over a wide tid range keep density
 	// far below the threshold, so auto must stay on the merge kernel.
 	sparse := testutil.RandomDB(rng, 4000, 120, 4)
-	_, st, _ = MineSequentialOpts(context.Background(), sparse, 2, Options{Representation: tidlist.ReprAuto})
+	_, st, _ = MineParallelLocal(context.Background(), sparse, 2, Options{Workers: 1, Representation: tidlist.ReprAuto})
 	if st.Kernel.DenseIntersections() != 0 {
 		t.Fatalf("auto on sparse data dispatched %d dense intersections", st.Kernel.DenseIntersections())
 	}
@@ -154,7 +149,7 @@ func TestAdaptivePolicySwitchesByDensity(t *testing.T) {
 func TestRoaringRunDispatchesContainerKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	d := testutil.RandomDB(rng, 200, 12, 7)
-	_, st, _ := MineSequentialOpts(context.Background(), d, 4, Options{Representation: tidlist.ReprRoaring})
+	_, st, _ := MineParallelLocal(context.Background(), d, 4, Options{Workers: 1, Representation: tidlist.ReprRoaring})
 	if st.Intersections == 0 {
 		t.Skip("no intersections at this support; adjust test data")
 	}
@@ -164,7 +159,7 @@ func TestRoaringRunDispatchesContainerKernel(t *testing.T) {
 	if st.Kernel.RoaringElemOps()+st.Kernel.RoaringWords() == 0 {
 		t.Fatal("containerized dispatches must record container work")
 	}
-	_, st, _ = MineSequentialOpts(context.Background(), d, 4, Options{Representation: tidlist.ReprSparse})
+	_, st, _ = MineParallelLocal(context.Background(), d, 4, Options{Workers: 1, Representation: tidlist.ReprSparse})
 	if st.Kernel.RoaringIntersections() != 0 {
 		t.Fatal("explicit sparse run dispatched to the roaring kernel")
 	}
@@ -172,8 +167,9 @@ func TestRoaringRunDispatchesContainerKernel(t *testing.T) {
 
 // TestDiffsetTransitionByDensity pins the dEclat gate's two sides: dense
 // classes (children retain most of their parent's support) must switch
-// sub-classes to diffsets by default, the NoDiffsets ablation must not,
-// and both must mine identical itemsets under every representation.
+// sub-classes to diffsets by default, a break-even above 1 (which no
+// retention estimate can meet) must not, and both must mine identical
+// itemsets under every representation.
 func TestDiffsetTransitionByDensity(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	// Each transaction keeps all but one of 6 items: every pair retains
@@ -194,12 +190,12 @@ func TestDiffsetTransitionByDensity(t *testing.T) {
 		})
 	}
 	for _, r := range allReprs {
-		want, stOff, _ := MineSequentialOpts(context.Background(), dense, 2,
-			Options{Representation: r, NoDiffsets: true})
+		want, stOff, _ := MineParallelLocal(context.Background(), dense, 2,
+			Options{Workers: 1, Representation: r, DiffsetBreakEven: 1.5})
 		if stOff.DiffsetClasses != 0 {
-			t.Fatalf("repr %v: NoDiffsets run still switched %d sub-classes", r, stOff.DiffsetClasses)
+			t.Fatalf("repr %v: DiffsetBreakEven 1.5 still switched %d sub-classes", r, stOff.DiffsetClasses)
 		}
-		got, stOn, _ := MineSequentialOpts(context.Background(), dense, 2, Options{Representation: r})
+		got, stOn, _ := MineParallelLocal(context.Background(), dense, 2, Options{Workers: 1, Representation: r})
 		if stOn.DiffsetClasses == 0 {
 			t.Fatalf("repr %v: dense data never crossed the diffset break-even", r)
 		}
@@ -211,15 +207,9 @@ func TestDiffsetTransitionByDensity(t *testing.T) {
 	// Sparse data sits far below the break-even: the default must keep
 	// tid-lists so the §5.3 short-circuit stays in play.
 	sparse := testutil.RandomDB(rng, 4000, 120, 4)
-	_, st, _ := MineSequentialOpts(context.Background(), sparse, 2, Options{Representation: tidlist.ReprAuto})
+	_, st, _ := MineParallelLocal(context.Background(), sparse, 2, Options{Workers: 1, Representation: tidlist.ReprAuto})
 	if st.DiffsetClasses != 0 {
 		t.Fatalf("sparse data switched %d sub-classes to diffsets below the break-even", st.DiffsetClasses)
-	}
-	// A break-even above 1 can never be met by a retention estimate.
-	_, st, _ = MineSequentialOpts(context.Background(), dense, 2,
-		Options{Representation: tidlist.ReprAuto, DiffsetBreakEven: 1.5})
-	if st.DiffsetClasses != 0 {
-		t.Fatalf("DiffsetBreakEven 1.5 still switched %d sub-classes", st.DiffsetClasses)
 	}
 }
 

@@ -44,15 +44,15 @@ func TestTopKMatchesTruncatedFullMine(t *testing.T) {
 	d := gen.MustGenerate(gen.T10I6(1500))
 	minsup := d.MinSupCount(0.6)
 	for _, repr := range []tidlist.Repr{tidlist.ReprAuto, tidlist.ReprSparse, tidlist.ReprRoaring} {
-		full, _, err := MineSequentialOpts(context.Background(), d, minsup, Options{Representation: repr})
+		full, _, err := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Representation: repr})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range []int{1, 2, 5, 17, 100, full.Len(), full.Len() + 50} {
 			want := cloneResult(full)
 			want.TruncateTopK(k)
-			opts := Options{Representation: repr, TopK: k}
-			got, st, err := MineSequentialOpts(context.Background(), d, minsup, opts)
+			opts := Options{Representation: repr, TopK: k, Workers: 1}
+			got, st, err := MineParallelLocal(context.Background(), d, minsup, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +98,7 @@ func TestTopKRandomDatabases(t *testing.T) {
 		k := 1 + rng.Intn(brute.Len()+3)
 		want := cloneResult(brute)
 		want.TruncateTopK(k)
-		got, _, err := MineSequentialOpts(context.Background(), d, minsup, Options{TopK: k})
+		got, _, err := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, TopK: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestTopKRandomDatabases(t *testing.T) {
 func TestTargetedMatchesPostFilter(t *testing.T) {
 	d := gen.MustGenerate(gen.T10I6(1500))
 	minsup := d.MinSupCount(0.6)
-	full, _, err := MineSequentialOpts(context.Background(), d, minsup, Options{})
+	full, _, err := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,15 +143,9 @@ func TestTargetedMatchesPostFilter(t *testing.T) {
 	}
 	for qi, must := range queries {
 		want := filterContains(full, must)
-		for workers := 0; workers <= 4; workers += 2 {
+		for _, workers := range []int{1, 2, 4} {
 			opts := Options{MustContain: must, Workers: workers}
-			var got *mining.Result
-			var err error
-			if workers == 0 {
-				got, _, err = MineSequentialOpts(context.Background(), d, minsup, opts)
-			} else {
-				got, _, err = MineParallelLocal(context.Background(), d, minsup, opts)
-			}
+			got, _, err := MineParallelLocal(context.Background(), d, minsup, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +163,7 @@ func TestTargetedMatchesPostFilter(t *testing.T) {
 func TestTopKTargetedCompose(t *testing.T) {
 	d := gen.MustGenerate(gen.T10I6(1500))
 	minsup := d.MinSupCount(0.6)
-	full, _, err := MineSequentialOpts(context.Background(), d, minsup, Options{})
+	full, _, err := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +178,9 @@ func TestTopKTargetedCompose(t *testing.T) {
 	for _, k := range []int{1, 3, 10} {
 		want := filterContains(full, must)
 		want.TruncateTopK(k)
-		for _, workers := range []int{0, 4} {
+		for _, workers := range []int{1, 4} {
 			opts := Options{TopK: k, MustContain: must, Workers: workers}
-			var got *mining.Result
-			var err error
-			if workers == 0 {
-				got, _, err = MineSequentialOpts(context.Background(), d, minsup, opts)
-			} else {
-				got, _, err = MineParallelLocal(context.Background(), d, minsup, opts)
-			}
+			got, _, err := MineParallelLocal(context.Background(), d, minsup, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,7 +201,7 @@ func TestTopKTargetedCompose(t *testing.T) {
 func TestTopKTargetedCancellation(t *testing.T) {
 	d := gen.MustGenerate(gen.T10I6(1500))
 	minsup := d.MinSupCount(0.6)
-	full, _, err := MineSequentialOpts(context.Background(), d, minsup, Options{})
+	full, _, err := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,16 +213,16 @@ func TestTopKTargetedCancellation(t *testing.T) {
 		}
 	}
 	for _, opts := range []Options{
-		{TopK: 5},
-		{MustContain: []itemset.Item{single}},
-		{TopK: 5, MustContain: []itemset.Item{single}},
+		{TopK: 5, Workers: 1},
+		{MustContain: []itemset.Item{single}, Workers: 1},
+		{TopK: 5, MustContain: []itemset.Item{single}, Workers: 1},
 	} {
 		want := filterContains(full, opts.MustContain)
 		want.TruncateTopK(opts.TopK)
 		canceled := 0
 		for _, n := range []int64{0, 3, 50, 500} {
 			ctx := &cancelAfterN{Context: context.Background(), n: n}
-			res, _, err := MineSequentialOpts(ctx, d, minsup, opts)
+			res, _, err := MineParallelLocal(ctx, d, minsup, opts)
 			switch {
 			case errors.Is(err, context.Canceled):
 				canceled++

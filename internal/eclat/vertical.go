@@ -2,7 +2,6 @@ package eclat
 
 import (
 	"context"
-	"runtime"
 	"slices"
 
 	"repro/internal/eqclass"
@@ -39,45 +38,31 @@ type VerticalInput struct {
 // paper's upper-triangular pair count (§5.1) over the frequent items'
 // tid-sets transposed into per-transaction rows, and each class's pair
 // tid-lists are derived inside the class task by intersecting its member
-// items' sets. The class recursion then proceeds exactly as in
-// MineSequential/MineParallelLocal (whose engine it shares). The result
-// is byte-identical to mining the corresponding horizontal database with
+// items' sets. The classes are then mined under opts.Policy exactly as
+// MineParallelLocal mines them (the two share one core). The result is
+// byte-identical to mining the corresponding horizontal database with
 // the same minsup and options: both paths produce the same L1/L2 and the
-// same sorted pair tid-lists, and Result.Sort imposes the canonical
-// order.
+// same sorted pair tid-lists, and the final reduction imposes the
+// canonical order. PolicyCharm roots its search at the item sets
+// directly, in-core even under a residency budget.
 //
 // Stats.Scans is always 0 — no horizontal pass happens — which is the
 // figure restart-without-rebuild tests assert on. The derivation
 // intersections are the run's only L2 kernel calls and are charged to
 // Stats, so Stats.Intersections exceeds the horizontal path's by exactly
-// the number of class members. opts.Workers > 1 mines classes with the
-// work-stealing pool; ≤ 1 mines sequentially.
+// the number of class members.
 func MineVerticalLocal(ctx context.Context, in VerticalInput, minsup int, opts Options) (*mining.Result, Stats, error) {
-	if minsup < 1 {
-		minsup = 1
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	var st Stats
-	st.Workers = workers
 	if in.Residency != nil {
 		// Done on every exit path — error, cancellation, success — so a
 		// cut-short mine never leaves segments accounted resident.
 		defer in.Residency.Done()
 	}
-	v := buildVerticalFromSets(ctx, in, minsup, &st, opts)
-	if err := ctx.Err(); err != nil {
-		return nil, st, err
-	}
-	eng := newEngine(v, minsup, opts, policyAll{})
-	if _, err := eng.run(ctx, workers, &st, &arena{}, v.res.Add); err != nil {
-		return nil, st, err
-	}
-	eng.finish(v.res, &st)
-	return v.res, st, nil
+	return mineLocal(ctx, minsup, opts, &arena{}, func(minsup int, opts Options, st *Stats) *vertical {
+		if opts.Policy == PolicyCharm {
+			return charmRoots(in.NumTransactions, in.Items, minsup, st)
+		}
+		return buildVerticalFromSets(ctx, in, minsup, st, opts)
+	})
 }
 
 // buildVerticalFromSets is buildVertical's counterpart for data that is

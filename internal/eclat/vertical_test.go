@@ -78,15 +78,16 @@ func resultBytes(t *testing.T, res *mining.Result) []byte {
 }
 
 // TestMineVerticalLocalMatchesHorizontal is the differential contract of
-// the vertical path: for every dataset shape, query, input
+// the vertical path: for every dataset shape, query or policy, input
 // representation, mining representation and worker count,
 // MineVerticalLocal's serialized result is byte-identical to the
 // horizontal sequential miner's, and it never scans horizontal data.
 //
 // It also bounds the vertical path's work: its L2 count runs no kernel,
 // so its intersections exceed the horizontal path's by exactly the pair
-// tid-lists it derives, one per class member. A return of the pairwise
-// O(F²) L2 pass fails this.
+// tid-lists it derives, one per class member, under every class-task
+// policy (CHARM derives none: both layouts root it at the item sets). A
+// return of the pairwise O(F²) L2 pass fails this.
 func TestMineVerticalLocalMatchesHorizontal(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type dataset struct {
@@ -108,17 +109,26 @@ func TestMineVerticalLocalMatchesHorizontal(t *testing.T) {
 		{"all", Options{}},
 		{"must", Options{MustContain: []itemset.Item{3}}},
 		{"topk", Options{TopK: 25}},
+		{"maximal", Options{Policy: PolicyMaximal}},
+		{"closed", Options{Policy: PolicyClosed}},
+		{"charm", Options{Policy: PolicyCharm}},
+		{"diffsets", Options{Policy: PolicyDiffsets}},
 	}
 	const minsup = 3
 
 	for _, ds := range datasets {
 		for _, q := range queries {
-			want, wantSt, err := MineSequentialOpts(context.Background(), ds.d, minsup, q.opts)
+			wantOpts := q.opts
+			wantOpts.Workers = 1
+			want, wantSt, err := MineParallelLocal(context.Background(), ds.d, minsup, wantOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantBytes := resultBytes(t, want)
-			derived := classMemberCount(ds.d, minsup, q.opts)
+			var derived int64
+			if q.opts.Policy != PolicyCharm {
+				derived = classMemberCount(ds.d, minsup, q.opts)
+			}
 
 			for _, inputRepr := range []tidlist.Repr{tidlist.ReprSparse, tidlist.ReprBitset, tidlist.ReprRoaring} {
 				in := VerticalInput{NumTransactions: ds.d.Len(), Items: verticalSets(ds.d, inputRepr)}
@@ -149,8 +159,9 @@ func TestMineVerticalLocalMatchesHorizontal(t *testing.T) {
 							t.Fatalf("%s: vertical ran %d intersections beyond the horizontal path, want %d (one per class member)",
 								name, extra, derived)
 						}
-						if st.ShortCircuited != wantSt.ShortCircuited {
-							t.Fatalf("%s: short-circuited %d, horizontal %d", name, st.ShortCircuited, wantSt.ShortCircuited)
+						if st.ShortCircuited != wantSt.ShortCircuited || st.Lookaheads != wantSt.Lookaheads {
+							t.Fatalf("%s: short-circuited %d and lookaheads %d, horizontal %d and %d", name,
+								st.ShortCircuited, st.Lookaheads, wantSt.ShortCircuited, wantSt.Lookaheads)
 						}
 					}
 				}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/csv"
 	"fmt"
 	"os"
@@ -31,7 +32,7 @@ func (s *Suite) WriteCSV(dir string) error {
 		maxK := 0
 		for _, spec := range s.cfg.Sizes {
 			d := s.DB(spec)
-			res, _ := eclat.MineSequential(d, d.MinSupCount(s.cfg.SupportPct))
+			res, _, _ := eclat.MineParallelLocal(context.Background(), d, d.MinSupCount(s.cfg.SupportPct), eclat.Options{Workers: 1})
 			curves = append(curves, curve{name: gen.T10I6(spec.NumTx).Name(), byK: res.CountsByK()})
 			if m := res.MaxK(); m > maxK {
 				maxK = m

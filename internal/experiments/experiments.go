@@ -15,6 +15,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -180,7 +181,7 @@ func (s *Suite) Figure6(w io.Writer) {
 	globalMax := 0
 	for _, spec := range s.cfg.Sizes {
 		d := s.DB(spec)
-		res, _ := eclat.MineSequential(d, d.MinSupCount(s.cfg.SupportPct))
+		res, _, _ := eclat.MineParallelLocal(context.Background(), d, d.MinSupCount(s.cfg.SupportPct), eclat.Options{Workers: 1})
 		c := curve{name: gen.T10I6(spec.NumTx).Name(), byK: res.CountsByK(), maxK: res.MaxK()}
 		if c.maxK > globalMax {
 			globalMax = c.maxK
@@ -276,8 +277,8 @@ func (s *Suite) Inversion(w io.Writer) {
 	small, big := s.cfg.Sizes[0], s.cfg.Sizes[1]
 	hp := HP{1, 1}
 	dSmall, dBig := s.DB(small), s.DB(big)
-	resSmall, _ := eclat.MineSequential(dSmall, dSmall.MinSupCount(s.cfg.SupportPct))
-	resBig, _ := eclat.MineSequential(dBig, dBig.MinSupCount(s.cfg.SupportPct))
+	resSmall, _, _ := eclat.MineParallelLocal(context.Background(), dSmall, dSmall.MinSupCount(s.cfg.SupportPct), eclat.Options{Workers: 1})
+	resBig, _, _ := eclat.MineParallelLocal(context.Background(), dBig, dBig.MinSupCount(s.cfg.SupportPct), eclat.Options{Workers: 1})
 	repCS, _ := s.Run("cd", small, hp)
 	repCB, _ := s.Run("cd", big, hp)
 	repES, _ := s.Run("eclat", small, hp)

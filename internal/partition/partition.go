@@ -16,6 +16,7 @@
 package partition
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/db"
@@ -62,9 +63,9 @@ func Mine(d *db.Database, minsup, numChunks int) (*mining.Result, Stats) {
 			continue
 		}
 		localMin := localThreshold(minsup, chunk.Len(), d.Len())
-		local, _ := eclat.MineSequential(chunk, localMin)
+		local, _, _ := eclat.MineParallelLocal(context.Background(), chunk, localMin, eclat.Options{Workers: 1})
 		for _, f := range local.Itemsets {
-			// MineSequential thresholds at ceil; re-check the exact
+			// The local miner thresholds at ceil; re-check the exact
 			// rational condition (they coincide, but keep the invariant
 			// explicit and safe against future threshold changes).
 			if int64(f.Support)*int64(d.Len()) >= int64(minsup)*int64(chunk.Len()) {

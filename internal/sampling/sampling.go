@@ -16,6 +16,7 @@
 package sampling
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 
@@ -86,7 +87,7 @@ func Mine(d *db.Database, minsup int, opts Options) (*mining.Result, Stats) {
 	if sampleMin < 1 {
 		sampleMin = 1
 	}
-	sampleRes, _ := eclat.MineSequential(sample, sampleMin)
+	sampleRes, _, _ := eclat.MineParallelLocal(context.Background(), sample, sampleMin, eclat.Options{Workers: 1})
 	st.SampleItemsets = sampleRes.Len()
 
 	// Candidate set: sample-frequent itemsets plus their negative border.

@@ -31,7 +31,7 @@ type JobRequest struct {
 	Hosts int `json:"hosts"`
 	Procs int `json:"procs"`
 	// Representation is the tid-set representation for Eclat-family
-	// algorithms: "auto" (default), "sparse" or "bitset".
+	// algorithms: "auto" (default), "sparse", "bitset" or "roaring".
 	Representation string `json:"representation"`
 	// Parallelism requests local worker goroutines for the real Eclat
 	// path; 0 means the service's per-job share of its parallel budget

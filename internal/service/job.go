@@ -46,6 +46,14 @@ const (
 	VariantClosed  Variant = "closed"  // closed sets only
 )
 
+// variantOutputs maps each variant onto the repro.MineOptions.Output
+// that mines it.
+var variantOutputs = map[Variant]repro.Output{
+	VariantAll:     repro.OutputAll,
+	VariantMaximal: repro.OutputMaximal,
+	VariantClosed:  repro.OutputClosed,
+}
+
 // ParseVariant parses a variant name; "" means VariantAll.
 func ParseVariant(s string) (Variant, error) {
 	switch Variant(strings.ToLower(s)) {

@@ -237,8 +237,14 @@ func (s *Service) runJob(ctx context.Context, j *Job) (Body, *repro.RunInfo, err
 	if budget == 0 {
 		budget = s.residencyBudget
 	}
-	opts := repro.MineOptions{
+	// The dataset is a repro.Source: MineFrom mines local Eclat jobs of
+	// every variant straight from the memoized vertical transform (zero
+	// horizontal scans, mapped views for store-backed datasets) and
+	// materializes the horizontal database for everything else. Both
+	// paths are byte-identical, so the cache identity is unchanged.
+	res, info, err := repro.MineFrom(ctx, ds, repro.MineOptions{
 		Algorithm:      j.Req.Algorithm,
+		Output:         variantOutputs[j.Req.Variant],
 		SupportCount:   j.Key.MinSup, // resolved once at submit time
 		Hosts:          j.Req.Hosts,
 		ProcsPerHost:   j.Req.ProcsPerHost,
@@ -247,34 +253,15 @@ func (s *Service) runJob(ctx context.Context, j *Job) (Body, *repro.RunInfo, err
 		TopK:           j.Req.TopK,
 		MustContain:    j.Req.MustContain,
 		MemoryBudget:   budget,
-	}
-	var res *mining.Result
-	var info *repro.RunInfo
-	switch j.Req.Variant {
-	case VariantMaximal:
-		d, derr := ds.Database()
-		if derr != nil {
-			return Body{}, nil, derr
-		}
-		res, info, err = repro.MineMaximal(ctx, d, opts)
-	case VariantClosed:
-		d, derr := ds.Database()
-		if derr != nil {
-			return Body{}, nil, derr
-		}
-		res, info, err = repro.MineClosed(ctx, d, opts)
-	default:
-		// The dataset is a repro.Source: MineFrom mines local Eclat jobs
-		// straight from the memoized vertical transform (zero horizontal
-		// scans, mapped views for store-backed datasets) and materializes
-		// the horizontal database for everything else. Both paths are
-		// byte-identical, so the cache identity is unchanged.
-		res, info, err = repro.MineFrom(ctx, ds, opts)
-	}
+	})
 	if err != nil {
 		return Body{}, nil, err
 	}
+	// Encoding the result is part of the job's run time; its span keeps
+	// the job view's phases accounting for it.
+	sp := obsv.TraceFrom(ctx).Start("encode")
 	body, err := encodeBody(res)
+	sp.End()
 	if err != nil {
 		return Body{}, nil, err
 	}

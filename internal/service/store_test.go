@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -60,6 +61,10 @@ func mineBytes(t *testing.T, s *Service, req Request) ([]byte, View) {
 // bundle yields byte-identical results to the same data registered
 // in-memory, across representations and worker counts, and the
 // store-backed jobs never run the horizontal transformation phase.
+//
+// Every variant takes the scan-free path: maximal and closed jobs mine
+// from the mapping as all-frequent ones do, so the store-backed registry
+// entry never decodes its horizontal data.
 func TestServiceStoreBackedMiningMatchesInMemory(t *testing.T) {
 	d := genDataset(t, 800)
 	mem := newTestService(t, Config{Workers: 2, QueueDepth: 16, ParallelBudget: 8}, 800)
@@ -67,37 +72,62 @@ func TestServiceStoreBackedMiningMatchesInMemory(t *testing.T) {
 	if _, err := st.RegisterDataset("t10", "generated", d); err != nil {
 		t.Fatal(err)
 	}
-	info, err := st.Dataset("t10")
+	ds, err := st.Dataset("t10")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Info().Stored {
+	if !ds.Info().Stored {
 		t.Fatal("dataset registered through a store-backed service is not stored")
 	}
 
-	for _, repr := range []repro.Representation{repro.ReprAuto, repro.ReprSparse, repro.ReprBitset} {
-		for _, workers := range []int{1, 2, 4} {
-			// Distinct minsup per worker count keeps every run a cache miss
-			// (the cache key deliberately omits parallelism).
-			req := Request{
-				Dataset:        "t10",
-				Algorithm:      repro.AlgoEclat,
-				SupportCount:   4 + 2*workers,
-				Representation: repr,
-				Parallelism:    workers,
-			}
-			want, _ := mineBytes(t, mem, req)
-			got, v := mineBytes(t, st, req)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("repr=%v workers=%d: store-backed result differs from in-memory", repr, workers)
-			}
-			for _, sp := range v.Phases {
-				if sp.Name == "transformation" {
-					t.Fatalf("repr=%v workers=%d: store-backed job ran the horizontal transformation phase", repr, workers)
+	for _, variant := range []Variant{VariantAll, VariantMaximal, VariantClosed} {
+		for _, repr := range []repro.Representation{repro.ReprAuto, repro.ReprSparse, repro.ReprBitset} {
+			for _, workers := range []int{1, 2, 4} {
+				// Distinct minsup per worker count keeps every run a cache miss
+				// (the cache key deliberately omits parallelism).
+				req := Request{
+					Dataset:        "t10",
+					Algorithm:      repro.AlgoEclat,
+					Variant:        variant,
+					SupportCount:   4 + 2*workers,
+					Representation: repr,
+					Parallelism:    workers,
+				}
+				name := fmt.Sprintf("variant=%s/repr=%v/workers=%d", variant, repr, workers)
+				want, _ := mineBytes(t, mem, req)
+				got, v := mineBytes(t, st, req)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s: store-backed result differs from in-memory", name)
+				}
+				for _, sp := range v.Phases {
+					if sp.Name == "transformation" {
+						t.Fatalf("%s: store-backed job ran the horizontal transformation phase", name)
+					}
+				}
+				if scans := jobScans(t, st, v.ID); scans != 0 {
+					t.Fatalf("%s: store-backed job scanned horizontal data %d times", name, scans)
 				}
 			}
 		}
 	}
+	if ds.memDB != nil {
+		t.Fatal("store-backed dataset decoded its horizontal data")
+	}
+}
+
+// jobScans returns the horizontal scans the finished job id reported.
+func jobScans(t *testing.T, s *Service, id string) int {
+	t.Helper()
+	j, err := s.mgr.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.info == nil {
+		t.Fatalf("job %s has no run info", id)
+	}
+	return j.info.Scans
 }
 
 // TestServiceStoreRestartServesWithoutRebuild closes a store-backed

@@ -103,7 +103,7 @@ func BenchmarkStoreMine(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/source=heap", numTx), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, _ := eclat.MineSequential(d, minsup)
+				res, _, _ := eclat.MineParallelLocal(context.Background(), d, minsup, eclat.Options{Workers: 1})
 				if res.Len() == 0 {
 					b.Fatal("no itemsets")
 				}

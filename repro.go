@@ -225,10 +225,34 @@ func (a Algorithm) String() string {
 	}
 }
 
+// Output selects which itemset collection a mine returns. Every output
+// but OutputAll runs the local Eclat search whatever Algorithm says, and
+// rejects TopK and MustContain: their adaptive pruning is unsound
+// against the filtered output contracts.
+type Output int
+
+// The itemset collections a mine can return (see Output).
+const (
+	// OutputAll returns every frequent itemset.
+	OutputAll Output = iota
+	// OutputMaximal returns only the maximal frequent itemsets (those
+	// with no frequent superset), found with the MaxEclat hybrid
+	// lookahead search; their subsets are exactly the full frequent
+	// collection.
+	OutputMaximal
+	// OutputClosed returns only the closed frequent itemsets (those with
+	// no strict superset of equal support), the lossless compressed form
+	// of the frequent collection.
+	OutputClosed
+)
+
 // MineOptions configures a mining run.
 type MineOptions struct {
 	// Algorithm defaults to AlgoEclat.
 	Algorithm Algorithm
+	// Output selects the itemset collection (see Output); the zero value
+	// OutputAll mines every frequent itemset.
+	Output Output
 	// SupportPct is the minimum support as a percentage of |D| (the
 	// paper's experiments use 0.1). Ignored when SupportCount is set.
 	SupportPct float64
@@ -252,17 +276,17 @@ type MineOptions struct {
 	SampleLowerBy float64
 	// Representation selects the tid-set representation for the
 	// Eclat-family algorithms (AlgoEclat, AlgoEclatHybrid, and the
-	// maximal/closed variants); the zero value ReprAuto adapts per
+	// maximal/closed outputs); the zero value ReprAuto adapts per
 	// equivalence class. Non-Eclat algorithms ignore it.
 	Representation Representation
 	// Parallelism is the number of OS-level worker goroutines the real
 	// (non-simulated) Eclat path mines with: 0 means runtime.GOMAXPROCS(0),
-	// 1 forces the sequential miner, N > 1 runs eclat.MineParallelLocal
-	// with N workers. Negative values are rejected with
+	// 1 runs the sequential driver, N > 1 the work-stealing driver with N
+	// workers. Negative values are rejected with
 	// ErrInvalidParallelism. Simulated-cluster algorithms and the other
 	// sequential algorithms ignore it (their parallelism is the cluster
-	// shape). Because MineParallelLocal's output is byte-identical to the
-	// sequential miner's, Parallelism never changes the result — only how
+	// shape). Because the work-stealing output is byte-identical to the
+	// sequential driver's, Parallelism never changes the result — only how
 	// fast it arrives — and is therefore not part of the serving layer's
 	// cache identity.
 	Parallelism int
@@ -272,20 +296,19 @@ type MineOptions struct {
 	// a full mine at the same floor truncated to k. When neither
 	// SupportPct nor SupportCount is set, a top-k query defaults the floor
 	// to support 1 instead of failing. Supported only on the local
-	// (non-simulated) Eclat path; other algorithms and cluster shapes
-	// reject it with ErrInvalidTopK. Not honored by MineMaximal/MineClosed
-	// (adaptive pruning is unsound against their output contracts).
+	// (non-simulated) Eclat path with OutputAll; other algorithms, cluster
+	// shapes and outputs reject it with ErrInvalidTopK.
 	TopK int
 	// MustContain, when non-empty, restricts the mine to itemsets
 	// containing every listed item — a targeted query, equal to
 	// post-filtering a full mine but skipping the equivalence classes that
 	// cannot produce qualifying sets. Negative items are rejected with
 	// ErrInvalidMustContain, as is combining it with anything but the
-	// local Eclat path. Composes with TopK (the k best among qualifying
-	// sets).
+	// local Eclat path with OutputAll. Composes with TopK (the k best
+	// among qualifying sets).
 	MustContain []int
 	// MemoryBudget, when > 0, caps the bytes of stored bundle data a
-	// store-backed vertical mine keeps resident at once: when the
+	// store-backed vertical mine of any Output keeps resident at once: when the
 	// source's mapped size exceeds the budget, the run switches to the
 	// out-of-core protocol (bundle-locality class order, per-class
 	// residency windows, eviction of dead segments). The output is
@@ -309,13 +332,15 @@ type RunInfo struct {
 	// Scans is the number of database passes (sequential runs).
 	Scans int
 	// Phases is the structured per-phase span trace of the run: the
-	// paper's initialization/transformation/asynchronous break-up for
-	// sequential Eclat, per-candidate-level spans for Apriori, and the
-	// simulator's per-phase virtual maxima (marked Virtual) for the
-	// cluster algorithms. cmd/assocmine renders it with -stats.
+	// paper's initialization/transformation/asynchronous/reduction
+	// break-up for local Eclat (no transformation when it mined a vertical
+	// source), per-candidate-level spans for Apriori, and the simulator's
+	// per-phase virtual maxima (marked Virtual) for the cluster
+	// algorithms. Wall-clock spans never overlap. cmd/assocmine renders
+	// them with -stats.
 	Phases []PhaseSpan
 	// WallNS is the real (wall-clock) duration of the run in
-	// nanoseconds, phase-accounted by Phases.
+	// nanoseconds; the wall-clock Phases sum to at most WallNS.
 	WallNS int64
 	// Parallelism is the number of worker goroutines the run mined with
 	// (1 for sequential paths, 0 for simulated-cluster runs, whose scale
@@ -334,7 +359,8 @@ type RunInfo struct {
 	// algorithms without the adaptive threshold (everything but the local
 	// Eclat path).
 	EffectiveMinSup int
-	// MemoryBudget echoes the request's residency budget (0 when none).
+	// MemoryBudget echoes the request's residency budget (0 when none),
+	// whichever path ran.
 	MemoryBudget int64
 	// OutOfCore reports whether the run actually mined under the budget:
 	// true only when the source was store-backed and its mapped size
@@ -400,29 +426,40 @@ func (o MineOptions) Workers() (int, error) {
 	return o.Parallelism, nil
 }
 
-// localEclat reports whether these options select the real
-// (non-simulated) local Eclat path — the only path with the adaptive
-// top-k threshold and class-level targeting.
+// localEclat reports whether these options mine on the real
+// (non-simulated) local Eclat path: every output but OutputAll does, and
+// an all-frequent mine does when it asks for Eclat without a cluster.
 func (o MineOptions) localEclat() bool {
-	return o.Algorithm == AlgoEclat && o.Hosts <= 1 && o.ProcsPerHost <= 1 && o.Cluster == nil
+	return o.Output != OutputAll || o.Algorithm == AlgoEclat && o.Hosts <= 1 && o.ProcsPerHost <= 1 && o.Cluster == nil
+}
+
+// policy maps Output one-to-one onto the engine search that produces it.
+func (o MineOptions) policy() (eclat.Policy, error) {
+	switch o.Output {
+	case OutputAll:
+		return eclat.PolicyAll, nil
+	case OutputMaximal:
+		return eclat.PolicyMaximal, nil
+	case OutputClosed:
+		return eclat.PolicyClosed, nil
+	}
+	return 0, fmt.Errorf("repro: unknown output %d", o.Output)
 }
 
 // query validates the top-k / targeted-query options and converts
-// MustContain to the itemset item type. asLocalEclat reports whether the
-// dispatching path supports the query options at all; on any other path
-// a non-zero TopK or MustContain is a typed error rather than a silent
-// full mine.
-func (o MineOptions) query(asLocalEclat bool) ([]itemset.Item, error) {
+// MustContain to the itemset item type. Only the all-frequent local
+// Eclat path supports them; anywhere else a non-zero TopK or
+// MustContain is a typed error rather than a silent full mine.
+func (o MineOptions) query() ([]itemset.Item, error) {
 	if o.TopK < 0 {
 		return nil, fmt.Errorf("%w: negative TopK %d", ErrInvalidTopK, o.TopK)
 	}
-	if o.TopK > 0 && !asLocalEclat {
-		return nil, fmt.Errorf("%w: TopK requires the local Eclat path (algorithm %v, cluster shape %dx%d)",
-			ErrInvalidTopK, o.Algorithm, o.Hosts, o.ProcsPerHost)
-	}
-	if len(o.MustContain) > 0 && !asLocalEclat {
-		return nil, fmt.Errorf("%w: MustContain requires the local Eclat path (algorithm %v, cluster shape %dx%d)",
-			ErrInvalidMustContain, o.Algorithm, o.Hosts, o.ProcsPerHost)
+	if (o.TopK > 0 || len(o.MustContain) > 0) && (o.Output != OutputAll || !o.localEclat()) {
+		where := fmt.Sprintf("algorithm %v, output %d, cluster shape %dx%d", o.Algorithm, o.Output, o.Hosts, o.ProcsPerHost)
+		if o.TopK > 0 {
+			return nil, fmt.Errorf("%w: TopK requires the all-frequent local Eclat path (%s)", ErrInvalidTopK, where)
+		}
+		return nil, fmt.Errorf("%w: MustContain requires the all-frequent local Eclat path (%s)", ErrInvalidMustContain, where)
 	}
 	var must []itemset.Item
 	for _, it := range o.MustContain {
@@ -467,64 +504,15 @@ var (
 	mineDuration = obsv.Default.Histogram(mnMineDurationNS, "wall-clock duration of completed mining runs", nil)
 )
 
-// Mine discovers all frequent itemsets of d under the given options. All
-// algorithms return identical results; they differ in the simulated
-// execution profile captured by RunInfo.Report.
-//
-// ctx provides cooperative cancellation: the sequential Eclat and
-// Apriori paths consult it between equivalence classes and candidate
-// levels respectively, so a cancel or deadline stops the mine promptly
-// without per-intersection overhead. The remaining algorithms check ctx
-// before starting and after finishing (a simulated cluster run is one
-// indivisible step of virtual time). On cancellation it returns
-// (nil, nil, err) with err matching both ErrCanceled and the ctx error.
-//
-// When ctx carries no observability trace, Mine starts one; either way
-// the run's phase spans are returned in RunInfo.Phases and phase
-// durations are observed into the process metrics registry.
+// Mine discovers the frequent itemsets of d under the given options:
+// MineFrom on HorizontalSource(d). All algorithms return identical
+// results; they differ in the simulated execution profile captured by
+// RunInfo.Report.
 func Mine(ctx context.Context, d *Database, opts MineOptions) (*Result, *RunInfo, error) {
 	if d == nil {
 		return nil, nil, fmt.Errorf("repro: nil database")
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, wrapCanceled(err)
-	}
-	// Query options validate before support resolution: a malformed TopK
-	// must surface as ErrInvalidTopK even when no support was given.
-	if _, err := opts.query(opts.localEclat()); err != nil {
-		return nil, nil, err
-	}
-	if opts.MemoryBudget < 0 {
-		return nil, nil, fmt.Errorf("%w: negative MemoryBudget %d", ErrInvalidMemoryBudget, opts.MemoryBudget)
-	}
-	minsup, err := opts.MinSup(d)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := opts.Workers(); err != nil {
-		return nil, nil, err
-	}
-	tr := obsv.TraceFrom(ctx)
-	if tr == nil {
-		tr = obsv.NewTrace()
-		ctx = obsv.WithTrace(ctx, tr)
-	}
-	mineRuns.Inc()
-	start := time.Now()
-	pre := len(tr.Spans())
-	info := &RunInfo{Algorithm: opts.Algorithm, MinSup: minsup}
-	res, err := mine(ctx, d, opts, minsup, info)
-	if err != nil {
-		mineErrors.Inc()
-		return nil, nil, err
-	}
-	info.WallNS = time.Since(start).Nanoseconds()
-	if spans := tr.Spans(); pre <= len(spans) {
-		info.Phases = spans[pre:]
-	}
-	mineDuration.Observe(info.WallNS)
-	observePhases(info.Phases)
-	return res, info, nil
+	return MineFrom(ctx, HorizontalSource(d), opts)
 }
 
 // Source supplies a dataset to MineFrom in whichever layout it exists:
@@ -584,47 +572,42 @@ func VerticalSource(numTransactions int, items []tidlist.Set) Source {
 	return verticalSource{numTx: numTransactions, items: items}
 }
 
-// MineFrom is Mine for any Source: when the options select the real
-// (non-simulated) local Eclat path and the source serves a vertical
-// view, it mines straight from the per-item tid-sets with zero
-// horizontal scans (RunInfo.Scans is 0); otherwise it materializes the
-// horizontal database and behaves exactly like Mine. Either way the
-// result is byte-identical — callers need not branch on input shape, and
-// the serving layer's cache identity is unchanged. Tracing, metrics and
-// cancellation behave exactly as in Mine.
+// MineFrom is the one mining pipeline every entry point runs through.
+// It validates the options, resolves the support threshold and worker
+// count, starts the trace, mines, records the run metrics and builds
+// the RunInfo. The local Eclat path (see Output) mines straight from the
+// source's per-item tid-sets when it serves them, with zero horizontal
+// scans (RunInfo.Scans is 0) and, for a store mapping larger than
+// MemoryBudget, out of core; otherwise the source's horizontal database
+// is mined. Either way the result is byte-identical, so callers need not
+// branch on input shape and the serving layer's cache identity is
+// unchanged.
+//
+// ctx provides cooperative cancellation: the local Eclat and Apriori
+// paths consult it between equivalence classes and candidate levels
+// respectively, so a cancel or deadline stops the mine promptly without
+// per-intersection overhead. The remaining algorithms check ctx before
+// starting and after finishing (a simulated cluster run is one
+// indivisible step of virtual time). On cancellation it returns
+// (nil, nil, err) with err matching both ErrCanceled and the ctx error.
+//
+// When ctx carries no observability trace, MineFrom starts one; either
+// way the run's phase spans are returned in RunInfo.Phases and phase
+// durations are observed into the process metrics registry.
 func MineFrom(ctx context.Context, src Source, opts MineOptions) (*Result, *RunInfo, error) {
 	if src == nil {
 		return nil, nil, fmt.Errorf("repro: nil source")
 	}
-	if opts.localEclat() {
-		if items, ok := src.VerticalSets(opts.Representation); ok {
-			return mineVerticalSets(ctx, src, items, opts)
-		}
-	}
-	d, err := src.Horizontal()
-	if err != nil {
-		return nil, nil, err
-	}
-	return Mine(ctx, d, opts)
-}
-
-// residencySource is the optional Source extension the out-of-core path
-// keys on: a source whose vertical sets are views over a store mapping
-// can report the mapping's size and mint a residency tracker for it. The
-// method returns the concrete store type (not an interface) so a nil
-// result is an honest "no budgeting possible" signal.
-type residencySource interface {
-	BytesMapped() int64
-	NewResidency(budget int64) *store.Residency
-}
-
-// mineVerticalSets runs the scan-free vertical Eclat path of MineFrom
-// with Mine's validation, tracing and metrics contract.
-func mineVerticalSets(ctx context.Context, src Source, items []tidlist.Set, opts MineOptions) (*Result, *RunInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, wrapCanceled(err)
 	}
-	must, err := opts.query(true)
+	policy, err := opts.policy()
+	if err != nil {
+		return nil, nil, err
+	}
+	// Query options validate before support resolution: a malformed TopK
+	// must surface as ErrInvalidTopK even when no support was given.
+	must, err := opts.query()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -640,14 +623,18 @@ func mineVerticalSets(ctx context.Context, src Source, items []tidlist.Set, opts
 	if err != nil {
 		return nil, nil, err
 	}
-	in := eclat.VerticalInput{NumTransactions: numTx, Items: items}
-	if opts.MemoryBudget > 0 {
-		if rs, ok := src.(residencySource); ok && rs.BytesMapped() > opts.MemoryBudget {
-			if r := rs.NewResidency(opts.MemoryBudget); r != nil {
-				in.Residency = r
-			}
+	in := eclat.VerticalInput{NumTransactions: numTx}
+	vertical := false
+	if opts.localEclat() {
+		in.Items, vertical = src.VerticalSets(opts.Representation)
+	}
+	var d *Database
+	if !vertical {
+		if d, err = src.Horizontal(); err != nil {
+			return nil, nil, err
 		}
 	}
+
 	tr := obsv.TraceFrom(ctx)
 	if tr == nil {
 		tr = obsv.NewTrace()
@@ -656,22 +643,29 @@ func mineVerticalSets(ctx context.Context, src Source, items []tidlist.Set, opts
 	mineRuns.Inc()
 	start := time.Now()
 	pre := len(tr.Spans())
-	info := &RunInfo{Algorithm: AlgoEclat, MinSup: minsup}
-	res, st, err := eclat.MineVerticalLocal(ctx, in, minsup,
-		eclat.Options{Representation: opts.Representation, Workers: workers,
-			TopK: opts.TopK, MustContain: must})
+	info := &RunInfo{
+		Algorithm:    opts.Algorithm,
+		MinSup:       minsup,
+		TopK:         opts.TopK,
+		MustContain:  append([]int(nil), opts.MustContain...),
+		MemoryBudget: opts.MemoryBudget,
+	}
+	var res *Result
+	if opts.localEclat() {
+		eopts := eclat.Options{Representation: opts.Representation, Policy: policy, Workers: workers,
+			TopK: opts.TopK, MustContain: must}
+		if vertical {
+			in.Residency = residency(src, opts.MemoryBudget)
+			info.OutOfCore = in.Residency != nil
+		}
+		res, err = mineLocal(ctx, in, d, minsup, eopts, info)
+	} else {
+		res, err = mine(ctx, d, opts, minsup, info)
+	}
 	if err != nil {
 		mineErrors.Inc()
-		return nil, nil, wrapIfCtxErr(err)
+		return nil, nil, err
 	}
-	info.Scans = st.Scans
-	info.Parallelism = st.Workers
-	info.Steals = st.Steals
-	info.TopK = opts.TopK
-	info.MustContain = append([]int(nil), opts.MustContain...)
-	info.EffectiveMinSup = st.EffectiveMinSup
-	info.MemoryBudget = opts.MemoryBudget
-	info.OutOfCore = in.Residency != nil
 	info.WallNS = time.Since(start).Nanoseconds()
 	if spans := tr.Spans(); pre <= len(spans) {
 		info.Phases = spans[pre:]
@@ -679,6 +673,53 @@ func mineVerticalSets(ctx context.Context, src Source, items []tidlist.Set, opts
 	mineDuration.Observe(info.WallNS)
 	observePhases(info.Phases)
 	return res, info, nil
+}
+
+// mineLocal runs the local Eclat engine — on in's vertical sets when d
+// is nil, else on d — and fills the engine's figures into info.
+func mineLocal(ctx context.Context, in eclat.VerticalInput, d *Database, minsup int, eopts eclat.Options, info *RunInfo) (*Result, error) {
+	var res *Result
+	var st eclat.Stats
+	var err error
+	if d == nil {
+		res, st, err = eclat.MineVerticalLocal(ctx, in, minsup, eopts)
+	} else {
+		res, st, err = eclat.MineParallelLocal(ctx, d, minsup, eopts)
+	}
+	if err != nil {
+		return nil, wrapIfCtxErr(err)
+	}
+	info.Algorithm = AlgoEclat
+	info.Scans = st.Scans
+	info.Parallelism = st.Workers
+	info.Steals = st.Steals
+	info.EffectiveMinSup = st.EffectiveMinSup
+	return res, nil
+}
+
+// residencySource is the optional Source extension the out-of-core path
+// keys on: a source whose vertical sets are views over a store mapping
+// can report the mapping's size and mint a residency tracker for it. The
+// method returns the concrete store type (not an interface) so a nil
+// result is an honest "no budgeting possible" signal.
+type residencySource interface {
+	BytesMapped() int64
+	NewResidency(budget int64) *store.Residency
+}
+
+// residency returns the out-of-core tracker for mining src's vertical
+// sets under budget, or nil when the mine runs in-core: no budget, a
+// source without a store mapping, or a mapping that fits.
+func residency(src Source, budget int64) eclat.Residency {
+	if budget <= 0 {
+		return nil
+	}
+	if rs, ok := src.(residencySource); ok && rs.BytesMapped() > budget {
+		if r := rs.NewResidency(budget); r != nil {
+			return r
+		}
+	}
+	return nil
 }
 
 // observePhases records wall-clock phase durations into per-phase
@@ -713,42 +754,10 @@ func wrapIfCtxErr(err error) error {
 func mine(ctx context.Context, d *Database, opts MineOptions, minsup int, info *RunInfo) (*Result, error) {
 	switch opts.Algorithm {
 	case AlgoEclat:
-		if opts.Hosts > 1 || opts.ProcsPerHost > 1 || opts.Cluster != nil {
-			return simulated(ctx, info, func(cl *cluster.Cluster) (*Result, cluster.Report) {
-				return eclat.MineOpts(cl, d, minsup, eclat.Options{Representation: opts.Representation})
-			}, opts)
-		}
-		workers, err := opts.Workers()
-		if err != nil {
-			return nil, err
-		}
-		must, err := opts.query(true)
-		if err != nil {
-			return nil, err
-		}
-		eopts := eclat.Options{
-			Representation: opts.Representation,
-			TopK:           opts.TopK,
-			MustContain:    must,
-		}
-		var res *Result
-		var st eclat.Stats
-		if workers > 1 {
-			eopts.Workers = workers
-			res, st, err = eclat.MineParallelLocal(ctx, d, minsup, eopts)
-		} else {
-			res, st, err = eclat.MineSequentialOpts(ctx, d, minsup, eopts)
-		}
-		if err != nil {
-			return nil, wrapIfCtxErr(err)
-		}
-		info.Scans = st.Scans
-		info.Parallelism = st.Workers
-		info.Steals = st.Steals
-		info.TopK = opts.TopK
-		info.MustContain = append([]int(nil), opts.MustContain...)
-		info.EffectiveMinSup = st.EffectiveMinSup
-		return res, nil
+		// Local Eclat runs through mineLocal; only cluster shapes get here.
+		return simulated(ctx, info, func(cl *cluster.Cluster) (*Result, cluster.Report) {
+			return eclat.MineOpts(cl, d, minsup, eclat.Options{Representation: opts.Representation})
+		}, opts)
 	case AlgoApriori:
 		res, st, err := apriori.Mine(ctx, d, minsup)
 		if err != nil {
@@ -824,86 +833,18 @@ func finishIndivisible(ctx context.Context, res *Result) (*Result, error) {
 	return res, nil
 }
 
-// MineMaximal discovers only the maximal frequent itemsets (those with no
-// frequent superset) with the MaxEclat hybrid lookahead search. The
-// subsets of the returned sets are exactly the full frequent collection.
-// ctx provides cooperative cancellation, checked between sub-classes as
-// in Mine. Parallelism selects the worker count exactly as on the Eclat
-// path (the result is byte-identical at any count); TopK and MustContain
-// are rejected (adaptive pruning is unsound against the maximal output
-// contract).
+// MineMaximal is Mine with Output set to OutputMaximal: only the maximal
+// frequent itemsets, from the MaxEclat hybrid lookahead search.
 func MineMaximal(ctx context.Context, d *Database, opts MineOptions) (*Result, *RunInfo, error) {
-	return mineVariant(ctx, d, opts, "maximal",
-		func(ctx context.Context, d *db.Database, minsup, workers int) (*Result, eclat.Stats, error) {
-			res, st, err := eclat.MineMaximalOpts(ctx, d, minsup,
-				eclat.Options{Representation: opts.Representation, Workers: workers})
-			return res, st.Stats, err
-		})
+	opts.Output = OutputMaximal
+	return Mine(ctx, d, opts)
 }
 
-// MineClosed discovers the closed frequent itemsets — those with no
-// strict superset of equal support, the lossless compressed form of the
-// frequent collection. ctx provides cooperative cancellation, checked
-// between sub-classes as in Mine. Parallelism and the query options
-// behave as in MineMaximal.
+// MineClosed is Mine with Output set to OutputClosed: only the closed
+// frequent itemsets, the lossless compressed form of the collection.
 func MineClosed(ctx context.Context, d *Database, opts MineOptions) (*Result, *RunInfo, error) {
-	return mineVariant(ctx, d, opts, "closed",
-		func(ctx context.Context, d *db.Database, minsup, workers int) (*Result, eclat.Stats, error) {
-			return eclat.MineClosedOpts(ctx, d, minsup,
-				eclat.Options{Representation: opts.Representation, Workers: workers})
-		})
-}
-
-// mineVariant shares the validation, tracing and metrics of the
-// maximal/closed searches.
-func mineVariant(ctx context.Context, d *Database, opts MineOptions, name string, run func(context.Context, *db.Database, int, int) (*Result, eclat.Stats, error)) (*Result, *RunInfo, error) {
-	if d == nil {
-		return nil, nil, fmt.Errorf("repro: nil database")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, wrapCanceled(err)
-	}
-	if _, err := opts.query(false); err != nil {
-		return nil, nil, err
-	}
-	minsup, err := opts.MinSup(d)
-	if err != nil {
-		return nil, nil, err
-	}
-	workers, err := opts.Workers()
-	if err != nil {
-		return nil, nil, err
-	}
-	tr := obsv.TraceFrom(ctx)
-	if tr == nil {
-		tr = obsv.NewTrace()
-		ctx = obsv.WithTrace(ctx, tr)
-	}
-	mineRuns.Inc()
-	start := time.Now()
-	pre := len(tr.Spans())
-	info := &RunInfo{Algorithm: AlgoEclat, MinSup: minsup}
-	sp := tr.Start(name)
-	res, st, err := run(ctx, d, minsup, workers)
-	sp.End()
-	if err != nil {
-		mineErrors.Inc()
-		return nil, nil, wrapIfCtxErr(err)
-	}
-	if err := ctx.Err(); err != nil {
-		mineErrors.Inc()
-		return nil, nil, wrapCanceled(err)
-	}
-	info.Scans = st.Scans
-	info.Parallelism = st.Workers
-	info.Steals = st.Steals
-	info.WallNS = time.Since(start).Nanoseconds()
-	if spans := tr.Spans(); pre <= len(spans) {
-		info.Phases = spans[pre:]
-	}
-	mineDuration.Observe(info.WallNS)
-	observePhases(info.Phases)
-	return res, info, nil
+	opts.Output = OutputClosed
+	return Mine(ctx, d, opts)
 }
 
 // Rules derives all association rules with confidence >= minConf from a

@@ -4,10 +4,10 @@
 // (BenchmarkMineParallelLocal, BenchmarkMineVariants, and
 // BenchmarkMineSequentialAlloc in internal/eclat) and writes the results
 // to BENCH_mine.json at the repository root — the committed perf
-// trajectory for the real hot path: MineSequential vs MineParallelLocal
-// at 1/2/4/8 workers, sparse vs bitset representation, the class-task
-// engine's maximal/closed scaling at 1/2/4 workers plus a top-k row, and
-// the scratch arena's allocs/op effect on the sequential recursion.
+// trajectory for the real hot path: MineParallelLocal at 1/2/4/8 workers
+// (1 is the sequential driver), sparse vs bitset representation, the
+// maximal/closed policies at 1/2/4 workers plus a top-k row, and the
+// scratch arena's allocs/op effect on the one-worker recursion.
 //
 // The snapshot records NumCPU and GOMAXPROCS of the machine that
 // produced it: speedup columns are only meaningful relative to the
@@ -41,13 +41,12 @@ import (
 type MineResult struct {
 	// Repr is the tid-set representation ("sparse" or "bitset").
 	Repr string `json:"repr"`
-	// Workers is the worker-goroutine count; 0 marks the MineSequential
-	// baseline ("workers=seq").
+	// Workers is the worker-goroutine count (1 is the sequential driver).
 	Workers int `json:"workers"`
 	// NsPerOp is the fastest observed time for one full mine.
 	NsPerOp float64 `json:"nsPerOp"`
-	// Speedup is the sequential baseline's NsPerOp over this one (1.0 for
-	// the baseline itself).
+	// Speedup is the same representation's workers=1 NsPerOp over this
+	// one (1.0 for workers=1 itself).
 	Speedup     float64 `json:"speedup"`
 	BytesPerOp  float64 `json:"bytesPerOp"`
 	AllocsPerOp float64 `json:"allocsPerOp"`
@@ -66,7 +65,7 @@ type VariantResult struct {
 	AllocsPerOp float64 `json:"allocsPerOp"`
 }
 
-// AllocResult is one BenchmarkMineSequentialAlloc line: the sequential
+// AllocResult is one BenchmarkMineSequentialAlloc line: the one-worker
 // miner with the scratch arena disabled vs enabled.
 type AllocResult struct {
 	Arena       string  `json:"arena"` // "off" or "on"
@@ -87,9 +86,9 @@ type Snapshot struct {
 	Dataset    string `json:"dataset"`
 	SupportPct string `json:"supportPct"`
 	Benchtime  string `json:"benchtime"`
-	// Mine is the sequential-vs-parallel grid; Variants the engine's
+	// Mine is the worker-scaling grid; Variants the engine's
 	// maximal/closed/top-k scaling rows; SequentialAlloc the arena
-	// ablation on the sequential path.
+	// ablation on the one-worker path.
 	Mine            []MineResult    `json:"mine"`
 	Variants        []VariantResult `json:"variants"`
 	SequentialAlloc []AllocResult   `json:"sequentialAlloc"`
@@ -97,7 +96,7 @@ type Snapshot struct {
 
 var (
 	mineLine = regexp.MustCompile(
-		`^BenchmarkMineParallelLocal/repr=([a-z]+)/workers=(seq|\d+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
+		`^BenchmarkMineParallelLocal/repr=([a-z]+)/workers=(\d+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
 	variantLine = regexp.MustCompile(
 		`^BenchmarkMineVariants/variant=([a-z0-9]+)/workers=(\d+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
 	allocLine = regexp.MustCompile(
@@ -131,10 +130,7 @@ func main() {
 			if err != nil {
 				continue
 			}
-			workers := 0
-			if m[2] != "seq" {
-				workers, _ = strconv.Atoi(m[2])
-			}
+			workers, _ := strconv.Atoi(m[2])
 			r := MineResult{Repr: m[1], Workers: workers, NsPerOp: ns}
 			r.BytesPerOp, r.AllocsPerOp = parseMem(m[4])
 			key := [2]string{r.Repr, m[2]}
@@ -184,11 +180,10 @@ func main() {
 		SupportPct: "0.25%",
 		Benchtime:  *benchtime,
 	}
-	// Speedups are relative to the same representation's sequential
-	// baseline.
+	// Speedups are relative to the same representation's workers=1 row.
 	seqNs := map[string]float64{}
 	for key, r := range bestMine {
-		if key[1] == "seq" {
+		if r.Workers == 1 {
 			seqNs[key[0]] = r.NsPerOp
 		}
 	}

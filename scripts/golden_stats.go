@@ -2,11 +2,13 @@
 
 // Command golden_stats regenerates internal/eclat/testdata/golden_stats.json,
 // the frozen work-counter profile of the class-task engine on the seed
-// datasets. The committed file was captured from the pre-engine variants
-// (PR 7 tree) and the equivalence suite asserts the engine reproduces it
-// exactly at every representation and worker count — regenerate only when
-// a counter change is intentional and understood, never to paper over a
-// divergence.
+// datasets: every engine policy mined on one worker, plus the
+// simulated-cluster forms. The committed file was captured from the
+// pre-engine variants and the equivalence suite asserts the engine
+// reproduces it exactly at every policy, representation and worker
+// count — regenerate only when a counter change is intentional and
+// understood, never to paper over a divergence. CI regenerates it and
+// compares the bytes against the committed copy.
 //
 // Usage (from the repository root):
 //
@@ -113,6 +115,19 @@ func kernelGold(k *tidlist.KernelStats) KernelGold {
 	}
 }
 
+// statsGold freezes the counters an all-frequent-shaped run reports.
+func statsGold(st eclat.Stats) StatsGold {
+	return StatsGold{
+		Scans:          st.Scans,
+		Intersections:  st.Intersections,
+		ShortCircuited: st.ShortCircuited,
+		IntersectOps:   st.IntersectOps,
+		Classes:        st.Classes,
+		DiffsetClasses: st.DiffsetClasses,
+		Kernel:         kernelGold(&st.Kernel),
+	}
+}
+
 func main() {
 	out := flag.String("o", "internal/eclat/testdata/golden_stats.json", "output path")
 	flag.Parse()
@@ -133,73 +148,38 @@ func main() {
 	var entries []Entry
 	for _, d := range datasets {
 		for _, repr := range reprs {
-			opts := eclat.Options{Representation: repr}
 			e := Entry{Dataset: d.name, MinSup: d.minsup, Repr: repr.String(), Fingerprints: map[string]uint64{}}
-
-			seqRes, st, err := eclat.MineSequentialOpts(context.Background(), d.d, d.minsup, opts)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			e.Fingerprints["all"] = fingerprint(seqRes)
-			e.Stats = StatsGold{
-				Scans:          st.Scans,
-				Intersections:  st.Intersections,
-				ShortCircuited: st.ShortCircuited,
-				IntersectOps:   st.IntersectOps,
-				Classes:        st.Classes,
-				DiffsetClasses: st.DiffsetClasses,
-				Kernel:         kernelGold(&st.Kernel),
+			mine := func(key string, policy eclat.Policy) eclat.Stats {
+				res, st, err := eclat.MineParallelLocal(context.Background(), d.d, d.minsup,
+					eclat.Options{Representation: repr, Workers: 1, Policy: policy})
+				if err != nil {
+					fmt.Fprintln(os.Stderr, err)
+					os.Exit(1)
+				}
+				e.Fingerprints[key] = fingerprint(res)
+				return st
 			}
 
-			maxRes, mst, err := eclat.MineMaximalOpts(context.Background(), d.d, d.minsup, opts)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			e.Fingerprints["maximal"] = fingerprint(maxRes)
+			e.Stats = statsGold(mine("all", eclat.PolicyAll))
+			mst := mine("maximal", eclat.PolicyMaximal)
 			e.Max = MaxGold{
-				StatsGold: StatsGold{
-					Scans:          mst.Scans,
-					Intersections:  mst.Intersections,
-					ShortCircuited: mst.ShortCircuited,
-					IntersectOps:   mst.IntersectOps,
-					Classes:        mst.Classes,
-					DiffsetClasses: mst.DiffsetClasses,
-					Kernel:         kernelGold(&mst.Kernel),
-				},
+				StatsGold:     statsGold(mst),
 				Lookaheads:    mst.Lookaheads,
 				LookaheadHits: mst.LookaheadHits,
 				Candidates:    mst.Candidates,
 			}
-
-			diffRes, dst, err := eclat.MineSequentialDiffsetsOpts(context.Background(), d.d, d.minsup, opts)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			dst := mine("diffsets", eclat.PolicyDiffsets)
 			e.Diff = DiffGold{
 				Scans:         dst.Scans,
 				Intersections: dst.Intersections,
-				DiffOps:       dst.DiffOps,
+				DiffOps:       dst.IntersectOps,
 				ListBytes:     dst.ListBytes,
 				Kernel:        kernelGold(&dst.Kernel),
 			}
-			e.Fingerprints["diffsets"] = fingerprint(diffRes)
+			mine("closed", eclat.PolicyClosed)
+			mine("charm", eclat.PolicyCharm)
 
-			closedRes, _, err := eclat.MineClosedOpts(context.Background(), d.d, d.minsup, opts)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			e.Fingerprints["closed"] = fingerprint(closedRes)
-			charmRes, _, err := eclat.MineClosedCHARMOpts(context.Background(), d.d, d.minsup, opts)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			e.Fingerprints["charm"] = fingerprint(charmRes)
-
+			opts := eclat.Options{Representation: repr}
 			clRes, _ := eclat.MineOpts(cluster.New(cluster.Default(2, 2)), d.d, d.minsup, opts)
 			e.Fingerprints["cluster"] = fingerprint(clRes)
 			hyRes, _ := eclat.MineHybridOpts(cluster.New(cluster.Default(2, 2)), d.d, d.minsup, opts)
