@@ -26,6 +26,7 @@ import (
 	"repro/internal/eclat"
 	"repro/internal/itemset"
 	"repro/internal/paircount"
+	"repro/internal/store"
 	"repro/internal/tidlist"
 )
 
@@ -247,13 +248,7 @@ func BenchmarkAblationVerticalL2VsHorizontal(b *testing.B) {
 		b.ReportMetric(ops/1e6, "Mops")
 	})
 	b.Run("vertical-1item-intersect", func(b *testing.B) {
-		// Build per-item tid-lists once.
-		lists := make([]tidlist.List, d.NumItems)
-		for _, tx := range d.Transactions {
-			for _, it := range tx.Items {
-				lists[it] = append(lists[it], tx.TID)
-			}
-		}
+		lists := store.VerticalLists(d)
 		b.ResetTimer()
 		var ops float64
 		for i := 0; i < b.N; i++ {

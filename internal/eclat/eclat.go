@@ -594,7 +594,11 @@ func buildVertical(ctx context.Context, d *db.Database, minsup int, st *Stats, o
 	sp = tr.Start("transformation")
 	classes := filterClasses(eqclass.PruneSingletons(eqclass.Partition(l2)), must)
 	st.Classes = len(classes)
-	want := make(map[tidlist.Pair]bool)
+	npairs := 0
+	for _, c := range classes {
+		npairs += len(c.Members)
+	}
+	want := make(map[tidlist.Pair]bool, npairs)
 	for _, c := range classes {
 		for _, m := range c.Members {
 			want[tidlist.Pair{A: m[0], B: m[1]}] = true

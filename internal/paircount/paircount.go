@@ -46,11 +46,16 @@ func (c *Counter) index(a, b itemset.Item) int {
 	return int(ia*(2*m-ia-1)/2 + (ib - ia - 1))
 }
 
-// AddTransaction counts all C(len,2) pairs of one transaction.
+// AddTransaction counts all C(len,2) pairs of one transaction. items
+// must be strictly ascending and every item < m. Each prefix a slices its
+// row of the triangle once, so pair {a, b} is the row's cell b-a-1.
 func (c *Counter) AddTransaction(items itemset.Itemset) {
-	for i := 0; i < len(items); i++ {
-		for j := i + 1; j < len(items); j++ {
-			c.counts[c.index(items[i], items[j])]++
+	for i := 0; i+1 < len(items); i++ {
+		a := items[i]
+		base := c.index(a, a+1)
+		row := c.counts[base : base+c.m-int(a)-1]
+		for _, b := range items[i+1:] {
+			row[b-a-1]++
 		}
 	}
 }

@@ -123,37 +123,64 @@ func TestOpsAccounting(t *testing.T) {
 	}
 }
 
-// Property: counts match a map-based oracle for random transactions.
+// Property: counts and the AddPartition op count match a map-based
+// oracle for random transactions, over universes from the smallest with
+// a pair (m=2) up to the paper's N=1000. Every fifth transaction holds
+// the universe's first and last items, and others are forced empty or
+// single-item.
 func TestCounterQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		const m = 12
-		c := New(m)
-		oracle := map[[2]itemset.Item]int{}
-		for i := 0; i < 50; i++ {
-			items := make([]itemset.Item, rng.Intn(6))
-			for j := range items {
-				items[j] = itemset.Item(rng.Intn(m))
+	for _, m := range []int{2, 3, 64, 1000} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			d := &db.Database{NumItems: m}
+			for i := 0; i < 50; i++ {
+				items := make([]itemset.Item, rng.Intn(7))
+				for j := range items {
+					items[j] = itemset.Item(rng.Intn(m))
+				}
+				switch i % 5 {
+				case 0:
+					items = append(items, 0, itemset.Item(m-1))
+				case 1:
+					items = items[:0]
+				case 2:
+					items = items[:min(len(items), 1)]
+				}
+				d.Transactions = append(d.Transactions, db.Transaction{TID: itemset.TID(i), Items: itemset.New(items...)})
 			}
-			tx := itemset.New(items...)
-			c.AddTransaction(tx)
-			for x := 0; x < len(tx); x++ {
-				for y := x + 1; y < len(tx); y++ {
-					oracle[[2]itemset.Item{tx[x], tx[y]}]++
+			c := New(m)
+			ops := c.AddPartition(d)
+			oracle := map[[2]itemset.Item]int{}
+			var wantOps int64
+			for _, tx := range d.Transactions {
+				l := int64(len(tx.Items))
+				wantOps += l * (l - 1) / 2
+				for x := 0; x < len(tx.Items); x++ {
+					for y := x + 1; y < len(tx.Items); y++ {
+						oracle[[2]itemset.Item{tx.Items[x], tx.Items[y]}]++
+					}
 				}
 			}
-		}
-		for a := itemset.Item(0); a < m; a++ {
-			for b := a + 1; b < m; b++ {
-				if c.Count(a, b) != oracle[[2]itemset.Item{a, b}] {
+			if ops != wantOps {
+				return false
+			}
+			// Every oracle pair matches, and the cells sum to the oracle's
+			// total, so no other cell was incremented.
+			var total int64
+			for p, n := range oracle {
+				if c.Count(p[0], p[1]) != n {
 					return false
 				}
+				total += int64(n)
 			}
+			for _, v := range c.Counts() {
+				total -= int64(v)
+			}
+			return total == 0
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Fatalf("m=%d: %v", m, err)
+		}
 	}
 }
 

@@ -142,13 +142,7 @@ func (ds *Dataset) Vertical() []tidlist.List {
 			ds.vertical = ds.stored.SparseLists()
 			return
 		}
-		lists := make([]tidlist.List, ds.memDB.NumItems)
-		for _, tx := range ds.memDB.Transactions {
-			for _, it := range tx.Items {
-				lists[it] = append(lists[it], tx.TID)
-			}
-		}
-		ds.vertical = lists
+		ds.vertical = store.VerticalLists(ds.memDB)
 	})
 	return ds.vertical
 }

@@ -2,9 +2,11 @@ package tidlist
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/db"
 	"repro/internal/itemset"
 )
 
@@ -174,6 +176,102 @@ func FuzzRoundTrip(f *testing.F) {
 				if probe >= 0 && roaring.Contains(probe) != member[probe] {
 					t.Fatalf("roaring Contains(%d) = %v, want %v", probe, roaring.Contains(probe), member[probe])
 				}
+			}
+		}
+	})
+}
+
+// buildPairsOracle is the map-probe transformation BuildPairs replaced:
+// every pair of every transaction is looked up in want.
+func buildPairsOracle(part *db.Database, want map[Pair]bool) map[Pair]List {
+	out := make(map[Pair]List, len(want))
+	for _, tx := range part.Transactions {
+		items := tx.Items
+		for i := 0; i < len(items); i++ {
+			for j := i + 1; j < len(items); j++ {
+				p := Pair{items[i], items[j]}
+				if !want[p] {
+					continue
+				}
+				out[p] = append(out[p], tx.TID)
+			}
+		}
+	}
+	return out
+}
+
+// fuzzPairsInput decodes a small database over an m-item universe (m from
+// sel) and a want set from raw fuzz bytes. A data byte >= 0xF0 ends a
+// transaction and advances the next TID by 1 + (b - 0xF0), so TIDs are
+// ascending with gaps; any other byte is an item modulo m. Each want
+// triple (a, b, v) names the pair {int8(a) mod (m+4), b mod (m+4)} with
+// value v&3 != 0: the set holds false values, A >= B pairs, and pairs over
+// negative items, items past the universe and items absent from the data.
+func fuzzPairsInput(data, wantRaw []byte, sel uint8) (*db.Database, map[Pair]bool) {
+	m := 1 + int(sel)%48
+	d := &db.Database{NumItems: m}
+	var items []itemset.Item
+	tid := itemset.TID(0)
+	for i, b := range data {
+		if b < 0xF0 {
+			items = append(items, itemset.Item(int(b)%m))
+		}
+		if b >= 0xF0 || i == len(data)-1 {
+			d.Transactions = append(d.Transactions, db.Transaction{TID: tid, Items: itemset.New(items...)})
+			items = items[:0]
+			tid += 1 + itemset.TID(max(int(b)-0xF0, 0))
+		}
+	}
+	want := map[Pair]bool{}
+	for i := 0; i+2 < len(wantRaw); i += 3 {
+		p := Pair{itemset.Item(int(int8(wantRaw[i])) % (m + 4)), itemset.Item(int(wantRaw[i+1]) % (m + 4))}
+		want[p] = wantRaw[i+2]&3 != 0
+	}
+	return d, want
+}
+
+// FuzzBuildPairs proves the partner-run transformation builds exactly the
+// oracle's lists, that every list is strictly increasing, and that
+// block-partition builds concatenate to the whole-database build (the
+// transformation-phase invariant of TestConcatEqualsGlobalBuild).
+func FuzzBuildPairs(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 0xF0, 1, 3, 0xF2, 2, 3, 0xF0, 1, 2, 3}, []byte{1, 2, 1, 1, 3, 1, 4, 5, 1, 2, 3, 0}, uint8(5), uint8(2))
+	f.Add([]byte{0, 9, 0xF0, 9, 0, 5, 0xFF, 0xF0, 3}, []byte{0, 9, 1, 9, 0, 1, 0xFF, 3, 1, 3, 3, 1, 9, 12, 1}, uint8(9), uint8(4))
+	f.Add([]byte{}, []byte{0, 1, 1}, uint8(1), uint8(0))
+	f.Add([]byte{7, 1, 9, 11, 13, 0xF1, 7, 13, 0xF0, 1, 9, 13}, []byte{1, 7, 1, 1, 9, 2, 7, 13, 3, 9, 13, 4, 11, 13, 1}, uint8(47), uint8(5))
+	f.Fuzz(func(t *testing.T, data, wantRaw []byte, sel, np uint8) {
+		d, want := fuzzPairsInput(data, wantRaw, sel)
+		got, oracle := BuildPairs(d, want), buildPairsOracle(d, want)
+		if len(got) != len(oracle) {
+			t.Fatalf("%d lists, oracle %d (got %v, oracle %v)", len(got), len(oracle), got, oracle)
+		}
+		for p, l := range oracle {
+			g, ok := got[p]
+			if !ok || !slices.Equal(g, l) {
+				t.Fatalf("pair %v: got %v (present %v), oracle %v", p, g, ok, l)
+			}
+			if err := g.Validate(); err != nil {
+				t.Fatalf("pair %v: %v", p, err)
+			}
+		}
+		nparts := 1 + int(np)%6
+		parts := d.Partition(nparts)
+		perPart := make([]map[Pair]List, nparts)
+		for i, part := range parts {
+			perPart[i] = BuildPairs(part, want)
+			for p := range perPart[i] {
+				if _, ok := got[p]; !ok {
+					t.Fatalf("np=%d part %d built %v, absent from the whole build", nparts, i, p)
+				}
+			}
+		}
+		for p, l := range got {
+			partials := make([]List, nparts)
+			for i := range parts {
+				partials[i] = perPart[i][p]
+			}
+			if cat := ConcatPartitions(partials); !slices.Equal(cat, l) {
+				t.Fatalf("np=%d pair %v: concat %v, whole %v", nparts, p, cat, l)
 			}
 		}
 	})

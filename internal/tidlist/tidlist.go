@@ -20,7 +20,9 @@
 package tidlist
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/db"
 	"repro/internal/itemset"
@@ -161,20 +163,73 @@ func (p Pair) Itemset() itemset.Itemset { return itemset.Itemset{p.A, p.B} }
 // BuildPairs scans a horizontal partition once and returns the partial
 // tid-lists of every pair in want. This is Eclat's second local scan
 // ("each processor scans its local database and constructs partial
-// tid-lists for all the frequent 2-itemsets"). Lists come out sorted
-// because transactions are visited in TID order.
+// tid-lists for all the frequent 2-itemsets"). The result holds one entry
+// per wanted pair that occurs in part; pairs with want[p] false or A >= B
+// are never built. Lists come out sorted because transactions are visited
+// in TID order.
+//
+// The scan probes no map. The wanted pairs, sorted by (A, B), are the
+// slots of the output; first[a]..first[a+1] spans the partners of prefix
+// a, a CSR over the items. Each transaction is first reduced to its items
+// that occur in some wanted pair, then each kept item's partner run is
+// merge-walked against the kept items after it. Extra memory is
+// O(|want| + part.NumItems); items outside [0, part.NumItems) never occur
+// in a valid partition, so pairs over them are never built.
 func BuildPairs(part *db.Database, want map[Pair]bool) map[Pair]List {
-	out := make(map[Pair]List, len(want))
+	pairs := make([]Pair, 0, len(want))
+	n := 0 // one past the largest item of any kept pair
+	for p, ok := range want {
+		if ok && 0 <= p.A && p.A < p.B && int(p.B) < part.NumItems {
+			pairs = append(pairs, p)
+			n = max(n, int(p.B)+1)
+		}
+	}
+	out := make(map[Pair]List, len(pairs))
+	if len(pairs) == 0 {
+		return out
+	}
+	slices.SortFunc(pairs, func(x, y Pair) int {
+		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
+	})
+	first := make([]int32, n+1)
+	inPair := make([]bool, n)
+	for _, p := range pairs {
+		first[p.A+1]++
+		inPair[p.A], inPair[p.B] = true, true
+	}
+	for a := 1; a <= n; a++ {
+		first[a] += first[a-1]
+	}
+
+	lists := make([]List, len(pairs))
+	var kept itemset.Itemset
 	for _, tx := range part.Transactions {
-		items := tx.Items
-		for i := 0; i < len(items); i++ {
-			for j := i + 1; j < len(items); j++ {
-				p := Pair{items[i], items[j]}
-				if !want[p] {
-					continue
-				}
-				out[p] = append(out[p], tx.TID)
+		kept = kept[:0]
+		for _, it := range tx.Items {
+			if uint(it) < uint(n) && inPair[it] {
+				kept = append(kept, it)
 			}
+		}
+		for i, a := range kept {
+			s, end := first[a], first[a+1]
+			rest := kept[i+1:]
+			for j := 0; s < end && j < len(rest); {
+				switch b := pairs[s].B; {
+				case b < rest[j]:
+					s++
+				case b > rest[j]:
+					j++
+				default:
+					lists[s] = append(lists[s], tx.TID)
+					s++
+					j++
+				}
+			}
+		}
+	}
+	for s, l := range lists {
+		if l != nil {
+			out[pairs[s]] = l
 		}
 	}
 	return out
