@@ -13,9 +13,9 @@
 //
 //	POST   /v1/jobs              {"dataset":"t10","algorithm":"eclat","supportPct":0.25}
 //	                             optional: "variant":"all|maximal|closed",
-//	                             "representation":"auto|sparse|bitset" (tid-set
-//	                             encoding for Eclat-family algorithms; auto
-//	                             adapts per equivalence class by density)
+//	                             "representation":"auto|sparse|bitset|roaring"
+//	                             (tid-set encoding for Eclat-family algorithms;
+//	                             auto prices each equivalence class's joins)
 //	GET    /v1/jobs/{id}         job status
 //	GET    /v1/jobs/{id}/result  result text (support<TAB>items per line)
 //	DELETE /v1/jobs/{id}         cancel

@@ -94,10 +94,11 @@ type Options struct {
 	ExternalTransform bool
 	// Representation selects the tid-set representation the class
 	// recursion mines through: ReprAuto (the zero value) decides per
-	// equivalence class by density, ReprSparse forces the paper's sorted
-	// slice with the scalar merge kernel, ReprBitset forces the
-	// word-packed dense kernel, ReprRoaring forces the containerized
-	// compressed kernels.
+	// equivalence class by pricing its C(s,2) joins under each kernel
+	// (tidlist.ChooseRepr), ReprSparse forces the paper's sorted slice
+	// with the scalar merge kernel, ReprBitset forces the word-packed
+	// dense kernel, ReprRoaring forces the containerized compressed
+	// kernels.
 	Representation tidlist.Repr
 	// DiffsetBreakEven overrides the density threshold at which a
 	// sub-class switches to diffsets (see DefaultDiffsetBreakEven).
@@ -475,10 +476,11 @@ func computeFrequentDiffCtx(ctx context.Context, members []dmember, th *threshol
 
 // classMembers assembles the sorted member list of one L2 equivalence
 // class from the global pair tid-list map, then applies the per-class
-// representation policy: with ReprAuto the class density (average member
-// support over the class's tid span) decides between sparse and bitset,
-// so dense classes get the word kernel and sparse ones keep the merge
-// loop — the decision is as localized as the class computation itself.
+// representation policy: with ReprAuto the class's C(s,2) joins are
+// priced under the merge kernel and under a packed one (see
+// tidlist.ChooseRepr), so classes whose joins are cheaper in words get
+// the word kernel and the rest keep the merge loop — the decision is as
+// localized as the class computation itself.
 func classMembers(class *eqclass.Class, lists map[tidlist.Pair]tidlist.List, repr tidlist.Repr, ks *tidlist.KernelStats) []member {
 	out := make([]member, 0, len(class.Members))
 	for _, set := range class.Members {
@@ -489,31 +491,37 @@ func classMembers(class *eqclass.Class, lists map[tidlist.Pair]tidlist.List, rep
 	return out
 }
 
-// applyClassRepr resolves repr against the class's density and, when the
-// outcome is one of the packed encodings (bitset or roaring), re-encodes
-// every member in place.
+// applyClassRepr resolves repr for the class — ReprAuto by pricing its
+// shape, with each member's current encoding — and re-encodes in place
+// exactly the members whose encoding differs from the outcome.
 func applyClassRepr(members []member, repr tidlist.Repr, ks *tidlist.KernelStats) {
 	chosen := repr
 	if repr == tidlist.ReprAuto {
-		if len(members) == 0 {
-			return
-		}
-		span := classSpan(members)
-		if span == 0 {
-			return
-		}
-		sum := 0
-		for _, m := range members {
-			sum += m.tids.Support()
-		}
-		chosen = tidlist.ChooseRepr(repr, sum/len(members), span)
+		chosen = tidlist.ChooseRepr(repr, classShape(members))
 	}
-	switch chosen {
-	case tidlist.ReprBitset, tidlist.ReprRoaring:
-		for i := range members {
-			members[i].tids = tidlist.Convert(members[i].tids, chosen, ks)
+	for i := range members {
+		members[i].tids = tidlist.Convert(members[i].tids, chosen, ks)
+	}
+}
+
+// classShape summarizes members for the priced representation policy.
+func classShape(members []member) tidlist.ClassShape {
+	c := tidlist.ClassShape{Members: len(members), Span: classSpan(members)}
+	for _, m := range members {
+		c.Support += m.tids.Support()
+		switch m.tids.Repr() {
+		case tidlist.ReprSparse:
+			c.Sparse++
+		case tidlist.ReprBitset:
+			c.Bitset++
+		case tidlist.ReprRoaring:
+			c.Roaring++
 		}
 	}
+	if c.Members > 0 {
+		c.Support /= c.Members
+	}
+	return c
 }
 
 // vertical is what the local entry points hand the mining core: the
@@ -537,15 +545,17 @@ type vertical struct {
 
 // members assembles the sorted, representation-resolved member list of
 // class ci — the one entry every engine driver fetches class operands
-// through. Work done to assemble them is charged to st.
-func (v *vertical) members(ci int, repr tidlist.Repr, st *Stats) []member {
+// through. Work done to assemble them is charged to st; member sets
+// derived from item sets are carved from ar, which the driver marks
+// before and releases after the class.
+func (v *vertical) members(ci int, repr tidlist.Repr, st *Stats, ar *arena) []member {
 	if v.roots != nil {
 		m := v.roots[ci]
 		applyClassRepr(m, repr, &st.Kernel)
 		return m
 	}
 	if v.sets != nil {
-		return v.sets.classMembers(&v.classes[ci], repr, st)
+		return v.sets.classMembers(&v.classes[ci], repr, st, ar)
 	}
 	return classMembers(&v.classes[ci], v.lists, repr, &st.Kernel)
 }

@@ -228,9 +228,11 @@ func (e *engine) runSequential(ctx context.Context, st *Stats, ar *arena) error 
 			return err
 		}
 		before := *st
+		mark := ar.mark()
 		e.v.acquire(ci)
-		w.explore(ctx, e.v.members(ci, e.opts.Representation, st), emit)
+		w.explore(ctx, e.v.members(ci, e.opts.Representation, st, ar), emit)
 		e.v.release(ci)
+		ar.release(mark)
 		flushStats(&before, st)
 		mClasses.Inc()
 	}

@@ -237,9 +237,11 @@ func (e *engine) runParallel(ctx context.Context, st *Stats) error {
 
 			mine := func(t classTask) {
 				acc = acc[:0]
+				mark := wk.ar.mark()
 				v.acquire(t.ci)
-				wk.explore(ctx, v.members(t.ci, e.opts.Representation, wst), emit)
+				wk.explore(ctx, v.members(t.ci, e.opts.Representation, wst, wk.ar), emit)
 				v.release(t.ci)
+				wk.ar.release(mark)
 				out := make([]mining.FrequentItemset, len(acc))
 				copy(out, acc)
 				classOut[t.ci] = out

@@ -13,16 +13,54 @@ import (
 // deterministic in the seed, so every sub-benchmark mines the same data).
 const benchTx = 20000
 
+// benchReprs is every encoding the end-to-end rows measure, auto last.
+var benchReprs = []tidlist.Repr{tidlist.ReprSparse, tidlist.ReprBitset, tidlist.ReprRoaring, tidlist.ReprAuto}
+
 func BenchmarkMineParallelLocal(b *testing.B) {
 	d := gen.MustGenerate(gen.T10I6(benchTx))
 	minsup := d.MinSupCount(0.25)
-	for _, repr := range []tidlist.Repr{tidlist.ReprSparse, tidlist.ReprBitset} {
+	for _, repr := range benchReprs {
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("repr=%s/workers=%d", repr, workers), func(b *testing.B) {
 				opts := Options{Representation: repr, Workers: workers}
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, _, err := MineParallelLocal(context.Background(), d, minsup, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkMineVerticalLocal mines the dense family of the repository
+// benchmark's mine_dense workload (D5K, |T|=20, N=200 items, support
+// 1.25%) from item sets, the store-backed path, under every encoding at
+// 1 and 2 workers. The item sets are encoded as the store serves them:
+// all in the requested encoding, or under auto each in its smallest.
+func BenchmarkMineVerticalLocal(b *testing.B) {
+	cfg := gen.T10I6(5000)
+	cfg.AvgTxLen, cfg.NumItems = 20, 200
+	d := gen.MustGenerate(cfg)
+	minsup := d.MinSupCount(1.25)
+	for _, repr := range benchReprs {
+		in := VerticalInput{NumTransactions: d.Len(), Items: verticalSets(d, repr)}
+		if repr == tidlist.ReprAuto {
+			var ks tidlist.KernelStats
+			for it, s := range in.Items {
+				if l, ok := s.(tidlist.List); ok {
+					_, enc := tidlist.EncodedSize(l, tidlist.ReprAuto)
+					in.Items[it] = tidlist.Convert(l, enc, &ks)
+				}
+			}
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("repr=%s/workers=%d", repr, workers), func(b *testing.B) {
+				opts := Options{Representation: repr, Workers: workers}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := MineVerticalLocal(context.Background(), in, minsup, opts); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -52,18 +52,22 @@ type itemSets struct {
 // count, so the intersections need no short circuit. They are charged to
 // st like the recursion's own kernel calls, so the per-class flush
 // publishes them and budgeted and unbudgeted runs count identically.
-func (s *itemSets) classMembers(class *eqclass.Class, repr tidlist.Repr, st *Stats) []member {
+// Each derived set keeps the encoding its two item sets produce (two
+// bitsets give a bitset) and is cloned into ar, so the representation
+// policy sees the members' real encodings and re-encodes only those
+// that differ from its choice.
+func (s *itemSets) classMembers(class *eqclass.Class, repr tidlist.Repr, st *Stats, ar *arena) []member {
 	if s.res != nil {
 		mClassRefetches.Inc()
 	}
 	var scratch tidlist.Set
-	out := make([]member, 0, len(class.Members))
+	out := ar.nextMembers(len(class.Members))
 	for _, set := range class.Members {
 		tids, ops := tidlist.IntersectSets(scratch, s.items[int(set[0])], s.items[int(set[1])], &st.Kernel)
 		st.Intersections++
 		st.IntersectOps += int64(ops)
 		scratch = tids
-		out = append(out, member{set: set, tids: tids.AppendTIDs(make(tidlist.List, 0, tids.Support()))})
+		out = append(out, member{set: set, tids: ar.cloneSet(tids)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].set.Less(out[j].set) })
 	applyClassRepr(out, repr, &st.Kernel)

@@ -1,8 +1,11 @@
 package eclat
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/cluster"
@@ -10,6 +13,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/itemset"
 	"repro/internal/mining"
+	"repro/internal/store"
 	"repro/internal/testutil"
 	"repro/internal/tidlist"
 )
@@ -124,22 +128,108 @@ func TestBitsetRunDispatchesDenseKernel(t *testing.T) {
 }
 
 // TestAdaptivePolicySwitchesByDensity pins the auto policy's two sides
-// on data engineered to sit on either side of DenseThreshold.
+// on data engineered to sit on either side of the priced break-even,
+// where a class's joins cost as much in words as in merged elements.
 func TestAdaptivePolicySwitchesByDensity(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
-	// Dense: 10 items over 120 transactions, every class far above 1/32
-	// density, so auto must pack classes into bitsets.
+	// Dense: 10 items over 120 transactions, every class far above the
+	// break-even density, so auto must pack classes into bitsets.
 	dense := testutil.RandomDB(rng, 120, 8, 6)
 	_, st, _ := MineParallelLocal(context.Background(), dense, 2, Options{Workers: 1, Representation: tidlist.ReprAuto})
 	if st.Intersections > 0 && st.Kernel.DenseIntersections() == 0 {
 		t.Fatal("auto on dense data never used the bitset kernel")
 	}
 	// Sparse: supports near minsup over a wide tid range keep density
-	// far below the threshold, so auto must stay on the merge kernel.
+	// far below the break-even, so auto must stay on the merge kernel.
 	sparse := testutil.RandomDB(rng, 4000, 120, 4)
 	_, st, _ = MineParallelLocal(context.Background(), sparse, 2, Options{Workers: 1, Representation: tidlist.ReprAuto})
 	if st.Kernel.DenseIntersections() != 0 {
 		t.Fatalf("auto on sparse data dispatched %d dense intersections", st.Kernel.DenseIntersections())
+	}
+}
+
+// TestAutoKeepsDenseVerticalClassesPacked: on dense vertical data held
+// in bitsets, every derived pair set stays the bitset its two item sets
+// produce, and auto prices every class packed, so the mine converts
+// nothing and every kernel dispatch — derivation and recursion — is
+// dense. Its output is byte-identical to every explicit encoding at one
+// and two workers and under a residency budget.
+func TestAutoKeepsDenseVerticalClassesPacked(t *testing.T) {
+	// The benchmark's dense family at test size: long baskets (|T|=20)
+	// over few items (N=200), about 10% density per item.
+	cfg := gen.T10I6(1000)
+	cfg.AvgTxLen, cfg.NumItems = 20, 200
+	d := gen.MustGenerate(cfg)
+	minsup := d.MinSupCount(1.25)
+	in := VerticalInput{NumTransactions: d.Len(), Items: verticalSets(d, tidlist.ReprBitset)}
+	ctx := context.Background()
+	res, st, err := MineVerticalLocal(ctx, in, minsup, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Intersections == 0 {
+		t.Fatal("no intersections: the dense input mined nothing")
+	}
+	if n := st.Kernel.Conversions(); n != 0 {
+		t.Fatalf("auto converted %d member sets of a dense class", n)
+	}
+	if dense := st.Kernel.DenseIntersections(); dense != st.Intersections {
+		t.Fatalf("%d of %d kernel dispatches were dense, want all", dense, st.Intersections)
+	}
+	want := resultBytes(t, res)
+
+	path := filepath.Join(t.TempDir(), "dense.ds")
+	if err := store.CreateDatasetSeg(path, store.DatasetMeta("dense", "test", d), d, store.VerticalLists(d), 512); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := store.OpenDataset(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	for _, r := range allReprs {
+		for _, workers := range []int{1, 2} {
+			for _, budgeted := range []bool{false, true} {
+				name := fmt.Sprintf("repr=%v/workers=%d/budgeted=%v", r, workers, budgeted)
+				rin := VerticalInput{NumTransactions: d.Len(), Items: verticalSets(d, r)}
+				if budgeted {
+					rin.Items = ds.Sets(r)
+					if rin.Residency = ds.NewResidency(ds.BytesMapped() / 4); rin.Residency == nil {
+						t.Fatalf("%s: NewResidency = nil", name)
+					}
+				}
+				got, _, err := MineVerticalLocal(ctx, rin, minsup, Options{Representation: r, Workers: workers})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !bytes.Equal(resultBytes(t, got), want) {
+					t.Fatalf("%s: output differs from auto on bitset item sets", name)
+				}
+			}
+		}
+	}
+}
+
+// TestAutoMatchesSparseOnT10Vertical: on the paper's T10 data every
+// class prices sparse, so auto's mine from sparse item sets is the
+// sparse mine, counter for counter.
+func TestAutoMatchesSparseOnT10Vertical(t *testing.T) {
+	d := gen.MustGenerate(gen.T10I6(2000))
+	in := VerticalInput{NumTransactions: d.Len(), Items: verticalSets(d, tidlist.ReprSparse)}
+	minsup := d.MinSupCount(0.5)
+	_, want, err := MineVerticalLocal(context.Background(), in, minsup, Options{Representation: tidlist.ReprSparse, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := MineVerticalLocal(context.Background(), in, minsup, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Intersections == 0 {
+		t.Fatal("no intersections at this support")
+	}
+	if got != want {
+		t.Fatalf("auto stats %+v differ from sparse %+v", got, want)
 	}
 }
 

@@ -4,10 +4,15 @@ import (
 	"repro/internal/itemset"
 )
 
-// arenaChunkElems is the element count of a freshly allocated arena
-// chunk (larger single requests get a dedicated chunk of exactly the
-// requested size).
-const arenaChunkElems = 1 << 14
+// A chunk stack's first chunk holds arenaFirstChunkElems elements and
+// each later one twice its predecessor's, up to arenaChunkElems, so an
+// arena that mines a few small classes stays a few KiB while a deep
+// recursion still carves from large chunks. A single request larger than
+// the next chunk gets a dedicated chunk of exactly the requested size.
+const (
+	arenaFirstChunkElems = 1 << 6
+	arenaChunkElems      = 1 << 14
+)
 
 // chunkPos addresses one allocation point inside a chunk stack.
 type chunkPos struct {
@@ -43,10 +48,11 @@ func (s *chunkStack[T]) alloc(n int) []T {
 			s.off = 0
 			continue
 		}
-		size := arenaChunkElems
-		if n > size {
-			size = n
+		size := arenaFirstChunkElems
+		if k := len(s.chunks); k > 0 {
+			size = min(2*len(s.chunks[k-1]), arenaChunkElems)
 		}
+		size = max(size, n)
 		s.chunks = append(s.chunks, make([]T, size))
 		s.ci = len(s.chunks) - 1
 		s.off = 0

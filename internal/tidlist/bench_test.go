@@ -29,12 +29,14 @@ func benchTidList(rng *rand.Rand, n, universe int) List {
 
 // BenchmarkIntersectKernels compares the intersection kernels — sparse
 // merge, dense AND+popcount, containerized roaring, and the adaptive
-// policy's pick — across densities spanning both sides of
-// DenseThreshold (~3.1%). This is the perf baseline behind the
+// policy's pick — across densities spanning both sides of the 1/32 byte
+// break-even (~3.1%). This is the perf baseline behind the
 // representation layer: the dense kernel should win clearly on dense
-// inputs (>= ~5%) and lose to the merge once the tids spread out, the
-// roaring containers should track the per-chunk winner everywhere, and
-// adaptive should track the global winner.
+// inputs (>= ~5%) and lose to the merge once the tids spread out, and
+// the roaring containers should track the per-chunk winner everywhere.
+// The adaptive row is the priced policy's pick for the class the row
+// mines: one join of the two operands, given as lists, so it packs only
+// where the join saves more than packing both lists costs.
 //
 // The diffset row measures the dEclat difference kernel (DiffSets) on
 // the same operands in their adaptively chosen encoding — the cost of
@@ -52,7 +54,7 @@ func BenchmarkIntersectKernels(b *testing.B) {
 		{"50%", n * 2},
 		{"12.5%", n * 8},
 		{"5%", n * 20},
-		{"3.1%", n * 32}, // DenseThreshold: the policy's switch point
+		{"3.1%", n * 32}, // the byte break-even: a bitset is as large as the list
 		{"1%", n * 100},
 		{"0.2%", n * 500},
 	}
@@ -62,7 +64,7 @@ func BenchmarkIntersectKernels(b *testing.B) {
 		y := benchTidList(rng, n, d.universe)
 		dx, dy := NewBitset(x), NewBitset(y)
 		rx, ry := NewRoaring(x), NewRoaring(y)
-		auto := ChooseRepr(ReprAuto, n, d.universe)
+		auto := ChooseRepr(ReprAuto, ClassShape{Members: 2, Support: n, Span: d.universe, Sparse: 2})
 		kernels := []struct {
 			name string
 			a, b Set

@@ -42,7 +42,7 @@ func fuzzList(raw []byte, universe uint32) List {
 }
 
 // fuzzUniverse maps the selector byte onto 64..2^23 tids, covering
-// densities from well above DenseThreshold down to well below it and
+// densities from well above the 1/32 byte break-even to well below it and
 // tid spans from a fraction of one roaring chunk up to 128 chunks.
 func fuzzUniverse(sel uint8) uint32 { return 64 << (sel % 18) }
 

@@ -10,15 +10,15 @@ import (
 )
 
 // Repr selects a tid-set representation. The zero value is ReprAuto: the
-// adaptive policy picks per equivalence class from density, mirroring how
-// the paper localizes all work to a class — the choice, too, needs no
-// information beyond the class itself.
+// adaptive policy prices each equivalence class's joins under each
+// encoding, mirroring how the paper localizes all work to a class — the
+// choice, too, needs no information beyond the class itself.
 type Repr uint8
 
 // The representations.
 const (
-	// ReprAuto picks sparse or bitset per equivalence class by density
-	// (see ChooseRepr).
+	// ReprAuto picks sparse or a packed encoding per equivalence class
+	// by the priced cost of its joins (see ChooseRepr).
 	ReprAuto Repr = iota
 	// ReprSparse is the paper's sorted []TID with the scalar merge loop.
 	ReprSparse
@@ -70,41 +70,64 @@ func ParseRepr(s string) (Repr, error) {
 	}
 }
 
-// DenseThreshold is the density (support / tid-range) at and above which
-// ChooseRepr packs a class into bitsets. At 1/32 the dense encoding is
-// exactly as large as the sparse one (64 tids per 8-byte word vs 4 bytes
-// per tid = break-even at 2 set bits per word); the intersection kernel
-// breaks even far earlier, so the byte break-even is the conservative
-// switch point.
-const DenseThreshold = 1.0 / 32
-
 // RoaringSpanChunks is the tid-span (in 64K chunks) above which the
-// adaptive policy prefers the containerized representation over a flat
-// bitset for dense classes: within a few chunks the two word kernels
-// are equivalent and the flat bitset is simpler, but across a wide span
-// the per-chunk trimming and key-merge chunk skipping pay for the
-// container dispatch (the committed BENCH_kernels.json rows calibrate
-// this).
+// adaptive policy prices the containerized representation instead of a
+// flat bitset as a class's packed encoding: within a few chunks the two
+// word kernels are equivalent and the flat bitset is simpler, but across
+// a wide span the per-chunk trimming and key-merge chunk skipping pay for
+// the container dispatch (the committed BENCH_kernels.json rows
+// calibrate this).
 const RoaringSpanChunks = 4
 
-// ChooseRepr resolves a representation: an explicit request passes
-// through, and ReprAuto picks a packed representation when the density
-// support/tidRange reaches DenseThreshold — the flat bitset for spans
-// within RoaringSpanChunks chunks, the containerized roaring form
-// beyond it. support is the (average) cardinality of the tid-sets under
-// consideration and tidRange the span of TIDs they cover.
-func ChooseRepr(r Repr, support, tidRange int) Repr {
+// Per-unit kernel costs the priced policy weighs, read off the
+// short-circuit rows of BENCH_kernels.json (the regime class mining runs
+// in): the merge kernel takes ~7.4–8.1 µs per 4,096 elements walked, the
+// bitset kernel ~0.85 µs per 256 words and ~10.7 µs per 3,200 words.
+const (
+	costElemNS = 2.0 // per element the merge kernel walks
+	costWordNS = 3.4 // per word a packed kernel touches
+)
+
+// ClassShape is what the priced policy reads off one equivalence class:
+// its member count s, their average support σ and tid span, and how many
+// members each encoding already holds.
+type ClassShape struct {
+	Members int
+	Support int // average member support
+	Span    int // TIDs from the smallest member TID to the largest
+	// Sparse, Bitset and Roaring count the members already in each
+	// encoding; any other member must be re-encoded to join it.
+	Sparse, Bitset, Roaring int
+}
+
+// ChooseRepr resolves a representation for one class. An explicit
+// request passes through. ReprAuto prices the class's C(s,2) joins —
+// the weight the paper already schedules classes by (§5.2.1) — under
+// the merge kernel, 2σ elements a join, and under the packed encoding
+// the span selects (the flat bitset within RoaringSpanChunks chunks,
+// roaring beyond), W = ⌈span/64⌉ words a join. Each side also pays
+// about W+σ ns per member it must re-encode, so a class whose members
+// already sit in one encoding stays there unless the other one's joins
+// win the conversions back. Ties and empty classes stay sparse.
+func ChooseRepr(r Repr, c ClassShape) Repr {
 	if r != ReprAuto {
 		return r
 	}
-	if support <= 0 || tidRange <= 0 {
+	if c.Support <= 0 || c.Span <= 0 {
 		return ReprSparse
 	}
-	if float64(support) >= DenseThreshold*float64(tidRange) {
-		if tidRange > RoaringSpanChunks*chunkSize {
-			return ReprRoaring
-		}
-		return ReprBitset
+	packed, inPacked := ReprBitset, c.Bitset
+	if c.Span > RoaringSpanChunks*chunkSize {
+		packed, inPacked = ReprRoaring, c.Roaring
+	}
+	s, sigma := float64(c.Members), float64(c.Support)
+	joins := s * (s - 1) / 2
+	words := float64((c.Span + wordBits - 1) / wordBits)
+	reencode := words + sigma
+	sparseNS := joins*2*sigma*costElemNS + float64(c.Members-c.Sparse)*reencode
+	packedNS := joins*words*costWordNS + float64(c.Members-inPacked)*reencode
+	if packedNS < sparseNS {
+		return packed
 	}
 	return ReprSparse
 }
@@ -169,7 +192,7 @@ func CloneSet(s Set) Set {
 
 // Convert re-encodes s under r (ReprAuto converts nothing). A set already
 // in the requested representation is returned unchanged; real conversions
-// are counted in ks.
+// are counted in ks. Toward sparse, the list TIDsOf builds is the result.
 func Convert(s Set, r Repr, ks *KernelStats) Set {
 	if r == ReprAuto || s.Repr() == r {
 		return s
@@ -181,7 +204,7 @@ func Convert(s Set, r Repr, ks *KernelStats) Set {
 	case ReprRoaring:
 		return NewRoaring(TIDsOf(s))
 	default:
-		return TIDsOf(s).Clone()
+		return TIDsOf(s)
 	}
 }
 

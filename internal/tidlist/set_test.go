@@ -65,35 +65,76 @@ func TestParseRepr(t *testing.T) {
 }
 
 func TestChooseRepr(t *testing.T) {
-	// Explicit requests pass through regardless of density.
-	if ChooseRepr(ReprSparse, 1000, 1000) != ReprSparse {
+	// Explicit requests pass through whatever the class looks like.
+	dense := ClassShape{Members: 40, Support: 1 << 14, Span: 1 << 15, Sparse: 40}
+	if ChooseRepr(ReprSparse, dense) != ReprSparse {
 		t.Fatal("explicit sparse overridden")
 	}
-	if ChooseRepr(ReprBitset, 1, 1<<20) != ReprBitset {
+	thin := ClassShape{Members: 2, Support: 1, Span: 1 << 20, Sparse: 2}
+	if ChooseRepr(ReprBitset, thin) != ReprBitset {
 		t.Fatal("explicit bitset overridden")
 	}
-	if ChooseRepr(ReprRoaring, 1, 100) != ReprRoaring {
+	if ChooseRepr(ReprRoaring, thin) != ReprRoaring {
 		t.Fatal("explicit roaring overridden")
 	}
-	// Auto: dense at and above the threshold, sparse below.
-	if ChooseRepr(ReprAuto, 32, 1024) != ReprBitset { // density exactly 1/32
-		t.Fatal("auto should pick bitset at the break-even density")
+	// One join of two lists at the 1/32 byte break-even does not pay for
+	// packing both lists.
+	if got := ChooseRepr(ReprAuto, ClassShape{Members: 2, Support: chunkSize / 32, Span: chunkSize, Sparse: 2}); got != ReprSparse {
+		t.Fatalf("2-member class of lists at density 1/32 chose %v, want sparse", got)
 	}
-	if ChooseRepr(ReprAuto, 31, 1024) != ReprSparse {
-		t.Fatal("auto should pick sparse just below the threshold")
+	// 780 joins at 2.5% density amortize the conversions: within one
+	// chunk the flat bitset, past RoaringSpanChunks chunks roaring.
+	if got := ChooseRepr(ReprAuto, ClassShape{Members: 40, Support: chunkSize / 40, Span: chunkSize, Sparse: 40}); got != ReprBitset {
+		t.Fatalf("40-member class at 2.5%% over one chunk chose %v, want bitset", got)
 	}
-	// Auto: dense classes spanning more than RoaringSpanChunks chunks go
-	// containerized; the same density within the span stays flat.
-	wide := RoaringSpanChunks*chunkSize + 1
-	if ChooseRepr(ReprAuto, wide/16, wide) != ReprRoaring {
-		t.Fatal("auto should pick roaring for a dense wide-span class")
+	wide := (RoaringSpanChunks + 1) * chunkSize
+	if got := ChooseRepr(ReprAuto, ClassShape{Members: 40, Support: wide / 40, Span: wide, Sparse: 40}); got != ReprRoaring {
+		t.Fatalf("40-member class at 2.5%% over %d chunks chose %v, want roaring", RoaringSpanChunks+1, got)
 	}
-	if ChooseRepr(ReprAuto, chunkSize/16, chunkSize) != ReprBitset {
-		t.Fatal("auto should keep the flat bitset within the span limit")
+	// Re-encoding is priced against each member's current encoding: at
+	// 1.25% a small class stays in whichever encoding it already has.
+	lists := ClassShape{Members: 3, Support: chunkSize / 80, Span: chunkSize, Sparse: 3}
+	if got := ChooseRepr(ReprAuto, lists); got != ReprSparse {
+		t.Fatalf("3 lists at 1.25%% chose %v, want sparse", got)
 	}
-	// Degenerate inputs stay sparse.
-	if ChooseRepr(ReprAuto, 0, 100) != ReprSparse || ChooseRepr(ReprAuto, 5, 0) != ReprSparse {
-		t.Fatal("degenerate density should fall back to sparse")
+	bitsets := lists
+	bitsets.Sparse, bitsets.Bitset = 0, 3
+	if got := ChooseRepr(ReprAuto, bitsets); got != ReprBitset {
+		t.Fatalf("3 bitsets at 1.25%% chose %v, want bitset", got)
+	}
+	// Degenerate classes stay sparse.
+	for _, c := range []ClassShape{
+		{},
+		{Members: 5, Support: 0, Span: 100, Bitset: 5},
+		{Members: 5, Support: 5, Span: 0, Bitset: 5},
+	} {
+		if got := ChooseRepr(ReprAuto, c); got != ReprSparse {
+			t.Fatalf("degenerate class %+v chose %v, want sparse", c, got)
+		}
+	}
+}
+
+// convertSink keeps Convert's result escaping in the allocation test.
+var convertSink Set
+
+// TestConvertTowardSparseSkipsCopy pins the sparse conversion of a
+// packed set to the list TIDsOf builds: one allocation for the TIDs,
+// plus the interface header every List stored in a Set costs.
+func TestConvertTowardSparseSkipsCopy(t *testing.T) {
+	l := benchTidList(rand.New(rand.NewSource(5)), 100, 5000)
+	var ks KernelStats
+	for _, s := range []Set{NewBitset(l), NewRoaring(l)} {
+		got := Convert(s, ReprSparse, &ks)
+		if !equalTIDs(TIDsOf(got), l) || got.Repr() != ReprSparse {
+			t.Fatalf("%v -> sparse = %v, want %v", s.Repr(), TIDsOf(got), l)
+		}
+	}
+	if ks.Conversions() != 2 {
+		t.Fatalf("conversions = %d, want 2", ks.Conversions())
+	}
+	bs := NewBitset(l)
+	if n := testing.AllocsPerRun(100, func() { convertSink = Convert(bs, ReprSparse, &ks) }); n != 2 {
+		t.Fatalf("bitset -> sparse made %v allocations, want the list and its interface header (2)", n)
 	}
 }
 

@@ -11,12 +11,14 @@
 // partitions carry disjoint, monotonically increasing TID ranges (section
 // 6.3).
 //
-// The sorted slice is one of two pluggable representations behind the Set
-// abstraction (see set.go): SparseList (this file's List) keeps the
-// paper's scalar merge kernels, and Bitset (bitset.go) packs 64 TIDs per
-// word and intersects with AND + popcount. ChooseRepr picks between them
-// per equivalence class by density, and the IntersectSets/DiffSets
-// dispatchers let the mining recursion stay representation-agnostic.
+// The sorted slice is one of three pluggable representations behind the
+// Set abstraction (see set.go): SparseList (this file's List) keeps the
+// paper's scalar merge kernels, Bitset (bitset.go) packs 64 TIDs per word
+// and intersects with AND + popcount, and Roaring (roaring.go) picks a
+// container per 64K-TID chunk. ChooseRepr picks one per equivalence class
+// by pricing the class's C(s,2) joins under the merge kernel and under a
+// packed one, and the IntersectSets/DiffSets dispatchers let the mining
+// recursion stay representation-agnostic.
 package tidlist
 
 import (

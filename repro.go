@@ -127,7 +127,8 @@ type (
 	PhaseSpan = obsv.PhaseSpan
 	// Representation selects the tid-set representation Eclat-family
 	// algorithms mine through: ReprAuto (the zero value) decides per
-	// equivalence class by density and tid span, ReprSparse forces the
+	// equivalence class by pricing its joins under each kernel, from its
+	// members' supports and tid span, ReprSparse forces the
 	// paper's sorted tid-lists, ReprBitset forces the word-packed dense
 	// kernel, ReprRoaring forces the containerized compressed encoding.
 	Representation = tidlist.Repr

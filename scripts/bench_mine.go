@@ -1,13 +1,15 @@
 //go:build ignore
 
 // Command bench_mine runs the end-to-end mining benchmarks
-// (BenchmarkMineParallelLocal, BenchmarkMineVariants, and
-// BenchmarkMineSequentialAlloc in internal/eclat) and writes the results
-// to BENCH_mine.json at the repository root — the committed perf
-// trajectory for the real hot path: MineParallelLocal at 1/2/4/8 workers
-// (1 is the sequential driver), sparse vs bitset representation, the
-// maximal/closed policies at 1/2/4 workers plus a top-k row, and the
-// scratch arena's allocs/op effect on the one-worker recursion.
+// (BenchmarkMineParallelLocal, BenchmarkMineVerticalLocal,
+// BenchmarkMineVariants, and BenchmarkMineSequentialAlloc in
+// internal/eclat) and writes the results to BENCH_mine.json at the
+// repository root — the committed perf trajectory for the real hot path:
+// MineParallelLocal at 1/2/4/8 workers (1 is the sequential driver) under
+// sparse, bitset, roaring and auto; MineVerticalLocal on the dense family
+// under the same four at 1/2 workers; the maximal/closed policies at
+// 1/2/4 workers plus a top-k row; and the scratch arena's allocs/op
+// effect on the one-worker recursion.
 //
 // The snapshot records NumCPU and GOMAXPROCS of the machine that
 // produced it: speedup columns are only meaningful relative to the
@@ -37,9 +39,11 @@ import (
 	"strings"
 )
 
-// MineResult is one MineParallelLocal benchmark line.
+// MineResult is one MineParallelLocal or MineVerticalLocal benchmark
+// line.
 type MineResult struct {
-	// Repr is the tid-set representation ("sparse" or "bitset").
+	// Repr is the tid-set representation (sparse, bitset, roaring or
+	// auto).
 	Repr string `json:"repr"`
 	// Workers is the worker-goroutine count (1 is the sequential driver).
 	Workers int `json:"workers"`
@@ -86,17 +90,20 @@ type Snapshot struct {
 	Dataset    string `json:"dataset"`
 	SupportPct string `json:"supportPct"`
 	Benchtime  string `json:"benchtime"`
-	// Mine is the worker-scaling grid; Variants the engine's
-	// maximal/closed/top-k scaling rows; SequentialAlloc the arena
-	// ablation on the one-worker path.
+	// Mine is the worker-scaling grid; Vertical the dense store-backed
+	// family mined from item sets (VerticalDataset); Variants the
+	// engine's maximal/closed/top-k scaling rows; SequentialAlloc the
+	// arena ablation on the one-worker path.
 	Mine            []MineResult    `json:"mine"`
+	VerticalDataset string          `json:"verticalDataset"`
+	Vertical        []MineResult    `json:"vertical"`
 	Variants        []VariantResult `json:"variants"`
 	SequentialAlloc []AllocResult   `json:"sequentialAlloc"`
 }
 
 var (
 	mineLine = regexp.MustCompile(
-		`^BenchmarkMineParallelLocal/repr=([a-z]+)/workers=(\d+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
+		`^BenchmarkMine(ParallelLocal|VerticalLocal)/repr=([a-z]+)/workers=(\d+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
 	variantLine = regexp.MustCompile(
 		`^BenchmarkMineVariants/variant=([a-z0-9]+)/workers=(\d+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
 	allocLine = regexp.MustCompile(
@@ -110,7 +117,7 @@ func main() {
 	flag.Parse()
 
 	cmd := exec.Command("go", "test", "./internal/eclat",
-		"-run", "^$", "-bench", "^BenchmarkMine(ParallelLocal|Variants|SequentialAlloc)$",
+		"-run", "^$", "-bench", "^BenchmarkMine(ParallelLocal|VerticalLocal|Variants|SequentialAlloc)$",
 		"-benchtime", *benchtime, "-count", strconv.Itoa(*count))
 	cmd.Stderr = os.Stderr
 	raw, err := cmd.Output()
@@ -119,21 +126,23 @@ func main() {
 		os.Exit(1)
 	}
 
-	bestMine := map[[2]string]MineResult{}
+	// bestMine is keyed by benchmark (ParallelLocal or VerticalLocal),
+	// representation and worker count.
+	bestMine := map[[3]string]MineResult{}
 	bestVariant := map[[2]string]VariantResult{}
 	bestAlloc := map[string]AllocResult{}
 	sc := bufio.NewScanner(bytes.NewReader(raw))
 	for sc.Scan() {
 		line := sc.Text()
 		if m := mineLine.FindStringSubmatch(line); m != nil {
-			ns, err := strconv.ParseFloat(m[3], 64)
+			ns, err := strconv.ParseFloat(m[4], 64)
 			if err != nil {
 				continue
 			}
-			workers, _ := strconv.Atoi(m[2])
-			r := MineResult{Repr: m[1], Workers: workers, NsPerOp: ns}
-			r.BytesPerOp, r.AllocsPerOp = parseMem(m[4])
-			key := [2]string{r.Repr, m[2]}
+			workers, _ := strconv.Atoi(m[3])
+			r := MineResult{Repr: m[2], Workers: workers, NsPerOp: ns}
+			r.BytesPerOp, r.AllocsPerOp = parseMem(m[5])
+			key := [3]string{m[1], r.Repr, m[3]}
 			if prev, ok := bestMine[key]; !ok || r.NsPerOp < prev.NsPerOp {
 				bestMine[key] = r
 			}
@@ -171,35 +180,44 @@ func main() {
 	}
 
 	snap := Snapshot{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Dataset:    "T10.I6 n=20000 (gen seed default)",
-		SupportPct: "0.25%",
-		Benchtime:  *benchtime,
+		GoVersion:       runtime.Version(),
+		GOOS:            runtime.GOOS,
+		GOARCH:          runtime.GOARCH,
+		NumCPU:          runtime.NumCPU(),
+		GOMAXPROCS:      runtime.GOMAXPROCS(0),
+		Dataset:         "T10.I6 n=20000 (gen seed default)",
+		SupportPct:      "0.25%",
+		VerticalDataset: "dense T20.I6 n=5000 N=200 (gen seed default), support 1.25%",
+		Benchtime:       *benchtime,
 	}
-	// Speedups are relative to the same representation's workers=1 row.
-	seqNs := map[string]float64{}
+	// Speedups are relative to the same benchmark and representation's
+	// workers=1 row.
+	seqNs := map[[2]string]float64{}
 	for key, r := range bestMine {
 		if r.Workers == 1 {
-			seqNs[key[0]] = r.NsPerOp
+			seqNs[[2]string{key[0], key[1]}] = r.NsPerOp
 		}
 	}
-	for _, r := range bestMine {
-		if base := seqNs[r.Repr]; base > 0 && r.NsPerOp > 0 {
+	for key, r := range bestMine {
+		if base := seqNs[[2]string{key[0], key[1]}]; base > 0 && r.NsPerOp > 0 {
 			r.Speedup = base / r.NsPerOp
 		}
-		snap.Mine = append(snap.Mine, r)
-	}
-	sort.Slice(snap.Mine, func(i, j int) bool {
-		a, b := snap.Mine[i], snap.Mine[j]
-		if a.Repr != b.Repr {
-			return a.Repr > b.Repr // sparse before bitset
+		if key[0] == "VerticalLocal" {
+			snap.Vertical = append(snap.Vertical, r)
+		} else {
+			snap.Mine = append(snap.Mine, r)
 		}
-		return a.Workers < b.Workers
-	})
+	}
+	reprOrder := map[string]int{"sparse": 0, "bitset": 1, "roaring": 2, "auto": 3}
+	for _, rows := range [][]MineResult{snap.Mine, snap.Vertical} {
+		sort.Slice(rows, func(i, j int) bool {
+			a, b := rows[i], rows[j]
+			if a.Repr != b.Repr {
+				return reprOrder[a.Repr] < reprOrder[b.Repr]
+			}
+			return a.Workers < b.Workers
+		})
+	}
 	// Variant speedups are relative to the same variant's workers=1 row.
 	variantBase := map[string]float64{}
 	for key, r := range bestVariant {
@@ -234,8 +252,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bench_mine:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("wrote %s (%d mine, %d variant, %d alloc results)\n",
-		*out, len(snap.Mine), len(snap.Variants), len(snap.SequentialAlloc))
+	fmt.Printf("wrote %s (%d mine, %d vertical, %d variant, %d alloc results)\n",
+		*out, len(snap.Mine), len(snap.Vertical), len(snap.Variants), len(snap.SequentialAlloc))
 }
 
 // parseMem extracts "N B/op" and "M allocs/op" from the tail of a
