@@ -171,6 +171,9 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 		{[]string{"-db", path, "-format", "fimi", "-procs", "0"}, "-procs"},
 		{[]string{"-db", path, "-format", "fimi", "-top", "0"}, "-top"},
 		{[]string{"-db", path, "-format", "fimi", "-support", "-0.5"}, "-support"},
+		{[]string{"-db", path, "-format", "fimi", "-support", "Inf"}, "invalid support"},
+		{[]string{"-db", path, "-format", "fimi", "-support", "1e300"}, "invalid support"},
+		{[]string{"-db", path, "-format", "fimi", "-support", "NaN"}, "invalid support"},
 		{[]string{"-db", path, "-format", "csv"}, "format"},
 		{[]string{"-gen", "-1"}, "-gen"},
 	} {

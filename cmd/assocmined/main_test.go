@@ -914,6 +914,46 @@ func TestStructuredErrorBody(t *testing.T) {
 	}
 }
 
+// TestSupportPctAboveHundredRejected pins the percentages that used to
+// mine every itemset at support 1: valid JSON numbers past 100 are a 400
+// invalid_support and admit no job, while 100 resolves to |D|.
+func TestSupportPctAboveHundredRejected(t *testing.T) {
+	ts, _ := newServer(t, service.Config{Workers: 1, QueueDepth: 4}, map[string]int{"t10": 500})
+
+	for _, body := range []string{
+		`{"dataset":"t10","supportPct":1e300}`,
+		`{"dataset":"t10","supportPct":100.5}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct {
+			Error struct {
+				Code string `json:"code"`
+			} `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || e.Error.Code != "invalid_support" {
+			t.Fatalf("body %q: status %d, code %q (%v); want 400 invalid_support", body, resp.StatusCode, e.Error.Code, err)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/job-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("a rejected request admitted job-1: GET status %d", resp.StatusCode)
+	}
+
+	v, resp := postJob(t, ts, `{"dataset":"t10","supportPct":100}`)
+	if resp.StatusCode != http.StatusAccepted || v.MinSup != 500 {
+		t.Fatalf("supportPct 100: status %d, minsup %d; want 202 and 500", resp.StatusCode, v.MinSup)
+	}
+}
+
 // TestPprofEndpoints checks the profiling surface: the index lists the
 // profiles and /debug/pprof/profile returns a valid (gzip) CPU profile.
 func TestPprofEndpoints(t *testing.T) {

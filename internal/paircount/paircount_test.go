@@ -1,12 +1,15 @@
 package paircount
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/db"
 	"repro/internal/itemset"
+	"repro/internal/tidlist"
 )
 
 func TestIndexBijective(t *testing.T) {
@@ -224,4 +227,145 @@ func TestZeroAndOneItemUniverse(t *testing.T) {
 	if New(1000).NumCells() != 499500 {
 		t.Fatal("paper's N=1000 should give C(1000,2)=499500 cells")
 	}
+}
+
+// pairOracle counts every pair of every transaction, each transaction
+// weighted by its repeat count (1 when repeats is nil).
+func pairOracle(txs []itemset.Itemset, repeats []int) map[[2]itemset.Item]int {
+	oracle := map[[2]itemset.Item]int{}
+	for i, items := range txs {
+		w := 1
+		if repeats != nil {
+			w = repeats[i]
+		}
+		for x := 0; x < len(items); x++ {
+			for y := x + 1; y < len(items); y++ {
+				oracle[[2]itemset.Item{items[x], items[y]}] += w
+			}
+		}
+	}
+	return oracle
+}
+
+// checkCounts fails unless every pair of c's universe counts what the
+// oracle does (zero when absent).
+func checkCounts(t *testing.T, what string, c *Counter, oracle map[[2]itemset.Item]int) {
+	t.Helper()
+	for a := itemset.Item(0); int(a) < c.NumItems(); a++ {
+		for b := a + 1; int(b) < c.NumItems(); b++ {
+			if got, want := c.Count(a, b), oracle[[2]itemset.Item{a, b}]; got != want {
+				t.Fatalf("%s: Count(%d,%d) = %d, oracle %d", what, a, b, got, want)
+			}
+		}
+	}
+}
+
+// checkFrequent fails unless Frequent(minsup) is exactly the oracle's
+// pairs with count >= minsup, in lexicographic order.
+func checkFrequent(t *testing.T, what string, c *Counter, oracle map[[2]itemset.Item]int, minsup int) {
+	t.Helper()
+	var want []FrequentPair
+	for a := itemset.Item(0); int(a) < c.NumItems(); a++ {
+		for b := a + 1; int(b) < c.NumItems(); b++ {
+			if n := oracle[[2]itemset.Item{a, b}]; n >= minsup {
+				want = append(want, FrequentPair{Pair: tidlist.Pair{A: a, B: b}, Count: n})
+			}
+		}
+	}
+	if got := c.Frequent(minsup); !slices.Equal(got, want) {
+		t.Fatalf("%s: Frequent(%d) = %v, want %v", what, minsup, got, want)
+	}
+}
+
+// oracleTotal sums the oracle's counts.
+func oracleTotal(oracle map[[2]itemset.Item]int) int64 {
+	var total int64
+	for _, n := range oracle {
+		total += int64(n)
+	}
+	return total
+}
+
+// sumCounts sums the reduction vector Counts returns.
+func sumCounts(c *Counter) int64 {
+	var total int64
+	for _, v := range c.Counts() {
+		total += int64(v)
+	}
+	return total
+}
+
+// TestFoldBoundary feeds 70,000 transactions that all hold the pair
+// {1,4}, so counting crosses the uint16 cells' fold at math.MaxUint16
+// transactions, and checks every read of the counter against a map
+// oracle, counts above 65,535 included.
+func TestFoldBoundary(t *testing.T) {
+	const m, n, extra = 6, 70000, 1000
+	txAt := func(i int) itemset.Itemset {
+		items := []itemset.Item{1, 4}
+		if i%2 == 0 {
+			items = append(items, 0)
+		}
+		if i%3 == 0 {
+			items = append(items, 2)
+		}
+		if i%7 == 0 {
+			items = append(items, 5)
+		}
+		return itemset.New(items...)
+	}
+	var txs []itemset.Itemset
+	d := &db.Database{NumItems: m}
+	for i := 0; i < n+extra; i++ {
+		txs = append(txs, txAt(i))
+		d.Transactions = append(d.Transactions, db.Transaction{TID: itemset.TID(i), Items: txs[i]})
+	}
+	head := &db.Database{NumItems: m, Transactions: d.Transactions[:n]}
+	tail := &db.Database{NumItems: m, Transactions: d.Transactions[n:]}
+	oracle := pairOracle(txs[:n], nil)
+
+	c := New(m)
+	c.AddPartition(head)
+	if c.folded == nil {
+		t.Fatalf("%d transactions did not fold", n)
+	}
+	checkCounts(t, "folded", c, oracle)
+	if got := c.Count(4, 1); got != n {
+		t.Fatalf("Count(4,1) = %d, want %d", got, n)
+	}
+	for _, minsup := range []int{0, 1, n / 2, math.MaxUint16, math.MaxUint16 + 1, n, n + 1} {
+		checkFrequent(t, "folded", c, oracle, minsup)
+	}
+	if got, want := sumCounts(c), oracleTotal(oracle); got != want {
+		t.Fatalf("Counts sums to %d, oracle %d", got, want)
+	}
+	checkCounts(t, "after Counts", c, oracle)
+	back := FromCounts(m, c.Counts())
+	checkCounts(t, "FromCounts(Counts())", back, oracle)
+	checkFrequent(t, "FromCounts(Counts())", back, oracle, 1)
+
+	// A folded and an unfolded counter merge, in either direction, to
+	// what one counter fed every transaction holds.
+	whole := New(m)
+	whole.AddPartition(d)
+	all := pairOracle(txs, nil)
+	checkCounts(t, "whole", whole, all)
+	folded := New(m)
+	folded.AddPartition(head)
+	unfolded := New(m)
+	unfolded.AddPartition(tail)
+	if unfolded.folded != nil {
+		t.Fatalf("%d transactions folded", extra)
+	}
+	folded.Merge(unfolded)
+	checkCounts(t, "folded.Merge(unfolded)", folded, all)
+	checkCounts(t, "merged-in unfolded", unfolded, pairOracle(txs[n:], nil))
+	into := New(m)
+	into.AddPartition(tail)
+	other := New(m)
+	other.AddPartition(head)
+	into.Merge(other)
+	checkCounts(t, "unfolded.Merge(folded)", into, all)
+	checkCounts(t, "merged-in folded", other, oracle)
+	checkFrequent(t, "unfolded.Merge(folded)", into, all, math.MaxUint16+1)
 }

@@ -61,7 +61,8 @@ import (
 // status codes; library callers test with errors.Is.
 var (
 	// ErrInvalidSupport reports unusable MineOptions support settings: a
-	// negative SupportPct/SupportCount, or both left at zero.
+	// negative SupportPct/SupportCount, a SupportPct that is NaN or above
+	// 100, or both left at zero.
 	ErrInvalidSupport = errors.New("repro: invalid support")
 	// ErrUnknownAlgorithm reports an Algorithm value outside the defined
 	// set.
@@ -255,7 +256,8 @@ type MineOptions struct {
 	// OutputAll mines every frequent itemset.
 	Output Output
 	// SupportPct is the minimum support as a percentage of |D| (the
-	// paper's experiments use 0.1). Ignored when SupportCount is set.
+	// paper's experiments use 0.1), at most 100. Ignored when
+	// SupportCount is set.
 	SupportPct float64
 	// SupportCount is the absolute minimum support; overrides SupportPct.
 	SupportCount int
@@ -393,6 +395,10 @@ func (o MineOptions) MinSupN(numTransactions int) (int, error) {
 		return 0, fmt.Errorf("%w: negative SupportCount %d", ErrInvalidSupport, o.SupportCount)
 	case o.SupportPct < 0:
 		return 0, fmt.Errorf("%w: negative SupportPct %v", ErrInvalidSupport, o.SupportPct)
+	case math.IsNaN(o.SupportPct) || o.SupportPct > 100:
+		// Past 100 (or at +Inf) the ceil below overflows int and the
+		// clamp would mine at support 1.
+		return 0, fmt.Errorf("%w: SupportPct %v outside [0, 100]", ErrInvalidSupport, o.SupportPct)
 	case o.SupportCount > 0:
 		return o.SupportCount, nil
 	case o.SupportPct > 0:

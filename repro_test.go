@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -119,6 +120,30 @@ func TestInvalidSupportRejected(t *testing.T) {
 		if _, _, err := Mine(context.Background(), d, opts); !errors.Is(err, ErrInvalidSupport) {
 			t.Fatalf("%+v: err = %v, want ErrInvalidSupport", opts, err)
 		}
+	}
+}
+
+// TestSupportPctOutOfRangeRejected pins the percentages that used to mine
+// at support 1: past 100 (or at +Inf) the ceil-based conversion
+// overflowed int and the clamp raised it to 1. 100 itself is |D|.
+func TestSupportPctOutOfRangeRejected(t *testing.T) {
+	d := smallDB(t)
+	for _, pct := range []float64{math.Inf(1), 1e300, math.NaN(), 100.5, math.Inf(-1)} {
+		for _, opts := range []MineOptions{{SupportPct: pct}, {SupportPct: pct, TopK: 5}} {
+			if got, err := opts.MinSupN(20000); !errors.Is(err, ErrInvalidSupport) {
+				t.Fatalf("%+v: MinSupN(20000) = %d, %v; want ErrInvalidSupport", opts, got, err)
+			}
+			if _, _, err := Mine(context.Background(), d, opts); !errors.Is(err, ErrInvalidSupport) {
+				t.Fatalf("%+v: Mine err = %v, want ErrInvalidSupport", opts, err)
+			}
+		}
+	}
+	if got, err := (MineOptions{SupportPct: 100}).MinSupN(20000); err != nil || got != 20000 {
+		t.Fatalf("MinSupN(20000) at 100%% = %d, %v; want 20000, nil", got, err)
+	}
+	_, info, err := Mine(context.Background(), d, MineOptions{SupportPct: 100})
+	if err != nil || info.MinSup != d.Len() {
+		t.Fatalf("Mine at 100%%: info %+v, err %v; want MinSup %d", info, err, d.Len())
 	}
 }
 

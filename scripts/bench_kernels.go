@@ -2,9 +2,11 @@
 
 // Command bench_kernels runs the tid-set intersection kernel benchmarks
 // (BenchmarkIntersectKernels and its short-circuit variant in
-// internal/tidlist) and writes the results to BENCH_kernels.json at the
-// repository root — the committed perf-trajectory baseline for the
-// representation layer.
+// internal/tidlist) and the triangular pair counter's benchmark
+// (BenchmarkCounterAddPartition in internal/paircount), and writes the
+// results to BENCH_kernels.json at the repository root — the committed
+// perf-trajectory baseline for the representation layer and the
+// initialization scan.
 //
 // Usage (from the repository root):
 //
@@ -48,18 +50,33 @@ type Result struct {
 	AllocsPerOp float64 `json:"allocsPerOp"`
 }
 
-// Snapshot is the BENCH_kernels.json document.
-type Snapshot struct {
-	GoVersion string   `json:"goVersion"`
-	GOOS      string   `json:"goos"`
-	GOARCH    string   `json:"goarch"`
-	ListLen   int      `json:"listLen"` // cardinality of each operand
-	Benchtime string   `json:"benchtime"`
-	Results   []Result `json:"results"`
+// CounterResult is one BenchmarkCounterAddPartition line: a fresh
+// counter fed every transaction of one database.
+type CounterResult struct {
+	// Data names the database ("T10.I6.D20K" or "dense.D5K").
+	Data        string  `json:"data"`
+	NsPerOp     float64 `json:"nsPerOp"`
+	BytesPerOp  float64 `json:"bytesPerOp"`
+	AllocsPerOp float64 `json:"allocsPerOp"`
 }
 
-var benchLine = regexp.MustCompile(
-	`^Benchmark(IntersectKernels(?:SC)?)/density=([^/]+)/kernel=([a-z]+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
+// Snapshot is the BENCH_kernels.json document.
+type Snapshot struct {
+	GoVersion string          `json:"goVersion"`
+	GOOS      string          `json:"goos"`
+	GOARCH    string          `json:"goarch"`
+	ListLen   int             `json:"listLen"` // cardinality of each operand
+	Benchtime string          `json:"benchtime"`
+	Results   []Result        `json:"results"`
+	Counter   []CounterResult `json:"counter"`
+}
+
+var (
+	benchLine = regexp.MustCompile(
+		`^Benchmark(IntersectKernels(?:SC)?)/density=([^/]+)/kernel=([a-z]+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
+	counterLine = regexp.MustCompile(
+		`^BenchmarkCounterAddPartition/data=([^\s]+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
+)
 
 func main() {
 	benchtime := flag.String("benchtime", "200x", "go test -benchtime value")
@@ -67,8 +84,8 @@ func main() {
 	out := flag.String("o", "BENCH_kernels.json", "output file")
 	flag.Parse()
 
-	cmd := exec.Command("go", "test", "./internal/tidlist",
-		"-run", "^$", "-bench", "^BenchmarkIntersectKernels",
+	cmd := exec.Command("go", "test", "./internal/tidlist", "./internal/paircount",
+		"-run", "^$", "-bench", "^Benchmark(IntersectKernels|CounterAddPartition)",
 		"-benchtime", *benchtime, "-count", strconv.Itoa(*count))
 	cmd.Stderr = os.Stderr
 	raw, err := cmd.Output()
@@ -78,8 +95,21 @@ func main() {
 	}
 
 	best := map[[3]string]Result{}
+	bestCounter := map[string]CounterResult{}
 	sc := bufio.NewScanner(bytes.NewReader(raw))
 	for sc.Scan() {
+		if m := counterLine.FindStringSubmatch(sc.Text()); m != nil {
+			ns, err := strconv.ParseFloat(m[2], 64)
+			if err != nil {
+				continue
+			}
+			r := CounterResult{Data: m[1], NsPerOp: ns}
+			r.BytesPerOp, r.AllocsPerOp = parseMem(m[3])
+			if prev, ok := bestCounter[r.Data]; !ok || r.NsPerOp < prev.NsPerOp {
+				bestCounter[r.Data] = r
+			}
+			continue
+		}
 		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
@@ -95,8 +125,8 @@ func main() {
 			best[key] = r
 		}
 	}
-	if len(best) == 0 {
-		fmt.Fprintln(os.Stderr, "bench_kernels: no benchmark lines parsed")
+	if len(best) == 0 || len(bestCounter) == 0 {
+		fmt.Fprintln(os.Stderr, "bench_kernels: missing kernel or counter benchmark lines")
 		os.Exit(1)
 	}
 
@@ -121,6 +151,10 @@ func main() {
 		}
 		return a.Kernel < b.Kernel
 	})
+	for _, r := range bestCounter {
+		snap.Counter = append(snap.Counter, r)
+	}
+	sort.Slice(snap.Counter, func(i, j int) bool { return snap.Counter[i].Data < snap.Counter[j].Data })
 
 	buf, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
