@@ -134,7 +134,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: service.NewHandler(svc)}
+	srv := newHTTPServer(service.NewHandler(svc))
 	fmt.Fprintf(stdout, "assocmined listening on %s (workers=%d queue=%d cache=%dMiB)\n",
 		ln.Addr(), *workers, *queue, *cacheMB)
 
@@ -158,6 +158,21 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintln(stdout, "drained cleanly")
 	return nil
+}
+
+// Read deadlines of the daemon's HTTP server. A request is a few
+// hundred bytes of headers and at most a 1 MiB body, so a client that
+// needs longer is trickling its request to hold the connection open.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+)
+
+// newHTTPServer wraps h in the daemon's server, with read deadlines so a
+// slow client cannot hold a connection forever. Writes stay unbounded: a
+// large result body may legitimately take long to stream.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 }
 
 // registerDatasets loads every -dataset and -gen spec into the service's

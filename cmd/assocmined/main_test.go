@@ -982,3 +982,21 @@ func TestPprofEndpoints(t *testing.T) {
 		t.Fatalf("CPU profile is not gzip-compressed pprof data (%d bytes)", len(prof))
 	}
 }
+
+// TestHTTPServerReadTimeouts pins the daemon server's read deadlines: a
+// client that trickles its headers or body is cut off instead of holding
+// a connection forever, and the header deadline is the tighter one.
+func TestHTTPServerReadTimeouts(t *testing.T) {
+	h := http.NewServeMux()
+	srv := newHTTPServer(h)
+	if srv.Handler != h {
+		t.Fatal("server does not serve the given handler")
+	}
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadTimeout != readTimeout {
+		t.Fatalf("read timeouts = %v header, %v request; want %v, %v",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, readHeaderTimeout, readTimeout)
+	}
+	if readHeaderTimeout <= 0 || readTimeout < readHeaderTimeout {
+		t.Fatalf("header timeout %v must be positive and at most the request timeout %v", readHeaderTimeout, readTimeout)
+	}
+}

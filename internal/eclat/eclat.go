@@ -34,21 +34,25 @@ import (
 // intersections, words touched, conversions) live in internal/tidlist
 // and are flushed on the same per-class cadence.
 const (
-	mnIntersections = "eclat_intersections_total"
-	mnShortCircuit  = "eclat_intersections_shortcircuited_total"
-	mnIntersectOps  = "eclat_intersect_ops_total"
-	mnTidlistBytes  = "eclat_tidlist_bytes_total"
-	mnClasses       = "eclat_classes_total"
-	mnDiffsetsUsed  = "eclat_diffset_classes_total"
+	mnIntersections  = "eclat_intersections_total"
+	mnShortCircuit   = "eclat_intersections_shortcircuited_total"
+	mnIntersectOps   = "eclat_intersect_ops_total"
+	mnTidlistBytes   = "eclat_tidlist_bytes_total"
+	mnClasses        = "eclat_classes_total"
+	mnDiffsetsUsed   = "eclat_diffset_classes_total"
+	mnCountedClasses = "eclat_counted_classes_total"
+	mnCountOps       = "eclat_count_ops_total"
 )
 
 var (
-	mIntersections = obsv.Default.Counter(mnIntersections, "tid-list intersections attempted")
-	mShortCircuit  = obsv.Default.Counter(mnShortCircuit, "intersections aborted early by the minimum-support bound")
-	mIntersectOps  = obsv.Default.Counter(mnIntersectOps, "tid-set kernel operations performed (element comparisons or words)")
-	mTidlistBytes  = obsv.Default.Counter(mnTidlistBytes, "tid-set bytes touched by intersections")
-	mClasses       = obsv.Default.Counter(mnClasses, "top-level equivalence classes mined")
-	mDiffsetsUsed  = obsv.Default.Counter(mnDiffsetsUsed, "sub-classes switched to the dEclat diffset representation")
+	mIntersections  = obsv.Default.Counter(mnIntersections, "tid-list intersections attempted")
+	mShortCircuit   = obsv.Default.Counter(mnShortCircuit, "intersections aborted early by the minimum-support bound")
+	mIntersectOps   = obsv.Default.Counter(mnIntersectOps, "tid-set kernel operations performed (element comparisons or words)")
+	mTidlistBytes   = obsv.Default.Counter(mnTidlistBytes, "tid-set bytes touched by intersections")
+	mClasses        = obsv.Default.Counter(mnClasses, "top-level equivalence classes mined")
+	mDiffsetsUsed   = obsv.Default.Counter(mnDiffsetsUsed, "sub-classes switched to the dEclat diffset representation")
+	mCountedClasses = obsv.Default.Counter(mnCountedClasses, "classes, at any depth, expanded by counting their member pairs instead of joining them")
+	mCountOps       = obsv.Default.Counter(mnCountOps, "pair increments performed by class-local triangular counts")
 )
 
 // tidBytes is the in-memory size of one sparse tid-list element.
@@ -65,6 +69,8 @@ func flushStats(prev, cur *Stats) {
 		(cur.Kernel.RoaringElemOps()-prev.Kernel.RoaringElemOps())*2 +
 		(cur.Kernel.RoaringWords()-prev.Kernel.RoaringWords())*8)
 	mDiffsetsUsed.Add(cur.DiffsetClasses - prev.DiffsetClasses)
+	mCountedClasses.Add(cur.CountedClasses - prev.CountedClasses)
+	mCountOps.Add(cur.CountOps - prev.CountOps)
 	cur.Kernel.Flush(&prev.Kernel)
 }
 
@@ -178,7 +184,8 @@ type Stats struct {
 	Scans int
 	// Intersections counts tid-set kernel calls: intersections, the
 	// differences of the diffset recursion, and the folds of the maximal
-	// lookahead.
+	// lookahead. A counted class adds only the joins that seed its
+	// sub-classes.
 	Intersections  int64
 	ShortCircuited int64 // intersections aborted by the support bound
 	// IntersectOps counts kernel operations: element comparisons for the
@@ -194,6 +201,12 @@ type Stats struct {
 	// DiffsetClasses counts the sub-classes PolicyAll's recursion
 	// switched to the dEclat diffset representation.
 	DiffsetClasses int64
+	// CountedClasses counts the classes, at any recursion depth, that
+	// the local engine expanded by a class-local triangular count of
+	// their member pairs instead of C(s,2) joins (see planClass);
+	// CountOps counts the pair increments those counts performed.
+	CountedClasses int64
+	CountOps       int64
 	// ListBytes is the total bytes of the diffsets the recursion kept, in
 	// their chosen encoding — the volume the diffset trade-off prices.
 	ListBytes int64
@@ -230,6 +243,8 @@ func (s *Stats) merge(w *Stats) {
 	s.ShortCircuited += w.ShortCircuited
 	s.IntersectOps += w.IntersectOps
 	s.DiffsetClasses += w.DiffsetClasses
+	s.CountedClasses += w.CountedClasses
+	s.CountOps += w.CountOps
 	s.ListBytes += w.ListBytes
 	s.Lookaheads += w.Lookaheads
 	s.LookaheadHits += w.LookaheadHits
@@ -247,8 +262,15 @@ type member struct {
 
 // computeFrequent is figure 3: mine everything derivable from one
 // equivalence class. members must be lexicographically sorted and share a
-// common prefix of len(set)-1 items. emit is called for every frequent
-// itemset found (sets of size len(members[0].set)+1 and deeper).
+// common prefix of len(set)-1 items, whose support is prefixSup (0 when
+// unknown). emit is called for every frequent itemset found (sets of
+// size len(members[0].set)+1 and deeper).
+//
+// Each class, at every depth, is first priced (planClass): when counting
+// its member pairs in a class-local triangle is cheaper than joining
+// them, and the worker has counting scratch, countExpand takes the
+// class. The simulated cluster's workers have none, so they keep the
+// joins whose kernel counters they bill as virtual time.
 //
 // Cancellation is checked once per sub-class (each iteration of the
 // i-loop opens the class prefixed by members[i].set), never inside the
@@ -256,16 +278,21 @@ type member struct {
 // without per-intersection overhead. On cancellation the walk simply
 // unwinds; the caller is responsible for reporting ctx.Err().
 //
-// ar is the caller's scratch arena; a sub-class's member slice and
+// w.ar is the worker's scratch arena; a sub-class's member slice and
 // surviving tid-set clones are carved from it and released when the
 // recursion unwinds past the sub-class, so the steady state allocates
-// nothing per itemset (ar may be nil: heap allocation, same results).
+// nothing per itemset (it may be nil: heap allocation, same results).
 //
-// th is the pruning bound, re-read once per sub-class so a top-k run
+// w.th is the pruning bound, re-read once per sub-class so a top-k run
 // picks up threshold raises promptly; with a fixed threshold the reads
 // are constant and the kernel call sequence is identical to mining
 // against a plain minsup.
-func computeFrequent(ctx context.Context, members []member, th *threshold, st *Stats, opts Options, ar *arena, emit Emitter) {
+func (w *worker) computeFrequent(ctx context.Context, members []member, prefixSup int, emit Emitter) {
+	plan := planClass(members, prefixSup)
+	if plan.counted && w.cs != nil {
+		w.countExpand(ctx, members, plan, emit)
+		return
+	}
 	// Pairing member i with each j > i yields the class prefixed by
 	// members[i].set, so the recursion needs no separate partitioning
 	// pass: the i-loop enumerates the next level's classes directly.
@@ -274,17 +301,17 @@ func computeFrequent(ctx context.Context, members []member, th *threshold, st *S
 	// functions recover its storage when the representation matches, so
 	// the buffer-reuse discipline of the sparse-only loop survives the
 	// abstraction.
-	breakEven := diffsetBreakEven(opts)
-	span := classSpan(members)
+	st, ar := w.st, w.ar
+	breakEven := diffsetBreakEven(w.opts)
 	var scratch tidlist.Set
 	for i := 0; i < len(members)-1; i++ {
 		if ctx.Err() != nil {
 			return
 		}
-		minsup := th.current()
-		if diffsetWins(members, i, span, breakEven) {
+		minsup := w.th.current()
+		if diffsetWins(members, i, plan.span, breakEven) {
 			st.DiffsetClasses++
-			diffTransition(ctx, members, i, th, st, ar, emit)
+			diffTransition(ctx, members, i, w.th, st, ar, emit)
 			continue
 		}
 		mark := ar.mark()
@@ -294,7 +321,7 @@ func computeFrequent(ctx context.Context, members []member, th *threshold, st *S
 			var tids tidlist.Set
 			var ops int
 			var ok bool
-			if opts.NoShortCircuit {
+			if w.opts.NoShortCircuit {
 				tids, ops = tidlist.IntersectSets(scratch, members[i].tids, members[j].tids, &st.Kernel)
 				ok = tids.Support() >= minsup
 			} else {
@@ -315,7 +342,7 @@ func computeFrequent(ctx context.Context, members []member, th *threshold, st *S
 			emit(m.set, m.tids.Support())
 		}
 		if len(next) > 1 {
-			computeFrequent(ctx, next, th, st, opts, ar, emit)
+			w.computeFrequent(ctx, next, members[i].tids.Support(), emit)
 		}
 		ar.release(mark)
 	}
@@ -344,10 +371,13 @@ func diffsetBreakEven(opts Options) float64 {
 	return DefaultDiffsetBreakEven
 }
 
-// classSpan is the tid span covered by a class's members — the density
-// denominator shared by the representation policy and the diffset gate.
-func classSpan(members []member) int {
-	lo, hi, any := itemset.TID(0), itemset.TID(0), false
+// classSpan is the TID window covered by a class's members, its first
+// TID and its length (0 for a class of empty members) — the density
+// denominator shared by the representation policy and the diffset gate,
+// and the window the count's row index covers.
+func classSpan(members []member) (lo itemset.TID, span int) {
+	var hi itemset.TID
+	any := false
 	for _, m := range members {
 		l, h, ok := tidlist.Bounds(m.tids)
 		if !ok {
@@ -362,9 +392,9 @@ func classSpan(members []member) int {
 		any = true
 	}
 	if !any {
-		return 0
+		return 0, 0
 	}
-	return int(hi-lo) + 1
+	return lo, int(hi-lo) + 1
 }
 
 // diffsetWins estimates whether the children of members[i] will retain
@@ -506,7 +536,8 @@ func applyClassRepr(members []member, repr tidlist.Repr, ks *tidlist.KernelStats
 
 // classShape summarizes members for the priced representation policy.
 func classShape(members []member) tidlist.ClassShape {
-	c := tidlist.ClassShape{Members: len(members), Span: classSpan(members)}
+	c := tidlist.ClassShape{Members: len(members)}
+	_, c.Span = classSpan(members)
 	for _, m := range members {
 		c.Support += m.tids.Support()
 		switch m.tids.Repr() {
@@ -541,6 +572,19 @@ type vertical struct {
 	// member lists are derived per class from the item sets (see
 	// ooc.go), inside the class's residency window when budgeted.
 	sets *itemSets
+	// itemSup holds each item's L1 support (index = item id), the
+	// prefix support that prices a top-level class's counted expansion;
+	// nil for the CHARM roots.
+	itemSup []int
+}
+
+// prefixSupport returns the support of class ci's prefix item, or 0
+// when the run does not know it.
+func (v *vertical) prefixSupport(ci int) int {
+	if v.itemSup == nil {
+		return 0
+	}
+	return v.itemSup[v.classes[ci].Prefix[0]]
 }
 
 // members assembles the sorted, representation-resolved member list of
@@ -618,5 +662,5 @@ func buildVertical(ctx context.Context, d *db.Database, minsup int, st *Stats, o
 	lists := tidlist.BuildPairs(d, want)
 	sp.End()
 
-	return &vertical{res: res, classes: classes, lists: lists}
+	return &vertical{res: res, classes: classes, lists: lists, itemSup: itemCounts}
 }

@@ -125,18 +125,24 @@ func (t *threshold) current() int {
 
 // worker bundles the per-goroutine mining state every policy explores
 // with: the run (or worker-local) Stats, the run options, the shared
-// threshold and a scratch arena.
+// threshold, a scratch arena, and the counting scratch that lets
+// computeFrequent count a class's member pairs. The local engine gives
+// every worker one; the simulated cluster's workers have none and keep
+// figure 3's joins, whose kernel counters they bill as virtual time.
 type worker struct {
 	st   *Stats
 	opts Options
 	th   *threshold
 	ar   *arena
+	cs   *countScratch
 }
 
 // explore mines one class's members under the run's policy, emitting
 // every (itemset, support) its search produces; the final reduction
-// turns the emissions into the policy's output.
-func (w *worker) explore(ctx context.Context, members []member, emit Emitter) {
+// turns the emissions into the policy's output. prefixSup is the
+// support of the class prefix (0 when unknown), which prices the
+// class's counted expansion.
+func (w *worker) explore(ctx context.Context, members []member, prefixSup int, emit Emitter) {
 	switch w.opts.Policy {
 	case PolicyMaximal:
 		computeMaximal(ctx, members, w.th, w.st, w.ar, emit)
@@ -150,7 +156,7 @@ func (w *worker) explore(ctx context.Context, members []member, emit Emitter) {
 			diffTransition(ctx, members, i, w.th, w.st, w.ar, emit)
 		}
 	default: // PolicyAll, PolicyClosed
-		computeFrequent(ctx, members, w.th, w.st, w.opts, w.ar, emit)
+		w.computeFrequent(ctx, members, prefixSup, emit)
 	}
 }
 
@@ -221,7 +227,7 @@ func (e *engine) run(ctx context.Context, st *Stats, ar *arena) error {
 func (e *engine) runSequential(ctx context.Context, st *Stats, ar *arena) error {
 	tr := obsv.TraceFrom(ctx)
 	sp := tr.Start("asynchronous")
-	w := &worker{st: st, opts: e.opts, th: e.th, ar: ar}
+	w := &worker{st: st, opts: e.opts, th: e.th, ar: ar, cs: &countScratch{}}
 	emit := e.wrapEmit(e.v.res.Add)
 	for ci := range e.v.classes {
 		if err := ctx.Err(); err != nil {
@@ -230,7 +236,7 @@ func (e *engine) runSequential(ctx context.Context, st *Stats, ar *arena) error 
 		before := *st
 		mark := ar.mark()
 		e.v.acquire(ci)
-		w.explore(ctx, e.v.members(ci, e.opts.Representation, st, ar), emit)
+		w.explore(ctx, e.v.members(ci, e.opts.Representation, st, ar), e.v.prefixSupport(ci), emit)
 		e.v.release(ci)
 		ar.release(mark)
 		flushStats(&before, st)

@@ -198,7 +198,7 @@ func MineHybridOpts(cl *cluster.Cluster, d *db.Database, minsup int, opts Option
 				myBytes += n
 			}
 			members := classMembers(&sub[i], lists, opts.Representation, &st.Kernel)
-			w.explore(context.Background(), members, local.Add)
+			w.explore(context.Background(), members, 0, local.Add)
 		}
 		p.ChargeScan(myBytes, pp)
 		chargeKernel(p, &st)

@@ -229,7 +229,7 @@ func (e *engine) runParallel(ctx context.Context, st *Stats) error {
 
 			wst := &workerStats[self]
 			var prev Stats
-			wk := &worker{st: wst, opts: e.opts, th: e.th, ar: &arena{}}
+			wk := &worker{st: wst, opts: e.opts, th: e.th, ar: &arena{}, cs: &countScratch{}}
 			var acc []mining.FrequentItemset
 			emit := e.wrapEmit(func(set itemset.Itemset, sup int) {
 				acc = append(acc, mining.FrequentItemset{Set: set, Support: sup})
@@ -239,7 +239,7 @@ func (e *engine) runParallel(ctx context.Context, st *Stats) error {
 				acc = acc[:0]
 				mark := wk.ar.mark()
 				v.acquire(t.ci)
-				wk.explore(ctx, v.members(t.ci, e.opts.Representation, wst, wk.ar), emit)
+				wk.explore(ctx, v.members(t.ci, e.opts.Representation, wst, wk.ar), v.prefixSupport(t.ci), emit)
 				v.release(t.ci)
 				wk.ar.release(mark)
 				out := make([]mining.FrequentItemset, len(acc))

@@ -152,8 +152,9 @@ func TestAdaptivePolicySwitchesByDensity(t *testing.T) {
 // in bitsets, every derived pair set stays the bitset its two item sets
 // produce, and auto prices every class packed, so the mine converts
 // nothing and every kernel dispatch — derivation and recursion — is
-// dense. Its output is byte-identical to every explicit encoding at one
-// and two workers and under a residency budget.
+// dense. The dense classes price their counted expansion below their
+// joins, so some are counted. Its output is byte-identical to every
+// explicit encoding at one and two workers and under a residency budget.
 func TestAutoKeepsDenseVerticalClassesPacked(t *testing.T) {
 	// The benchmark's dense family at test size: long baskets (|T|=20)
 	// over few items (N=200), about 10% density per item.
@@ -175,6 +176,9 @@ func TestAutoKeepsDenseVerticalClassesPacked(t *testing.T) {
 	}
 	if dense := st.Kernel.DenseIntersections(); dense != st.Intersections {
 		t.Fatalf("%d of %d kernel dispatches were dense, want all", dense, st.Intersections)
+	}
+	if st.CountedClasses == 0 || st.CountOps == 0 {
+		t.Fatalf("counted %d classes with %d pair increments, want the dense classes counted", st.CountedClasses, st.CountOps)
 	}
 	want := resultBytes(t, res)
 
@@ -211,8 +215,8 @@ func TestAutoKeepsDenseVerticalClassesPacked(t *testing.T) {
 }
 
 // TestAutoMatchesSparseOnT10Vertical: on the paper's T10 data every
-// class prices sparse, so auto's mine from sparse item sets is the
-// sparse mine, counter for counter.
+// class prices sparse and joined, so auto's mine from sparse item sets
+// is the sparse mine, counter for counter, and counts no class.
 func TestAutoMatchesSparseOnT10Vertical(t *testing.T) {
 	d := gen.MustGenerate(gen.T10I6(2000))
 	in := VerticalInput{NumTransactions: d.Len(), Items: verticalSets(d, tidlist.ReprSparse)}
@@ -230,6 +234,9 @@ func TestAutoMatchesSparseOnT10Vertical(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("auto stats %+v differ from sparse %+v", got, want)
+	}
+	if got.CountedClasses != 0 {
+		t.Fatalf("counted %d T10 classes, want every class joined", got.CountedClasses)
 	}
 }
 

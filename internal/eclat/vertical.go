@@ -84,11 +84,14 @@ func buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st
 
 	var frequent []itemset.Item
 	var lists []tidlist.List
+	itemSup := make([]int, len(in.Items))
 	for it, s := range in.Items {
 		if s == nil {
 			continue
 		}
-		if c := s.Support(); c >= minsup {
+		c := s.Support()
+		itemSup[it] = c
+		if c >= minsup {
 			if must == nil || containsAll(itemset.Itemset{itemset.Item(it)}, must) {
 				res.Add(itemset.Itemset{itemset.Item(it)}, c)
 			}
@@ -116,7 +119,7 @@ func buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st
 		orderClassesByLocality(classes, in.Residency)
 		planResidency(classes, in.Residency)
 	}
-	return &vertical{res: res, classes: classes, sets: &itemSets{items: in.Items, res: in.Residency}}
+	return &vertical{res: res, classes: classes, sets: &itemSets{items: in.Items, res: in.Residency}, itemSup: itemSup}
 }
 
 // pairCounts is the paper's one-pass L2 count (§5.1) run on vertical

@@ -11,6 +11,7 @@ package itemset
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,18 +71,12 @@ func (s Itemset) Equal(t Itemset) bool {
 // Less reports whether s precedes t in lexicographic order, with shorter
 // prefixes ordered first. This is the order the paper assumes when it says
 // "assuming L(k-1) is lexicographically sorted".
-func (s Itemset) Less(t Itemset) bool {
-	n := len(s)
-	if len(t) < n {
-		n = len(t)
-	}
-	for i := 0; i < n; i++ {
-		if s[i] != t[i] {
-			return s[i] < t[i]
-		}
-	}
-	return len(s) < len(t)
-}
+func (s Itemset) Less(t Itemset) bool { return Compare(s, t) < 0 }
+
+// Compare is the three-way form of Less: negative when s precedes t,
+// positive when t precedes s and 0 when they are equal, so
+// slices.SortFunc can order itemsets without a reflection swapper.
+func Compare(s, t Itemset) int { return slices.Compare(s, t) }
 
 // Contains reports whether s contains item x.
 func (s Itemset) Contains(x Item) bool {

@@ -235,6 +235,46 @@ func TestBinomial(t *testing.T) {
 	}
 }
 
+// Property: Compare is antisymmetric, is 0 exactly on equal itemsets,
+// and orders like Less and like the paper's rule spelled out here (the
+// first differing item decides; a proper prefix comes first). Items are
+// drawn from a small universe so equal and prefix pairs are common.
+func TestCompareQuick(t *testing.T) {
+	ref := func(s, t Itemset) int {
+		for i := 0; i < len(s) && i < len(t); i++ {
+			if s[i] != t[i] {
+				if s[i] < t[i] {
+					return -1
+				}
+				return 1
+			}
+		}
+		switch {
+		case len(s) < len(t):
+			return -1
+		case len(s) > len(t):
+			return 1
+		}
+		return 0
+	}
+	f := func(a, b []uint8) bool {
+		var ai, bi []Item
+		for _, x := range a {
+			ai = append(ai, Item(x%5))
+		}
+		for _, x := range b {
+			bi = append(bi, Item(x%5))
+		}
+		s, u := New(ai...), New(bi...)
+		c := Compare(s, u)
+		return c == ref(s, u) && c == -Compare(u, s) &&
+			(c == 0) == s.Equal(u) && (c < 0) == s.Less(u) && (c > 0) == u.Less(s)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: SubsetOf agrees with a map-based oracle.
 func TestSubsetOfQuick(t *testing.T) {
 	f := func(a, b []uint8) bool {

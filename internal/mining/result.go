@@ -7,8 +7,9 @@
 package mining
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/itemset"
@@ -38,8 +39,8 @@ func (r *Result) Add(set itemset.Itemset, support int) {
 // Sort orders the itemsets lexicographically (shorter prefixes first),
 // the canonical presentation order.
 func (r *Result) Sort() {
-	sort.Slice(r.Itemsets, func(i, j int) bool {
-		return r.Itemsets[i].Set.Less(r.Itemsets[j].Set)
+	slices.SortFunc(r.Itemsets, func(a, b FrequentItemset) int {
+		return itemset.Compare(a.Set, b.Set)
 	})
 }
 
@@ -58,11 +59,11 @@ func (r *Result) TruncateTopK(k int) {
 	if k <= 0 || len(r.Itemsets) <= k {
 		return
 	}
-	sort.Slice(r.Itemsets, func(i, j int) bool {
-		if r.Itemsets[i].Support != r.Itemsets[j].Support {
-			return r.Itemsets[i].Support > r.Itemsets[j].Support
+	slices.SortFunc(r.Itemsets, func(a, b FrequentItemset) int {
+		if c := cmp.Compare(b.Support, a.Support); c != 0 {
+			return c
 		}
-		return r.Itemsets[i].Set.Less(r.Itemsets[j].Set)
+		return itemset.Compare(a.Set, b.Set)
 	})
 	r.Itemsets = r.Itemsets[:k:k]
 	r.Sort()

@@ -76,6 +76,39 @@ type VerticalSizes struct {
 	AutoBytes    int64 `json:"autoBytes"`
 }
 
+// maxBodyBytes caps a POST body: a job or dataset request is a few
+// hundred bytes, so 1 MiB refuses only a client that streams garbage.
+const maxBodyBytes = 1 << 20
+
+// ErrUnknownField reports a request body naming a field the endpoint
+// does not define, such as a misspelt "memory_budget"; HTTP maps it to
+// 400 unknown_field instead of running the request without it.
+var ErrUnknownField = errors.New("service: unknown request field")
+
+// ErrBodyTooLarge reports a request body over maxBodyBytes; HTTP maps it
+// to 413 body_too_large.
+var ErrBodyTooLarge = errors.New("service: request body too large")
+
+// decodeBody decodes r's JSON body into v strictly: at most maxBodyBytes
+// are read and every field must be one v defines.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &tooLarge):
+		return fmt.Errorf("%w: over %d bytes", ErrBodyTooLarge, tooLarge.Limit)
+	case strings.HasPrefix(err.Error(), "json: unknown field "):
+		// encoding/json reports an unknown field with an untyped error;
+		// its message is the only stable handle.
+		return fmt.Errorf("%w: %s", ErrUnknownField, strings.TrimPrefix(err.Error(), "json: unknown field "))
+	}
+	return fmt.Errorf("bad request body: %w", err)
+}
+
 // apiError is the structured error body: {"error":{"code","message"}}.
 // code is a stable machine-readable slug; message is human prose.
 type apiError struct {
@@ -120,6 +153,10 @@ func errorCode(err error) (int, string) {
 		return http.StatusBadRequest, "invalid_memory_budget"
 	case errors.Is(err, repro.ErrCanceled):
 		return http.StatusConflict, "canceled"
+	case errors.Is(err, ErrUnknownField):
+		return http.StatusBadRequest, "unknown_field"
+	case errors.Is(err, ErrBodyTooLarge):
+		return http.StatusRequestEntityTooLarge, "body_too_large"
 	default:
 		return http.StatusBadRequest, "bad_request"
 	}
@@ -163,15 +200,18 @@ func writeMappedError(w http.ResponseWriter, err error) {
 //	GET    /metricsz          metrics registry (expvar JSON or ?format=prometheus)
 //	GET    /debug/pprof/      runtime profiling (profile, heap, trace, ...)
 //
-// Errors are returned as {"error":{"code","message"}} with a stable
-// machine-readable code (see errorCode).
+// POST bodies are read up to 1 MiB (413 body_too_large beyond) and
+// decoded strictly: a field the request type does not define is a 400
+// unknown_field, never silently dropped. Errors are returned as
+// {"error":{"code","message"}} with a stable machine-readable code (see
+// errorCode).
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var jr JobRequest
-		if err := json.NewDecoder(r.Body).Decode(&jr); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		if err := decodeBody(w, r, &jr); err != nil {
+			writeMappedError(w, err)
 			return
 		}
 		algo, err := ParseAlgorithm(jr.Algorithm)
@@ -261,8 +301,8 @@ func NewHandler(s *Service) http.Handler {
 
 	mux.HandleFunc("POST /v1/datasets", func(w http.ResponseWriter, r *http.Request) {
 		var dr DatasetRequest
-		if err := json.NewDecoder(r.Body).Decode(&dr); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		if err := decodeBody(w, r, &dr); err != nil {
+			writeMappedError(w, err)
 			return
 		}
 		if dr.Name == "" {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
+	"sort"
 
 	"repro/internal/itemset"
 	"repro/internal/obsv"
@@ -120,16 +122,26 @@ func ChooseRepr(r Repr, c ClassShape) Repr {
 	if c.Span > RoaringSpanChunks*chunkSize {
 		packed, inPacked = ReprRoaring, c.Roaring
 	}
-	s, sigma := float64(c.Members), float64(c.Support)
+	s := float64(c.Members)
 	joins := s * (s - 1) / 2
-	words := float64((c.Span + wordBits - 1) / wordBits)
-	reencode := words + sigma
-	sparseNS := joins*2*sigma*costElemNS + float64(c.Members-c.Sparse)*reencode
-	packedNS := joins*words*costWordNS + float64(c.Members-inPacked)*reencode
+	reencode := float64((c.Span+wordBits-1)/wordBits + c.Support)
+	sparseNS := joins*JoinNS(ReprSparse, c) + float64(c.Members-c.Sparse)*reencode
+	packedNS := joins*JoinNS(packed, c) + float64(c.Members-inPacked)*reencode
 	if packedNS < sparseNS {
 		return packed
 	}
 	return ReprSparse
+}
+
+// JoinNS is the priced cost of one join between two members of class c
+// held in encoding r, the per-join figure ChooseRepr weighs: 2σ elements
+// through the merge kernel for sparse, ⌈span/64⌉ words through a packed
+// kernel for bitset and roaring.
+func JoinNS(r Repr, c ClassShape) float64 {
+	if r == ReprSparse {
+		return 2 * float64(c.Support) * costElemNS
+	}
+	return float64((c.Span+wordBits-1)/wordBits) * costWordNS
 }
 
 // Set is a tid-set under some representation. The mining recursion works
@@ -620,6 +632,46 @@ func Bounds(s Set) (lo, hi itemset.TID, ok bool) {
 			return 0, 0, false
 		}
 		return l[0], l[len(l)-1], true
+	}
+}
+
+// ChunkBits is the width, in TID bits, of the 64K-TID chunks the roaring
+// encoding partitions the TID space into and AppendChunk reads.
+const ChunkBits = chunkBits
+
+// AppendChunk appends to dst, in increasing order, the TIDs of s in
+// chunk key (the TIDs t with t>>ChunkBits == key), reading only that
+// chunk's part of s: a binary search of a sparse list, the chunk's
+// words of a bitset, the chunk's container of a roaring set.
+func AppendChunk(dst List, s Set, key uint16) List {
+	switch v := s.(type) {
+	case List:
+		from := sort.Search(len(v), func(i int) bool { return chunkKey(v[i]) >= key })
+		to := from + sort.Search(len(v)-from, func(i int) bool { return chunkKey(v[from+i]) > key })
+		return append(dst, v[from:to]...)
+	case *Bitset:
+		// base and the chunk bounds are multiples of 64: whole words.
+		first := (int(key)<<chunkBits - int(v.base)) / wordBits
+		from, to := max(first, 0), min(first+chunkWords, len(v.words))
+		for wi := from; wi < to; wi++ {
+			base := v.base + itemset.TID(wi*wordBits)
+			for w := v.words[wi]; w != 0; w &= w - 1 {
+				dst = append(dst, base+itemset.TID(bits.TrailingZeros64(w)))
+			}
+		}
+		return dst
+	case *Roaring:
+		if i, ok := slices.BinarySearch(v.keys, key); ok {
+			dst = appendContainerTIDs(dst, key, &v.ctrs[i])
+		}
+		return dst
+	default:
+		for _, t := range TIDsOf(s) {
+			if chunkKey(t) == key {
+				dst = append(dst, t)
+			}
+		}
+		return dst
 	}
 }
 

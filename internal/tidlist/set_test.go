@@ -303,6 +303,35 @@ func TestBounds(t *testing.T) {
 	}
 }
 
+// TestAppendChunk: under every encoding, appending each 64K chunk of a
+// set in turn rebuilds its TID list, and a chunk outside the set, below,
+// between or above its containers, appends nothing.
+func TestAppendChunk(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for trial := 0; trial < 50; trial++ {
+		var l List
+		for tid := itemset.TID(rng.Intn(3) * 65536); len(l) < 400 && tid < 600_000; tid += itemset.TID(1 + rng.Intn(3000)) {
+			if rng.Intn(40) == 0 {
+				tid += 2 * 65536 // leave a chunk empty
+			}
+			l = append(l, tid)
+		}
+		for _, r := range []Repr{ReprSparse, ReprBitset, ReprRoaring} {
+			s := asRepr(l, r)
+			var got List
+			for key := 0; key <= 12; key++ {
+				got = AppendChunk(got, s, uint16(key))
+			}
+			if !equalTIDs(got, l) {
+				t.Fatalf("%v trial %d: chunks rebuilt %d of %d TIDs", r, trial, len(got), len(l))
+			}
+			if n := len(AppendChunk(nil, s, 100)); n != 0 {
+				t.Fatalf("%v: chunk 100 appended %d TIDs", r, n)
+			}
+		}
+	}
+}
+
 func TestHashTIDsAgreesAcrossRepresentations(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 100; trial++ {

@@ -2,11 +2,18 @@
 
 // Command bench_kernels runs the tid-set intersection kernel benchmarks
 // (BenchmarkIntersectKernels and its short-circuit variant in
-// internal/tidlist) and the triangular pair counter's benchmark
-// (BenchmarkCounterAddPartition in internal/paircount), and writes the
-// results to BENCH_kernels.json at the repository root — the committed
-// perf-trajectory baseline for the representation layer and the
-// initialization scan.
+// internal/tidlist), the triangular pair counter's benchmark
+// (BenchmarkCounterAddPartition in internal/paircount) and the class
+// recursion's benchmarks in internal/eclat (BenchmarkClassExpand:
+// figure 3's joins against the class-local triangular count on the same
+// classes; BenchmarkClassCount: the count alone on classes that each
+// stress one of its priced units), and writes the results to
+// BENCH_kernels.json at the repository root — the committed
+// perf-trajectory baseline for the representation layer, the
+// initialization scan and the class recursion, and the rows the engine's
+// per-unit prices are read off. It also fits the count's per-unit costs
+// to the BenchmarkClassCount rows (countCost; see fitCountCost), the
+// re-check of internal/eclat's costTransposeNS … costIncNS.
 //
 // Usage (from the repository root):
 //
@@ -22,6 +29,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"regexp"
@@ -60,15 +68,59 @@ type CounterResult struct {
 	AllocsPerOp float64 `json:"allocsPerOp"`
 }
 
+// ExpandResult is one BenchmarkClassExpand line: every top-level class
+// of one dataset expanded by figure 3's joins or by the class-local
+// triangular count.
+type ExpandResult struct {
+	// Data names the dataset and support ("dense.D5K/pct=1.25").
+	Data string `json:"data"`
+	// Expand is "joined" or "counted".
+	Expand      string  `json:"expand"`
+	NsPerOp     float64 `json:"nsPerOp"`
+	BytesPerOp  float64 `json:"bytesPerOp"`
+	AllocsPerOp float64 `json:"allocsPerOp"`
+	// Units holds the benchmark's reported metrics: classes and joins/op,
+	// plus counted/op and incs/op for a counted row.
+	Units map[string]float64 `json:"units"`
+}
+
+// CountResult is one BenchmarkClassCount line: the class-local count,
+// with its triangle scan, of a class built so one priced unit dominates
+// ("unit=span") or of a size bin of a dataset's classes in one encoding
+// ("data=dense.D5K/pct=1.25/enc=bitset/members=8..15").
+type CountResult struct {
+	Classes string  `json:"classes"`
+	NsPerOp float64 `json:"nsPerOp"`
+	// Units holds the classes' priced units per op (countUnitNames).
+	Units map[string]float64 `json:"units"`
+}
+
+// CountCost is the count's per-unit cost in ns, fitted to the
+// BenchmarkClassCount rows by fitCountCost.
+type CountCost struct {
+	TransposeNS float64 `json:"transposeNS"` // per member TID transposed
+	ScanWordNS  float64 `json:"scanWordNS"`  // per word of a packed member scanned
+	SpanNS      float64 `json:"spanNS"`      // per TID of the class span indexed
+	CellNS      float64 `json:"cellNS"`      // per triangle cell cleared and scanned
+	IncNS       float64 `json:"incNS"`       // per pair increment
+}
+
+// countUnitNames are the BenchmarkClassCount metrics the count's price
+// weighs, in CountCost's field order.
+var countUnitNames = []string{"tids/op", "words/op", "span/op", "cells/op", "incs/op"}
+
 // Snapshot is the BENCH_kernels.json document.
 type Snapshot struct {
-	GoVersion string          `json:"goVersion"`
-	GOOS      string          `json:"goos"`
-	GOARCH    string          `json:"goarch"`
-	ListLen   int             `json:"listLen"` // cardinality of each operand
-	Benchtime string          `json:"benchtime"`
-	Results   []Result        `json:"results"`
-	Counter   []CounterResult `json:"counter"`
+	GoVersion   string          `json:"goVersion"`
+	GOOS        string          `json:"goos"`
+	GOARCH      string          `json:"goarch"`
+	ListLen     int             `json:"listLen"` // cardinality of each operand
+	Benchtime   string          `json:"benchtime"`
+	Results     []Result        `json:"results"`
+	Counter     []CounterResult `json:"counter"`
+	ClassExpand []ExpandResult  `json:"classExpand"`
+	ClassCount  []CountResult   `json:"classCount"`
+	CountCost   CountCost       `json:"countCost"`
 }
 
 var (
@@ -76,6 +128,10 @@ var (
 		`^Benchmark(IntersectKernels(?:SC)?)/density=([^/]+)/kernel=([a-z]+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
 	counterLine = regexp.MustCompile(
 		`^BenchmarkCounterAddPartition/data=([^\s]+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
+	expandLine = regexp.MustCompile(
+		`^BenchmarkClassExpand/data=([^\s]+)/expand=([a-z]+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
+	countLine = regexp.MustCompile(
+		`^BenchmarkClassCount/([^\s]+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
 )
 
 func main() {
@@ -84,8 +140,8 @@ func main() {
 	out := flag.String("o", "BENCH_kernels.json", "output file")
 	flag.Parse()
 
-	cmd := exec.Command("go", "test", "./internal/tidlist", "./internal/paircount",
-		"-run", "^$", "-bench", "^Benchmark(IntersectKernels|CounterAddPartition)",
+	cmd := exec.Command("go", "test", "./internal/tidlist", "./internal/paircount", "./internal/eclat",
+		"-run", "^$", "-bench", "^Benchmark(IntersectKernels|CounterAddPartition|ClassExpand|ClassCount)",
 		"-benchtime", *benchtime, "-count", strconv.Itoa(*count))
 	cmd.Stderr = os.Stderr
 	raw, err := cmd.Output()
@@ -96,8 +152,33 @@ func main() {
 
 	best := map[[3]string]Result{}
 	bestCounter := map[string]CounterResult{}
+	bestExpand := map[[2]string]ExpandResult{}
+	bestCount := map[string]CountResult{}
 	sc := bufio.NewScanner(bytes.NewReader(raw))
 	for sc.Scan() {
+		if m := countLine.FindStringSubmatch(sc.Text()); m != nil {
+			ns, err := strconv.ParseFloat(m[2], 64)
+			if err != nil {
+				continue
+			}
+			if prev, ok := bestCount[m[1]]; !ok || ns < prev.NsPerOp {
+				bestCount[m[1]] = CountResult{Classes: m[1], NsPerOp: ns, Units: parseUnits(m[3])}
+			}
+			continue
+		}
+		if m := expandLine.FindStringSubmatch(sc.Text()); m != nil {
+			ns, err := strconv.ParseFloat(m[3], 64)
+			if err != nil {
+				continue
+			}
+			r := ExpandResult{Data: m[1], Expand: m[2], NsPerOp: ns, Units: parseUnits(m[4])}
+			r.BytesPerOp, r.AllocsPerOp = parseMem(m[4])
+			key := [2]string{r.Data, r.Expand}
+			if prev, ok := bestExpand[key]; !ok || r.NsPerOp < prev.NsPerOp {
+				bestExpand[key] = r
+			}
+			continue
+		}
 		if m := counterLine.FindStringSubmatch(sc.Text()); m != nil {
 			ns, err := strconv.ParseFloat(m[2], 64)
 			if err != nil {
@@ -125,8 +206,8 @@ func main() {
 			best[key] = r
 		}
 	}
-	if len(best) == 0 || len(bestCounter) == 0 {
-		fmt.Fprintln(os.Stderr, "bench_kernels: missing kernel or counter benchmark lines")
+	if len(best) == 0 || len(bestCounter) == 0 || len(bestExpand) == 0 || len(bestCount) == 0 {
+		fmt.Fprintln(os.Stderr, "bench_kernels: missing kernel, counter, class-expand or class-count benchmark lines")
 		os.Exit(1)
 	}
 
@@ -155,6 +236,24 @@ func main() {
 		snap.Counter = append(snap.Counter, r)
 	}
 	sort.Slice(snap.Counter, func(i, j int) bool { return snap.Counter[i].Data < snap.Counter[j].Data })
+	for _, r := range bestExpand {
+		snap.ClassExpand = append(snap.ClassExpand, r)
+	}
+	sort.Slice(snap.ClassExpand, func(i, j int) bool {
+		a, b := snap.ClassExpand[i], snap.ClassExpand[j]
+		if a.Data != b.Data {
+			return a.Data < b.Data
+		}
+		return a.Expand > b.Expand // joined before counted
+	})
+	for _, r := range bestCount {
+		snap.ClassCount = append(snap.ClassCount, r)
+	}
+	sort.Slice(snap.ClassCount, func(i, j int) bool { return snap.ClassCount[i].Classes < snap.ClassCount[j].Classes })
+	if snap.CountCost, err = fitCountCost(snap.ClassCount); err != nil {
+		fmt.Fprintln(os.Stderr, "bench_kernels:", err)
+		os.Exit(1)
+	}
 
 	buf, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
@@ -167,6 +266,62 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s (%d results)\n", *out, len(snap.Results))
+	c := snap.CountCost
+	fmt.Printf("count cost fit (ns): per TID %.3g, per packed word %.3g, per span TID %.3g, per cell %.3g, per increment %.3g\n",
+		c.TransposeNS, c.ScanWordNS, c.SpanNS, c.CellNS, c.IncNS)
+}
+
+// fitCountCost fits the count's per-unit costs to the BenchmarkClassCount
+// rows: the least-squares solution of ns/op = Σ cost·units over the
+// rows, on relative error (a row weighs 1/ns², so a 100 µs row counts as
+// much as a 10 ms one). The dataset rows carry the fit to the classes
+// the price is applied to; on their own they cannot separate the units,
+// which grow together with class size, and the unit rows, each
+// dominated by one unit, make every cost identifiable. The costs are
+// rounded to three significant digits.
+func fitCountCost(rows []CountResult) (CountCost, error) {
+	n := len(countUnitNames)
+	a := make([][]float64, n) // normal equations, right-hand side in column n
+	for i := range a {
+		a[i] = make([]float64, n+1)
+	}
+	for _, r := range rows {
+		w := 1 / (r.NsPerOp * r.NsPerOp)
+		for i, ui := range countUnitNames {
+			a[i][n] += w * r.Units[ui] * r.NsPerOp
+			for j, uj := range countUnitNames {
+				a[i][j] += w * r.Units[ui] * r.Units[uj]
+			}
+		}
+	}
+	for c := range n { // Gauss-Jordan with partial pivoting
+		p := c
+		for r := c + 1; r < n; r++ {
+			if math.Abs(a[r][c]) > math.Abs(a[p][c]) {
+				p = r
+			}
+		}
+		if a[p][c] == 0 {
+			return CountCost{}, fmt.Errorf("no class-count row measures %s", countUnitNames[c])
+		}
+		a[c], a[p] = a[p], a[c]
+		for r := range n {
+			if r != c {
+				f := a[r][c] / a[c][c]
+				for k := c; k <= n; k++ {
+					a[r][k] -= f * a[c][k]
+				}
+			}
+		}
+	}
+	cost := make([]float64, n)
+	for i := range cost {
+		if v := a[i][n] / a[i][i]; v != 0 {
+			scale := math.Pow(10, 2-math.Floor(math.Log10(math.Abs(v))))
+			cost[i] = math.Round(v*scale) / scale
+		}
+	}
+	return CountCost{TransposeNS: cost[0], ScanWordNS: cost[1], SpanNS: cost[2], CellNS: cost[3], IncNS: cost[4]}, nil
 }
 
 // parseMem extracts "N B/op" and "M allocs/op" from the tail of a
@@ -186,6 +341,21 @@ func parseMem(tail string) (bytesPerOp, allocsPerOp float64) {
 		}
 	}
 	return bytesPerOp, allocsPerOp
+}
+
+// parseUnits extracts the custom "value unit" metrics of a benchmark
+// line's tail, leaving out the -benchmem pair parseMem reads.
+func parseUnits(tail string) map[string]float64 {
+	out := map[string]float64{}
+	fields := strings.Fields(tail)
+	for i := 0; i+1 < len(fields); i += 2 {
+		v, err := strconv.ParseFloat(fields[i], 64)
+		if err != nil || fields[i+1] == "B/op" || fields[i+1] == "allocs/op" {
+			continue
+		}
+		out[fields[i+1]] = v
+	}
+	return out
 }
 
 // densityValue parses "12.5%" -> 12.5 for sorting.
