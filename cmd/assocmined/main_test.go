@@ -554,6 +554,44 @@ func TestMetricszCountersAdvance(t *testing.T) {
 	}
 }
 
+// TestMetricszL2MemoCounters checks the L2 memo's counters through
+// /metricsz: a dataset's first job and every job below the lowest
+// support counted on it advance misses, a job at or above that support
+// advances hits, and a job that does not mine vertically advances
+// neither.
+func TestMetricszL2MemoCounters(t *testing.T) {
+	ts, _ := newServer(t, service.Config{Workers: 1, QueueDepth: 4}, map[string]int{"t10": 1000})
+	for _, step := range []struct {
+		body         string
+		hits, misses float64
+	}{
+		{`{"dataset":"t10","supportPct":0.5}`, 0, 1},
+		{`{"dataset":"t10","supportPct":1}`, 1, 0},
+		{`{"dataset":"t10","supportPct":0.5,"variant":"maximal"}`, 1, 0},
+		{`{"dataset":"t10","supportPct":0.3}`, 0, 1},
+		{`{"dataset":"t10","supportPct":0.4,"algorithm":"apriori"}`, 0, 0},
+	} {
+		before := metricsJSON(t, ts.URL)
+		v, resp := postJob(t, ts, step.body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST %s: %d", step.body, resp.StatusCode)
+		}
+		if done := pollUntil(t, ts, v.ID, func(v service.View) bool { return v.Status.Terminal() }); done.Status != service.StatusDone || done.Cached {
+			t.Fatalf("%s: %s (cached %v), want an uncached done job", step.body, done.Status, done.Cached)
+		}
+		after := metricsJSON(t, ts.URL)
+		for name, want := range map[string]float64{
+			"eclat_l2_memo_hits_total":   step.hits,
+			"eclat_l2_memo_misses_total": step.misses,
+		} {
+			b, _ := before[name].(float64)
+			if got := scalar(t, after, name) - b; got != want {
+				t.Fatalf("%s: %s advanced by %v, want %v", step.body, name, got, want)
+			}
+		}
+	}
+}
+
 // startDaemon boots the real daemon with the given extra args on an
 // ephemeral port and returns its base URL plus a shutdown func that
 // triggers the SIGINT path and waits for a clean drain.

@@ -27,11 +27,13 @@ const (
 
 // classPlan is what computeFrequent reads off a class before expanding
 // it: the class's TID window (the diffset gate's density denominator
-// and the count's row index), the units the count's price weighs, the
+// and the count's row index), the members' support total (which the
+// diffset gate counts down), the units the count's price weighs, the
 // priced cost of each expansion, and which one the price chose.
 type classPlan struct {
 	lo              itemset.TID
 	span            int
+	sup             int
 	units           countUnits
 	joinNS, countNS float64
 	counted         bool
@@ -69,6 +71,7 @@ func planClass(members []member, prefixSup int) classPlan {
 	maxSup := 0
 	for _, m := range members {
 		sup := m.tids.Support()
+		p.sup += sup
 		maxSup = max(maxSup, sup)
 		p.units.tids += float64(sup)
 		sumSq += float64(sup) * float64(sup)
@@ -220,14 +223,14 @@ func (w *worker) countExpand(ctx context.Context, members []member, p classPlan,
 	defer func() { cs.cells = cs.cells[:base] }()
 	st.CountedClasses++
 	st.CountOps += incs
-	breakEven := diffsetBreakEven(w.opts)
+	gate := newDiffsetGate(p, w.opts)
 	var scratch tidlist.Set
 	for i := 0; i < s-1; i++ {
 		if ctx.Err() != nil {
 			return
 		}
 		minsup := w.th.current()
-		if diffsetWins(members, i, p.span, breakEven) {
+		if gate.wins(members, i) {
 			st.DiffsetClasses++
 			diffTransition(ctx, members, i, w.th, st, ar, emit)
 			continue

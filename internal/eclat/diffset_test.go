@@ -10,6 +10,7 @@ import (
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/testutil"
+	"repro/internal/tidlist"
 )
 
 func TestDiffsetsMatchStandardEclat(t *testing.T) {
@@ -105,4 +106,72 @@ func TestDiffsetsEmptyDatabase(t *testing.T) {
 	if res.Len() != 0 {
 		t.Fatal("empty database should mine nothing")
 	}
+}
+
+// TestDiffsetGateRunningTotal checks the diffset gate's running form —
+// the class plan's support total, less each member's support as the
+// loop advances — against the predicate that re-sums every later
+// member's support, on random classes of all three encodings with empty
+// members, at break-evens below and above 1.
+func TestDiffsetGateRunningTotal(t *testing.T) {
+	resum := func(members []member, i, span int, breakEven float64) bool {
+		if span <= 0 {
+			return false
+		}
+		sum := 0
+		for j := i + 1; j < len(members); j++ {
+			sum += members[j].tids.Support()
+		}
+		return float64(sum) >= breakEven*float64(span)*float64(len(members)-1-i)
+	}
+	rng := rand.New(rand.NewSource(409))
+	reprs := []tidlist.Repr{tidlist.ReprSparse, tidlist.ReprBitset, tidlist.ReprRoaring}
+	var ks tidlist.KernelStats
+	wins, losses := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		s := 2 + rng.Intn(12)
+		span := 1 + rng.Intn(400)
+		members := make([]member, s)
+		for i := range members {
+			var l tidlist.List
+			if rng.Intn(4) > 0 {
+				density := rng.Float64()
+				for t := 0; t < span; t++ {
+					if rng.Float64() < density {
+						l = append(l, itemset.TID(t))
+					}
+				}
+			}
+			members[i] = member{set: itemset.Itemset{0, itemset.Item(i + 1)}, tids: tidlist.Convert(l, reprs[rng.Intn(3)], &ks)}
+		}
+		plan := planClass(members, span)
+		if want := supportSum(members); plan.sup != want {
+			t.Fatalf("trial %d: plan.sup = %d, want %d", trial, plan.sup, want)
+		}
+		for _, breakEven := range []float64{0.1, DefaultDiffsetBreakEven, 0.9, 1.5} {
+			gate := newDiffsetGate(plan, Options{DiffsetBreakEven: breakEven})
+			for i := 0; i < s-1; i++ {
+				got := gate.wins(members, i)
+				if want := resum(members, i, plan.span, breakEven); got != want {
+					t.Fatalf("trial %d member %d/%d break-even %v: running %v, re-summed %v", trial, i, s, breakEven, got, want)
+				}
+				if got {
+					wins++
+				} else {
+					losses++
+				}
+			}
+		}
+	}
+	if wins == 0 || losses == 0 {
+		t.Fatalf("gate never varied: %d wins, %d losses", wins, losses)
+	}
+}
+
+func supportSum(members []member) int {
+	sum := 0
+	for _, m := range members {
+		sum += m.tids.Support()
+	}
+	return sum
 }

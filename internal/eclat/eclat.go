@@ -302,14 +302,14 @@ func (w *worker) computeFrequent(ctx context.Context, members []member, prefixSu
 	// the buffer-reuse discipline of the sparse-only loop survives the
 	// abstraction.
 	st, ar := w.st, w.ar
-	breakEven := diffsetBreakEven(w.opts)
+	gate := newDiffsetGate(plan, w.opts)
 	var scratch tidlist.Set
 	for i := 0; i < len(members)-1; i++ {
 		if ctx.Err() != nil {
 			return
 		}
 		minsup := w.th.current()
-		if diffsetWins(members, i, plan.span, breakEven) {
+		if gate.wins(members, i) {
 			st.DiffsetClasses++
 			diffTransition(ctx, members, i, w.th, st, ar, emit)
 			continue
@@ -397,21 +397,33 @@ func classSpan(members []member) (lo itemset.TID, span int) {
 	return lo, int(hi-lo) + 1
 }
 
-// diffsetWins estimates whether the children of members[i] will retain
-// enough of their parent's support for diffsets to be the smaller
-// encoding: under independence a child PXY keeps a fraction of t(PX)
-// close to the partner's density sup(PY)/span, so the partners' average
-// density is the retention estimate compared against the break-even.
-func diffsetWins(members []member, i, span int, breakEven float64) bool {
-	if span <= 0 {
+// diffsetGate estimates, member by member, whether the children of a
+// class member will retain enough of their parent's support for
+// diffsets to be the smaller encoding: under independence a child PXY
+// keeps a fraction of t(PX) close to the partner's density
+// sup(PY)/span, so the partners' average density is the retention
+// estimate compared against the break-even. rest is the support total
+// of the current member's partners (the members after it): it starts at
+// the class total and loses each member's support as the caller
+// advances, so a class pays s Support calls, not C(s,2).
+type diffsetGate struct {
+	rest, span int
+	breakEven  float64
+}
+
+// newDiffsetGate starts the gate for a planned class.
+func newDiffsetGate(p classPlan, opts Options) diffsetGate {
+	return diffsetGate{rest: p.sup, span: p.span, breakEven: diffsetBreakEven(opts)}
+}
+
+// wins reports the estimate for member i. The caller asks for every
+// member in order, from 0.
+func (g *diffsetGate) wins(members []member, i int) bool {
+	g.rest -= members[i].tids.Support()
+	if g.span <= 0 {
 		return false
 	}
-	sum := 0
-	for j := i + 1; j < len(members); j++ {
-		sum += members[j].tids.Support()
-	}
-	n := len(members) - 1 - i
-	return float64(sum) >= breakEven*float64(span)*float64(n)
+	return float64(g.rest) >= g.breakEven*float64(g.span)*float64(len(members)-1-i)
 }
 
 // dmember is one itemset of the current level, represented by its diffset

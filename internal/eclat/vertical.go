@@ -31,7 +31,26 @@ type VerticalInput struct {
 	// evict dead segments. Output bytes and work counters are identical to
 	// the unbudgeted path at every budget and worker count.
 	Residency Residency
+	// Pairs, when non-nil, is the dataset's L2 memo: a mine at or above
+	// its floor filters L2 from it instead of counting the triangle, and
+	// a mine below it counts and lowers the floor. Output bytes and work
+	// counters are identical either way; nil counts, as every mine did
+	// before the memo.
+	Pairs *paircount.Memo
 }
+
+// L2 memo metrics: mines with a memo that filtered L2 from it, and
+// mines with a memo that counted L2 because their support was below its
+// floor. A mine without a memo counts neither.
+const (
+	mnL2MemoHits   = "eclat_l2_memo_hits_total"
+	mnL2MemoMisses = "eclat_l2_memo_misses_total"
+)
+
+var (
+	mL2MemoHits   = obsv.Default.Counter(mnL2MemoHits, "vertical mines that filtered L2 from the dataset's memo instead of counting it")
+	mL2MemoMisses = obsv.Default.Counter(mnL2MemoMisses, "vertical mines with an L2 memo that counted L2 below the memo's floor")
+)
 
 // MineVerticalLocal mines a vertical dataset on this host: L1 is read
 // off the per-item supports, L2 and its exact supports come from the
@@ -73,8 +92,10 @@ func MineVerticalLocal(ctx context.Context, in VerticalInput, minsup int, opts O
 // tracing-based tests can assert the phase never ran. No pair tid-list
 // is built here: the engine derives each class's lists when it mines the
 // class (see itemSets.classMembers), with or without a residency budget.
-// Targeted queries (opts.MustContain) filter the seeded L1/L2 and the
-// classes exactly as buildVertical does.
+// With an L2 memo (in.Pairs) whose floor is at or below minsup, L2 is
+// filtered from the memo and the triangle is not counted. Targeted queries
+// (opts.MustContain) filter the seeded L1/L2 and the classes exactly as
+// buildVertical does; the memo holds the unfiltered L2.
 func buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st *Stats, opts Options) *vertical {
 	must := canonMust(opts.MustContain)
 	res := &mining.Result{MinSup: minsup, NumTransactions: in.NumTransactions}
@@ -83,7 +104,6 @@ func buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st
 	defer sp.End()
 
 	var frequent []itemset.Item
-	var lists []tidlist.List
 	itemSup := make([]int, len(in.Items))
 	for it, s := range in.Items {
 		if s == nil {
@@ -96,13 +116,25 @@ func buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st
 				res.Add(itemset.Itemset{itemset.Item(it)}, c)
 			}
 			frequent = append(frequent, itemset.Item(it))
-			lists = append(lists, tidlist.TIDsOf(s))
 		}
 	}
 
+	count := func() []paircount.FrequentPair { return frequentPairs(in.Items, frequent, minsup) }
+	var pairs []paircount.FrequentPair
+	if in.Pairs == nil {
+		pairs = count()
+	} else {
+		var hit bool
+		pairs, hit = in.Pairs.Frequent(minsup, count)
+		if hit {
+			mL2MemoHits.Inc()
+		} else {
+			mL2MemoMisses.Inc()
+		}
+	}
 	var l2 []itemset.Itemset
-	for _, fp := range pairCounts(lists).Frequent(minsup) {
-		set := itemset.Itemset{frequent[fp.Pair.A], frequent[fp.Pair.B]}
+	for _, fp := range pairs {
+		set := itemset.Itemset{fp.Pair.A, fp.Pair.B}
 		if must == nil || containsAll(set, must) {
 			res.Add(set, fp.Count)
 		}
@@ -120,6 +152,22 @@ func buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st
 		planResidency(classes, in.Residency)
 	}
 	return &vertical{res: res, classes: classes, sets: &itemSets{items: in.Items, res: in.Residency}, itemSup: itemSup}
+}
+
+// frequentPairs counts L2 at minsup over the frequent items' sets
+// (ascending item ids) and returns it with ranks mapped back to item
+// ids, in Counter.Frequent's order: ranks ascend with item ids, so the
+// pairs stay sorted by (A, B).
+func frequentPairs(items []tidlist.Set, frequent []itemset.Item, minsup int) []paircount.FrequentPair {
+	lists := make([]tidlist.List, len(frequent))
+	for r, it := range frequent {
+		lists[r] = tidlist.TIDsOf(items[it])
+	}
+	pairs := pairCounts(lists).Frequent(minsup)
+	for i, fp := range pairs {
+		pairs[i].Pair = tidlist.Pair{A: frequent[fp.Pair.A], B: frequent[fp.Pair.B]}
+	}
+	return pairs
 }
 
 // pairCounts is the paper's one-pass L2 count (§5.1) run on vertical

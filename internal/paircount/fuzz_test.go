@@ -2,6 +2,8 @@ package paircount
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/db"
@@ -68,4 +70,65 @@ func FuzzCounter(f *testing.F) {
 		}
 		checkCounts(t, "after Counts", c, oracle)
 	})
+}
+
+// FuzzPairMemo drives one Memo with a byte-derived support sequence (each
+// byte modulo 24, so 0 occurs) over a small random database drawn from
+// seed. Every answer must equal a fresh Counter.Frequent(minsup); a
+// query hits exactly when its support is at or above the lowest support
+// stored so far, and counts exactly when it misses; the floor and its
+// pair count follow the lowest support of 1 or more. Every answer is then
+// scribbled over, which must not reach later answers.
+func FuzzPairMemo(f *testing.F) {
+	f.Add(int64(1), []byte{5, 3, 7, 3, 1, 9})
+	f.Add(int64(2), []byte{0, 0, 4, 24, 2, 2, 1, 25})
+	f.Add(int64(3), []byte{23, 22, 21, 20, 19, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, seed int64, supports []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		m := 2 + rng.Intn(30)
+		c := New(m)
+		for n := 50 + rng.Intn(200); n > 0; n-- {
+			raw := make([]itemset.Item, rng.Intn(9))
+			for i := range raw {
+				raw[i] = itemset.Item(rng.Intn(m))
+			}
+			c.AddTransaction(itemset.New(raw...))
+		}
+		var memo Memo
+		lowest := 0
+		for i, b := range supports {
+			minsup := int(b) % 24
+			counts := 0
+			got, hit := memo.Frequent(minsup, func() []FrequentPair {
+				counts++
+				return c.Frequent(minsup)
+			})
+			if want := c.Frequent(minsup); !slices.Equal(got, want) {
+				t.Fatalf("query %d at %d: memo answered %v, counter %v", i, minsup, got, want)
+			}
+			if wantHit := lowest > 0 && minsup >= lowest; hit != wantHit || counts != b2i(!hit) {
+				t.Fatalf("query %d at %d (lowest %d): hit %v after %d counts", i, minsup, lowest, hit, counts)
+			}
+			for j := range got {
+				got[j].Count = -1
+			}
+			if !hit && minsup >= 1 && (lowest == 0 || minsup < lowest) {
+				lowest = minsup
+			}
+			wantPairs := 0
+			if lowest > 0 {
+				wantPairs = len(c.Frequent(lowest))
+			}
+			if floor, pairs := memo.Floor(); floor != lowest || pairs != wantPairs {
+				t.Fatalf("query %d: floor %d with %d pairs, want %d with %d", i, floor, pairs, lowest, wantPairs)
+			}
+		}
+	})
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

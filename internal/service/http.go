@@ -59,7 +59,8 @@ type DatasetRequest struct {
 	// Name is the registry key (required).
 	Name string `json:"name"`
 	// Gen, when positive, generates a standard T10.I6 dataset with this
-	// many transactions.
+	// many transactions, at most maxGenTransactions (400 gen_too_large
+	// above).
 	Gen int `json:"gen,omitempty"`
 	// Path loads a daemon-local database file; Format is "binary", "fimi"
 	// or "" to infer from the extension (.fimi/.dat/.txt are FIMI text).
@@ -88,6 +89,24 @@ var ErrUnknownField = errors.New("service: unknown request field")
 // ErrBodyTooLarge reports a request body over maxBodyBytes; HTTP maps it
 // to 413 body_too_large.
 var ErrBodyTooLarge = errors.New("service: request body too large")
+
+// maxGenTransactions caps a generated dataset at the paper's largest
+// database, T10.I6.D6400K: the handler generates the whole database
+// before registering it, so an uncapped gen lets one request exhaust
+// the daemon's memory.
+const maxGenTransactions = 6_400_000
+
+// ErrGenTooLarge reports a gen over maxGenTransactions; HTTP maps it to
+// 400 gen_too_large.
+var ErrGenTooLarge = errors.New("service: gen too large")
+
+// checkGen refuses a gen the daemon will not generate.
+func checkGen(n int) error {
+	if n > maxGenTransactions {
+		return fmt.Errorf("%w: %d transactions, at most %d", ErrGenTooLarge, n, maxGenTransactions)
+	}
+	return nil
+}
 
 // decodeBody decodes r's JSON body into v strictly: at most maxBodyBytes
 // are read and every field must be one v defines.
@@ -157,6 +176,8 @@ func errorCode(err error) (int, string) {
 		return http.StatusBadRequest, "unknown_field"
 	case errors.Is(err, ErrBodyTooLarge):
 		return http.StatusRequestEntityTooLarge, "body_too_large"
+	case errors.Is(err, ErrGenTooLarge):
+		return http.StatusBadRequest, "gen_too_large"
 	default:
 		return http.StatusBadRequest, "bad_request"
 	}
@@ -319,6 +340,10 @@ func NewHandler(s *Service) http.Handler {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("gen and path are mutually exclusive"))
 			return
 		case dr.Gen > 0:
+			if err := checkGen(dr.Gen); err != nil {
+				writeMappedError(w, err)
+				return
+			}
 			d, err = repro.Generate(repro.StandardConfig(dr.Gen))
 			source = fmt.Sprintf("generated T10.I6 n=%d", dr.Gen)
 		case dr.Path != "":

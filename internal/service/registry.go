@@ -9,6 +9,7 @@ import (
 	"repro"
 	"repro/internal/db"
 	"repro/internal/itemset"
+	"repro/internal/paircount"
 	"repro/internal/store"
 	"repro/internal/tidlist"
 )
@@ -76,6 +77,10 @@ type Dataset struct {
 	roaringSets     []tidlist.Set
 	autoSetsOnce    sync.Once
 	autoSets        []tidlist.Set
+
+	// pairs is the dataset's L2 memo, at the lowest support any job on
+	// it counted; it goes with the dataset on Remove.
+	pairs paircount.Memo
 }
 
 // StoreBacked reports whether this dataset serves its vertical transform
@@ -102,6 +107,12 @@ func (ds *Dataset) NewResidency(budget int64) *store.Residency {
 	}
 	return ds.stored.NewResidency(budget)
 }
+
+// PairMemo returns the dataset's L2 memo. It makes *Dataset satisfy
+// repro's optional pairMemoSource interface, so a job at or above the
+// lowest support counted on this dataset filters its frequent pairs
+// instead of counting them.
+func (ds *Dataset) PairMemo() *paircount.Memo { return &ds.pairs }
 
 // Info returns the dataset-shape summary without loading any data.
 func (ds *Dataset) Info() DatasetInfo { return ds.info }

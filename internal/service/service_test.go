@@ -3,8 +3,10 @@ package service
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -240,7 +242,8 @@ func TestDatasetVerticalIsMemoizedAndCorrect(t *testing.T) {
 
 // BenchmarkServiceQueries is the serving-path baseline: one end-to-end
 // query (submit → wait → result) on a small generated database, cached
-// vs uncached.
+// vs uncached, and uncached on a dataset no job has mined before.
+// scripts/bench_service.go writes its rows to BENCH_service.json.
 func BenchmarkServiceQueries(b *testing.B) {
 	d, err := repro.Generate(repro.StandardConfig(2000))
 	if err != nil {
@@ -249,7 +252,9 @@ func BenchmarkServiceQueries(b *testing.B) {
 
 	b.Run("uncached", func(b *testing.B) {
 		// A one-entry-sized cache plus a rotating support threshold keeps
-		// every query a miss, so each iteration pays for a full mine.
+		// every query a miss, so each iteration pays for a mine. The
+		// first query sets the dataset's L2 memo at the lowest support
+		// of the rotation; every later one filters L2 from it.
 		s, err := New(Config{Workers: 1, QueueDepth: 2, CacheBytes: 1})
 		if err != nil {
 			b.Fatal(err)
@@ -270,6 +275,46 @@ func BenchmarkServiceQueries(b *testing.B) {
 			if _, err := s.Result(j.ID); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+
+	b.Run("uncached-cold", func(b *testing.B) {
+		// Each query mines a dataset registered under a fresh name, whose
+		// vertical sets are built with the timer stopped: every timed job
+		// counts L2, as every uncached job did before the memo. The
+		// garbage of that set-up is collected before the timer restarts,
+		// so the timed job does not pay for it.
+		s, err := New(Config{Workers: 1, QueueDepth: 2, CacheBytes: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Shutdown(context.Background())
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			name := fmt.Sprintf("t10-%d", i)
+			ds, err := s.Registry().Add(name, "generated", d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ds.VerticalSets(repro.ReprAuto)
+			runtime.GC()
+			b.StartTimer()
+			j, err := s.Submit(Request{Dataset: name, SupportCount: 20 + i%64})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if v, err := s.Wait(context.Background(), j.ID); err != nil || v.Status != StatusDone {
+				b.Fatalf("%v %v", v.Status, err)
+			}
+			if _, err := s.Result(j.ID); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := s.RemoveDataset(name); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
 		}
 	})
 

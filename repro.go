@@ -49,6 +49,7 @@ import (
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/obsv"
+	"repro/internal/paircount"
 	"repro/internal/partition"
 	"repro/internal/rules"
 	"repro/internal/sampling"
@@ -664,6 +665,9 @@ func MineFrom(ctx context.Context, src Source, opts MineOptions) (*Result, *RunI
 		if vertical {
 			in.Residency = residency(src, opts.MemoryBudget)
 			info.OutOfCore = in.Residency != nil
+			if ps, ok := src.(pairMemoSource); ok {
+				in.Pairs = ps.PairMemo()
+			}
 		}
 		res, err = mineLocal(ctx, in, d, minsup, eopts, info)
 	} else {
@@ -712,6 +716,15 @@ func mineLocal(ctx context.Context, in eclat.VerticalInput, d *Database, minsup 
 type residencySource interface {
 	BytesMapped() int64
 	NewResidency(budget int64) *store.Residency
+}
+
+// pairMemoSource is the optional Source extension the L2 memo keys on:
+// a source whose data never changes can keep its frequent pairs across
+// mines, so a mine at or above the memo's floor filters L2 from it
+// instead of counting the triangle. Like residencySource it returns the
+// concrete type; nil means no memo.
+type pairMemoSource interface {
+	PairMemo() *paircount.Memo
 }
 
 // residency returns the out-of-core tracker for mining src's vertical
