@@ -8,6 +8,7 @@
 //	assocmined -addr :8420 -gen t10=100000
 //	assocmined -dataset retail=retail.fimi,fimi -dataset big=big.db -workers 8
 //	assocmined -data-dir /var/lib/assocmined -gen t10=100000   # persists; restarts skip the rebuild
+//	assocmined -data-root /srv/datasets   # POST /v1/datasets may load {"path":"retail.fimi"} from there
 //
 // API:
 //
@@ -20,7 +21,9 @@
 //	GET    /v1/jobs/{id}/result  result text (support<TAB>items per line)
 //	DELETE /v1/jobs/{id}         cancel
 //	GET    /v1/datasets          registered datasets
-//	POST   /v1/datasets          register a dataset (persists under -data-dir)
+//	POST   /v1/datasets          register a dataset (persists under -data-dir);
+//	                             a "path" is relative to -data-root and must stay
+//	                             inside it (403 without -data-root)
 //	DELETE /v1/datasets/{name}   remove a dataset (409 while jobs reference it)
 //	GET    /healthz, /statsz     liveness and counters
 //	GET    /metricsz             metrics registry (expvar JSON; ?format=prometheus for text exposition)
@@ -78,6 +81,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cacheMB := fs.Int("cache-mb", 64, "result-cache budget in MiB")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 	dataDir := fs.String("data-dir", "", "persistent dataset store directory; datasets registered by flag or HTTP persist there and the daemon restarts without rebuilding")
+	dataRoot := fs.String("data-root", "", "directory that path datasets registered over HTTP are confined to; a POST /v1/datasets path is relative to it, and without it every path dataset is refused")
 	memBudget := fs.Int64("memory-budget", 0, "default per-job residency budget in bytes for store-backed mines (jobs may override with memoryBudget); 0 leaves unbudgeted jobs in-core")
 	var datasets, gens repeatFlag
 	fs.Var(&datasets, "dataset", "register a dataset: name=path[,binary|fimi] (repeatable; format inferred from extension when omitted)")
@@ -100,6 +104,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *memBudget < 0 {
 		return fmt.Errorf("-memory-budget must not be negative, got %d", *memBudget)
 	}
+	if *dataRoot != "" {
+		if fi, err := os.Stat(*dataRoot); err != nil || !fi.IsDir() {
+			return fmt.Errorf("-data-root %s is not a directory", *dataRoot)
+		}
+	}
 
 	logf := func(format string, args ...any) { fmt.Fprintf(stdout, format+"\n", args...) }
 	var st *store.Store
@@ -117,6 +126,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		ParallelBudget:  *parallelBudget,
 		ResidencyBudget: *memBudget,
 		Store:           st,
+		DataRoot:        *dataRoot,
 		Logf:            logf,
 	})
 	if err != nil {

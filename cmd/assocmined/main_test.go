@@ -407,6 +407,7 @@ func TestDaemonFlagValidation(t *testing.T) {
 		{"-gen", "x=notanumber"},
 		{"-dataset", "nameonly"},
 		{"-dataset", "x=/definitely/not/here.db"},
+		{"-data-root", "/definitely/not/here"},
 	} {
 		var out bytes.Buffer
 		ctx, cancel := context.WithCancel(context.Background())
@@ -786,10 +787,12 @@ func TestDaemonDataDirRestartWithoutRebuild(t *testing.T) {
 }
 
 // TestHTTPDatasetRegistrationAndRemoval drives the dataset CRUD
-// endpoints: POST registers (generated and file-backed), duplicate
-// names and bad bodies are structured errors, DELETE evicts.
+// endpoints: POST registers (generated, and file-backed from under the
+// data root), duplicate names and bad bodies are structured errors, a
+// path outside the root is refused, DELETE evicts.
 func TestHTTPDatasetRegistrationAndRemoval(t *testing.T) {
-	ts, _ := newServer(t, service.Config{Workers: 1, QueueDepth: 4}, nil)
+	root := t.TempDir()
+	ts, _ := newServer(t, service.Config{Workers: 1, QueueDepth: 4, DataRoot: root}, nil)
 
 	post := func(body string) (int, map[string]any) {
 		t.Helper()
@@ -811,22 +814,25 @@ func TestHTTPDatasetRegistrationAndRemoval(t *testing.T) {
 	}
 	for _, bad := range []string{
 		`not json`,
-		`{"gen":500}`,                           // missing name
-		`{"name":"x"}`,                          // no source
-		`{"name":"x","gen":5,"path":"/y"}`,      // ambiguous source
-		`{"name":"x","path":"/definitely/not"}`, // unreadable file
+		`{"gen":500}`,                          // missing name
+		`{"name":"x"}`,                         // no source
+		`{"name":"x","gen":5,"path":"y"}`,      // ambiguous source
+		`{"name":"x","path":"definitely/not"}`, // unreadable file
 	} {
 		if code, _ := post(bad); code != http.StatusBadRequest {
 			t.Fatalf("POST %q: %d, want 400", bad, code)
 		}
 	}
+	if code, m := post(`{"name":"x","path":"/definitely/not"}`); code != http.StatusForbidden {
+		t.Fatalf("POST absolute path: %d %v, want 403", code, m)
+	}
 
-	// File-backed registration through the same endpoint.
-	path := t.TempDir() + "/tiny.fimi"
-	if err := writeFile(path, "1 2 3\n1 2\n2 3\n"); err != nil {
+	// File-backed registration through the same endpoint, by a path
+	// relative to the data root.
+	if err := writeFile(root+"/tiny.fimi", "1 2 3\n1 2\n2 3\n"); err != nil {
 		t.Fatal(err)
 	}
-	if code, m := post(fmt.Sprintf(`{"name":"tiny","path":%q}`, path)); code != http.StatusCreated {
+	if code, m := post(`{"name":"tiny","path":"tiny.fimi"}`); code != http.StatusCreated {
 		t.Fatalf("POST file dataset: %d %v", code, m)
 	}
 

@@ -2,6 +2,7 @@ package eclat
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/itemset"
 	"repro/internal/tidlist"
@@ -104,18 +105,80 @@ func packedWords(s tidlist.Set) float64 {
 // countScratch is one worker's scratch for counted expansions, reused
 // across classes: one chunk's transposition — its members' TIDs, the
 // row index over the chunk's part of the class span (CSR) and the
-// transposed member ranks — and the triangles of the counted classes on
-// the current recursion path, innermost on top. The transposition is
-// bounded by one 64K-TID chunk whatever the class span. A counted class
-// reads its triangle row by row while its sub-classes are expanded, so
-// a nested count stacks its triangle above the parent's instead of
-// overwriting it.
+// transposed member ranks; what a count fed by the run's rows needs —
+// the rank → member table, one filtered row and the prefix's TIDs; and
+// the triangles of the counted classes on the current recursion path,
+// innermost on top. The transposition is bounded by one 64K-TID chunk
+// whatever the class span. A counted class reads its triangle row by
+// row while its sub-classes are expanded, so a nested count stacks its
+// triangle above the parent's instead of overwriting it.
 type countScratch struct {
-	tids  tidlist.List // the chunk's TIDs of every member, member after member
-	ends  []int        // ends[i]: end of member i's TIDs in tids
-	index []int32      // per chunk TID: its row's size, then its row's end
-	rows  []int32      // member ranks grouped by TID, ascending per row
-	cells []int32      // stacked C(s,2) triangles
+	tids   tidlist.List // the chunk's TIDs of every member, member after member
+	ends   []int        // ends[i]: end of member i's TIDs in tids
+	index  []int32      // per chunk TID: its row's size, then its row's end
+	rows   []int32      // member ranks grouped by TID, ascending per row
+	member []int32      // per item rank: the member it extends, or -1
+	row    []int32      // one row of the run's rows, filtered to members
+	prefix tidlist.List // the prefix's TIDs, when not already a list
+	cells  []int32      // stacked C(s,2) triangles
+}
+
+// countRows is count fed by the run's rows instead of the members'
+// transposition: each TID of prefix, the tid-set of the class prefix,
+// keeps the ranks of its row that extend a member, mapped to member
+// indices, and adds their pairs to the pushed triangle. A member is its
+// prefix extended by one item, so a TID holds member i exactly when it
+// is in prefix and its row holds member i's last item: every cell and
+// the increments come out as count's. The filter is branch-free: every
+// looked-up position is stored, and only a member's advances the row.
+func (cs *countScratch) countRows(members []member, rows *txRows, prefix tidlist.Set) (base int, incs int64) {
+	s := len(members)
+	base = len(cs.cells)
+	cs.cells = grow(cs.cells, base+s*(s-1)/2+1)
+	tri := cs.cells[base:]
+	clear(tri)
+	if n := len(rows.items); len(cs.member) < n {
+		cs.member = make([]int32, n)
+		for r := range cs.member {
+			cs.member[r] = -1
+		}
+		cs.row = make([]int32, n)
+	}
+	for i, m := range members {
+		r, _ := slices.BinarySearch(rows.items, m.set[len(m.set)-1])
+		cs.member[r] = int32(i)
+	}
+	tids, ok := prefix.(tidlist.List)
+	if !ok {
+		cs.prefix = prefix.AppendTIDs(cs.prefix[:0])
+		tids = cs.prefix
+	}
+	for _, t := range tids {
+		ranks := rows.row(t)
+		buf := cs.row[:len(ranks)]
+		k := 0
+		for _, r := range ranks {
+			p := cs.member[r]
+			buf[k] = p
+			k += int(uint32(^p) >> 31)
+		}
+		if k < 2 {
+			continue
+		}
+		incs += int64(k) * int64(k-1) / 2
+		row := buf[:k]
+		for x, a := range row[:k-1] {
+			cells := tri[cellBase(int(a), s):]
+			for _, b := range row[x+1:] {
+				cells[b]++
+			}
+		}
+	}
+	for _, m := range members {
+		r, _ := slices.BinarySearch(rows.items, m.set[len(m.set)-1])
+		cs.member[r] = -1
+	}
+	return base, incs
 }
 
 // cellBase places the pair (a, b), a < b, of an s-member class in cell
@@ -209,17 +272,25 @@ func grow(buf []int32, n int) []int32 {
 
 // countExpand is computeFrequent's counted branch, for a class whose
 // plan chose to count: one count fills the class's C(s,2) triangle with
-// the exact support of every member pair, each pair reaching the
-// threshold is emitted with its counted support, and only the survivors
-// of a sub-class with two or more members are intersected — without the
-// short circuit, since the count already proved them frequent — to seed
-// the next level. Emission order, threshold reads, cancellation checks
+// the exact support of every member pair (from the worker's rows over
+// prefix, the prefix's tid-set, when it has rows; from the members' own
+// transposition otherwise), each pair reaching the threshold is emitted
+// with its counted support, and only the survivors of a sub-class with
+// two or more members are intersected — without the short circuit,
+// since the count already proved them frequent — to seed the next
+// level. Emission order, threshold reads, cancellation checks
 // and the diffset gate are computeFrequent's, so the output and every
 // top-k raise match the joined expansion.
-func (w *worker) countExpand(ctx context.Context, members []member, p classPlan, emit Emitter) {
+func (w *worker) countExpand(ctx context.Context, members []member, prefix tidlist.Set, p classPlan, emit Emitter) {
 	st, ar, cs := w.st, w.ar, w.cs
 	s := len(members)
-	base, incs := cs.count(members, p.lo, p.span)
+	var base int
+	var incs int64
+	if w.rows != nil {
+		base, incs = cs.countRows(members, w.rows, prefix)
+	} else {
+		base, incs = cs.count(members, p.lo, p.span)
+	}
 	defer func() { cs.cells = cs.cells[:base] }()
 	st.CountedClasses++
 	st.CountOps += incs
@@ -270,7 +341,7 @@ func (w *worker) countExpand(ctx context.Context, members []member, p classPlan,
 		for _, m := range next {
 			emit(m.set, m.tids.Support())
 		}
-		w.computeFrequent(ctx, next, members[i].tids.Support(), emit)
+		w.computeFrequent(ctx, next, members[i].tids.Support(), members[i].tids, emit)
 		ar.release(mark)
 	}
 }

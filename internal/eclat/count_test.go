@@ -16,31 +16,35 @@ import (
 )
 
 // expandClass is one class as the engine hands it to computeFrequent:
-// sorted members in their resolved encoding and the prefix support.
+// sorted members in their resolved encoding, the prefix support and the
+// prefix's tid-set (nil when unknown).
 type expandClass struct {
 	members   []member
 	prefixSup int
+	prefix    tidlist.Set
 }
 
 // expandRun mines classes at minsup on a fresh worker, emitting into
 // emit, and returns the run's counters. counted forces the counted
-// expansion at each class's top level (below it the price decides);
-// otherwise the worker has no counting scratch and joins at every
-// level, as figure 3 does. Every counted class must pop its triangle.
-func expandRun(tb testing.TB, classes []expandClass, minsup int, counted bool, emit Emitter) Stats {
+// expansion at each class's top level (below it the price decides),
+// fed by rows over each class's prefix when rows is non-nil and by the
+// members' transposition otherwise; without counted the worker has no
+// counting scratch and joins at every level, as figure 3 does. Every
+// counted class must pop its triangle.
+func expandRun(tb testing.TB, classes []expandClass, rows *txRows, minsup int, counted bool, emit Emitter) Stats {
 	var st Stats
-	w := &worker{st: &st, th: fixedThreshold(minsup), ar: &arena{}}
+	w := &worker{st: &st, th: fixedThreshold(minsup), ar: &arena{}, rows: rows}
 	if counted {
 		w.cs = &countScratch{}
 	}
 	for _, c := range classes {
 		if counted {
-			w.countExpand(context.Background(), c.members, planClass(c.members, c.prefixSup), emit)
+			w.countExpand(context.Background(), c.members, c.prefix, planClass(c.members, c.prefixSup), emit)
 			if n := len(w.cs.cells); n != 0 {
 				tb.Fatalf("a counted class left %d triangle cells on the scratch stack", n)
 			}
 		} else {
-			w.computeFrequent(context.Background(), c.members, c.prefixSup, emit)
+			w.computeFrequent(context.Background(), c.members, c.prefixSup, c.prefix, emit)
 		}
 	}
 	return st
@@ -149,8 +153,8 @@ func FuzzClassExpand(f *testing.F) {
 		collect := func(out *[]string) Emitter {
 			return func(set itemset.Itemset, sup int) { *out = append(*out, fmt.Sprintf("%s:%d", set.Key(), sup)) }
 		}
-		expandRun(t, classes, minsup, false, collect(&joined))
-		st := expandRun(t, classes, minsup, true, collect(&counted))
+		expandRun(t, classes, nil, minsup, false, collect(&joined))
+		st := expandRun(t, classes, nil, minsup, true, collect(&counted))
 		if st.CountedClasses == 0 {
 			t.Fatal("the forced counted expansion counted no class")
 		}
@@ -179,9 +183,10 @@ var classExpandData = []struct {
 }
 
 // expandClasses returns d's top-level classes at minsup as the
-// store-backed path mines them: item sets each in its smallest encoding,
-// pair sets derived per class, and auto resolving each class's encoding.
-func expandClasses(d *db.Database, minsup int) []expandClass {
+// store-backed path mines them — item sets each in its smallest
+// encoding, pair sets derived per class, and auto resolving each class's
+// encoding — with the rows the run's L2 count kept for them.
+func expandClasses(d *db.Database, minsup int) ([]expandClass, *txRows) {
 	var ks tidlist.KernelStats
 	items := verticalSets(d, tidlist.ReprSparse)
 	for it, s := range items {
@@ -194,15 +199,18 @@ func expandClasses(d *db.Database, minsup int) []expandClass {
 	v := buildVerticalFromSets(context.Background(), VerticalInput{NumTransactions: d.Len(), Items: items}, minsup, &st, Options{})
 	out := make([]expandClass, len(v.classes))
 	for ci := range v.classes {
-		out[ci] = expandClass{members: v.members(ci, tidlist.ReprAuto, &st, nil), prefixSup: v.prefixSupport(ci)}
+		sup, prefix := v.prefix(ci)
+		out[ci] = expandClass{members: v.members(ci, tidlist.ReprAuto, &st, nil), prefixSup: sup, prefix: prefix}
 	}
-	return out
+	return out, v.rows
 }
 
-// BenchmarkClassExpand times both expansions of the same top-level
+// BenchmarkClassExpand times the expansions of the same top-level
 // classes, sub-classes included: expand=joined is figure 3 (C(s,2)
 // short-circuited joins at every level), expand=counted counts each
-// class's member pairs in its triangle and lets the price decide below.
+// class's member pairs in its triangle from the members' transposition
+// and lets the price decide below, and expand=rows does the same with
+// every count fed by the run's rows, as the engine's vertical mines do.
 // Each row reports the classes and the joins run; a counted row also
 // reports the classes counted and their pair increments.
 // scripts/bench_kernels.go writes the rows into BENCH_kernels.json.
@@ -211,17 +219,21 @@ func BenchmarkClassExpand(b *testing.B) {
 	for _, c := range classExpandData {
 		d := gen.MustGenerate(c.cfg())
 		minsup := d.MinSupCount(c.pct)
-		classes := expandClasses(d, minsup)
-		for _, expand := range []string{"joined", "counted"} {
+		classes, rows := expandClasses(d, minsup)
+		for _, expand := range []string{"joined", "counted", "rows"} {
 			b.Run(fmt.Sprintf("data=%s/expand=%s", c.name, expand), func(b *testing.B) {
 				b.ReportAllocs()
+				feed := rows
+				if expand != "rows" {
+					feed = nil
+				}
 				var st Stats
 				for i := 0; i < b.N; i++ {
-					st = expandRun(b, classes, minsup, expand == "counted", noop)
+					st = expandRun(b, classes, feed, minsup, expand != "joined", noop)
 				}
 				b.ReportMetric(float64(len(classes)), "classes")
 				b.ReportMetric(float64(st.Intersections), "joins/op")
-				if expand == "counted" {
+				if expand != "joined" {
 					b.ReportMetric(float64(st.CountedClasses), "counted/op")
 					b.ReportMetric(float64(st.CountOps), "incs/op")
 				}
@@ -278,13 +290,13 @@ func countShapes() []countShape {
 }
 
 // countClasses returns a sample of at most about 500 of the classes a
-// counted expansion meets in d at minsup, each with its prefix support:
-// expandClasses' top-level classes followed by the first-level
-// sub-classes their joins open (two or more frequent members), every
-// k-th one kept.
-func countClasses(d *db.Database, minsup int) []expandClass {
+// counted expansion meets in d at minsup, each with its prefix support
+// and tid-set — expandClasses' top-level classes followed by the
+// first-level sub-classes their joins open (two or more frequent
+// members), every k-th one kept — and the rows that feed their counts.
+func countClasses(d *db.Database, minsup int) ([]expandClass, *txRows) {
 	var ks tidlist.KernelStats
-	all := expandClasses(d, minsup)
+	all, rows := expandClasses(d, minsup)
 	for _, c := range all[:len(all):len(all)] {
 		m := c.members
 		for i := 0; i < len(m)-1; i++ {
@@ -295,7 +307,7 @@ func countClasses(d *db.Database, minsup int) []expandClass {
 				}
 			}
 			if len(next) > 1 {
-				all = append(all, expandClass{members: next, prefixSup: m[i].tids.Support()})
+				all = append(all, expandClass{members: next, prefixSup: m[i].tids.Support(), prefix: m[i].tids})
 			}
 		}
 	}
@@ -304,7 +316,7 @@ func countClasses(d *db.Database, minsup int) []expandClass {
 	for k := 0; k < len(all); k += stride {
 		out = append(out, all[k])
 	}
-	return out
+	return out, rows
 }
 
 // countBins are BenchmarkClassCount's class-size bins, in members.
@@ -314,29 +326,42 @@ var countBins = [][2]int{{2, 3}, {4, 7}, {8, 15}, {16, 31}, {32, 63}, {64, 1023}
 // that re-check the count's per-unit costs (costTransposeNS …
 // costIncNS). Per op it counts each class of a row and scans its
 // triangle for the pairs reaching the threshold, as countExpand does.
-// Two kinds of rows:
+// Three kinds of rows:
 //   - unit=…: one countShapes class, built so one priced unit dominates
 //     its work, which makes every cost identifiable;
 //   - data=…/enc=…/members=…: the countClasses sample of a
 //     BenchmarkClassExpand dataset in one size bin, with the members
-//     sparse or packed (bitset), the classes the price is applied to.
+//     sparse or packed (bitset), the classes the price is applied to;
+//   - data=…/enc=…/members=…/feed=rows: the same classes counted from
+//     the dataset's rows over their prefixes (countRows), each prefix in
+//     the members' encoding, as the engine's vertical mines count them.
 //
 // Each row reports the units planClass reads off its classes — tids/op,
 // words/op, span/op, cells/op — and the increments the counts performed
-// (incs/op). scripts/bench_kernels.go writes the rows into
-// BENCH_kernels.json and fits the costs to all of them by least squares.
+// (incs/op); a feed=rows row also reports the prefix TIDs it walked
+// (ptids/op) and the row entries it filtered (ranks/op).
+// scripts/bench_kernels.go writes the rows into BENCH_kernels.json and
+// fits the costs to the rows without feed=rows by least squares: the
+// price weighs the members' transposition.
 func BenchmarkClassCount(b *testing.B) {
 	var ks tidlist.KernelStats
-	row := func(name string, classes [][]member, prefixSups []int, minsup int) {
+	row := func(name string, classes []expandClass, rows *txRows, minsup int) {
 		var units countUnits
+		var ptids, ranks float64
 		plans := make([]classPlan, len(classes))
-		for k, members := range classes {
-			p := planClass(members, prefixSups[k])
+		for k, c := range classes {
+			p := planClass(c.members, c.prefixSup)
 			plans[k] = p
 			units.tids += p.units.tids
 			units.words += p.units.words
 			units.span += p.units.span
 			units.cells += p.units.cells
+			if rows != nil {
+				for _, t := range tidlist.TIDsOf(c.prefix) {
+					ptids++
+					ranks += float64(len(rows.row(t)))
+				}
+			}
 		}
 		b.Run(name, func(b *testing.B) {
 			cs := &countScratch{}
@@ -344,8 +369,14 @@ func BenchmarkClassCount(b *testing.B) {
 			survivors := 0
 			for i := 0; i < b.N; i++ {
 				incs = 0
-				for k, members := range classes {
-					base, n := cs.count(members, plans[k].lo, plans[k].span)
+				for k, c := range classes {
+					var base int
+					var n int64
+					if rows != nil {
+						base, n = cs.countRows(c.members, rows, c.prefix)
+					} else {
+						base, n = cs.count(c.members, plans[k].lo, plans[k].span)
+					}
 					for _, c := range cs.cells[base:] {
 						if int(c) >= minsup {
 							survivors++
@@ -363,12 +394,19 @@ func BenchmarkClassCount(b *testing.B) {
 			b.ReportMetric(units.span, "span/op")
 			b.ReportMetric(units.cells, "cells/op")
 			b.ReportMetric(float64(incs), "incs/op")
+			if rows != nil {
+				b.ReportMetric(ptids, "ptids/op")
+				b.ReportMetric(ranks, "ranks/op")
+			}
 		})
 	}
-	encode := func(members []member, enc tidlist.Repr) []member {
-		out := make([]member, len(members))
-		for i, m := range members {
-			out[i] = member{set: m.set, tids: tidlist.Convert(m.tids, enc, &ks)}
+	encode := func(c expandClass, enc tidlist.Repr) expandClass {
+		out := expandClass{members: make([]member, len(c.members)), prefixSup: c.prefixSup}
+		for i, m := range c.members {
+			out.members[i] = member{set: m.set, tids: tidlist.Convert(m.tids, enc, &ks)}
+		}
+		if c.prefix != nil {
+			out.prefix = tidlist.Convert(c.prefix, enc, &ks)
 		}
 		return out
 	}
@@ -378,23 +416,24 @@ func BenchmarkClassCount(b *testing.B) {
 		for i, l := range c.lists {
 			members[i] = member{set: itemset.Itemset{0, itemset.Item(i + 1)}, tids: l}
 		}
-		row("unit="+c.name, [][]member{encode(members, c.enc)}, []int{0}, 2)
+		row("unit="+c.name, []expandClass{encode(expandClass{members: members}, c.enc)}, nil, 2)
 	}
 	for _, c := range classExpandData {
 		d := gen.MustGenerate(c.cfg())
 		minsup := d.MinSupCount(c.pct)
-		classes := countClasses(d, minsup)
+		classes, rows := countClasses(d, minsup)
 		for _, enc := range []tidlist.Repr{tidlist.ReprSparse, tidlist.ReprBitset} {
 			for _, bin := range countBins {
-				var bc [][]member
-				var sups []int
+				var bc []expandClass
 				for _, cl := range classes {
 					if s := len(cl.members); s >= bin[0] && s <= bin[1] {
-						bc, sups = append(bc, encode(cl.members, enc)), append(sups, cl.prefixSup)
+						bc = append(bc, encode(cl, enc))
 					}
 				}
 				if len(bc) > 0 {
-					row(fmt.Sprintf("data=%s/enc=%v/members=%d..%d", c.name, enc, bin[0], bin[1]), bc, sups, minsup)
+					name := fmt.Sprintf("data=%s/enc=%v/members=%d..%d", c.name, enc, bin[0], bin[1])
+					row(name, bc, nil, minsup)
+					row(name+"/feed=rows", bc, rows, minsup)
 				}
 			}
 		}
@@ -534,8 +573,8 @@ func TestCountLargeSpan(t *testing.T) {
 		collect := func(out *[]string) Emitter {
 			return func(set itemset.Itemset, sup int) { *out = append(*out, fmt.Sprintf("%s:%d", set.Key(), sup)) }
 		}
-		expandRun(t, classes, minsup, false, collect(&joined))
-		expandRun(t, classes, minsup, true, collect(&counted))
+		expandRun(t, classes, nil, minsup, false, collect(&joined))
+		expandRun(t, classes, nil, minsup, true, collect(&counted))
 		slices.Sort(joined)
 		slices.Sort(counted)
 		if len(joined) == 0 || !slices.Equal(joined, counted) {

@@ -263,8 +263,9 @@ type member struct {
 // computeFrequent is figure 3: mine everything derivable from one
 // equivalence class. members must be lexicographically sorted and share a
 // common prefix of len(set)-1 items, whose support is prefixSup (0 when
-// unknown). emit is called for every frequent itemset found (sets of
-// size len(members[0].set)+1 and deeper).
+// unknown) and whose tid-set is prefix (nil only when the worker has no
+// rows to feed a count with). emit is called for every frequent itemset
+// found (sets of size len(members[0].set)+1 and deeper).
 //
 // Each class, at every depth, is first priced (planClass): when counting
 // its member pairs in a class-local triangle is cheaper than joining
@@ -287,10 +288,10 @@ type member struct {
 // picks up threshold raises promptly; with a fixed threshold the reads
 // are constant and the kernel call sequence is identical to mining
 // against a plain minsup.
-func (w *worker) computeFrequent(ctx context.Context, members []member, prefixSup int, emit Emitter) {
+func (w *worker) computeFrequent(ctx context.Context, members []member, prefixSup int, prefix tidlist.Set, emit Emitter) {
 	plan := planClass(members, prefixSup)
 	if plan.counted && w.cs != nil {
-		w.countExpand(ctx, members, plan, emit)
+		w.countExpand(ctx, members, prefix, plan, emit)
 		return
 	}
 	// Pairing member i with each j > i yields the class prefixed by
@@ -342,7 +343,7 @@ func (w *worker) computeFrequent(ctx context.Context, members []member, prefixSu
 			emit(m.set, m.tids.Support())
 		}
 		if len(next) > 1 {
-			w.computeFrequent(ctx, next, members[i].tids.Support(), emit)
+			w.computeFrequent(ctx, next, members[i].tids.Support(), members[i].tids, emit)
 		}
 		ar.release(mark)
 	}
@@ -588,15 +589,25 @@ type vertical struct {
 	// prefix support that prices a top-level class's counted expansion;
 	// nil for the CHARM roots.
 	itemSup []int
+	// rows, when non-nil, are the rows the vertical L2 count was fed,
+	// which counted classes read instead of transposing their members;
+	// nil for horizontal input, an L2 memo hit, scattered TIDs and
+	// budgeted mines.
+	rows *txRows
 }
 
-// prefixSupport returns the support of class ci's prefix item, or 0
-// when the run does not know it.
-func (v *vertical) prefixSupport(ci int) int {
+// prefix returns the support of class ci's prefix item, 0 when the run
+// does not know it, and the item's tid-set when the run keeps rows to
+// feed its counts (nil otherwise).
+func (v *vertical) prefix(ci int) (sup int, tids tidlist.Set) {
 	if v.itemSup == nil {
-		return 0
+		return 0, nil
 	}
-	return v.itemSup[v.classes[ci].Prefix[0]]
+	it := v.classes[ci].Prefix[0]
+	if v.rows != nil {
+		tids = v.sets.items[it]
+	}
+	return v.itemSup[it], tids
 }
 
 // members assembles the sorted, representation-resolved member list of

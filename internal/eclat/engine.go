@@ -10,6 +10,7 @@ import (
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/obsv"
+	"repro/internal/tidlist"
 )
 
 // Top-k and targeted-query metrics (see /metricsz). Raises are published
@@ -125,24 +126,28 @@ func (t *threshold) current() int {
 
 // worker bundles the per-goroutine mining state every policy explores
 // with: the run (or worker-local) Stats, the run options, the shared
-// threshold, a scratch arena, and the counting scratch that lets
-// computeFrequent count a class's member pairs. The local engine gives
-// every worker one; the simulated cluster's workers have none and keep
-// figure 3's joins, whose kernel counters they bill as virtual time.
+// threshold, a scratch arena, the counting scratch that lets
+// computeFrequent count a class's member pairs, and the run's rows that
+// feed those counts when it kept them. The local engine gives every
+// worker counting scratch; the simulated cluster's workers have none and
+// keep figure 3's joins, whose kernel counters they bill as virtual
+// time.
 type worker struct {
 	st   *Stats
 	opts Options
 	th   *threshold
 	ar   *arena
 	cs   *countScratch
+	rows *txRows
 }
 
 // explore mines one class's members under the run's policy, emitting
 // every (itemset, support) its search produces; the final reduction
 // turns the emissions into the policy's output. prefixSup is the
 // support of the class prefix (0 when unknown), which prices the
-// class's counted expansion.
-func (w *worker) explore(ctx context.Context, members []member, prefixSup int, emit Emitter) {
+// class's counted expansion, and prefix its tid-set, which feeds that
+// count from the worker's rows (nil without rows).
+func (w *worker) explore(ctx context.Context, members []member, prefixSup int, prefix tidlist.Set, emit Emitter) {
 	switch w.opts.Policy {
 	case PolicyMaximal:
 		computeMaximal(ctx, members, w.th, w.st, w.ar, emit)
@@ -156,7 +161,7 @@ func (w *worker) explore(ctx context.Context, members []member, prefixSup int, e
 			diffTransition(ctx, members, i, w.th, w.st, w.ar, emit)
 		}
 	default: // PolicyAll, PolicyClosed
-		w.computeFrequent(ctx, members, prefixSup, emit)
+		w.computeFrequent(ctx, members, prefixSup, prefix, emit)
 	}
 }
 
@@ -227,7 +232,7 @@ func (e *engine) run(ctx context.Context, st *Stats, ar *arena) error {
 func (e *engine) runSequential(ctx context.Context, st *Stats, ar *arena) error {
 	tr := obsv.TraceFrom(ctx)
 	sp := tr.Start("asynchronous")
-	w := &worker{st: st, opts: e.opts, th: e.th, ar: ar, cs: &countScratch{}}
+	w := &worker{st: st, opts: e.opts, th: e.th, ar: ar, cs: &countScratch{}, rows: e.v.rows}
 	emit := e.wrapEmit(e.v.res.Add)
 	for ci := range e.v.classes {
 		if err := ctx.Err(); err != nil {
@@ -236,7 +241,8 @@ func (e *engine) runSequential(ctx context.Context, st *Stats, ar *arena) error 
 		before := *st
 		mark := ar.mark()
 		e.v.acquire(ci)
-		w.explore(ctx, e.v.members(ci, e.opts.Representation, st, ar), e.v.prefixSupport(ci), emit)
+		sup, prefix := e.v.prefix(ci)
+		w.explore(ctx, e.v.members(ci, e.opts.Representation, st, ar), sup, prefix, emit)
 		e.v.release(ci)
 		ar.release(mark)
 		flushStats(&before, st)

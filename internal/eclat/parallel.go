@@ -265,7 +265,7 @@ func clusterMine(cl *cluster.Cluster, d *db.Database, minsup int, opts Options) 
 			acc = append(acc, mining.FrequentItemset{Set: set, Support: sup})
 		}
 		for _, ci := range sched.ClassesOf(p.ID()) {
-			w.explore(context.Background(), classMembers(&classes[ci], lists, opts.Representation, &st.Kernel), 0, emit)
+			w.explore(context.Background(), classMembers(&classes[ci], lists, opts.Representation, &st.Kernel), 0, nil, emit)
 		}
 		chargeKernel(p, &st)
 		locals[p.ID()] = acc

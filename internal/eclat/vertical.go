@@ -93,7 +93,9 @@ func MineVerticalLocal(ctx context.Context, in VerticalInput, minsup int, opts O
 // is built here: the engine derives each class's lists when it mines the
 // class (see itemSets.classMembers), with or without a residency budget.
 // With an L2 memo (in.Pairs) whose floor is at or below minsup, L2 is
-// filtered from the memo and the triangle is not counted. Targeted queries
+// filtered from the memo and the triangle is not counted. When the
+// triangle is counted, the rows it was fed stay on the vertical for the
+// counted classes, unless the mine is budgeted. Targeted queries
 // (opts.MustContain) filter the seeded L1/L2 and the classes exactly as
 // buildVertical does; the memo holds the unfiltered L2.
 func buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st *Stats, opts Options) *vertical {
@@ -119,7 +121,17 @@ func buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st
 		}
 	}
 
-	count := func() []paircount.FrequentPair { return frequentPairs(in.Items, frequent, minsup) }
+	// A budgeted mine drops the count's rows: out-of-core mining must not
+	// hold a heap copy of the data.
+	var rows *txRows
+	count := func() []paircount.FrequentPair {
+		var pairs []paircount.FrequentPair
+		pairs, rows = frequentPairs(in.Items, frequent, minsup)
+		if in.Residency != nil {
+			rows = nil
+		}
+		return pairs
+	}
 	var pairs []paircount.FrequentPair
 	if in.Pairs == nil {
 		pairs = count()
@@ -151,23 +163,47 @@ func buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st
 		orderClassesByLocality(classes, in.Residency)
 		planResidency(classes, in.Residency)
 	}
-	return &vertical{res: res, classes: classes, sets: &itemSets{items: in.Items, res: in.Residency}, itemSup: itemSup}
+	return &vertical{res: res, classes: classes, sets: &itemSets{items: in.Items, res: in.Residency}, itemSup: itemSup, rows: rows}
 }
 
 // frequentPairs counts L2 at minsup over the frequent items' sets
 // (ascending item ids) and returns it with ranks mapped back to item
 // ids, in Counter.Frequent's order: ranks ascend with item ids, so the
-// pairs stay sorted by (A, B).
-func frequentPairs(items []tidlist.Set, frequent []itemset.Item, minsup int) []paircount.FrequentPair {
+// pairs stay sorted by (A, B). It also returns the rows the count was
+// fed, nil when the TIDs were too scattered for a row index.
+func frequentPairs(items []tidlist.Set, frequent []itemset.Item, minsup int) ([]paircount.FrequentPair, *txRows) {
 	lists := make([]tidlist.List, len(frequent))
 	for r, it := range frequent {
 		lists[r] = tidlist.TIDsOf(items[it])
 	}
-	pairs := pairCounts(lists).Frequent(minsup)
+	pc, rows := pairCounts(lists)
+	pairs := pc.Frequent(minsup)
 	for i, fp := range pairs {
 		pairs[i].Pair = tidlist.Pair{A: frequent[fp.Pair.A], B: frequent[fp.Pair.B]}
 	}
-	return pairs
+	if rows != nil {
+		rows.items = frequent
+	}
+	return pairs, rows
+}
+
+// txRows are the per-transaction rows the vertical L2 count was fed,
+// kept for the counted classes (countScratch.countRows): the frequent
+// items' ranks grouped by TID, ascending within a row, CSR over the
+// TIDs from lo, and the item of each rank. They take 4 bytes per
+// frequent-item occurrence plus 4 per TID of the span. Read-only once
+// built, and shared by every worker of the run.
+type txRows struct {
+	lo    itemset.TID
+	offs  []int32         // TID t's row is ranks[offs[t-lo]:offs[t-lo+1]]
+	ranks itemset.Itemset // every row's ranks, row after row
+	items []itemset.Item  // items[rank]: the frequent item of that rank
+}
+
+// row returns the ranks of the frequent items TID t holds.
+func (x *txRows) row(t itemset.TID) itemset.Itemset {
+	i := t - x.lo
+	return x.ranks[x.offs[i]:x.offs[i+1]]
 }
 
 // pairCounts is the paper's one-pass L2 count (§5.1) run on vertical
@@ -175,10 +211,11 @@ func frequentPairs(items []tidlist.Set, frequent []itemset.Item, minsup int) []p
 // transposed into per-transaction rows of ranks — CSR over TIDs, offset
 // by the smallest TID — and each row is fed to the upper-triangular
 // counter as a horizontal transaction would be. Ranks ascend within a
-// row because items are visited in rank order. When the TIDs are so
-// scattered that a dense row index would dwarf the data, the rows are
-// grouped by sorting (tid, rank) keys instead.
-func pairCounts(lists []tidlist.List) *paircount.Counter {
+// row because items are visited in rank order. It returns the rows with
+// the counter. When the TIDs are so scattered that a dense row index
+// would dwarf the data, the rows are grouped by sorting (tid, rank) keys
+// instead, and no rows are returned.
+func pairCounts(lists []tidlist.List) (*paircount.Counter, *txRows) {
 	pc := paircount.New(len(lists))
 	total := 0
 	lo, hi := itemset.TID(0), itemset.TID(0)
@@ -195,7 +232,7 @@ func pairCounts(lists []tidlist.List) *paircount.Counter {
 		total += len(l)
 	}
 	if len(lists) < 2 || total == 0 {
-		return pc
+		return pc, nil
 	}
 	rows := make(itemset.Itemset, total)
 	span := int64(hi) - int64(lo) + 1
@@ -215,11 +252,13 @@ func pairCounts(lists []tidlist.List) *paircount.Counter {
 				start = i + 1
 			}
 		}
-		return pc
+		return pc, nil
 	}
-	// end[t] first counts row t's entries, then holds its start offset,
-	// and — advanced as the fill cursor — ends as its end offset.
-	end := make([]int32, span)
+	// offs[0] is 0; end = offs[1:], where end[t] first counts row t's
+	// entries, then holds its start offset, and — advanced as the fill
+	// cursor — ends as its end offset, the next row's start.
+	offs := make([]int32, span+1)
+	end := offs[1:]
 	for _, l := range lists {
 		for _, t := range l {
 			end[t-lo]++
@@ -241,5 +280,5 @@ func pairCounts(lists []tidlist.List) *paircount.Counter {
 		pc.AddTransaction(rows[start:e])
 		start = e
 	}
-	return pc
+	return pc, &txRows{lo: lo, offs: offs, ranks: rows}
 }

@@ -16,28 +16,30 @@ import (
 //	# eclat-result minsup=<K> transactions=<N>
 //	<support>\t<item> <item> ...
 //
-// Itemsets appear in the result's current order.
+// Itemsets appear in the result's current order. Each line is encoded
+// with strconv into one reused buffer, so a result of n itemsets costs n
+// buffered writes and no formatting.
 func Write(w io.Writer, res *Result) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# eclat-result minsup=%d transactions=%d\n",
-		res.MinSup, res.NumTransactions); err != nil {
+	line := append(make([]byte, 0, 64), "# eclat-result minsup="...)
+	line = strconv.AppendInt(line, int64(res.MinSup), 10)
+	line = append(line, " transactions="...)
+	line = strconv.AppendInt(line, int64(res.NumTransactions), 10)
+	line = append(line, '\n')
+	if _, err := bw.Write(line); err != nil {
 		return err
 	}
 	for _, f := range res.Itemsets {
-		if _, err := fmt.Fprintf(bw, "%d\t", f.Support); err != nil {
-			return err
-		}
+		line = strconv.AppendInt(line[:0], int64(f.Support), 10)
+		line = append(line, '\t')
 		for i, it := range f.Set {
 			if i > 0 {
-				if err := bw.WriteByte(' '); err != nil {
-					return err
-				}
+				line = append(line, ' ')
 			}
-			if _, err := bw.WriteString(strconv.Itoa(int(it))); err != nil {
-				return err
-			}
+			line = strconv.AppendInt(line, int64(it), 10)
 		}
-		if err := bw.WriteByte('\n'); err != nil {
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}

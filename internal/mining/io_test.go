@@ -2,6 +2,7 @@ package mining
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -65,4 +66,92 @@ func TestWriteEmptyResult(t *testing.T) {
 	if err != nil || back.Len() != 0 || back.MinSup != 3 {
 		t.Fatalf("empty round trip: %v %v", back, err)
 	}
+}
+
+// writeFmt is the fmt encoding Write replaced, kept as its reference:
+// the header, then one "<support>\t<item> <item> ..." line per itemset.
+func writeFmt(res *Result) []byte {
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "# eclat-result minsup=%d transactions=%d\n", res.MinSup, res.NumTransactions)
+	for _, f := range res.Itemsets {
+		fmt.Fprintf(&buf, "%d\t", f.Support)
+		for i, it := range f.Set {
+			if i > 0 {
+				buf.WriteByte(' ')
+			}
+			fmt.Fprintf(&buf, "%d", it)
+		}
+		buf.WriteByte('\n')
+	}
+	return buf.Bytes()
+}
+
+// fuzzResult decodes a result from data: the header's minsup and
+// transaction count, then itemsets of strictly increasing items, each a
+// length byte (0 ends the result), a support and the item gaps.
+// Supports and items reach the int32 range, the transaction count the
+// int64 one.
+func fuzzResult(data []byte) *Result {
+	next := func(n int) uint64 {
+		var v uint64
+		for ; n > 0 && len(data) > 0; n-- {
+			v = v<<8 | uint64(data[0])
+			data = data[1:]
+		}
+		return v
+	}
+	res := &Result{MinSup: int(int32(next(4))), NumTransactions: int(next(8) >> 1)}
+	for len(data) > 0 {
+		n := int(next(1) % 8)
+		if n == 0 {
+			break
+		}
+		sup := int(int32(next(4)))
+		set := make(itemset.Itemset, 0, n)
+		item := int64(next(2)) - 1
+		for k := 0; k < n; k++ {
+			item += 1 + int64(next(3))
+			if item > 1<<31-1 {
+				break
+			}
+			set = append(set, itemset.Item(item))
+		}
+		if len(set) > 0 {
+			res.Add(set, sup)
+		}
+	}
+	return res
+}
+
+// FuzzWrite: on byte-derived results — empty ones, single items,
+// supports and items up to the int32 range, negative supports — Write
+// produces the bytes of the fmt encoding it replaced, and Read gives
+// the result back.
+func FuzzWrite(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 10, 1, 0, 0, 0, 5, 0, 3, 0, 0, 0})
+	f.Add([]byte{0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 3, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xfe, 0, 0, 1, 0, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 4, 2, 0x80, 0, 0, 0, 0, 7, 0, 0, 2, 0, 0, 9, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res := fuzzResult(data)
+		var buf bytes.Buffer
+		if err := Write(&buf, res); err != nil {
+			t.Fatal(err)
+		}
+		if want := writeFmt(res); !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("Write:\n%q\nfmt encoding:\n%q", buf.Bytes(), want)
+		}
+		back, err := Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := back.MinSup == res.MinSup && back.NumTransactions == res.NumTransactions && back.Len() == res.Len()
+		for i := 0; same && i < res.Len(); i++ {
+			a, b := back.Itemsets[i], res.Itemsets[i]
+			same = a.Support == b.Support && a.Set.Equal(b.Set)
+		}
+		if !same {
+			t.Fatalf("round trip: %+v, wrote %+v", back, res)
+		}
+	})
 }

@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -62,8 +64,13 @@ type DatasetRequest struct {
 	// many transactions, at most maxGenTransactions (400 gen_too_large
 	// above).
 	Gen int `json:"gen,omitempty"`
-	// Path loads a daemon-local database file; Format is "binary", "fimi"
-	// or "" to infer from the extension (.fimi/.dat/.txt are FIMI text).
+	// Path loads a database file under the daemon's data root
+	// (Config.DataRoot), relative to it; Format is "binary", "fimi" or ""
+	// to infer from the extension (.fimi/.dat/.txt are FIMI text).
+	// Without a data root every path is refused (403
+	// path_datasets_disabled), and a path that is absolute, climbs out
+	// with "..", or resolves outside the root through a symlink is
+	// refused too (403 path_outside_root).
 	Path   string `json:"path,omitempty"`
 	Format string `json:"format,omitempty"`
 }
@@ -99,6 +106,46 @@ const maxGenTransactions = 6_400_000
 // ErrGenTooLarge reports a gen over maxGenTransactions; HTTP maps it to
 // 400 gen_too_large.
 var ErrGenTooLarge = errors.New("service: gen too large")
+
+// ErrPathDatasetsDisabled reports a path dataset on a daemon without a
+// data root; HTTP maps it to 403 path_datasets_disabled.
+var ErrPathDatasetsDisabled = errors.New("service: path datasets disabled")
+
+// ErrPathOutsideRoot reports a path dataset that is absolute, climbs out
+// of the data root with "..", or resolves outside it through a symlink;
+// HTTP maps it to 403 path_outside_root.
+var ErrPathOutsideRoot = errors.New("service: path outside the data root")
+
+// resolveDataPath confines a path dataset to root: path must be
+// relative, stay inside root as written, and stay inside it once its
+// symlinks resolve. It returns the resolved file. The file is opened
+// after the check, so a symlink swapped in between is not caught;
+// os.OpenRoot (Go 1.24) would close that gap.
+func resolveDataPath(root, path string) (string, error) {
+	if root == "" {
+		return "", fmt.Errorf("%w: the daemon has no data root", ErrPathDatasetsDisabled)
+	}
+	if !filepath.IsLocal(path) {
+		return "", fmt.Errorf("%w: %q", ErrPathOutsideRoot, path)
+	}
+	var file string
+	realRoot, err := filepath.EvalSymlinks(root)
+	if err == nil {
+		file, err = filepath.EvalSymlinks(filepath.Join(realRoot, path))
+	}
+	if err != nil {
+		// Report the error without the root's location.
+		var pe *fs.PathError
+		if errors.As(err, &pe) {
+			err = pe.Err
+		}
+		return "", fmt.Errorf("%q: %w", path, err)
+	}
+	if rel, err := filepath.Rel(realRoot, file); err != nil || !filepath.IsLocal(rel) {
+		return "", fmt.Errorf("%w: %q resolves outside it", ErrPathOutsideRoot, path)
+	}
+	return file, nil
+}
 
 // checkGen refuses a gen the daemon will not generate.
 func checkGen(n int) error {
@@ -178,6 +225,10 @@ func errorCode(err error) (int, string) {
 		return http.StatusRequestEntityTooLarge, "body_too_large"
 	case errors.Is(err, ErrGenTooLarge):
 		return http.StatusBadRequest, "gen_too_large"
+	case errors.Is(err, ErrPathDatasetsDisabled):
+		return http.StatusForbidden, "path_datasets_disabled"
+	case errors.Is(err, ErrPathOutsideRoot):
+		return http.StatusForbidden, "path_outside_root"
 	default:
 		return http.StatusBadRequest, "bad_request"
 	}
@@ -213,7 +264,8 @@ func writeMappedError(w http.ResponseWriter, err error) {
 //	GET    /v1/jobs/{id}/result  finished result in the WriteResult text format
 //	DELETE /v1/jobs/{id}      cancel a job
 //	GET    /v1/datasets       registered datasets
-//	POST   /v1/datasets       register a dataset (persists when the daemon has -data-dir)
+//	POST   /v1/datasets       register a dataset (persists when the daemon has -data-dir;
+//	                          a path dataset must lie under -data-root)
 //	GET    /v1/datasets/{name}  dataset detail with top items (memoized vertical transform)
 //	DELETE /v1/datasets/{name}  remove a dataset (409 while jobs reference it)
 //	GET    /healthz           liveness
@@ -347,7 +399,15 @@ func NewHandler(s *Service) http.Handler {
 			d, err = repro.Generate(repro.StandardConfig(dr.Gen))
 			source = fmt.Sprintf("generated T10.I6 n=%d", dr.Gen)
 		case dr.Path != "":
-			d, err = loadDatasetFile(dr.Path, dr.Format)
+			var file string
+			file, err = resolveDataPath(s.dataRoot, dr.Path)
+			if errors.Is(err, ErrPathDatasetsDisabled) || errors.Is(err, ErrPathOutsideRoot) {
+				writeMappedError(w, err)
+				return
+			}
+			if err == nil {
+				d, err = loadDatasetFile(file, dr.Format)
+			}
 			source = dr.Path
 		default:
 			writeError(w, http.StatusBadRequest, fmt.Errorf("one of gen or path is required"))

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -111,5 +113,122 @@ func TestGenCap(t *testing.T) {
 	}
 	if maxGenTransactions != 6_400_000 {
 		t.Fatalf("maxGenTransactions = %d, want T10.I6.D6400K's 6,400,000", maxGenTransactions)
+	}
+}
+
+// TestPathDatasetsConfinedToDataRoot pins POST /v1/datasets's path
+// confinement. Without a data root every path is a 403
+// path_datasets_disabled. With one, an absolute path, a path climbing
+// out with "..", and a symlink resolving outside the root are 403
+// path_outside_root. No refusal registers a dataset or writes to the
+// store, and a file inside the root, directly or through a symlink that
+// stays inside, loads and persists.
+func TestPathDatasetsConfinedToDataRoot(t *testing.T) {
+	root, outside := t.TempDir(), t.TempDir()
+	fimi := "1 2 3\n1 2\n2 3\n"
+	for _, f := range []string{filepath.Join(root, "tiny.fimi"), filepath.Join(outside, "secret.fimi")} {
+		if err := os.WriteFile(f, []byte(fimi), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(root, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	links := map[string]string{
+		"escape.fimi":     filepath.Join(outside, "secret.fimi"),
+		"sub/escape.fimi": filepath.Join("..", "..", filepath.Base(outside), "secret.fimi"),
+		"outdir":          outside,
+		"inside.fimi":     "tiny.fimi",
+	}
+	for name, target := range links {
+		if err := os.Symlink(target, filepath.Join(root, name)); err != nil {
+			t.Skipf("symlinks unavailable: %v", err)
+		}
+	}
+
+	post := func(h http.Handler, name, path string) (int, string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		body := fmt.Sprintf(`{"name":%q,"path":%q}`, name, path)
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/datasets", strings.NewReader(body)))
+		var e apiError
+		if rec.Code >= 400 {
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+				t.Fatalf("POST %q: error payload not JSON: %v", path, err)
+			}
+		}
+		return rec.Code, e.Error.Code
+	}
+	service := func(dataRoot string) (*Service, *store.Store) {
+		st, err := store.Open(t.TempDir(), t.Logf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		s, err := New(Config{Workers: 1, QueueDepth: 4, Store: st, DataRoot: dataRoot, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Shutdown(context.Background()) })
+		return s, st
+	}
+
+	s, st := service("")
+	for _, path := range []string{"tiny.fimi", filepath.Join(root, "tiny.fimi")} {
+		if status, code := post(NewHandler(s), "x", path); status != http.StatusForbidden || code != "path_datasets_disabled" {
+			t.Fatalf("no data root, path %q: %d %q, want 403 path_datasets_disabled", path, status, code)
+		}
+	}
+	if len(s.Datasets()) != 0 || len(st.Names()) != 0 {
+		t.Fatalf("refusals without a data root registered %v, stored %v", s.Datasets(), st.Names())
+	}
+
+	s, st = service(root)
+	h := NewHandler(s)
+	for _, path := range []string{
+		filepath.Join(root, "tiny.fimi"),
+		filepath.Join(outside, "secret.fimi"),
+		"../" + filepath.Base(outside) + "/secret.fimi",
+		"sub/../../" + filepath.Base(outside) + "/secret.fimi",
+		"..",
+		"escape.fimi",
+		"sub/escape.fimi",
+		"outdir/secret.fimi",
+	} {
+		if status, code := post(h, "x", path); status != http.StatusForbidden || code != "path_outside_root" {
+			t.Fatalf("path %q: %d %q, want 403 path_outside_root", path, status, code)
+		}
+	}
+	if len(s.Datasets()) != 0 || len(st.Names()) != 0 {
+		t.Fatalf("refused paths registered %v, stored %v", s.Datasets(), st.Names())
+	}
+	if status, code := post(h, "missing", "missing.fimi"); status != http.StatusBadRequest || code != "bad_request" {
+		t.Fatalf("missing file: %d %q, want 400 bad_request", status, code)
+	}
+
+	for name, path := range map[string]string{"tiny": "tiny.fimi", "linked": "inside.fimi", "climbs": "sub/../tiny.fimi"} {
+		if status, code := post(h, name, path); status != http.StatusCreated {
+			t.Fatalf("path %q inside the root: %d %q, want 201", path, status, code)
+		}
+		ds, err := s.Dataset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info := ds.Info(); info.Transactions != 3 || info.Source != path {
+			t.Fatalf("dataset %s: %+v, want 3 transactions from %q", name, info, path)
+		}
+	}
+	if names := st.Names(); len(names) != 3 {
+		t.Fatalf("loads inside the root stored %v, want 3 datasets", names)
+	}
+
+	if _, err := resolveDataPath(root, "../x"); !errors.Is(err, ErrPathOutsideRoot) {
+		t.Fatalf("resolveDataPath(../x) = %v, want ErrPathOutsideRoot", err)
+	}
+	if _, err := resolveDataPath("", "x"); !errors.Is(err, ErrPathDatasetsDisabled) {
+		t.Fatalf("resolveDataPath without a root = %v, want ErrPathDatasetsDisabled", err)
+	}
+	if _, err := resolveDataPath(root, "missing.fimi"); err == nil || strings.Contains(err.Error(), root) {
+		t.Fatalf("resolveDataPath(missing.fimi) = %v, want an error that does not name the root", err)
 	}
 }

@@ -42,6 +42,10 @@ type Config struct {
 	// out-of-core whenever their dataset's mapping exceeds it. 0 leaves
 	// unbudgeted jobs in-core.
 	ResidencyBudget int64
+	// DataRoot is the directory that path datasets registered over HTTP
+	// are confined to: POST /v1/datasets resolves a path relative to it
+	// and refuses one that leaves it. Empty refuses every path dataset.
+	DataRoot string
 	// Logf receives registry warnings (failed transform spills, ...);
 	// nil discards them.
 	Logf func(format string, args ...any)
@@ -73,6 +77,8 @@ type Service struct {
 	// residencyBudget is Config.ResidencyBudget, the default per-job
 	// memory budget for store-backed mines.
 	residencyBudget int64
+	// dataRoot is Config.DataRoot, where path datasets must lie.
+	dataRoot string
 }
 
 // New builds a Service and starts its worker pool. The newest Service
@@ -83,9 +89,10 @@ type Service struct {
 // rebuilding anything; the only error paths are store-attachment ones.
 func New(cfg Config) (*Service, error) {
 	s := &Service{
-		reg:     NewRegistry(),
-		cache:   NewCache(cfg.CacheBytes),
-		started: time.Now(),
+		reg:      NewRegistry(),
+		cache:    NewCache(cfg.CacheBytes),
+		started:  time.Now(),
+		dataRoot: cfg.DataRoot,
 	}
 	if cfg.Store != nil {
 		if err := s.reg.AttachStore(cfg.Store, cfg.Logf); err != nil {

@@ -6,8 +6,10 @@
 // (BenchmarkCounterAddPartition in internal/paircount) and the class
 // recursion's benchmarks in internal/eclat (BenchmarkClassExpand:
 // figure 3's joins against the class-local triangular count on the same
-// classes; BenchmarkClassCount: the count alone on classes that each
-// stress one of its priced units), and writes the results to
+// classes, fed by the members' transposition or by the L2 count's rows;
+// BenchmarkClassCount: the count alone on classes that each stress one
+// of its priced units, and on dataset classes fed either way), and
+// writes the results to
 // BENCH_kernels.json at the repository root — the committed
 // perf-trajectory baseline for the representation layer, the
 // initialization scan and the class recursion, and the rows the engine's
@@ -74,7 +76,8 @@ type CounterResult struct {
 type ExpandResult struct {
 	// Data names the dataset and support ("dense.D5K/pct=1.25").
 	Data string `json:"data"`
-	// Expand is "joined" or "counted".
+	// Expand is "joined", "counted" (fed by the members'
+	// transposition) or "rows" (counted, fed by the L2 count's rows).
 	Expand      string  `json:"expand"`
 	NsPerOp     float64 `json:"nsPerOp"`
 	BytesPerOp  float64 `json:"bytesPerOp"`
@@ -87,13 +90,19 @@ type ExpandResult struct {
 // CountResult is one BenchmarkClassCount line: the class-local count,
 // with its triangle scan, of a class built so one priced unit dominates
 // ("unit=span") or of a size bin of a dataset's classes in one encoding
-// ("data=dense.D5K/pct=1.25/enc=bitset/members=8..15").
+// ("data=dense.D5K/pct=1.25/enc=bitset/members=8..15"), the latter
+// also fed by the L2 count's rows (".../feed=rows").
 type CountResult struct {
 	Classes string  `json:"classes"`
 	NsPerOp float64 `json:"nsPerOp"`
-	// Units holds the classes' priced units per op (countUnitNames).
+	// Units holds the classes' priced units per op (countUnitNames),
+	// plus ptids/op and ranks/op for a feed=rows row.
 	Units map[string]float64 `json:"units"`
 }
+
+// rowsFed reports whether r counted its classes from the L2 count's
+// rows, which the price does not model.
+func (r CountResult) rowsFed() bool { return strings.HasSuffix(r.Classes, "/feed=rows") }
 
 // CountCost is the count's per-unit cost in ns, fitted to the
 // BenchmarkClassCount rows by fitCountCost.
@@ -111,9 +120,12 @@ var countUnitNames = []string{"tids/op", "words/op", "span/op", "cells/op", "inc
 
 // Snapshot is the BENCH_kernels.json document.
 type Snapshot struct {
-	GoVersion   string          `json:"goVersion"`
-	GOOS        string          `json:"goos"`
-	GOARCH      string          `json:"goarch"`
+	GoVersion string `json:"goVersion"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	// NumCPU / GOMAXPROCS of the producing host.
+	NumCPU      int             `json:"numCPU"`
+	GOMAXPROCS  int             `json:"gomaxprocs"`
 	ListLen     int             `json:"listLen"` // cardinality of each operand
 	Benchtime   string          `json:"benchtime"`
 	Results     []Result        `json:"results"`
@@ -212,11 +224,13 @@ func main() {
 	}
 
 	snap := Snapshot{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		ListLen:   2048,
-		Benchtime: *benchtime,
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		ListLen:    2048,
+		Benchtime:  *benchtime,
 	}
 	for _, r := range best {
 		snap.Results = append(snap.Results, r)
@@ -239,12 +253,13 @@ func main() {
 	for _, r := range bestExpand {
 		snap.ClassExpand = append(snap.ClassExpand, r)
 	}
+	expandOrder := map[string]int{"joined": 0, "counted": 1, "rows": 2}
 	sort.Slice(snap.ClassExpand, func(i, j int) bool {
 		a, b := snap.ClassExpand[i], snap.ClassExpand[j]
 		if a.Data != b.Data {
 			return a.Data < b.Data
 		}
-		return a.Expand > b.Expand // joined before counted
+		return expandOrder[a.Expand] < expandOrder[b.Expand]
 	})
 	for _, r := range bestCount {
 		snap.ClassCount = append(snap.ClassCount, r)
@@ -272,8 +287,9 @@ func main() {
 }
 
 // fitCountCost fits the count's per-unit costs to the BenchmarkClassCount
-// rows: the least-squares solution of ns/op = Σ cost·units over the
-// rows, on relative error (a row weighs 1/ns², so a 100 µs row counts as
+// rows that transpose their members, the count planClass prices (rows
+// fed by the L2 count's rows are skipped): the least-squares solution
+// of ns/op = Σ cost·units over the rows, on relative error (a row weighs 1/ns², so a 100 µs row counts as
 // much as a 10 ms one). The dataset rows carry the fit to the classes
 // the price is applied to; on their own they cannot separate the units,
 // which grow together with class size, and the unit rows, each
@@ -286,6 +302,9 @@ func fitCountCost(rows []CountResult) (CountCost, error) {
 		a[i] = make([]float64, n+1)
 	}
 	for _, r := range rows {
+		if r.rowsFed() {
+			continue
+		}
 		w := 1 / (r.NsPerOp * r.NsPerOp)
 		for i, ui := range countUnitNames {
 			a[i][n] += w * r.Units[ui] * r.NsPerOp
