@@ -68,6 +68,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-d", "10", "-o", "x", "-format", "nope"}, &out); err == nil {
 		t.Fatal("bad format should fail")
 	}
+	if err := run([]string{"-d", "10", "-t", "NaN"}, &out); err == nil {
+		t.Fatal("NaN |T| should fail")
+	}
 	if err := run([]string{"-bogusflag"}, &out); err == nil {
 		t.Fatal("unknown flag should fail")
 	}

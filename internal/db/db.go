@@ -5,6 +5,12 @@
 // the processors in equal-sized blocks, which reside on the local disk of
 // each processor") and a compact binary encoding used both by the cmd/
 // tools and by the simulated-disk cost model to size I/O transfers.
+//
+// Every producer of a database (the generator, both decoders, the tests'
+// random builder) builds it through a Builder, which packs the
+// transactions' items into fixed-size contiguous chunks, so a scan of
+// the database reads its items front to back instead of chasing one
+// heap object per transaction.
 package db
 
 import (
@@ -14,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/itemset"
 )
@@ -35,6 +42,58 @@ type Database struct {
 	NumItems int
 	// Transactions in increasing TID order.
 	Transactions []Transaction
+}
+
+// ChunkItems is the size, in items, of one chunk of a built database's
+// item storage (64 KiB). A transaction longer than a chunk gets storage
+// of its own.
+const ChunkItems = 1 << 14
+
+// Builder appends transactions to a new Database. Each transaction's
+// items are copied into the current chunk of ChunkItems items; one that
+// does not fit in what is left of it starts a new chunk, so no
+// transaction straddles two and consecutive transactions of a chunk are
+// adjacent in memory. Each Items is a sub-slice capped at its length, so
+// an append to one transaction's items copies them instead of
+// overwriting the next transaction's. The builder's state stays in the
+// Builder: a finished Database is the exported fields alone.
+type Builder struct {
+	d    Database
+	free []itemset.Item // unused tail of the current chunk
+}
+
+// NewBuilder starts a database over numItems items with room for numTx
+// transactions (a hint; more may be appended).
+func NewBuilder(numItems, numTx int) *Builder {
+	return &Builder{d: Database{NumItems: numItems, Transactions: make([]Transaction, 0, numTx)}}
+}
+
+// Append adds the transaction tid with a copy of items, which the caller
+// may reuse once Append returns. Append checks nothing: the producer
+// keeps TIDs increasing and items sorted, or validates the result.
+func (b *Builder) Append(tid itemset.TID, items []itemset.Item) {
+	n := len(items)
+	var dst itemset.Itemset
+	switch {
+	case n > ChunkItems:
+		dst = make(itemset.Itemset, n)
+	case n > len(b.free):
+		b.free = make([]itemset.Item, ChunkItems)
+		fallthrough
+	default:
+		dst = b.free[:n:n]
+		b.free = b.free[n:]
+	}
+	copy(dst, items)
+	b.d.Transactions = append(b.d.Transactions, Transaction{TID: tid, Items: dst})
+}
+
+// Database returns the built database and resets b to an empty builder
+// over no items.
+func (b *Builder) Database() *Database {
+	d := b.d
+	*b = Builder{}
+	return &d
 }
 
 // Len returns the number of transactions |D|.
@@ -157,28 +216,33 @@ func Decode(r io.Reader) (*Database, error) {
 	if binary.LittleEndian.Uint32(hdr[0:]) != magic {
 		return nil, errors.New("db: bad magic; not an encoded database")
 	}
-	d := &Database{NumItems: int(binary.LittleEndian.Uint32(hdr[4:]))}
 	numTx := binary.LittleEndian.Uint32(hdr[8:])
-	d.Transactions = make([]Transaction, 0, numTx)
+	// The header's count is untrusted: reserve room for at most 65,536
+	// transactions up front and let appends grow the rest.
+	b := NewBuilder(int(binary.LittleEndian.Uint32(hdr[4:])), int(min(numTx, 1<<16)))
 	var buf [8]byte
+	var raw []byte
+	var items []itemset.Item
 	for i := uint32(0); i < numTx; i++ {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return nil, fmt.Errorf("db: reading transaction %d: %w", i, err)
 		}
-		t := Transaction{TID: itemset.TID(binary.LittleEndian.Uint32(buf[0:]))}
-		count := binary.LittleEndian.Uint32(buf[4:])
+		tid := itemset.TID(binary.LittleEndian.Uint32(buf[0:]))
+		count := int(binary.LittleEndian.Uint32(buf[4:]))
 		if count > 1<<20 {
 			return nil, fmt.Errorf("db: implausible transaction size %d", count)
 		}
-		t.Items = make(itemset.Itemset, count)
-		for j := uint32(0); j < count; j++ {
-			if _, err := io.ReadFull(br, buf[:4]); err != nil {
-				return nil, fmt.Errorf("db: reading items of transaction %d: %w", i, err)
-			}
-			t.Items[j] = itemset.Item(binary.LittleEndian.Uint32(buf[:4]))
+		raw = slices.Grow(raw[:0], 4*count)[:4*count]
+		if _, err := io.ReadFull(br, raw); err != nil {
+			return nil, fmt.Errorf("db: reading items of transaction %d: %w", i, err)
 		}
-		d.Transactions = append(d.Transactions, t)
+		items = items[:0]
+		for j := 0; j < len(raw); j += 4 {
+			items = append(items, itemset.Item(binary.LittleEndian.Uint32(raw[j:])))
+		}
+		b.Append(tid, items)
 	}
+	d := b.Database()
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}

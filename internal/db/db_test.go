@@ -2,6 +2,8 @@ package db
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -174,6 +176,13 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	cut := buf.Bytes()[:buf.Len()-3]
 	if _, err := Decode(bytes.NewReader(cut)); err == nil {
 		t.Fatal("Decode should reject truncated input")
+	}
+	// A header claiming 2^32-1 transactions over a short body: rejected
+	// once the body runs out, without first reserving room for them all.
+	huge := bytes.Clone(buf.Bytes())
+	binary.LittleEndian.PutUint32(huge[8:], math.MaxUint32)
+	if _, err := Decode(bytes.NewReader(huge)); err == nil {
+		t.Fatal("Decode should reject a transaction count beyond the input")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -19,18 +20,19 @@ import (
 func DecodeFIMI(r io.Reader, numItems int) (*Database, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	d := &Database{NumItems: numItems}
+	b := NewBuilder(numItems, 0)
+	var items []itemset.Item
 	maxItem := -1
 	lineNo := 0
+	tid := itemset.TID(0)
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := strings.Fields(line)
-		items := make([]itemset.Item, 0, len(fields))
-		for _, f := range fields {
+		items = items[:0]
+		for _, f := range strings.Fields(line) {
 			v, err := strconv.ParseInt(f, 10, 32)
 			if err != nil || v < 0 {
 				return nil, fmt.Errorf("db: line %d: bad item %q", lineNo, f)
@@ -40,14 +42,14 @@ func DecodeFIMI(r io.Reader, numItems int) (*Database, error) {
 			}
 			items = append(items, itemset.Item(v))
 		}
-		d.Transactions = append(d.Transactions, Transaction{
-			TID:   itemset.TID(len(d.Transactions)),
-			Items: itemset.New(items...),
-		})
+		slices.Sort(items)
+		b.Append(tid, slices.Compact(items))
+		tid++
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("db: reading FIMI input: %w", err)
 	}
+	d := b.Database()
 	if d.NumItems <= maxItem {
 		d.NumItems = maxItem + 1
 	}

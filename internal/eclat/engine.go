@@ -283,8 +283,13 @@ func reduce(res *mining.Result, policy Policy, topK int) *mining.Result {
 	case PolicyClosed:
 		res.Itemsets = closedFilter(res.Itemsets)
 	}
-	res.Sort()
-	res.TruncateTopK(topK)
+	if 0 < topK && topK < len(res.Itemsets) {
+		// The cut sorts by support itself, then restores the canonical
+		// order of the k it keeps.
+		res.TruncateTopK(topK)
+	} else {
+		res.Sort()
+	}
 	return res
 }
 

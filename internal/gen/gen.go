@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/db"
@@ -117,15 +118,21 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gen: negative NumTransactions %d", c.NumTransactions)
 	case c.NumItems < 1:
 		return fmt.Errorf("gen: NumItems %d < 1", c.NumItems)
-	case c.AvgTxLen <= 0:
-		return fmt.Errorf("gen: AvgTxLen %v <= 0", c.AvgTxLen)
-	case c.AvgPatternLen <= 0:
-		return fmt.Errorf("gen: AvgPatternLen %v <= 0", c.AvgPatternLen)
+	case !positiveFinite(c.AvgTxLen):
+		return fmt.Errorf("gen: AvgTxLen %v is not a positive finite number", c.AvgTxLen)
+	case !positiveFinite(c.AvgPatternLen):
+		return fmt.Errorf("gen: AvgPatternLen %v is not a positive finite number", c.AvgPatternLen)
 	case c.NumPatterns < 1:
 		return fmt.Errorf("gen: NumPatterns %d < 1", c.NumPatterns)
+	case math.IsNaN(c.CorruptionMean), math.IsNaN(c.CorruptionDev), math.IsNaN(c.Correlation):
+		return fmt.Errorf("gen: NaN corruption (%v, %v) or correlation (%v)", c.CorruptionMean, c.CorruptionDev, c.Correlation)
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is a number in (0, +Inf): a NaN mean
+// would never end poisson's loop.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // pattern is one maximal potentially large itemset.
 type pattern struct {
@@ -149,6 +156,14 @@ func poisson(rng *rand.Rand, mean float64) int {
 }
 
 // Generate produces the synthetic database described by c.
+//
+// Golden outputs throughout the repository depend on the exact
+// databases generated, so the PRNG draws and their order must stay
+// those of the reference loop kept in this package's tests (DESIGN.md
+// §14). The transaction loop allocates nothing per transaction: the
+// items go into db.Builder's chunks, the transaction's item set is an
+// epoch-stamped array over the N items, and corrupted and deferred
+// itemsets live in reused buffers.
 func Generate(c Config) (*db.Database, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -157,67 +172,112 @@ func Generate(c Config) (*db.Database, error) {
 	rng := rand.New(rand.NewSource(c.Seed))
 
 	patterns := makePatterns(c, rng)
+	// A transaction holds only items some pattern contains, so a size
+	// above their union could never be filled.
+	maxSize := coveredItems(patterns, c.NumItems)
 
-	d := &db.Database{NumItems: c.NumItems}
-	d.Transactions = make([]db.Transaction, 0, c.NumTransactions)
-
+	b := db.NewBuilder(c.NumItems, c.NumTransactions)
+	tx := txState{rng: rng, inTx: make([]int32, c.NumItems)}
+	var set []itemset.Item
 	// Itemsets that did not fit in the previous transaction and were
-	// deferred to the next one (the "assigned to the next transaction"
-	// overflow rule).
-	var carry []itemset.Itemset
+	// deferred to this one (the "assigned to the next transaction"
+	// overflow rule); tx.carry collects those deferred from this one.
+	var pending setStore
 
 	for tid := 0; tid < c.NumTransactions; tid++ {
-		size := poisson(rng, c.AvgTxLen)
-		if size < 1 {
-			size = 1
-		}
-		if size > c.NumItems {
-			size = c.NumItems
-		}
-		tx := make(map[itemset.Item]bool, size)
-
-		add := func(set itemset.Itemset) bool {
-			// If the itemset overflows the transaction, keep it anyway half
-			// the time; otherwise defer it.
-			if len(tx)+len(set) > size && len(tx) > 0 {
-				if rng.Float64() < 0.5 {
-					carry = append(carry, set)
-					return false
-				}
-			}
-			for _, it := range set {
-				tx[it] = true
-			}
-			return true
-		}
+		tx.size = min(max(poisson(rng, c.AvgTxLen), 1), maxSize)
+		tx.reset()
+		pending, tx.carry = tx.carry, pending
+		tx.carry.reset()
 
 		// Drain deferred itemsets first.
-		pending := carry
-		carry = nil
-		for _, set := range pending {
-			add(set)
+		start := 0
+		for _, end := range pending.ends {
+			tx.add(pending.items[start:end])
+			start = end
 		}
 
-		for len(tx) < size {
+		for len(tx.items) < tx.size {
 			p := pickPattern(patterns, rng)
-			set := corrupt(p, rng)
+			set = corrupt(p, rng, set)
 			if len(set) == 0 {
 				continue
 			}
-			add(set)
+			tx.add(set)
 		}
 
-		items := make([]itemset.Item, 0, len(tx))
-		for it := range tx {
-			items = append(items, it)
-		}
-		sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-		d.Transactions = append(d.Transactions, db.Transaction{
-			TID:   itemset.TID(tid),
-			Items: itemset.Itemset(items),
-		})
+		slices.Sort(tx.items)
+		b.Append(itemset.TID(tid), tx.items)
 	}
-	return d, nil
+	return b.Database(), nil
+}
+
+// txState is the transaction being filled, kept across transactions so
+// that its buffers are reused.
+type txState struct {
+	rng   *rand.Rand
+	size  int
+	inTx  []int32 // inTx[it] == epoch: item it is in the transaction
+	epoch int32
+	items []itemset.Item // the transaction's distinct items, unsorted
+	carry setStore       // itemsets deferred to the next transaction
+}
+
+// reset empties the transaction by advancing the epoch.
+func (tx *txState) reset() {
+	if tx.epoch == math.MaxInt32 {
+		clear(tx.inTx)
+		tx.epoch = 0
+	}
+	tx.epoch++
+	tx.items = tx.items[:0]
+}
+
+// add puts set's items in the transaction. If set overflows a non-empty
+// transaction, it is kept anyway half the time and otherwise deferred.
+func (tx *txState) add(set []itemset.Item) {
+	if len(tx.items)+len(set) > tx.size && len(tx.items) > 0 && tx.rng.Float64() < 0.5 {
+		tx.carry.push(set)
+		return
+	}
+	for _, it := range set {
+		if tx.inTx[it] != tx.epoch {
+			tx.inTx[it] = tx.epoch
+			tx.items = append(tx.items, it)
+		}
+	}
+}
+
+// setStore is a sequence of itemsets copied into one buffer; itemset i
+// is items[ends[i-1]:ends[i]].
+type setStore struct {
+	items []itemset.Item
+	ends  []int
+}
+
+func (s *setStore) push(set []itemset.Item) {
+	s.items = append(s.items, set...)
+	s.ends = append(s.ends, len(s.items))
+}
+
+func (s *setStore) reset() {
+	s.items = s.items[:0]
+	s.ends = s.ends[:0]
+}
+
+// coveredItems returns how many of the n items some pattern contains.
+func coveredItems(patterns []pattern, n int) int {
+	seen := make([]bool, n)
+	covered := 0
+	for _, p := range patterns {
+		for _, it := range p.items {
+			if !seen[it] {
+				seen[it] = true
+				covered++
+			}
+		}
+	}
+	return covered
 }
 
 // MustGenerate is Generate for known-good configs (panics on error); used
@@ -308,11 +368,11 @@ func pickPattern(patterns []pattern, rng *rand.Rand) *pattern {
 	return &patterns[lo]
 }
 
-// corrupt drops items from p while successive uniform draws stay below the
-// pattern's corruption level, modelling customers who buy only part of a
-// frequent pattern.
-func corrupt(p *pattern, rng *rand.Rand) itemset.Itemset {
-	set := p.items.Clone()
+// corrupt copies p's items into buf and drops items from the copy while
+// successive uniform draws stay below the pattern's corruption level,
+// modelling customers who buy only part of a frequent pattern.
+func corrupt(p *pattern, rng *rand.Rand, buf []itemset.Item) []itemset.Item {
+	set := append(buf[:0], p.items...)
 	for len(set) > 0 && rng.Float64() < p.corruption {
 		i := rng.Intn(len(set))
 		set = append(set[:i], set[i+1:]...)

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -33,6 +34,14 @@ func TestValidate(t *testing.T) {
 		{NumTransactions: 10, AvgTxLen: 10, AvgPatternLen: -2},
 		{NumTransactions: 10, AvgTxLen: 10, AvgPatternLen: 6, NumItems: -5},
 		{NumTransactions: 10, AvgTxLen: 10, AvgPatternLen: 6, NumPatterns: -1},
+		// Non-finite means: a NaN one never ends poisson's loop.
+		{NumTransactions: 10, AvgTxLen: math.NaN(), AvgPatternLen: 6},
+		{NumTransactions: 10, AvgTxLen: math.Inf(1), AvgPatternLen: 6},
+		{NumTransactions: 10, AvgTxLen: 10, AvgPatternLen: math.NaN()},
+		{NumTransactions: 10, AvgTxLen: 10, AvgPatternLen: math.Inf(1)},
+		{NumTransactions: 10, AvgTxLen: 10, AvgPatternLen: 6, CorruptionMean: math.NaN()},
+		{NumTransactions: 10, AvgTxLen: 10, AvgPatternLen: 6, CorruptionDev: math.NaN()},
+		{NumTransactions: 10, AvgTxLen: 10, AvgPatternLen: 6, Correlation: math.NaN()},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

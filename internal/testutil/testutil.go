@@ -7,7 +7,10 @@
 package testutil
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"unsafe"
 
 	"repro/internal/db"
 	"repro/internal/itemset"
@@ -57,19 +60,56 @@ func BruteForce(d *db.Database, minsup int) *mining.Result {
 // (favouring small item ids) so that frequent itemsets of size >= 3
 // actually occur, as in real basket data.
 func RandomDB(rng *rand.Rand, numTx, numItems, maxLen int) *db.Database {
-	d := &db.Database{NumItems: numItems}
+	b := db.NewBuilder(numItems, numTx)
+	var items []itemset.Item
 	for i := 0; i < numTx; i++ {
 		n := 1 + rng.Intn(maxLen)
-		items := make([]itemset.Item, n)
-		for j := range items {
+		items = items[:0]
+		for j := 0; j < n; j++ {
 			// Square the uniform draw to skew towards low item ids.
 			u := rng.Float64()
-			items[j] = itemset.Item(int(u * u * float64(numItems)))
+			items = append(items, itemset.Item(int(u*u*float64(numItems))))
 		}
-		d.Transactions = append(d.Transactions, db.Transaction{
-			TID:   itemset.TID(i),
-			Items: itemset.New(items...),
-		})
+		slices.Sort(items)
+		b.Append(itemset.TID(i), slices.Compact(items))
 	}
-	return d
+	return b.Database()
+}
+
+// CheckLayout reports the first departure of d from the layout every
+// db.Builder produces: appending to a transaction's Items leaves the next
+// transaction's items unchanged, and each Items is capped at its length;
+// consecutive transactions that share a chunk of db.ChunkItems items are
+// adjacent in memory, a transaction that does not fit in what is left of
+// the chunk starting a new one; and d passes Validate. A violation found
+// by the append check leaves the next transaction overwritten.
+func CheckLayout(d *db.Database) error {
+	const itemBytes = unsafe.Sizeof(itemset.Item(0))
+	used := 0       // items of the current chunk taken so far
+	var end uintptr // address just past the previous transaction in the chunk
+	for i, tx := range d.Transactions {
+		if i+1 < len(d.Transactions) {
+			next := d.Transactions[i+1].Items.Clone()
+			_ = append(tx.Items, -1)
+			if !d.Transactions[i+1].Items.Equal(next) {
+				return fmt.Errorf("tid %d: appending to its items changed the next transaction's", tx.TID)
+			}
+		}
+		n := len(tx.Items)
+		if cap(tx.Items) != n {
+			return fmt.Errorf("tid %d: cap(Items) = %d, len %d", tx.TID, cap(tx.Items), n)
+		}
+		if n == 0 || n > db.ChunkItems {
+			continue // nothing stored, or storage of its own
+		}
+		start := uintptr(unsafe.Pointer(unsafe.SliceData(tx.Items)))
+		if end == 0 || used+n > db.ChunkItems {
+			used = 0 // a new chunk
+		} else if start != end {
+			return fmt.Errorf("tid %d: items not adjacent to the previous transaction's in their chunk", tx.TID)
+		}
+		used += n
+		end = start + uintptr(n)*itemBytes
+	}
+	return d.Validate()
 }

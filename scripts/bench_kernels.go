@@ -3,7 +3,9 @@
 // Command bench_kernels runs the tid-set intersection kernel benchmarks
 // (BenchmarkIntersectKernels and its short-circuit variant in
 // internal/tidlist), the triangular pair counter's benchmark
-// (BenchmarkCounterAddPartition in internal/paircount) and the class
+// (BenchmarkCounterAddPartition in internal/paircount), the generator's
+// (BenchmarkGenerate in internal/gen: Generate against the tests'
+// reference loop) and the class
 // recursion's benchmarks in internal/eclat (BenchmarkClassExpand:
 // figure 3's joins against the class-local triangular count on the same
 // classes, fed by the members' transposition or by the L2 count's rows;
@@ -70,6 +72,18 @@ type CounterResult struct {
 	AllocsPerOp float64 `json:"allocsPerOp"`
 }
 
+// GenerateResult is one BenchmarkGenerate line: one database generated.
+type GenerateResult struct {
+	// Data names the configuration ("T10.I6.D20K" or "dense.D5K").
+	Data string `json:"data"`
+	// Gen is "flat" (gen.Generate) or "reference" (the tests' copy of the
+	// loop it replaced, a map per transaction).
+	Gen         string  `json:"gen"`
+	NsPerOp     float64 `json:"nsPerOp"`
+	BytesPerOp  float64 `json:"bytesPerOp"`
+	AllocsPerOp float64 `json:"allocsPerOp"`
+}
+
 // ExpandResult is one BenchmarkClassExpand line: every top-level class
 // of one dataset expanded by figure 3's joins or by the class-local
 // triangular count.
@@ -124,15 +138,16 @@ type Snapshot struct {
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	// NumCPU / GOMAXPROCS of the producing host.
-	NumCPU      int             `json:"numCPU"`
-	GOMAXPROCS  int             `json:"gomaxprocs"`
-	ListLen     int             `json:"listLen"` // cardinality of each operand
-	Benchtime   string          `json:"benchtime"`
-	Results     []Result        `json:"results"`
-	Counter     []CounterResult `json:"counter"`
-	ClassExpand []ExpandResult  `json:"classExpand"`
-	ClassCount  []CountResult   `json:"classCount"`
-	CountCost   CountCost       `json:"countCost"`
+	NumCPU      int              `json:"numCPU"`
+	GOMAXPROCS  int              `json:"gomaxprocs"`
+	ListLen     int              `json:"listLen"` // cardinality of each operand
+	Benchtime   string           `json:"benchtime"`
+	Results     []Result         `json:"results"`
+	Counter     []CounterResult  `json:"counter"`
+	Generate    []GenerateResult `json:"generate"`
+	ClassExpand []ExpandResult   `json:"classExpand"`
+	ClassCount  []CountResult    `json:"classCount"`
+	CountCost   CountCost        `json:"countCost"`
 }
 
 var (
@@ -140,6 +155,8 @@ var (
 		`^Benchmark(IntersectKernels(?:SC)?)/density=([^/]+)/kernel=([a-z]+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
 	counterLine = regexp.MustCompile(
 		`^BenchmarkCounterAddPartition/data=([^\s]+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
+	generateLine = regexp.MustCompile(
+		`^BenchmarkGenerate/data=([^\s]+)/gen=([a-z]+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
 	expandLine = regexp.MustCompile(
 		`^BenchmarkClassExpand/data=([^\s]+)/expand=([a-z]+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
 	countLine = regexp.MustCompile(
@@ -152,8 +169,8 @@ func main() {
 	out := flag.String("o", "BENCH_kernels.json", "output file")
 	flag.Parse()
 
-	cmd := exec.Command("go", "test", "./internal/tidlist", "./internal/paircount", "./internal/eclat",
-		"-run", "^$", "-bench", "^Benchmark(IntersectKernels|CounterAddPartition|ClassExpand|ClassCount)",
+	cmd := exec.Command("go", "test", "./internal/tidlist", "./internal/paircount", "./internal/gen", "./internal/eclat",
+		"-run", "^$", "-bench", "^Benchmark(IntersectKernels|CounterAddPartition|Generate|ClassExpand|ClassCount)",
 		"-benchtime", *benchtime, "-count", strconv.Itoa(*count))
 	cmd.Stderr = os.Stderr
 	raw, err := cmd.Output()
@@ -164,6 +181,7 @@ func main() {
 
 	best := map[[3]string]Result{}
 	bestCounter := map[string]CounterResult{}
+	bestGenerate := map[[2]string]GenerateResult{}
 	bestExpand := map[[2]string]ExpandResult{}
 	bestCount := map[string]CountResult{}
 	sc := bufio.NewScanner(bytes.NewReader(raw))
@@ -175,6 +193,19 @@ func main() {
 			}
 			if prev, ok := bestCount[m[1]]; !ok || ns < prev.NsPerOp {
 				bestCount[m[1]] = CountResult{Classes: m[1], NsPerOp: ns, Units: parseUnits(m[3])}
+			}
+			continue
+		}
+		if m := generateLine.FindStringSubmatch(sc.Text()); m != nil {
+			ns, err := strconv.ParseFloat(m[3], 64)
+			if err != nil {
+				continue
+			}
+			r := GenerateResult{Data: m[1], Gen: m[2], NsPerOp: ns}
+			r.BytesPerOp, r.AllocsPerOp = parseMem(m[4])
+			key := [2]string{r.Data, r.Gen}
+			if prev, ok := bestGenerate[key]; !ok || r.NsPerOp < prev.NsPerOp {
+				bestGenerate[key] = r
 			}
 			continue
 		}
@@ -218,8 +249,8 @@ func main() {
 			best[key] = r
 		}
 	}
-	if len(best) == 0 || len(bestCounter) == 0 || len(bestExpand) == 0 || len(bestCount) == 0 {
-		fmt.Fprintln(os.Stderr, "bench_kernels: missing kernel, counter, class-expand or class-count benchmark lines")
+	if len(best) == 0 || len(bestCounter) == 0 || len(bestGenerate) == 0 || len(bestExpand) == 0 || len(bestCount) == 0 {
+		fmt.Fprintln(os.Stderr, "bench_kernels: missing kernel, counter, generator, class-expand or class-count benchmark lines")
 		os.Exit(1)
 	}
 
@@ -250,6 +281,16 @@ func main() {
 		snap.Counter = append(snap.Counter, r)
 	}
 	sort.Slice(snap.Counter, func(i, j int) bool { return snap.Counter[i].Data < snap.Counter[j].Data })
+	for _, r := range bestGenerate {
+		snap.Generate = append(snap.Generate, r)
+	}
+	sort.Slice(snap.Generate, func(i, j int) bool {
+		a, b := snap.Generate[i], snap.Generate[j]
+		if a.Data != b.Data {
+			return a.Data < b.Data
+		}
+		return a.Gen < b.Gen
+	})
 	for _, r := range bestExpand {
 		snap.ClassExpand = append(snap.ClassExpand, r)
 	}
