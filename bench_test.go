@@ -384,52 +384,6 @@ func BenchmarkMaximalVsFull(b *testing.B) {
 	})
 }
 
-// Diffsets (the dEclat refinement) vs tid-lists: identical results;
-// compare real time and the set-operation element counts.
-func BenchmarkDiffsetsVsTidlists(b *testing.B) {
-	d := getDB(b, 25_000, 999)
-	minsup := d.MinSupCount(0.25)
-	b.Run("tidlists", func(b *testing.B) {
-		var ops float64
-		for i := 0; i < b.N; i++ {
-			_, st, _ := eclat.MineParallelLocal(context.Background(), d, minsup, eclat.Options{Workers: 1})
-			ops = float64(st.IntersectOps)
-		}
-		b.ReportMetric(ops/1e6, "Mops")
-	})
-	b.Run("diffsets", func(b *testing.B) {
-		var ops float64
-		for i := 0; i < b.N; i++ {
-			_, st, _ := eclat.MineParallelLocal(context.Background(), d, minsup, eclat.Options{Workers: 1, Policy: eclat.PolicyDiffsets})
-			ops = float64(st.IntersectOps)
-		}
-		b.ReportMetric(ops/1e6, "Mops")
-	})
-}
-
-// Closed-itemset mining: the post-filter over full enumeration vs the
-// CHARM search that prunes the lattice itself.
-func BenchmarkClosedMining(b *testing.B) {
-	d := getDB(b, 25_000, 999)
-	minsup := d.MinSupCount(0.25)
-	b.Run("filter", func(b *testing.B) {
-		var n int
-		for i := 0; i < b.N; i++ {
-			res, _, _ := eclat.MineParallelLocal(context.Background(), d, minsup, eclat.Options{Workers: 1, Policy: eclat.PolicyClosed})
-			n = res.Len()
-		}
-		b.ReportMetric(float64(n), "closed")
-	})
-	b.Run("charm", func(b *testing.B) {
-		var n int
-		for i := 0; i < b.N; i++ {
-			res, _, _ := eclat.MineParallelLocal(context.Background(), d, minsup, eclat.Options{Workers: 1, Policy: eclat.PolicyCharm})
-			n = res.Len()
-		}
-		b.ReportMetric(float64(n), "closed")
-	})
-}
-
 // ---------------------------------------------------------------------
 // Micro-benchmarks of the core primitives.
 

@@ -176,6 +176,7 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 		{[]string{"-db", path, "-format", "fimi", "-support", "NaN"}, "invalid support"},
 		{[]string{"-db", path, "-format", "csv"}, "format"},
 		{[]string{"-gen", "-1"}, "-gen"},
+		{[]string{"-db", path, "-format", "fimi", "-algo", "countdist", "-hosts", "9", "-procs", "8"}, "cluster too large"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)

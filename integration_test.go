@@ -96,10 +96,6 @@ var allMiners = map[string]minerFunc{
 		res, _ := dhp.Mine(d, minsup, dhp.Options{})
 		return res
 	},
-	"eclat-diffsets": func(d *db.Database, minsup int, _ [2]int) *mining.Result {
-		res, _, _ := eclat.MineParallelLocal(context.Background(), d, minsup, eclat.Options{Workers: 1, Policy: eclat.PolicyDiffsets})
-		return res
-	},
 }
 
 func TestAllMinersAgreeWithBruteForce(t *testing.T) {

@@ -9,8 +9,9 @@ import (
 // Both calling and re-declaring any of them is a ctxfirst diagnostic: the
 // public *Context wrappers were deleted outright when
 // repro.Source/MineFrom landed, the internal *Ctx spellings were folded
-// into the canonical entry points, and the per-variant eclat entry points
-// were folded into the two local ones — none of the names may come back.
+// into the canonical entry points, the per-variant eclat entry points
+// were folded into the two local ones, and the simulated cluster's
+// maximal form was retired — none of the names may come back.
 var deprecatedMiners = map[string]string{
 	"repro.MineContext":                      "repro.Mine",
 	"repro.MineMaximalContext":               "repro.MineMaximal",
@@ -35,6 +36,10 @@ var deprecatedMiners = map[string]string{
 	"repro/internal/eclat.MineClosedOpts":             localEclat,
 	"repro/internal/eclat.MineSequentialDiffsetsOpts": localEclat,
 	"repro/internal/eclat.MineClosedCHARMOpts":        localEclat,
+	// The simulated cluster mines the all-frequent output only; maximal
+	// sets come from the local engine under PolicyMaximal.
+	"repro/internal/eclat.MineMaximalParallel":     localEclat,
+	"repro/internal/eclat.MineMaximalParallelOpts": localEclat,
 }
 
 // localEclat is the replacement every retired local eclat entry point

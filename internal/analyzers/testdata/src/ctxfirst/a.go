@@ -41,7 +41,12 @@ func callers(ctx context.Context, minsup int) {
 	eclat.MineClosedCHARMOpts(ctx, nil, minsup, nil)          // want `call to deprecated repro/internal/eclat\.MineClosedCHARMOpts; use the context-first eclat\.MineParallelLocal with Options\.Policy`
 	eclat.MineParallelLocal(ctx, nil, minsup, nil)            // kept: local entry point, no diagnostic
 	eclat.MineVerticalLocal(ctx, nil, minsup, nil)            // kept: local entry point, no diagnostic
-	eclat.MineMaximalParallelOpts(nil, nil, minsup, nil)      // kept: cluster entry point, no diagnostic
+	eclat.MineOpts(nil, nil, minsup, nil)                     // kept: cluster entry point, no diagnostic
+
+	// The simulated cluster's maximal form was retired: the cluster mines
+	// the all-frequent output only.
+	eclat.MineMaximalParallel(nil, nil, minsup)          // want `call to deprecated repro/internal/eclat\.MineMaximalParallel; use the context-first eclat\.MineParallelLocal with Options\.Policy`
+	eclat.MineMaximalParallelOpts(nil, nil, minsup, nil) // want `call to deprecated repro/internal/eclat\.MineMaximalParallelOpts; use the context-first eclat\.MineParallelLocal with Options\.Policy`
 }
 
 // Reintroducing a retired wrapper name is flagged at the declaration,

@@ -30,10 +30,17 @@ func MineSequentialDiffsetsOpts(ctx context.Context, d any, minsup int, opts any
 
 func MineClosedCHARMOpts(ctx context.Context, d any, minsup int, opts any) error { return ctx.Err() } // want `declaration of retired repro/internal/eclat\.MineClosedCHARMOpts; the name was deleted in favor of eclat\.MineParallelLocal with Options\.Policy and must not return`
 
+// The simulated cluster's maximal form was retired too.
+func MineMaximalParallel(cl, d any, minsup int) error { return nil } // want `declaration of retired repro/internal/eclat\.MineMaximalParallel; the name was deleted in favor of eclat\.MineParallelLocal with Options\.Policy and must not return`
+
+func MineMaximalParallelOpts(cl, d any, minsup int, opts any) error { return nil } // want `declaration of retired repro/internal/eclat\.MineMaximalParallelOpts; the name was deleted in favor of eclat\.MineParallelLocal with Options\.Policy and must not return`
+
 // The kept names remain declarable: the two local entry points and the
-// simulated-cluster forms.
+// two simulated-cluster forms.
 func MineParallelLocal(ctx context.Context, d any, minsup int, opts any) error { return ctx.Err() }
 
 func MineVerticalLocal(ctx context.Context, in any, minsup int, opts any) error { return ctx.Err() }
 
-func MineMaximalParallel(cl, d any, minsup int) error { return nil }
+func MineOpts(cl, d any, minsup int, opts any) error { return nil }
+
+func MineHybridOpts(cl, d any, minsup int, opts any) error { return nil }

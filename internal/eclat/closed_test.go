@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/db"
 	"repro/internal/gen"
 	"repro/internal/itemset"
 	"repro/internal/mining"
@@ -83,5 +84,43 @@ func TestSupportFromClosedLossless(t *testing.T) {
 	notFrequent := full.Itemsets[0].Set.Union(itemset.New(9999))
 	if got := SupportFromClosed(closed, notFrequent); got != 0 {
 		t.Fatalf("non-frequent itemset should reconstruct to 0, got %d", got)
+	}
+}
+
+func TestClosedOnGeneratedData(t *testing.T) {
+	d := gen.MustGenerate(gen.T10I6(1500))
+	minsup := d.MinSupCount(1.0)
+	full, _ := mineSeq(t, d, minsup)
+	got, _, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyClosed})
+	if want := oracleClosed(full); !mining.Equal(got, want) {
+		t.Fatal(mining.Diff(got, want))
+	}
+}
+
+func TestClosedCollapsesPerfectCorrelation(t *testing.T) {
+	// Items 1,2,3 always co-occur: only their union is closed, never a
+	// 2-subset of it.
+	d := &db.Database{NumItems: 6}
+	for i := 0; i < 30; i++ {
+		items := itemset.New(1, 2, 3)
+		if i%3 == 0 {
+			items = items.Union(itemset.New(5))
+		}
+		d.Transactions = append(d.Transactions, db.Transaction{TID: itemset.TID(i), Items: items})
+	}
+	got, _, _ := MineParallelLocal(context.Background(), d, 5, Options{Workers: 1, Policy: PolicyClosed})
+	// Closed sets: {1,2,3} (sup 30), {1,2,3,5} (sup 10).
+	if got.Len() != 2 {
+		t.Fatalf("closed sets = %v, want 2", got.Itemsets)
+	}
+	if got.SupportOf(itemset.New(1, 2, 3)) != 30 || got.SupportOf(itemset.New(1, 2, 3, 5)) != 10 {
+		t.Fatalf("closed supports wrong: %v", got.Itemsets)
+	}
+}
+
+func TestClosedEmptyDatabase(t *testing.T) {
+	res, _, _ := MineParallelLocal(context.Background(), &db.Database{NumItems: 3}, 1, Options{Workers: 1, Policy: PolicyClosed})
+	if res.Len() != 0 {
+		t.Fatal("empty database has no closed sets")
 	}
 }

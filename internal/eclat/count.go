@@ -294,7 +294,7 @@ func (w *worker) countExpand(ctx context.Context, members []member, prefix tidli
 	defer func() { cs.cells = cs.cells[:base] }()
 	st.CountedClasses++
 	st.CountOps += incs
-	gate := newDiffsetGate(p, w.opts)
+	gate := newDiffsetGate(p)
 	var scratch tidlist.Set
 	for i := 0; i < s-1; i++ {
 		if ctx.Err() != nil {

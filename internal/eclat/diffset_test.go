@@ -6,46 +6,93 @@ import (
 	"testing"
 
 	"repro/internal/db"
-	"repro/internal/gen"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/testutil"
 	"repro/internal/tidlist"
 )
 
+// denseDB returns numTx random transactions over numItems items, each
+// item present with probability keep. At keep 0.8 a pair holds ~64 % of
+// the transactions, above DefaultDiffsetBreakEven, so figure 3's gate
+// switches sub-classes to diffsets.
+func denseDB(rng *rand.Rand, numTx, numItems int, keep float64) *db.Database {
+	d := &db.Database{NumItems: numItems}
+	for i := 0; i < numTx; i++ {
+		var items []itemset.Item
+		for it := 0; it < numItems; it++ {
+			if rng.Float64() < keep {
+				items = append(items, itemset.Item(it))
+			}
+		}
+		if len(items) == 0 {
+			items = append(items, 0)
+		}
+		d.Transactions = append(d.Transactions, db.Transaction{TID: itemset.TID(i), Items: itemset.New(items...)})
+	}
+	return d
+}
+
+// TestDiffsetsMatchStandardEclat checks figure 3 with its automatic
+// diffset switch against brute force on dense random data, under every
+// encoding at one and two workers, and that the switch fired.
 func TestDiffsetsMatchStandardEclat(t *testing.T) {
 	rng := rand.New(rand.NewSource(141))
-	for trial := 0; trial < 15; trial++ {
-		d := testutil.RandomDB(rng, 120+trial*25, 12, 7)
-		for _, minsup := range []int{2, 4, 8} {
-			want, _ := mineSeq(t, d, minsup)
-			got, _, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyDiffsets})
-			if !mining.Equal(got, want) {
-				t.Fatalf("trial %d minsup %d:\n%s", trial, minsup, mining.Diff(got, want))
+	for trial := 0; trial < 6; trial++ {
+		d := denseDB(rng, 80+trial*25, 8, 0.8)
+		for _, minsup := range []int{2, d.Len() / 4, d.Len() / 2} {
+			want := testutil.BruteForce(d, minsup)
+			for _, r := range allReprs {
+				for _, workers := range []int{1, 2} {
+					got, st, err := MineParallelLocal(context.Background(), d, minsup, Options{Workers: workers, Representation: r})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !mining.Equal(got, want) {
+						t.Fatalf("trial %d minsup %d repr %v workers %d:\n%s", trial, minsup, r, workers, mining.Diff(got, want))
+					}
+					if minsup == 2 && st.DiffsetClasses == 0 {
+						t.Fatalf("trial %d repr %v workers %d: dense data never switched to diffsets", trial, r, workers)
+					}
+				}
 			}
 		}
 	}
 }
 
+// TestDiffsetsMatchBruteForce is the vertical-input side: the item sets
+// of dense data, in each encoding, mine what brute force finds, with the
+// switch firing.
 func TestDiffsetsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(143))
-	d := testutil.RandomDB(rng, 150, 10, 6)
-	got, _, _ := MineParallelLocal(context.Background(), d, 4, Options{Workers: 1, Policy: PolicyDiffsets})
+	d := denseDB(rng, 150, 10, 0.8)
 	want := testutil.BruteForce(d, 4)
-	if !mining.Equal(got, want) {
-		t.Fatal(mining.Diff(got, want))
+	for _, inputRepr := range []tidlist.Repr{tidlist.ReprSparse, tidlist.ReprBitset, tidlist.ReprRoaring} {
+		in := VerticalInput{NumTransactions: d.Len(), Items: verticalSets(d, inputRepr)}
+		got, st, err := MineVerticalLocal(context.Background(), in, 4, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mining.Equal(got, want) {
+			t.Fatalf("input %v:\n%s", inputRepr, mining.Diff(got, want))
+		}
+		if st.DiffsetClasses == 0 {
+			t.Fatalf("input %v: dense data never switched to diffsets", inputRepr)
+		}
 	}
 }
 
+// TestDiffsetsOnGeneratedData mines the golden dense dataset, where the
+// switch fires on generated data, against brute force.
 func TestDiffsetsOnGeneratedData(t *testing.T) {
-	d := gen.MustGenerate(gen.T10I6(3000))
-	minsup := d.MinSupCount(0.5)
-	want, _ := mineSeq(t, d, minsup)
-	got, st, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyDiffsets})
+	d := goldenDB(t, goldenDense)
+	minsup := d.MinSupCount(30)
+	want := testutil.BruteForce(d, minsup)
+	got, st, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1})
 	if !mining.Equal(got, want) {
 		t.Fatal(mining.Diff(got, want))
 	}
-	if st.Scans != 2 || st.Intersections == 0 {
+	if st.Scans != 2 || st.Intersections == 0 || st.DiffsetClasses == 0 {
 		t.Fatalf("stats look wrong: %+v", st)
 	}
 }
@@ -75,15 +122,17 @@ func TestDiffsetsShrinkDeepLists(t *testing.T) {
 		})
 	}
 	// Threshold above the pattern-noise cross pairs: the recursion then
-	// runs inside the dense pattern, the regime where diffsets shine
-	// (dEclat can lose at the first transition on sparse mixtures — a
-	// trade-off Zaki's own follow-up reports).
+	// runs inside the dense pattern, where every class crosses the
+	// break-even and the gate switches it to diffsets.
 	minsup := 200
 
-	want, _ := mineSeq(t, d, minsup)
-	got, st, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyDiffsets})
+	want := testutil.BruteForce(d, minsup)
+	got, st, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1})
 	if !mining.Equal(got, want) {
 		t.Fatal(mining.Diff(got, want))
+	}
+	if st.DiffsetClasses == 0 {
+		t.Fatal("the dense pattern never switched to diffsets")
 	}
 
 	// Standard Eclat's intermediate lists carry nearly the full pattern
@@ -102,8 +151,8 @@ func TestDiffsetsShrinkDeepLists(t *testing.T) {
 }
 
 func TestDiffsetsEmptyDatabase(t *testing.T) {
-	res, _, _ := MineParallelLocal(context.Background(), &db.Database{NumItems: 3}, 1, Options{Workers: 1, Policy: PolicyDiffsets})
-	if res.Len() != 0 {
+	res, st, _ := MineParallelLocal(context.Background(), &db.Database{NumItems: 3}, 1, Options{Workers: 1})
+	if res.Len() != 0 || st.DiffsetClasses != 0 {
 		t.Fatal("empty database should mine nothing")
 	}
 }
@@ -112,9 +161,9 @@ func TestDiffsetsEmptyDatabase(t *testing.T) {
 // the class plan's support total, less each member's support as the
 // loop advances — against the predicate that re-sums every later
 // member's support, on random classes of all three encodings with empty
-// members, at break-evens below and above 1.
+// members.
 func TestDiffsetGateRunningTotal(t *testing.T) {
-	resum := func(members []member, i, span int, breakEven float64) bool {
+	resum := func(members []member, i, span int) bool {
 		if span <= 0 {
 			return false
 		}
@@ -122,7 +171,7 @@ func TestDiffsetGateRunningTotal(t *testing.T) {
 		for j := i + 1; j < len(members); j++ {
 			sum += members[j].tids.Support()
 		}
-		return float64(sum) >= breakEven*float64(span)*float64(len(members)-1-i)
+		return float64(sum) >= DefaultDiffsetBreakEven*float64(span)*float64(len(members)-1-i)
 	}
 	rng := rand.New(rand.NewSource(409))
 	reprs := []tidlist.Repr{tidlist.ReprSparse, tidlist.ReprBitset, tidlist.ReprRoaring}
@@ -148,18 +197,16 @@ func TestDiffsetGateRunningTotal(t *testing.T) {
 		if want := supportSum(members); plan.sup != want {
 			t.Fatalf("trial %d: plan.sup = %d, want %d", trial, plan.sup, want)
 		}
-		for _, breakEven := range []float64{0.1, DefaultDiffsetBreakEven, 0.9, 1.5} {
-			gate := newDiffsetGate(plan, Options{DiffsetBreakEven: breakEven})
-			for i := 0; i < s-1; i++ {
-				got := gate.wins(members, i)
-				if want := resum(members, i, plan.span, breakEven); got != want {
-					t.Fatalf("trial %d member %d/%d break-even %v: running %v, re-summed %v", trial, i, s, breakEven, got, want)
-				}
-				if got {
-					wins++
-				} else {
-					losses++
-				}
+		gate := newDiffsetGate(plan)
+		for i := 0; i < s-1; i++ {
+			got := gate.wins(members, i)
+			if want := resum(members, i, plan.span); got != want {
+				t.Fatalf("trial %d member %d/%d: running %v, re-summed %v", trial, i, s, got, want)
+			}
+			if got {
+				wins++
+			} else {
+				losses++
 			}
 		}
 	}

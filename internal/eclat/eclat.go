@@ -106,11 +106,6 @@ type Options struct {
 	// dense kernel, ReprRoaring forces the containerized compressed
 	// kernels.
 	Representation tidlist.Repr
-	// DiffsetBreakEven overrides the density threshold at which a
-	// sub-class switches to diffsets (see DefaultDiffsetBreakEven).
-	// Zero means the measured default; values > 1 never switch (the
-	// tid-list-only ablation).
-	DiffsetBreakEven float64
 	// Policy selects the search and its output (see Policy). The zero
 	// value is the paper's all-frequent search.
 	Policy Policy
@@ -125,9 +120,9 @@ type Options struct {
 	// the result is truncated to k by support (ties broken
 	// lexicographically). Output is byte-identical to a full mine at the
 	// same floor followed by Result.TruncateTopK. Honored by the local
-	// entry points under PolicyAll; every other policy and the cluster
-	// forms clear it (adaptive pruning is unsound against their output
-	// contracts).
+	// entry points under PolicyAll; the other two policies and the
+	// cluster forms clear it (adaptive pruning is unsound against their
+	// output contracts).
 	TopK int
 	// MustContain, when non-empty, restricts mining to itemsets
 	// containing every listed item (a targeted query): equivalence
@@ -137,8 +132,9 @@ type Options struct {
 	MustContain []itemset.Item
 }
 
-// Policy selects the search the engine runs over every equivalence
-// class, and with it the output the final reduction shapes.
+// Policy selects the search the local engine runs over every
+// equivalence class, and with it the output the final reduction shapes.
+// The simulated-cluster forms mine PolicyAll's output whatever it says.
 type Policy int
 
 const (
@@ -159,27 +155,11 @@ const (
 	// collection: the search is PolicyAll's, and the final reduction
 	// applies the closure filter by the immediate-superset property.
 	PolicyClosed
-	// PolicyCharm finds the closed itemsets with the CHARM search (Zaki &
-	// Hsiao), which prunes the search space instead of filtering
-	// afterwards: equal-support extensions fold into their generators
-	// through the four tid-set containment properties, and a candidate is
-	// kept only if no equal-support superset is already closed. CHARM
-	// merges across prefixes, so it is one task over the frequent
-	// singletons rather than one per L2 class; its output equals
-	// PolicyClosed's.
-	PolicyCharm
-	// PolicyDiffsets is pure dEclat: every sub-class takes the diffset
-	// form at once instead of at the density break-even. For class
-	// prefix P the recursion carries d(PXY) = t(PX) \ t(PY) at the first
-	// level and d(PXY) = d(PY) \ d(PX) below it, with
-	// sup(PXY) = sup(PX) - |d(PXY)|; the output equals PolicyAll's.
-	PolicyDiffsets
 )
 
 // Stats counts the work of a local (sequential or shared-memory-parallel)
 // run; the simulated parallel forms report through cluster.Report
-// instead. The policy counters stay zero under the policies that do not
-// produce them.
+// instead. The lookahead counters stay zero outside PolicyMaximal.
 type Stats struct {
 	Scans int
 	// Intersections counts tid-set kernel calls: intersections, the
@@ -198,7 +178,7 @@ type Stats struct {
 	// Steals counts the work-stealing events of the run (always 0 with
 	// one worker).
 	Steals int64
-	// DiffsetClasses counts the sub-classes PolicyAll's recursion
+	// DiffsetClasses counts the sub-classes figure 3's recursion
 	// switched to the dEclat diffset representation.
 	DiffsetClasses int64
 	// CountedClasses counts the classes, at any recursion depth, that
@@ -214,11 +194,6 @@ type Stats struct {
 	// attempts and the classes whose full union was frequent.
 	Lookaheads    int64
 	LookaheadHits int64
-	// Merges counts PolicyCharm's itemset extensions via the tid-set
-	// containment properties; Subsumptions its candidates discarded by
-	// the closed-set check.
-	Merges       int64
-	Subsumptions int64
 	// Candidates is the size of the collection the final reduction
 	// started from: the seeded L1/L2 plus every emission (for
 	// PolicyMaximal, the locally-maximal sets before the subsumption
@@ -248,8 +223,6 @@ func (s *Stats) merge(w *Stats) {
 	s.ListBytes += w.ListBytes
 	s.Lookaheads += w.Lookaheads
 	s.LookaheadHits += w.LookaheadHits
-	s.Merges += w.Merges
-	s.Subsumptions += w.Subsumptions
 	s.Kernel.Add(w.Kernel)
 }
 
@@ -303,7 +276,7 @@ func (w *worker) computeFrequent(ctx context.Context, members []member, prefixSu
 	// the buffer-reuse discipline of the sparse-only loop survives the
 	// abstraction.
 	st, ar := w.st, w.ar
-	gate := newDiffsetGate(plan, w.opts)
+	gate := newDiffsetGate(plan)
 	var scratch tidlist.Set
 	for i := 0; i < len(members)-1; i++ {
 		if ctx.Err() != nil {
@@ -364,14 +337,6 @@ func (w *worker) computeFrequent(ctx context.Context, members []member, prefixSu
 // at ≥ 50%.
 const DefaultDiffsetBreakEven = 0.5
 
-// diffsetBreakEven resolves the run's diffset-transition threshold.
-func diffsetBreakEven(opts Options) float64 {
-	if opts.DiffsetBreakEven > 0 {
-		return opts.DiffsetBreakEven
-	}
-	return DefaultDiffsetBreakEven
-}
-
 // classSpan is the TID window covered by a class's members, its first
 // TID and its length (0 for a class of empty members) — the density
 // denominator shared by the representation policy and the diffset gate,
@@ -403,18 +368,17 @@ func classSpan(members []member) (lo itemset.TID, span int) {
 // diffsets to be the smaller encoding: under independence a child PXY
 // keeps a fraction of t(PX) close to the partner's density
 // sup(PY)/span, so the partners' average density is the retention
-// estimate compared against the break-even. rest is the support total
-// of the current member's partners (the members after it): it starts at
-// the class total and loses each member's support as the caller
-// advances, so a class pays s Support calls, not C(s,2).
+// estimate compared against DefaultDiffsetBreakEven. rest is the
+// support total of the current member's partners (the members after
+// it): it starts at the class total and loses each member's support as
+// the caller advances, so a class pays s Support calls, not C(s,2).
 type diffsetGate struct {
 	rest, span int
-	breakEven  float64
 }
 
 // newDiffsetGate starts the gate for a planned class.
-func newDiffsetGate(p classPlan, opts Options) diffsetGate {
-	return diffsetGate{rest: p.sup, span: p.span, breakEven: diffsetBreakEven(opts)}
+func newDiffsetGate(p classPlan) diffsetGate {
+	return diffsetGate{rest: p.sup, span: p.span}
 }
 
 // wins reports the estimate for member i. The caller asks for every
@@ -424,7 +388,7 @@ func (g *diffsetGate) wins(members []member, i int) bool {
 	if g.span <= 0 {
 		return false
 	}
-	return float64(g.rest) >= g.breakEven*float64(g.span)*float64(len(members)-1-i)
+	return float64(g.rest) >= DefaultDiffsetBreakEven*float64(g.span)*float64(len(members)-1-i)
 }
 
 // dmember is one itemset of the current level, represented by its diffset
@@ -571,23 +535,17 @@ func classShape(members []member) tidlist.ClassShape {
 // vertical is what the local entry points hand the mining core: the
 // result seeded with L1 and L2, the pruned equivalence classes, and the
 // source of each class's member tid-lists — the global per-pair
-// tid-lists of a horizontal run, the item sets of a vertical one, or the
-// CHARM roots.
+// tid-lists of a horizontal run or the item sets of a vertical one.
 type vertical struct {
 	res     *mining.Result
 	classes []eqclass.Class
 	lists   map[tidlist.Pair]tidlist.List
-	// roots, when non-nil, holds pre-assembled member lists (one per
-	// class) instead of pair tid-lists — the CHARM root level, whose
-	// members are frequent singletons rather than L2 pairs.
-	roots [][]member
 	// sets, when non-nil, marks a vertical-input run: lists is nil and
 	// member lists are derived per class from the item sets (see
 	// ooc.go), inside the class's residency window when budgeted.
 	sets *itemSets
 	// itemSup holds each item's L1 support (index = item id), the
-	// prefix support that prices a top-level class's counted expansion;
-	// nil for the CHARM roots.
+	// prefix support that prices a top-level class's counted expansion.
 	itemSup []int
 	// rows, when non-nil, are the rows the vertical L2 count was fed,
 	// which counted classes read instead of transposing their members;
@@ -596,13 +554,9 @@ type vertical struct {
 	rows *txRows
 }
 
-// prefix returns the support of class ci's prefix item, 0 when the run
-// does not know it, and the item's tid-set when the run keeps rows to
-// feed its counts (nil otherwise).
+// prefix returns the support of class ci's prefix item, and the item's
+// tid-set when the run keeps rows to feed its counts (nil otherwise).
 func (v *vertical) prefix(ci int) (sup int, tids tidlist.Set) {
-	if v.itemSup == nil {
-		return 0, nil
-	}
 	it := v.classes[ci].Prefix[0]
 	if v.rows != nil {
 		tids = v.sets.items[it]
@@ -616,11 +570,6 @@ func (v *vertical) prefix(ci int) (sup int, tids tidlist.Set) {
 // derived from item sets are carved from ar, which the driver marks
 // before and releases after the class.
 func (v *vertical) members(ci int, repr tidlist.Repr, st *Stats, ar *arena) []member {
-	if v.roots != nil {
-		m := v.roots[ci]
-		applyClassRepr(m, repr, &st.Kernel)
-		return m
-	}
 	if v.sets != nil {
 		return v.sets.classMembers(&v.classes[ci], repr, st, ar)
 	}

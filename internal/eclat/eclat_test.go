@@ -16,7 +16,7 @@ import (
 )
 
 // allPolicies lists every engine search, in declaration order.
-var allPolicies = []Policy{PolicyAll, PolicyMaximal, PolicyClosed, PolicyCharm, PolicyDiffsets}
+var allPolicies = []Policy{PolicyAll, PolicyMaximal, PolicyClosed}
 
 // mineSeq mines d on one worker under the all-frequent policy — the
 // sequential baseline the equivalence tests compare against.

@@ -148,21 +148,11 @@ type worker struct {
 // class's counted expansion, and prefix its tid-set, which feeds that
 // count from the worker's rows (nil without rows).
 func (w *worker) explore(ctx context.Context, members []member, prefixSup int, prefix tidlist.Set, emit Emitter) {
-	switch w.opts.Policy {
-	case PolicyMaximal:
+	if w.opts.Policy == PolicyMaximal {
 		computeMaximal(ctx, members, w.th, w.st, w.ar, emit)
-	case PolicyCharm:
-		charmExplore(ctx, members, w.th.current(), w.st, emit)
-	case PolicyDiffsets:
-		for i := 0; i < len(members)-1; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			diffTransition(ctx, members, i, w.th, w.st, w.ar, emit)
-		}
-	default: // PolicyAll, PolicyClosed
-		w.computeFrequent(ctx, members, prefixSup, prefix, emit)
+		return
 	}
+	w.computeFrequent(ctx, members, prefixSup, prefix, emit) // PolicyAll, PolicyClosed
 }
 
 // engine is the class-task engine every entry point runs on: it owns

@@ -48,21 +48,12 @@ type maxGold struct {
 	Candidates    int   `json:"candidates"`
 }
 
-type diffGold struct {
-	Scans         int        `json:"scans"`
-	Intersections int64      `json:"intersections"`
-	DiffOps       int64      `json:"diffOps"`
-	ListBytes     int64      `json:"listBytes"`
-	Kernel        kernelGold `json:"kernel"`
-}
-
 type goldenEntry struct {
 	Dataset      string            `json:"dataset"`
 	MinSup       int               `json:"minsup"`
 	Repr         string            `json:"repr"`
 	Stats        statsGold         `json:"stats"`
 	Max          maxGold           `json:"max"`
-	Diff         diffGold          `json:"diff"`
 	Fingerprints map[string]uint64 `json:"fingerprints"`
 }
 
@@ -82,6 +73,11 @@ func loadGoldens(t *testing.T) []goldenEntry {
 	return entries
 }
 
+// goldenDense names the dense golden dataset: T10I6's generator over 12
+// items with |T|=8 and |I|=4, where at 30 % support figure 3's diffset
+// switch fires under every encoding.
+const goldenDense = "T8I4N12-800"
+
 // goldenDB rebuilds the deterministic seed datasets the goldens were
 // captured on (generation is pure in the config seed).
 func goldenDB(t *testing.T, name string) *db.Database {
@@ -91,6 +87,10 @@ func goldenDB(t *testing.T, name string) *db.Database {
 		return gen.MustGenerate(gen.T10I6(2000))
 	case "T5I2-800":
 		return gen.MustGenerate(gen.T5I2(800))
+	case goldenDense:
+		cfg := gen.T10I6(800)
+		cfg.NumItems, cfg.AvgTxLen, cfg.AvgPatternLen = 12, 8, 4
+		return gen.MustGenerate(cfg)
 	default:
 		t.Fatalf("unknown golden dataset %q", name)
 		return nil
@@ -151,21 +151,19 @@ func parseGoldenRepr(t *testing.T, s string) tidlist.Repr {
 
 // goldenKeys names each policy's output fingerprint in the golden file.
 var goldenKeys = map[Policy]string{
-	PolicyAll:      "all",
-	PolicyMaximal:  "maximal",
-	PolicyClosed:   "closed",
-	PolicyCharm:    "charm",
-	PolicyDiffsets: "diffsets",
+	PolicyAll:     "all",
+	PolicyMaximal: "maximal",
+	PolicyClosed:  "closed",
 }
 
 // TestEngineMatchesGoldenStats drives every engine policy over the
 // frozen profile through MineParallelLocal at workers 1–8: the output
 // fingerprint of each policy, the all-frequent counters (which the
-// closed policy shares: it runs the same search), the maximal counters,
-// and the pure-diffset counters; then the fingerprints of the three
-// simulated-cluster forms, and of the cluster and hybrid forms under
-// every other policy. Workers and Steals are scheduling figures,
-// not work counters, and are deliberately outside the comparison.
+// closed policy shares: it runs the same search) and the maximal
+// counters; then the fingerprints of the two simulated-cluster forms,
+// which mine the all-frequent output under every policy. Workers and
+// Steals are scheduling figures, not work counters, and are
+// deliberately outside the comparison.
 func TestEngineMatchesGoldenStats(t *testing.T) {
 	dbs := map[string]*db.Database{}
 	for _, e := range loadGoldens(t) {
@@ -202,47 +200,19 @@ func TestEngineMatchesGoldenStats(t *testing.T) {
 						if got != e.Max {
 							t.Errorf("maximal workers=%d stats = %+v, want %+v", workers, got, e.Max)
 						}
-					case PolicyDiffsets:
-						got := diffGold{
-							Scans:         st.Scans,
-							Intersections: st.Intersections,
-							DiffOps:       st.IntersectOps,
-							ListBytes:     st.ListBytes,
-							Kernel:        kernelOf(&st.Kernel),
-						}
-						if got != e.Diff {
-							t.Errorf("diffsets workers=%d stats = %+v, want %+v", workers, got, e.Diff)
-						}
 					}
 				}
 			}
 
-			opts := Options{Representation: repr}
-			clres, _ := MineOpts(cluster.New(cluster.Default(2, 2)), d, e.MinSup, opts)
-			if fp := goldenFingerprint(clres); fp != e.Fingerprints["cluster"] {
-				t.Errorf("cluster fingerprint = %#x, want %#x", fp, e.Fingerprints["cluster"])
-			}
-			hyres, _ := MineHybridOpts(cluster.New(cluster.Default(2, 2)), d, e.MinSup, opts)
-			if fp := goldenFingerprint(hyres); fp != e.Fingerprints["hybrid"] {
-				t.Errorf("hybrid fingerprint = %#x, want %#x", fp, e.Fingerprints["hybrid"])
-			}
-			mpres, _ := MineMaximalParallelOpts(cluster.New(cluster.Default(2, 2)), d, e.MinSup, opts)
-			if fp := goldenFingerprint(mpres); fp != e.Fingerprints["maximalCluster"] {
-				t.Errorf("maximal-cluster fingerprint = %#x, want %#x", fp, e.Fingerprints["maximalCluster"])
-			}
-			// The cluster forms select the search through Policy and share
-			// the local final reduction, so every policy's cluster output
-			// carries its local fingerprint.
-			for _, policy := range allPolicies[1:] {
-				opts.Policy = policy
-				key := goldenKeys[policy]
+			for _, policy := range allPolicies {
+				opts := Options{Representation: repr, Policy: policy}
 				clres, _ := MineOpts(cluster.New(cluster.Default(2, 2)), d, e.MinSup, opts)
-				if fp := goldenFingerprint(clres); fp != e.Fingerprints[key] {
-					t.Errorf("cluster %s fingerprint = %#x, want %#x", key, fp, e.Fingerprints[key])
+				if fp := goldenFingerprint(clres); fp != e.Fingerprints["cluster"] {
+					t.Errorf("cluster %s fingerprint = %#x, want %#x", goldenKeys[policy], fp, e.Fingerprints["cluster"])
 				}
 				hyres, _ := MineHybridOpts(cluster.New(cluster.Default(2, 2)), d, e.MinSup, opts)
-				if fp := goldenFingerprint(hyres); fp != e.Fingerprints[key] {
-					t.Errorf("hybrid %s fingerprint = %#x, want %#x", key, fp, e.Fingerprints[key])
+				if fp := goldenFingerprint(hyres); fp != e.Fingerprints["hybrid"] {
+					t.Errorf("hybrid %s fingerprint = %#x, want %#x", goldenKeys[policy], fp, e.Fingerprints["hybrid"])
 				}
 			}
 		})

@@ -26,20 +26,16 @@ import (
 // the classes are sub-scheduled across its processors for the
 // asynchronous phase. This removes both the per-processor disk
 // contention and the T-way exchange that limit flat Eclat when P > 1.
-// The classes are mined under opts.Policy and the gathered collection
-// goes through the same final reduction as MineOpts; the host-level SPMD
-// orchestration (cooperative scans, leader exchange, sub-scheduling) is
-// what this entry point adds. TopK, MustContain and Workers are ignored
-// on the cluster forms, and PolicyCharm runs as PolicyClosed (see
-// MineOpts).
+// The classes are mined with figure 3's search and the gathered
+// collection goes through the same final reduction as MineOpts; the
+// host-level SPMD orchestration (cooperative scans, leader exchange,
+// sub-scheduling) is what this entry point adds. Policy, TopK,
+// MustContain and Workers are ignored, as on MineOpts.
 func MineHybridOpts(cl *cluster.Cluster, d *db.Database, minsup int, opts Options) (*mining.Result, cluster.Report) {
 	if minsup < 1 {
 		minsup = 1
 	}
-	opts.TopK, opts.MustContain = 0, nil
-	if opts.Policy == PolicyCharm {
-		opts.Policy = PolicyClosed
-	}
+	opts.Policy, opts.TopK, opts.MustContain = PolicyAll, 0, nil
 	cfg := cl.Config()
 	h, pp := cfg.Hosts, cfg.ProcsPerHost
 	t := cl.NumProcs()
@@ -226,5 +222,5 @@ func MineHybridOpts(cl *cluster.Cluster, d *db.Database, minsup int, opts Option
 	}
 	rep := cl.Report()
 	rep.Representation = opts.Representation.String()
-	return reduce(res, opts.Policy, 0), rep
+	return reduce(res, PolicyAll, 0), rep
 }

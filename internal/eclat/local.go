@@ -110,8 +110,7 @@ func (q *wsDeque) stealInto(dst *wsDeque, qi, dsti int) int {
 // the triangular array, L2) and transformation (a second scan building
 // the per-pair tid-lists) run once on the calling goroutine; the
 // top-level equivalence classes are then mined under opts.Policy on
-// opts.Workers goroutines. PolicyCharm scans once for per-item tid-lists
-// instead: its search starts from the frequent singletons.
+// opts.Workers goroutines.
 //
 // Above one worker the classes are dealt to per-worker deques by the
 // greedy C(s,2) weight schedule (section 5.2.1) and mined with work
@@ -132,9 +131,6 @@ func MineParallelLocal(ctx context.Context, d *db.Database, minsup int, opts Opt
 // horizontalBuild returns MineParallelLocal's build step (see mineLocal).
 func horizontalBuild(ctx context.Context, d *db.Database) func(int, Options, *Stats) *vertical {
 	return func(minsup int, opts Options, st *Stats) *vertical {
-		if opts.Policy == PolicyCharm {
-			return buildVerticalItems(d, minsup, st)
-		}
 		return buildVertical(ctx, d, minsup, st, opts)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/db"
 	"repro/internal/gen"
 	"repro/internal/itemset"
@@ -132,35 +131,6 @@ func TestMaximalNoSubsumedPairs(t *testing.T) {
 				t.Fatalf("maximal result contains subsumed pair %v ⊆ %v", a.Set, b.Set)
 			}
 		}
-	}
-}
-
-func TestMaximalParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(131))
-	d := testutil.RandomDB(rng, 250, 13, 7)
-	for _, minsup := range []int{4, 8} {
-		want, _, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyMaximal})
-		for _, hp := range [][2]int{{1, 1}, {2, 2}, {4, 1}, {1, 4}, {3, 2}} {
-			cl := cluster.New(cluster.Default(hp[0], hp[1]))
-			got, rep := MineMaximalParallel(cl, d, minsup)
-			if !mining.Equal(got, want) {
-				t.Fatalf("H=%d P=%d minsup %d:\n%s", hp[0], hp[1], minsup, mining.Diff(got, want))
-			}
-			if rep.ElapsedNS <= 0 {
-				t.Fatal("no elapsed time")
-			}
-		}
-	}
-}
-
-func TestMaximalParallelOnGeneratedData(t *testing.T) {
-	d := gen.MustGenerate(gen.T10I6(1500))
-	minsup := d.MinSupCount(1.0)
-	want, _, _ := MineParallelLocal(context.Background(), d, minsup, Options{Workers: 1, Policy: PolicyMaximal})
-	cl := cluster.New(cluster.Default(2, 2))
-	got, _ := MineMaximalParallel(cl, d, minsup)
-	if !mining.Equal(got, want) {
-		t.Fatal(mining.Diff(got, want))
 	}
 }
 

@@ -31,21 +31,17 @@ type pairList struct {
 
 // MineOpts runs four-phase parallel Eclat (figure 2) on the simulated
 // cluster. The database is block-partitioned across all T processors;
-// each processor executes the SPMD program, mining its classes under
-// opts.Policy, and the final reduction shapes the gathered collection
-// exactly as the local entry points do, so the result is identical to
-// MineParallelLocal's on the same inputs. PolicyCharm's search is one
-// global task, not class-decomposable, so the cluster produces its
-// (identical) closed output through PolicyClosed. TopK, MustContain and
-// Workers are ignored on the cluster forms (use the local entry points).
+// each processor executes the SPMD program, mining its classes with
+// figure 3's search, and the final reduction sorts the gathered
+// collection exactly as the local entry points do, so the result is
+// identical to MineParallelLocal's all-frequent output on the same
+// inputs. Policy, TopK, MustContain and Workers are ignored on the
+// cluster forms (use the local entry points).
 func MineOpts(cl *cluster.Cluster, d *db.Database, minsup int, opts Options) (*mining.Result, cluster.Report) {
 	if minsup < 1 {
 		minsup = 1
 	}
-	opts.TopK, opts.MustContain = 0, nil
-	if opts.Policy == PolicyCharm {
-		opts.Policy = PolicyClosed
-	}
+	opts.Policy, opts.TopK, opts.MustContain = PolicyAll, 0, nil
 	globalItems, globalPairs, locals := clusterMine(cl, d, minsup, opts)
 
 	// Assemble the global collection as processor 0 gathers it.
@@ -63,33 +59,13 @@ func MineOpts(cl *cluster.Cluster, d *db.Database, minsup int, opts Options) (*m
 	}
 	rep := cl.Report()
 	rep.Representation = opts.Representation.String()
-	return reduce(res, opts.Policy, 0), rep
-}
-
-// MineMaximalParallel runs the MaxEclat hybrid search on the simulated
-// cluster, reusing Eclat's four-phase structure: the equivalence classes
-// are scheduled and their tid-lists exchanged exactly as in MineOpts,
-// each processor mines its classes with the lookahead search, and the
-// final reduction gathers the locally-maximal candidates for the global
-// subsumption filter (local filtering alone cannot be final, because a
-// set from one class can be subsumed by a set owned by another
-// processor). Results equal MineParallelLocal's under PolicyMaximal.
-func MineMaximalParallel(cl *cluster.Cluster, d *db.Database, minsup int) (*mining.Result, cluster.Report) {
-	return MineMaximalParallelOpts(cl, d, minsup, Options{})
-}
-
-// MineMaximalParallelOpts is MineMaximalParallel with explicit variant
-// options (notably the tid-set representation): MineOpts under
-// PolicyMaximal.
-func MineMaximalParallelOpts(cl *cluster.Cluster, d *db.Database, minsup int, opts Options) (*mining.Result, cluster.Report) {
-	opts.Policy = PolicyMaximal
-	return MineOpts(cl, d, minsup, opts)
+	return reduce(res, PolicyAll, 0), rep
 }
 
 // clusterMine is the four-phase SPMD program of MineOpts: initialization
 // (section 5.1), transformation with the scheduled tid-list exchange
-// (section 5.2), the asynchronous phase mining each owned class under
-// opts.Policy (section 5.3), and the final reduction gathering the
+// (section 5.2), the asynchronous phase mining each owned class with
+// figure 3's search (section 5.3), and the final reduction gathering the
 // per-processor emissions (section 5.4). It returns the globally reduced
 // item/pair counts and each processor's emitted itemsets.
 func clusterMine(cl *cluster.Cluster, d *db.Database, minsup int, opts Options) (globalItems []int, globalPairs []paircount.FrequentPair, locals [][]mining.FrequentItemset) {

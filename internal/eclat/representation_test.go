@@ -36,13 +36,7 @@ var reprVariants = []struct {
 		return res
 	}},
 	{"maximal", localVariant(PolicyMaximal)},
-	{"maximal-parallel", func(d *db.Database, minsup int, opts Options) *mining.Result {
-		res, _ := MineMaximalParallelOpts(cluster.New(cluster.Default(2, 2)), d, minsup, opts)
-		return res
-	}},
 	{"closed", localVariant(PolicyClosed)},
-	{"charm", localVariant(PolicyCharm)},
-	{"diffsets", localVariant(PolicyDiffsets)},
 }
 
 // localVariant mines under policy on one worker.
@@ -264,9 +258,8 @@ func TestRoaringRunDispatchesContainerKernel(t *testing.T) {
 
 // TestDiffsetTransitionByDensity pins the dEclat gate's two sides: dense
 // classes (children retain most of their parent's support) must switch
-// sub-classes to diffsets by default, a break-even above 1 (which no
-// retention estimate can meet) must not, and both must mine identical
-// itemsets under every representation.
+// sub-classes to diffsets and mine what brute force finds under every
+// representation, and sparse data must not switch.
 func TestDiffsetTransitionByDensity(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	// Each transaction keeps all but one of 6 items: every pair retains
@@ -286,18 +279,14 @@ func TestDiffsetTransitionByDensity(t *testing.T) {
 			Items: itemset.New(items...),
 		})
 	}
+	want := testutil.BruteForce(dense, 2)
 	for _, r := range allReprs {
-		want, stOff, _ := MineParallelLocal(context.Background(), dense, 2,
-			Options{Workers: 1, Representation: r, DiffsetBreakEven: 1.5})
-		if stOff.DiffsetClasses != 0 {
-			t.Fatalf("repr %v: DiffsetBreakEven 1.5 still switched %d sub-classes", r, stOff.DiffsetClasses)
-		}
 		got, stOn, _ := MineParallelLocal(context.Background(), dense, 2, Options{Workers: 1, Representation: r})
 		if stOn.DiffsetClasses == 0 {
 			t.Fatalf("repr %v: dense data never crossed the diffset break-even", r)
 		}
 		if !mining.Equal(got, want) {
-			t.Fatalf("repr %v: diffset-first output differs from tid-list output:\n%s",
+			t.Fatalf("repr %v: diffset output differs from brute force:\n%s",
 				r, mining.Diff(got, want))
 		}
 	}
@@ -325,10 +314,6 @@ func TestParallelReportTaggedWithRepresentation(t *testing.T) {
 		_, rep = MineHybridOpts(cluster.New(cluster.Default(2, 2)), d, minsup, opts)
 		if rep.Representation != r.String() {
 			t.Fatalf("hybrid report representation %q, want %q", rep.Representation, r)
-		}
-		_, rep = MineMaximalParallelOpts(cluster.New(cluster.Default(2, 2)), d, minsup, opts)
-		if rep.Representation != r.String() {
-			t.Fatalf("maximal report representation %q, want %q", rep.Representation, r)
 		}
 	}
 }

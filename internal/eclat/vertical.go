@@ -62,8 +62,7 @@ var (
 // byte-identical to mining the corresponding horizontal database with
 // the same minsup and options: both paths produce the same L1/L2 and the
 // same sorted pair tid-lists, and the final reduction imposes the
-// canonical order. PolicyCharm roots its search at the item sets
-// directly, in-core even under a residency budget.
+// canonical order.
 //
 // Stats.Scans is always 0 — no horizontal pass happens — which is the
 // figure restart-without-rebuild tests assert on. The derivation
@@ -77,9 +76,6 @@ func MineVerticalLocal(ctx context.Context, in VerticalInput, minsup int, opts O
 		defer in.Residency.Done()
 	}
 	return mineLocal(ctx, minsup, opts, &arena{}, func(minsup int, opts Options, st *Stats) *vertical {
-		if opts.Policy == PolicyCharm {
-			return charmRoots(in.NumTransactions, in.Items, minsup, st)
-		}
 		return buildVerticalFromSets(ctx, in, minsup, st, opts)
 	})
 }

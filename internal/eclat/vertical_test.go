@@ -86,22 +86,27 @@ func resultBytes(t *testing.T, res *mining.Result) []byte {
 // It also bounds the vertical path's work: its L2 count runs no kernel,
 // so its intersections exceed the horizontal path's in the same encoding
 // by exactly the pair tid-lists it derives, one per class member, under
-// every class-task policy (CHARM derives none: both layouts root it at
-// the item sets). A return of the pairwise O(F²) L2 pass fails this.
+// every policy. A return of the pairwise O(F²) L2 pass fails this. On
+// the dense golden dataset figure 3's diffset switch must fire in every
+// such run, so the diffset recursion is held to the same contract.
 func TestMineVerticalLocalMatchesHorizontal(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type dataset struct {
-		name string
-		d    *db.Database
+		name     string
+		d        *db.Database
+		minsup   int
+		diffsets bool // figure 3's runs must switch sub-classes to diffsets
 	}
 	var datasets []dataset
 	for _, numTx := range []int{60, 250} {
-		datasets = append(datasets, dataset{fmt.Sprintf("tx=%d", numTx), testutil.RandomDB(rng, numTx, 30, 8)})
+		datasets = append(datasets, dataset{fmt.Sprintf("tx=%d", numTx), testutil.RandomDB(rng, numTx, 30, 8), 3, false})
 	}
 	base := testutil.RandomDB(rng, 200, 30, 8)
+	dense := goldenDB(t, goldenDense)
 	datasets = append(datasets,
-		dataset{"offset-gaps", offsetTIDs(base, 1_000_000, 3)},
-		dataset{"offset-scattered", offsetTIDs(base, 70_000, 5_000)})
+		dataset{"offset-gaps", offsetTIDs(base, 1_000_000, 3), 3, false},
+		dataset{"offset-scattered", offsetTIDs(base, 70_000, 5_000), 3, false},
+		dataset{goldenDense, dense, dense.MinSupCount(30), true})
 	queries := []struct {
 		name string
 		opts Options
@@ -111,12 +116,10 @@ func TestMineVerticalLocalMatchesHorizontal(t *testing.T) {
 		{"topk", Options{TopK: 25}},
 		{"maximal", Options{Policy: PolicyMaximal}},
 		{"closed", Options{Policy: PolicyClosed}},
-		{"charm", Options{Policy: PolicyCharm}},
-		{"diffsets", Options{Policy: PolicyDiffsets}},
 	}
-	const minsup = 3
 
 	for _, ds := range datasets {
+		minsup := ds.minsup
 		for _, q := range queries {
 			var wantBytes []byte
 			wantSts := map[tidlist.Repr]Stats{}
@@ -132,10 +135,7 @@ func TestMineVerticalLocalMatchesHorizontal(t *testing.T) {
 					wantBytes = resultBytes(t, want)
 				}
 			}
-			var derived int64
-			if q.opts.Policy != PolicyCharm {
-				derived = classMemberCount(ds.d, minsup, q.opts)
-			}
+			derived := classMemberCount(ds.d, minsup, q.opts)
 
 			for _, inputRepr := range []tidlist.Repr{tidlist.ReprSparse, tidlist.ReprBitset, tidlist.ReprRoaring} {
 				in := VerticalInput{NumTransactions: ds.d.Len(), Items: verticalSets(ds.d, inputRepr)}
@@ -158,6 +158,9 @@ func TestMineVerticalLocalMatchesHorizontal(t *testing.T) {
 						}
 						if st.Workers != workers {
 							t.Fatalf("%s: st.Workers = %d, want %d", name, st.Workers, workers)
+						}
+						if ds.diffsets && (q.name == "all" || q.name == "closed") && st.DiffsetClasses == 0 {
+							t.Fatalf("%s: no sub-class switched to diffsets", name)
 						}
 						// A top-k threshold rises in emission order, which
 						// only a sequential run shares with the reference.

@@ -23,7 +23,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"repro/internal/db"
 	"repro/internal/itemset"
@@ -290,57 +289,58 @@ func MustGenerate(c Config) *db.Database {
 	return d
 }
 
+// makePatterns draws the |L| maximal potentially large itemsets. The
+// PRNG draws and their order are those of the reference kept in this
+// package's tests; the items are picked with an epoch-stamped array over
+// the N items, as the transaction loop picks its own, and the patterns'
+// items are carved from one growing backing slice (each capped, so no
+// pattern can grow into the next).
 func makePatterns(c Config, rng *rand.Rand) []pattern {
 	patterns := make([]pattern, c.NumPatterns)
 	weights := make([]float64, c.NumPatterns)
 	var totalWeight float64
 	var prev itemset.Itemset
+	var backing []itemset.Item
+	picked := make([]int32, c.NumItems) // picked[it] == epoch: it is in the pattern
+	var epoch int32
 
 	for i := range patterns {
-		size := poisson(rng, c.AvgPatternLen)
-		if size < 1 {
-			size = 1
+		size := min(max(poisson(rng, c.AvgPatternLen), 1), c.NumItems)
+		if epoch == math.MaxInt32 {
+			clear(picked)
+			epoch = 0
 		}
-		if size > c.NumItems {
-			size = c.NumItems
+		epoch++
+		start := len(backing)
+		pick := func(it itemset.Item) {
+			if picked[it] != epoch {
+				picked[it] = epoch
+				backing = append(backing, it)
+			}
 		}
-		picked := make(map[itemset.Item]bool, size)
 
 		// Fraction of items inherited from the previous pattern, drawn from
 		// an exponential with mean Correlation and clamped to [0,1].
 		if prev != nil {
-			frac := rng.ExpFloat64() * c.Correlation
-			if frac > 1 {
-				frac = 1
-			}
+			frac := min(rng.ExpFloat64()*c.Correlation, 1)
 			inherit := int(frac * float64(size))
 			for j := 0; j < inherit && j < len(prev); j++ {
-				picked[prev[rng.Intn(len(prev))]] = true
+				pick(prev[rng.Intn(len(prev))])
 			}
 		}
-		for len(picked) < size {
-			picked[itemset.Item(rng.Intn(c.NumItems))] = true
+		for len(backing)-start < size {
+			pick(itemset.Item(rng.Intn(c.NumItems)))
 		}
 
-		items := make([]itemset.Item, 0, len(picked))
-		for it := range picked {
-			items = append(items, it)
-		}
-		sort.Slice(items, func(a, b int) bool { return items[a] < items[b] })
-		patterns[i].items = itemset.Itemset(items)
-		prev = patterns[i].items
+		items := backing[start:len(backing):len(backing)]
+		slices.Sort(items)
+		patterns[i].items = items
+		prev = items
 
 		weights[i] = rng.ExpFloat64()
 		totalWeight += weights[i]
 
-		corr := c.CorruptionMean + rng.NormFloat64()*c.CorruptionDev
-		if corr < 0 {
-			corr = 0
-		}
-		if corr > 0.95 {
-			corr = 0.95
-		}
-		patterns[i].corruption = corr
+		patterns[i].corruption = min(max(c.CorruptionMean+rng.NormFloat64()*c.CorruptionDev, 0), 0.95)
 	}
 
 	// Normalize weights into a cumulative distribution.

@@ -14,8 +14,9 @@ import (
 // its databases were built through db.Builder: a map per transaction, a
 // fresh slice per corrupted itemset, sort.Slice over the map's keys. It
 // is kept verbatim (only names changed) as the oracle for Generate's
-// PRNG consumption, so it shares makePatterns, poisson and pickPattern
-// with the code under test. Like the original, it never returns when a
+// PRNG consumption, with makePatterns as it was before its patterns were
+// carved from one slice (referenceMakePatterns); it shares poisson and
+// pickPattern with the code under test. Like the original, it never returns when a
 // transaction's size exceeds the number of items the patterns cover.
 func referenceGenerate(c Config) (*db.Database, error) {
 	if err := c.Validate(); err != nil {
@@ -24,7 +25,7 @@ func referenceGenerate(c Config) (*db.Database, error) {
 	c = c.withDefaults()
 	rng := rand.New(rand.NewSource(c.Seed))
 
-	patterns := makePatterns(c, rng)
+	patterns := referenceMakePatterns(c, rng)
 
 	d := &db.Database{NumItems: c.NumItems}
 	d.Transactions = make([]db.Transaction, 0, c.NumTransactions)
@@ -86,6 +87,71 @@ func referenceGenerate(c Config) (*db.Database, error) {
 		})
 	}
 	return d, nil
+}
+
+// referenceMakePatterns is makePatterns as it was: a map, an item slice
+// and a sort.Slice swapper per pattern.
+func referenceMakePatterns(c Config, rng *rand.Rand) []pattern {
+	patterns := make([]pattern, c.NumPatterns)
+	weights := make([]float64, c.NumPatterns)
+	var totalWeight float64
+	var prev itemset.Itemset
+
+	for i := range patterns {
+		size := poisson(rng, c.AvgPatternLen)
+		if size < 1 {
+			size = 1
+		}
+		if size > c.NumItems {
+			size = c.NumItems
+		}
+		picked := make(map[itemset.Item]bool, size)
+
+		// Fraction of items inherited from the previous pattern, drawn from
+		// an exponential with mean Correlation and clamped to [0,1].
+		if prev != nil {
+			frac := rng.ExpFloat64() * c.Correlation
+			if frac > 1 {
+				frac = 1
+			}
+			inherit := int(frac * float64(size))
+			for j := 0; j < inherit && j < len(prev); j++ {
+				picked[prev[rng.Intn(len(prev))]] = true
+			}
+		}
+		for len(picked) < size {
+			picked[itemset.Item(rng.Intn(c.NumItems))] = true
+		}
+
+		items := make([]itemset.Item, 0, len(picked))
+		for it := range picked {
+			items = append(items, it)
+		}
+		sort.Slice(items, func(a, b int) bool { return items[a] < items[b] })
+		patterns[i].items = itemset.Itemset(items)
+		prev = patterns[i].items
+
+		weights[i] = rng.ExpFloat64()
+		totalWeight += weights[i]
+
+		corr := c.CorruptionMean + rng.NormFloat64()*c.CorruptionDev
+		if corr < 0 {
+			corr = 0
+		}
+		if corr > 0.95 {
+			corr = 0.95
+		}
+		patterns[i].corruption = corr
+	}
+
+	// Normalize weights into a cumulative distribution.
+	var cum float64
+	for i := range patterns {
+		cum += weights[i] / totalWeight
+		patterns[i].cumWeight = cum
+	}
+	patterns[len(patterns)-1].cumWeight = 1 // guard against float drift
+	return patterns
 }
 
 // referenceCorrupt is corrupt as it was, cloning the pattern per call.

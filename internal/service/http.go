@@ -29,7 +29,8 @@ type JobRequest struct {
 	// SupportPct / supportCount follow repro.MineOptions semantics.
 	SupportPct   float64 `json:"supportPct"`
 	SupportCount int     `json:"supportCount"`
-	// Hosts / procs select a simulated cluster for parallel algorithms.
+	// Hosts / procs select a simulated cluster for parallel algorithms;
+	// more than 64 processors in all is a 400 cluster_too_large.
 	Hosts int `json:"hosts"`
 	Procs int `json:"procs"`
 	// Representation is the tid-set representation for Eclat-family
@@ -217,6 +218,8 @@ func errorCode(err error) (int, string) {
 		return http.StatusBadRequest, "invalid_must_contain"
 	case errors.Is(err, repro.ErrInvalidMemoryBudget):
 		return http.StatusBadRequest, "invalid_memory_budget"
+	case errors.Is(err, repro.ErrClusterTooLarge):
+		return http.StatusBadRequest, "cluster_too_large"
 	case errors.Is(err, repro.ErrCanceled):
 		return http.StatusConflict, "canceled"
 	case errors.Is(err, ErrUnknownField):

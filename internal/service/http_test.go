@@ -116,6 +116,35 @@ func TestGenCap(t *testing.T) {
 	}
 }
 
+// TestClusterTooLarge pins the simulated cluster's cap at the POST
+// edge: a job asking for more than 64 processors, including factors
+// whose product would overflow, is a 400 cluster_too_large at
+// submission whatever the algorithm, and no job is admitted, so no
+// processor is ever built.
+func TestClusterTooLarge(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1, QueueDepth: 4}, 500)
+	h := NewHandler(s)
+	for _, body := range []string{
+		`{"dataset":"t10","supportPct":2,"algorithm":"countdist","hosts":9,"procs":8}`,
+		`{"dataset":"t10","supportPct":2,"algorithm":"countdist","hosts":65}`,
+		`{"dataset":"t10","supportPct":2,"algorithm":"hybrid","procs":1000000}`,
+		`{"dataset":"t10","supportPct":2,"hosts":9223372036854775807,"procs":9223372036854775807}`,
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+		var e apiError
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("%s: error payload not JSON: %v", body, err)
+		}
+		if rec.Code != http.StatusBadRequest || e.Error.Code != "cluster_too_large" {
+			t.Fatalf("%s: %d %q, want 400 cluster_too_large", body, rec.Code, e.Error.Code)
+		}
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused shapes admitted %d jobs", len(jobs))
+	}
+}
+
 // TestPathDatasetsConfinedToDataRoot pins POST /v1/datasets's path
 // confinement. Without a data root every path is a 403
 // path_datasets_disabled. With one, an absolute path, a path climbing

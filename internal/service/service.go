@@ -179,6 +179,11 @@ func (s *Service) normalize(req Request) (Request, Key, error) {
 	if req.MemoryBudget < 0 {
 		return req, Key{}, fmt.Errorf("%w: negative memoryBudget %d", repro.ErrInvalidMemoryBudget, req.MemoryBudget)
 	}
+	// Refuse an oversized simulated cluster before the job is admitted:
+	// the run would build one goroutine per processor.
+	if err := (repro.MineOptions{Hosts: req.Hosts, ProcsPerHost: req.ProcsPerHost}).CheckCluster(); err != nil {
+		return req, Key{}, err
+	}
 	key := Key{
 		Dataset:        req.Dataset,
 		Algorithm:      req.Algorithm.String(),

@@ -314,41 +314,6 @@ func containerMax(c *container) uint16 {
 	}
 }
 
-// containerHashSum returns the sum of the full TIDs of a container's
-// members — the order-independent hash contribution of one chunk,
-// computed without materializing anything (runs contribute in closed
-// form).
-func containerHashSum(key uint16, c *container) int64 {
-	base := int64(chunkTID(key, 0))
-	switch c.kind {
-	case ctArray:
-		var s int64
-		for _, v := range c.elems {
-			s += int64(v)
-		}
-		return base*int64(len(c.elems)) + s
-	case ctBitmap:
-		var s int64
-		n := 0
-		for wi, w := range c.words {
-			wbase := int64((int(c.wlo) + wi) * wordBits)
-			for w != 0 {
-				s += wbase + int64(bits.TrailingZeros64(w))
-				w &= w - 1
-				n++
-			}
-		}
-		return base*int64(n) + s
-	default: // ctRun: run [s, s+l] sums to (l+1)s + l(l+1)/2
-		var s int64
-		for i := 0; i < len(c.elems); i += 2 {
-			st, l := int64(c.elems[i]), int64(c.elems[i+1])
-			s += (l+1)*(base+st) + l*(l+1)/2
-		}
-		return s
-	}
-}
-
 // roaringEncodedSize computes the stable encoded size l would have under
 // ReprRoaring without building the containers: one pass tracking each
 // chunk's cardinality, run count and word span, then the same shape rule

@@ -675,41 +675,6 @@ func AppendChunk(dst List, s Set, key uint16) List {
 	}
 }
 
-// HashTIDs returns the order-independent tid-sum hash used by the closed
-// set accumulators, computed without materializing dense sets.
-func HashTIDs(s Set) int64 {
-	switch v := s.(type) {
-	case List:
-		var h int64
-		for _, t := range v {
-			h += int64(t)
-		}
-		return h
-	case *Bitset:
-		var h int64
-		for wi, w := range v.words {
-			base := v.base + itemset.TID(wi*wordBits)
-			for w != 0 {
-				h += int64(base) + int64(bits.TrailingZeros64(w))
-				w &= w - 1
-			}
-		}
-		return h
-	case *Roaring:
-		var h int64
-		for i, key := range v.keys {
-			h += containerHashSum(key, &v.ctrs[i])
-		}
-		return h
-	default:
-		var h int64
-		for _, t := range TIDsOf(s) {
-			h += int64(t)
-		}
-		return h
-	}
-}
-
 // EncodedSize returns the wire/disk size of a tid-list under r, and the
 // concrete representation chosen (ReprAuto picks the smaller encoding —
 // the transformation phase ships each list in whichever encoding is

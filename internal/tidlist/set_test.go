@@ -332,26 +332,6 @@ func TestAppendChunk(t *testing.T) {
 	}
 }
 
-func TestHashTIDsAgreesAcrossRepresentations(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 100; trial++ {
-		l := randomList(rng, 80, 5000)
-		var wantSum int64
-		for _, tid := range l {
-			wantSum += int64(tid)
-		}
-		if got := HashTIDs(l); got != wantSum {
-			t.Fatalf("sparse HashTIDs = %d, want %d", got, wantSum)
-		}
-		if got := HashTIDs(NewBitset(l)); got != wantSum {
-			t.Fatalf("dense HashTIDs = %d, want %d", got, wantSum)
-		}
-		if got := HashTIDs(NewRoaring(l)); got != wantSum {
-			t.Fatalf("roaring HashTIDs = %d, want %d", got, wantSum)
-		}
-	}
-}
-
 func TestEncodedSize(t *testing.T) {
 	l := mk(0, 1, 2, 63) // one word, 4 tids
 	if n, r := EncodedSize(l, ReprSparse); n != 16 || r != ReprSparse {

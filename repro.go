@@ -88,6 +88,9 @@ var (
 	ErrInvalidMustContain = errors.New("repro: invalid must-contain")
 	// ErrInvalidMemoryBudget reports a negative MineOptions.MemoryBudget.
 	ErrInvalidMemoryBudget = errors.New("repro: invalid memory budget")
+	// ErrClusterTooLarge reports a simulated cluster of more than
+	// maxClusterProcs processors (see MineOptions.CheckCluster).
+	ErrClusterTooLarge = errors.New("repro: cluster too large")
 )
 
 // DefaultSupportPct is the paper's experimental support threshold (0.1%
@@ -263,11 +266,14 @@ type MineOptions struct {
 	// SupportCount is the absolute minimum support; overrides SupportPct.
 	SupportCount int
 	// Hosts and ProcsPerHost select a simulated cluster for the parallel
-	// algorithms; both default to 1. Sequential algorithms ignore them.
+	// algorithms; both default to 1. Sequential algorithms ignore them,
+	// but a shape of more than 64 processors is refused whatever the
+	// algorithm (ErrClusterTooLarge).
 	Hosts        int
 	ProcsPerHost int
 	// Cluster overrides the whole cluster configuration (cost models,
-	// memory). When nil, DefaultCluster(Hosts, ProcsPerHost) is used.
+	// memory), under the same processor cap. When nil,
+	// DefaultCluster(Hosts, ProcsPerHost) is used.
 	Cluster *ClusterConfig
 	// PartitionChunks is the number of in-memory chunks AlgoPartition
 	// divides the database into (default 10).
@@ -479,18 +485,34 @@ func (o MineOptions) query() ([]itemset.Item, error) {
 	return must, nil
 }
 
+// maxClusterProcs caps a simulated cluster at twice the paper's 8×4
+// testbed. Every simulated processor runs as a goroutine, and every
+// Count Distribution processor holds its own pair-count triangle
+// (~1 MiB at N = 1000), so the cap bounds what one request can build.
+const maxClusterProcs = 64
+
+// CheckCluster reports ErrClusterTooLarge when the simulated cluster the
+// options select — the explicit Cluster, else Hosts × ProcsPerHost —
+// has more than 64 processors. Each factor is compared with the cap
+// before they are multiplied, so the product cannot overflow. MineFrom
+// runs it before building anything, whatever the algorithm.
+func (o MineOptions) CheckCluster() error {
+	h, p := o.Hosts, o.ProcsPerHost
+	if o.Cluster != nil {
+		h, p = o.Cluster.Hosts, o.Cluster.ProcsPerHost
+	}
+	h, p = max(h, 1), max(p, 1)
+	if h > maxClusterProcs || p > maxClusterProcs || h*p > maxClusterProcs {
+		return fmt.Errorf("%w: %d hosts × %d processors, at most %d processors", ErrClusterTooLarge, h, p, maxClusterProcs)
+	}
+	return nil
+}
+
 func (o MineOptions) clusterConfig() ClusterConfig {
 	if o.Cluster != nil {
 		return *o.Cluster
 	}
-	h, p := o.Hosts, o.ProcsPerHost
-	if h < 1 {
-		h = 1
-	}
-	if p < 1 {
-		p = 1
-	}
-	return cluster.Default(h, p)
+	return cluster.Default(max(o.Hosts, 1), max(o.ProcsPerHost, 1))
 }
 
 // Metric names of the repro package (reprolint/metricname: obsv metric
@@ -621,6 +643,9 @@ func MineFrom(ctx context.Context, src Source, opts MineOptions) (*Result, *RunI
 	}
 	if opts.MemoryBudget < 0 {
 		return nil, nil, fmt.Errorf("%w: negative MemoryBudget %d", ErrInvalidMemoryBudget, opts.MemoryBudget)
+	}
+	if err := opts.CheckCluster(); err != nil {
+		return nil, nil, err
 	}
 	numTx := src.NumTransactions()
 	minsup, err := opts.MinSupN(numTx)

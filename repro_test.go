@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/tidlist"
 )
 
 func smallDB(t testing.TB) *Database {
@@ -144,6 +146,52 @@ func TestSupportPctOutOfRangeRejected(t *testing.T) {
 	_, info, err := Mine(context.Background(), d, MineOptions{SupportPct: 100})
 	if err != nil || info.MinSup != d.Len() {
 		t.Fatalf("Mine at 100%%: info %+v, err %v; want MinSup %d", info, err, d.Len())
+	}
+}
+
+// refusingSource fails the test if MineFrom reads it: options refused
+// up front must not touch the data.
+type refusingSource struct{ t *testing.T }
+
+func (s refusingSource) NumTransactions() int {
+	s.t.Fatal("refused options read the source")
+	return 0
+}
+
+func (s refusingSource) Horizontal() (*Database, error) {
+	s.t.Fatal("refused options read the source")
+	return nil, nil
+}
+
+func (s refusingSource) VerticalSets(Representation) ([]tidlist.Set, bool) {
+	s.t.Fatal("refused options read the source")
+	return nil, false
+}
+
+// TestClusterTooLargeRejected pins the simulated cluster's cap: a shape
+// of more than 64 processors, from Hosts × ProcsPerHost or an explicit
+// Cluster, is ErrClusterTooLarge before MineFrom reads its source or
+// builds a processor, whatever the algorithm; factors whose product
+// would overflow are refused too, and 8×8 is admitted.
+func TestClusterTooLargeRejected(t *testing.T) {
+	big := DefaultCluster(65, 1)
+	for _, opts := range []MineOptions{
+		{Algorithm: AlgoCountDistribution, Hosts: 9, ProcsPerHost: 8},
+		{Algorithm: AlgoEclatHybrid, Hosts: 65},
+		{Algorithm: AlgoCountDistribution, ProcsPerHost: 1 << 20},
+		{Algorithm: AlgoApriori, Hosts: math.MaxInt, ProcsPerHost: math.MaxInt},
+		{Algorithm: AlgoDataDistribution, Cluster: &big},
+	} {
+		opts.SupportPct = 1
+		if err := opts.CheckCluster(); !errors.Is(err, ErrClusterTooLarge) {
+			t.Fatalf("%+v: CheckCluster = %v, want ErrClusterTooLarge", opts, err)
+		}
+		if _, _, err := MineFrom(context.Background(), refusingSource{t}, opts); !errors.Is(err, ErrClusterTooLarge) {
+			t.Fatalf("%+v: MineFrom err = %v, want ErrClusterTooLarge", opts, err)
+		}
+	}
+	if err := (MineOptions{Hosts: 8, ProcsPerHost: 8}).CheckCluster(); err != nil {
+		t.Fatalf("8x8: %v, want admitted", err)
 	}
 }
 

@@ -2,7 +2,7 @@
 
 // Command golden_stats regenerates internal/eclat/testdata/golden_stats.json,
 // the frozen work-counter profile of the class-task engine on the seed
-// datasets: every engine policy mined on one worker, plus the
+// datasets: every engine policy mined on one worker, plus the two
 // simulated-cluster forms. The committed file was captured from the
 // pre-engine variants and the equivalence suite asserts the engine
 // reproduces it exactly at every policy, representation and worker
@@ -60,17 +60,8 @@ type MaxGold struct {
 	Candidates    int   `json:"candidates"`
 }
 
-// DiffGold freezes the counters of one pure-diffset run.
-type DiffGold struct {
-	Scans         int        `json:"scans"`
-	Intersections int64      `json:"intersections"`
-	DiffOps       int64      `json:"diffOps"`
-	ListBytes     int64      `json:"listBytes"`
-	Kernel        KernelGold `json:"kernel"`
-}
-
 // Entry is the golden record of one (dataset, minsup, representation)
-// cell across the three stat-bearing variants, plus an output
+// cell across the two stat-bearing variants, plus an output
 // fingerprint per mining variant (FNV-64a over the canonical sorted
 // itemset/support stream — byte-identity across the refactor is asserted
 // against these, not just against a same-binary re-run). Cluster
@@ -81,7 +72,6 @@ type Entry struct {
 	Repr         string            `json:"repr"`
 	Stats        StatsGold         `json:"stats"`
 	Max          MaxGold           `json:"max"`
-	Diff         DiffGold          `json:"diff"`
 	Fingerprints map[string]uint64 `json:"fingerprints"`
 }
 
@@ -139,9 +129,15 @@ func main() {
 	}
 	t10 := gen.MustGenerate(gen.T10I6(2000))
 	t5 := gen.MustGenerate(gen.T5I2(800))
+	// Dense: 12 items, |T|=8, |I|=4, where at 30 % support figure 3's
+	// diffset switch fires under every encoding.
+	denseCfg := gen.T10I6(800)
+	denseCfg.NumItems, denseCfg.AvgTxLen, denseCfg.AvgPatternLen = 12, 8, 4
+	dense := gen.MustGenerate(denseCfg)
 	datasets := []ds{
 		{"T10I6-2000", t10, t10.MinSupCount(0.6)},
 		{"T5I2-800", t5, t5.MinSupCount(1.0)},
+		{"T8I4N12-800", dense, dense.MinSupCount(30)},
 	}
 	reprs := []tidlist.Repr{tidlist.ReprAuto, tidlist.ReprSparse, tidlist.ReprBitset, tidlist.ReprRoaring}
 
@@ -168,24 +164,13 @@ func main() {
 				LookaheadHits: mst.LookaheadHits,
 				Candidates:    mst.Candidates,
 			}
-			dst := mine("diffsets", eclat.PolicyDiffsets)
-			e.Diff = DiffGold{
-				Scans:         dst.Scans,
-				Intersections: dst.Intersections,
-				DiffOps:       dst.IntersectOps,
-				ListBytes:     dst.ListBytes,
-				Kernel:        kernelGold(&dst.Kernel),
-			}
 			mine("closed", eclat.PolicyClosed)
-			mine("charm", eclat.PolicyCharm)
 
 			opts := eclat.Options{Representation: repr}
 			clRes, _ := eclat.MineOpts(cluster.New(cluster.Default(2, 2)), d.d, d.minsup, opts)
 			e.Fingerprints["cluster"] = fingerprint(clRes)
 			hyRes, _ := eclat.MineHybridOpts(cluster.New(cluster.Default(2, 2)), d.d, d.minsup, opts)
 			e.Fingerprints["hybrid"] = fingerprint(hyRes)
-			mpRes, _ := eclat.MineMaximalParallelOpts(cluster.New(cluster.Default(2, 2)), d.d, d.minsup, opts)
-			e.Fingerprints["maximalCluster"] = fingerprint(mpRes)
 
 			entries = append(entries, e)
 		}
