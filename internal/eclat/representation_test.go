@@ -347,3 +347,96 @@ func TestPayloadSplitAccounted(t *testing.T) {
 		}
 	}
 }
+
+// storeMixSets encodes each item of d the way the store's ReprAuto view
+// does: in whichever of the three encodings is smallest for that item.
+func storeMixSets(d *db.Database) []tidlist.Set {
+	sets := verticalSets(d, tidlist.ReprSparse)
+	var ks tidlist.KernelStats
+	for it, s := range sets {
+		if s != nil {
+			_, enc := tidlist.EncodedSize(s.(tidlist.List), tidlist.ReprAuto)
+			sets[it] = tidlist.Convert(s, enc, &ks)
+		}
+	}
+	return sets
+}
+
+// TestClassMembersShareOneEncoding pins the invariant that lets the
+// short-circuit and difference kernels run within one encoding: every
+// class hands its joins members that all hold one encoding. It checks
+// v.members for every class, from horizontal input (classMembers over
+// buildVertical's pair lists, which the simulated cluster mines through
+// as well) and from item sets in each single encoding and in the store's
+// per-item cheapest mix, whose pair sets derive in mixed encodings, under
+// every mining encoding. tidlist's TestKernelsKeepOneEncoding shows that
+// every kernel keeps its operands' encoding, so no sub-class mixes them
+// either.
+func TestClassMembersShareOneEncoding(t *testing.T) {
+	dense := goldenDB(t, goldenDense)
+	t10 := goldenDB(t, "T10I6-2000")
+	random := denseDB(rand.New(rand.NewSource(23)), 300, 12, 0.8)
+	datasets := []struct {
+		name   string
+		d      *db.Database
+		minsup int
+	}{
+		{goldenDense, dense, dense.MinSupCount(30)},
+		{"T10I6-2000", t10, t10.MinSupCount(0.5)},
+		{"random-dense", random, random.MinSupCount(30)},
+	}
+	inputs := []struct {
+		name  string
+		items func(d *db.Database) []tidlist.Set // nil: horizontal input
+	}{
+		{"horizontal", nil},
+		{"items=sparse", func(d *db.Database) []tidlist.Set { return verticalSets(d, tidlist.ReprSparse) }},
+		{"items=bitset", func(d *db.Database) []tidlist.Set { return verticalSets(d, tidlist.ReprBitset) }},
+		{"items=roaring", func(d *db.Database) []tidlist.Set { return verticalSets(d, tidlist.ReprRoaring) }},
+		{"items=store-mix", storeMixSets},
+	}
+	mix := map[tidlist.Repr]bool{}
+	for _, s := range storeMixSets(t10) {
+		if s != nil {
+			mix[s.Repr()] = true
+		}
+	}
+	if len(mix) != 3 {
+		t.Fatalf("T10's store mix holds encodings %v, want all three", mix)
+	}
+	ctx := context.Background()
+	for _, ds := range datasets {
+		for _, in := range inputs {
+			for _, r := range allReprs {
+				name := fmt.Sprintf("%s/%s/repr=%v", ds.name, in.name, r)
+				opts := Options{Representation: r}
+				var st Stats
+				var v *vertical
+				if in.items == nil {
+					v = buildVertical(ctx, ds.d, ds.minsup, &st, opts)
+				} else {
+					vin := VerticalInput{NumTransactions: ds.d.Len(), Items: in.items(ds.d)}
+					v = buildVerticalFromSets(ctx, vin, ds.minsup, &st, opts)
+				}
+				if len(v.classes) == 0 {
+					t.Fatalf("%s: no class to mine", name)
+				}
+				ar := &arena{}
+				for ci := range v.classes {
+					mark := ar.mark()
+					members := v.members(ci, r, &st, ar)
+					want := members[0].tids.Repr()
+					if r != tidlist.ReprAuto && want != r {
+						t.Fatalf("%s: class %d member 0 is %v under an explicit %v", name, ci, want, r)
+					}
+					for _, m := range members[1:] {
+						if got := m.tids.Repr(); got != want {
+							t.Fatalf("%s: class %d holds %v and %v members", name, ci, want, got)
+						}
+					}
+					ar.release(mark)
+				}
+			}
+		}
+	}
+}

@@ -986,46 +986,6 @@ func intersectRoaringBitset(dst *Roaring, a *Roaring, b *Bitset, ks *KernelStats
 	return dst, ops
 }
 
-// diffRoaringBitset computes roaring \ bitset chunk by chunk.
-func diffRoaringBitset(dst *Roaring, a *Roaring, b *Bitset, ks *KernelStats) (*Roaring, int) {
-	dst = reuseRoaring(dst)
-	dst.ctrs = dst.ctrs[:0]
-	ops := 0
-	for i, key := range a.keys {
-		if view, ok := bitsetChunkView(b, key); ok {
-			ops += ctrAndNot(dst.nextCtr(), &a.ctrs[i], &view, ks)
-		} else {
-			ops += ctrCopy(dst.nextCtr(), &a.ctrs[i], ks)
-		}
-		dst.commitCtr(key)
-	}
-	return dst, ops
-}
-
-// intersectRoaringBitsetSC is intersectRoaringBitset with the §5.3
-// short circuit: the result can gain at most the remaining cardinality
-// of the roaring operand (the bitset's per-chunk remainder is unknown
-// without a popcount pass, so only a's remainder bounds the scan).
-func intersectRoaringBitsetSC(dst *Roaring, a *Roaring, b *Bitset, minsup int, ks *KernelStats) (result Set, ops int, ok bool) {
-	if min(a.count, b.count) < minsup {
-		return reuseRoaring(dst), 0, false
-	}
-	dst = reuseRoaring(dst)
-	dst.ctrs = dst.ctrs[:0]
-	remA := a.count
-	for i, key := range a.keys {
-		remA -= int(a.ctrs[i].card)
-		if view, vok := bitsetChunkView(b, key); vok {
-			ops += dst.ctrAnd(dst.nextCtr(), &a.ctrs[i], &view, ks)
-			dst.commitCtr(key)
-		}
-		if dst.count+remA < minsup {
-			return dst, ops, false
-		}
-	}
-	return dst, ops, dst.count >= minsup
-}
-
 // probeIntersectRoaring intersects a sparse list with a roaring by
 // probing each element into the container of its chunk, walking the
 // chunk keys in step with the sorted probes; the result is sparse.
@@ -1044,112 +1004,4 @@ func probeIntersectRoaring(scratch Set, sparse List, r *Roaring, ks *KernelStats
 	}
 	ks.sparseOps += int64(len(sparse))
 	return dst, len(sparse)
-}
-
-// probeIntersectRoaringSC is probeIntersectRoaring with the support
-// bound: after m misses the result is bounded by len(sparse) - m.
-func probeIntersectRoaringSC(scratch Set, sparse List, r *Roaring, minsup int, ks *KernelStats) (Set, int, bool) {
-	ks.mixedIntersections++
-	dst := sparseScratch(scratch, len(sparse))
-	if min(len(sparse), r.count) < minsup {
-		return dst, 0, false
-	}
-	ops := 0
-	ci := 0
-	for i, t := range sparse {
-		ops++
-		k := chunkKey(t)
-		for ci < len(r.keys) && r.keys[ci] < k {
-			ci++
-		}
-		if ci < len(r.keys) && r.keys[ci] == k && containerContains(&r.ctrs[ci], chunkLow(t)) {
-			dst = append(dst, t)
-		}
-		if len(dst)+(len(sparse)-1-i) < minsup {
-			ks.sparseOps += int64(ops)
-			return dst, ops, false
-		}
-	}
-	ks.sparseOps += int64(ops)
-	return dst, ops, len(dst) >= minsup
-}
-
-// diffRoaringList computes roaring \ list by synthesizing a per-chunk
-// array container view over the list's members and running the
-// container kernel.
-func diffRoaringList(dst *Roaring, a *Roaring, b List, ks *KernelStats) (*Roaring, int) {
-	dst = reuseRoaring(dst)
-	dst.ctrs = dst.ctrs[:0]
-	ops := 0
-	var lows []uint16
-	j := 0
-	for i, key := range a.keys {
-		for j < len(b) && chunkKey(b[j]) < key {
-			j++
-		}
-		lows = lows[:0]
-		for k := j; k < len(b) && chunkKey(b[k]) == key; k++ {
-			lows = append(lows, chunkLow(b[k]))
-		}
-		if len(lows) == 0 {
-			ops += ctrCopy(dst.nextCtr(), &a.ctrs[i], ks)
-		} else {
-			view := container{kind: ctArray, card: int32(len(lows)), elems: lows}
-			ops += ctrAndNot(dst.nextCtr(), &a.ctrs[i], &view, ks)
-		}
-		dst.commitCtr(key)
-	}
-	return dst, ops
-}
-
-// diffBitsetRoaring computes bitset \ roaring: a copy of the bitset
-// with every roaring member cleared.
-func diffBitsetRoaring(dst *Bitset, a *Bitset, b *Roaring, ks *KernelStats) (Set, int) {
-	ks.mixedIntersections++
-	n := len(a.words)
-	dst = reuseWords(dst, n)
-	dst.base = a.base
-	copy(dst.words, a.words)
-	count := a.count
-	clearTID := func(t itemset.TID) {
-		if t < dst.base {
-			return
-		}
-		off := t - dst.base
-		wi := int(off / wordBits)
-		if wi < len(dst.words) && dst.words[wi]&(1<<(uint(off)%wordBits)) != 0 {
-			dst.words[wi] &^= 1 << (uint(off) % wordBits)
-			count--
-		}
-	}
-	for i, key := range b.keys {
-		c := &b.ctrs[i]
-		switch c.kind {
-		case ctArray:
-			for _, v := range c.elems {
-				clearTID(chunkTID(key, v))
-			}
-		case ctBitmap:
-			for wi, w := range c.words {
-				base := chunkTID(key, 0) + itemset.TID((int(c.wlo)+wi)*wordBits)
-				for w != 0 {
-					clearTID(base + itemset.TID(bits.TrailingZeros64(w)))
-					w &= w - 1
-				}
-			}
-		case ctRun:
-			for ri := 0; ri < len(c.elems); ri += 2 {
-				start, rl := c.elems[ri], int(c.elems[ri+1])
-				for o := 0; o <= rl; o++ {
-					clearTID(chunkTID(key, start) + itemset.TID(o))
-				}
-			}
-		}
-	}
-	dst.count = count
-	dst.trim()
-	ops := n + b.count
-	ks.sparseOps += int64(b.count)
-	ks.wordsTouched += int64(n)
-	return dst, ops
 }

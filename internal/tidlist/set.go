@@ -147,7 +147,9 @@ func JoinNS(r Repr, c ClassShape) float64 {
 // Set is a tid-set under some representation. The mining recursion works
 // exclusively through this interface plus the kernel dispatch functions
 // (IntersectSets, IntersectSetsSC, DiffSets), so every eclat variant is
-// representation-agnostic.
+// representation-agnostic. IntersectSets has a kernel for every pair of
+// encodings; IntersectSetsSC and DiffSets have one per encoding and fall
+// back on a mixed pair.
 type Set interface {
 	// Support returns the cardinality of the set.
 	Support() int
@@ -167,10 +169,6 @@ var (
 	_ Set = (*Bitset)(nil)
 	_ Set = (*Roaring)(nil)
 )
-
-// SparseList is the sorted-slice representation under its role name: the
-// existing List type is the sparse concrete type of the Set abstraction.
-type SparseList = List
 
 // Repr identifies the sparse representation.
 func (l List) Repr() Repr { return ReprSparse }
@@ -399,131 +397,67 @@ func IntersectSets(scratch Set, a, b Set, ks *KernelStats) (Set, int) {
 // contract as IntersectShortCircuit, now enforced across every kernel.
 // ops is reported even on a mid-scan abort, so work accounting stays
 // exact for short-circuited intersections.
+//
+// The short circuit runs inside the kernel only when a and b share an
+// encoding, as a class's joins always do: its members are re-encoded to
+// one representation and every kernel preserves it. A mixed pair is
+// refused on the support bound alone, or else intersected in full by
+// IntersectSets and judged on the result's support.
 func IntersectSetsSC(scratch Set, a, b Set, minsup int, ks *KernelStats) (result Set, ops int, ok bool) {
 	switch x := a.(type) {
 	case List:
-		switch y := b.(type) {
-		case List:
+		if y, same := b.(List); same {
 			ks.sparseIntersections++
 			out, ops, ok := IntersectShortCircuit(sparseScratch(scratch, min(len(x), len(y))), x, y, minsup)
 			ks.sparseOps += int64(ops)
 			return out, ops, ok
-		case *Bitset:
-			return probeIntersectSC(scratch, x, y, minsup, ks)
-		case *Roaring:
-			return probeIntersectRoaringSC(scratch, x, y, minsup, ks)
 		}
 	case *Bitset:
-		switch y := b.(type) {
-		case List:
-			return probeIntersectSC(scratch, y, x, minsup, ks)
-		case *Bitset:
+		if y, same := b.(*Bitset); same {
 			ks.denseIntersections++
 			out, words, ok := intersectBitsetSC(bitsetScratch(scratch), x, y, minsup)
 			ks.wordsTouched += int64(words)
 			return out, words, ok
-		case *Roaring:
-			ks.roaringIntersections++
-			return intersectRoaringBitsetSC(roaringScratch(scratch), y, x, minsup, ks)
 		}
 	case *Roaring:
-		switch y := b.(type) {
-		case List:
-			return probeIntersectRoaringSC(scratch, y, x, minsup, ks)
-		case *Bitset:
-			ks.roaringIntersections++
-			return intersectRoaringBitsetSC(roaringScratch(scratch), x, y, minsup, ks)
-		case *Roaring:
+		if y, same := b.(*Roaring); same {
 			ks.roaringIntersections++
 			return intersectRoaringSC(roaringScratch(scratch), x, y, minsup, ks)
 		}
 	}
-	out, ops := intersectGeneric(a, b, ks)
+	if min(a.Support(), b.Support()) < minsup {
+		return scratch, 0, false
+	}
+	out, ops := IntersectSets(scratch, a, b, ks)
 	return out, ops, out.Support() >= minsup
 }
 
 // DiffSets computes a \ b through the representation-dispatched kernel
-// (AND NOT for dense operands), reusing scratch like IntersectSets.
+// (AND NOT for dense operands), reusing scratch like IntersectSets. The
+// difference kernels run within one encoding, as the dEclat transition
+// and its recursion always call them; a mixed pair falls back to the
+// sparse merge of both sides' tid-lists.
 func DiffSets(scratch Set, a, b Set, ks *KernelStats) (Set, int) {
 	switch x := a.(type) {
 	case List:
-		switch y := b.(type) {
-		case List:
+		if y, same := b.(List); same {
 			ks.sparseIntersections++
 			out := DiffInto(sparseScratch(scratch, len(x)), x, y)
 			ops := len(x) + len(y)
 			ks.sparseOps += int64(ops)
 			return out, ops
-		case *Bitset:
-			// Keep the elements of x that y does not contain: one O(1)
-			// probe per element.
-			ks.mixedIntersections++
-			dst := sparseScratch(scratch, len(x))
-			for _, t := range x {
-				if !y.Contains(t) {
-					dst = append(dst, t)
-				}
-			}
-			ks.sparseOps += int64(len(x))
-			return dst, len(x)
-		case *Roaring:
-			// Keep the elements of x outside y, walking y's chunks in
-			// step with the sorted probes.
-			ks.mixedIntersections++
-			dst := sparseScratch(scratch, len(x))
-			ci := 0
-			for _, t := range x {
-				k := chunkKey(t)
-				for ci < len(y.keys) && y.keys[ci] < k {
-					ci++
-				}
-				if ci >= len(y.keys) || y.keys[ci] != k || !containerContains(&y.ctrs[ci], chunkLow(t)) {
-					dst = append(dst, t)
-				}
-			}
-			ks.sparseOps += int64(len(x))
-			return dst, len(x)
 		}
 	case *Bitset:
-		switch y := b.(type) {
-		case *Bitset:
+		if y, same := b.(*Bitset); same {
 			ks.denseIntersections++
 			out, words := diffBitset(bitsetScratch(scratch), x, y)
 			ks.wordsTouched += int64(words)
 			return out, words
-		case List:
-			// Clear each element of y out of a copy of x.
-			ks.mixedIntersections++
-			dst := bitsetScratch(scratch)
-			n := len(x.words)
-			dst = reuseWords(dst, n)
-			dst.base = x.base
-			copy(dst.words, x.words)
-			dst.count = x.count
-			for _, t := range y {
-				if dst.Contains(t) {
-					off := t - dst.base
-					dst.words[off/wordBits] &^= 1 << (uint(off) % wordBits)
-					dst.count--
-				}
-			}
-			dst.trim()
-			ks.sparseOps += int64(len(y))
-			return dst, len(y)
-		case *Roaring:
-			return diffBitsetRoaring(bitsetScratch(scratch), x, y, ks)
 		}
 	case *Roaring:
-		switch y := b.(type) {
-		case *Roaring:
+		if y, same := b.(*Roaring); same {
 			ks.roaringIntersections++
 			return diffRoaring(roaringScratch(scratch), x, y, ks)
-		case *Bitset:
-			ks.roaringIntersections++
-			return diffRoaringBitset(roaringScratch(scratch), x, y, ks)
-		case List:
-			ks.roaringIntersections++
-			return diffRoaringList(roaringScratch(scratch), x, y, ks)
 		}
 	}
 	a2, b2 := TIDsOf(a), TIDsOf(b)
@@ -546,29 +480,6 @@ func probeIntersect(scratch Set, sparse List, dense *Bitset, ks *KernelStats) (S
 	}
 	ks.sparseOps += int64(len(sparse))
 	return dst, len(sparse)
-}
-
-// probeIntersectSC is probeIntersect with the support bound: after m
-// misses the result is bounded by len(sparse) - m.
-func probeIntersectSC(scratch Set, sparse List, dense *Bitset, minsup int, ks *KernelStats) (Set, int, bool) {
-	ks.mixedIntersections++
-	dst := sparseScratch(scratch, len(sparse))
-	if min(len(sparse), dense.Support()) < minsup {
-		return dst, 0, false
-	}
-	ops := 0
-	for i, t := range sparse {
-		ops++
-		if dense.Contains(t) {
-			dst = append(dst, t)
-		}
-		if len(dst)+(len(sparse)-1-i) < minsup {
-			ks.sparseOps += int64(ops)
-			return dst, ops, false
-		}
-	}
-	ks.sparseOps += int64(ops)
-	return dst, ops, len(dst) >= minsup
 }
 
 // intersectGeneric handles Set implementations outside this package by

@@ -2,6 +2,7 @@ package tidlist
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -238,6 +239,76 @@ func TestAbortedResultReusableAsScratch(t *testing.T) {
 			got, _ := IntersectSets(aborted, asRepr(a, combo[0]), asRepr(c, combo[1]), &ks)
 			if !equalTIDs(TIDsOf(got), want) {
 				t.Fatalf("combo %v/%v: reusing aborted result as scratch corrupted the next intersection", combo[0], combo[1])
+			}
+		}
+	}
+}
+
+// bernoulliList returns the TIDs of [0, span) kept each with probability
+// p, in increasing order.
+func bernoulliList(rng *rand.Rand, span int, p float64) List {
+	var l List
+	for t := 0; t < span; t++ {
+		if rng.Float64() < p {
+			l = append(l, itemset.TID(t))
+		}
+	}
+	return l
+}
+
+// TestKernelsKeepOneEncoding: given two operands of one encoding, every
+// kernel returns that encoding — the plain intersection, the short
+// circuit whether it keeps the result, aborts mid-scan or refuses up
+// front, and the difference — also when it reuses the previous result
+// as scratch. A class's members share one encoding (eclat's
+// TestClassMembersShareOneEncoding), so by induction every join and
+// difference below it pairs one encoding, and no mining call reaches the
+// mixed fallbacks of IntersectSetsSC and DiffSets. The operands span five
+// 64K-TID chunks, at densities that give the roaring sets array, bitmap
+// and run containers.
+func TestKernelsKeepOneEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	span := 5 << ChunkBits
+	runs := append(seqList(10, 3000), seqList(2<<ChunkBits, 70000)...)
+	pairs := [][2]List{
+		{bernoulliList(rng, span, 0.002), bernoulliList(rng, span, 0.004)},
+		{bernoulliList(rng, span, 0.3), bernoulliList(rng, span, 0.6)},
+		{runs, bernoulliList(rng, span, 0.5)},
+	}
+	for _, r := range []Repr{ReprSparse, ReprBitset, ReprRoaring} {
+		var ks KernelStats
+		var scratch Set
+		check := func(op string, got Set) {
+			t.Helper()
+			if got.Repr() != r {
+				t.Fatalf("%v operands: %s returned %v", r, op, got.Repr())
+			}
+			scratch = got
+		}
+		for _, p := range pairs {
+			a, b := asRepr(p[0], r), asRepr(p[1], r)
+			full := Intersect(p[0], p[1])
+			if len(full) == 0 || len(full) == min(len(p[0]), len(p[1])) {
+				t.Fatalf("operands of %d and %d TIDs meet in %d: no mid-scan abort", len(p[0]), len(p[1]), len(full))
+			}
+			got, _ := IntersectSets(scratch, a, b, &ks)
+			if !equalTIDs(TIDsOf(got), full) {
+				t.Fatalf("%v operands: IntersectSets content mismatch", r)
+			}
+			check("IntersectSets", got)
+			for _, minsup := range []int{len(full), len(full) + 1, min(len(p[0]), len(p[1])) + 1} {
+				got, _, ok := IntersectSetsSC(scratch, a, b, minsup, &ks)
+				if ok != (minsup <= len(full)) {
+					t.Fatalf("%v operands, minsup %d: ok=%v with |∩|=%d", r, minsup, ok, len(full))
+				}
+				check(fmt.Sprintf("IntersectSetsSC(minsup %d, ok=%v)", minsup, ok), got)
+			}
+			for _, d := range [][2]Set{{a, b}, {b, a}} {
+				got, _ := DiffSets(scratch, d[0], d[1], &ks)
+				if !equalTIDs(TIDsOf(got), Diff(TIDsOf(d[0]), TIDsOf(d[1]))) {
+					t.Fatalf("%v operands: DiffSets content mismatch", r)
+				}
+				check("DiffSets", got)
 			}
 		}
 	}

@@ -12,13 +12,15 @@
 // 6.3).
 //
 // The sorted slice is one of three pluggable representations behind the
-// Set abstraction (see set.go): SparseList (this file's List) keeps the
-// paper's scalar merge kernels, Bitset (bitset.go) packs 64 TIDs per word
-// and intersects with AND + popcount, and Roaring (roaring.go) picks a
+// Set abstraction (see set.go): List (this file) keeps the paper's scalar
+// merge kernels, Bitset (bitset.go) packs 64 TIDs per word and
+// intersects with AND + popcount, and Roaring (roaring.go) picks a
 // container per 64K-TID chunk. ChooseRepr picks one per equivalence class
 // by pricing the class's C(s,2) joins under the merge kernel and under a
 // packed one, and the IntersectSets/DiffSets dispatchers let the mining
-// recursion stay representation-agnostic.
+// recursion stay representation-agnostic. Any two encodings intersect,
+// but the short-circuit and difference kernels run within one encoding:
+// a class's members share one, and every kernel keeps it.
 package tidlist
 
 import (

@@ -91,6 +91,9 @@ var (
 	// ErrClusterTooLarge reports a simulated cluster of more than
 	// maxClusterProcs processors (see MineOptions.CheckCluster).
 	ErrClusterTooLarge = errors.New("repro: cluster too large")
+	// ErrInvalidCluster reports an explicit MineOptions.Cluster with
+	// fewer than one host or one processor per host.
+	ErrInvalidCluster = errors.New("repro: invalid cluster")
 )
 
 // DefaultSupportPct is the paper's experimental support threshold (0.1%
@@ -272,8 +275,9 @@ type MineOptions struct {
 	Hosts        int
 	ProcsPerHost int
 	// Cluster overrides the whole cluster configuration (cost models,
-	// memory), under the same processor cap. When nil,
-	// DefaultCluster(Hosts, ProcsPerHost) is used.
+	// memory), under the same processor cap; its Hosts and ProcsPerHost
+	// have no default and must be at least 1 (ErrInvalidCluster). When
+	// nil, DefaultCluster(Hosts, ProcsPerHost) is used.
 	Cluster *ClusterConfig
 	// PartitionChunks is the number of in-memory chunks AlgoPartition
 	// divides the database into (default 10).
@@ -493,15 +497,19 @@ const maxClusterProcs = 64
 
 // CheckCluster reports ErrClusterTooLarge when the simulated cluster the
 // options select — the explicit Cluster, else Hosts × ProcsPerHost —
-// has more than 64 processors. Each factor is compared with the cap
-// before they are multiplied, so the product cannot overflow. MineFrom
-// runs it before building anything, whatever the algorithm.
+// has more than 64 processors, and ErrInvalidCluster when an explicit
+// Cluster has fewer than one host or one processor per host. Each factor
+// is compared with the cap before they are multiplied, so the product
+// cannot overflow. MineFrom runs it before building anything, whatever
+// the algorithm.
 func (o MineOptions) CheckCluster() error {
-	h, p := o.Hosts, o.ProcsPerHost
+	h, p := max(o.Hosts, 1), max(o.ProcsPerHost, 1)
 	if o.Cluster != nil {
 		h, p = o.Cluster.Hosts, o.Cluster.ProcsPerHost
+		if h < 1 || p < 1 {
+			return fmt.Errorf("%w: %d hosts × %d processors per host", ErrInvalidCluster, h, p)
+		}
 	}
-	h, p = max(h, 1), max(p, 1)
 	if h > maxClusterProcs || p > maxClusterProcs || h*p > maxClusterProcs {
 		return fmt.Errorf("%w: %d hosts × %d processors, at most %d processors", ErrClusterTooLarge, h, p, maxClusterProcs)
 	}

@@ -195,6 +195,24 @@ func TestClusterTooLargeRejected(t *testing.T) {
 	}
 }
 
+// TestInvalidClusterRejected: an explicit Cluster has no default shape,
+// so one with no host or no processor per host is ErrInvalidCluster
+// before MineFrom reads its source or builds a processor, under a
+// parallel and a sequential algorithm alike.
+func TestInvalidClusterRejected(t *testing.T) {
+	for _, algo := range []Algorithm{AlgoCountDistribution, AlgoEclat} {
+		for _, cfg := range []ClusterConfig{{}, {Hosts: 2}} {
+			opts := MineOptions{Algorithm: algo, SupportPct: 1, Cluster: &cfg}
+			if err := opts.CheckCluster(); !errors.Is(err, ErrInvalidCluster) {
+				t.Fatalf("%v, %d×%d: CheckCluster = %v, want ErrInvalidCluster", algo, cfg.Hosts, cfg.ProcsPerHost, err)
+			}
+			if _, _, err := MineFrom(context.Background(), refusingSource{t}, opts); !errors.Is(err, ErrInvalidCluster) {
+				t.Fatalf("%v, %d×%d: MineFrom err = %v, want ErrInvalidCluster", algo, cfg.Hosts, cfg.ProcsPerHost, err)
+			}
+		}
+	}
+}
+
 func TestRulesEndToEnd(t *testing.T) {
 	d := smallDB(t)
 	res, _, err := Mine(context.Background(), d, MineOptions{SupportPct: 0.5})
