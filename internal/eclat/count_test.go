@@ -200,7 +200,7 @@ func expandClasses(d *db.Database, minsup int) ([]expandClass, *txRows) {
 	out := make([]expandClass, len(v.classes))
 	for ci := range v.classes {
 		sup, prefix := v.prefix(ci)
-		out[ci] = expandClass{members: v.members(ci, tidlist.ReprAuto, &st, nil), prefixSup: sup, prefix: prefix}
+		out[ci] = expandClass{members: v.sets.classMembers(&v.classes[ci], tidlist.ReprAuto, &st, nil), prefixSup: sup, prefix: prefix}
 	}
 	return out, v.rows
 }
@@ -458,15 +458,18 @@ func TestCountedChoiceIndependentOfScheduling(t *testing.T) {
 	d := gen.MustGenerate(cfg)
 	minsup := d.MinSupCount(1.25)
 	ctx := context.Background()
+	build := func(minsup int, opts Options, st *Stats) *vertical {
+		return buildVertical(ctx, d, minsup, st, opts)
+	}
 
-	_, want, err := mineLocal(ctx, minsup, Options{Workers: 1}, &arena{}, horizontalBuild(ctx, d))
+	_, want, err := mineLocal(ctx, minsup, Options{Workers: 1}, &arena{}, build)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.CountedClasses == 0 {
 		t.Fatal("no class counted on dense data")
 	}
-	_, heap, err := mineLocal(ctx, minsup, Options{Workers: 1}, nil, horizontalBuild(ctx, d))
+	_, heap, err := mineLocal(ctx, minsup, Options{Workers: 1}, nil, build)
 	if err != nil {
 		t.Fatal(err)
 	}

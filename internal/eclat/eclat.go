@@ -482,12 +482,9 @@ func computeFrequentDiffCtx(ctx context.Context, members []dmember, th *threshol
 }
 
 // classMembers assembles the sorted member list of one L2 equivalence
-// class from the global pair tid-list map, then applies the per-class
-// representation policy: with ReprAuto the class's C(s,2) joins are
-// priced under the merge kernel and under a packed one (see
-// tidlist.ChooseRepr), so classes whose joins are cheaper in words get
-// the word kernel and the rest keep the merge loop — the decision is as
-// localized as the class computation itself.
+// class from a simulated processor's global pair tid-lists (§5.2), then
+// resolves the class's encoding as the local engine's classes do (see
+// applyClassRepr).
 func classMembers(class *eqclass.Class, lists map[tidlist.Pair]tidlist.List, repr tidlist.Repr, ks *tidlist.KernelStats) []member {
 	out := make([]member, 0, len(class.Members))
 	for _, set := range class.Members {
@@ -534,19 +531,11 @@ func classShape(members []member) tidlist.ClassShape {
 
 // vertical is what the local entry points hand the mining core: the
 // result seeded with L1 and L2, the pruned equivalence classes, and the
-// source of each class's member tid-lists — the global per-pair
-// tid-lists of a horizontal run or the item sets of a vertical one.
+// item tid-sets every class derives its member tid-lists from (ooc.go).
 type vertical struct {
 	res     *mining.Result
 	classes []eqclass.Class
-	lists   map[tidlist.Pair]tidlist.List
-	// sets, when non-nil, marks a vertical-input run: lists is nil and
-	// member lists are derived per class from the item sets (see
-	// ooc.go), inside the class's residency window when budgeted.
-	sets *itemSets
-	// itemSup holds each item's L1 support (index = item id), the
-	// prefix support that prices a top-level class's counted expansion.
-	itemSup []int
+	sets    itemSets
 	// rows, when non-nil, are the rows the vertical L2 count was fed,
 	// which counted classes read instead of transposing their members;
 	// nil for horizontal input, an L2 memo hit, scattered TIDs and
@@ -557,38 +546,49 @@ type vertical struct {
 // prefix returns the support of class ci's prefix item, and the item's
 // tid-set when the run keeps rows to feed its counts (nil otherwise).
 func (v *vertical) prefix(ci int) (sup int, tids tidlist.Set) {
-	it := v.classes[ci].Prefix[0]
+	s := v.sets.items[v.classes[ci].Prefix[0]]
 	if v.rows != nil {
-		tids = v.sets.items[it]
+		tids = s
 	}
-	return v.itemSup[it], tids
+	return s.Support(), tids
 }
 
-// members assembles the sorted, representation-resolved member list of
-// class ci — the one entry every engine driver fetches class operands
-// through. Work done to assemble them is charged to st; member sets
-// derived from item sets are carved from ar, which the driver marks
-// before and releases after the class.
-func (v *vertical) members(ci int, repr tidlist.Repr, st *Stats, ar *arena) []member {
-	if v.sets != nil {
-		return v.sets.classMembers(&v.classes[ci], repr, st, ar)
+// seedClasses adds L1 (the items whose itemSup reaches res.MinSup) and
+// the frequent pairs to res, only those holding every targeted item when
+// must is set, and returns the classes to mine: L2 partitioned by prefix,
+// singletons (which generate no candidates) and classes that cannot
+// contain must pruned. st.Classes is their number.
+func seedClasses(res *mining.Result, itemSup []int, pairs []paircount.FrequentPair, must []itemset.Item, st *Stats) []eqclass.Class {
+	for it, c := range itemSup {
+		if c >= res.MinSup && (must == nil || containsAll(itemset.Itemset{itemset.Item(it)}, must)) {
+			res.Add(itemset.Itemset{itemset.Item(it)}, c)
+		}
 	}
-	return classMembers(&v.classes[ci], v.lists, repr, &st.Kernel)
+	l2 := make([]itemset.Itemset, 0, len(pairs))
+	for _, fp := range pairs {
+		set := fp.Pair.Itemset()
+		if must == nil || containsAll(set, must) {
+			res.Add(set, fp.Count)
+		}
+		l2 = append(l2, set)
+	}
+	classes := filterClasses(eqclass.PruneSingletons(eqclass.Partition(l2)), must)
+	st.Classes = len(classes)
+	return classes
 }
 
 // buildVertical runs the one-scan initialization (global 1- and 2-itemset
-// counts) and the vertical transformation (per-pair tid-lists), recording
-// the two phases on the ctx trace and charging st.Scans/st.Classes. A
-// targeted query (opts.MustContain) filters the seeded L1/L2 itemsets and
-// drops the equivalence classes whose prefix cannot contain the items —
-// their tid-lists are never built.
+// counts) and the vertical transformation (a second scan building the
+// tid-lists of the items the classes read), recording the two phases on
+// the ctx trace and charging st.Scans/st.Classes. A targeted query
+// (opts.MustContain) filters the seeded L1/L2 itemsets and drops the
+// equivalence classes whose prefix cannot contain the items.
 func buildVertical(ctx context.Context, d *db.Database, minsup int, st *Stats, opts Options) *vertical {
-	must := canonMust(opts.MustContain)
 	res := &mining.Result{MinSup: minsup, NumTransactions: d.Len()}
 	tr := obsv.TraceFrom(ctx)
 
-	// Initialization: count 1-itemsets (for the result; Eclat itself never
-	// needs them) and all 2-itemsets via the triangular array.
+	// Initialization: count 1-itemsets and all 2-itemsets via the
+	// triangular array.
 	sp := tr.Start("initialization")
 	st.Scans++
 	itemCounts := make([]int, d.NumItems)
@@ -599,40 +599,26 @@ func buildVertical(ctx context.Context, d *db.Database, minsup int, st *Stats, o
 		}
 		pc.AddTransaction(tx.Items)
 	}
-	for it, c := range itemCounts {
-		if c >= minsup && (must == nil || containsAll(itemset.Itemset{itemset.Item(it)}, must)) {
-			res.Add(itemset.Itemset{itemset.Item(it)}, c)
-		}
-	}
-	freqPairs := pc.Frequent(minsup)
-	l2 := make([]itemset.Itemset, 0, len(freqPairs))
-	for _, fp := range freqPairs {
-		set := fp.Pair.Itemset()
-		if must == nil || containsAll(set, must) {
-			res.Add(set, fp.Count)
-		}
-		l2 = append(l2, set)
-	}
+	classes := seedClasses(res, itemCounts, pc.Frequent(minsup), canonMust(opts.MustContain), st)
 	sp.End()
 
-	// Transformation: build tid-lists for every 2-itemset in a class with
-	// at least two members (singleton classes generate no candidates).
+	// Transformation: tid-lists for the items of every class with at least
+	// two members, presized from their L1 counts.
 	sp = tr.Start("transformation")
-	classes := filterClasses(eqclass.PruneSingletons(eqclass.Partition(l2)), must)
-	st.Classes = len(classes)
-	npairs := 0
-	for _, c := range classes {
-		npairs += len(c.Members)
-	}
-	want := make(map[tidlist.Pair]bool, npairs)
-	for _, c := range classes {
-		for _, m := range c.Members {
-			want[tidlist.Pair{A: m[0], B: m[1]}] = true
+	need := make([]int, d.NumItems)
+	for ci := range classes {
+		for _, m := range classes[ci].Members {
+			need[m[0]], need[m[1]] = itemCounts[m[0]], itemCounts[m[1]]
 		}
 	}
 	st.Scans++
-	lists := tidlist.BuildPairs(d, want)
+	items := make([]tidlist.Set, d.NumItems)
+	for it, l := range tidlist.ItemLists(d, need) {
+		if l != nil {
+			items[it] = l
+		}
+	}
 	sp.End()
 
-	return &vertical{res: res, classes: classes, lists: lists, itemSup: itemCounts}
+	return &vertical{res: res, classes: classes, sets: itemSets{items: items}}
 }

@@ -208,13 +208,16 @@ func TestSequentialDriverCanceled(t *testing.T) {
 // under every policy.
 func TestSequentialArenaMatchesHeap(t *testing.T) {
 	d := gen.MustGenerate(gen.T10I6(1500))
+	build := func(minsup int, opts Options, st *Stats) *vertical {
+		return buildVertical(context.Background(), d, minsup, st, opts)
+	}
 	for _, policy := range allPolicies {
 		opts := Options{Workers: 1, Policy: policy}
 		var got [2]*mining.Result
 		var st [2]Stats
 		for i, ar := range []*arena{{}, nil} {
 			var err error
-			got[i], st[i], err = mineLocal(context.Background(), 10, opts, ar, horizontalBuild(context.Background(), d))
+			got[i], st[i], err = mineLocal(context.Background(), 10, opts, ar, build)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -232,7 +232,7 @@ func (e *engine) runSequential(ctx context.Context, st *Stats, ar *arena) error 
 		mark := ar.mark()
 		e.v.acquire(ci)
 		sup, prefix := e.v.prefix(ci)
-		w.explore(ctx, e.v.members(ci, e.opts.Representation, st, ar), sup, prefix, emit)
+		w.explore(ctx, e.v.sets.classMembers(&e.v.classes[ci], e.opts.Representation, st, ar), sup, prefix, emit)
 		e.v.release(ci)
 		ar.release(mark)
 		flushStats(&before, st)

@@ -108,9 +108,9 @@ func (q *wsDeque) stealInto(dst *wsDeque, qi, dsti int) int {
 // asynchronous phase (section 5.3) mapped onto a multicore host instead
 // of the simulated cluster. Initialization (one scan counting L1 and, in
 // the triangular array, L2) and transformation (a second scan building
-// the per-pair tid-lists) run once on the calling goroutine; the
-// top-level equivalence classes are then mined under opts.Policy on
-// opts.Workers goroutines.
+// the tid-lists of the items the classes read) run once on the calling
+// goroutine; the top-level equivalence classes are then mined under
+// opts.Policy on opts.Workers goroutines.
 //
 // Above one worker the classes are dealt to per-worker deques by the
 // greedy C(s,2) weight schedule (section 5.2.1) and mined with work
@@ -125,14 +125,9 @@ func (q *wsDeque) stealInto(dst *wsDeque, qi, dsti int) int {
 // On context cancellation every worker drains, the partial result is
 // discarded and ctx.Err() is returned; no goroutines outlive the call.
 func MineParallelLocal(ctx context.Context, d *db.Database, minsup int, opts Options) (*mining.Result, Stats, error) {
-	return mineLocal(ctx, minsup, opts, &arena{}, horizontalBuild(ctx, d))
-}
-
-// horizontalBuild returns MineParallelLocal's build step (see mineLocal).
-func horizontalBuild(ctx context.Context, d *db.Database) func(int, Options, *Stats) *vertical {
-	return func(minsup int, opts Options, st *Stats) *vertical {
+	return mineLocal(ctx, minsup, opts, &arena{}, func(minsup int, opts Options, st *Stats) *vertical {
 		return buildVertical(ctx, d, minsup, st, opts)
-	}
+	})
 }
 
 // mineLocal is the one mining core behind both local entry points. It
@@ -236,7 +231,7 @@ func (e *engine) runParallel(ctx context.Context, st *Stats) error {
 				mark := wk.ar.mark()
 				v.acquire(t.ci)
 				sup, prefix := v.prefix(t.ci)
-				wk.explore(ctx, v.members(t.ci, e.opts.Representation, wst, wk.ar), sup, prefix, emit)
+				wk.explore(ctx, v.sets.classMembers(&v.classes[t.ci], e.opts.Representation, wst, wk.ar), sup, prefix, emit)
 				v.release(t.ci)
 				wk.ar.release(mark)
 				out := make([]mining.FrequentItemset, len(acc))

@@ -100,7 +100,9 @@ func BenchmarkMineVariants(b *testing.B) {
 func BenchmarkMineSequentialAlloc(b *testing.B) {
 	d := gen.MustGenerate(gen.T10I6(benchTx))
 	minsup := d.MinSupCount(0.25)
-	build := horizontalBuild(context.Background(), d)
+	build := func(minsup int, opts Options, st *Stats) *vertical {
+		return buildVertical(context.Background(), d, minsup, st, opts)
+	}
 	for _, mode := range []string{"off", "on"} {
 		b.Run("arena="+mode, func(b *testing.B) {
 			var ar *arena

@@ -36,12 +36,12 @@ type Residency interface {
 	Done()
 }
 
-// itemSets is the class-operand source of a vertical-input run: vertical
-// L2 retains no pair tid-lists, only the item sets (possibly views over
-// a store mapping), and each class's pair lists are derived when the
-// class is mined. Under a residency budget that happens inside the
-// class's Acquire/Release window; in-core is the same path with no
-// residency.
+// itemSets is the class-operand source of every local run: only item
+// sets are kept (a vertical input's, possibly views over a store
+// mapping, or a horizontal run's item lists), and each class's pair
+// lists are derived when the class is mined. Under a residency budget
+// that happens inside the class's Acquire/Release window; in-core is the
+// same path with no residency.
 type itemSets struct {
 	items []tidlist.Set
 	res   Residency // nil: unbudgeted
@@ -156,7 +156,7 @@ func spanSchedule(classes []eqclass.Class, workers int) [][]int {
 }
 
 // budgeted reports whether the run mines under a residency budget.
-func (v *vertical) budgeted() bool { return v.sets != nil && v.sets.res != nil }
+func (v *vertical) budgeted() bool { return v.sets.res != nil }
 
 // acquire/release bracket one class mine with the residency layer; they
 // are no-ops for unbudgeted runs so the engine drivers call them

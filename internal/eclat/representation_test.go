@@ -365,11 +365,10 @@ func storeMixSets(d *db.Database) []tidlist.Set {
 // TestClassMembersShareOneEncoding pins the invariant that lets the
 // short-circuit and difference kernels run within one encoding: every
 // class hands its joins members that all hold one encoding. It checks
-// v.members for every class, from horizontal input (classMembers over
-// buildVertical's pair lists, which the simulated cluster mines through
-// as well) and from item sets in each single encoding and in the store's
-// per-item cheapest mix, whose pair sets derive in mixed encodings, under
-// every mining encoding. tidlist's TestKernelsKeepOneEncoding shows that
+// the members of every class, from horizontal input (buildVertical's
+// sparse item lists) and from item sets in each single encoding and in
+// the store's per-item cheapest mix, whose pair sets derive in mixed
+// encodings, under every mining encoding. tidlist's TestKernelsKeepOneEncoding shows that
 // every kernel keeps its operands' encoding, so no sub-class mixes them
 // either.
 func TestClassMembersShareOneEncoding(t *testing.T) {
@@ -424,7 +423,7 @@ func TestClassMembersShareOneEncoding(t *testing.T) {
 				ar := &arena{}
 				for ci := range v.classes {
 					mark := ar.mark()
-					members := v.members(ci, r, &st, ar)
+					members := v.sets.classMembers(&v.classes[ci], r, &st, ar)
 					want := members[0].tids.Repr()
 					if r != tidlist.ReprAuto && want != r {
 						t.Fatalf("%s: class %d member 0 is %v under an explicit %v", name, ci, want, r)

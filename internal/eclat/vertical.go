@@ -4,7 +4,6 @@ import (
 	"context"
 	"slices"
 
-	"repro/internal/eqclass"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/obsv"
@@ -57,18 +56,14 @@ var (
 // paper's upper-triangular pair count (§5.1) over the frequent items'
 // tid-sets transposed into per-transaction rows, and each class's pair
 // tid-lists are derived inside the class task by intersecting its member
-// items' sets. The classes are then mined under opts.Policy exactly as
-// MineParallelLocal mines them (the two share one core). The result is
-// byte-identical to mining the corresponding horizontal database with
-// the same minsup and options: both paths produce the same L1/L2 and the
-// same sorted pair tid-lists, and the final reduction imposes the
-// canonical order.
+// items' sets — exactly as MineParallelLocal mines its classes (the two
+// share one core). The result is byte-identical to mining the
+// corresponding horizontal database with the same minsup and options:
+// both paths produce the same L1/L2 and the same sorted pair tid-lists,
+// and the final reduction imposes the canonical order.
 //
 // Stats.Scans is always 0 — no horizontal pass happens — which is the
-// figure restart-without-rebuild tests assert on. The derivation
-// intersections are the run's only L2 kernel calls and are charged to
-// Stats, so Stats.Intersections exceeds the horizontal path's by exactly
-// the number of class members.
+// figure restart-without-rebuild tests assert on.
 func MineVerticalLocal(ctx context.Context, in VerticalInput, minsup int, opts Options) (*mining.Result, Stats, error) {
 	if in.Residency != nil {
 		// Done on every exit path — error, cancellation, success — so a
@@ -81,21 +76,16 @@ func MineVerticalLocal(ctx context.Context, in VerticalInput, minsup int, opts O
 }
 
 // buildVerticalFromSets is buildVertical's counterpart for data that is
-// already vertical: the same (res, classes) bundle, built from per-item
-// tid-sets instead of horizontal scans. L1, the triangular L2 count and
-// class partitioning all happen under the "initialization" span; there
-// is no transformation phase because the data arrives transformed, so
-// tracing-based tests can assert the phase never ran. No pair tid-list
-// is built here: the engine derives each class's lists when it mines the
-// class (see itemSets.classMembers), with or without a residency budget.
-// With an L2 memo (in.Pairs) whose floor is at or below minsup, L2 is
-// filtered from the memo and the triangle is not counted. When the
-// triangle is counted, the rows it was fed stay on the vertical for the
-// counted classes, unless the mine is budgeted. Targeted queries
-// (opts.MustContain) filter the seeded L1/L2 and the classes exactly as
-// buildVertical does; the memo holds the unfiltered L2.
+// already vertical: L1, the triangular L2 count and the classes come
+// from per-item tid-sets instead of horizontal scans, all under the
+// "initialization" span; there is no transformation phase because the
+// data arrives transformed, so tracing-based tests can assert the phase
+// never ran. With an L2 memo (in.Pairs) whose floor is at or below
+// minsup, L2 is filtered from the memo and the triangle is not counted.
+// When the triangle is counted, the rows it was fed stay on the vertical
+// for the counted classes, unless the mine is budgeted. The memo holds
+// the unfiltered L2 of a targeted query (opts.MustContain).
 func buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st *Stats, opts Options) *vertical {
-	must := canonMust(opts.MustContain)
 	res := &mining.Result{MinSup: minsup, NumTransactions: in.NumTransactions}
 	tr := obsv.TraceFrom(ctx)
 	sp := tr.Start("initialization")
@@ -110,9 +100,6 @@ func buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st
 		c := s.Support()
 		itemSup[it] = c
 		if c >= minsup {
-			if must == nil || containsAll(itemset.Itemset{itemset.Item(it)}, must) {
-				res.Add(itemset.Itemset{itemset.Item(it)}, c)
-			}
 			frequent = append(frequent, itemset.Item(it))
 		}
 	}
@@ -140,17 +127,7 @@ func buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st
 			mL2MemoMisses.Inc()
 		}
 	}
-	var l2 []itemset.Itemset
-	for _, fp := range pairs {
-		set := itemset.Itemset{fp.Pair.A, fp.Pair.B}
-		if must == nil || containsAll(set, must) {
-			res.Add(set, fp.Count)
-		}
-		l2 = append(l2, set)
-	}
-
-	classes := filterClasses(eqclass.PruneSingletons(eqclass.Partition(l2)), must)
-	st.Classes = len(classes)
+	classes := seedClasses(res, itemSup, pairs, canonMust(opts.MustContain), st)
 	if in.Residency != nil {
 		// Store-aware scheduling: run classes in bundle-segment order
 		// (the canonical result sort makes class order invisible in the
@@ -159,7 +136,7 @@ func buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st
 		orderClassesByLocality(classes, in.Residency)
 		planResidency(classes, in.Residency)
 	}
-	return &vertical{res: res, classes: classes, sets: &itemSets{items: in.Items, res: in.Residency}, itemSup: itemSup, rows: rows}
+	return &vertical{res: res, classes: classes, sets: itemSets{items: in.Items, res: in.Residency}, rows: rows}
 }
 
 // frequentPairs counts L2 at minsup over the frequent items' sets

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"net/http"
 	"net/http/pprof"
@@ -121,7 +122,8 @@ var ErrPathOutsideRoot = errors.New("service: path outside the data root")
 // relative, stay inside root as written, and stay inside it once its
 // symlinks resolve. It returns the resolved file. The file is opened
 // after the check, so a symlink swapped in between is not caught;
-// os.OpenRoot (Go 1.24) would close that gap.
+// os.OpenRoot (Go 1.24) would close that gap once this module's go.mod
+// and bench's, both at go 1.22, move up together.
 func resolveDataPath(root, path string) (string, error) {
 	if root == "" {
 		return "", fmt.Errorf("%w: the daemon has no data root", ErrPathDatasetsDisabled)
@@ -157,11 +159,19 @@ func checkGen(n int) error {
 }
 
 // decodeBody decodes r's JSON body into v strictly: at most maxBodyBytes
-// are read and every field must be one v defines.
+// are read, every field must be one v defines, and only whitespace may
+// follow the one JSON value.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == nil {
+			err = errors.New("data after the JSON value")
+		} else if errors.Is(err, io.EOF) {
+			return nil
+		}
+	}
 	var tooLarge *http.MaxBytesError
 	switch {
 	case err == nil:

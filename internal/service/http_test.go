@@ -16,9 +16,11 @@ import (
 )
 
 // TestStrictRequestBodies pins the POST edge: a misspelt field is a 400
-// unknown_field and a body over 1 MiB is a 413 body_too_large, on both
-// endpoints, and neither admits a job or registers a dataset. The known
-// fields still decode case-insensitively, as encoding/json matches them.
+// unknown_field, a body over 1 MiB is a 413 body_too_large, and a second
+// JSON value or trailing garbage after the body is a 400 bad_request, on
+// both endpoints, and none admits a job or registers a dataset. The known
+// fields still decode case-insensitively, as encoding/json matches them,
+// and a trailing newline, as curl and json.Encoder send, is accepted.
 func TestStrictRequestBodies(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1, QueueDepth: 4}, 500)
 	h := NewHandler(s)
@@ -48,6 +50,11 @@ func TestStrictRequestBodies(t *testing.T) {
 		{"/v1/datasets", `{"name":"extra","gen":100,"generate":true}`, http.StatusBadRequest, "unknown_field"},
 		{"/v1/datasets", huge, http.StatusRequestEntityTooLarge, "body_too_large"},
 		{"/v1/jobs", `{"dataset":"t10",`, http.StatusBadRequest, "bad_request"},
+		{"/v1/jobs", `{"dataset":"t10","supportPct":5} {"dataset":"evil"}`, http.StatusBadRequest, "bad_request"},
+		{"/v1/jobs", `{"dataset":"t10","supportPct":5}garbage`, http.StatusBadRequest, "bad_request"},
+		{"/v1/jobs", `{"dataset":"t10","supportPct":5}}`, http.StatusBadRequest, "bad_request"},
+		{"/v1/datasets", `{"name":"second","gen":100} {"name":"evil","gen":100}`, http.StatusBadRequest, "bad_request"},
+		{"/v1/datasets", `{"name":"garbage","gen":100}garbage`, http.StatusBadRequest, "bad_request"},
 	} {
 		status, code := post(tc.path, tc.body)
 		if status != tc.status || code != tc.code {
@@ -64,8 +71,14 @@ func TestStrictRequestBodies(t *testing.T) {
 	if status, code := post("/v1/jobs", `{"dataset":"t10","supportPct":2,"memorybudget":1000}`); status != http.StatusAccepted {
 		t.Fatalf("known field in another case: %d %q, want 202", status, code)
 	}
+	if status, code := post("/v1/jobs", "{\"dataset\":\"t10\",\"supportPct\":3}\n"); status != http.StatusAccepted {
+		t.Fatalf("job body with a trailing newline: %d %q, want 202", status, code)
+	}
 	if status, code := post("/v1/datasets", `{"name":"small","gen":100}`); status != http.StatusCreated {
 		t.Fatalf("valid dataset body: %d %q, want 201", status, code)
+	}
+	if status, code := post("/v1/datasets", "{\"name\":\"newline\",\"gen\":100}\r\n"); status != http.StatusCreated {
+		t.Fatalf("dataset body with a trailing newline: %d %q, want 201", status, code)
 	}
 }
 

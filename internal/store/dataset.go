@@ -558,16 +558,18 @@ func DatasetMeta(name, source string, d *db.Database) Meta {
 	}
 }
 
-// VerticalLists builds the per-item vertical transform of d in one
-// horizontal pass, the slice CreateDataset persists.
+// VerticalLists builds the per-item vertical transform of d, the slice
+// CreateDataset persists: one horizontal pass counts each item's
+// transactions, and tidlist.ItemLists fills the presized lists in a
+// second.
 func VerticalLists(d *db.Database) []tidlist.List {
-	lists := make([]tidlist.List, d.NumItems)
+	counts := make([]int, d.NumItems)
 	for _, tx := range d.Transactions {
 		for _, it := range tx.Items {
-			lists[it] = append(lists[it], tx.TID)
+			counts[it]++
 		}
 	}
-	return lists
+	return tidlist.ItemLists(d, counts)
 }
 
 // partialPath is the temporary directory name CreateDataset stages into.

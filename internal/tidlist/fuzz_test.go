@@ -273,3 +273,62 @@ func FuzzBuildPairs(f *testing.F) {
 		}
 	})
 }
+
+// FuzzItemLists proves the presized per-item build on small databases
+// (decoded as FuzzBuildPairs decodes them) and item masks (bit it of
+// mask set skips item it): every kept item's list holds exactly the TIDs
+// of the transactions that hold it, in order; skipped items get nil;
+// every list is capped at its length, so appending to one leaves its
+// neighbour unchanged; and the all-items form equals a naive per-item
+// append build.
+func FuzzItemLists(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 0xF0, 1, 3, 0xF2, 2, 3, 0xF0, 1, 2, 3}, []byte{0x02}, uint8(5))
+	f.Add([]byte{0, 9, 0xF0, 9, 0, 5, 0xFF, 0xF0, 3}, []byte{0xA5, 0x01}, uint8(9))
+	f.Add([]byte{}, []byte{}, uint8(1))
+	f.Add([]byte{7, 1, 9, 11, 13, 0xF1, 7, 13, 0xF0, 1, 9, 13}, []byte{0xFF, 0xFF}, uint8(47))
+	f.Fuzz(func(t *testing.T, data, mask []byte, sel uint8) {
+		d, _ := fuzzPairsInput(data, nil, sel)
+		naive := make([]List, d.NumItems)
+		for _, tx := range d.Transactions {
+			for _, it := range tx.Items {
+				naive[it] = append(naive[it], tx.TID)
+			}
+		}
+		all := make([]int, d.NumItems)
+		kept := make([]int, d.NumItems)
+		for it, l := range naive {
+			all[it] = len(l)
+			if it/8 >= len(mask) || mask[it/8]>>(it%8)&1 == 0 {
+				kept[it] = len(l)
+			}
+		}
+		for _, counts := range [][]int{all, kept} {
+			got := ItemLists(d, counts)
+			check := func(when string) {
+				t.Helper()
+				if len(got) != d.NumItems {
+					t.Fatalf("%s: %d lists for %d items", when, len(got), d.NumItems)
+				}
+				for it, l := range got {
+					want := naive[it]
+					if counts[it] == 0 {
+						want = nil
+					}
+					if (l == nil) != (want == nil) || !slices.Equal(l, want) {
+						t.Fatalf("%s: item %d: got %v, want %v (count %d)", when, it, l, want, counts[it])
+					}
+					if cap(l) != len(l) {
+						t.Fatalf("%s: item %d: cap %d, len %d", when, it, cap(l), len(l))
+					}
+				}
+			}
+			check("built")
+			for _, l := range got {
+				if l != nil {
+					_ = append(l, -1)
+				}
+			}
+			check("after appending to every list")
+		}
+	})
+}

@@ -5,11 +5,11 @@
 // of two of its (k-1)-subsets.
 //
 // The package provides plain and short-circuited intersections (section
-// 5.3, "Short-Circuited Intersections"), construction of 2-itemset
-// tid-lists from a horizontal partition, and ordered concatenation of
-// partial per-partition lists into global lists — valid because block
-// partitions carry disjoint, monotonically increasing TID ranges (section
-// 6.3).
+// 5.3, "Short-Circuited Intersections"), construction of item and
+// 2-itemset tid-lists from a horizontal partition, and ordered
+// concatenation of partial per-partition lists into global lists — valid
+// because block partitions carry disjoint, monotonically increasing TID
+// ranges (section 6.3).
 //
 // The sorted slice is one of three pluggable representations behind the
 // Set abstraction (see set.go): List (this file) keeps the paper's scalar
@@ -147,8 +147,8 @@ func DiffInto(dst, a, b List) List {
 }
 
 // Pair keys a 2-itemset {A, B} with A < B, the granularity at which the
-// vertical transformation operates (tid-lists exist per frequent
-// 2-itemset; 1-itemset lists are never built, per section 5.1).
+// paper's vertical transformation operates (section 5.1 builds tid-lists
+// per frequent 2-itemset and, unlike ItemLists, never per item).
 type Pair struct {
 	A, B itemset.Item
 }
@@ -237,6 +237,35 @@ func BuildPairs(part *db.Database, want map[Pair]bool) map[Pair]List {
 		}
 	}
 	return out
+}
+
+// ItemLists scans d once and returns the tid-list of each item with a
+// positive count (index = item id); the other items get nil. counts[it]
+// must be the number of d's transactions that hold item it, or 0 to skip
+// the item. The lists are views of one backing array presized from the
+// counts, each capped at its length, so appending to one never writes
+// into its neighbour. Transactions are visited in TID order, so every
+// list comes out sorted.
+func ItemLists(d *db.Database, counts []int) []List {
+	total := 0
+	for _, c := range counts {
+		total += max(c, 0)
+	}
+	tids := make(List, total)
+	lists := make([]List, len(counts))
+	for it, c := range counts {
+		if c > 0 {
+			lists[it], tids = tids[:0:c], tids[c:]
+		}
+	}
+	for _, tx := range d.Transactions {
+		for _, it := range tx.Items {
+			if lists[it] != nil {
+				lists[it] = append(lists[it], tx.TID)
+			}
+		}
+	}
+	return lists
 }
 
 // ConcatPartitions concatenates per-partition partial lists in partition
