@@ -127,7 +127,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		ResidencyBudget: *memBudget,
 		Store:           st,
 		DataRoot:        *dataRoot,
-		Logf:            logf,
 	})
 	if err != nil {
 		return err

@@ -92,7 +92,7 @@ func TestGenCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	s, err := New(Config{Workers: 1, QueueDepth: 4, Store: st, Logf: t.Logf})
+	s, err := New(Config{Workers: 1, QueueDepth: 4, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestPathDatasetsConfinedToDataRoot(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { st.Close() })
-		s, err := New(Config{Workers: 1, QueueDepth: 4, Store: st, DataRoot: dataRoot, Logf: t.Logf})
+		s, err := New(Config{Workers: 1, QueueDepth: 4, Store: st, DataRoot: dataRoot})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,9 +31,9 @@ var ErrDatasetExists = errors.New("service: dataset already registered")
 // item-level queries never rescan the horizontal data and never
 // re-encode a transform they already have. For store-backed datasets the
 // sparse transform is served zero-copy from the mapped bundle (no
-// horizontal pass at all), the dense transform is served from the
-// mapping when a previous process spilled it, and the horizontal data is
-// loaded from disk only if an algorithm actually scans it.
+// horizontal pass at all), the packed encodings are built on the heap
+// from it, and the horizontal data is loaded from disk only if an
+// algorithm actually scans it.
 type Dataset struct {
 	// Name is the registry key.
 	Name string
@@ -53,9 +53,6 @@ type Dataset struct {
 
 	dbOnce sync.Once
 	dbErr  error
-
-	// logf receives spill warnings (nil: discarded).
-	logf func(format string, args ...any)
 
 	verticalOnce sync.Once
 	vertical     []tidlist.List // index = item; nil until first use
@@ -159,73 +156,31 @@ func (ds *Dataset) Vertical() []tidlist.List {
 }
 
 // VerticalBitsets returns the memoized dense encoding of the vertical
-// transform (one Bitset per item; empty items get an empty Bitset).
-// Store-backed datasets serve it from the mapping when a previous
-// process spilled it; otherwise the transform is computed once and then
-// spilled to the store so the next open of the dataset gets it for free.
-// Shared — must not be mutated.
+// transform (one Bitset per item; empty items get an empty Bitset),
+// computed once from Vertical. Shared — must not be mutated.
 func (ds *Dataset) VerticalBitsets() []*tidlist.Bitset {
 	ds.bitsetOnce.Do(func() {
-		if ds.stored != nil {
-			if stored, ok := ds.stored.Bitsets(); ok {
-				sets := make([]*tidlist.Bitset, len(stored))
-				for it, b := range stored {
-					if b == nil {
-						b = tidlist.NewBitset(nil)
-					}
-					sets[it] = b
-				}
-				ds.bitsets = sets
-				return
-			}
-		}
 		vert := ds.Vertical()
 		sets := make([]*tidlist.Bitset, len(vert))
 		for it, l := range vert {
 			sets[it] = tidlist.NewBitset(l)
 		}
 		ds.bitsets = sets
-		if ds.stored != nil {
-			if err := ds.stored.AppendBitsets(sets); err != nil && ds.logf != nil {
-				ds.logf("service: spilling dense transform of %q failed: %v", ds.Name, err)
-			}
-		}
 	})
 	return ds.bitsets
 }
 
 // VerticalRoarings returns the memoized containerized encoding of the
 // vertical transform (one Roaring per item; empty items get an empty
-// Roaring). Store-backed datasets serve it from the mapping when a
-// previous process spilled it; otherwise the transform is computed once
-// and spilled so the next open gets it for free. Shared — must not be
-// mutated.
+// Roaring), computed once from Vertical. Shared — must not be mutated.
 func (ds *Dataset) VerticalRoarings() []*tidlist.Roaring {
 	ds.roaringOnce.Do(func() {
-		if ds.stored != nil {
-			if stored, ok := ds.stored.Roarings(); ok {
-				sets := make([]*tidlist.Roaring, len(stored))
-				for it, r := range stored {
-					if r == nil {
-						r = tidlist.NewRoaring(nil)
-					}
-					sets[it] = r
-				}
-				ds.roarings = sets
-				return
-			}
-		}
 		vert := ds.Vertical()
 		sets := make([]*tidlist.Roaring, len(vert))
 		for it, l := range vert {
 			sets[it] = tidlist.NewRoaring(l)
 		}
 		ds.roarings = sets
-		if ds.stored != nil {
-			if err := ds.stored.AppendRoarings(sets); err != nil && ds.logf != nil {
-				ds.logf("service: spilling containerized transform of %q failed: %v", ds.Name, err)
-			}
-		}
 	})
 	return ds.roarings
 }
@@ -361,7 +316,6 @@ type Registry struct {
 	byKey map[string]*Dataset
 	names []string
 	st    *store.Store
-	logf  func(format string, args ...any)
 }
 
 // NewRegistry returns an empty registry with no persistence.
@@ -371,16 +325,14 @@ func NewRegistry() *Registry {
 
 // AttachStore wires the persistent store into the registry: every
 // dataset the store already holds is registered store-backed (in sorted
-// name order), and subsequent Add/Remove calls persist through it. logf
-// receives spill warnings; nil discards them.
-func (r *Registry) AttachStore(st *store.Store, logf func(format string, args ...any)) error {
+// name order), and subsequent Add/Remove calls persist through it.
+func (r *Registry) AttachStore(st *store.Store) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.st != nil {
 		return fmt.Errorf("service: registry already has a store attached")
 	}
 	r.st = st
-	r.logf = logf
 	for _, name := range st.Names() {
 		if _, ok := r.byKey[name]; ok {
 			return fmt.Errorf("service: stored dataset %q collides with a registered one", name)
@@ -389,13 +341,13 @@ func (r *Registry) AttachStore(st *store.Store, logf func(format string, args ..
 		if err != nil {
 			return err
 		}
-		r.insertLocked(storeBackedDataset(sd, logf))
+		r.insertLocked(storeBackedDataset(sd))
 	}
 	return nil
 }
 
 // storeBackedDataset wraps an opened stored dataset for the registry.
-func storeBackedDataset(sd *store.Dataset, logf func(format string, args ...any)) *Dataset {
+func storeBackedDataset(sd *store.Dataset) *Dataset {
 	m := sd.Meta()
 	return &Dataset{
 		Name:   m.Name,
@@ -410,7 +362,6 @@ func storeBackedDataset(sd *store.Dataset, logf func(format string, args ...any)
 			Stored:       true,
 		},
 		stored: sd,
-		logf:   logf,
 	}
 }
 
@@ -436,7 +387,7 @@ func (r *Registry) Add(name, source string, d *db.Database) (*Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		ds = storeBackedDataset(sd, r.logf)
+		ds = storeBackedDataset(sd)
 	} else {
 		ds = &Dataset{
 			Name:   name,

@@ -46,9 +46,6 @@ type Config struct {
 	// are confined to: POST /v1/datasets resolves a path relative to it
 	// and refuses one that leaves it. Empty refuses every path dataset.
 	DataRoot string
-	// Logf receives registry warnings (failed transform spills, ...);
-	// nil discards them.
-	Logf func(format string, args ...any)
 }
 
 // ErrDatasetBusy is returned by RemoveDataset while jobs still reference
@@ -95,7 +92,7 @@ func New(cfg Config) (*Service, error) {
 		dataRoot: cfg.DataRoot,
 	}
 	if cfg.Store != nil {
-		if err := s.reg.AttachStore(cfg.Store, cfg.Logf); err != nil {
+		if err := s.reg.AttachStore(cfg.Store); err != nil {
 			return nil, err
 		}
 	}

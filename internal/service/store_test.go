@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -22,7 +24,6 @@ func newStoreService(t testing.TB, dir string, cfg Config) *Service {
 	}
 	t.Cleanup(func() { st.Close() })
 	cfg.Store = st
-	cfg.Logf = t.Logf
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -221,42 +222,50 @@ func TestServiceRemoveDataset(t *testing.T) {
 	}
 }
 
-// TestServiceStoreSpillsDenseTransform checks the spill path through the
-// registry: asking a store-backed dataset for its dense representation
-// persists the bitsets, so a reopened dataset serves them from the
-// mapping without re-encoding.
-func TestServiceStoreSpillsDenseTransform(t *testing.T) {
+// TestServiceStoreJobsLeaveBundleUntouched serves a job under every
+// representation on a store-backed dataset, restarts, and serves them
+// again: the results are byte-identical across the restart, and no job
+// writes to the dataset's bundle or index.
+func TestServiceStoreJobsLeaveBundleUntouched(t *testing.T) {
 	dir := t.TempDir()
 	s1 := newStoreService(t, dir, Config{Workers: 1, QueueDepth: 4})
 	if _, err := s1.RegisterDataset("t10", "generated", genDataset(t, 300)); err != nil {
 		t.Fatal(err)
 	}
-	req := Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportCount: 3, Representation: repro.ReprBitset}
-	want, _ := mineBytes(t, s1, req)
+	files := map[string][]byte{}
+	for _, name := range []string{"vertical.bundle", "index.json"} {
+		b, err := os.ReadFile(filepath.Join(dir, "t10.ds", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[name] = b
+	}
+	assertUntouched := func(when string) {
+		t.Helper()
+		for name, want := range files {
+			got, err := os.ReadFile(filepath.Join(dir, "t10.ds", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: %s changed (%d bytes, registered with %d)", when, name, len(got), len(want))
+			}
+		}
+	}
+	reprs := []repro.Representation{repro.ReprAuto, repro.ReprSparse, repro.ReprBitset, repro.ReprRoaring}
+	want := make([][]byte, len(reprs))
+	for i, repr := range reprs {
+		want[i], _ = mineBytes(t, s1, Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportCount: 3, Representation: repr})
+		assertUntouched(fmt.Sprintf("%v job", repr))
+	}
 	s1.Shutdown(context.Background())
 
 	s2 := newStoreService(t, dir, Config{Workers: 1, QueueDepth: 4})
-	ds, err := s2.Dataset("t10")
-	if err != nil {
-		t.Fatal(err)
+	for i, repr := range reprs {
+		got, _ := mineBytes(t, s2, Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportCount: 3, Representation: repr})
+		if !bytes.Equal(got, want[i]) {
+			t.Fatalf("%v: result after restart differs", repr)
+		}
+		assertUntouched(fmt.Sprintf("%v job after restart", repr))
 	}
-	// The first process's bitset request spilled the dense transform; the
-	// reopened dataset must see it in its bundle without computing.
-	if !storedBitsetsPresent(ds) {
-		t.Fatal("dense transform was not spilled to the store")
-	}
-	got, _ := mineBytes(t, s2, req)
-	if !bytes.Equal(got, want) {
-		t.Fatal("bitset mine from spilled transform differs")
-	}
-}
-
-// storedBitsetsPresent peeks at whether the underlying stored dataset
-// holds a dense encoding for every non-empty item (test-only accessor).
-func storedBitsetsPresent(ds *Dataset) bool {
-	if ds.stored == nil {
-		return false
-	}
-	_, ok := ds.stored.Bitsets()
-	return ok
 }

@@ -1,11 +1,12 @@
 // Package store is the persistent vertical dataset store: pack-style
-// append-only bundle files holding the tid-lists of every item in a
-// dataset, a JSON index mapping item → bundle record, and mmap-backed
-// reads that expose stored tid-lists directly as tidlist.Sets without
-// copying. Registration is crash-safe — datasets are written under a
-// temporary name, fsynced, and atomically renamed into place — and a
-// torn tail from an interrupted spill append is truncated on open, while
-// corruption inside the committed extent surfaces as ErrCorruptBundle.
+// bundle files holding the sparse tid-list of every item in a dataset,
+// written once at registration, a JSON index mapping item → bundle
+// record, and mmap-backed reads that expose stored tid-lists directly as
+// tidlist.Sets without copying. Registration is crash-safe — datasets
+// are written under a temporary name, fsynced, and atomically renamed
+// into place. A torn tail that an older build's interrupted spill append
+// left is truncated on open, while corruption inside the committed
+// extent surfaces as ErrCorruptBundle.
 package store
 
 import (
@@ -24,11 +25,11 @@ import (
 //	record   ...
 //
 // Records are padded to 8-byte boundaries so every payload starts
-// 8-aligned, which keeps bitset words 8-aligned and sparse tids
-// 4-aligned inside the mapping — the precondition for the zero-copy
-// decoders in internal/tidlist. The crc is crc32.IEEE over the first 16
-// header bytes and the unpadded payload, so a torn or bit-flipped record
-// is detected before its bytes are ever aliased as a Set.
+// 8-aligned, which keeps sparse tids 4-aligned inside the mapping — the
+// precondition for tidlist.ListFromBytes' zero-copy view. The crc is
+// crc32.IEEE over the first 16 header bytes and the unpadded payload, so
+// a torn or bit-flipped record is detected before its bytes are ever
+// aliased as a Set.
 //
 // Version 2 adds partitioned records: the bundle is laid out in
 // fixed-size segments (index.segmentBytes, a multiple of 8), no physical
@@ -49,16 +50,12 @@ const (
 
 // Tid-list encodings stored in bundle records.
 const (
-	// EncSparse is the canonical encoding: sorted tids, 4 bytes each.
+	// EncSparse is the only encoding written: sorted tids, 4 bytes each.
 	EncSparse = 1
-	// EncBitset is the spilled dense encoding: base+count header then
-	// 64-bit words (see tidlist.AppendBitsetBytes).
-	EncBitset = 2
-	// EncRoaring is the spilled containerized encoding: count/container
-	// header, per-container descriptors, then 8-byte-padded container
-	// payloads (see tidlist.AppendRoaringBytes). Record payloads start
-	// 8-aligned in the mapping, so decoded containers alias the mapped
-	// bytes zero-copy.
+	// EncBitset and EncRoaring mark the dense and containerized copies
+	// older builds spilled after the sparse records. Open verifies their
+	// bounds and checksums like every record's and then skips them.
+	EncBitset  = 2
 	EncRoaring = 3
 )
 
@@ -72,7 +69,8 @@ var ErrCorruptBundle = errors.New("store: corrupt bundle")
 type Record struct {
 	// Item is the item whose tid-list this record holds.
 	Item int `json:"item"`
-	// Enc is EncSparse, EncBitset or EncRoaring.
+	// Enc is EncSparse, or EncBitset or EncRoaring in an older build's
+	// spilled record.
 	Enc int `json:"enc"`
 	// Support is the tid count, duplicated from the payload so support
 	// queries never touch the bundle.
@@ -110,13 +108,6 @@ func (r Record) parts() []Part {
 
 // paddedLen rounds a payload length up to the 8-byte record alignment.
 func paddedLen(n int64) int64 { return (n + 7) &^ 7 }
-
-// end returns the file offset one past the record's last padded payload.
-func (r Record) end() int64 {
-	ps := r.parts()
-	p := ps[len(ps)-1]
-	return p.Offset + recordHeaderSize + paddedLen(p.Length)
-}
 
 // appendBundleHeader appends the 16-byte bundle file header.
 func appendBundleHeader(dst []byte, version uint32) []byte {

@@ -21,14 +21,12 @@ const (
 	mnStoreBundles     = "store_bundles_total"
 	mnStoreBytesMapped = "store_bytes_mapped"
 	mnStoreOpenNS      = "store_open_ns"
-	mnStoreSpills      = "store_spills_total"
 )
 
 var (
 	storeBundles     = obsv.Default.Counter(mnStoreBundles, "bundle files created or opened")
 	storeBytesMapped = obsv.Default.Gauge(mnStoreBytesMapped, "bytes of bundle data currently mapped (or loaded on non-mmap platforms)")
 	storeOpenNS      = obsv.Default.Histogram(mnStoreOpenNS, "nanoseconds to open one stored dataset (index load, map, checksum verify)", nil)
-	storeSpills      = obsv.Default.Counter(mnStoreSpills, "representation transforms appended to existing bundles")
 )
 
 // On-disk names inside a dataset directory.
@@ -60,13 +58,11 @@ type Meta struct {
 	SizeBytes    int64   `json:"sizeBytes"`
 }
 
-// index is the index.json document. BundleBytes is the commit point: the
-// bundle's committed extent. A crash mid-spill leaves bundle bytes past
-// BundleBytes (truncated on open) or a fully-written bundle with the old
-// index (the appended records are simply dropped); either way the
-// dataset stays consistent because the index is only replaced — via
-// write-to-temp, fsync, rename — after the bundle bytes it points at are
-// durable.
+// index is the index.json document. BundleBytes is the bundle's
+// committed extent. CreateDataset writes it once; nothing appends to a
+// bundle after that, but older builds appended spilled records past it
+// and could crash mid-append, so bytes past BundleBytes are a torn tail
+// that Open truncates.
 type index struct {
 	Version     int   `json:"version"`
 	Meta        Meta  `json:"meta"`
@@ -78,9 +74,9 @@ type index struct {
 }
 
 // Dataset is one stored dataset opened for reading. The sparse tid-lists
-// (and any spilled bitsets) are views over the mapped bundle: immutable,
-// safe for concurrent use, and valid until Close. Per the tidlist
-// aliasing contract they may be kernel operands but never scratch.
+// are views over the mapped bundle: immutable, safe for concurrent use,
+// and valid until Close. Per the tidlist aliasing contract they may be
+// kernel operands but never scratch.
 type Dataset struct {
 	dir string
 	idx index
@@ -88,9 +84,7 @@ type Dataset struct {
 	data    []byte
 	cleanup func() error
 
-	sparse   []tidlist.List     // index = item; nil where no record
-	bitsets  []*tidlist.Bitset  // index = item; nil where not spilled
-	roarings []*tidlist.Roaring // index = item; nil where not spilled
+	sparse []tidlist.List // index = item; nil where no record
 
 	horizOnce sync.Once
 	horiz     *db.Database
@@ -186,11 +180,12 @@ func CreateDatasetSeg(path string, meta Meta, d *db.Database, lists []tidlist.Li
 	return syncDir(filepath.Dir(path))
 }
 
-// OpenDataset opens the dataset directory at path: loads the index, maps
-// the bundle's committed extent (truncating any torn tail a crashed
-// spill left behind), and checksum-verifies every record before its
-// bytes can be aliased as tid-lists. Corruption inside the committed
-// extent returns an error matching ErrCorruptBundle.
+// OpenDataset opens the dataset directory at path: loads and checks the
+// index, maps the bundle's committed extent (truncating any torn tail an
+// older build's crashed spill left behind), and checksum-verifies every
+// record before its bytes can be aliased as tid-lists. A malformed index
+// or corruption inside the committed extent returns an error matching
+// ErrCorruptBundle and leaves the files untouched.
 func OpenDataset(path string) (*Dataset, error) {
 	start := time.Now()
 	ds, err := openDataset(path)
@@ -214,6 +209,9 @@ func openDataset(path string) (*Dataset, error) {
 	if ds.idx.Version != indexVersion {
 		return nil, fmt.Errorf("%w: unsupported index version %d", ErrCorruptBundle, ds.idx.Version)
 	}
+	if err := ds.idx.check(); err != nil {
+		return nil, err
+	}
 
 	bp := filepath.Join(path, bundleName)
 	f, err := os.OpenFile(bp, os.O_RDWR, 0)
@@ -230,9 +228,9 @@ func openDataset(path string) (*Dataset, error) {
 		return nil, fmt.Errorf("%w: bundle is %d bytes, index commits %d",
 			ErrCorruptBundle, fi.Size(), ds.idx.BundleBytes)
 	case fi.Size() > ds.idx.BundleBytes:
-		// Torn tail from a crashed spill append: the bytes past the
-		// committed extent were never referenced by any index, so they
-		// are dropped, not data loss.
+		// Torn tail from an older build's crashed spill append: the bytes
+		// past the committed extent were never referenced by any index,
+		// so they are dropped, not data loss.
 		if err := f.Truncate(ds.idx.BundleBytes); err != nil {
 			return nil, err
 		}
@@ -254,15 +252,40 @@ func openDataset(path string) (*Dataset, error) {
 	return ds, nil
 }
 
+// check rejects an index whose figures would make Open misbehave before
+// any record is verified: a negative item count would panic in decode,
+// and a committed extent shorter than the header or than a listed record
+// would let Open truncate committed bytes. Part ends are compared
+// against the extent without overflow.
+func (idx *index) check() error {
+	if idx.Meta.NumItems < 0 {
+		return fmt.Errorf("%w: index lists %d items", ErrCorruptBundle, idx.Meta.NumItems)
+	}
+	if idx.BundleBytes < bundleHeaderSize {
+		return fmt.Errorf("%w: index commits %d bytes, less than the bundle header", ErrCorruptBundle, idx.BundleBytes)
+	}
+	for _, rec := range idx.Records {
+		for _, p := range rec.parts() {
+			// room cannot overflow once Offset is past the header, and
+			// paddedLen cannot once Length fits in room.
+			room := idx.BundleBytes - recordHeaderSize - p.Offset
+			if p.Offset < bundleHeaderSize || p.Length < 0 || p.Length > room || paddedLen(p.Length) > room {
+				return fmt.Errorf("%w: record for item %d at offset %d, length %d lies outside committed extent %d",
+					ErrCorruptBundle, rec.Item, p.Offset, p.Length, idx.BundleBytes)
+			}
+		}
+	}
+	return nil
+}
+
 // decode verifies the header and every record, building the per-item
-// view slices.
+// sparse views. Bitset and roaring records, which older builds spilled
+// after the sparse ones, are verified like every record and skipped.
 func (ds *Dataset) decode() error {
 	if err := checkBundleHeader(ds.data); err != nil {
 		return err
 	}
 	ds.sparse = make([]tidlist.List, ds.idx.Meta.NumItems)
-	ds.bitsets = make([]*tidlist.Bitset, ds.idx.Meta.NumItems)
-	ds.roarings = make([]*tidlist.Roaring, ds.idx.Meta.NumItems)
 	for _, rec := range ds.idx.Records {
 		if rec.Item < 0 || rec.Item >= ds.idx.Meta.NumItems {
 			return fmt.Errorf("%w: record for out-of-range item %d", ErrCorruptBundle, rec.Item)
@@ -282,26 +305,8 @@ func (ds *Dataset) decode() error {
 					ErrCorruptBundle, rec.Item, len(l), rec.Support)
 			}
 			ds.sparse[rec.Item] = l
-		case EncBitset:
-			b, err := tidlist.BitsetFromBytes(payload)
-			if err != nil {
-				return fmt.Errorf("%w: item %d: %v", ErrCorruptBundle, rec.Item, err)
-			}
-			if b.Support() != rec.Support {
-				return fmt.Errorf("%w: item %d bitset has support %d, index says %d",
-					ErrCorruptBundle, rec.Item, b.Support(), rec.Support)
-			}
-			ds.bitsets[rec.Item] = b
-		case EncRoaring:
-			r, err := tidlist.RoaringFromBytes(payload)
-			if err != nil {
-				return fmt.Errorf("%w: item %d: %v", ErrCorruptBundle, rec.Item, err)
-			}
-			if r.Support() != rec.Support {
-				return fmt.Errorf("%w: item %d roaring has support %d, index says %d",
-					ErrCorruptBundle, rec.Item, r.Support(), rec.Support)
-			}
-			ds.roarings[rec.Item] = r
+		case EncBitset, EncRoaring:
+			// An older build's spill: verified above, never read.
 		default:
 			return fmt.Errorf("%w: item %d has unknown encoding %d", ErrCorruptBundle, rec.Item, rec.Enc)
 		}
@@ -329,70 +334,29 @@ func (ds *Dataset) VerticalSets(r tidlist.Repr) ([]tidlist.Set, bool) {
 // and the lists are immutable.
 func (ds *Dataset) SparseLists() []tidlist.List { return ds.sparse }
 
-// Bitsets returns the spilled dense transform as views over the mapping,
-// or ok=false when the stored bitsets do not cover every non-empty item
-// (no spill has happened, or it predates new data).
-func (ds *Dataset) Bitsets() ([]*tidlist.Bitset, bool) {
-	for item, l := range ds.sparse {
-		if len(l) > 0 && ds.bitsets[item] == nil {
-			return nil, false
-		}
-	}
-	return ds.bitsets, true
-}
-
-// Roarings returns the spilled containerized transform as views over the
-// mapping, or ok=false when the stored roarings do not cover every
-// non-empty item.
-func (ds *Dataset) Roarings() ([]*tidlist.Roaring, bool) {
-	for item, l := range ds.sparse {
-		if len(l) > 0 && ds.roarings[item] == nil {
-			return nil, false
-		}
-	}
-	return ds.roarings, true
-}
-
 // Sets returns the vertical transform as []tidlist.Set under the given
-// representation, served from the mapping wherever possible: sparse
-// straight from the bundle, bitset from a previous spill (or encoded in
-// memory when none exists — this read-only accessor never writes), auto
-// picking the smaller encoding per item. The slices alias the mapping
-// and are immutable.
+// representation: sparse items are views over the mapping, bitset and
+// roaring items are encoded on the heap from them, and ReprAuto picks the
+// smallest of the three encodings per item. The result is immutable.
 func (ds *Dataset) Sets(r tidlist.Repr) []tidlist.Set {
 	out := make([]tidlist.Set, ds.idx.Meta.NumItems)
-	dense := func(item int) *tidlist.Bitset {
-		if b := ds.bitsets[item]; b != nil {
-			return b
-		}
-		return tidlist.NewBitset(ds.sparse[item])
-	}
-	roaring := func(item int) *tidlist.Roaring {
-		if rr := ds.roarings[item]; rr != nil {
-			return rr
-		}
-		return tidlist.NewRoaring(ds.sparse[item])
-	}
 	for item, l := range ds.sparse {
 		if len(l) == 0 {
 			continue
 		}
+		enc := r
 		switch r {
+		case tidlist.ReprSparse, tidlist.ReprBitset, tidlist.ReprRoaring:
+		default: // ReprAuto
+			_, enc = tidlist.EncodedSize(l, tidlist.ReprAuto)
+		}
+		switch enc {
 		case tidlist.ReprBitset:
-			out[item] = dense(item)
+			out[item] = tidlist.NewBitset(l)
 		case tidlist.ReprRoaring:
-			out[item] = roaring(item)
-		case tidlist.ReprSparse:
+			out[item] = tidlist.NewRoaring(l)
+		default:
 			out[item] = l
-		default: // ReprAuto: cheapest of the three encodings per item
-			switch _, enc := tidlist.EncodedSize(l, tidlist.ReprAuto); enc {
-			case tidlist.ReprBitset:
-				out[item] = dense(item)
-			case tidlist.ReprRoaring:
-				out[item] = roaring(item)
-			default:
-				out[item] = l
-			}
 		}
 	}
 	return out
@@ -413,106 +377,6 @@ func (ds *Dataset) Horizontal() (*db.Database, error) {
 		ds.horiz, ds.horizErr = db.Decode(f)
 	})
 	return ds.horiz, ds.horizErr
-}
-
-// AppendBitsets spills the dense transform to disk: bitset records for
-// every non-empty item not already covered are appended past the
-// committed extent, the bundle is fsynced, and only then is the index
-// atomically replaced to commit them. The in-process views are
-// unchanged — the spill pays off on the next open, which serves the
-// bitsets from the mapping instead of re-encoding. bs is indexed by item
-// (as returned by Dataset.VerticalBitsets); nil and empty entries are
-// skipped.
-func (ds *Dataset) AppendBitsets(bs []*tidlist.Bitset) error {
-	return ds.appendSpill(EncBitset, len(bs), func(item int) (int, func([]byte) []byte) {
-		b := bs[item]
-		if b == nil || b.Support() == 0 {
-			return 0, nil
-		}
-		return b.Support(), func(p []byte) []byte { return tidlist.AppendBitsetBytes(p, b) }
-	})
-}
-
-// AppendRoarings spills the containerized transform to disk with the
-// same crash-safe append protocol as AppendBitsets. rs is indexed by
-// item; nil and empty entries are skipped.
-func (ds *Dataset) AppendRoarings(rs []*tidlist.Roaring) error {
-	return ds.appendSpill(EncRoaring, len(rs), func(item int) (int, func([]byte) []byte) {
-		r := rs[item]
-		if r == nil || r.Support() == 0 {
-			return 0, nil
-		}
-		return r.Support(), func(p []byte) []byte { return tidlist.AppendRoaringBytes(p, r) }
-	})
-}
-
-// appendSpill implements the shared spill-append protocol: records for
-// every item in [0, n) with a payload (per the get callback) and no
-// existing record under enc are appended past the committed extent, the
-// bundle is fsynced, and only then is the index atomically replaced.
-func (ds *Dataset) appendSpill(enc, n int, get func(item int) (support int, encode func([]byte) []byte)) error {
-	covered := make(map[int]bool)
-	for _, rec := range ds.idx.Records {
-		if rec.Enc == enc {
-			covered[rec.Item] = true
-		}
-	}
-	var buf []byte
-	idx := ds.idx
-	idx.Records = append([]Record(nil), ds.idx.Records...)
-	off := ds.idx.BundleBytes
-	var payload []byte
-	for item := 0; item < n; item++ {
-		if item >= ds.idx.Meta.NumItems || covered[item] {
-			continue
-		}
-		support, encode := get(item)
-		if encode == nil {
-			continue
-		}
-		payload = encode(payload[:0])
-		var rec Record
-		buf, rec = appendRecordSeg(buf, off+int64(len(buf)), ds.idx.SegmentBytes, item, enc, support, payload)
-		idx.Records = append(idx.Records, rec)
-	}
-	if len(buf) == 0 {
-		return nil
-	}
-	idx.BundleBytes = off + int64(len(buf))
-
-	f, err := os.OpenFile(filepath.Join(ds.dir, bundleName), os.O_WRONLY, 0)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteAt(buf, off); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-
-	ib, err := json.MarshalIndent(&idx, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(ds.dir, indexName+".tmp")
-	if err := writeFileSync(tmp, append(ib, '\n')); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(ds.dir, indexName)); err != nil {
-		return err
-	}
-	if err := syncDir(ds.dir); err != nil {
-		return err
-	}
-	ds.idx = idx
-	storeSpills.Inc()
-	return nil
 }
 
 // BytesMapped returns the size of the committed extent this dataset has
@@ -541,7 +405,7 @@ func (ds *Dataset) Close() error {
 			ds.releaseMapped()
 			ds.closeErr = ds.cleanup()
 		}
-		ds.data, ds.sparse, ds.bitsets, ds.roarings = nil, nil, nil, nil
+		ds.data, ds.sparse = nil, nil
 	})
 	return ds.closeErr
 }

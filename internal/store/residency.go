@@ -83,6 +83,9 @@ func (ds *Dataset) NewResidency(budget int64) *Residency {
 		touched:  make([]bool, numSegs),
 	}
 	for _, rec := range ds.idx.Records {
+		if rec.Enc != EncSparse {
+			continue // an older build's spill: never read
+		}
 		segs := r.itemSegs[rec.Item]
 		for _, p := range rec.parts() {
 			lo := int(p.Offset / segBytes)

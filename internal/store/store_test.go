@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -57,9 +59,6 @@ func TestStoreRegisterOpenRoundTrip(t *testing.T) {
 	d, ds := registerOne(t, s, "rt", 200)
 	lists := VerticalLists(d)
 	assertListsEqual(t, ds.SparseLists(), lists)
-	if _, ok := ds.Bitsets(); ok {
-		t.Fatal("fresh dataset claims spilled bitsets")
-	}
 	if m := ds.Meta(); m.Transactions != d.Len() || m.NumItems != d.NumItems || m.Name != "rt" {
 		t.Fatalf("meta %+v does not match database", m)
 	}
@@ -94,67 +93,6 @@ func TestStoreRegisterOpenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStoreSpillBitsets(t *testing.T) {
-	root := t.TempDir()
-	s, err := Open(root, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, ds := registerOne(t, s, "spill", 150)
-
-	bs := make([]*tidlist.Bitset, d.NumItems)
-	for item, l := range VerticalLists(d) {
-		if len(l) == 0 {
-			continue
-		}
-		bs[item] = new(tidlist.Bitset)
-		bs[item].SetTIDs(l)
-	}
-	if err := ds.AppendBitsets(bs); err != nil {
-		t.Fatalf("AppendBitsets: %v", err)
-	}
-	// Idempotent: a second spill of the same transform appends nothing.
-	before := ds.idx.BundleBytes
-	if err := ds.AppendBitsets(bs); err != nil {
-		t.Fatal(err)
-	}
-	if ds.idx.BundleBytes != before {
-		t.Fatal("second spill grew the bundle")
-	}
-	s.Close()
-
-	s2, err := Open(root, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	ds2, err := s2.Get("spill")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stored, ok := ds2.Bitsets()
-	if !ok {
-		t.Fatal("reopened dataset is missing spilled bitsets")
-	}
-	for item, want := range bs {
-		if want == nil {
-			continue
-		}
-		got := stored[item]
-		if got == nil || got.Support() != want.Support() {
-			t.Fatalf("item %d: stored bitset %v, want support %d", item, got, want.Support())
-		}
-		wt, gt := tidlist.TIDsOf(want), tidlist.TIDsOf(got)
-		for i := range wt {
-			if wt[i] != gt[i] {
-				t.Fatalf("item %d: stored tids %v, want %v", item, gt, wt)
-			}
-		}
-	}
-	// Sparse lists are untouched by the spill.
-	assertListsEqual(t, ds2.SparseLists(), VerticalLists(d))
-}
-
 func TestStoreTornTailTruncatedOnOpen(t *testing.T) {
 	root := t.TempDir()
 	s, err := Open(root, t.Logf)
@@ -164,8 +102,8 @@ func TestStoreTornTailTruncatedOnOpen(t *testing.T) {
 	d, _ := registerOne(t, s, "torn", 120)
 	s.Close()
 
-	// Simulate a crash mid-spill: bytes past the committed extent with no
-	// index pointing at them.
+	// Simulate an older build's crash mid-spill: bytes past the committed
+	// extent with no index pointing at them.
 	bp := filepath.Join(root, "torn"+datasetSuffix, bundleName)
 	f, err := os.OpenFile(bp, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
@@ -330,5 +268,81 @@ func TestStoreMissingBundleBytesIsCorrupt(t *testing.T) {
 	}
 	if _, err := OpenDataset(filepath.Join(root, "short"+datasetSuffix)); !errors.Is(err, ErrCorruptBundle) {
 		t.Fatalf("short bundle: %v, want ErrCorruptBundle", err)
+	}
+}
+
+// TestStoreCorruptIndexSkippedUntouched edits the index of one of two
+// datasets so that its figures disagree with its bundle. Open must skip
+// that dataset with one warning before it truncates, maps or allocates
+// anything, serve the intact neighbour, and leave the bad bundle as it
+// was.
+func TestStoreCorruptIndexSkippedUntouched(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(idx *index)
+	}{
+		{"negative item count", func(idx *index) { idx.Meta.NumItems = -1 }},
+		{"negative extent", func(idx *index) { idx.BundleBytes = -8 }},
+		{"extent inside header", func(idx *index) { idx.BundleBytes = 8 }},
+		{"record past extent", func(idx *index) { idx.BundleBytes -= 8 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			s, err := Open(root, t.Logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			registerOne(t, s, "bad", 120)
+			registerOne(t, s, "good", 120)
+			s.Close()
+
+			dir := filepath.Join(root, "bad"+datasetSuffix)
+			ip := filepath.Join(dir, indexName)
+			ib, err := os.ReadFile(ip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var idx index
+			if err := json.Unmarshal(ib, &idx); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(&idx)
+			if ib, err = json.Marshal(&idx); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(ip, ib, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			bp := filepath.Join(dir, bundleName)
+			bundle, err := os.ReadFile(bp)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var warnings []string
+			s2, err := Open(root, func(format string, args ...any) {
+				warnings = append(warnings, fmt.Sprintf(format, args...))
+			})
+			if err != nil {
+				t.Fatalf("store open with one corrupt index: %v", err)
+			}
+			defer s2.Close()
+			if _, err := s2.Get("bad"); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("dataset with corrupt index served: %v", err)
+			}
+			if _, err := s2.Get("good"); err != nil {
+				t.Fatalf("healthy dataset lost: %v", err)
+			}
+			if len(warnings) != 1 || !strings.Contains(warnings[0], "bad") || !strings.Contains(warnings[0], ErrCorruptBundle.Error()) {
+				t.Fatalf("want one corrupt-bundle warning for the bad dataset, got %q", warnings)
+			}
+			after, err := os.ReadFile(bp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, bundle) {
+				t.Fatalf("bundle changed by a failed open: %d bytes, was %d", len(after), len(bundle))
+			}
+		})
 	}
 }

@@ -99,8 +99,8 @@ func TestCreateDatasetSegRejectsBadSizes(t *testing.T) {
 }
 
 func TestV2TornTailInsideSegment(t *testing.T) {
-	// A crashed spill can leave a torn tail that starts mid-segment and
-	// bleeds into the next one. Open must truncate it back to the
+	// An older build's crashed spill can leave a torn tail that starts
+	// mid-segment and bleeds into the next one. Open must truncate it back to the
 	// committed extent and every partitioned record must still verify.
 	const segBytes = 64
 	ds, lists := createSeg(t, 250, segBytes)
@@ -141,45 +141,6 @@ func TestV2TornTailInsideSegment(t *testing.T) {
 	if fi.Size() != ds2.idx.BundleBytes {
 		t.Fatalf("torn tail not truncated: %d bytes on disk, %d committed", fi.Size(), ds2.idx.BundleBytes)
 	}
-}
-
-func TestV2SegmentedSpillAppend(t *testing.T) {
-	const segBytes = 64
-	ds, lists := createSeg(t, 200, segBytes)
-
-	bs := make([]*tidlist.Bitset, len(lists))
-	for item, l := range lists {
-		if len(l) == 0 {
-			continue
-		}
-		bs[item] = new(tidlist.Bitset)
-		bs[item].SetTIDs(l)
-	}
-	if err := ds.AppendBitsets(bs); err != nil {
-		t.Fatalf("AppendBitsets: %v", err)
-	}
-	// The appended records obey the same segment discipline as the
-	// original ones, so the whole grown bundle still partitions cleanly.
-	assertSegmented(t, ds, segBytes)
-
-	ds2, err := OpenDataset(ds.dir)
-	if err != nil {
-		t.Fatalf("reopen after segmented spill: %v", err)
-	}
-	defer ds2.Close()
-	stored, ok := ds2.Bitsets()
-	if !ok {
-		t.Fatal("reopened dataset is missing spilled bitsets")
-	}
-	for item, want := range bs {
-		if want == nil {
-			continue
-		}
-		if got := stored[item]; got == nil || got.Support() != want.Support() {
-			t.Fatalf("item %d: stored bitset support mismatch", item)
-		}
-	}
-	assertListsEqual(t, ds2.SparseLists(), lists)
 }
 
 func TestBytesMappedGaugeReturnsToZero(t *testing.T) {

@@ -172,9 +172,38 @@ func buildContainer(c *container, lows []uint16) {
 // Support returns the cardinality (cached; O(1)).
 func (r *Roaring) Support() int { return r.count }
 
+// The containerized size model:
+//
+//	header      8 bytes   count, number of containers
+//	descriptors 8 bytes   per container: key, kind, shape
+//	payloads              in key order, each padded to 8 bytes
+//
+// A payload holds 2 bytes per array member, 4 per run and 8 per bitmap
+// word. Nothing is written in this layout: it prices a roaring set for
+// the simulated cluster's communication and disk cost models and for
+// EncodedSize's choice.
+const (
+	roaringPayloadHeader = 8
+	roaringDescSize      = int64(8)
+)
+
+// containerPayloadLen returns the unpadded payload byte length of c.
+func containerPayloadLen(c *container) int {
+	if c.kind == ctBitmap {
+		return 8 * len(c.words)
+	}
+	return 2 * len(c.elems) // array members or run pairs
+}
+
+// paddedPayloadLen rounds a payload length up to the 8-byte boundary
+// that keeps the next payload aligned.
+func paddedPayloadLen(n int) int64 {
+	return int64(n+7) &^ 7
+}
+
 // SizeBytes returns the encoded size of the containerized
-// representation — the stable payload AppendRoaringBytes produces,
-// which is the figure the communication and disk cost models charge.
+// representation under the size model above, the figure the
+// communication and disk cost models charge.
 func (r *Roaring) SizeBytes() int64 {
 	if len(r.ctrs) == 0 {
 		return 0
@@ -314,7 +343,7 @@ func containerMax(c *container) uint16 {
 	}
 }
 
-// roaringEncodedSize computes the stable encoded size l would have under
+// roaringEncodedSize computes the modelled size l would have under
 // ReprRoaring without building the containers: one pass tracking each
 // chunk's cardinality, run count and word span, then the same shape rule
 // buildContainer applies.

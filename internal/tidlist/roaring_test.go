@@ -109,67 +109,6 @@ func TestRoaringSetTIDsReuse(t *testing.T) {
 	}
 }
 
-func TestRoaringSerializationRejectsCorruption(t *testing.T) {
-	l := mk(1, 2, 3, 100, chunkSize+5, chunkSize+6)
-	enc := AppendRoaringBytes(nil, NewRoaring(l))
-	if _, err := RoaringFromBytes(enc); err != nil {
-		t.Fatalf("clean payload rejected: %v", err)
-	}
-	// Truncations anywhere must fail, never panic or mis-decode.
-	for cut := 1; cut < len(enc); cut++ {
-		if _, err := RoaringFromBytes(enc[:cut]); err == nil {
-			// A shorter prefix may only be accepted if it is itself a
-			// complete payload — impossible here since count stays 6.
-			t.Fatalf("truncated payload (%d of %d bytes) accepted", cut, len(enc))
-		}
-	}
-	corrupt := func(off int, v byte) []byte {
-		c := append([]byte(nil), enc...)
-		c[off] = v
-		return c
-	}
-	// Header count mismatch.
-	if _, err := RoaringFromBytes(corrupt(0, 99)); err == nil {
-		t.Fatal("count mismatch accepted")
-	}
-	// Unknown container kind in the first descriptor.
-	if _, err := RoaringFromBytes(corrupt(roaringPayloadHeader+2, 7)); err == nil {
-		t.Fatal("unknown container kind accepted")
-	}
-	// Unsorted keys: overwrite the second descriptor's key with the first's.
-	if _, err := RoaringFromBytes(corrupt(roaringPayloadHeader+8, enc[roaringPayloadHeader])); err == nil {
-		t.Fatal("non-increasing keys accepted")
-	}
-	// Zero-container payload with a nonzero header length.
-	bad := append([]byte(nil), enc[:roaringPayloadHeader]...)
-	bad[4], bad[5], bad[6], bad[7] = 0, 0, 0, 0
-	if _, err := RoaringFromBytes(bad); err == nil {
-		t.Fatal("zero container count accepted")
-	}
-	// Empty payload is the empty set.
-	if r, err := RoaringFromBytes(nil); err != nil || r.Support() != 0 {
-		t.Fatalf("empty payload: %v, support %d", err, r.Support())
-	}
-}
-
-func TestRoaringSerializationUnalignedCopies(t *testing.T) {
-	// Decoding from an odd offset must fall back to copying and still
-	// produce the same set (the zero-copy path needs 8-byte alignment).
-	rng := rand.New(rand.NewSource(73))
-	for trial := 0; trial < 50; trial++ {
-		l := randomList(rng, 200, 5*chunkSize)
-		enc := AppendRoaringBytes(nil, NewRoaring(l))
-		buf := append(make([]byte, 1, 1+len(enc)), enc...)
-		dec, err := RoaringFromBytes(buf[1:])
-		if err != nil {
-			t.Fatalf("unaligned decode: %v", err)
-		}
-		if !equalTIDs(dec.TIDs(), l) {
-			t.Fatalf("unaligned decode lost tids")
-		}
-	}
-}
-
 func TestRoaringCloneIndependence(t *testing.T) {
 	l := seqList(100, 1000)
 	r := NewRoaring(l)

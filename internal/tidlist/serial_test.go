@@ -3,8 +3,6 @@ package tidlist
 import (
 	"bytes"
 	"testing"
-
-	"repro/internal/itemset"
 )
 
 func TestListBytesRoundTrip(t *testing.T) {
@@ -18,9 +16,6 @@ func TestListBytesRoundTrip(t *testing.T) {
 		enc := AppendListBytes(nil, l)
 		if len(enc) != 4*len(l) {
 			t.Fatalf("encoded %v to %d bytes, want %d", l, len(enc), 4*len(l))
-		}
-		if got := EncodedLen(l); got != len(enc) {
-			t.Fatalf("EncodedLen(%v) = %d, want %d", l, got, len(enc))
 		}
 		dec, err := ListFromBytes(enc)
 		if err != nil {
@@ -77,74 +72,5 @@ func TestListFromBytesCopiesMisalignedInput(t *testing.T) {
 		if dec[i] != want[i] {
 			t.Fatalf("decoded %v, want %v", dec, want)
 		}
-	}
-}
-
-func TestBitsetBytesRoundTrip(t *testing.T) {
-	cases := [][]itemset.TID{
-		nil,
-		{0},
-		{5, 9, 63, 64, 65, 900},
-		{128, 129, 191},
-	}
-	for _, tids := range cases {
-		var bs Bitset
-		bs.SetTIDs(tids)
-		enc := AppendBitsetBytes(nil, &bs)
-		if got := EncodedLen(&bs); got != len(enc) {
-			t.Fatalf("EncodedLen = %d, want %d", got, len(enc))
-		}
-		dec, err := BitsetFromBytes(enc)
-		if err != nil {
-			t.Fatalf("decode %v: %v", tids, err)
-		}
-		if dec.Support() != len(tids) {
-			t.Fatalf("decoded support %d, want %d", dec.Support(), len(tids))
-		}
-		if got := TIDsOf(dec); len(got) != len(tids) {
-			t.Fatalf("decoded %v, want %v", got, tids)
-		} else {
-			for i := range tids {
-				if got[i] != tids[i] {
-					t.Fatalf("decoded %v, want %v", got, tids)
-				}
-			}
-		}
-		if !bytes.Equal(AppendBitsetBytes(nil, dec), enc) {
-			t.Fatalf("re-encode of %v differs", tids)
-		}
-	}
-}
-
-func TestBitsetFromBytesRejectsMalformed(t *testing.T) {
-	var bs Bitset
-	bs.SetTIDs([]itemset.TID{1, 2, 3})
-	good := AppendBitsetBytes(nil, &bs)
-
-	for name, mutate := range map[string]func([]byte) []byte{
-		"short":          func(b []byte) []byte { return b[:4] },
-		"ragged words":   func(b []byte) []byte { return append(b, 0xff) },
-		"bad base":       func(b []byte) []byte { b[0] = 3; return b },
-		"bad count":      func(b []byte) []byte { b[4]++; return b },
-		"untrimmed word": func(b []byte) []byte { copy(b[8:16], make([]byte, 8)); b[4] = 0; return b },
-	} {
-		b := mutate(append([]byte(nil), good...))
-		if _, err := BitsetFromBytes(b); err == nil {
-			t.Errorf("%s: want decode error", name)
-		}
-	}
-}
-
-func TestBitsetFromBytesCopiesMisalignedInput(t *testing.T) {
-	var bs Bitset
-	bs.SetTIDs([]itemset.TID{3, 70, 130})
-	buf := make([]byte, 1, 64)
-	enc := AppendBitsetBytes(buf, &bs)
-	dec, err := BitsetFromBytes(enc[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := TIDsOf(dec); len(got) != 3 || got[0] != 3 || got[1] != 70 || got[2] != 130 {
-		t.Fatalf("decoded %v, want [3 70 130]", got)
 	}
 }

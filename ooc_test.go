@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -103,5 +104,67 @@ func TestMineMemoryBudgetIgnoredForMemorySources(t *testing.T) {
 	}
 	if info.OutOfCore {
 		t.Fatal("in-memory mine claims to be out-of-core")
+	}
+}
+
+// TestMineFromLegacySpilledBundle mines a bundle that an older build
+// spilled bitset and roaring copies into (internal/store/testdata): the
+// store reads its sparse records only, so every representation, in core
+// and out of core, mines byte-identically to the heap mine of its
+// horizontal data.
+func TestMineFromLegacySpilledBundle(t *testing.T) {
+	const fixture = "internal/store/testdata/legacy/spilled.ds"
+	path := filepath.Join(t.TempDir(), "spilled.ds")
+	if err := os.MkdirAll(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"index.json", "vertical.bundle", "horizontal.db"} {
+		b, err := os.ReadFile(filepath.Join(fixture, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(path, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := store.OpenDataset(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	d, err := ds.Horizontal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, repr := range []Representation{ReprAuto, ReprSparse, ReprBitset, ReprRoaring} {
+		opts := MineOptions{SupportCount: 3, Representation: repr}
+		want, _, err := Mine(context.Background(), d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Itemsets) < 50 {
+			t.Fatalf("%v: %d itemsets; too few to compare", repr, len(want.Itemsets))
+		}
+		var wantBuf bytes.Buffer
+		if err := WriteResult(&wantBuf, want); err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []int64{0, 256} {
+			opts.MemoryBudget = budget
+			got, info, err := MineFrom(context.Background(), ds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var gotBuf bytes.Buffer
+			if err := WriteResult(&gotBuf, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotBuf.Bytes(), wantBuf.Bytes()) {
+				t.Fatalf("%v budget=%d: mine of the legacy bundle differs from the heap mine", repr, budget)
+			}
+			if info.OutOfCore != (budget > 0) {
+				t.Fatalf("%v budget=%d: OutOfCore=%v", repr, budget, info.OutOfCore)
+			}
+		}
 	}
 }
