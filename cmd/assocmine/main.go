@@ -325,19 +325,7 @@ func loadDatabase(path, format string, genTx int) (*repro.Database, error) {
 	case genTx > 0:
 		return repro.Generate(repro.StandardConfig(genTx))
 	case path != "":
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		switch format {
-		case "binary":
-			return db.Decode(f)
-		case "fimi":
-			return db.DecodeFIMI(f, 0)
-		default:
-			return nil, fmt.Errorf("unknown format %q", format)
-		}
+		return db.Load(path, format)
 	default:
 		return nil, fmt.Errorf("provide -db FILE or -gen N")
 	}

@@ -203,7 +203,7 @@ func registerDatasets(svc *service.Service, datasets, gens []string) error {
 			continue
 		}
 		path, format, _ := strings.Cut(rest, ",")
-		d, err := loadDatabase(path, format)
+		d, err := db.Load(path, format)
 		if err != nil {
 			return fmt.Errorf("dataset %s: %w", name, err)
 		}
@@ -241,37 +241,4 @@ func registerDatasets(svc *service.Service, datasets, gens []string) error {
 		}
 	}
 	return nil
-}
-
-// loadDatabase reads a database file; format "" infers from the
-// extension (.fimi/.dat/.txt are FIMI text, everything else binary).
-func loadDatabase(path, format string) (*db.Database, error) {
-	if format == "" {
-		switch strings.ToLower(strings.TrimPrefix(lastExt(path), ".")) {
-		case "fimi", "dat", "txt":
-			format = "fimi"
-		default:
-			format = "binary"
-		}
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	switch format {
-	case "binary":
-		return db.Decode(f)
-	case "fimi":
-		return db.DecodeFIMI(f, 0)
-	default:
-		return nil, fmt.Errorf("unknown format %q (want binary or fimi)", format)
-	}
-}
-
-func lastExt(path string) string {
-	if i := strings.LastIndexByte(path, '.'); i >= 0 {
-		return path[i:]
-	}
-	return ""
 }

@@ -11,8 +11,6 @@ const storePath = "repro/internal/store"
 var datasetViewMethods = map[string]bool{
 	"Sets":         true,
 	"SparseLists":  true,
-	"Bitsets":      true,
-	"Roarings":     true,
 	"VerticalSets": true,
 }
 

@@ -48,7 +48,7 @@ func copyIntoView(ds *store.Dataset) {
 
 // appendToView: append may write in place when capacity allows.
 func appendToView(ds *store.Dataset) {
-	for _, s := range ds.Roarings() {
+	for _, s := range ds.SparseLists() {
 		_ = append(s, 0) // want `append to an mmap-backed store view may write the shared mapping`
 	}
 }

@@ -20,7 +20,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 
 	"repro/internal/itemset"
 )
@@ -247,4 +250,30 @@ func Decode(r io.Reader) (*Database, error) {
 		return nil, err
 	}
 	return d, nil
+}
+
+// Load reads the database file at path in format "binary" (the layout
+// Encode writes) or "fimi" (the text DecodeFIMI reads). Format ""
+// infers it from the extension: .fimi, .dat and .txt are FIMI text,
+// anything else binary.
+func Load(path, format string) (*Database, error) {
+	if format == "" {
+		format = "binary"
+		switch strings.ToLower(filepath.Ext(path)) {
+		case ".fimi", ".dat", ".txt":
+			format = "fimi"
+		}
+	}
+	if format != "binary" && format != "fimi" {
+		return nil, fmt.Errorf("unknown format %q (want binary or fimi)", format)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if format == "fimi" {
+		return DecodeFIMI(f, 0)
+	}
+	return Decode(f)
 }

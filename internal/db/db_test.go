@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -242,5 +244,57 @@ func TestEncodeDecodeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoad pins Load's format choice: "" reads .fimi, .dat and .txt in
+// any case as FIMI text and any other extension as binary, an explicit
+// format overrides the extension, and an unknown format fails.
+func TestLoad(t *testing.T) {
+	d := sample()
+	var bin, text bytes.Buffer
+	if err := d.Encode(&bin); err != nil {
+		t.Fatal(err)
+	}
+	if err := EncodeFIMI(&text, d); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		file, format string
+		fimi         bool
+	}{
+		{"a.fimi", "", true},
+		{"a.dat", "", true},
+		{"a.txt", "", true},
+		{"B.DAT", "", true},
+		{"a.db", "", false},
+		{"noext", "", false},
+		{"a.db", "fimi", true},
+		{"a.txt", "binary", false},
+	}
+	dir := t.TempDir()
+	for _, c := range cases {
+		// Binary keeps the stored TIDs, the last of which is 5; FIMI
+		// numbers lines from 0, so the last TID names the decoder.
+		data, lastTID := bin.Bytes(), itemset.TID(5)
+		if c.fimi {
+			data, lastTID = text.Bytes(), 3
+		}
+		path := filepath.Join(dir, c.file)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Load(path, c.format)
+		if err != nil {
+			t.Fatalf("Load(%s, %q): %v", c.file, c.format, err)
+		}
+		if got.Len() != d.Len() || got.Transactions[got.Len()-1].TID != lastTID {
+			t.Fatalf("Load(%s, %q) = %d transactions ending at TID %d, want %d ending at %d",
+				c.file, c.format, got.Len(), got.Transactions[got.Len()-1].TID, d.Len(), lastTID)
+		}
+	}
+	_, err := Load(filepath.Join(dir, "a.db"), "csv")
+	if err == nil || err.Error() != `unknown format "csv" (want binary or fimi)` {
+		t.Fatalf("Load with format csv: err = %v", err)
 	}
 }

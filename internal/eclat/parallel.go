@@ -260,9 +260,9 @@ func clusterMine(cl *cluster.Cluster, d *db.Database, minsup int, opts Options) 
 // chargeKernel charges a processor's asynchronous-phase intersection work
 // at the per-kernel rates — element comparisons of the sparse and mixed
 // kernels at OpIntersect, words of the dense kernel at OpBitsetWord, and
-// the roaring containers at the matching per-container rates (array and
-// run containers compare elements like the merge kernel, bitmap
-// containers stream words like the dense kernel) — and flushes the run's
+// the roaring containers at the matching per-container rates (array
+// containers compare elements like the merge kernel, bitmap containers
+// stream words like the dense kernel) — and flushes the run's
 // kernel-dispatch counts to the metrics registry.
 func chargeKernel(p *cluster.Proc, st *Stats) {
 	p.ChargeOps(cluster.OpIntersect, st.Kernel.SparseOps()+st.Kernel.RoaringElemOps())

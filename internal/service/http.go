@@ -8,7 +8,6 @@ import (
 	"io/fs"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -419,7 +418,7 @@ func NewHandler(s *Service) http.Handler {
 				return
 			}
 			if err == nil {
-				d, err = loadDatasetFile(file, dr.Format)
+				d, err = db.Load(file, dr.Format)
 			}
 			source = dr.Path
 		default:
@@ -494,32 +493,4 @@ func NewHandler(s *Service) http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
 	return mux
-}
-
-// loadDatasetFile reads a daemon-local database file for POST
-// /v1/datasets; format "" infers from the extension (.fimi/.dat/.txt are
-// FIMI text, everything else binary).
-func loadDatasetFile(path, format string) (*db.Database, error) {
-	if format == "" {
-		format = "binary"
-		if i := strings.LastIndexByte(path, '.'); i >= 0 {
-			switch strings.ToLower(path[i+1:]) {
-			case "fimi", "dat", "txt":
-				format = "fimi"
-			}
-		}
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	switch format {
-	case "binary":
-		return db.Decode(f)
-	case "fimi":
-		return db.DecodeFIMI(f, 0)
-	default:
-		return nil, fmt.Errorf("unknown format %q (want binary or fimi)", format)
-	}
 }

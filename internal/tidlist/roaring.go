@@ -8,9 +8,9 @@ import (
 
 // Roaring is the compressed tid-set representation: tid space is
 // partitioned into 64K-tid chunks keyed by the high 16 bits, and each
-// occupied chunk stores its low 16 bits in whichever container shape is
-// cheapest for that chunk — a sorted uint16 array, a trimmed word-packed
-// bitmap, or run-length pairs. Kernels dispatch per container pair, so a
+// occupied chunk stores its low 16 bits in whichever container shape
+// chunkShape picks for that chunk — a sorted uint16 array or a trimmed
+// word-packed bitmap. Kernels dispatch per container pair, so a
 // set that is dense in one region and scattered in another pays the
 // dense word cost only where the words are actually populated; this is
 // the containerized layout the many-core and supercomputer FIM studies
@@ -41,7 +41,6 @@ type Roaring struct {
 const (
 	ctArray  = uint8(0) // sorted low-16 members in elems
 	ctBitmap = uint8(1) // trimmed words covering chunk words [wlo, wlo+len(words))
-	ctRun    = uint8(2) // (start, length-1) uint16 pairs in elems, sorted, non-adjacent
 )
 
 // chunkBits / chunkSize describe the 64K-tid partition; chunkWords is
@@ -52,14 +51,14 @@ const (
 	chunkWords = chunkSize / wordBits
 )
 
-// container holds the low 16 bits of one chunk's members. The elems
-// slice doubles as array storage and run-pair storage depending on
-// kind; words is bitmap storage trimmed to the populated word window.
+// container holds the low 16 bits of one chunk's members: elems is
+// array storage, words is bitmap storage trimmed to the populated word
+// window.
 type container struct {
 	kind  uint8
 	card  int32    // cached cardinality of this chunk
 	wlo   int32    // bitmap only: chunk word index of words[0]
-	elems []uint16 // array members or run pairs
+	elems []uint16 // array members
 	words []uint64 // bitmap words
 }
 
@@ -70,7 +69,7 @@ func chunkTID(key, low uint16) itemset.TID {
 }
 
 // NewRoaring packs a sorted tid-list into containers, choosing each
-// chunk's shape by the measured run count and occupied word span.
+// chunk's shape by chunkShape.
 func NewRoaring(l List) *Roaring {
 	r := &Roaring{}
 	r.SetTIDs(l)
@@ -85,7 +84,7 @@ func (r *Roaring) SetTIDs(l List) {
 	ctrs := r.ctrs
 	r.ctrs = r.ctrs[:0]
 	r.count = len(l)
-	var built [3]int64
+	var built [2]int64
 	var lows []uint16
 	flush := func(key uint16) {
 		if len(lows) == 0 {
@@ -113,60 +112,35 @@ func (r *Roaring) SetTIDs(l List) {
 	publishContainerCounts(built)
 }
 
-// runCount returns the number of maximal consecutive runs in the sorted
-// distinct lows.
-func runCount(lows []uint16) int {
-	runs := 0
-	for i, v := range lows {
-		if i == 0 || v != lows[i-1]+1 {
-			runs++
-		}
+// chunkShape is the shape rule buildContainer builds by and
+// roaringEncodedSize prices by, so a built set and its priced size
+// agree. A chunk of card distinct members whose lows lie in [lo, hi]
+// occupies a window of w words; it is a trimmed bitmap over that window
+// once the window holds at least one member per two words (w <= 2·card,
+// the point where the word kernel overtakes the uint16 merge), and a
+// sorted array otherwise.
+func chunkShape(card int, lo, hi uint16) (kind uint8, w int) {
+	w = int(hi)/wordBits - int(lo)/wordBits + 1
+	if w <= 2*card {
+		return ctBitmap, w
 	}
-	return runs
+	return ctArray, w
 }
 
 // buildContainer encodes sorted distinct lows into c, reusing c's
-// storage. The shape rule is kernel economics, not just encoded size:
-// runs when run pairs compress at least 2x against the array (4r <
-// min(2c, 8w) bytes), a trimmed bitmap once the occupied word window
-// has at least one member per two words (w <= 2c — the point where the
-// word kernel overtakes the uint16 merge), and the array otherwise.
+// storage.
 func buildContainer(c *container, lows []uint16) {
-	card := len(lows)
-	lo, hi := int(lows[0]), int(lows[card-1])
-	w := hi/wordBits - lo/wordBits + 1
-	runs := runCount(lows)
-	switch {
-	case 4*runs < 2*card && 4*runs < 8*w:
-		c.kind, c.card = ctRun, int32(card)
-		c.words = c.words[:0]
-		c.elems = c.elems[:0]
-		start := lows[0]
-		for i := 1; i <= card; i++ {
-			if i == card || lows[i] != lows[i-1]+1 {
-				c.elems = append(c.elems, start, lows[i-1]-start)
-				if i < card {
-					start = lows[i]
-				}
-			}
-		}
-	case w <= 2*card:
-		c.kind, c.card, c.wlo = ctBitmap, int32(card), int32(lo/wordBits)
-		c.elems = c.elems[:0]
-		if cap(c.words) < w {
-			c.words = make([]uint64, w)
-		} else {
-			c.words = c.words[:w]
-			clear(c.words)
-		}
+	kind, w := chunkShape(len(lows), lows[0], lows[len(lows)-1])
+	if kind == ctArray {
+		c.setArray()
+		c.elems = append(c.elems, lows...)
+	} else {
+		c.setBitmap(int(lows[0])/wordBits, w, true)
 		for _, v := range lows {
 			c.words[int(v)/wordBits-int(c.wlo)] |= 1 << (v % wordBits)
 		}
-	default:
-		c.kind, c.card = ctArray, int32(card)
-		c.words = c.words[:0]
-		c.elems = append(c.elems[:0], lows...)
 	}
+	c.card = int32(len(lows))
 }
 
 // Support returns the cardinality (cached; O(1)).
@@ -178,9 +152,9 @@ func (r *Roaring) Support() int { return r.count }
 //	descriptors 8 bytes   per container: key, kind, shape
 //	payloads              in key order, each padded to 8 bytes
 //
-// A payload holds 2 bytes per array member, 4 per run and 8 per bitmap
-// word. Nothing is written in this layout: it prices a roaring set for
-// the simulated cluster's communication and disk cost models and for
+// A payload holds 2 bytes per array member and 8 per bitmap word.
+// Nothing is written in this layout: it prices a roaring set for the
+// simulated cluster's communication and disk cost models and for
 // EncodedSize's choice.
 const (
 	roaringPayloadHeader = 8
@@ -192,7 +166,7 @@ func containerPayloadLen(c *container) int {
 	if c.kind == ctBitmap {
 		return 8 * len(c.words)
 	}
-	return 2 * len(c.elems) // array members or run pairs
+	return 2 * len(c.elems)
 }
 
 // paddedPayloadLen rounds a payload length up to the 8-byte boundary
@@ -227,25 +201,17 @@ func (r *Roaring) AppendTIDs(dst List) List {
 }
 
 func appendContainerTIDs(dst List, key uint16, c *container) List {
-	switch c.kind {
-	case ctArray:
+	if c.kind == ctArray {
 		for _, v := range c.elems {
 			dst = append(dst, chunkTID(key, v))
 		}
-	case ctBitmap:
-		for wi, w := range c.words {
-			base := chunkTID(key, 0) + itemset.TID((int(c.wlo)+wi)*wordBits)
-			for w != 0 {
-				dst = append(dst, base+itemset.TID(bits.TrailingZeros64(w)))
-				w &= w - 1
-			}
-		}
-	case ctRun:
-		for i := 0; i < len(c.elems); i += 2 {
-			start, rl := c.elems[i], int(c.elems[i+1])
-			for o := 0; o <= rl; o++ {
-				dst = append(dst, chunkTID(key, start)+itemset.TID(o))
-			}
+		return dst
+	}
+	for wi, w := range c.words {
+		base := chunkTID(key, 0) + itemset.TID((int(c.wlo)+wi)*wordBits)
+		for w != 0 {
+			dst = append(dst, base+itemset.TID(bits.TrailingZeros64(w)))
+			w &= w - 1
 		}
 	}
 	return dst
@@ -281,90 +247,60 @@ func findKey(keys []uint16, key uint16) int {
 }
 
 func containerContains(c *container, low uint16) bool {
-	switch c.kind {
-	case ctArray:
-		lo, hi := 0, len(c.elems)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if c.elems[mid] < low {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo < len(c.elems) && c.elems[lo] == low
-	case ctBitmap:
+	if c.kind == ctBitmap {
 		wi := int(low)/wordBits - int(c.wlo)
 		if wi < 0 || wi >= len(c.words) {
 			return false
 		}
 		return c.words[wi]&(1<<(low%wordBits)) != 0
-	default: // ctRun: find the last run starting at or before low
-		lo, hi := 0, len(c.elems)/2
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if c.elems[2*mid] <= low {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == 0 {
-			return false
-		}
-		start, rl := c.elems[2*(lo-1)], c.elems[2*(lo-1)+1]
-		return low-start <= rl
 	}
+	lo, hi := 0, len(c.elems)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if c.elems[mid] < low {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(c.elems) && c.elems[lo] == low
 }
 
 // containerMin returns the smallest low-16 member of a non-empty
 // container.
 func containerMin(c *container) uint16 {
-	switch c.kind {
-	case ctBitmap:
+	if c.kind == ctBitmap {
 		return uint16(int(c.wlo)*wordBits + bits.TrailingZeros64(c.words[0]))
-	default: // array and run both lead with their smallest member
-		return c.elems[0]
 	}
+	return c.elems[0]
 }
 
 // containerMax returns the largest low-16 member of a non-empty
 // container.
 func containerMax(c *container) uint16 {
-	switch c.kind {
-	case ctArray:
-		return c.elems[len(c.elems)-1]
-	case ctBitmap:
+	if c.kind == ctBitmap {
 		last := len(c.words) - 1
 		return uint16((int(c.wlo)+last)*wordBits + 63 - bits.LeadingZeros64(c.words[last]))
-	default: // ctRun
-		n := len(c.elems)
-		return c.elems[n-2] + c.elems[n-1]
 	}
+	return c.elems[len(c.elems)-1]
 }
 
 // roaringEncodedSize computes the modelled size l would have under
 // ReprRoaring without building the containers: one pass tracking each
-// chunk's cardinality, run count and word span, then the same shape rule
-// buildContainer applies.
+// chunk's cardinality and lowest and highest member, priced by
+// chunkShape.
 func roaringEncodedSize(l List) int64 {
 	if len(l) == 0 {
 		return 0
 	}
 	var n, ctrs int64
-	var card, runs int
+	var card int
 	var first, prev uint16
 	cur := chunkKey(l[0])
 	flush := func() {
-		w := int(prev)/wordBits - int(first)/wordBits + 1
-		var payload int
-		switch {
-		case 4*runs < 2*card && 4*runs < 8*w:
-			payload = 4 * runs
-		case w <= 2*card:
+		payload := 2 * card
+		if kind, w := chunkShape(card, first, prev); kind == ctBitmap {
 			payload = 8 * w
-		default:
-			payload = 2 * card
 		}
 		n += paddedPayloadLen(payload)
 		ctrs++
@@ -375,14 +311,9 @@ func roaringEncodedSize(l List) int64 {
 			if i > 0 {
 				flush()
 			}
-			cur, first = k, low
-			card, runs = 1, 1
-		} else {
-			if low != prev+1 {
-				runs++
-			}
-			card++
+			cur, first, card = k, low, 0
 		}
+		card++
 		prev = low
 	}
 	flush()
@@ -473,10 +404,10 @@ func roaringScratch(scratch Set) *Roaring {
 
 // intersectRoaring intersects a and b into dst (reused, may be nil),
 // returning the result and the container kernel operations performed:
-// uint16 comparisons for array and run pairs, words touched for
-// bitmaps. Chunks present on only one side cost nothing — the key merge
-// skips them, which is where the containerized layout beats a flat
-// bitset on clustered tid distributions.
+// uint16 comparisons for array pairs, words touched for bitmaps. Chunks
+// present on only one side cost nothing — the key merge skips them,
+// which is where the containerized layout beats a flat bitset on
+// clustered tid distributions.
 func intersectRoaring(dst, a, b *Roaring, ks *KernelStats) (*Roaring, int) {
 	dst = reuseRoaring(dst)
 	dst.ctrs = dst.ctrs[:0]
@@ -583,13 +514,6 @@ func (c *container) setArray() {
 	c.words = c.words[:0]
 }
 
-// setRun initializes dst as an empty run container ready to append.
-func (c *container) setRun() {
-	c.kind, c.card, c.wlo = ctRun, 0, 0
-	c.elems = c.elems[:0]
-	c.words = c.words[:0]
-}
-
 // setBitmap initializes dst as a bitmap container spanning chunk words
 // [wlo, wlo+n), zeroed when zero is set.
 func (c *container) setBitmap(wlo, n int, zero bool) {
@@ -630,33 +554,18 @@ func (c *container) trimBitmap() {
 	c.words = c.words[:hi-lo]
 }
 
-// appendRun appends the run [start, start+rl] to a run container,
-// merging with the previous run when adjacent.
-func (c *container) appendRun(start uint16, rl uint16) {
-	if n := len(c.elems); n > 0 {
-		pStart, pLen := c.elems[n-2], c.elems[n-1]
-		if uint32(pStart)+uint32(pLen)+1 == uint32(start) {
-			c.elems[n-1] = pLen + rl + 1
-			c.card += int32(rl) + 1
-			return
-		}
-	}
-	c.elems = append(c.elems, start, rl)
-	c.card += int32(rl) + 1
-}
-
 // ctrAnd intersects two containers into dst (reusing dst's storage) and
 // returns the operations performed, recorded in ks by unit: uint16
-// element and run-pair comparisons in roaringArrayOps, words touched in
-// roaringWordOps. The receiver is the result shell, supplying the probe
-// scratch for large array pairs.
+// element comparisons in roaringElemOps, words touched in roaringWords.
+// The receiver is the result shell, supplying the probe scratch for
+// large array pairs.
 func (r *Roaring) ctrAnd(dst, a, b *container, ks *KernelStats) int {
 	// Normalize so the pair switch below needs only the upper triangle.
 	if a.kind > b.kind {
 		a, b = b, a
 	}
 	switch {
-	case a.kind == ctArray && b.kind == ctArray:
+	case b.kind == ctArray: // array x array
 		dst.setArray()
 		var ops int
 		if len(a.elems)+len(b.elems) >= probeMergeMin {
@@ -666,7 +575,7 @@ func (r *Roaring) ctrAnd(dst, a, b *container, ks *KernelStats) int {
 		}
 		ks.roaringElemOps += int64(ops)
 		return ops
-	case a.kind == ctArray && b.kind == ctBitmap:
+	case a.kind == ctArray: // array x bitmap
 		dst.setArray()
 		out := dst.elems
 		for _, v := range a.elems {
@@ -679,23 +588,9 @@ func (r *Roaring) ctrAnd(dst, a, b *container, ks *KernelStats) int {
 		dst.card = int32(len(out))
 		ks.roaringElemOps += int64(len(a.elems))
 		return len(a.elems)
-	case a.kind == ctArray && b.kind == ctRun:
-		dst.setArray()
-		ops := andArrayRun(dst, a.elems, b.elems)
-		ks.roaringElemOps += int64(ops)
-		return ops
-	case a.kind == ctBitmap && b.kind == ctBitmap:
+	default: // bitmap x bitmap
 		ops := andBitmapBitmap(dst, a, b)
 		ks.roaringWords += int64(ops)
-		return ops
-	case a.kind == ctBitmap && b.kind == ctRun:
-		ops := andBitmapRun(dst, a, b)
-		ks.roaringWords += int64(ops)
-		return ops
-	default: // run x run
-		dst.setRun()
-		ops := andRunRun(dst, a.elems, b.elems)
-		ks.roaringElemOps += int64(ops)
 		return ops
 	}
 }
@@ -757,21 +652,6 @@ func andArrayArrayProbe(dst *container, probe []uint64, a, b []uint16) int {
 	return 2*len(a) + len(b)
 }
 
-// andArrayRun keeps the array members covered by some run.
-func andArrayRun(dst *container, a, runs []uint16) int {
-	j := 0
-	for _, v := range a {
-		for j < len(runs) && uint32(runs[j])+uint32(runs[j+1]) < uint32(v) {
-			j += 2
-		}
-		if j < len(runs) && runs[j] <= v {
-			dst.elems = append(dst.elems, v)
-		}
-	}
-	dst.card = int32(len(dst.elems))
-	return len(a) + len(runs)/2
-}
-
 // andBitmapBitmap ANDs the overlapping word windows. The operand
 // windows are pre-sliced to the shared extent so the inner loop is free
 // of offset arithmetic and bounds checks — the codegen detail that
@@ -814,55 +694,6 @@ func andBitmapBitmap(dst, a, b *container) int {
 	return n
 }
 
-// andBitmapRun masks the bitmap down to the words covered by runs.
-func andBitmapRun(dst, bm, rc *container) int {
-	dst.setBitmap(int(bm.wlo), len(bm.words), true)
-	ops := 0
-	cnt := 0
-	for i := 0; i < len(rc.elems); i += 2 {
-		start := int(rc.elems[i])
-		end := start + int(rc.elems[i+1]) // inclusive
-		wa := max(start/wordBits, int(bm.wlo))
-		wb := min(end/wordBits, int(bm.wlo)+len(bm.words)-1)
-		for wi := wa; wi <= wb; wi++ {
-			mask := ^uint64(0)
-			if wi == start/wordBits {
-				mask &= ^uint64(0) << (start % wordBits)
-			}
-			if wi == end/wordBits {
-				mask &= ^uint64(0) >> (wordBits - 1 - end%wordBits)
-			}
-			w := bm.words[wi-int(bm.wlo)] & mask
-			di := wi - int(dst.wlo)
-			cnt += bits.OnesCount64(w &^ dst.words[di])
-			dst.words[di] |= w
-			ops++
-		}
-	}
-	dst.card = int32(cnt)
-	dst.trimBitmap()
-	return ops + len(rc.elems)/2
-}
-
-// andRunRun intersects two sorted run lists into a run container.
-func andRunRun(dst *container, a, b []uint16) int {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		as, ae := uint32(a[i]), uint32(a[i])+uint32(a[i+1])
-		bs, be := uint32(b[j]), uint32(b[j])+uint32(b[j+1])
-		lo, hi := max(as, bs), min(ae, be)
-		if lo <= hi {
-			dst.appendRun(uint16(lo), uint16(hi-lo))
-		}
-		if ae < be {
-			i += 2
-		} else {
-			j += 2
-		}
-	}
-	return len(a)/2 + len(b)/2
-}
-
 // ctrAndNot computes a \ b into dst (reusing dst's storage), recording
 // per-unit operations in ks like ctrAnd.
 func ctrAndNot(dst, a, b *container, ks *KernelStats) int {
@@ -886,7 +717,7 @@ func ctrAndNot(dst, a, b *container, ks *KernelStats) int {
 		ops := len(a.elems) + len(b.elems)
 		ks.roaringElemOps += int64(ops)
 		return ops
-	case a.kind == ctArray: // \ bitmap or \ run
+	case a.kind == ctArray: // \ bitmap
 		dst.setArray()
 		for _, v := range a.elems {
 			if !containerContains(b, v) {
@@ -896,7 +727,7 @@ func ctrAndNot(dst, a, b *container, ks *KernelStats) int {
 		dst.card = int32(len(dst.elems))
 		ks.roaringElemOps += int64(len(a.elems))
 		return len(a.elems)
-	case a.kind == ctBitmap && b.kind == ctBitmap:
+	case b.kind == ctBitmap: // bitmap \ bitmap
 		n := len(a.words)
 		dst.setBitmap(int(a.wlo), n, false)
 		cnt := 0
@@ -912,67 +743,20 @@ func ctrAndNot(dst, a, b *container, ks *KernelStats) int {
 		dst.trimBitmap()
 		ks.roaringWords += int64(n)
 		return n
-	case a.kind == ctBitmap: // \ array or \ run
+	default: // bitmap \ array
 		ops := ctrCopy(dst, a, ks)
 		cnt := int(a.card)
-		clearBit := func(v uint16) {
+		for _, v := range b.elems {
 			wi := int(v)/wordBits - int(dst.wlo)
 			if wi >= 0 && wi < len(dst.words) && dst.words[wi]&(1<<(v%wordBits)) != 0 {
 				dst.words[wi] &^= 1 << (v % wordBits)
 				cnt--
 			}
 		}
-		if b.kind == ctArray {
-			for _, v := range b.elems {
-				clearBit(v)
-			}
-			ops += len(b.elems)
-			ks.roaringElemOps += int64(len(b.elems))
-		} else {
-			for i := 0; i < len(b.elems); i += 2 {
-				start, rl := b.elems[i], int(b.elems[i+1])
-				for o := 0; o <= rl; o++ {
-					clearBit(start + uint16(o))
-				}
-				ops += rl + 1
-			}
-			ks.roaringElemOps += int64(int(b.card))
-		}
+		ks.roaringElemOps += int64(len(b.elems))
 		dst.card = int32(cnt)
 		dst.trimBitmap()
-		return ops
-	default: // run \ anything: walk members, probing b
-		dst.setRun()
-		var start uint32
-		var rl int
-		open := false
-		flush := func() {
-			if open {
-				dst.appendRun(uint16(start), uint16(rl))
-				open = false
-			}
-		}
-		ops := 0
-		for i := 0; i < len(a.elems); i += 2 {
-			s, l := uint32(a.elems[i]), int(a.elems[i+1])
-			for o := 0; o <= l; o++ {
-				v := uint16(s + uint32(o))
-				ops++
-				if containerContains(b, v) {
-					flush()
-					continue
-				}
-				if open && start+uint32(rl)+1 == uint32(v) {
-					rl++
-				} else {
-					flush()
-					start, rl, open = uint32(v), 0, true
-				}
-			}
-		}
-		flush()
-		ks.roaringElemOps += int64(ops)
-		return ops
+		return ops + len(b.elems)
 	}
 }
 

@@ -17,10 +17,10 @@ func seqList(start itemset.TID, n int) List {
 }
 
 func TestRoaringContainerShapes(t *testing.T) {
-	// One long run: the run container wins.
+	// One long run of tids 10..5009: one bitmap over words 0..78.
 	r := NewRoaring(seqList(10, 5000))
-	if len(r.ctrs) != 1 || r.ctrs[0].kind != ctRun {
-		t.Fatalf("5000-tid run encoded as kind %d in %d containers, want one run container", r.ctrs[0].kind, len(r.ctrs))
+	if len(r.ctrs) != 1 || r.ctrs[0].kind != ctBitmap || len(r.ctrs[0].words) != 79 {
+		t.Fatalf("5000-tid run encoded as kind %d over %d words in %d containers, want one 79-word bitmap", r.ctrs[0].kind, len(r.ctrs[0].words), len(r.ctrs))
 	}
 	// Every other tid over a word-dense span: bitmap.
 	var dense List
@@ -69,8 +69,8 @@ func TestRoaringChunkBoundaries(t *testing.T) {
 			t.Fatalf("Contains(%d) = true", tid)
 		}
 	}
-	// A run crossing the boundary splits into per-chunk runs and still
-	// intersects correctly with a straddling operand.
+	// A run crossing the boundary splits into per-chunk containers and
+	// still intersects correctly with a straddling operand.
 	a := seqList(chunkSize-100, 200)
 	b := seqList(chunkSize-50, 100)
 	var ks KernelStats
@@ -120,7 +120,9 @@ func TestRoaringCloneIndependence(t *testing.T) {
 }
 
 // TestRoaringDiffAllKindPairs drives ctrAndNot across every (a kind,
-// b kind) pairing by constructing shape-forcing operands in one chunk.
+// b kind) pairing by constructing shape-forcing operands in one chunk;
+// the consecutive operand is a bitmap that only partly overlaps the
+// alternating one.
 func TestRoaringDiffAllKindPairs(t *testing.T) {
 	shapes := map[string]List{
 		"array": {3, 700, 1400, 9000, 30000},
@@ -131,7 +133,7 @@ func TestRoaringDiffAllKindPairs(t *testing.T) {
 			}
 			return l
 		}(),
-		"run": seqList(500, 4000),
+		"consecutive": seqList(500, 4000),
 	}
 	for an, a := range shapes {
 		for bn, b := range shapes {

@@ -28,7 +28,7 @@ const (
 	// AND + popcount intersection).
 	ReprBitset
 	// ReprRoaring is the containerized compressed bitset: 64K-tid
-	// chunks holding array, bitmap or run containers, with kernels
+	// chunks holding array or bitmap containers, with kernels
 	// dispatched per container pair.
 	ReprRoaring
 )
@@ -229,7 +229,7 @@ type KernelStats struct {
 	roaringIntersections int64 // containerized-kernel dispatches
 	sparseOps            int64 // element comparisons by the merge kernel
 	wordsTouched         int64 // 64-bit words visited by the dense kernel
-	roaringElemOps       int64 // uint16 element / run-pair comparisons in containers
+	roaringElemOps       int64 // uint16 element comparisons in array containers
 	roaringWords         int64 // 64-bit words touched by bitmap containers
 	conversions          int64 // representation re-encodings
 }
@@ -253,9 +253,9 @@ func (k *KernelStats) DenseIntersections() int64 { return k.denseIntersections }
 // dispatches (roaring-roaring and roaring-bitset operand pairs).
 func (k *KernelStats) RoaringIntersections() int64 { return k.roaringIntersections }
 
-// RoaringElemOps returns the uint16 element and run-pair comparisons
-// performed inside array and run containers — charged per-container at
-// the cluster model's element-op cost.
+// RoaringElemOps returns the uint16 element comparisons performed
+// inside array containers — charged per-container at the cluster
+// model's element-op cost.
 func (k *KernelStats) RoaringElemOps() int64 { return k.roaringElemOps }
 
 // RoaringWords returns the words touched inside bitmap containers —
@@ -295,7 +295,6 @@ const (
 	mnRoaringContainers       = "tidlist_roaring_containers_total"
 	mnRoaringArrayContainers  = "tidlist_roaring_array_containers_total"
 	mnRoaringBitmapContainers = "tidlist_roaring_bitmap_containers_total"
-	mnRoaringRunContainers    = "tidlist_roaring_run_containers_total"
 )
 
 var (
@@ -305,27 +304,25 @@ var (
 	mRoaringDispatch = obsv.Default.Counter(mnRoaringDispatch, "tid-set intersections dispatched to the containerized roaring kernel")
 	mSparseOps       = obsv.Default.Counter(mnSparseOps, "element comparisons performed by the sparse merge kernel")
 	mDenseWords      = obsv.Default.Counter(mnDenseWords, "64-bit words touched by the dense kernel")
-	mRoaringElemOps  = obsv.Default.Counter(mnRoaringElemOps, "uint16 element and run-pair comparisons inside roaring containers")
+	mRoaringElemOps  = obsv.Default.Counter(mnRoaringElemOps, "uint16 element comparisons inside roaring array containers")
 	mRoaringWords    = obsv.Default.Counter(mnRoaringWords, "64-bit words touched inside roaring bitmap containers")
 	mConversions     = obsv.Default.Counter(mnConversions, "tid-set representation re-encodings")
 
 	mRoaringContainers       = obsv.Default.Counter(mnRoaringContainers, "roaring containers built, all shapes")
 	mRoaringArrayContainers  = obsv.Default.Counter(mnRoaringArrayContainers, "roaring array containers built")
 	mRoaringBitmapContainers = obsv.Default.Counter(mnRoaringBitmapContainers, "roaring bitmap containers built")
-	mRoaringRunContainers    = obsv.Default.Counter(mnRoaringRunContainers, "roaring run containers built")
 )
 
 // publishContainerCounts flushes one build's per-shape container tally,
 // indexed by container kind.
-func publishContainerCounts(built [3]int64) {
-	total := built[ctArray] + built[ctBitmap] + built[ctRun]
+func publishContainerCounts(built [2]int64) {
+	total := built[ctArray] + built[ctBitmap]
 	if total == 0 {
 		return
 	}
 	mRoaringContainers.Add(total)
 	mRoaringArrayContainers.Add(built[ctArray])
 	mRoaringBitmapContainers.Add(built[ctBitmap])
-	mRoaringRunContainers.Add(built[ctRun])
 }
 
 // Flush publishes the delta between prev and k to the process metrics

@@ -264,8 +264,8 @@ func bernoulliList(rng *rand.Rand, span int, p float64) List {
 // TestClassMembersShareOneEncoding), so by induction every join and
 // difference below it pairs one encoding, and no mining call reaches the
 // mixed fallbacks of IntersectSetsSC and DiffSets. The operands span five
-// 64K-TID chunks, at densities that give the roaring sets array, bitmap
-// and run containers.
+// 64K-TID chunks, at densities that give the roaring sets array and
+// bitmap containers.
 func TestKernelsKeepOneEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	span := 5 << ChunkBits
@@ -448,8 +448,8 @@ func TestEncodedSize(t *testing.T) {
 			t.Fatalf("auto EncodedSize %d is not the minimum of %d/%d/%d", na, ns, nb, nr)
 		}
 	}
-	// A clustered list far apart compresses best under roaring: runs
-	// cover each cluster, and untouched chunks cost nothing.
+	// A clustered list far apart compresses best under roaring: a
+	// bitmap covers each cluster, and untouched chunks cost nothing.
 	var clustered List
 	for c := 0; c < 4; c++ {
 		base := itemset.TID(c * 10 * chunkSize)
@@ -459,6 +459,18 @@ func TestEncodedSize(t *testing.T) {
 	}
 	if n, r := EncodedSize(clustered, ReprAuto); r != ReprRoaring {
 		t.Fatalf("auto EncodedSize(clustered) picked %v (%d bytes), want roaring", r, n)
+	}
+	// One run of 5,000 tids inside one chunk: roaring prices its 79-word
+	// bitmap plus a container descriptor, 8 bytes above the flat bitset.
+	run := seqList(10, 5000)
+	if n, _ := EncodedSize(run, ReprRoaring); n != 648 {
+		t.Fatalf("roaring EncodedSize(run) = %d, want 648", n)
+	}
+	if n, _ := EncodedSize(run, ReprBitset); n != 640 {
+		t.Fatalf("bitset EncodedSize(run) = %d, want 640", n)
+	}
+	if n, r := EncodedSize(run, ReprAuto); n != 640 || r != ReprBitset {
+		t.Fatalf("auto EncodedSize(run) = %d/%v, want 640/bitset", n, r)
 	}
 }
 
