@@ -5,7 +5,7 @@
 // Usage:
 //
 //	assocmine -db t10i6d100k.db -support 0.25 -algo eclat -rules 0.9 -top 20
-//	assocmine -db retail.fimi -format fimi -support 0.5 -maximal
+//	assocmine -db retail.fimi -support 0.5 -maximal
 //	assocmine -gen 50000 -support 0.1 -algo countdist -hosts 4 -procs 2 -report
 //	assocmine -gen 50000 -support 0.25 -stats
 //	assocmine -gen 100000 -support 0.25 -save t10.ds     # persist the vertical dataset
@@ -40,8 +40,8 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("assocmine", flag.ContinueOnError)
-	dbPath := fs.String("db", "", "database file (from gendata, or FIMI text with -format fimi)")
-	format := fs.String("format", "binary", "input format: binary or fimi")
+	dbPath := fs.String("db", "", "database file (from gendata, or FIMI text: .fimi, .dat and .txt files, or any file with -format fimi)")
+	format := fs.String("format", "", "input format: binary or fimi (default: fimi for .fimi, .dat and .txt files, binary otherwise)")
 	genTx := fs.Int("gen", 0, "generate a T10.I6 database with this many transactions instead of reading one")
 	support := fs.Float64("support", 0.25, "minimum support in percent")
 	algoName := fs.String("algo", "eclat", "algorithm: eclat, apriori, countdist, datadist, canddist, hybrid, partition, sampling, dhp")
@@ -76,7 +76,7 @@ func run(args []string, stdout io.Writer) error {
 	if *support < 0 {
 		return fmt.Errorf("-support must not be negative, got %v", *support)
 	}
-	if *format != "binary" && *format != "fimi" {
+	if *format != "" && *format != "binary" && *format != "fimi" {
 		return fmt.Errorf("unknown format %q (want binary or fimi)", *format)
 	}
 	if *genTx < 0 {
@@ -133,20 +133,9 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "saved dataset %s (%d transactions) to %s\n", name, numTx, *savePath)
 	}
 
-	algos := map[string]repro.Algorithm{
-		"eclat":     repro.AlgoEclat,
-		"apriori":   repro.AlgoApriori,
-		"countdist": repro.AlgoCountDistribution,
-		"datadist":  repro.AlgoDataDistribution,
-		"canddist":  repro.AlgoCandidateDistribution,
-		"hybrid":    repro.AlgoEclatHybrid,
-		"partition": repro.AlgoPartition,
-		"sampling":  repro.AlgoSampling,
-		"dhp":       repro.AlgoDHP,
-	}
-	algo, ok := algos[*algoName]
-	if !ok {
-		return fmt.Errorf("unknown algorithm %q", *algoName)
+	algo, err := repro.ParseAlgorithm(*algoName)
+	if err != nil {
+		return err
 	}
 	if *maximal && *closed {
 		return fmt.Errorf("-maximal and -closed are mutually exclusive")

@@ -31,6 +31,19 @@ func TestRunMinesFIMI(t *testing.T) {
 	}
 }
 
+// TestRunInfersFIMIFromExtension: without -format, a .fimi file is read
+// as FIMI text, as the daemon reads it.
+func TestRunInfersFIMIFromExtension(t *testing.T) {
+	path := writeFIMI(t, "1 2 3\n1 2\n1 2 3\n2 3\n")
+	var out bytes.Buffer
+	if err := run([]string{"-db", path, "-support", "50", "-top", "3"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if s := out.String(); !strings.Contains(s, "Eclat mined 7 frequent itemsets") {
+		t.Fatalf("output:\n%s", s)
+	}
+}
+
 func TestRunAlgorithmsAndViews(t *testing.T) {
 	path := writeFIMI(t, strings.Repeat("1 2 3\n1 2\n4 5\n", 20))
 	for _, extra := range [][]string{

@@ -138,7 +138,7 @@ func TestEndToEndJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsDB, err := ds.Database()
+	dsDB, err := ds.Horizontal()
 	if err != nil {
 		t.Fatal(err)
 	}

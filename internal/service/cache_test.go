@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro"
 )
 
 // bodyOfSize builds a body of exactly n bytes claiming n itemsets.
@@ -13,7 +15,7 @@ func bodyOfSize(n int) Body {
 
 func TestCacheHitMissCounters(t *testing.T) {
 	c := NewCache(1 << 20)
-	k := Key{Dataset: "d", Algorithm: "Eclat", MinSup: 5, Variant: VariantAll}
+	k := Key{Dataset: "d", Algorithm: "Eclat", MinSup: 5, Output: repro.OutputAll}
 	if _, ok := c.Get(k); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -33,13 +35,13 @@ func TestCacheHitMissCounters(t *testing.T) {
 
 func TestCacheDistinguishesKeyFields(t *testing.T) {
 	c := NewCache(1 << 20)
-	base := Key{Dataset: "d", Algorithm: "Eclat", MinSup: 5, Variant: VariantAll}
+	base := Key{Dataset: "d", Algorithm: "Eclat", MinSup: 5, Output: repro.OutputAll}
 	c.Put(base, bodyOfSize(1))
 	for _, k := range []Key{
-		{Dataset: "other", Algorithm: "Eclat", MinSup: 5, Variant: VariantAll},
-		{Dataset: "d", Algorithm: "Apriori", MinSup: 5, Variant: VariantAll},
-		{Dataset: "d", Algorithm: "Eclat", MinSup: 6, Variant: VariantAll},
-		{Dataset: "d", Algorithm: "Eclat", MinSup: 5, Variant: VariantMaximal},
+		{Dataset: "other", Algorithm: "Eclat", MinSup: 5, Output: repro.OutputAll},
+		{Dataset: "d", Algorithm: "Apriori", MinSup: 5, Output: repro.OutputAll},
+		{Dataset: "d", Algorithm: "Eclat", MinSup: 6, Output: repro.OutputAll},
+		{Dataset: "d", Algorithm: "Eclat", MinSup: 5, Output: repro.OutputMaximal},
 	} {
 		if _, ok := c.Get(k); ok {
 			t.Fatalf("key %v unexpectedly hit entry for %v", k, base)

@@ -299,12 +299,12 @@ func NewHandler(s *Service) http.Handler {
 			writeMappedError(w, err)
 			return
 		}
-		algo, err := ParseAlgorithm(jr.Algorithm)
+		algo, err := repro.ParseAlgorithm(jr.Algorithm)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		variant, err := ParseVariant(jr.Variant)
+		output, err := repro.ParseOutput(jr.Variant)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -314,10 +314,9 @@ func NewHandler(s *Service) http.Handler {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		job, err := s.Submit(Request{
-			Dataset:        jr.Dataset,
+		job, err := s.Submit(Request{Dataset: jr.Dataset, MineOptions: repro.MineOptions{
 			Algorithm:      algo,
-			Variant:        variant,
+			Output:         output,
 			SupportPct:     jr.SupportPct,
 			SupportCount:   jr.SupportCount,
 			Hosts:          jr.Hosts,
@@ -327,7 +326,7 @@ func NewHandler(s *Service) http.Handler {
 			TopK:           jr.TopK,
 			MustContain:    jr.MustContain,
 			MemoryBudget:   jr.MemoryBudget,
-		})
+		}})
 		if err != nil {
 			writeMappedError(w, err)
 			return

@@ -15,6 +15,27 @@ import (
 	"repro/internal/store"
 )
 
+// strictBodyCases are the malformed POST bodies TestStrictRequestBodies
+// refuses (FuzzJobRequest seeds its corpus with them too).
+var strictBodyCases = []struct {
+	path, body string
+	status     int
+	code       string
+}{
+	{"/v1/jobs", `{"dataset":"t10","supportPct":2,"memory_budget":1000}`, http.StatusBadRequest, "unknown_field"},
+	{"/v1/jobs", `{"dataset":"t10","support":2}`, http.StatusBadRequest, "unknown_field"},
+	{"/v1/jobs", `{"dataset":"t10","supportPct":2,"mustContain":[` + strings.Repeat("1,", maxBodyBytes/2) + `1]}`,
+		http.StatusRequestEntityTooLarge, "body_too_large"},
+	{"/v1/datasets", `{"name":"extra","gen":100,"generate":true}`, http.StatusBadRequest, "unknown_field"},
+	{"/v1/datasets", `{"name":"big","path":"` + strings.Repeat("x", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge, "body_too_large"},
+	{"/v1/jobs", `{"dataset":"t10",`, http.StatusBadRequest, "bad_request"},
+	{"/v1/jobs", `{"dataset":"t10","supportPct":5} {"dataset":"evil"}`, http.StatusBadRequest, "bad_request"},
+	{"/v1/jobs", `{"dataset":"t10","supportPct":5}garbage`, http.StatusBadRequest, "bad_request"},
+	{"/v1/jobs", `{"dataset":"t10","supportPct":5}}`, http.StatusBadRequest, "bad_request"},
+	{"/v1/datasets", `{"name":"second","gen":100} {"name":"evil","gen":100}`, http.StatusBadRequest, "bad_request"},
+	{"/v1/datasets", `{"name":"garbage","gen":100}garbage`, http.StatusBadRequest, "bad_request"},
+}
+
 // TestStrictRequestBodies pins the POST edge: a misspelt field is a 400
 // unknown_field, a body over 1 MiB is a 413 body_too_large, and a second
 // JSON value or trailing garbage after the body is a 400 bad_request, on
@@ -36,26 +57,7 @@ func TestStrictRequestBodies(t *testing.T) {
 		}
 		return rec.Code, e.Error.Code
 	}
-	huge := `{"name":"big","path":"` + strings.Repeat("x", maxBodyBytes) + `"}`
-
-	for _, tc := range []struct {
-		path, body string
-		status     int
-		code       string
-	}{
-		{"/v1/jobs", `{"dataset":"t10","supportPct":2,"memory_budget":1000}`, http.StatusBadRequest, "unknown_field"},
-		{"/v1/jobs", `{"dataset":"t10","support":2}`, http.StatusBadRequest, "unknown_field"},
-		{"/v1/jobs", `{"dataset":"t10","supportPct":2,"mustContain":[` + strings.Repeat("1,", maxBodyBytes/2) + `1]}`,
-			http.StatusRequestEntityTooLarge, "body_too_large"},
-		{"/v1/datasets", `{"name":"extra","gen":100,"generate":true}`, http.StatusBadRequest, "unknown_field"},
-		{"/v1/datasets", huge, http.StatusRequestEntityTooLarge, "body_too_large"},
-		{"/v1/jobs", `{"dataset":"t10",`, http.StatusBadRequest, "bad_request"},
-		{"/v1/jobs", `{"dataset":"t10","supportPct":5} {"dataset":"evil"}`, http.StatusBadRequest, "bad_request"},
-		{"/v1/jobs", `{"dataset":"t10","supportPct":5}garbage`, http.StatusBadRequest, "bad_request"},
-		{"/v1/jobs", `{"dataset":"t10","supportPct":5}}`, http.StatusBadRequest, "bad_request"},
-		{"/v1/datasets", `{"name":"second","gen":100} {"name":"evil","gen":100}`, http.StatusBadRequest, "bad_request"},
-		{"/v1/datasets", `{"name":"garbage","gen":100}garbage`, http.StatusBadRequest, "bad_request"},
-	} {
+	for _, tc := range strictBodyCases {
 		status, code := post(tc.path, tc.body)
 		if status != tc.status || code != tc.code {
 			t.Errorf("POST %s %.60q: %d %q, want %d %q", tc.path, tc.body, status, code, tc.status, tc.code)

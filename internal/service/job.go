@@ -9,7 +9,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -36,110 +35,25 @@ func (s Status) Terminal() bool {
 	return s == StatusDone || s == StatusFailed || s == StatusCanceled
 }
 
-// Variant selects which itemset collection a job mines.
-type Variant string
-
-// The mining variants.
-const (
-	VariantAll     Variant = "all"     // every frequent itemset
-	VariantMaximal Variant = "maximal" // MaxEclat maximal sets only
-	VariantClosed  Variant = "closed"  // closed sets only
-)
-
-// variantOutputs maps each variant onto the repro.MineOptions.Output
-// that mines it.
-var variantOutputs = map[Variant]repro.Output{
-	VariantAll:     repro.OutputAll,
-	VariantMaximal: repro.OutputMaximal,
-	VariantClosed:  repro.OutputClosed,
-}
-
-// ParseVariant parses a variant name; "" means VariantAll.
-func ParseVariant(s string) (Variant, error) {
-	switch Variant(strings.ToLower(s)) {
-	case "", VariantAll:
-		return VariantAll, nil
-	case VariantMaximal:
-		return VariantMaximal, nil
-	case VariantClosed:
-		return VariantClosed, nil
-	default:
-		return "", fmt.Errorf("service: unknown variant %q (want all, maximal or closed)", s)
-	}
-}
-
-// ParseAlgorithm maps the short names used by the CLIs and the HTTP API
-// to algorithms; "" means Eclat.
-func ParseAlgorithm(s string) (repro.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "", "eclat":
-		return repro.AlgoEclat, nil
-	case "apriori":
-		return repro.AlgoApriori, nil
-	case "countdist":
-		return repro.AlgoCountDistribution, nil
-	case "datadist":
-		return repro.AlgoDataDistribution, nil
-	case "canddist":
-		return repro.AlgoCandidateDistribution, nil
-	case "hybrid":
-		return repro.AlgoEclatHybrid, nil
-	case "partition":
-		return repro.AlgoPartition, nil
-	case "sampling":
-		return repro.AlgoSampling, nil
-	case "dhp":
-		return repro.AlgoDHP, nil
-	default:
-		return 0, fmt.Errorf("%w: %q (want eclat, apriori, countdist, datadist, canddist, hybrid, partition, sampling or dhp)", repro.ErrUnknownAlgorithm, s)
-	}
-}
-
-// Request describes one mining job. MinSup is resolved against the
-// dataset at submission time, so two requests expressed as an absolute
-// count and as an equivalent percentage share a cache entry.
+// Request describes one mining job: a registered dataset and the
+// options to mine it with. Submit validates the options with
+// repro.MineOptions.Check and resolves the support against the dataset,
+// so two requests expressed as an absolute count and as an equivalent
+// percentage share a cache entry. Two options are resolved against the
+// service when the job runs: Parallelism (0 takes the service's per-job
+// share of its parallel budget, a positive ask is clamped to it) and
+// MemoryBudget (0 takes the service's ResidencyBudget). Neither changes
+// the result, so neither is part of the cache identity.
 type Request struct {
 	// Dataset is the registry name of the database to mine.
 	Dataset string
-	// Algorithm defaults to Eclat.
-	Algorithm repro.Algorithm
-	// Variant defaults to VariantAll.
-	Variant Variant
-	// SupportPct / SupportCount follow repro.MineOptions semantics.
-	SupportPct   float64
-	SupportCount int
-	// Hosts / ProcsPerHost select a simulated cluster for the parallel
-	// algorithms.
-	Hosts        int
-	ProcsPerHost int
-	// Representation selects the tid-set representation for Eclat-family
-	// algorithms (repro.MineOptions.Representation).
-	Representation repro.Representation
-	// Parallelism requests a worker count for the real Eclat path
-	// (repro.MineOptions.Parallelism). 0 takes the service's per-job share
-	// of the parallel budget; a positive ask is clamped to that share;
-	// negative is rejected at submit time.
-	Parallelism int
-	// TopK, when > 0, mines only the K highest-support itemsets
-	// (repro.MineOptions.TopK). Only VariantAll on the local Eclat path
-	// supports it; anything else is rejected at submit time.
-	TopK int
-	// MustContain restricts the mine to itemsets containing every listed
-	// item (repro.MineOptions.MustContain); same path restrictions as
-	// TopK.
-	MustContain []int
-	// MemoryBudget caps the resident bytes of a store-backed mine
-	// (repro.MineOptions.MemoryBudget). 0 takes the service's configured
-	// ResidencyBudget; negative is rejected at submit time. Like
-	// Parallelism it never changes the result — only paging behavior —
-	// so it is not part of the cache identity.
-	MemoryBudget int64
+	repro.MineOptions
 }
 
 // Key identifies a result in the cache. Hosts/ProcsPerHost are
 // deliberately absent: every algorithm returns identical itemsets
 // regardless of the simulated cluster shape, so all shapes share one
-// entry per (dataset, algorithm, minsup, variant, representation). The
+// entry per (dataset, algorithm, minsup, output, representation). The
 // representation is part of the key even though all representations
 // return identical itemsets too — keeping the entries apart preserves the
 // per-representation run accounting a client asked to compare.
@@ -147,7 +61,7 @@ type Key struct {
 	Dataset        string
 	Algorithm      string
 	MinSup         int
-	Variant        Variant
+	Output         repro.Output
 	Representation string
 	// TopK and MustContain are part of the identity because they change
 	// the result set. MustContain is the canonical form (sorted, deduped,
@@ -158,7 +72,7 @@ type Key struct {
 }
 
 func (k Key) String() string {
-	s := fmt.Sprintf("%s/%s/minsup=%d/%s/repr=%s", k.Dataset, k.Algorithm, k.MinSup, k.Variant, k.Representation)
+	s := fmt.Sprintf("%s/%s/minsup=%d/%s/repr=%s", k.Dataset, k.Algorithm, k.MinSup, k.Output, k.Representation)
 	if k.TopK > 0 {
 		s += fmt.Sprintf("/topk=%d", k.TopK)
 	}
@@ -173,7 +87,7 @@ func (k Key) String() string {
 type Job struct {
 	// ID is the manager-assigned identifier ("job-1", "job-2", ...).
 	ID string
-	// Req is the submitted request, with Variant normalized.
+	// Req is the submitted request.
 	Req Request
 	// Key is the cache identity of the job's result.
 	Key Key
@@ -201,7 +115,7 @@ type View struct {
 	Status         Status    `json:"status"`
 	Dataset        string    `json:"dataset"`
 	Algorithm      string    `json:"algorithm"`
-	Variant        Variant   `json:"variant"`
+	Variant        string    `json:"variant"`
 	MinSup         int       `json:"minsup"`
 	Representation string    `json:"representation"`
 	Cached         bool      `json:"cached"`
@@ -243,7 +157,7 @@ func (j *Job) Snapshot() View {
 		Status:         j.status,
 		Dataset:        j.Req.Dataset,
 		Algorithm:      j.Req.Algorithm.String(),
-		Variant:        j.Req.Variant,
+		Variant:        j.Req.Output.String(),
 		MinSup:         j.Key.MinSup,
 		Representation: j.Key.Representation,
 		Cached:         j.cached,

@@ -35,14 +35,7 @@ func uncachedConfig(workers int) Config {
 func freshBody(t testing.TB, ds *Dataset, req Request) []byte {
 	t.Helper()
 	sets, _ := ds.VerticalSets(req.Representation)
-	res, _, err := repro.MineFrom(context.Background(), repro.VerticalSource(ds.NumTransactions(), sets), repro.MineOptions{
-		Output:         variantOutputs[req.Variant],
-		SupportCount:   req.SupportCount,
-		Representation: req.Representation,
-		TopK:           req.TopK,
-		MustContain:    req.MustContain,
-		MemoryBudget:   req.MemoryBudget,
-	})
+	res, _, err := repro.MineFrom(context.Background(), repro.VerticalSource(ds.NumTransactions(), sets), req.MineOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +52,10 @@ func freshBody(t testing.TB, ds *Dataset, req Request) []byte {
 // representation.
 func memoRequests(ds *Dataset, supports []int) []Request {
 	top := ds.TopItems(3)
-	kinds := []Request{
+	kinds := []repro.MineOptions{
 		{},
-		{Variant: VariantMaximal},
-		{Variant: VariantClosed},
+		{Output: repro.OutputMaximal},
+		{Output: repro.OutputClosed},
 		{TopK: 40},
 		{MustContain: []int{int(top[0].Item)}},
 		{MemoryBudget: ds.BytesMapped() / 4},
@@ -70,11 +63,10 @@ func memoRequests(ds *Dataset, supports []int) []Request {
 	reprs := []repro.Representation{repro.ReprAuto, repro.ReprSparse, repro.ReprBitset, repro.ReprRoaring}
 	reqs := make([]Request, len(supports))
 	for i, sup := range supports {
-		req := kinds[i%len(kinds)]
-		req.Dataset = ds.Name
-		req.SupportCount = sup
-		req.Representation = reprs[i%len(reprs)]
-		reqs[i] = req
+		opts := kinds[i%len(kinds)]
+		opts.SupportCount = sup
+		opts.Representation = reprs[i%len(reprs)]
+		reqs[i] = Request{Dataset: ds.Name, MineOptions: opts}
 	}
 	return reqs
 }
@@ -83,7 +75,7 @@ func memoRequests(ds *Dataset, supports []int) []Request {
 // minsup, by brute force over every transaction.
 func l2Size(t testing.TB, ds *Dataset, minsup int) int {
 	t.Helper()
-	d, err := ds.Database()
+	d, err := ds.Horizontal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +114,7 @@ func TestL2MemoMatchesFreshMine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Run(fmt.Sprintf("stored=%v", ds.StoreBacked()), func(t *testing.T) {
+		t.Run(fmt.Sprintf("stored=%v", ds.Info().Stored), func(t *testing.T) {
 			floor := 0
 			var hits, misses int64
 			for i, req := range memoRequests(ds, supports) {
@@ -176,7 +168,7 @@ func TestL2MemoConcurrentJobs(t *testing.T) {
 	want := map[[2]int][]byte{}
 	for sup := lo; sup <= hi; sup++ {
 		for r, repr := range reprs {
-			want[[2]int{sup, r}] = freshBody(t, ds, Request{Dataset: "t10", SupportCount: sup, Representation: repr})
+			want[[2]int{sup, r}] = freshBody(t, ds, Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportCount: sup, Representation: repr}})
 		}
 	}
 	var wg sync.WaitGroup
@@ -188,7 +180,7 @@ func TestL2MemoConcurrentJobs(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 50; i++ {
 				sup, r := lo+rng.Intn(hi-lo+1), rng.Intn(len(reprs))
-				req := Request{Dataset: "t10", SupportCount: sup, Representation: reprs[r]}
+				req := Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportCount: sup, Representation: reprs[r]}}
 				j, err := s.Submit(req)
 				if err != nil {
 					errs <- err
@@ -233,9 +225,9 @@ func TestL2MemoBounded(t *testing.T) {
 		t.Fatalf("L2 at %d is empty; the bound would be vacuous", floor)
 	}
 	h0, m0 := memoCounts()
-	mineBytes(t, s, Request{Dataset: "t10", SupportCount: floor})
+	mineBytes(t, s, Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportCount: floor}})
 	for i := 0; i < 1000; i++ {
-		mineBytes(t, s, Request{Dataset: "t10", SupportCount: floor + i%16})
+		mineBytes(t, s, Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportCount: floor + i%16}})
 	}
 	if h, m := memoCounts(); h-h0 != 1000 || m-m0 != 1 {
 		t.Fatalf("hits +%d misses +%d, want +1000 +1", h-h0, m-m0)
@@ -244,7 +236,7 @@ func TestL2MemoBounded(t *testing.T) {
 		t.Fatalf("memo at floor %d holds %d pairs, want floor %d and |L2| = %d", f, pairs, floor, want)
 	}
 
-	d, err := ds.Database()
+	d, err := ds.Horizontal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +247,7 @@ func TestL2MemoBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, m1 := memoCounts()
-	mineBytes(t, s, Request{Dataset: "t10", SupportCount: floor + 3})
+	mineBytes(t, s, Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportCount: floor + 3}})
 	if _, m2 := memoCounts(); m2-m1 != 1 {
 		t.Fatalf("first job after re-registration: misses +%d, want +1", m2-m1)
 	}
@@ -281,9 +273,9 @@ func TestL2MemoServeColdReplay(t *testing.T) {
 	}
 	var jobs []Request
 	for _, repr := range []repro.Representation{repro.ReprAuto, repro.ReprSparse, repro.ReprBitset, repro.ReprRoaring} {
-		jobs = append(jobs, Request{Dataset: "cold", SupportCount: 280, Representation: repr})
+		jobs = append(jobs, Request{Dataset: "cold", MineOptions: repro.MineOptions{SupportCount: 280, Representation: repr}})
 	}
-	jobs = append(jobs, Request{Dataset: "cold", SupportCount: 280, Variant: VariantMaximal})
+	jobs = append(jobs, Request{Dataset: "cold", MineOptions: repro.MineOptions{SupportCount: 280, Output: repro.OutputMaximal}})
 	var supports []int
 	for len(supports) < 120 {
 		supports = append(supports, 80+len(supports)%61)

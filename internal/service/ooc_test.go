@@ -21,12 +21,11 @@ func TestServiceMemoryBudgetedJobMatchesInMemory(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 4} {
-		req := Request{
-			Dataset:      "t10",
+		req := Request{Dataset: "t10", MineOptions: repro.MineOptions{
 			Algorithm:    repro.AlgoEclat,
 			SupportCount: 4 + 2*workers, // distinct minsup → every run a cache miss
 			Parallelism:  workers,
-		}
+		}}
 		want, _ := mineBytes(t, mem, req)
 		req.MemoryBudget = 4096 // far below the mapped bundle size
 		got, v := mineBytes(t, st, req)
@@ -42,7 +41,7 @@ func TestServiceMemoryBudgetedJobMatchesInMemory(t *testing.T) {
 	}
 
 	// An unbudgeted job on the same service stays in-core.
-	_, v := mineBytes(t, st, Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportCount: 3})
+	_, v := mineBytes(t, st, Request{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoEclat, SupportCount: 3}})
 	if v.OutOfCore || v.MemoryBudget != 0 {
 		t.Fatalf("unbudgeted job reported budget=%d outOfCore=%v", v.MemoryBudget, v.OutOfCore)
 	}
@@ -59,7 +58,7 @@ func TestServiceResidencyBudgetDefault(t *testing.T) {
 	if got := st.Stats().ResidencyBudget; got != 4096 {
 		t.Fatalf("Stats().ResidencyBudget = %d, want 4096", got)
 	}
-	_, v := mineBytes(t, st, Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportCount: 4})
+	_, v := mineBytes(t, st, Request{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoEclat, SupportCount: 4}})
 	if !v.OutOfCore {
 		t.Fatal("job did not inherit the service residency budget")
 	}
@@ -71,7 +70,7 @@ func TestServiceResidencyBudgetDefault(t *testing.T) {
 // TestServiceNegativeMemoryBudgetRejected pins submit-time validation.
 func TestServiceNegativeMemoryBudgetRejected(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1, QueueDepth: 4}, 100)
-	_, err := s.Submit(Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportCount: 2, MemoryBudget: -1})
+	_, err := s.Submit(Request{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoEclat, SupportCount: 2, MemoryBudget: -1}})
 	if !errors.Is(err, repro.ErrInvalidMemoryBudget) {
 		t.Fatalf("negative budget submit: %v, want ErrInvalidMemoryBudget", err)
 	}
@@ -85,7 +84,7 @@ func TestServiceMemoryBudgetSharesCacheEntry(t *testing.T) {
 	if _, err := st.RegisterDataset("t10", "generated", genDataset(t, 400)); err != nil {
 		t.Fatal(err)
 	}
-	req := Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportCount: 4}
+	req := Request{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoEclat, SupportCount: 4}}
 	mineBytes(t, st, req)
 	hitsBefore := st.Cache().Stats().Hits
 	req.MemoryBudget = 4096

@@ -43,7 +43,7 @@ func TestServiceParallelBudgetDefaults(t *testing.T) {
 
 func TestServiceJobViewReportsParallelism(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1, QueueDepth: 8, ParallelBudget: 4}, 500)
-	j, err := s.Submit(Request{Dataset: "t10", SupportPct: 1.0, Parallelism: 2})
+	j, err := s.Submit(Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportPct: 1.0, Parallelism: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestServiceJobViewReportsParallelism(t *testing.T) {
 
 func TestServiceNegativeParallelismRejected(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1, QueueDepth: 8}, 200)
-	_, err := s.Submit(Request{Dataset: "t10", SupportPct: 1.0, Parallelism: -1})
+	_, err := s.Submit(Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportPct: 1.0, Parallelism: -1}})
 	if !errors.Is(err, repro.ErrInvalidParallelism) {
 		t.Fatalf("err = %v, want ErrInvalidParallelism", err)
 	}
@@ -72,14 +72,14 @@ func TestServiceNegativeParallelismRejected(t *testing.T) {
 
 func TestServiceParallelismSharesCacheEntry(t *testing.T) {
 	s := newTestService(t, Config{Workers: 2, QueueDepth: 8, ParallelBudget: 4}, 500)
-	j1, err := s.Submit(Request{Dataset: "t10", SupportPct: 1.0, Parallelism: 1})
+	j1, err := s.Submit(Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportPct: 1.0, Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Wait(context.Background(), j1.ID); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := s.Submit(Request{Dataset: "t10", SupportPct: 1.0, Parallelism: 2})
+	j2, err := s.Submit(Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportPct: 1.0, Parallelism: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,9 @@ var ErrDatasetExists = errors.New("service: dataset already registered")
 // Dataset is one registered database, backed either by in-memory
 // horizontal data or by the persistent store's mapping. The vertical
 // tid-list transformation (one tid-list per item) is computed lazily on
-// first use and memoized — once per representation — so repeated
-// item-level queries never rescan the horizontal data and never
-// re-encode a transform they already have. For store-backed datasets the
+// first use and memoized, and so is each representation's encoding of
+// it, so repeated jobs never rescan the horizontal data and never
+// re-encode a view they already have. For store-backed datasets the
 // sparse transform is served zero-copy from the mapped bundle (no
 // horizontal pass at all), the packed encodings are built on the heap
 // from it, and the horizontal data is loaded from disk only if an
@@ -37,55 +37,44 @@ var ErrDatasetExists = errors.New("service: dataset already registered")
 type Dataset struct {
 	// Name is the registry key.
 	Name string
-	// Source describes where the data came from (file path, "generated",
-	// "stored", ...), for /v1/datasets.
-	Source string
 
 	// info carries the dataset-shape figures; always available without
 	// touching horizontal data.
 	info DatasetInfo
 
 	// Exactly one of memDB (in-memory registration) and stored
-	// (store-backed) is non-nil at construction; memDB may be filled
-	// later by a lazy Database() load.
+	// (store-backed) is non-nil.
 	memDB  *db.Database
 	stored *store.Dataset
 
-	dbOnce sync.Once
-	dbErr  error
-
-	verticalOnce sync.Once
-	vertical     []tidlist.List // index = item; nil until first use
-
-	bitsetOnce sync.Once
-	bitsets    []*tidlist.Bitset // index = item; nil until first use
-
-	roaringOnce sync.Once
-	roarings    []*tidlist.Roaring // index = item; nil until first use
-
-	// The four VerticalSets slices, memoized per representation so jobs
-	// never rebuild them (ReprAuto in particular re-ran EncodedSize over
-	// every item on each call before this cache existed).
-	sparseSetsOnce  sync.Once
-	sparseSets      []tidlist.Set
-	bitsetSetsOnce  sync.Once
-	bitsetSets      []tidlist.Set
-	roaringSetsOnce sync.Once
-	roaringSets     []tidlist.Set
-	autoSetsOnce    sync.Once
-	autoSets        []tidlist.Set
+	// vertical is the memoized per-item sparse transform; sets holds one
+	// memoized tidlist.Encode of it per representation.
+	vertical func() []tidlist.List
+	sets     [tidlist.ReprRoaring + 1]func() []tidlist.Set
 
 	// pairs is the dataset's L2 memo, at the lowest support any job on
 	// it counted; it goes with the dataset on Remove.
 	pairs paircount.Memo
 }
 
-// StoreBacked reports whether this dataset serves its vertical transform
-// from the persistent store's mapping.
-func (ds *Dataset) StoreBacked() bool { return ds.stored != nil }
+// newDataset wraps one registration: memDB for an in-memory dataset,
+// stored for a store-backed one.
+func newDataset(info DatasetInfo, memDB *db.Database, stored *store.Dataset) *Dataset {
+	ds := &Dataset{Name: info.Name, info: info, memDB: memDB, stored: stored}
+	ds.vertical = sync.OnceValue(func() []tidlist.List {
+		if stored != nil {
+			return stored.SparseLists()
+		}
+		return store.VerticalLists(memDB)
+	})
+	for r := range ds.sets {
+		ds.sets[r] = sync.OnceValue(func() []tidlist.Set { return tidlist.Encode(ds.vertical(), tidlist.Repr(r)) })
+	}
+	return ds
+}
 
-// BytesMapped reports the bytes of bundle data this dataset's mapping
-// pins (0 for in-memory datasets) — the figure a job's MemoryBudget is
+// BytesMapped reports the bytes of bundle data a mine of this dataset
+// reads (0 for in-memory datasets) — the figure a job's MemoryBudget is
 // compared against. Together with NewResidency it makes a store-backed
 // *Dataset satisfy repro's optional residencySource interface, so
 // MineFrom can pick the out-of-core path.
@@ -120,22 +109,15 @@ func (ds *Dataset) Info() DatasetInfo { return ds.info }
 // branching on where the data lives.
 func (ds *Dataset) NumTransactions() int { return ds.info.Transactions }
 
-// Horizontal returns the horizontal database (repro.Source spelling of
-// Database).
-func (ds *Dataset) Horizontal() (*db.Database, error) { return ds.Database() }
-
-// Database returns the horizontal database, loading it from the store on
+// Horizontal returns the horizontal database, loaded from the store on
 // first use for store-backed datasets. The vertical mining path never
 // calls this; it exists for the algorithms that genuinely scan
 // horizontal data (Apriori, the cluster simulations, ...).
-func (ds *Dataset) Database() (*db.Database, error) {
-	ds.dbOnce.Do(func() {
-		if ds.memDB != nil {
-			return
-		}
-		ds.memDB, ds.dbErr = ds.stored.Horizontal()
-	})
-	return ds.memDB, ds.dbErr
+func (ds *Dataset) Horizontal() (*db.Database, error) {
+	if ds.stored != nil {
+		return ds.stored.Horizontal()
+	}
+	return ds.memDB, nil
 }
 
 // Vertical returns the memoized per-item tid-lists of the dataset — the
@@ -144,113 +126,20 @@ func (ds *Dataset) Database() (*db.Database, error) {
 // return views over the mapped bundle and never scan. The returned slice
 // and its lists are shared and must not be mutated (store-backed lists
 // alias read-only mapped memory).
-func (ds *Dataset) Vertical() []tidlist.List {
-	ds.verticalOnce.Do(func() {
-		if ds.stored != nil {
-			ds.vertical = ds.stored.SparseLists()
-			return
-		}
-		ds.vertical = store.VerticalLists(ds.memDB)
-	})
-	return ds.vertical
-}
-
-// VerticalBitsets returns the memoized dense encoding of the vertical
-// transform (one Bitset per item; empty items get an empty Bitset),
-// computed once from Vertical. Shared — must not be mutated.
-func (ds *Dataset) VerticalBitsets() []*tidlist.Bitset {
-	ds.bitsetOnce.Do(func() {
-		vert := ds.Vertical()
-		sets := make([]*tidlist.Bitset, len(vert))
-		for it, l := range vert {
-			sets[it] = tidlist.NewBitset(l)
-		}
-		ds.bitsets = sets
-	})
-	return ds.bitsets
-}
-
-// VerticalRoarings returns the memoized containerized encoding of the
-// vertical transform (one Roaring per item; empty items get an empty
-// Roaring), computed once from Vertical. Shared — must not be mutated.
-func (ds *Dataset) VerticalRoarings() []*tidlist.Roaring {
-	ds.roaringOnce.Do(func() {
-		vert := ds.Vertical()
-		sets := make([]*tidlist.Roaring, len(vert))
-		for it, l := range vert {
-			sets[it] = tidlist.NewRoaring(l)
-		}
-		ds.roarings = sets
-	})
-	return ds.roarings
-}
+func (ds *Dataset) Vertical() []tidlist.List { return ds.vertical() }
 
 // VerticalSets returns the memoized vertical transform under the given
-// representation as []tidlist.Set (ReprAuto picks per item by density —
-// each item's list in whichever encoding is smaller, mixing
-// representations within one dataset). Each representation's slice is
+// representation (see tidlist.Encode; ReprAuto, and any unknown value,
+// picks each item's smallest encoding). Each representation's slice is
 // built once and shared — must not be mutated. ok is always true (the
 // repro.Source contract): store-backed datasets serve views over the
 // mapping, in-memory datasets pay one memoized transform pass, so every
 // local Eclat job mines scan-free from here.
 func (ds *Dataset) VerticalSets(r tidlist.Repr) ([]tidlist.Set, bool) {
-	switch r {
-	case tidlist.ReprBitset:
-		ds.bitsetSetsOnce.Do(func() {
-			dense := ds.VerticalBitsets()
-			out := make([]tidlist.Set, len(dense))
-			for it, b := range dense {
-				out[it] = b
-			}
-			ds.bitsetSets = out
-		})
-		return ds.bitsetSets, true
-	case tidlist.ReprSparse:
-		ds.sparseSetsOnce.Do(func() {
-			vert := ds.Vertical()
-			out := make([]tidlist.Set, len(vert))
-			for it, l := range vert {
-				out[it] = l
-			}
-			ds.sparseSets = out
-		})
-		return ds.sparseSets, true
-	case tidlist.ReprRoaring:
-		ds.roaringSetsOnce.Do(func() {
-			roarings := ds.VerticalRoarings()
-			out := make([]tidlist.Set, len(roarings))
-			for it, r := range roarings {
-				out[it] = r
-			}
-			ds.roaringSets = out
-		})
-		return ds.roaringSets, true
-	default: // ReprAuto: per-item cheapest encoding
-		ds.autoSetsOnce.Do(func() {
-			vert := ds.Vertical()
-			out := make([]tidlist.Set, len(vert))
-			var dense []*tidlist.Bitset
-			var roarings []*tidlist.Roaring
-			for it, l := range vert {
-				switch _, enc := tidlist.EncodedSize(l, tidlist.ReprAuto); enc {
-				case tidlist.ReprBitset:
-					if dense == nil {
-						dense = ds.VerticalBitsets()
-					}
-					out[it] = dense[it]
-				case tidlist.ReprRoaring:
-					if roarings == nil {
-						roarings = ds.VerticalRoarings()
-					}
-					out[it] = roarings[it]
-				default:
-					out[it] = l
-				}
-			}
-			ds.autoSets = out
-		})
-		return ds.autoSets, true
+	if int(r) >= len(ds.sets) {
+		r = tidlist.ReprAuto
 	}
+	return ds.sets[r](), true
 }
 
 // VerticalSizes reports the encoded size of the whole vertical transform
@@ -295,14 +184,10 @@ func (ds *Dataset) TopItems(n int) []ItemSupport {
 	return out
 }
 
-// DatasetInfo is the /v1/datasets summary of one dataset.
+// DatasetInfo is the /v1/datasets summary of one dataset: the shape
+// figures the store keeps in its index, for in-memory datasets too.
 type DatasetInfo struct {
-	Name         string  `json:"name"`
-	Source       string  `json:"source"`
-	Transactions int     `json:"transactions"`
-	NumItems     int     `json:"numItems"`
-	AvgLen       float64 `json:"avgLen"`
-	SizeBytes    int64   `json:"sizeBytes"`
+	store.Meta
 	// Stored reports whether the dataset is persisted in the daemon's
 	// data directory (and therefore survives restarts).
 	Stored bool `json:"stored,omitempty"`
@@ -348,21 +233,7 @@ func (r *Registry) AttachStore(st *store.Store) error {
 
 // storeBackedDataset wraps an opened stored dataset for the registry.
 func storeBackedDataset(sd *store.Dataset) *Dataset {
-	m := sd.Meta()
-	return &Dataset{
-		Name:   m.Name,
-		Source: m.Source,
-		info: DatasetInfo{
-			Name:         m.Name,
-			Source:       m.Source,
-			Transactions: m.Transactions,
-			NumItems:     m.NumItems,
-			AvgLen:       m.AvgLen,
-			SizeBytes:    m.SizeBytes,
-			Stored:       true,
-		},
-		stored: sd,
-	}
+	return newDataset(DatasetInfo{Meta: sd.Meta(), Stored: true}, nil, sd)
 }
 
 // Add registers d under name; duplicate names are ErrDatasetExists. With
@@ -389,19 +260,7 @@ func (r *Registry) Add(name, source string, d *db.Database) (*Dataset, error) {
 		}
 		ds = storeBackedDataset(sd)
 	} else {
-		ds = &Dataset{
-			Name:   name,
-			Source: source,
-			info: DatasetInfo{
-				Name:         name,
-				Source:       source,
-				Transactions: d.Len(),
-				NumItems:     d.NumItems,
-				AvgLen:       d.AvgLen(),
-				SizeBytes:    d.SizeBytes(),
-			},
-			memDB: d,
-		}
+		ds = newDataset(DatasetInfo{Meta: store.DatasetMeta(name, source, d)}, d, nil)
 	}
 	r.insertLocked(ds)
 	return ds, nil

@@ -16,7 +16,7 @@ func TestServiceRepresentationsDistinctEntriesSameResult(t *testing.T) {
 	s := newTestService(t, Config{Workers: 2, QueueDepth: 8}, 400)
 	var first []byte
 	for _, r := range []repro.Representation{repro.ReprSparse, repro.ReprBitset, repro.ReprAuto} {
-		j, err := s.Submit(Request{Dataset: "t10", SupportPct: 2.0, Representation: r})
+		j, err := s.Submit(Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportPct: 2.0, Representation: r}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestServiceRepresentationsDistinctEntriesSameResult(t *testing.T) {
 		t.Fatalf("cache entries = %d, want 3 (one per representation)", got)
 	}
 	// Resubmitting under the same representation hits its entry.
-	j, err := s.Submit(Request{Dataset: "t10", SupportPct: 2.0, Representation: repro.ReprBitset})
+	j, err := s.Submit(Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportPct: 2.0, Representation: repro.ReprBitset}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,30 +57,42 @@ func TestServiceRepresentationsDistinctEntriesSameResult(t *testing.T) {
 	}
 }
 
-// TestDatasetVerticalSetsMemoizedPerRepresentation checks the dense
-// transform is computed once, shared across VerticalSets calls, and that
-// every representation of the transform carries the same tid-sets.
+// TestDatasetVerticalSetsMemoizedPerRepresentation checks each
+// representation's transform is computed once and shared across
+// VerticalSets calls, that absent items get nil sets, and that every
+// representation of the transform carries the same tid-sets.
 func TestDatasetVerticalSetsMemoizedPerRepresentation(t *testing.T) {
 	r := NewRegistry()
 	ds, err := r.Add("t10", "generated", genDataset(t, 300))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, b2 := ds.VerticalBitsets(), ds.VerticalBitsets()
-	if &b1[0] != &b2[0] {
-		t.Fatal("VerticalBitsets recomputed instead of memoized")
+	var views [4][]tidlist.Set
+	for i, repr := range []tidlist.Repr{tidlist.ReprSparse, tidlist.ReprBitset, tidlist.ReprRoaring, tidlist.ReprAuto} {
+		s1, ok := ds.VerticalSets(repr)
+		if !ok {
+			t.Fatal("VerticalSets must always serve the repro.Source vertical view")
+		}
+		if s2, _ := ds.VerticalSets(repr); &s1[0] != &s2[0] {
+			t.Fatalf("VerticalSets(%v) recomputed instead of memoized", repr)
+		}
+		views[i] = s1
 	}
-	sparse, _ := ds.VerticalSets(tidlist.ReprSparse)
-	dense, _ := ds.VerticalSets(tidlist.ReprBitset)
-	roaring, ok := ds.VerticalSets(tidlist.ReprRoaring)
-	if !ok {
-		t.Fatal("VerticalSets must always serve the repro.Source vertical view")
-	}
-	auto, _ := ds.VerticalSets(tidlist.ReprAuto)
+	sparse, dense, roaring, auto := views[0], views[1], views[2], views[3]
 	vert := ds.Vertical()
+	absent := 0
 	for it := range vert {
 		want := vert[it]
-		for _, sets := range [][]tidlist.Set{sparse, dense, roaring, auto} {
+		if len(want) == 0 {
+			absent++
+			for _, sets := range views {
+				if sets[it] != nil {
+					t.Fatalf("absent item %d: %v set, want nil", it, sets[it].Repr())
+				}
+			}
+			continue
+		}
+		for _, sets := range views {
 			got := tidlist.TIDsOf(sets[it])
 			if len(got) != len(want) {
 				t.Fatalf("item %d: %d tids, want %d", it, len(got), len(want))
@@ -94,12 +106,15 @@ func TestDatasetVerticalSetsMemoizedPerRepresentation(t *testing.T) {
 		if sparse[it].Repr() != tidlist.ReprSparse {
 			t.Fatalf("item %d: sparse transform has repr %v", it, sparse[it].Repr())
 		}
-		if vert[it].Support() > 0 && dense[it].Repr() != tidlist.ReprBitset {
+		if dense[it].Repr() != tidlist.ReprBitset {
 			t.Fatalf("item %d: dense transform has repr %v", it, dense[it].Repr())
 		}
-		if vert[it].Support() > 0 && roaring[it].Repr() != tidlist.ReprRoaring {
+		if roaring[it].Repr() != tidlist.ReprRoaring {
 			t.Fatalf("item %d: roaring transform has repr %v", it, roaring[it].Repr())
 		}
+	}
+	if absent == 0 {
+		t.Fatal("dataset has no absent item to check")
 	}
 	// The auto transform never ships an item in a more expensive
 	// encoding, so its total size is the VerticalSizes auto figure.
@@ -109,7 +124,9 @@ func TestDatasetVerticalSetsMemoizedPerRepresentation(t *testing.T) {
 	}
 	var autoSum int64
 	for _, s := range auto {
-		autoSum += s.SizeBytes()
+		if s != nil {
+			autoSum += s.SizeBytes()
+		}
 	}
 	if autoSum != au {
 		t.Fatalf("auto transform totals %d bytes, VerticalSizes says %d", autoSum, au)

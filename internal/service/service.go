@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -127,102 +127,51 @@ func (s *Service) Manager() *Manager { return s.mgr }
 func (s *Service) Cache() *Cache { return s.cache }
 
 // normalize validates req against the registry and resolves its cache
-// key (which fixes the absolute minsup).
-func (s *Service) normalize(req Request) (Request, Key, error) {
+// key (which fixes the absolute minsup). The options are checked by
+// repro.MineOptions.Check, the validation MineFrom runs, so a job the
+// service admits is never refused when it runs; the support resolves
+// from the dataset-shape metadata, so submission never loads a
+// store-backed dataset's horizontal data.
+func (s *Service) normalize(req Request) (Key, error) {
 	ds, err := s.reg.Get(req.Dataset)
 	if err != nil {
-		return req, Key{}, err
+		return Key{}, err
 	}
-	if req.Variant == "" {
-		req.Variant = VariantAll
-	}
-	// Reject unusable query options first, before support resolution: a
-	// malformed topk must surface as invalid_topk even when no support
-	// was given. The top-k heap and class targeting exist only on the
-	// local all-frequent Eclat path.
-	must, err := canonContains(req.MustContain)
+	minsup, err := req.Check(ds)
 	if err != nil {
-		return req, Key{}, err
+		return Key{}, err
 	}
-	localEclat := req.Algorithm == repro.AlgoEclat && req.Hosts <= 1 && req.ProcsPerHost <= 1
-	switch {
-	case req.TopK < 0:
-		return req, Key{}, fmt.Errorf("%w: negative topk %d", repro.ErrInvalidTopK, req.TopK)
-	case req.TopK > 0 && (req.Variant != VariantAll || !localEclat):
-		return req, Key{}, fmt.Errorf("%w: topk requires the local eclat path with variant all", repro.ErrInvalidTopK)
-	case must != "" && (req.Variant != VariantAll || !localEclat):
-		return req, Key{}, fmt.Errorf("%w: mustContain requires the local eclat path with variant all", repro.ErrInvalidMustContain)
-	}
-	// MinSupN resolves from the dataset-shape metadata, so submission
-	// never loads a store-backed dataset's horizontal data. TopK is part
-	// of the resolution: a top-k request with no explicit support gets
-	// the floor-1 default instead of a 400.
-	opts := repro.MineOptions{SupportPct: req.SupportPct, SupportCount: req.SupportCount, TopK: req.TopK}
-	minsup, err := opts.MinSupN(ds.Info().Transactions)
-	if err != nil {
-		return req, Key{}, err
-	}
-	// Reject a negative parallelism at submit time (a positive ask is
-	// clamped to the per-job share when the job runs). The cache key
-	// deliberately omits parallelism: MineParallelLocal's results are
-	// byte-identical to sequential mining, so all worker counts share one
-	// entry.
-	if _, err := (repro.MineOptions{Parallelism: req.Parallelism}).Workers(); err != nil {
-		return req, Key{}, err
-	}
-	// Reject a negative memory budget at submit time. Like parallelism,
-	// the budget is absent from the cache key: a budgeted mine is
-	// byte-identical to an in-core one, so all budgets share one entry.
-	if req.MemoryBudget < 0 {
-		return req, Key{}, fmt.Errorf("%w: negative memoryBudget %d", repro.ErrInvalidMemoryBudget, req.MemoryBudget)
-	}
-	// Refuse an oversized simulated cluster before the job is admitted:
-	// the run would build one goroutine per processor.
-	if err := (repro.MineOptions{Hosts: req.Hosts, ProcsPerHost: req.ProcsPerHost}).CheckCluster(); err != nil {
-		return req, Key{}, err
-	}
-	key := Key{
+	return Key{
 		Dataset:        req.Dataset,
 		Algorithm:      req.Algorithm.String(),
 		MinSup:         minsup,
-		Variant:        req.Variant,
+		Output:         req.Output,
 		Representation: req.Representation.String(),
 		TopK:           req.TopK,
-		MustContain:    must,
-	}
-	return req, key, nil
+		MustContain:    canonContains(req.MustContain),
+	}, nil
 }
 
 // canonContains canonicalizes a targeted query's item list for the cache
-// key: sorted, deduplicated, comma-joined ("" when empty). Negative items
-// are an ErrInvalidMustContain.
-func canonContains(items []int) (string, error) {
-	if len(items) == 0 {
-		return "", nil
-	}
-	sorted := append([]int(nil), items...)
-	sort.Ints(sorted)
+// key: sorted, deduplicated, comma-joined ("" when empty).
+func canonContains(items []int) string {
+	sorted := slices.Clone(items)
+	slices.Sort(sorted)
 	var b strings.Builder
-	for i, it := range sorted {
-		if it < 0 {
-			return "", fmt.Errorf("%w: negative item %d", repro.ErrInvalidMustContain, it)
-		}
-		if i > 0 && it == sorted[i-1] {
-			continue
-		}
-		if b.Len() > 0 {
+	for i, it := range slices.Compact(sorted) {
+		if i > 0 {
 			b.WriteByte(',')
 		}
 		b.WriteString(strconv.Itoa(it))
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // Submit validates req, serves it from the result cache when possible
 // (the returned job is already done, with View.Cached set), and
 // otherwise enqueues it. It fails with ErrQueueFull under backpressure.
 func (s *Service) Submit(req Request) (*Job, error) {
-	req, key, err := s.normalize(req)
+	key, err := s.normalize(req)
 	if err != nil {
 		return nil, err
 	}
@@ -239,30 +188,22 @@ func (s *Service) runJob(ctx context.Context, j *Job) (Body, *repro.RunInfo, err
 	if err != nil {
 		return Body{}, nil, err
 	}
-	// A job's explicit budget wins; otherwise the service default
-	// applies. MineFrom picks the out-of-core path only when the
-	// dataset's mapped size actually exceeds the budget.
-	budget := j.Req.MemoryBudget
-	if budget == 0 {
-		budget = s.residencyBudget
+	// The support was resolved once at submit time. A job's explicit
+	// budget wins; otherwise the service default applies, and MineFrom
+	// picks the out-of-core path only when the dataset's mapped size
+	// actually exceeds the budget.
+	opts := j.Req.MineOptions
+	opts.SupportCount = j.Key.MinSup
+	opts.Parallelism = s.effectiveParallelism(opts.Parallelism)
+	if opts.MemoryBudget == 0 {
+		opts.MemoryBudget = s.residencyBudget
 	}
 	// The dataset is a repro.Source: MineFrom mines local Eclat jobs of
-	// every variant straight from the memoized vertical transform (zero
+	// every output straight from the memoized vertical transform (zero
 	// horizontal scans, mapped views for store-backed datasets) and
 	// materializes the horizontal database for everything else. Both
 	// paths are byte-identical, so the cache identity is unchanged.
-	res, info, err := repro.MineFrom(ctx, ds, repro.MineOptions{
-		Algorithm:      j.Req.Algorithm,
-		Output:         variantOutputs[j.Req.Variant],
-		SupportCount:   j.Key.MinSup, // resolved once at submit time
-		Hosts:          j.Req.Hosts,
-		ProcsPerHost:   j.Req.ProcsPerHost,
-		Representation: j.Req.Representation,
-		Parallelism:    s.effectiveParallelism(j.Req.Parallelism),
-		TopK:           j.Req.TopK,
-		MustContain:    j.Req.MustContain,
-		MemoryBudget:   budget,
-	})
+	res, info, err := repro.MineFrom(ctx, ds, opts)
 	if err != nil {
 		return Body{}, nil, err
 	}

@@ -40,7 +40,7 @@ func newTestService(t testing.TB, cfg Config, tx int) *Service {
 
 func TestServiceMineMatchesDirectCall(t *testing.T) {
 	s := newTestService(t, Config{Workers: 2, QueueDepth: 8}, 1000)
-	req := Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportPct: 1.0}
+	req := Request{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoEclat, SupportPct: 1.0}}
 	j, err := s.Submit(req)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestServiceMineMatchesDirectCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds, _ := s.Registry().Get("t10")
-	dsDB, err := ds.Database()
+	dsDB, err := ds.Horizontal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +87,13 @@ func TestServedBodyMatchesFreshMine(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1, QueueDepth: 8}, 500)
 	h := NewHandler(s)
 	ds, _ := s.Registry().Get("t10")
-	d, err := ds.Database()
+	d, err := ds.Horizontal()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var cached int64
 	for _, pct := range []float64{1.0, 2.0, 1.0} {
-		j, err := s.Submit(Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportPct: pct})
+		j, err := s.Submit(Request{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoEclat, SupportPct: pct}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestServedBodyMatchesFreshMine(t *testing.T) {
 
 func TestServiceSecondSubmissionHitsCache(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1, QueueDepth: 8}, 500)
-	req := Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportPct: 2.0}
+	req := Request{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoEclat, SupportPct: 2.0}}
 
 	j1, err := s.Submit(req)
 	if err != nil {
@@ -163,7 +163,7 @@ func TestServiceSecondSubmissionHitsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	abs := Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportCount: minsup}
+	abs := Request{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoEclat, SupportCount: minsup}}
 	j3, err := s.Submit(abs)
 	if err != nil {
 		t.Fatal(err)
@@ -176,9 +176,9 @@ func TestServiceSecondSubmissionHitsCache(t *testing.T) {
 func TestServiceVariantAndAlgorithmGetDistinctEntries(t *testing.T) {
 	s := newTestService(t, Config{Workers: 2, QueueDepth: 8}, 300)
 	for _, req := range []Request{
-		{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportPct: 2.0},
-		{Dataset: "t10", Algorithm: repro.AlgoApriori, SupportPct: 2.0},
-		{Dataset: "t10", Algorithm: repro.AlgoEclat, Variant: VariantMaximal, SupportPct: 2.0},
+		{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoEclat, SupportPct: 2.0}},
+		{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoApriori, SupportPct: 2.0}},
+		{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoEclat, Output: repro.OutputMaximal, SupportPct: 2.0}},
 	} {
 		j, err := s.Submit(req)
 		if err != nil {
@@ -200,8 +200,8 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1, QueueDepth: 2}, 100)
 	for _, req := range []Request{
 		{Dataset: "nope"},
-		{Dataset: "t10", SupportPct: -1},
-		{Dataset: "t10", SupportCount: -5},
+		{Dataset: "t10", MineOptions: repro.MineOptions{SupportPct: -1}},
+		{Dataset: "t10", MineOptions: repro.MineOptions{SupportCount: -5}},
 	} {
 		if _, err := s.Submit(req); err == nil {
 			t.Fatalf("submit %+v succeeded, want error", req)
@@ -265,7 +265,7 @@ func BenchmarkServiceQueries(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			j, err := s.Submit(Request{Dataset: "t10", SupportCount: 20 + i%64})
+			j, err := s.Submit(Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportCount: 20 + i%64}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -300,7 +300,7 @@ func BenchmarkServiceQueries(b *testing.B) {
 			ds.VerticalSets(repro.ReprAuto)
 			runtime.GC()
 			b.StartTimer()
-			j, err := s.Submit(Request{Dataset: name, SupportCount: 20 + i%64})
+			j, err := s.Submit(Request{Dataset: name, MineOptions: repro.MineOptions{SupportCount: 20 + i%64}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -327,7 +327,7 @@ func BenchmarkServiceQueries(b *testing.B) {
 		if _, err := s.Registry().Add("t10", "generated", d); err != nil {
 			b.Fatal(err)
 		}
-		warm, err := s.Submit(Request{Dataset: "t10", SupportCount: 20})
+		warm, err := s.Submit(Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportCount: 20}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -336,7 +336,7 @@ func BenchmarkServiceQueries(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			j, err := s.Submit(Request{Dataset: "t10", SupportCount: 20})
+			j, err := s.Submit(Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportCount: 20}})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -81,19 +81,18 @@ func TestServiceStoreBackedMiningMatchesInMemory(t *testing.T) {
 		t.Fatal("dataset registered through a store-backed service is not stored")
 	}
 
-	for _, variant := range []Variant{VariantAll, VariantMaximal, VariantClosed} {
+	for _, variant := range []repro.Output{repro.OutputAll, repro.OutputMaximal, repro.OutputClosed} {
 		for _, repr := range []repro.Representation{repro.ReprAuto, repro.ReprSparse, repro.ReprBitset} {
 			for _, workers := range []int{1, 2, 4} {
 				// Distinct minsup per worker count keeps every run a cache miss
 				// (the cache key deliberately omits parallelism).
-				req := Request{
-					Dataset:        "t10",
+				req := Request{Dataset: "t10", MineOptions: repro.MineOptions{
 					Algorithm:      repro.AlgoEclat,
-					Variant:        variant,
+					Output:         variant,
 					SupportCount:   4 + 2*workers,
 					Representation: repr,
 					Parallelism:    workers,
-				}
+				}}
 				name := fmt.Sprintf("variant=%s/repr=%v/workers=%d", variant, repr, workers)
 				want, _ := mineBytes(t, mem, req)
 				got, v := mineBytes(t, st, req)
@@ -138,7 +137,7 @@ func jobScans(t *testing.T, s *Service, id string) int {
 func TestServiceStoreRestartServesWithoutRebuild(t *testing.T) {
 	dir := t.TempDir()
 	d := genDataset(t, 600)
-	req := Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportCount: 6}
+	req := Request{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoEclat, SupportCount: 6}}
 
 	s1 := newStoreService(t, dir, Config{Workers: 1, QueueDepth: 4})
 	if _, err := s1.RegisterDataset("t10", "generated", d); err != nil {
@@ -181,7 +180,7 @@ func TestServiceRemoveDataset(t *testing.T) {
 	}
 
 	// A long-running job holds its dataset busy.
-	slow, err := s.Submit(Request{Dataset: "big", Algorithm: repro.AlgoEclat, SupportPct: 0.1})
+	slow, err := s.Submit(Request{Dataset: "big", MineOptions: repro.MineOptions{Algorithm: repro.AlgoEclat, SupportPct: 0.1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +196,7 @@ func TestServiceRemoveDataset(t *testing.T) {
 
 	// Terminal jobs release the dataset; removal also drops its cache
 	// entries so a later same-named dataset cannot serve stale results.
-	if _, _ = mineBytes(t, s, Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportCount: 4}); s.Cache().Len() == 0 {
+	if _, _ = mineBytes(t, s, Request{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoEclat, SupportCount: 4}}); s.Cache().Len() == 0 {
 		t.Fatal("mining did not populate the cache")
 	}
 	if err := s.RemoveDataset("t10"); err != nil {
@@ -255,14 +254,14 @@ func TestServiceStoreJobsLeaveBundleUntouched(t *testing.T) {
 	reprs := []repro.Representation{repro.ReprAuto, repro.ReprSparse, repro.ReprBitset, repro.ReprRoaring}
 	want := make([][]byte, len(reprs))
 	for i, repr := range reprs {
-		want[i], _ = mineBytes(t, s1, Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportCount: 3, Representation: repr})
+		want[i], _ = mineBytes(t, s1, Request{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoEclat, SupportCount: 3, Representation: repr}})
 		assertUntouched(fmt.Sprintf("%v job", repr))
 	}
 	s1.Shutdown(context.Background())
 
 	s2 := newStoreService(t, dir, Config{Workers: 1, QueueDepth: 4})
 	for i, repr := range reprs {
-		got, _ := mineBytes(t, s2, Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportCount: 3, Representation: repr})
+		got, _ := mineBytes(t, s2, Request{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoEclat, SupportCount: 3, Representation: repr}})
 		if !bytes.Equal(got, want[i]) {
 			t.Fatalf("%v: result after restart differs", repr)
 		}

@@ -16,7 +16,7 @@ import (
 func TestServiceTopKTargetedMatchesDirect(t *testing.T) {
 	s := newTestService(t, Config{Workers: 2, QueueDepth: 8}, 800)
 	ds, _ := s.Registry().Get("t10")
-	d, err := ds.Database()
+	d, err := ds.Horizontal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,17 +27,17 @@ func TestServiceTopKTargetedMatchesDirect(t *testing.T) {
 	}{
 		{
 			"topk",
-			Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportPct: 1.0, TopK: 25},
+			Request{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoEclat, SupportPct: 1.0, TopK: 25}},
 			repro.MineOptions{SupportPct: 1.0, TopK: 25},
 		},
 		{
 			"contains",
-			Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportPct: 1.0, MustContain: []int{3}},
+			Request{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoEclat, SupportPct: 1.0, MustContain: []int{3}}},
 			repro.MineOptions{SupportPct: 1.0, MustContain: []int{3}},
 		},
 		{
 			"both",
-			Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportPct: 1.0, TopK: 5, MustContain: []int{3}},
+			Request{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoEclat, SupportPct: 1.0, TopK: 5, MustContain: []int{3}}},
 			repro.MineOptions{SupportPct: 1.0, TopK: 5, MustContain: []int{3}},
 		},
 	} {
@@ -105,7 +105,7 @@ func TestServiceTopKTargetedCacheIdentity(t *testing.T) {
 		return j
 	}
 
-	base := Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportPct: 2.0}
+	base := Request{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoEclat, SupportPct: 2.0}}
 	run(base)
 	topk := base
 	topk.TopK = 10
@@ -146,13 +146,13 @@ func TestServiceRejectsBadQueryOptions(t *testing.T) {
 		req  Request
 		want error
 	}{
-		{"negative topk", Request{Dataset: "t10", SupportPct: 2.0, TopK: -1}, repro.ErrInvalidTopK},
-		{"negative topk no support", Request{Dataset: "t10", TopK: -1}, repro.ErrInvalidTopK},
-		{"topk on maximal", Request{Dataset: "t10", SupportPct: 2.0, Variant: VariantMaximal, TopK: 5}, repro.ErrInvalidTopK},
-		{"topk on apriori", Request{Dataset: "t10", Algorithm: repro.AlgoApriori, SupportPct: 2.0, TopK: 5}, repro.ErrInvalidTopK},
-		{"topk on cluster", Request{Dataset: "t10", SupportPct: 2.0, Hosts: 2, ProcsPerHost: 2, TopK: 5}, repro.ErrInvalidTopK},
-		{"negative item", Request{Dataset: "t10", SupportPct: 2.0, MustContain: []int{2, -1}}, repro.ErrInvalidMustContain},
-		{"contains on closed", Request{Dataset: "t10", SupportPct: 2.0, Variant: VariantClosed, MustContain: []int{2}}, repro.ErrInvalidMustContain},
+		{"negative topk", Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportPct: 2.0, TopK: -1}}, repro.ErrInvalidTopK},
+		{"negative topk no support", Request{Dataset: "t10", MineOptions: repro.MineOptions{TopK: -1}}, repro.ErrInvalidTopK},
+		{"topk on maximal", Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportPct: 2.0, Output: repro.OutputMaximal, TopK: 5}}, repro.ErrInvalidTopK},
+		{"topk on apriori", Request{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoApriori, SupportPct: 2.0, TopK: 5}}, repro.ErrInvalidTopK},
+		{"topk on cluster", Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportPct: 2.0, Hosts: 2, ProcsPerHost: 2, TopK: 5}}, repro.ErrInvalidTopK},
+		{"negative item", Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportPct: 2.0, MustContain: []int{2, -1}}}, repro.ErrInvalidMustContain},
+		{"contains on closed", Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportPct: 2.0, Output: repro.OutputClosed, MustContain: []int{2}}}, repro.ErrInvalidMustContain},
 	} {
 		_, err := s.Submit(tc.req)
 		if err == nil {

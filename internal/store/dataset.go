@@ -85,6 +85,9 @@ type Dataset struct {
 	cleanup func() error
 
 	sparse []tidlist.List // index = item; nil where no record
+	// mined is the end of the last sparse record: the bytes a mine reads.
+	// Past it lie only the packed records an older build spilled.
+	mined int64
 
 	horizOnce sync.Once
 	horiz     *db.Database
@@ -286,6 +289,7 @@ func (ds *Dataset) decode() error {
 		return err
 	}
 	ds.sparse = make([]tidlist.List, ds.idx.Meta.NumItems)
+	ds.mined = bundleHeaderSize
 	for _, rec := range ds.idx.Records {
 		if rec.Item < 0 || rec.Item >= ds.idx.Meta.NumItems {
 			return fmt.Errorf("%w: record for out-of-range item %d", ErrCorruptBundle, rec.Item)
@@ -305,6 +309,9 @@ func (ds *Dataset) decode() error {
 					ErrCorruptBundle, rec.Item, len(l), rec.Support)
 			}
 			ds.sparse[rec.Item] = l
+			for _, p := range rec.parts() {
+				ds.mined = max(ds.mined, p.Offset+recordHeaderSize+paddedLen(p.Length))
+			}
 		case EncBitset, EncRoaring:
 			// An older build's spill: verified above, never read.
 		default:
@@ -335,32 +342,10 @@ func (ds *Dataset) VerticalSets(r tidlist.Repr) ([]tidlist.Set, bool) {
 func (ds *Dataset) SparseLists() []tidlist.List { return ds.sparse }
 
 // Sets returns the vertical transform as []tidlist.Set under the given
-// representation: sparse items are views over the mapping, bitset and
-// roaring items are encoded on the heap from them, and ReprAuto picks the
-// smallest of the three encodings per item. The result is immutable.
-func (ds *Dataset) Sets(r tidlist.Repr) []tidlist.Set {
-	out := make([]tidlist.Set, ds.idx.Meta.NumItems)
-	for item, l := range ds.sparse {
-		if len(l) == 0 {
-			continue
-		}
-		enc := r
-		switch r {
-		case tidlist.ReprSparse, tidlist.ReprBitset, tidlist.ReprRoaring:
-		default: // ReprAuto
-			_, enc = tidlist.EncodedSize(l, tidlist.ReprAuto)
-		}
-		switch enc {
-		case tidlist.ReprBitset:
-			out[item] = tidlist.NewBitset(l)
-		case tidlist.ReprRoaring:
-			out[item] = tidlist.NewRoaring(l)
-		default:
-			out[item] = l
-		}
-	}
-	return out
-}
+// representation (see tidlist.Encode): sparse items are views over the
+// mapping, bitset and roaring items are encoded on the heap from them.
+// The result is immutable.
+func (ds *Dataset) Sets(r tidlist.Repr) []tidlist.Set { return tidlist.Encode(ds.sparse, r) }
 
 // Horizontal lazily decodes the stored horizontal database. The vertical
 // mining path never calls this; it exists for algorithms that still scan
@@ -379,9 +364,12 @@ func (ds *Dataset) Horizontal() (*db.Database, error) {
 	return ds.horiz, ds.horizErr
 }
 
-// BytesMapped returns the size of the committed extent this dataset has
-// mapped.
-func (ds *Dataset) BytesMapped() int64 { return int64(len(ds.data)) }
+// BytesMapped returns the bytes of the mapping a mine reads, the figure
+// a memory budget is compared with: the end of the last sparse record.
+// For every bundle this build writes that is the whole committed extent;
+// an older build's spilled records past it stay mapped but are never
+// read.
+func (ds *Dataset) BytesMapped() int64 { return ds.mined }
 
 // SegmentBytes returns the bundle's segment size, or 0 for an
 // unsegmented v1 bundle.
@@ -405,7 +393,7 @@ func (ds *Dataset) Close() error {
 			ds.releaseMapped()
 			ds.closeErr = ds.cleanup()
 		}
-		ds.data, ds.sparse = nil, nil
+		ds.data, ds.sparse, ds.mined = nil, nil, 0
 	})
 	return ds.closeErr
 }

@@ -57,13 +57,13 @@ type Residency struct {
 }
 
 // NewResidency returns a residency tracker enforcing the given byte
-// budget over this dataset's mapping, or nil when budgeting is moot:
-// budget <= 0, nothing mapped, or the whole mapping already fits the
-// budget (the in-core path is strictly better then). For a v1 bundle the
-// whole mapping is one segment, so eviction degenerates to
-// everything-or-nothing but the accounting still holds.
+// budget over the part of this dataset's mapping a mine reads
+// (BytesMapped), or nil when budgeting is moot: budget <= 0, nothing
+// mapped, or that part already fits the budget (the in-core path is
+// strictly better then). For a v1 bundle it is one segment, so eviction
+// degenerates to everything-or-nothing but the accounting still holds.
 func (ds *Dataset) NewResidency(budget int64) *Residency {
-	mapped := int64(len(ds.data))
+	mapped := ds.BytesMapped()
 	if budget <= 0 || mapped == 0 || mapped <= budget {
 		return nil
 	}
@@ -237,7 +237,7 @@ func (r *Residency) ResidentSegments() int {
 	return n
 }
 
-// NumSegments returns how many segments the mapping divides into.
+// NumSegments returns how many segments the mined bytes divide into.
 func (r *Residency) NumSegments() int { return len(r.resident) }
 
 // SegmentBytes returns the residency granularity in bytes.
@@ -263,11 +263,11 @@ func (r *Residency) evictLocked(s int) {
 }
 
 // segLen returns the byte length of segment s (the last segment may be
-// short).
+// short, and ends where the mined bytes do).
 func (r *Residency) segLen(s int) int64 {
 	lo := int64(s) * r.segBytes
 	hi := lo + r.segBytes
-	if m := int64(len(r.ds.data)); hi > m {
+	if m := r.ds.BytesMapped(); hi > m {
 		hi = m
 	}
 	return hi - lo
@@ -282,7 +282,7 @@ func (r *Residency) segLen(s int) int64 {
 func (r *Residency) segPages(s int) []byte {
 	lo := int64(s) * r.segBytes
 	hi := lo + r.segBytes
-	if m := int64(len(r.ds.data)); hi > m {
+	if m := r.ds.BytesMapped(); hi > m {
 		hi = m
 	}
 	lo = (lo + r.pageSize - 1) / r.pageSize * r.pageSize

@@ -616,3 +616,32 @@ func denseSizeBytes(l List) int64 {
 	words := int64(l[len(l)-1]/wordBits-l[0]/wordBits) + 1
 	return 8 + 8*words
 }
+
+// Encode returns the per-item tid-lists as one Set per item under r
+// (index = item; nil where the list is empty): sparse items are the lists
+// themselves, bitset and roaring items are encoded on the heap from them,
+// and ReprAuto picks the smallest of the three encodings per item. The
+// result aliases lists; like them it is immutable.
+func Encode(lists []List, r Repr) []Set {
+	out := make([]Set, len(lists))
+	for item, l := range lists {
+		if len(l) == 0 {
+			continue
+		}
+		enc := r
+		switch r {
+		case ReprSparse, ReprBitset, ReprRoaring:
+		default: // ReprAuto
+			_, enc = EncodedSize(l, ReprAuto)
+		}
+		switch enc {
+		case ReprBitset:
+			out[item] = NewBitset(l)
+		case ReprRoaring:
+			out[item] = NewRoaring(l)
+		default:
+			out[item] = l
+		}
+	}
+	return out
+}

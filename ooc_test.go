@@ -75,6 +75,51 @@ func TestMineFromMemoryBudgetByteIdentical(t *testing.T) {
 	}
 }
 
+// TestLegacyBundleBudgetComparesMinedBytes opens a bundle an older build
+// spilled bitset and roaring records into (4,352 bytes, 2,152 of them
+// sparse records): its budget is compared with the bytes a mine reads,
+// so a 3 KiB budget mines in core, byte-identical to no budget.
+func TestLegacyBundleBudgetComparesMinedBytes(t *testing.T) {
+	const fixture = "internal/store/testdata/legacy/spilled.ds"
+	path := filepath.Join(t.TempDir(), "spilled.ds")
+	if err := os.MkdirAll(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"index.json", "vertical.bundle", "horizontal.db"} {
+		b, err := os.ReadFile(filepath.Join(fixture, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(path, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := store.OpenDataset(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if got := ds.BytesMapped(); got != 2152 {
+		t.Fatalf("BytesMapped = %d, want 2152, the end of the last sparse record", got)
+	}
+	var bodies [2]bytes.Buffer
+	for i, budget := range []int64{0, 3 << 10} {
+		res, info, err := MineFrom(context.Background(), ds, MineOptions{SupportCount: 5, MemoryBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.OutOfCore {
+			t.Fatalf("budget %d: mined out of core", budget)
+		}
+		if err := WriteResult(&bodies[i], res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bodies[0].Len() == 0 || !bytes.Equal(bodies[0].Bytes(), bodies[1].Bytes()) {
+		t.Fatal("budgeted mine differs from the unbudgeted one")
+	}
+}
+
 // TestMineNegativeMemoryBudgetRejected covers every entry point.
 func TestMineNegativeMemoryBudgetRejected(t *testing.T) {
 	d := smallDB(t)

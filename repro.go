@@ -35,6 +35,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/apriori"
@@ -208,6 +209,37 @@ const (
 	AlgoDHP
 )
 
+// algorithmNames are the short names the CLIs and the HTTP API spell the
+// algorithms with (index = Algorithm).
+var algorithmNames = [...]string{
+	AlgoEclat:                 "eclat",
+	AlgoApriori:               "apriori",
+	AlgoCountDistribution:     "countdist",
+	AlgoDataDistribution:      "datadist",
+	AlgoCandidateDistribution: "canddist",
+	AlgoEclatHybrid:           "hybrid",
+	AlgoPartition:             "partition",
+	AlgoSampling:              "sampling",
+	AlgoDHP:                   "dhp",
+}
+
+// ParseAlgorithm parses a short algorithm name in any case ("eclat",
+// "apriori", "countdist", "datadist", "canddist", "hybrid", "partition",
+// "sampling", "dhp"; "" means AlgoEclat) — the values the -algo flag and
+// the service's algorithm job field accept. Unknown names fail with an
+// error matching ErrUnknownAlgorithm.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	if s == "" {
+		return AlgoEclat, nil
+	}
+	for a, name := range algorithmNames {
+		if strings.ToLower(s) == name {
+			return Algorithm(a), nil
+		}
+	}
+	return 0, fmt.Errorf("%w: %q (want eclat, apriori, countdist, datadist, canddist, hybrid, partition, sampling or dhp)", ErrUnknownAlgorithm, s)
+}
+
 // String names the algorithm as the paper does.
 func (a Algorithm) String() string {
 	switch a {
@@ -254,6 +286,32 @@ const (
 	// of the frequent collection.
 	OutputClosed
 )
+
+// outputNames are the names ParseOutput accepts (index = Output): the
+// -maximal/-closed flags' collections and the service's variant field.
+var outputNames = [...]string{OutputAll: "all", OutputMaximal: "maximal", OutputClosed: "closed"}
+
+// String names the output as ParseOutput spells it.
+func (o Output) String() string {
+	if o >= 0 && int(o) < len(outputNames) {
+		return outputNames[o]
+	}
+	return fmt.Sprintf("Output(%d)", int(o))
+}
+
+// ParseOutput parses an output name in any case ("all", "maximal",
+// "closed"; "" means OutputAll).
+func ParseOutput(s string) (Output, error) {
+	if s == "" {
+		return OutputAll, nil
+	}
+	for o, name := range outputNames {
+		if strings.ToLower(s) == name {
+			return Output(o), nil
+		}
+	}
+	return 0, fmt.Errorf("repro: unknown output %q (want all, maximal or closed)", s)
+}
 
 // MineOptions configures a mining run.
 type MineOptions struct {
@@ -383,57 +441,61 @@ type RunInfo struct {
 }
 
 // MinSup resolves and validates the absolute minimum support count these
-// options imply for d (SupportCount wins over SupportPct). It is the one
-// validated entry point for the threshold: the serving layer uses it to
-// give percentage and absolute requests at the same threshold one cache
-// identity, and every mining entry point resolves through it. A
-// zero-value MineOptions is an error (ErrInvalidSupport) rather than a
-// silent mine at an implicit threshold — pass DefaultSupportPct
-// explicitly for the paper's setting.
+// options imply for d (SupportCount wins over SupportPct). A zero-value
+// MineOptions is an error (ErrInvalidSupport) rather than a silent mine
+// at an implicit threshold — pass DefaultSupportPct explicitly for the
+// paper's setting.
 func (o MineOptions) MinSup(d *Database) (int, error) {
 	return o.MinSupN(d.Len())
 }
 
-// MinSupN is MinSup for callers that know only the transaction count —
-// the store-backed serving path, which resolves thresholds from dataset
-// metadata without loading the horizontal data. It applies the same
-// validation and the same ceil-based percentage conversion, so a
-// percentage and its absolute count keep one cache identity regardless
-// of which path resolved them.
+// MinSupN is MinSup for callers that know only the transaction count.
+// It applies the same validation and the same ceil-based percentage
+// conversion as Check, so a percentage and its absolute count resolve
+// to one threshold whichever path resolved them.
 func (o MineOptions) MinSupN(numTransactions int) (int, error) {
+	if err := o.checkSupport(); err != nil {
+		return 0, err
+	}
+	return o.minSup(numTransactions), nil
+}
+
+// checkSupport rejects support settings no transaction count can make
+// usable.
+func (o MineOptions) checkSupport() error {
 	switch {
 	case o.SupportCount < 0:
-		return 0, fmt.Errorf("%w: negative SupportCount %d", ErrInvalidSupport, o.SupportCount)
+		return fmt.Errorf("%w: negative SupportCount %d", ErrInvalidSupport, o.SupportCount)
 	case o.SupportPct < 0:
-		return 0, fmt.Errorf("%w: negative SupportPct %v", ErrInvalidSupport, o.SupportPct)
+		return fmt.Errorf("%w: negative SupportPct %v", ErrInvalidSupport, o.SupportPct)
 	case math.IsNaN(o.SupportPct) || o.SupportPct > 100:
-		// Past 100 (or at +Inf) the ceil below overflows int and the
+		// Past 100 (or at +Inf) the ceil in minSup overflows int and the
 		// clamp would mine at support 1.
-		return 0, fmt.Errorf("%w: SupportPct %v outside [0, 100]", ErrInvalidSupport, o.SupportPct)
-	case o.SupportCount > 0:
-		return o.SupportCount, nil
-	case o.SupportPct > 0:
-		c := int(math.Ceil(o.SupportPct / 100 * float64(numTransactions)))
-		if c < 1 {
-			c = 1
-		}
-		return c, nil
-	case o.TopK > 0:
-		// A top-k query does not need an explicit floor: the adaptive
-		// threshold raises itself as itemsets are found, so default to the
-		// weakest floor rather than rejecting the zero-support request.
-		return 1, nil
-	default:
-		return 0, fmt.Errorf("%w: MineOptions must set SupportPct or SupportCount (the paper's experiments use SupportPct = %v)",
+		return fmt.Errorf("%w: SupportPct %v outside [0, 100]", ErrInvalidSupport, o.SupportPct)
+	case o.SupportCount == 0 && o.SupportPct == 0 && o.TopK <= 0:
+		return fmt.Errorf("%w: MineOptions must set SupportPct or SupportCount (the paper's experiments use SupportPct = %v)",
 			ErrInvalidSupport, DefaultSupportPct)
 	}
+	return nil
+}
+
+// minSup resolves support settings checkSupport accepted.
+func (o MineOptions) minSup(numTransactions int) int {
+	switch {
+	case o.SupportCount > 0:
+		return o.SupportCount
+	case o.SupportPct > 0:
+		return max(int(math.Ceil(o.SupportPct/100*float64(numTransactions))), 1)
+	}
+	// A top-k query does not need an explicit floor: the adaptive
+	// threshold raises itself as itemsets are found, so default to the
+	// weakest floor rather than rejecting the zero-support request.
+	return 1
 }
 
 // Workers resolves and validates the worker count these options imply for
 // the real Eclat path: Parallelism itself when positive,
 // runtime.GOMAXPROCS(0) when zero, ErrInvalidParallelism when negative.
-// Like MinSup it is the one validated entry point for the knob; the
-// serving layer resolves through it when budgeting per-job workers.
 func (o MineOptions) Workers() (int, error) {
 	if o.Parallelism < 0 {
 		return 0, fmt.Errorf("%w: negative Parallelism %d", ErrInvalidParallelism, o.Parallelism)
@@ -452,41 +514,36 @@ func (o MineOptions) localEclat() bool {
 }
 
 // policy maps Output one-to-one onto the engine search that produces it.
-func (o MineOptions) policy() (eclat.Policy, error) {
+func (o MineOptions) policy() eclat.Policy {
 	switch o.Output {
-	case OutputAll:
-		return eclat.PolicyAll, nil
 	case OutputMaximal:
-		return eclat.PolicyMaximal, nil
+		return eclat.PolicyMaximal
 	case OutputClosed:
-		return eclat.PolicyClosed, nil
+		return eclat.PolicyClosed
 	}
-	return 0, fmt.Errorf("repro: unknown output %d", o.Output)
+	return eclat.PolicyAll
 }
 
-// query validates the top-k / targeted-query options and converts
-// MustContain to the itemset item type. Only the all-frequent local
-// Eclat path supports them; anywhere else a non-zero TopK or
-// MustContain is a typed error rather than a silent full mine.
-func (o MineOptions) query() ([]itemset.Item, error) {
+// checkQuery validates the top-k / targeted-query options. Only the
+// all-frequent local Eclat path supports them; anywhere else a non-zero
+// TopK or MustContain is a typed error rather than a silent full mine.
+func (o MineOptions) checkQuery() error {
 	if o.TopK < 0 {
-		return nil, fmt.Errorf("%w: negative TopK %d", ErrInvalidTopK, o.TopK)
+		return fmt.Errorf("%w: negative TopK %d", ErrInvalidTopK, o.TopK)
 	}
 	if (o.TopK > 0 || len(o.MustContain) > 0) && (o.Output != OutputAll || !o.localEclat()) {
-		where := fmt.Sprintf("algorithm %v, output %d, cluster shape %dx%d", o.Algorithm, o.Output, o.Hosts, o.ProcsPerHost)
+		where := fmt.Sprintf("algorithm %v, output %v, cluster shape %dx%d", o.Algorithm, o.Output, o.Hosts, o.ProcsPerHost)
 		if o.TopK > 0 {
-			return nil, fmt.Errorf("%w: TopK requires the all-frequent local Eclat path (%s)", ErrInvalidTopK, where)
+			return fmt.Errorf("%w: TopK requires the all-frequent local Eclat path (%s)", ErrInvalidTopK, where)
 		}
-		return nil, fmt.Errorf("%w: MustContain requires the all-frequent local Eclat path (%s)", ErrInvalidMustContain, where)
+		return fmt.Errorf("%w: MustContain requires the all-frequent local Eclat path (%s)", ErrInvalidMustContain, where)
 	}
-	var must []itemset.Item
 	for _, it := range o.MustContain {
 		if it < 0 {
-			return nil, fmt.Errorf("%w: negative item %d", ErrInvalidMustContain, it)
+			return fmt.Errorf("%w: negative item %d", ErrInvalidMustContain, it)
 		}
-		must = append(must, itemset.Item(it))
 	}
-	return must, nil
+	return nil
 }
 
 // maxClusterProcs caps a simulated cluster at twice the paper's 8×4
@@ -521,6 +578,40 @@ func (o MineOptions) clusterConfig() ClusterConfig {
 		return *o.Cluster
 	}
 	return cluster.Default(max(o.Hosts, 1), max(o.ProcsPerHost, 1))
+}
+
+// Check validates the options against src and resolves the absolute
+// support threshold a mine of src would use, without mining. It is the
+// validation MineFrom runs, so options Check accepts are never refused by
+// MineFrom; the serving layer runs it at submission to turn bad jobs away
+// before they queue. The checks run in a fixed order — output and
+// algorithm, the TopK and MustContain path rules, MemoryBudget, the
+// cluster shape, support, Parallelism — and src.NumTransactions is read
+// only once all of them have passed, so options refused on their own
+// never touch the data.
+func (o MineOptions) Check(src Source) (minsup int, err error) {
+	if o.Output < OutputAll || o.Output > OutputClosed {
+		return 0, fmt.Errorf("repro: unknown output %d", int(o.Output))
+	}
+	if !o.localEclat() && (o.Algorithm < AlgoEclat || o.Algorithm > AlgoDHP) {
+		return 0, fmt.Errorf("%w: %v", ErrUnknownAlgorithm, o.Algorithm)
+	}
+	if err := o.checkQuery(); err != nil {
+		return 0, err
+	}
+	if o.MemoryBudget < 0 {
+		return 0, fmt.Errorf("%w: negative MemoryBudget %d", ErrInvalidMemoryBudget, o.MemoryBudget)
+	}
+	if err := o.CheckCluster(); err != nil {
+		return 0, err
+	}
+	if err := o.checkSupport(); err != nil {
+		return 0, err
+	}
+	if _, err := o.Workers(); err != nil {
+		return 0, err
+	}
+	return o.minSup(src.NumTransactions()), nil
 }
 
 // Metric names of the repro package (reprolint/metricname: obsv metric
@@ -639,32 +730,11 @@ func MineFrom(ctx context.Context, src Source, opts MineOptions) (*Result, *RunI
 	if err := ctx.Err(); err != nil {
 		return nil, nil, wrapCanceled(err)
 	}
-	policy, err := opts.policy()
+	minsup, err := opts.Check(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Query options validate before support resolution: a malformed TopK
-	// must surface as ErrInvalidTopK even when no support was given.
-	must, err := opts.query()
-	if err != nil {
-		return nil, nil, err
-	}
-	if opts.MemoryBudget < 0 {
-		return nil, nil, fmt.Errorf("%w: negative MemoryBudget %d", ErrInvalidMemoryBudget, opts.MemoryBudget)
-	}
-	if err := opts.CheckCluster(); err != nil {
-		return nil, nil, err
-	}
-	numTx := src.NumTransactions()
-	minsup, err := opts.MinSupN(numTx)
-	if err != nil {
-		return nil, nil, err
-	}
-	workers, err := opts.Workers()
-	if err != nil {
-		return nil, nil, err
-	}
-	in := eclat.VerticalInput{NumTransactions: numTx}
+	in := eclat.VerticalInput{NumTransactions: src.NumTransactions()}
 	vertical := false
 	if opts.localEclat() {
 		in.Items, vertical = src.VerticalSets(opts.Representation)
@@ -693,7 +763,11 @@ func MineFrom(ctx context.Context, src Source, opts MineOptions) (*Result, *RunI
 	}
 	var res *Result
 	if opts.localEclat() {
-		eopts := eclat.Options{Representation: opts.Representation, Policy: policy, Workers: workers,
+		var must []itemset.Item
+		for _, it := range opts.MustContain {
+			must = append(must, itemset.Item(it))
+		}
+		eopts := eclat.Options{Representation: opts.Representation, Policy: opts.policy(), Workers: opts.Parallelism,
 			TopK: opts.TopK, MustContain: must}
 		if vertical {
 			in.Residency = residency(src, opts.MemoryBudget)

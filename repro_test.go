@@ -213,6 +213,101 @@ func TestInvalidClusterRejected(t *testing.T) {
 	}
 }
 
+// TestCheck pins the one validation MineFrom and the serving layer share:
+// for every sentinel MineFrom returns for its options, Check returns the
+// same one, and neither reads the source to refuse options that are
+// unusable whatever the data. (ErrCanceled comes from the context, not
+// the options.) Accepted options resolve to the minsup MineFrom mines at.
+func TestCheck(t *testing.T) {
+	for _, tc := range []struct {
+		opts MineOptions
+		want error
+	}{
+		{MineOptions{}, ErrInvalidSupport},
+		{MineOptions{SupportPct: -1}, ErrInvalidSupport},
+		{MineOptions{SupportCount: -5}, ErrInvalidSupport},
+		{MineOptions{SupportPct: math.NaN()}, ErrInvalidSupport},
+		{MineOptions{SupportPct: 100.5, TopK: 5}, ErrInvalidSupport},
+		{MineOptions{SupportPct: 1, Algorithm: AlgoDHP + 1}, ErrUnknownAlgorithm},
+		{MineOptions{SupportPct: 1, Parallelism: -1}, ErrInvalidParallelism},
+		{MineOptions{TopK: -1}, ErrInvalidTopK},
+		{MineOptions{SupportPct: 1, TopK: 5, Output: OutputMaximal}, ErrInvalidTopK},
+		{MineOptions{SupportPct: 1, TopK: 5, Algorithm: AlgoApriori}, ErrInvalidTopK},
+		{MineOptions{SupportPct: 1, MustContain: []int{2, -1}}, ErrInvalidMustContain},
+		{MineOptions{SupportPct: 1, MustContain: []int{2}, Hosts: 2}, ErrInvalidMustContain},
+		{MineOptions{SupportPct: 1, MemoryBudget: -1}, ErrInvalidMemoryBudget},
+		{MineOptions{SupportPct: 1, Algorithm: AlgoCountDistribution, Hosts: 9, ProcsPerHost: 8}, ErrClusterTooLarge},
+		{MineOptions{SupportPct: 1, Cluster: &ClusterConfig{Hosts: 2}}, ErrInvalidCluster},
+	} {
+		if _, err := tc.opts.Check(refusingSource{t}); !errors.Is(err, tc.want) {
+			t.Fatalf("%+v: Check = %v, want %v", tc.opts, err, tc.want)
+		}
+		if _, _, err := MineFrom(context.Background(), refusingSource{t}, tc.opts); !errors.Is(err, tc.want) {
+			t.Fatalf("%+v: MineFrom = %v, want %v", tc.opts, err, tc.want)
+		}
+	}
+	if _, err := (MineOptions{SupportPct: 1, Output: OutputClosed + 1}).Check(refusingSource{t}); err == nil {
+		t.Fatal("Check accepted an unknown output")
+	}
+
+	d := smallDB(t)
+	for _, opts := range []MineOptions{{SupportPct: 0.75}, {SupportCount: 12, Output: OutputClosed}, {TopK: 10}} {
+		minsup, err := opts.Check(HorizontalSource(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, info, err := MineFrom(context.Background(), HorizontalSource(d), opts)
+		if err != nil || info.MinSup != minsup {
+			t.Fatalf("%+v: Check resolves minsup %d, MineFrom mined at %d (%v)", opts, minsup, info.MinSup, err)
+		}
+	}
+}
+
+// TestParseAlgorithm: the nine short names parse in any case, "" is
+// Eclat, and anything else is ErrUnknownAlgorithm.
+func TestParseAlgorithm(t *testing.T) {
+	for name, want := range map[string]Algorithm{
+		"eclat": AlgoEclat, "apriori": AlgoApriori, "countdist": AlgoCountDistribution,
+		"datadist": AlgoDataDistribution, "canddist": AlgoCandidateDistribution, "hybrid": AlgoEclatHybrid,
+		"partition": AlgoPartition, "sampling": AlgoSampling, "dhp": AlgoDHP,
+	} {
+		for _, s := range []string{name, strings.ToUpper(name), strings.ToUpper(name[:1]) + name[1:]} {
+			if got, err := ParseAlgorithm(s); err != nil || got != want {
+				t.Fatalf("ParseAlgorithm(%q) = %v, %v; want %v", s, got, err, want)
+			}
+		}
+	}
+	if got, err := ParseAlgorithm(""); err != nil || got != AlgoEclat {
+		t.Fatalf(`ParseAlgorithm("") = %v, %v; want Eclat`, got, err)
+	}
+	for _, s := range []string{"nope", "Eclat ", "count-dist", "CountDistribution"} {
+		if _, err := ParseAlgorithm(s); !errors.Is(err, ErrUnknownAlgorithm) {
+			t.Fatalf("ParseAlgorithm(%q) = %v, want ErrUnknownAlgorithm", s, err)
+		}
+	}
+}
+
+// TestParseOutput: every output round-trips through its name, in any
+// case, and "" is OutputAll.
+func TestParseOutput(t *testing.T) {
+	for _, o := range []Output{OutputAll, OutputMaximal, OutputClosed} {
+		for _, s := range []string{o.String(), strings.ToUpper(o.String())} {
+			if got, err := ParseOutput(s); err != nil || got != o {
+				t.Fatalf("ParseOutput(%q) = %v, %v; want %v", s, got, err, o)
+			}
+		}
+	}
+	if OutputAll.String() != "all" || OutputMaximal.String() != "maximal" || OutputClosed.String() != "closed" {
+		t.Fatalf("output names %v, %v, %v; want all, maximal, closed", OutputAll, OutputMaximal, OutputClosed)
+	}
+	if got, err := ParseOutput(""); err != nil || got != OutputAll {
+		t.Fatalf(`ParseOutput("") = %v, %v; want all`, got, err)
+	}
+	if _, err := ParseOutput("max"); err == nil {
+		t.Fatal(`ParseOutput("max") succeeded`)
+	}
+}
+
 func TestRulesEndToEnd(t *testing.T) {
 	d := smallDB(t)
 	res, _, err := Mine(context.Background(), d, MineOptions{SupportPct: 0.5})

@@ -56,10 +56,10 @@ type MineResult struct {
 	AllocsPerOp float64 `json:"allocsPerOp"`
 }
 
-// VariantResult is one BenchmarkMineVariants line: a non-all-frequent
+// PolicyResult is one BenchmarkMineVariants line: a non-all-frequent
 // engine policy (maximal, closed, topk100) at a given worker count —
 // the multicore the class-task engine opened for the variant miners.
-type VariantResult struct {
+type PolicyResult struct {
 	Variant string  `json:"variant"`
 	Workers int     `json:"workers"`
 	NsPerOp float64 `json:"nsPerOp"`
@@ -94,11 +94,11 @@ type Snapshot struct {
 	// family mined from item sets (VerticalDataset); Variants the
 	// engine's maximal/closed/top-k scaling rows; SequentialAlloc the
 	// arena ablation on the one-worker path.
-	Mine            []MineResult    `json:"mine"`
-	VerticalDataset string          `json:"verticalDataset"`
-	Vertical        []MineResult    `json:"vertical"`
-	Variants        []VariantResult `json:"variants"`
-	SequentialAlloc []AllocResult   `json:"sequentialAlloc"`
+	Mine            []MineResult   `json:"mine"`
+	VerticalDataset string         `json:"verticalDataset"`
+	Vertical        []MineResult   `json:"vertical"`
+	Variants        []PolicyResult `json:"variants"`
+	SequentialAlloc []AllocResult  `json:"sequentialAlloc"`
 }
 
 var (
@@ -129,7 +129,7 @@ func main() {
 	// bestMine is keyed by benchmark (ParallelLocal or VerticalLocal),
 	// representation and worker count.
 	bestMine := map[[3]string]MineResult{}
-	bestVariant := map[[2]string]VariantResult{}
+	bestVariant := map[[2]string]PolicyResult{}
 	bestAlloc := map[string]AllocResult{}
 	sc := bufio.NewScanner(bytes.NewReader(raw))
 	for sc.Scan() {
@@ -154,7 +154,7 @@ func main() {
 				continue
 			}
 			workers, _ := strconv.Atoi(m[2])
-			r := VariantResult{Variant: m[1], Workers: workers, NsPerOp: ns}
+			r := PolicyResult{Variant: m[1], Workers: workers, NsPerOp: ns}
 			r.BytesPerOp, r.AllocsPerOp = parseMem(m[4])
 			key := [2]string{r.Variant, m[2]}
 			if prev, ok := bestVariant[key]; !ok || r.NsPerOp < prev.NsPerOp {
