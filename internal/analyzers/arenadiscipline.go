@@ -12,13 +12,13 @@ import (
 // later out-of-order Release would resurrect freed sets.
 //
 // Tracked shape: a mark assigned to a single plain identifier
-// (`m := ar.Mark()`; both the exported tidlist.Arena spelling and the
-// unexported eclat wrapper `mark()`/`release()` count), matched against
-// `ar.Release(m)` calls on the same receiver chain with that identifier
-// as the argument. Marks consumed in any other position (composite
-// literals, call arguments, returns) are a wrapper's business and are
-// not tracked — except a mark discarded as a bare statement, which can
-// never be released and is always a finding.
+// (`m := ar.Mark()`; the exported tidlist.Arena and tidlist.Stack
+// spellings and the unexported eclat wrapper `mark()`/`release()` all
+// count), matched against `ar.Release(m)` calls on the same receiver
+// chain with that identifier as the argument. Marks consumed in any
+// other position (composite literals, call arguments, returns) are a
+// wrapper's business and are not tracked — except a mark discarded as a
+// bare statement, which can never be released and is always a finding.
 //
 // The LIFO check only looks at non-deferred Release statements: defers
 // execute in reverse registration order, which the statement CFG cannot

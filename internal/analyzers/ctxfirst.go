@@ -29,7 +29,7 @@ var deprecatedMiners = map[string]string{
 	"repro/internal/eclat.MineSequentialDiffsets": localEclat,
 	"repro/internal/eclat.MineClosedCHARM":        localEclat,
 	// One local core replaced the per-variant local entry points: the
-	// search is Options.Policy, the sequential driver Workers: 1.
+	// search is Options.Policy, one worker Workers: 1.
 	"repro/internal/eclat.MineSequential":             localEclat,
 	"repro/internal/eclat.MineSequentialOpts":         localEclat,
 	"repro/internal/eclat.MineMaximalOpts":            localEclat,

@@ -4,105 +4,40 @@ import (
 	"repro/internal/tidlist"
 )
 
-// memberChunkLen is the member capacity of one freshly allocated member
-// chunk (larger sub-classes get a dedicated chunk).
-const memberChunkLen = 1 << 10
-
 // arena is one worker's reusable mining scratch: tid-set clone storage
-// (tidlist.Arena) plus a matching stack allocator for the member slices
-// of the class recursion. Compute_Frequent's intermediate state has a
-// strict stack lifetime — the members of a sub-class die when the
-// recursion unwinds past it — so each i-iteration brackets its next-level
-// members and tid-set clones with mark/release and the steady state
-// allocates nothing per itemset.
-//
-// A nil *arena is valid and falls back to plain heap allocation (the
-// pre-arena behaviour, kept reachable for the allocation benchmarks).
+// (tidlist.Arena) plus a tidlist.Stack for the member slices of the
+// class recursion. Compute_Frequent's intermediate state has a strict
+// stack lifetime — the members of a sub-class die when the recursion
+// unwinds past it — so each i-iteration brackets its next-level members
+// and tid-set clones with mark/release and the steady state allocates
+// nothing per itemset.
 type arena struct {
 	sets    tidlist.Arena
-	members memberStack
+	members tidlist.Stack[member]
 }
 
 // arenaMark is a point-in-time position of an arena.
 type arenaMark struct {
 	sets    tidlist.ArenaMark
-	members chunkPos
+	members tidlist.StackMark
 }
 
 func (a *arena) mark() arenaMark {
-	if a == nil {
-		return arenaMark{}
-	}
-	return arenaMark{sets: a.sets.Mark(), members: a.members.mark()}
+	return arenaMark{sets: a.sets.Mark(), members: a.members.Mark()}
 }
 
+// release frees everything carved since m. Stale member values are left
+// in place (they are overwritten before any read, and everything they
+// reference is owned by the arena or by the emitted result anyway).
 func (a *arena) release(m arenaMark) {
-	if a == nil {
-		return
-	}
 	a.sets.Release(m.sets)
-	a.members.release(m.members)
+	a.members.Release(m.members)
 }
 
 // cloneSet copies a surviving intersection result out of kernel scratch
 // into storage that lives until the enclosing mark is released.
-func (a *arena) cloneSet(s tidlist.Set) tidlist.Set {
-	if a == nil {
-		return tidlist.CloneSet(s)
-	}
-	return a.sets.CloneSetInto(s)
-}
+func (a *arena) cloneSet(s tidlist.Set) tidlist.Set { return a.sets.CloneSetInto(s) }
 
 // nextMembers carves an empty member slice with capacity n — the exact
 // upper bound of a sub-class's next level.
-func (a *arena) nextMembers(n int) []member {
-	if a == nil {
-		return make([]member, 0, n)
-	}
-	return a.members.alloc(n)
-}
-
-// chunkPos addresses one allocation point inside a memberStack.
-type chunkPos struct {
-	chunk, off int
-}
-
-// memberStack is a chunked stack allocator for []member (the same
-// discipline as tidlist's arena chunks, specialized to eclat's member
-// type so the two packages stay decoupled).
-type memberStack struct {
-	chunks [][]member
-	ci     int
-	off    int
-}
-
-// alloc carves an empty slice with capacity exactly n.
-func (s *memberStack) alloc(n int) []member {
-	for {
-		if s.ci < len(s.chunks) {
-			c := s.chunks[s.ci]
-			if s.off+n <= len(c) {
-				out := c[s.off : s.off : s.off+n]
-				s.off += n
-				return out
-			}
-			s.ci++
-			s.off = 0
-			continue
-		}
-		size := memberChunkLen
-		if n > size {
-			size = n
-		}
-		s.chunks = append(s.chunks, make([]member, size))
-		s.ci = len(s.chunks) - 1
-		s.off = 0
-	}
-}
-
-func (s *memberStack) mark() chunkPos { return chunkPos{s.ci, s.off} }
-
-// release frees everything carved since p. Stale member values are left
-// in place (they are overwritten before any read, and everything they
-// reference is owned by the arena or by the emitted result anyway).
-func (s *memberStack) release(p chunkPos) { s.ci, s.off = p.chunk, p.off }
+func (a *arena) nextMembers(n int) []member { return a.members.Alloc(n)[:0] }

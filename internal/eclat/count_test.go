@@ -200,7 +200,7 @@ func expandClasses(d *db.Database, minsup int) ([]expandClass, *txRows) {
 	out := make([]expandClass, len(v.classes))
 	for ci := range v.classes {
 		sup, prefix := v.prefix(ci)
-		out[ci] = expandClass{members: v.sets.classMembers(&v.classes[ci], tidlist.ReprAuto, &st, nil), prefixSup: sup, prefix: prefix}
+		out[ci] = expandClass{members: v.sets.classMembers(&v.classes[ci], tidlist.ReprAuto, &st, &arena{}), prefixSup: sup, prefix: prefix}
 	}
 	return out, v.rows
 }
@@ -449,32 +449,22 @@ func schedulingFree(st Stats) Stats {
 }
 
 // TestCountedChoiceIndependentOfScheduling: the counted expansion's
-// choice and every work counter come out the same with the scratch arena
-// or the nil-arena heap fallback, at every worker count, and under a
-// residency budget as in-core, on dense data where classes are counted.
+// choice and every work counter come out the same at every worker count,
+// and under a residency budget as in-core, on dense data where classes
+// are counted.
 func TestCountedChoiceIndependentOfScheduling(t *testing.T) {
 	cfg := gen.T10I6(1000)
 	cfg.AvgTxLen, cfg.NumItems = 20, 200
 	d := gen.MustGenerate(cfg)
 	minsup := d.MinSupCount(1.25)
 	ctx := context.Background()
-	build := func(minsup int, opts Options, st *Stats) *vertical {
-		return buildVertical(ctx, d, minsup, st, opts)
-	}
 
-	_, want, err := mineLocal(ctx, minsup, Options{Workers: 1}, &arena{}, build)
+	_, want, err := MineParallelLocal(ctx, d, minsup, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.CountedClasses == 0 {
 		t.Fatal("no class counted on dense data")
-	}
-	_, heap, err := mineLocal(ctx, minsup, Options{Workers: 1}, nil, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if schedulingFree(heap) != schedulingFree(want) {
-		t.Fatalf("nil arena: %+v, arena: %+v", heap, want)
 	}
 	for _, workers := range []int{2, 4} {
 		_, st, err := MineParallelLocal(ctx, d, minsup, Options{Workers: workers})

@@ -109,10 +109,9 @@ type Options struct {
 	// Policy selects the search and its output (see Policy). The zero
 	// value is the paper's all-frequent search.
 	Policy Policy
-	// Workers is the number of real goroutines the local entry points
-	// mine with: 1 runs the sequential driver, N > 1 the work-stealing
-	// driver, and ≤ 0 means runtime.GOMAXPROCS(0). The simulated-cluster
-	// entry points ignore it.
+	// Workers is the number of real goroutines the local entry points'
+	// work-stealing driver mines with; ≤ 0 means runtime.GOMAXPROCS(0).
+	// The simulated-cluster entry points ignore it.
 	Workers int
 	// TopK, when > 0, mines the k highest-support itemsets instead of a
 	// fixed-threshold collection: the engine's support heap adaptively

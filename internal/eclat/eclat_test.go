@@ -189,6 +189,8 @@ func TestParallelMoreProcsThanTransactions(t *testing.T) {
 	}
 }
 
+// TestSequentialDriverCanceled checks the one-worker run: a mine on an
+// already-canceled context returns context.Canceled and no result.
 func TestSequentialDriverCanceled(t *testing.T) {
 	d := gen.MustGenerate(gen.T10I6(1500))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -199,34 +201,5 @@ func TestSequentialDriverCanceled(t *testing.T) {
 	}
 	if res != nil {
 		t.Fatal("canceled mine returned a result")
-	}
-}
-
-// TestSequentialArenaMatchesHeap pins the allocation ablation to the
-// real path: the one-worker core with its scratch arena and with the
-// nil-arena heap fallback mines the same bytes with the same counters
-// under every policy.
-func TestSequentialArenaMatchesHeap(t *testing.T) {
-	d := gen.MustGenerate(gen.T10I6(1500))
-	build := func(minsup int, opts Options, st *Stats) *vertical {
-		return buildVertical(context.Background(), d, minsup, st, opts)
-	}
-	for _, policy := range allPolicies {
-		opts := Options{Workers: 1, Policy: policy}
-		var got [2]*mining.Result
-		var st [2]Stats
-		for i, ar := range []*arena{{}, nil} {
-			var err error
-			got[i], st[i], err = mineLocal(context.Background(), 10, opts, ar, build)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !byteIdentical(got[0], got[1]) {
-			t.Fatalf("policy %d: arena and heap runs differ:\n%s", policy, mining.Diff(got[0], got[1]))
-		}
-		if st[0] != st[1] {
-			t.Fatalf("policy %d: arena stats %+v, heap stats %+v", policy, st[0], st[1])
-		}
 	}
 }

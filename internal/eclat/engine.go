@@ -26,9 +26,10 @@ var (
 	mTargetedSkipped = obsv.Default.Counter(mnTargetedSkipped, "equivalence classes skipped because their prefix cannot contain the targeted items")
 )
 
-// Emitter receives one frequent itemset with its exact support. The
-// engine owns delivery order: single-goroutine, deterministic (class-index
-// order under every worker count).
+// Emitter receives one frequent itemset with its exact support. Each
+// worker calls its own emitter on its own goroutine, in the order it
+// mines its classes; the final reduction's canonical sort makes the
+// output independent of that order.
 type Emitter func(itemset.Itemset, int)
 
 // supportHeap is the concurrent top-k pruning hook: a bounded min-heap of
@@ -155,11 +156,10 @@ func (w *worker) explore(ctx context.Context, members []member, prefixSup int, p
 	w.computeFrequent(ctx, members, prefixSup, prefix, emit) // PolicyAll, PolicyClosed
 }
 
-// engine is the class-task engine every entry point runs on: it owns
-// class iteration, emit filtering (targeted queries), top-k threshold
-// raising, per-class stats flushing, ctx checks, and — under
-// Workers > 1 — the work-stealing deques with the deterministic
-// class-index-order merge.
+// engine is the class-task engine both local entry points run on: it
+// owns class iteration on the work-stealing deques, emit filtering
+// (targeted queries), top-k threshold raising, per-class stats flushing
+// and ctx checks.
 type engine struct {
 	v    *vertical
 	th   *threshold
@@ -196,50 +196,6 @@ func (e *engine) wrapEmit(sink Emitter) Emitter {
 		}
 	}
 	return emit
-}
-
-// run mines every class of e.v on opts.Workers goroutines, appending the
-// emissions to e.v.res in class-index order (the sequential mining
-// order) regardless of worker count. ar is the sequential driver's
-// scratch arena (parallel workers own their own).
-func (e *engine) run(ctx context.Context, st *Stats, ar *arena) error {
-	if e.th.heap != nil {
-		// Seed the heap with the already-known L1/L2 supports so the
-		// effective threshold starts rising before the first class.
-		for _, f := range e.v.res.Itemsets {
-			e.th.heap.offer(f.Support)
-		}
-	}
-	if e.opts.Workers > 1 {
-		return e.runParallel(ctx, st)
-	}
-	return e.runSequential(ctx, st, ar)
-}
-
-// runSequential is the single-goroutine driver: mine class by class,
-// flushing the intersection counters to the metrics registry at class
-// granularity.
-func (e *engine) runSequential(ctx context.Context, st *Stats, ar *arena) error {
-	tr := obsv.TraceFrom(ctx)
-	sp := tr.Start("asynchronous")
-	w := &worker{st: st, opts: e.opts, th: e.th, ar: ar, cs: &countScratch{}, rows: e.v.rows}
-	emit := e.wrapEmit(e.v.res.Add)
-	for ci := range e.v.classes {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		before := *st
-		mark := ar.mark()
-		e.v.acquire(ci)
-		sup, prefix := e.v.prefix(ci)
-		w.explore(ctx, e.v.sets.classMembers(&e.v.classes[ci], e.opts.Representation, st, ar), sup, prefix, emit)
-		e.v.release(ci)
-		ar.release(mark)
-		flushStats(&before, st)
-		mClasses.Inc()
-	}
-	sp.End()
-	return ctx.Err()
 }
 
 // finish is a local run's final reduction (§5.4), traced as its own

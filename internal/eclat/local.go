@@ -15,17 +15,17 @@ import (
 	"repro/internal/obsv"
 )
 
-// Shared-memory parallel mining metrics. Steals are counted once per
-// event (cheap); per-worker busy time is observed once per worker at run
-// end. Classes go to eclat_classes_total, as on the sequential driver.
+// Local mining metrics. Steals are counted once per event (cheap);
+// per-worker busy time is observed once per worker at run end. Classes
+// go to eclat_classes_total.
 const (
 	mnSteals       = "eclat_steals_total"
 	mnWorkerBusyNS = "eclat_worker_busy_ns"
 )
 
 var (
-	mSteals       = obsv.Default.Counter(mnSteals, "work-stealing transfers between MineParallelLocal workers")
-	mWorkerBusyNS = obsv.Default.Histogram(mnWorkerBusyNS, "per-worker busy nanoseconds of MineParallelLocal runs",
+	mSteals       = obsv.Default.Counter(mnSteals, "work-stealing transfers between the workers of local mines")
+	mWorkerBusyNS = obsv.Default.Histogram(mnWorkerBusyNS, "per-worker busy nanoseconds of local mines",
 		[]int64{1_000_000, 10_000_000, 100_000_000, 1_000_000_000, 10_000_000_000})
 )
 
@@ -112,20 +112,19 @@ func (q *wsDeque) stealInto(dst *wsDeque, qi, dsti int) int {
 // goroutine; the top-level equivalence classes are then mined under
 // opts.Policy on opts.Workers goroutines.
 //
-// Above one worker the classes are dealt to per-worker deques by the
-// greedy C(s,2) weight schedule (section 5.2.1) and mined with work
-// stealing: an idle worker takes the back half of the queue of the
-// victim holding the most queued weight, so one skewed class cannot
-// serialize the run the way it can under the paper's static schedule.
-// The result is byte-identical at every worker count: each class is
-// mined single-threaded into its own slot, slots are concatenated in
-// class-index order (the sequential mining order), and the final
-// reduction is order-independent.
+// The classes are dealt to per-worker deques by the greedy C(s,2)
+// weight schedule (section 5.2.1) and mined with work stealing: an idle
+// worker takes the back half of the queue of the victim holding the
+// most queued weight, so one skewed class cannot serialize the run the
+// way it can under the paper's static schedule. The result is
+// byte-identical at every worker count: the classes partition the
+// itemset space, each class is mined single-threaded by one worker, and
+// the final reduction sorts the collection into its canonical order.
 //
 // On context cancellation every worker drains, the partial result is
 // discarded and ctx.Err() is returned; no goroutines outlive the call.
 func MineParallelLocal(ctx context.Context, d *db.Database, minsup int, opts Options) (*mining.Result, Stats, error) {
-	return mineLocal(ctx, minsup, opts, &arena{}, func(minsup int, opts Options, st *Stats) *vertical {
+	return mineLocal(ctx, minsup, opts, func(minsup int, opts Options, st *Stats) *vertical {
 		return buildVertical(ctx, d, minsup, st, opts)
 	})
 }
@@ -135,10 +134,9 @@ func MineParallelLocal(ctx context.Context, d *db.Database, minsup int, opts Opt
 // (≤ 0 means GOMAXPROCS), TopK and MustContain cleared for every policy
 // but PolicyAll, the only output contract their pruning is sound
 // against — then builds the run's vertical through build, mines every
-// class with the sequential driver at one worker (on scratch arena ar;
-// nil is the heap fallback the allocation ablation measures) or the
-// work-stealing driver above, and ends with the final reduction.
-func mineLocal(ctx context.Context, minsup int, opts Options, ar *arena, build func(minsup int, opts Options, st *Stats) *vertical) (*mining.Result, Stats, error) {
+// class with the work-stealing driver and ends with the final
+// reduction.
+func mineLocal(ctx context.Context, minsup int, opts Options, build func(minsup int, opts Options, st *Stats) *vertical) (*mining.Result, Stats, error) {
 	if minsup < 1 {
 		minsup = 1
 	}
@@ -154,23 +152,29 @@ func mineLocal(ctx context.Context, minsup int, opts Options, ar *arena, build f
 		return nil, st, err
 	}
 	eng := newEngine(v, minsup, opts)
-	if err := eng.run(ctx, &st, ar); err != nil {
+	if err := eng.run(ctx, &st); err != nil {
 		return nil, st, err
 	}
 	return eng.finish(ctx, &st), st, nil
 }
 
-// runParallel is the engine's work-stealing driver, shared by every
-// policy and entry point that mines with Workers > 1: deal the top-level
-// classes to per-worker deques, mine with stealing, then append the
-// per-class outputs to e.v.res in class-index order (the sequential
-// mining order), so the bytes match the sequential driver regardless of
-// which worker mined what. Worker counters are folded into st;
-// st.Steals is overwritten with the run's steal count.
-func (e *engine) runParallel(ctx context.Context, st *Stats) error {
+// run is the engine's one driver, for every policy, entry point and
+// worker count: deal the top-level classes to per-worker deques and mine
+// them with stealing, each worker appending its emissions to its own
+// slice. Worker 0's slice starts as e.v.res.Itemsets; the others are
+// appended to it once every worker has joined. Worker counters are
+// folded into st; st.Steals is overwritten with the run's steal count.
+func (e *engine) run(ctx context.Context, st *Stats) error {
+	v := e.v
+	if e.th.heap != nil {
+		// Seed the heap with the already-known L1/L2 supports so the
+		// effective threshold starts rising before the first class.
+		for _, f := range v.res.Itemsets {
+			e.th.heap.offer(f.Support)
+		}
+	}
 	tr := obsv.TraceFrom(ctx)
 	sp := tr.Start("asynchronous")
-	v := e.v
 	workers := e.opts.Workers
 
 	// Deal classes to deques with the greedy weighted schedule, then order
@@ -204,9 +208,10 @@ func (e *engine) runParallel(ctx context.Context, st *Stats) error {
 		}
 	}
 
-	// classOut[ci] receives class ci's itemsets; only the worker that
-	// popped ci writes the slot, so no lock is needed.
-	classOut := make([][]mining.FrequentItemset, len(v.classes))
+	// outs[w] receives worker w's itemsets once it stops mining; only
+	// worker w writes the slot, so no lock is needed.
+	outs := make([][]mining.FrequentItemset, workers)
+	outs[0] = v.res.Itemsets
 	workerStats := make([]Stats, workers)
 	var steals atomic.Int64
 
@@ -221,22 +226,18 @@ func (e *engine) runParallel(ctx context.Context, st *Stats) error {
 			wst := &workerStats[self]
 			var prev Stats
 			wk := &worker{st: wst, opts: e.opts, th: e.th, ar: &arena{}, cs: &countScratch{}, rows: v.rows}
-			var acc []mining.FrequentItemset
+			acc := outs[self]
 			emit := e.wrapEmit(func(set itemset.Itemset, sup int) {
 				acc = append(acc, mining.FrequentItemset{Set: set, Support: sup})
 			})
 
 			mine := func(t classTask) {
-				acc = acc[:0]
 				mark := wk.ar.mark()
 				v.acquire(t.ci)
 				sup, prefix := v.prefix(t.ci)
 				wk.explore(ctx, v.sets.classMembers(&v.classes[t.ci], e.opts.Representation, wst, wk.ar), sup, prefix, emit)
 				v.release(t.ci)
 				wk.ar.release(mark)
-				out := make([]mining.FrequentItemset, len(acc))
-				copy(out, acc)
-				classOut[t.ci] = out
 				flushStats(&prev, wst)
 				mClasses.Inc()
 			}
@@ -258,7 +259,7 @@ func (e *engine) runParallel(ctx context.Context, st *Stats) error {
 					}
 				}
 				if victim < 0 {
-					return // every deque empty: no class left unowned
+					break // every deque empty: no class left unowned
 				}
 				if n := deques[victim].stealInto(deques[self], victim, self); n > 0 {
 					steals.Add(1)
@@ -268,6 +269,7 @@ func (e *engine) runParallel(ctx context.Context, st *Stats) error {
 				// the transfer) just rescans; the loop terminates because
 				// the top-level class set is fixed and never grows.
 			}
+			outs[self] = acc
 		}(w)
 	}
 	wg.Wait()
@@ -280,7 +282,8 @@ func (e *engine) runParallel(ctx context.Context, st *Stats) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	for _, out := range classOut {
+	v.res.Itemsets = outs[0]
+	for _, out := range outs[1:] {
 		v.res.Itemsets = append(v.res.Itemsets, out...)
 	}
 	return nil

@@ -70,9 +70,8 @@ func BenchmarkMineVerticalLocal(b *testing.B) {
 }
 
 // BenchmarkMineVariants is the engine-scaling grid for the maximal and
-// closed policies at 1/2/4 workers (workers=1 is the sequential driver),
-// plus a top-k row showing what the adaptive threshold saves against
-// mining everything at the same floor.
+// closed policies at 1/2/4 workers, plus a top-k row showing what the
+// adaptive threshold saves against mining everything at the same floor.
 func BenchmarkMineVariants(b *testing.B) {
 	d := gen.MustGenerate(gen.T10I6(benchTx))
 	minsup := d.MinSupCount(0.25)
@@ -91,30 +90,4 @@ func BenchmarkMineVariants(b *testing.B) {
 		bench(fmt.Sprintf("variant=closed/workers=%d", workers), Options{Workers: workers, Policy: PolicyClosed})
 	}
 	bench("variant=topk100/workers=1", Options{Workers: 1, TopK: 100})
-}
-
-// BenchmarkMineSequentialAlloc measures the scratch arena's effect on the
-// one-worker recursion: arena=off is the pre-arena behaviour (every
-// sub-class member slice and surviving tid-set clone hits the heap),
-// arena=on the stack-disciplined reuse path every one-worker mine takes.
-func BenchmarkMineSequentialAlloc(b *testing.B) {
-	d := gen.MustGenerate(gen.T10I6(benchTx))
-	minsup := d.MinSupCount(0.25)
-	build := func(minsup int, opts Options, st *Stats) *vertical {
-		return buildVertical(context.Background(), d, minsup, st, opts)
-	}
-	for _, mode := range []string{"off", "on"} {
-		b.Run("arena="+mode, func(b *testing.B) {
-			var ar *arena
-			if mode == "on" {
-				ar = &arena{}
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := mineLocal(context.Background(), minsup, Options{Workers: 1}, ar, build); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -111,14 +111,16 @@ func TestParallelLocalCancellation(t *testing.T) {
 	d := gen.MustGenerate(gen.T10I6(2000))
 	minsup := d.MinSupCount(0.6)
 	before := runtime.NumGoroutine()
-	for _, n := range []int64{0, 1, 10, 100, 1000} {
-		ctx := &cancelAfterN{Context: context.Background(), n: n}
-		res, _, err := MineParallelLocal(ctx, d, minsup, Options{Workers: 4})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("n=%d: err = %v, want context.Canceled", n, err)
-		}
-		if res != nil {
-			t.Fatalf("n=%d: canceled run returned a result", n)
+	for _, workers := range []int{1, 4} {
+		for _, n := range []int64{0, 1, 10, 100, 1000} {
+			ctx := &cancelAfterN{Context: context.Background(), n: n}
+			res, _, err := MineParallelLocal(ctx, d, minsup, Options{Workers: workers})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d n=%d: err = %v, want context.Canceled", workers, n, err)
+			}
+			if res != nil {
+				t.Fatalf("workers=%d n=%d: canceled run returned a result", workers, n)
+			}
 		}
 	}
 	// Workers join before MineParallelLocal returns, so the goroutine
@@ -140,8 +142,12 @@ func TestParallelLocalAlreadyCanceled(t *testing.T) {
 	d := gen.MustGenerate(gen.T5I2(200))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := MineParallelLocal(ctx, d, 2, Options{Workers: 2}); !errors.Is(err, context.Canceled) {
+	res, _, err := MineParallelLocal(ctx, d, 2, Options{Workers: 2})
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res != nil {
+		t.Fatal("canceled mine returned a result")
 	}
 }
 

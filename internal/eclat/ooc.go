@@ -159,7 +159,7 @@ func spanSchedule(classes []eqclass.Class, workers int) [][]int {
 func (v *vertical) budgeted() bool { return v.sets.res != nil }
 
 // acquire/release bracket one class mine with the residency layer; they
-// are no-ops for unbudgeted runs so the engine drivers call them
+// are no-ops for unbudgeted runs so the engine's driver calls them
 // unconditionally.
 func (v *vertical) acquire(ci int) {
 	if v.budgeted() {

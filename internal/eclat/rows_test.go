@@ -135,7 +135,7 @@ func TestCountRowsMatchesTransposition(t *testing.T) {
 					if r == tidlist.ReprAuto {
 						depth = 3
 					}
-					checked += checkRowsCount(t, cs, v.rows, v.sets.classMembers(&v.classes[k], r, &st, nil), prefix, minsup, depth)
+					checked += checkRowsCount(t, cs, v.rows, v.sets.classMembers(&v.classes[k], r, &st, &arena{}), prefix, minsup, depth)
 				}
 			}
 			if checked <= 4*len(v.classes) {
@@ -243,7 +243,7 @@ func TestRowsFedMineMatchesTransposition(t *testing.T) {
 	top := 0
 	for ci := range v.classes {
 		sup, _ := v.prefix(ci)
-		if planClass(v.sets.classMembers(&v.classes[ci], tidlist.ReprAuto, &st, nil), sup).counted {
+		if planClass(v.sets.classMembers(&v.classes[ci], tidlist.ReprAuto, &st, &arena{}), sup).counted {
 			top++
 		}
 	}
@@ -346,7 +346,7 @@ func FuzzCountRows(f *testing.F) {
 		classes := make([]expandClass, len(v.classes))
 		for ci := range v.classes {
 			sup, prefix := v.prefix(ci)
-			classes[ci] = expandClass{members: v.sets.classMembers(&v.classes[ci], tidlist.ReprAuto, &st, nil), prefixSup: sup, prefix: prefix}
+			classes[ci] = expandClass{members: v.sets.classMembers(&v.classes[ci], tidlist.ReprAuto, &st, &arena{}), prefixSup: sup, prefix: prefix}
 			checkRowsCount(t, cs, v.rows, classes[ci].members, prefix, minsup, 4)
 		}
 

@@ -70,7 +70,7 @@ func MineVerticalLocal(ctx context.Context, in VerticalInput, minsup int, opts O
 		// cut-short mine never leaves segments accounted resident.
 		defer in.Residency.Done()
 	}
-	return mineLocal(ctx, minsup, opts, &arena{}, func(minsup int, opts Options, st *Stats) *vertical {
+	return mineLocal(ctx, minsup, opts, func(minsup int, opts Options, st *Stats) *vertical {
 		return buildVerticalFromSets(ctx, in, minsup, st, opts)
 	})
 }

@@ -43,6 +43,7 @@ func FuzzJobRequest(f *testing.F) {
 	}
 	for _, body := range []string{
 		`{"dataset":"tiny","supportCount":3,"topK":5,"mustContain":[1,2]}`,
+		`{"dataset":"tiny","supportCount":3,"mustContain":[1099511627776]}`,
 		`{"dataset":"tiny","algorithm":"countdist","hosts":2,"procs":2,"supportCount":4}`,
 		`{"dataset":"tiny","supportPct":5,"parallelism":2,"memoryBudget":1024}`,
 		`{"dataset":"tiny","topK":3}`,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"repro"
@@ -152,6 +153,9 @@ func TestServiceRejectsBadQueryOptions(t *testing.T) {
 		{"topk on apriori", Request{Dataset: "t10", MineOptions: repro.MineOptions{Algorithm: repro.AlgoApriori, SupportPct: 2.0, TopK: 5}}, repro.ErrInvalidTopK},
 		{"topk on cluster", Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportPct: 2.0, Hosts: 2, ProcsPerHost: 2, TopK: 5}}, repro.ErrInvalidTopK},
 		{"negative item", Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportPct: 2.0, MustContain: []int{2, -1}}}, repro.ErrInvalidMustContain},
+		{"item 2^31", Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportPct: 2.0, MustContain: []int{math.MaxInt32 + 1}}}, repro.ErrInvalidMustContain},
+		{"item 2^32+1", Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportPct: 2.0, MustContain: []int{1<<32 + 1}}}, repro.ErrInvalidMustContain},
+		{"item 2^40", Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportPct: 2.0, MustContain: []int{1 << 40}}}, repro.ErrInvalidMustContain},
 		{"contains on closed", Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportPct: 2.0, Output: repro.OutputClosed, MustContain: []int{2}}}, repro.ErrInvalidMustContain},
 	} {
 		_, err := s.Submit(tc.req)

@@ -246,7 +246,7 @@ func TestResidencyBudgetEvictsOldest(t *testing.T) {
 		t.Fatal("NewResidency = nil")
 	}
 	// One single-item class per stored item: acquiring them one after
-	// another (holding each, as the sequential driver does) must keep
+	// another (holding each, as a one-worker mine does) must keep
 	// residency near the budget by evicting the previous class's idle
 	// segments.
 	var classes [][]int

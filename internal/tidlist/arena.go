@@ -4,36 +4,37 @@ import (
 	"repro/internal/itemset"
 )
 
-// A chunk stack's first chunk holds arenaFirstChunkElems elements and
-// each later one twice its predecessor's, up to arenaChunkElems, so an
-// arena that mines a few small classes stays a few KiB while a deep
-// recursion still carves from large chunks. A single request larger than
-// the next chunk gets a dedicated chunk of exactly the requested size.
+// A Stack's first chunk holds arenaFirstChunkElems elements and each
+// later one twice its predecessor's, up to arenaChunkElems, so an arena
+// that mines a few small classes stays a few KiB while a deep recursion
+// still carves from large chunks. A single request larger than the next
+// chunk gets a dedicated chunk of exactly the requested size.
 const (
 	arenaFirstChunkElems = 1 << 6
 	arenaChunkElems      = 1 << 14
 )
 
-// chunkPos addresses one allocation point inside a chunk stack.
-type chunkPos struct {
+// StackMark addresses one allocation point inside a Stack.
+type StackMark struct {
 	chunk, off int
 }
 
-// chunkStack is a stack allocator over fixed chunks: carve slices off the
-// current chunk, remember a position with mark, and free everything
-// carved since with release. Chunks are retained across releases, so a
-// steady-state mining recursion stops allocating entirely. Carved slices
-// are full-capacity (three-index) sub-slices, so appending beyond a
-// carve's length can never bleed into a neighbour.
-type chunkStack[T any] struct {
+// Stack is a stack allocator over fixed chunks: carve slices off the
+// current chunk with Alloc, remember a position with Mark, and free
+// everything carved since with Release. Chunks are retained across
+// releases, so a steady-state mining recursion stops allocating
+// entirely. Carved slices are full-capacity (three-index) sub-slices, so
+// appending beyond a carve's capacity can never bleed into a neighbour.
+// The zero value is an empty stack.
+type Stack[T any] struct {
 	chunks [][]T
 	ci     int // current chunk index
 	off    int // next free element in chunks[ci]
 }
 
-// alloc carves a slice of length n (capacity exactly n). The contents
+// Alloc carves a slice of length n (capacity exactly n). The contents
 // are stale from earlier carves — callers overwrite every element.
-func (s *chunkStack[T]) alloc(n int) []T {
+func (s *Stack[T]) Alloc(n int) []T {
 	for {
 		if s.ci < len(s.chunks) {
 			c := s.chunks[s.ci]
@@ -59,67 +60,57 @@ func (s *chunkStack[T]) alloc(n int) []T {
 	}
 }
 
-func (s *chunkStack[T]) mark() chunkPos { return chunkPos{s.ci, s.off} }
+// Mark records the current allocation point.
+func (s *Stack[T]) Mark() StackMark { return StackMark{s.ci, s.off} }
 
-func (s *chunkStack[T]) release(p chunkPos) { s.ci, s.off = p.chunk, p.off }
+// Release frees every carve made since m was taken; those slices must no
+// longer be referenced.
+func (s *Stack[T]) Release(m StackMark) { s.ci, s.off = m.chunk, m.off }
 
 // Arena is a stack allocator for tid-set clones. The Eclat recursion's
 // member tid-sets live exactly as long as the sub-class they belong to —
 // a strict LIFO lifetime — so the mining loop brackets each sub-class
 // with Mark/Release and clones survivors with CloneSetInto, reducing the
 // per-itemset allocation cost of the recursion to a pointer bump.
-//
-// A nil *Arena is valid and falls back to plain heap clones, so callers
-// can thread one arena through shared code without branching.
 type Arena struct {
-	tids  chunkStack[itemset.TID]
-	words chunkStack[uint64]
-	sets  chunkStack[Bitset]
+	tids  Stack[itemset.TID]
+	words Stack[uint64]
+	sets  Stack[Bitset]
 }
 
 // ArenaMark is a point-in-time position of an Arena (see Mark/Release).
 type ArenaMark struct {
-	tids, words, sets chunkPos
+	tids, words, sets StackMark
 }
 
 // Mark records the current allocation point.
 func (a *Arena) Mark() ArenaMark {
-	if a == nil {
-		return ArenaMark{}
-	}
-	return ArenaMark{tids: a.tids.mark(), words: a.words.mark(), sets: a.sets.mark()}
+	return ArenaMark{tids: a.tids.Mark(), words: a.words.Mark(), sets: a.sets.Mark()}
 }
 
 // Release frees every allocation made since m was taken. The freed
 // storage is reused by subsequent allocations; slices carved after m must
 // no longer be referenced.
 func (a *Arena) Release(m ArenaMark) {
-	if a == nil {
-		return
-	}
-	a.tids.release(m.tids)
-	a.words.release(m.words)
-	a.sets.release(m.sets)
+	a.tids.Release(m.tids)
+	a.words.Release(m.words)
+	a.sets.Release(m.sets)
 }
 
 // CloneSetInto copies s into arena-backed storage under the same
 // representation, like CloneSet but without per-clone heap allocations.
-// The clone is valid until the enclosing Mark is Released. A nil arena
-// degrades to CloneSet.
+// The clone is valid until the enclosing Mark is Released.
 func (a *Arena) CloneSetInto(s Set) Set {
-	if a == nil {
-		return CloneSet(s)
-	}
 	switch v := s.(type) {
 	case List:
-		dst := a.tids.alloc(len(v))
+		dst := a.tids.Alloc(len(v))
 		copy(dst, v)
 		return List(dst)
 	case *Bitset:
-		b := &a.sets.alloc(1)[0]
+		b := &a.sets.Alloc(1)[0]
 		b.base = v.base
 		b.count = v.count
-		b.words = a.words.alloc(len(v.words))
+		b.words = a.words.Alloc(len(v.words))
 		copy(b.words, v.words)
 		return b
 	default:

@@ -48,10 +48,10 @@ func TestArenaFirstChunksSmall(t *testing.T) {
 // arenaChunkElems, that an oversized carve gets a chunk of its own, and
 // that released chunks are reused rather than reallocated.
 func TestArenaChunksGrowToFullSize(t *testing.T) {
-	var s chunkStack[uint64]
-	m := s.mark()
+	var s Stack[uint64]
+	m := s.Mark()
 	for i := 0; i < 2*arenaChunkElems; i++ {
-		s.alloc(1)
+		s.Alloc(1)
 	}
 	sizes := make([]int, len(s.chunks))
 	for i, c := range s.chunks {
@@ -69,12 +69,12 @@ func TestArenaChunksGrowToFullSize(t *testing.T) {
 		t.Fatalf("chunk sizes %v never reach %d", sizes, arenaChunkElems)
 	}
 	n := len(s.chunks)
-	if big := s.alloc(3 * arenaChunkElems); len(big) != 3*arenaChunkElems || len(s.chunks[len(s.chunks)-1]) != 3*arenaChunkElems {
+	if big := s.Alloc(3 * arenaChunkElems); len(big) != 3*arenaChunkElems || len(s.chunks[len(s.chunks)-1]) != 3*arenaChunkElems {
 		t.Fatal("an oversized carve should get a dedicated chunk of exactly its size")
 	}
-	s.release(m)
+	s.Release(m)
 	for i := 0; i < 2*arenaChunkElems; i++ {
-		s.alloc(1)
+		s.Alloc(1)
 	}
 	if len(s.chunks) != n+1 {
 		t.Fatalf("re-carving after release grew the stack from %d to %d chunks", n+1, len(s.chunks))

@@ -83,9 +83,10 @@ var (
 	// value, or a top-k request to an algorithm without the adaptive
 	// support heap (anything but the local Eclat path).
 	ErrInvalidTopK = errors.New("repro: invalid topk")
-	// ErrInvalidMustContain reports an unusable MineOptions.MustContain: a
-	// negative item id, or a targeted query to an algorithm without
-	// class-level targeting (anything but the local Eclat path).
+	// ErrInvalidMustContain reports an unusable MineOptions.MustContain: an
+	// item id outside [0, math.MaxInt32], or a targeted query to an
+	// algorithm without class-level targeting (anything but the local
+	// Eclat path).
 	ErrInvalidMustContain = errors.New("repro: invalid must-contain")
 	// ErrInvalidMemoryBudget reports a negative MineOptions.MemoryBudget.
 	ErrInvalidMemoryBudget = errors.New("repro: invalid memory budget")
@@ -352,15 +353,14 @@ type MineOptions struct {
 	// equivalence class. Non-Eclat algorithms ignore it.
 	Representation Representation
 	// Parallelism is the number of OS-level worker goroutines the real
-	// (non-simulated) Eclat path mines with: 0 means runtime.GOMAXPROCS(0),
-	// 1 runs the sequential driver, N > 1 the work-stealing driver with N
-	// workers. Negative values are rejected with
-	// ErrInvalidParallelism. Simulated-cluster algorithms and the other
-	// sequential algorithms ignore it (their parallelism is the cluster
-	// shape). Because the work-stealing output is byte-identical to the
-	// sequential driver's, Parallelism never changes the result — only how
-	// fast it arrives — and is therefore not part of the serving layer's
-	// cache identity.
+	// (non-simulated) Eclat path mines with on its work-stealing driver:
+	// 0 means runtime.GOMAXPROCS(0), N > 0 means N workers. Negative
+	// values are rejected with ErrInvalidParallelism. Simulated-cluster
+	// algorithms and the other sequential algorithms ignore it (their
+	// parallelism is the cluster shape). Because the output is
+	// byte-identical at every worker count, Parallelism never changes the
+	// result — only how fast it arrives — and is therefore not part of the
+	// serving layer's cache identity.
 	Parallelism int
 	// TopK, when > 0, mines only the k highest-support itemsets (support
 	// ties broken lexicographically): the engine's support heap raises the
@@ -374,10 +374,10 @@ type MineOptions struct {
 	// MustContain, when non-empty, restricts the mine to itemsets
 	// containing every listed item — a targeted query, equal to
 	// post-filtering a full mine but skipping the equivalence classes that
-	// cannot produce qualifying sets. Negative items are rejected with
-	// ErrInvalidMustContain, as is combining it with anything but the
-	// local Eclat path with OutputAll. Composes with TopK (the k best
-	// among qualifying sets).
+	// cannot produce qualifying sets. Items outside [0, math.MaxInt32]
+	// are rejected with ErrInvalidMustContain, as is combining it with
+	// anything but the local Eclat path with OutputAll. Composes with
+	// TopK (the k best among qualifying sets).
 	MustContain []int
 	// MemoryBudget, when > 0, caps the bytes of stored bundle data a
 	// store-backed vertical mine of any Output keeps resident at once: when the
@@ -539,8 +539,8 @@ func (o MineOptions) checkQuery() error {
 		return fmt.Errorf("%w: MustContain requires the all-frequent local Eclat path (%s)", ErrInvalidMustContain, where)
 	}
 	for _, it := range o.MustContain {
-		if it < 0 {
-			return fmt.Errorf("%w: negative item %d", ErrInvalidMustContain, it)
+		if it < 0 || it > math.MaxInt32 {
+			return fmt.Errorf("%w: item %d outside [0, %d]", ErrInvalidMustContain, it, math.MaxInt32)
 		}
 	}
 	return nil

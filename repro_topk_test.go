@@ -3,6 +3,7 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -110,6 +111,9 @@ func TestMineQueryOptionValidation(t *testing.T) {
 		{"topk on apriori", repro.MineOptions{Algorithm: repro.AlgoApriori, SupportPct: 2.0, TopK: 5}, repro.ErrInvalidTopK},
 		{"topk on cluster eclat", repro.MineOptions{SupportPct: 2.0, Hosts: 2, ProcsPerHost: 2, TopK: 5}, repro.ErrInvalidTopK},
 		{"negative contains item", repro.MineOptions{SupportPct: 2.0, MustContain: []int{1, -2}}, repro.ErrInvalidMustContain},
+		{"contains item 2^31", repro.MineOptions{SupportPct: 2.0, MustContain: []int{math.MaxInt32 + 1}}, repro.ErrInvalidMustContain},
+		{"contains item 2^32+1", repro.MineOptions{SupportPct: 2.0, MustContain: []int{1<<32 + 1}}, repro.ErrInvalidMustContain},
+		{"contains item 2^40", repro.MineOptions{SupportPct: 2.0, MustContain: []int{1 << 40}}, repro.ErrInvalidMustContain},
 		{"contains on partition", repro.MineOptions{Algorithm: repro.AlgoPartition, SupportPct: 2.0, MustContain: []int{1}}, repro.ErrInvalidMustContain},
 	} {
 		if _, _, err := repro.Mine(context.Background(), d, tc.opts); !errors.Is(err, tc.want) {

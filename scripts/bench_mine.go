@@ -1,15 +1,14 @@
 //go:build ignore
 
 // Command bench_mine runs the end-to-end mining benchmarks
-// (BenchmarkMineParallelLocal, BenchmarkMineVerticalLocal,
-// BenchmarkMineVariants, and BenchmarkMineSequentialAlloc in
-// internal/eclat) and writes the results to BENCH_mine.json at the
-// repository root — the committed perf trajectory for the real hot path:
-// MineParallelLocal at 1/2/4/8 workers (1 is the sequential driver) under
+// (BenchmarkMineParallelLocal, BenchmarkMineVerticalLocal and
+// BenchmarkMineVariants in internal/eclat) and writes the results to
+// BENCH_mine.json at the repository root — the committed perf trajectory
+// for the real hot path: MineParallelLocal at 1/2/4/8 workers under
 // sparse, bitset, roaring and auto; MineVerticalLocal on the dense family
-// under the same four at 1/2 workers; the maximal/closed policies at
-// 1/2/4 workers plus a top-k row; and the scratch arena's allocs/op
-// effect on the one-worker recursion.
+// under the same four at 1/2 workers; and the maximal/closed policies at
+// 1/2/4 workers plus a top-k row. Every row, workers=1 included, runs the
+// one work-stealing driver.
 //
 // The snapshot records NumCPU and GOMAXPROCS of the machine that
 // produced it: speedup columns are only meaningful relative to the
@@ -45,7 +44,7 @@ type MineResult struct {
 	// Repr is the tid-set representation (sparse, bitset, roaring or
 	// auto).
 	Repr string `json:"repr"`
-	// Workers is the worker-goroutine count (1 is the sequential driver).
+	// Workers is the worker-goroutine count.
 	Workers int `json:"workers"`
 	// NsPerOp is the fastest observed time for one full mine.
 	NsPerOp float64 `json:"nsPerOp"`
@@ -69,15 +68,6 @@ type PolicyResult struct {
 	AllocsPerOp float64 `json:"allocsPerOp"`
 }
 
-// AllocResult is one BenchmarkMineSequentialAlloc line: the one-worker
-// miner with the scratch arena disabled vs enabled.
-type AllocResult struct {
-	Arena       string  `json:"arena"` // "off" or "on"
-	NsPerOp     float64 `json:"nsPerOp"`
-	BytesPerOp  float64 `json:"bytesPerOp"`
-	AllocsPerOp float64 `json:"allocsPerOp"`
-}
-
 // Snapshot is the BENCH_mine.json document.
 type Snapshot struct {
 	GoVersion string `json:"goVersion"`
@@ -92,13 +82,11 @@ type Snapshot struct {
 	Benchtime  string `json:"benchtime"`
 	// Mine is the worker-scaling grid; Vertical the dense store-backed
 	// family mined from item sets (VerticalDataset); Variants the
-	// engine's maximal/closed/top-k scaling rows; SequentialAlloc the
-	// arena ablation on the one-worker path.
+	// engine's maximal/closed/top-k scaling rows.
 	Mine            []MineResult   `json:"mine"`
 	VerticalDataset string         `json:"verticalDataset"`
 	Vertical        []MineResult   `json:"vertical"`
 	Variants        []PolicyResult `json:"variants"`
-	SequentialAlloc []AllocResult  `json:"sequentialAlloc"`
 }
 
 var (
@@ -106,8 +94,6 @@ var (
 		`^BenchmarkMine(ParallelLocal|VerticalLocal)/repr=([a-z]+)/workers=(\d+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
 	variantLine = regexp.MustCompile(
 		`^BenchmarkMineVariants/variant=([a-z0-9]+)/workers=(\d+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
-	allocLine = regexp.MustCompile(
-		`^BenchmarkMineSequentialAlloc/arena=(on|off)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
 )
 
 func main() {
@@ -117,7 +103,7 @@ func main() {
 	flag.Parse()
 
 	cmd := exec.Command("go", "test", "./internal/eclat",
-		"-run", "^$", "-bench", "^BenchmarkMine(ParallelLocal|VerticalLocal|Variants|SequentialAlloc)$",
+		"-run", "^$", "-bench", "^BenchmarkMine(ParallelLocal|VerticalLocal|Variants)$",
 		"-benchtime", *benchtime, "-count", strconv.Itoa(*count))
 	cmd.Stderr = os.Stderr
 	raw, err := cmd.Output()
@@ -130,7 +116,6 @@ func main() {
 	// representation and worker count.
 	bestMine := map[[3]string]MineResult{}
 	bestVariant := map[[2]string]PolicyResult{}
-	bestAlloc := map[string]AllocResult{}
 	sc := bufio.NewScanner(bytes.NewReader(raw))
 	for sc.Scan() {
 		line := sc.Text()
@@ -160,21 +145,9 @@ func main() {
 			if prev, ok := bestVariant[key]; !ok || r.NsPerOp < prev.NsPerOp {
 				bestVariant[key] = r
 			}
-			continue
-		}
-		if m := allocLine.FindStringSubmatch(line); m != nil {
-			ns, err := strconv.ParseFloat(m[2], 64)
-			if err != nil {
-				continue
-			}
-			r := AllocResult{Arena: m[1], NsPerOp: ns}
-			r.BytesPerOp, r.AllocsPerOp = parseMem(m[3])
-			if prev, ok := bestAlloc[r.Arena]; !ok || r.NsPerOp < prev.NsPerOp {
-				bestAlloc[r.Arena] = r
-			}
 		}
 	}
-	if len(bestMine) == 0 || len(bestVariant) == 0 || len(bestAlloc) == 0 {
+	if len(bestMine) == 0 || len(bestVariant) == 0 {
 		fmt.Fprintln(os.Stderr, "bench_mine: no benchmark lines parsed")
 		os.Exit(1)
 	}
@@ -238,10 +211,6 @@ func main() {
 		}
 		return a.Workers < b.Workers
 	})
-	for _, arena := range []string{"off", "on"} {
-		snap.SequentialAlloc = append(snap.SequentialAlloc, bestAlloc[arena])
-	}
-
 	buf, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench_mine:", err)
@@ -252,8 +221,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bench_mine:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("wrote %s (%d mine, %d vertical, %d variant, %d alloc results)\n",
-		*out, len(snap.Mine), len(snap.Vertical), len(snap.Variants), len(snap.SequentialAlloc))
+	fmt.Printf("wrote %s (%d mine, %d vertical, %d variant results)\n",
+		*out, len(snap.Mine), len(snap.Vertical), len(snap.Variants))
 }
 
 // parseMem extracts "N B/op" and "M allocs/op" from the tail of a
