@@ -1,10 +1,11 @@
 // Package core marks the paper's primary contribution within this
 // repository's layout. The implementation lives in the sibling packages:
 //
-//   - internal/eclat — the Eclat algorithm itself (sequential, the
-//     four-phase parallel form of section 5, the hybrid host-level
-//     variant, the external-memory transformation, and the MaxEclat /
-//     closed / diffset extensions);
+//   - internal/eclat — the Eclat algorithm itself (the four-phase
+//     parallel form of section 5 on the simulated cluster, whose
+//     program also runs the hybrid host-level variant, the local
+//     work-stealing engine, the external-memory transformation, and
+//     the MaxEclat / closed / diffset extensions);
 //   - internal/eqclass — the equivalence-class itemset clustering and
 //     greedy scheduling of sections 4.1 and 5.2.1;
 //   - internal/tidlist — the vertical tid-list layout and

@@ -1,9 +1,10 @@
 // Package eclat implements the paper's contribution: the Eclat
 // (Equivalence CLass Transformation) algorithm for frequent-itemset
-// mining, in a sequential form and in the four-phase parallel form of
-// section 5 (initialization, transformation, asynchronous, final
-// reduction), plus the hybrid host-level parallelization sketched as
-// future work in section 8.1.
+// mining, in the four-phase parallel form of section 5 (initialization,
+// transformation, asynchronous, final reduction) on the simulated
+// cluster — one SPMD program, which also runs the hybrid host-level
+// parallelization sketched as future work in section 8.1 — and in the
+// local work-stealing engine over the same class search.
 //
 // The mining core is Compute_Frequent (figure 3): within an equivalence
 // class, every pair of member tid-lists is intersected (short-circuited
@@ -156,7 +157,7 @@ const (
 	PolicyClosed
 )
 
-// Stats counts the work of a local (sequential or shared-memory-parallel)
+// Stats counts the work of a local (shared-memory, any worker count)
 // run; the simulated parallel forms report through cluster.Report
 // instead. The lookahead counters stay zero outside PolicyMaximal.
 type Stats struct {
@@ -254,7 +255,7 @@ type member struct {
 // w.ar is the worker's scratch arena; a sub-class's member slice and
 // surviving tid-set clones are carved from it and released when the
 // recursion unwinds past the sub-class, so the steady state allocates
-// nothing per itemset (it may be nil: heap allocation, same results).
+// nothing per itemset.
 //
 // w.th is the pruning bound, re-read once per sub-class so a top-k run
 // picks up threshold raises promptly; with a fixed threshold the reads

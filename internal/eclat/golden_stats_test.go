@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"hash/fnv"
 	"os"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -21,7 +22,9 @@ import (
 // produced by the PR 7 tree). Equality here is the refactor's contract:
 // same kernel call sequence, same short-circuits, same diffset
 // transitions, same bytes out — at every representation and worker
-// count, not just on one lucky configuration.
+// count, not just on one lucky configuration. The simulated-cluster
+// forms' elapsed and per-phase virtual times are pinned too, so a
+// refactor of their SPMD program that moves a single charge shows.
 
 type kernelGold struct {
 	SparseOps      int64 `json:"sparseOps"`
@@ -48,13 +51,21 @@ type maxGold struct {
 	Candidates    int   `json:"candidates"`
 }
 
+// virtualGold pins one simulated-cluster run's virtual time: the elapsed
+// time and every phase's maximum per-processor time.
+type virtualGold struct {
+	ElapsedNS   int64            `json:"elapsedNS"`
+	PhaseMaxima map[string]int64 `json:"phaseMaxima"`
+}
+
 type goldenEntry struct {
-	Dataset      string            `json:"dataset"`
-	MinSup       int               `json:"minsup"`
-	Repr         string            `json:"repr"`
-	Stats        statsGold         `json:"stats"`
-	Max          maxGold           `json:"max"`
-	Fingerprints map[string]uint64 `json:"fingerprints"`
+	Dataset      string                 `json:"dataset"`
+	MinSup       int                    `json:"minsup"`
+	Repr         string                 `json:"repr"`
+	Stats        statsGold              `json:"stats"`
+	Max          maxGold                `json:"max"`
+	Fingerprints map[string]uint64      `json:"fingerprints"`
+	Virtual      map[string]virtualGold `json:"virtual"`
 }
 
 func loadGoldens(t *testing.T) []goldenEntry {
@@ -140,6 +151,14 @@ func statsOf(st *Stats) statsGold {
 	}
 }
 
+func virtualOf(rep cluster.Report) virtualGold {
+	v := virtualGold{ElapsedNS: rep.ElapsedNS, PhaseMaxima: map[string]int64{}}
+	for _, pm := range rep.PhaseMaxima() {
+		v.PhaseMaxima[pm.Name] = pm.NS
+	}
+	return v
+}
+
 func parseGoldenRepr(t *testing.T, s string) tidlist.Repr {
 	t.Helper()
 	r, err := tidlist.ParseRepr(s)
@@ -204,15 +223,20 @@ func TestEngineMatchesGoldenStats(t *testing.T) {
 				}
 			}
 
+			forms := []struct {
+				key  string
+				mine func(*cluster.Cluster, *db.Database, int, Options) (*mining.Result, cluster.Report)
+			}{{"cluster", MineOpts}, {"hybrid", MineHybridOpts}}
 			for _, policy := range allPolicies {
 				opts := Options{Representation: repr, Policy: policy}
-				clres, _ := MineOpts(cluster.New(cluster.Default(2, 2)), d, e.MinSup, opts)
-				if fp := goldenFingerprint(clres); fp != e.Fingerprints["cluster"] {
-					t.Errorf("cluster %s fingerprint = %#x, want %#x", goldenKeys[policy], fp, e.Fingerprints["cluster"])
-				}
-				hyres, _ := MineHybridOpts(cluster.New(cluster.Default(2, 2)), d, e.MinSup, opts)
-				if fp := goldenFingerprint(hyres); fp != e.Fingerprints["hybrid"] {
-					t.Errorf("hybrid %s fingerprint = %#x, want %#x", goldenKeys[policy], fp, e.Fingerprints["hybrid"])
+				for _, f := range forms {
+					res, rep := f.mine(cluster.New(cluster.Default(2, 2)), d, e.MinSup, opts)
+					if fp := goldenFingerprint(res); fp != e.Fingerprints[f.key] {
+						t.Errorf("%s %s fingerprint = %#x, want %#x", f.key, goldenKeys[policy], fp, e.Fingerprints[f.key])
+					}
+					if got := virtualOf(rep); !reflect.DeepEqual(got, e.Virtual[f.key]) {
+						t.Errorf("%s %s virtual time = %+v, want %+v", f.key, goldenKeys[policy], got, e.Virtual[f.key])
+					}
 				}
 			}
 		})

@@ -1,7 +1,9 @@
 package eclat
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -71,5 +73,42 @@ func TestHybridDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %d vs %d", a, b)
+	}
+}
+
+// TestHybridOneProcPerHostIsFlat: the hybrid groups each host's
+// processors, so with one processor per host every group is one
+// processor and the hybrid must be flat Eclat, byte for byte and charge
+// for charge, under every encoding, with ample and with tight host
+// memory, and with either transformation.
+func TestHybridOneProcPerHostIsFlat(t *testing.T) {
+	d := gen.MustGenerate(gen.T10I6(1200))
+	minsup := d.MinSupCount(1.0)
+	write := func(res *mining.Result) []byte {
+		var buf bytes.Buffer
+		if err := mining.Write(&buf, res); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, hosts := range []int{1, 2, 4} {
+		for _, mem := range []int64{256 << 20, 64 << 10} {
+			for _, r := range allReprs {
+				for _, ext := range []bool{false, true} {
+					cfg := cluster.Default(hosts, 1)
+					cfg.HostMemBytes = mem
+					opts := Options{Representation: r, ExternalTransform: ext}
+					flat, flatRep := MineOpts(cluster.New(cfg), d, minsup, opts)
+					hyb, hybRep := MineHybridOpts(cluster.New(cfg), d, minsup, opts)
+					if !bytes.Equal(write(hyb), write(flat)) {
+						t.Errorf("H=%d mem=%d %s external=%v: hybrid result differs from flat", hosts, mem, r, ext)
+					}
+					if !reflect.DeepEqual(hybRep, flatRep) {
+						t.Errorf("H=%d mem=%d %s external=%v: hybrid report differs from flat: elapsed %d vs %d virtual ns",
+							hosts, mem, r, ext, hybRep.ElapsedNS, flatRep.ElapsedNS)
+					}
+				}
+			}
+		}
 	}
 }

@@ -282,9 +282,20 @@ func (e *engine) run(ctx context.Context, st *Stats) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	v.res.Itemsets = outs[0]
-	for _, out := range outs[1:] {
-		v.res.Itemsets = append(v.res.Itemsets, out...)
+	// Merge into one exactly sized slice: worker 0's when it has the
+	// room, else one allocation of the total.
+	n := 0
+	for _, out := range outs {
+		n += len(out)
 	}
+	merged := outs[0]
+	if cap(merged) < n {
+		merged = make([]mining.FrequentItemset, len(outs[0]), n)
+		copy(merged, outs[0])
+	}
+	for _, out := range outs[1:] {
+		merged = append(merged, out...)
+	}
+	v.res.Itemsets = merged
 	return nil
 }

@@ -84,8 +84,8 @@ func computeMaximal(ctx context.Context, members []member, th *threshold, st *St
 // filterMaximal removes every candidate subsumed by another candidate,
 // returning the true maximal sets (deduplicated). The outcome is
 // independent of the candidate order (it sorts cands in place first),
-// which is what makes the parallel and cluster maximal miners
-// byte-identical to the sequential one.
+// which is what makes the maximal output byte-identical at every worker
+// count.
 func filterMaximal(cands []mining.FrequentItemset) []mining.FrequentItemset {
 	// Sort by size descending so keepers accumulate largest-first, and
 	// dedupe identical sets.

@@ -3,12 +3,13 @@
 // Command golden_stats regenerates internal/eclat/testdata/golden_stats.json,
 // the frozen work-counter profile of the class-task engine on the seed
 // datasets: every engine policy mined on one worker, plus the two
-// simulated-cluster forms. The committed file was captured from the
-// pre-engine variants and the equivalence suite asserts the engine
-// reproduces it exactly at every policy, representation and worker
-// count — regenerate only when a counter change is intentional and
-// understood, never to paper over a divergence. CI regenerates it and
-// compares the bytes against the committed copy.
+// simulated-cluster forms' output fingerprints and virtual times. The
+// committed file was captured from the pre-engine variants and the
+// equivalence suite asserts the engine reproduces it exactly at every
+// policy, representation and worker count — regenerate only when a
+// counter or virtual-time change is intentional and understood, never
+// to paper over a divergence. CI regenerates it and diffs it against
+// the committed copy.
 //
 // Usage (from the repository root):
 //
@@ -60,19 +61,28 @@ type MaxGold struct {
 	Candidates    int   `json:"candidates"`
 }
 
+// VirtualGold freezes one simulated-cluster run's virtual time: the
+// elapsed time and every phase's maximum per-processor time
+// (cluster.Report.PhaseMaxima), in nanoseconds.
+type VirtualGold struct {
+	ElapsedNS   int64            `json:"elapsedNS"`
+	PhaseMaxima map[string]int64 `json:"phaseMaxima"`
+}
+
 // Entry is the golden record of one (dataset, minsup, representation)
 // cell across the two stat-bearing variants, plus an output
 // fingerprint per mining variant (FNV-64a over the canonical sorted
 // itemset/support stream — byte-identity across the refactor is asserted
 // against these, not just against a same-binary re-run). Cluster
-// fingerprints are taken on a 2×2 simulated cluster.
+// fingerprints and virtual times are taken on a 2×2 simulated cluster.
 type Entry struct {
-	Dataset      string            `json:"dataset"`
-	MinSup       int               `json:"minsup"`
-	Repr         string            `json:"repr"`
-	Stats        StatsGold         `json:"stats"`
-	Max          MaxGold           `json:"max"`
-	Fingerprints map[string]uint64 `json:"fingerprints"`
+	Dataset      string                 `json:"dataset"`
+	MinSup       int                    `json:"minsup"`
+	Repr         string                 `json:"repr"`
+	Stats        StatsGold              `json:"stats"`
+	Max          MaxGold                `json:"max"`
+	Fingerprints map[string]uint64      `json:"fingerprints"`
+	Virtual      map[string]VirtualGold `json:"virtual"`
 }
 
 // fingerprint hashes a canonical (sorted) result stream.
@@ -118,6 +128,15 @@ func statsGold(st eclat.Stats) StatsGold {
 	}
 }
 
+// virtualGold freezes a cluster report's virtual-time figures.
+func virtualGold(rep cluster.Report) VirtualGold {
+	v := VirtualGold{ElapsedNS: rep.ElapsedNS, PhaseMaxima: map[string]int64{}}
+	for _, pm := range rep.PhaseMaxima() {
+		v.PhaseMaxima[pm.Name] = pm.NS
+	}
+	return v
+}
+
 func main() {
 	out := flag.String("o", "internal/eclat/testdata/golden_stats.json", "output path")
 	flag.Parse()
@@ -144,7 +163,8 @@ func main() {
 	var entries []Entry
 	for _, d := range datasets {
 		for _, repr := range reprs {
-			e := Entry{Dataset: d.name, MinSup: d.minsup, Repr: repr.String(), Fingerprints: map[string]uint64{}}
+			e := Entry{Dataset: d.name, MinSup: d.minsup, Repr: repr.String(),
+				Fingerprints: map[string]uint64{}, Virtual: map[string]VirtualGold{}}
 			mine := func(key string, policy eclat.Policy) eclat.Stats {
 				res, st, err := eclat.MineParallelLocal(context.Background(), d.d, d.minsup,
 					eclat.Options{Representation: repr, Workers: 1, Policy: policy})
@@ -167,10 +187,12 @@ func main() {
 			mine("closed", eclat.PolicyClosed)
 
 			opts := eclat.Options{Representation: repr}
-			clRes, _ := eclat.MineOpts(cluster.New(cluster.Default(2, 2)), d.d, d.minsup, opts)
+			clRes, clRep := eclat.MineOpts(cluster.New(cluster.Default(2, 2)), d.d, d.minsup, opts)
 			e.Fingerprints["cluster"] = fingerprint(clRes)
-			hyRes, _ := eclat.MineHybridOpts(cluster.New(cluster.Default(2, 2)), d.d, d.minsup, opts)
+			e.Virtual["cluster"] = virtualGold(clRep)
+			hyRes, hyRep := eclat.MineHybridOpts(cluster.New(cluster.Default(2, 2)), d.d, d.minsup, opts)
 			e.Fingerprints["hybrid"] = fingerprint(hyRes)
+			e.Virtual["hybrid"] = virtualGold(hyRep)
 
 			entries = append(entries, e)
 		}
