@@ -73,33 +73,25 @@ func run(args []string, stdout io.Writer) error {
 	if *top < 1 {
 		return fmt.Errorf("-top must be positive, got %d", *top)
 	}
-	if *support < 0 {
-		return fmt.Errorf("-support must not be negative, got %v", *support)
-	}
 	if *format != "" && *format != "binary" && *format != "fimi" {
 		return fmt.Errorf("unknown format %q (want binary or fimi)", *format)
 	}
 	if *genTx < 0 {
 		return fmt.Errorf("-gen must not be negative, got %d", *genTx)
 	}
-	if *parallel < 0 {
-		return fmt.Errorf("-parallel must not be negative, got %d", *parallel)
-	}
-	if *topk < 0 {
-		return fmt.Errorf("-topk must not be negative, got %d", *topk)
-	}
-	if *memBudget < 0 {
-		return fmt.Errorf("-memory-budget must not be negative, got %d", *memBudget)
-	}
 	mustContain, err := parseContains(*contains)
 	if err != nil {
 		return err
 	}
 
+	// The mining input is a repro.Source either way: -load serves the
+	// stored dataset (vertical views over the mapping for every output,
+	// horizontal decoded only if an algorithm scans it), everything else
+	// wraps the in-memory database. MineFrom picks the path, so no
+	// branching on input shape or output.
 	var (
-		d      *repro.Database
-		stored *store.Dataset
-		numTx  int
+		d   *repro.Database
+		src repro.Source
 	)
 	if *loadPath != "" {
 		if *dbPath != "" || *genTx > 0 {
@@ -108,30 +100,19 @@ func run(args []string, stdout io.Writer) error {
 		if *savePath != "" {
 			return fmt.Errorf("-save with -load is redundant: the dataset is already stored")
 		}
-		if stored, err = store.OpenDataset(*loadPath); err != nil {
+		stored, err := store.OpenDataset(*loadPath)
+		if err != nil {
 			return err
 		}
 		defer stored.Close()
-		numTx = stored.Meta().Transactions
+		src = stored
 	} else {
 		if d, err = loadDatabase(*dbPath, *format, *genTx); err != nil {
 			return err
 		}
-		numTx = d.Len()
+		src = repro.HorizontalSource(d)
 	}
-
-	if *savePath != "" {
-		source := *dbPath
-		if source == "" {
-			source = fmt.Sprintf("generated T10.I6 n=%d", *genTx)
-		}
-		name := strings.TrimSuffix(filepath.Base(*savePath), ".ds")
-		meta := store.DatasetMeta(name, source, d)
-		if err := store.CreateDataset(*savePath, meta, d, store.VerticalLists(d)); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "saved dataset %s (%d transactions) to %s\n", name, numTx, *savePath)
-	}
+	numTx := src.NumTransactions()
 
 	algo, err := repro.ParseAlgorithm(*algoName)
 	if err != nil {
@@ -153,7 +134,6 @@ func run(args []string, stdout io.Writer) error {
 		output, kind = repro.OutputClosed, "closed frequent"
 	}
 
-	start := time.Now()
 	opts := repro.MineOptions{
 		Algorithm:      algo,
 		Output:         output,
@@ -166,19 +146,27 @@ func run(args []string, stdout io.Writer) error {
 		MustContain:    mustContain,
 		MemoryBudget:   *memBudget,
 	}
+	// The library's one validation runs before -save writes anything.
+	if _, err := opts.Check(src); err != nil {
+		return err
+	}
+
+	if *savePath != "" {
+		source := *dbPath
+		if source == "" {
+			source = fmt.Sprintf("generated T10.I6 n=%d", *genTx)
+		}
+		name := strings.TrimSuffix(filepath.Base(*savePath), ".ds")
+		meta := store.DatasetMeta(name, source, d)
+		if err := store.CreateDataset(*savePath, meta, d, store.VerticalLists(d)); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "saved dataset %s (%d transactions) to %s\n", name, numTx, *savePath)
+	}
+
+	start := time.Now()
 	tr := obsv.NewTrace()
 	ctx := obsv.WithTrace(context.Background(), tr)
-	// The mining input is a repro.Source either way: -load serves the
-	// stored dataset (vertical views over the mapping for every output,
-	// horizontal decoded only if an algorithm scans it), everything else
-	// wraps the in-memory database. MineFrom picks the path, so no
-	// branching on input shape or output.
-	var src repro.Source
-	if stored != nil {
-		src = stored
-	} else {
-		src = repro.HorizontalSource(d)
-	}
 	res, info, err := repro.MineFrom(ctx, src, opts)
 	if err != nil {
 		return err

@@ -183,7 +183,7 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 		{[]string{"-db", path, "-format", "fimi", "-hosts", "-3"}, "-hosts"},
 		{[]string{"-db", path, "-format", "fimi", "-procs", "0"}, "-procs"},
 		{[]string{"-db", path, "-format", "fimi", "-top", "0"}, "-top"},
-		{[]string{"-db", path, "-format", "fimi", "-support", "-0.5"}, "-support"},
+		{[]string{"-db", path, "-format", "fimi", "-support", "-0.5"}, "invalid support"},
 		{[]string{"-db", path, "-format", "fimi", "-support", "Inf"}, "invalid support"},
 		{[]string{"-db", path, "-format", "fimi", "-support", "1e300"}, "invalid support"},
 		{[]string{"-db", path, "-format", "fimi", "-support", "NaN"}, "invalid support"},
@@ -198,6 +198,28 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("run(%v) error %q does not mention %s", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestRunSaveRefusesInvalidOptions: options the library refuses stop
+// the run before -save writes a dataset directory.
+func TestRunSaveRefusesInvalidOptions(t *testing.T) {
+	path := writeFIMI(t, "1 2\n1 2\n")
+	for _, extra := range [][]string{
+		{"-support", "NaN"},
+		{"-parallel", "-1"},
+		{"-topk", "-2"},
+		{"-memory-budget", "-1"},
+	} {
+		dsPath := filepath.Join(t.TempDir(), "x.ds")
+		var out bytes.Buffer
+		args := append([]string{"-db", path, "-format", "fimi", "-save", dsPath}, extra...)
+		if err := run(args, &out); err == nil {
+			t.Fatalf("run(%v) succeeded", args)
+		}
+		if _, err := os.Stat(dsPath); !os.IsNotExist(err) {
+			t.Fatalf("run(%v) wrote %s before refusing its options (stat: %v)", args, dsPath, err)
 		}
 	}
 }

@@ -17,11 +17,11 @@ var datasetViewMethods = map[string]bool{
 // MmapAlias enforces the aliasing contract of the persistent store
 // (DESIGN.md §9): tid-sets handed out by store.Dataset are views over a
 // shared, possibly memory-mapped buffer. They may be kernel operands —
-// IntersectSets*/DiffSets read their a/b arguments, IntersectKSetsSC
-// reads its whole slice — but never the scratch/destination parameter,
-// and never the target of copy or append, because writing through a
-// view corrupts the mapping for every other reader (and faults outright
-// on a read-only mapping).
+// IntersectSets and IntersectSetsSC read their a/b arguments,
+// IntersectKSetsSC reads its whole slice — but never the
+// scratch/destination parameter, and never the target of copy or
+// append, because writing through a view corrupts the mapping for every
+// other reader (and faults outright on a read-only mapping).
 //
 // The tracking is a per-function forward scan: identifiers assigned
 // from store.OpenDataset (or declared as *store.Dataset parameters) are

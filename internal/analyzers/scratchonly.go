@@ -11,7 +11,6 @@ const tidlistPath = "repro/internal/tidlist"
 var kernelFuncs = map[string]bool{
 	"IntersectSets":   true,
 	"IntersectSetsSC": true,
-	"DiffSets":        true,
 }
 
 // ScratchOnly enforces the partial-prefix contract of the short-circuit
@@ -229,8 +228,7 @@ func firstEscapingUse(pass *Pass, f *File, root ast.Node, name string, skip ast.
 			// Scratch position of a kernel call is the one legal way to
 			// consume a possibly-aborted set.
 			if isTidlistCall(pass, f, parent, "IntersectSets") ||
-				isTidlistCall(pass, f, parent, "IntersectSetsSC") ||
-				isTidlistCall(pass, f, parent, "DiffSets") {
+				isTidlistCall(pass, f, parent, "IntersectSetsSC") {
 				if len(parent.Args) > 0 && parent.Args[0] == ast.Expr(id) {
 					return
 				}

@@ -32,8 +32,9 @@ func computeFrequent(ar *arena, members []member) {
 	}
 }
 
-// diffTransition mirrors the deferred form of eclat.go. Clean.
-func diffTransition(ar *arena, members []member) {
+// deferredRelease releases its mark in a defer, which runs on every
+// path to the exit. Clean.
+func deferredRelease(ar *arena, members []member) {
 	m := ar.mark()
 	defer ar.release(m)
 	for _, mem := range members {

@@ -33,11 +33,11 @@ func viewAsScratch(dir string, ks *tidlist.KernelStats) {
 	tidlist.IntersectSets(sets[0], sets[1], sets[2], ks) // want `mmap-backed store view used as the scratch argument of tidlist\.IntersectSets;`
 }
 
-// aliasAsScratch: taint follows aliases and elements into DiffSets.
+// aliasAsScratch: taint follows aliases and elements into IntersectSets.
 func aliasAsScratch(ds *store.Dataset, ks *tidlist.KernelStats) {
 	vs := ds.VerticalSets(nil)
 	alias := vs
-	tidlist.DiffSets(alias[2], vs[0], vs[1], ks) // want `mmap-backed store view used as the scratch argument of tidlist\.DiffSets;`
+	tidlist.IntersectSets(alias[2], vs[0], vs[1], ks) // want `mmap-backed store view used as the scratch argument of tidlist\.IntersectSets;`
 }
 
 // copyIntoView writes the shared mapping through a decoded view.
@@ -57,5 +57,5 @@ func appendToView(ds *store.Dataset) {
 func scratchSuppressed(ds *store.Dataset, ks *tidlist.KernelStats) {
 	sets := ds.Sets(nil)
 	//reprolint:ignore mmapalias fixture exercises suppression of the scratch rule
-	tidlist.DiffSets(sets[0], sets[1], sets[2], ks)
+	tidlist.IntersectSets(sets[0], sets[1], sets[2], ks)
 }

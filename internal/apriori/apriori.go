@@ -114,17 +114,9 @@ func prunable(cand itemset.Itemset, inPrev map[string]bool) bool {
 	return false
 }
 
-// CountPartition runs one counting pass of tree over a database partition
-// and returns the operation count.
-func CountPartition(tree *hashtree.Tree, part *db.Database) (ops int64) {
-	for _, tx := range part.Transactions {
-		ops += int64(tree.CountTransaction(tx.TID, tx.Items))
-	}
-	return ops
-}
-
-// CountPartitionInto is CountPartition recording into an external count
-// state, so concurrent simulated processors can share one read-only tree.
+// CountPartitionInto runs one counting pass of tree over a database
+// partition into st and returns the operation count. The tree is only
+// read, so concurrent simulated processors can share it.
 func CountPartitionInto(tree *hashtree.Tree, st *hashtree.CountState, part *db.Database) (ops int64) {
 	for _, tx := range part.Transactions {
 		ops += int64(tree.CountTransactionInto(st, tx.TID, tx.Items))
@@ -197,12 +189,13 @@ func Mine(ctx context.Context, d *db.Database, minsup int) (*mining.Result, Stat
 		}
 		st.Scans++
 		mScans.Inc()
-		ops := CountPartition(tree, d)
+		cs := tree.NewCountState()
+		ops := CountPartitionInto(tree, cs, d)
 		st.CountOps += ops
 		mCountOps.Add(ops)
 		prev = prev[:0]
-		for _, c := range tree.Frequent(minsup) {
-			res.Add(c.Set, c.Count)
+		for _, c := range tree.Frequent(cs, minsup) {
+			res.Add(c.Set, int(cs.Counts[c.Index()]))
 			prev = append(prev, c.Set)
 		}
 		sp.End()

@@ -191,13 +191,14 @@ func MineOpts(cl *cluster.Cluster, d *db.Database, minsup int, opts Options) (*m
 				break
 			}
 			p.ChargeScan(replica.SizeBytes(), p.HostProcs())
-			ops := apriori.CountPartition(tree, replica)
+			cs := tree.NewCountState()
+			ops := apriori.CountPartitionInto(tree, cs, replica)
 			factor := p.PageFactor(int64(p.HostProcs()) * (tree.SizeBytes() + replica.SizeBytes()))
 			p.ChargeOps(cluster.OpHashTree, ops*factor)
 			mine = mine[:0]
 			var bcastBytes int64
-			for _, c := range tree.Frequent(minsup) {
-				local.Add(c.Set, c.Count)
+			for _, c := range tree.Frequent(cs, minsup) {
+				local.Add(c.Set, int(cs.Counts[c.Index()]))
 				mine = append(mine, c.Set)
 				bcastBytes += 4 * int64(k+1)
 			}

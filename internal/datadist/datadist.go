@@ -104,13 +104,14 @@ func Mine(cl *cluster.Cluster, d *db.Database, minsup int) (*mining.Result, clus
 			// from disk, every remote partition over the interconnect.
 			var ops int64
 			var remoteBytes int64
+			cs := mine.NewCountState()
 			for q := 0; q < t; q++ {
 				if q == p.ID() {
 					p.ChargeScan(part.SizeBytes(), p.HostProcs())
 				} else {
 					remoteBytes += parts[q].SizeBytes()
 				}
-				ops += apriori.CountPartition(mine, parts[q])
+				ops += apriori.CountPartitionInto(mine, cs, parts[q])
 			}
 			p.ChargeNet(t-1, remoteBytes)
 			factor := p.PageFactor(int64(p.HostProcs()) * mine.SizeBytes())
@@ -120,8 +121,8 @@ func Mine(cl *cluster.Cluster, d *db.Database, minsup int) (*mining.Result, clus
 			// the global L(k) since shares are disjoint and counts global.
 			var local []frequentSet
 			var localBytes int64
-			for _, c := range mine.Frequent(minsup) {
-				local = append(local, frequentSet{set: c.Set, count: c.Count})
+			for _, c := range mine.Frequent(cs, minsup) {
+				local = append(local, frequentSet{set: c.Set, count: int(cs.Counts[c.Index()])})
 				localBytes += 4 * int64(k+1)
 			}
 			gathered := cluster.Gather(p, local, localBytes)

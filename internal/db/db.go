@@ -209,24 +209,33 @@ func (d *Database) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
+// DecodeHeader reads the 12-byte header Encode writes and returns the
+// database's item and transaction counts, reading nothing past it.
+func DecodeHeader(r io.Reader) (numItems, numTx int, err error) {
+	var hdr [12]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, fmt.Errorf("db: reading header: %w", err)
+	}
+	if binary.LittleEndian.Uint32(hdr[0:]) != magic {
+		return 0, 0, errors.New("db: bad magic; not an encoded database")
+	}
+	return int(binary.LittleEndian.Uint32(hdr[4:])), int(binary.LittleEndian.Uint32(hdr[8:])), nil
+}
+
 // Decode reads a database previously written by Encode.
 func Decode(r io.Reader) (*Database, error) {
 	br := bufio.NewReader(r)
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("db: reading header: %w", err)
+	numItems, numTx, err := DecodeHeader(br)
+	if err != nil {
+		return nil, err
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != magic {
-		return nil, errors.New("db: bad magic; not an encoded database")
-	}
-	numTx := binary.LittleEndian.Uint32(hdr[8:])
 	// The header's count is untrusted: reserve room for at most 65,536
 	// transactions up front and let appends grow the rest.
-	b := NewBuilder(int(binary.LittleEndian.Uint32(hdr[4:])), int(min(numTx, 1<<16)))
+	b := NewBuilder(numItems, min(numTx, 1<<16))
 	var buf [8]byte
 	var raw []byte
 	var items []itemset.Item
-	for i := uint32(0); i < numTx; i++ {
+	for i := 0; i < numTx; i++ {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return nil, fmt.Errorf("db: reading transaction %d: %w", i, err)
 		}

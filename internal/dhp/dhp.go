@@ -98,9 +98,10 @@ func Mine(d *db.Database, minsup int, opts Options) (*mining.Result, Stats) {
 	var prev []itemset.Itemset
 	if tree.Len() > 0 {
 		st.Scans++
-		apriori.CountPartition(tree, d)
-		for _, c := range tree.Frequent(minsup) {
-			res.Add(c.Set, c.Count)
+		cs := tree.NewCountState()
+		apriori.CountPartitionInto(tree, cs, d)
+		for _, c := range tree.Frequent(cs, minsup) {
+			res.Add(c.Set, int(cs.Counts[c.Index()]))
 			prev = append(prev, c.Set)
 		}
 	}
@@ -112,10 +113,11 @@ func Mine(d *db.Database, minsup int, opts Options) (*mining.Result, Stats) {
 			break
 		}
 		st.Scans++
-		apriori.CountPartition(tk, d)
+		cs := tk.NewCountState()
+		apriori.CountPartitionInto(tk, cs, d)
 		prev = prev[:0]
-		for _, c := range tk.Frequent(minsup) {
-			res.Add(c.Set, c.Count)
+		for _, c := range tk.Frequent(cs, minsup) {
+			res.Add(c.Set, int(cs.Counts[c.Index()]))
 			prev = append(prev, c.Set)
 		}
 	}

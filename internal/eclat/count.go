@@ -27,14 +27,12 @@ const (
 )
 
 // classPlan is what computeFrequent reads off a class before expanding
-// it: the class's TID window (the diffset gate's density denominator
-// and the count's row index), the members' support total (which the
-// diffset gate counts down), the units the count's price weighs, the
-// priced cost of each expansion, and which one the price chose.
+// it: the class's TID window (the count's row index), the units the
+// count's price weighs, the priced cost of each expansion, and which one
+// the price chose.
 type classPlan struct {
 	lo              itemset.TID
 	span            int
-	sup             int
 	units           countUnits
 	joinNS, countNS float64
 	counted         bool
@@ -72,7 +70,6 @@ func planClass(members []member, prefixSup int) classPlan {
 	maxSup := 0
 	for _, m := range members {
 		sup := m.tids.Support()
-		p.sup += sup
 		maxSup = max(maxSup, sup)
 		p.units.tids += float64(sup)
 		sumSq += float64(sup) * float64(sup)
@@ -278,9 +275,9 @@ func grow(buf []int32, n int) []int32 {
 // with its counted support, and only the survivors of a sub-class with
 // two or more members are intersected — without the short circuit,
 // since the count already proved them frequent — to seed the next
-// level. Emission order, threshold reads, cancellation checks
-// and the diffset gate are computeFrequent's, so the output and every
-// top-k raise match the joined expansion.
+// level. Emission order, threshold reads and cancellation checks are
+// computeFrequent's, so the output and every top-k raise match the
+// joined expansion.
 func (w *worker) countExpand(ctx context.Context, members []member, prefix tidlist.Set, p classPlan, emit Emitter) {
 	st, ar, cs := w.st, w.ar, w.cs
 	s := len(members)
@@ -294,18 +291,12 @@ func (w *worker) countExpand(ctx context.Context, members []member, prefix tidli
 	defer func() { cs.cells = cs.cells[:base] }()
 	st.CountedClasses++
 	st.CountOps += incs
-	gate := newDiffsetGate(p)
 	var scratch tidlist.Set
 	for i := 0; i < s-1; i++ {
 		if ctx.Err() != nil {
 			return
 		}
 		minsup := w.th.current()
-		if gate.wins(members, i) {
-			st.DiffsetClasses++
-			diffTransition(ctx, members, i, w.th, st, ar, emit)
-			continue
-		}
 		// Re-sliced every iteration: a nested count may have moved
 		// cs.cells, copying this triangle along.
 		off := base + cellBase(i, s)

@@ -40,7 +40,6 @@ const (
 	mnIntersectOps   = "eclat_intersect_ops_total"
 	mnTidlistBytes   = "eclat_tidlist_bytes_total"
 	mnClasses        = "eclat_classes_total"
-	mnDiffsetsUsed   = "eclat_diffset_classes_total"
 	mnCountedClasses = "eclat_counted_classes_total"
 	mnCountOps       = "eclat_count_ops_total"
 )
@@ -51,7 +50,6 @@ var (
 	mIntersectOps   = obsv.Default.Counter(mnIntersectOps, "tid-set kernel operations performed (element comparisons or words)")
 	mTidlistBytes   = obsv.Default.Counter(mnTidlistBytes, "tid-set bytes touched by intersections")
 	mClasses        = obsv.Default.Counter(mnClasses, "top-level equivalence classes mined")
-	mDiffsetsUsed   = obsv.Default.Counter(mnDiffsetsUsed, "sub-classes switched to the dEclat diffset representation")
 	mCountedClasses = obsv.Default.Counter(mnCountedClasses, "classes, at any depth, expanded by counting their member pairs instead of joining them")
 	mCountOps       = obsv.Default.Counter(mnCountOps, "pair increments performed by class-local triangular counts")
 )
@@ -69,7 +67,6 @@ func flushStats(prev, cur *Stats) {
 		(cur.Kernel.WordsTouched()-prev.Kernel.WordsTouched())*8 +
 		(cur.Kernel.RoaringElemOps()-prev.Kernel.RoaringElemOps())*2 +
 		(cur.Kernel.RoaringWords()-prev.Kernel.RoaringWords())*8)
-	mDiffsetsUsed.Add(cur.DiffsetClasses - prev.DiffsetClasses)
 	mCountedClasses.Add(cur.CountedClasses - prev.CountedClasses)
 	mCountOps.Add(cur.CountOps - prev.CountOps)
 	cur.Kernel.Flush(&prev.Kernel)
@@ -138,9 +135,7 @@ type Options struct {
 type Policy int
 
 const (
-	// PolicyAll is Compute_Frequent (figure 3): every frequent itemset,
-	// each sub-class switching to dEclat diffsets once its density
-	// crosses the break-even.
+	// PolicyAll is Compute_Frequent (figure 3): every frequent itemset.
 	PolicyAll Policy = iota
 	// PolicyMaximal keeps only the maximal frequent itemsets (no frequent
 	// superset), found with the MaxEclat hybrid search of the authors'
@@ -162,10 +157,9 @@ const (
 // instead. The lookahead counters stay zero outside PolicyMaximal.
 type Stats struct {
 	Scans int
-	// Intersections counts tid-set kernel calls: intersections, the
-	// differences of the diffset recursion, and the folds of the maximal
-	// lookahead. A counted class adds only the joins that seed its
-	// sub-classes.
+	// Intersections counts tid-set kernel calls: intersections and the
+	// folds of the maximal lookahead. A counted class adds only the joins
+	// that seed its sub-classes.
 	Intersections  int64
 	ShortCircuited int64 // intersections aborted by the support bound
 	// IntersectOps counts kernel operations: element comparisons for the
@@ -178,8 +172,9 @@ type Stats struct {
 	// Steals counts the work-stealing events of the run (always 0 with
 	// one worker).
 	Steals int64
-	// DiffsetClasses counts the sub-classes figure 3's recursion
-	// switched to the dEclat diffset representation.
+	// DiffsetClasses is always 0: figure 3 expands every class by joins
+	// or a count and switches none to dEclat diffsets. The field stays
+	// because the benchmark module reports it as eclat.diffset_classes.
 	DiffsetClasses int64
 	// CountedClasses counts the classes, at any recursion depth, that
 	// the local engine expanded by a class-local triangular count of
@@ -187,9 +182,6 @@ type Stats struct {
 	// CountOps counts the pair increments those counts performed.
 	CountedClasses int64
 	CountOps       int64
-	// ListBytes is the total bytes of the diffsets the recursion kept, in
-	// their chosen encoding — the volume the diffset trade-off prices.
-	ListBytes int64
 	// Lookaheads and LookaheadHits count PolicyMaximal's class-collapse
 	// attempts and the classes whose full union was frequent.
 	Lookaheads    int64
@@ -217,10 +209,8 @@ func (s *Stats) merge(w *Stats) {
 	s.Intersections += w.Intersections
 	s.ShortCircuited += w.ShortCircuited
 	s.IntersectOps += w.IntersectOps
-	s.DiffsetClasses += w.DiffsetClasses
 	s.CountedClasses += w.CountedClasses
 	s.CountOps += w.CountOps
-	s.ListBytes += w.ListBytes
 	s.Lookaheads += w.Lookaheads
 	s.LookaheadHits += w.LookaheadHits
 	s.Kernel.Add(w.Kernel)
@@ -276,18 +266,12 @@ func (w *worker) computeFrequent(ctx context.Context, members []member, prefixSu
 	// the buffer-reuse discipline of the sparse-only loop survives the
 	// abstraction.
 	st, ar := w.st, w.ar
-	gate := newDiffsetGate(plan)
 	var scratch tidlist.Set
 	for i := 0; i < len(members)-1; i++ {
 		if ctx.Err() != nil {
 			return
 		}
 		minsup := w.th.current()
-		if gate.wins(members, i) {
-			st.DiffsetClasses++
-			diffTransition(ctx, members, i, w.th, st, ar, emit)
-			continue
-		}
 		mark := ar.mark()
 		next := ar.nextMembers(len(members) - 1 - i)
 		for j := i + 1; j < len(members); j++ {
@@ -322,25 +306,10 @@ func (w *worker) computeFrequent(ctx context.Context, members []member, prefixSu
 	}
 }
 
-// DefaultDiffsetBreakEven is the measured density break-even of the
-// dEclat diffset transition: when the estimated support retention of a
-// sub-class's children (partner density over the class span) reaches
-// this fraction, d(PXY) = t(PX) \ t(PY) is smaller than t(PXY) and the
-// difference kernels touch fewer bytes per level than the intersection
-// kernels at the same support. The 0.5 crossover follows directly from
-// |d(PXY)| = sup(PX) - sup(PXY): the diffset is the smaller encoding
-// exactly when a child keeps more than half its parent's tids, and the
-// kernel measurements in BENCH_kernels.json (see EXPERIMENTS.md) put
-// the measured ns/op crossing at the same grid point — diff beats
-// intersect from the 50% density row down to ~12.5% only on bytes
-// touched in deeper levels, and on both bytes and first-transition cost
-// at ≥ 50%.
-const DefaultDiffsetBreakEven = 0.5
-
 // classSpan is the TID window covered by a class's members, its first
 // TID and its length (0 for a class of empty members) — the density
-// denominator shared by the representation policy and the diffset gate,
-// and the window the count's row index covers.
+// denominator of the representation policy, and the window the count's
+// row index covers.
 func classSpan(members []member) (lo itemset.TID, span int) {
 	var hi itemset.TID
 	any := false
@@ -361,124 +330,6 @@ func classSpan(members []member) (lo itemset.TID, span int) {
 		return 0, 0
 	}
 	return lo, int(hi-lo) + 1
-}
-
-// diffsetGate estimates, member by member, whether the children of a
-// class member will retain enough of their parent's support for
-// diffsets to be the smaller encoding: under independence a child PXY
-// keeps a fraction of t(PX) close to the partner's density
-// sup(PY)/span, so the partners' average density is the retention
-// estimate compared against DefaultDiffsetBreakEven. rest is the
-// support total of the current member's partners (the members after
-// it): it starts at the class total and loses each member's support as
-// the caller advances, so a class pays s Support calls, not C(s,2).
-type diffsetGate struct {
-	rest, span int
-}
-
-// newDiffsetGate starts the gate for a planned class.
-func newDiffsetGate(p classPlan) diffsetGate {
-	return diffsetGate{rest: p.sup, span: p.span}
-}
-
-// wins reports the estimate for member i. The caller asks for every
-// member in order, from 0.
-func (g *diffsetGate) wins(members []member, i int) bool {
-	g.rest -= members[i].tids.Support()
-	if g.span <= 0 {
-		return false
-	}
-	return float64(g.rest) >= DefaultDiffsetBreakEven*float64(g.span)*float64(len(members)-1-i)
-}
-
-// dmember is one itemset of the current level, represented by its diffset
-// relative to its generating parent and its exact support.
-type dmember struct {
-	set   itemset.Itemset
-	diffs tidlist.Set
-	sup   int
-}
-
-// diffTransition opens the sub-class prefixed by members[i] in diffset
-// form — the dEclat first transition: each child carries
-// d(PXY) = t(PX) \ t(PY) with sup(PXY) = sup(PX) - |d(PXY)|, and the
-// recursion below continues in computeFrequentDiffCtx. The emitted
-// (itemset, support) pairs are identical to the tid-list path's (tested
-// property); only the intermediate encoding differs. Every kept diffset
-// is charged to st.ListBytes.
-func diffTransition(ctx context.Context, members []member, i int, th *threshold, st *Stats, ar *arena, emit Emitter) {
-	minsup := th.current()
-	mark := ar.mark()
-	defer ar.release(mark)
-	var scratch tidlist.Set
-	next := make([]dmember, 0, len(members)-1-i)
-	supI := members[i].tids.Support()
-	for j := i + 1; j < len(members); j++ {
-		st.Intersections++
-		diffs, ops := tidlist.DiffSets(scratch, members[i].tids, members[j].tids, &st.Kernel)
-		st.IntersectOps += int64(ops)
-		scratch = diffs
-		sup := supI - diffs.Support()
-		if sup < minsup {
-			continue
-		}
-		kept := ar.cloneSet(diffs)
-		st.ListBytes += kept.SizeBytes()
-		next = append(next, dmember{
-			set:   members[i].set.Join(members[j].set),
-			diffs: kept,
-			sup:   sup,
-		})
-	}
-	for _, m := range next {
-		emit(m.set, m.sup)
-	}
-	if len(next) > 1 {
-		computeFrequentDiffCtx(ctx, next, th, st, ar, emit)
-	}
-}
-
-// computeFrequentDiffCtx is computeFrequent in diffset form: members
-// share a common prefix and carry diffsets relative to their shared
-// parent, with d(PXY) = d(PY) \ d(PX) and
-// sup(PXY) = sup(PX) - |d(PXY)|. There is no §5.3 short-circuit here —
-// the support is known only after the full difference — but the sets
-// shrink level over level instead of the supports, which is exactly the
-// trade the break-even gate prices.
-func computeFrequentDiffCtx(ctx context.Context, members []dmember, th *threshold, st *Stats, ar *arena, emit Emitter) {
-	var scratch tidlist.Set
-	for i := 0; i < len(members)-1; i++ {
-		if ctx.Err() != nil {
-			return
-		}
-		minsup := th.current()
-		mark := ar.mark()
-		next := make([]dmember, 0, len(members)-1-i)
-		for j := i + 1; j < len(members); j++ {
-			st.Intersections++
-			diffs, ops := tidlist.DiffSets(scratch, members[j].diffs, members[i].diffs, &st.Kernel)
-			st.IntersectOps += int64(ops)
-			scratch = diffs
-			sup := members[i].sup - diffs.Support()
-			if sup < minsup {
-				continue
-			}
-			kept := ar.cloneSet(diffs)
-			st.ListBytes += kept.SizeBytes()
-			next = append(next, dmember{
-				set:   members[i].set.Join(members[j].set),
-				diffs: kept,
-				sup:   sup,
-			})
-		}
-		for _, m := range next {
-			emit(m.set, m.sup)
-		}
-		if len(next) > 1 {
-			computeFrequentDiffCtx(ctx, next, th, st, ar, emit)
-		}
-		ar.release(mark)
-	}
 }
 
 // classMembers assembles the sorted member list of one L2 equivalence

@@ -20,9 +20,9 @@ import (
 // profile and output fingerprints captured from the pre-engine variants
 // (scripts/golden_stats.go regenerates the file; the committed copy was
 // produced by the PR 7 tree). Equality here is the refactor's contract:
-// same kernel call sequence, same short-circuits, same diffset
-// transitions, same bytes out — at every representation and worker
-// count, not just on one lucky configuration. The simulated-cluster
+// same kernel call sequence, same short-circuits, same counted classes,
+// same bytes out — at every representation and worker count, not just on
+// one lucky configuration. The simulated-cluster
 // forms' elapsed and per-phase virtual times are pinned too, so a
 // refactor of their SPMD program that moves a single charge shows.
 
@@ -40,7 +40,6 @@ type statsGold struct {
 	ShortCircuited int64      `json:"shortCircuited"`
 	IntersectOps   int64      `json:"intersectOps"`
 	Classes        int        `json:"classes"`
-	DiffsetClasses int64      `json:"diffsetClasses"`
 	Kernel         kernelGold `json:"kernel"`
 }
 
@@ -85,8 +84,8 @@ func loadGoldens(t *testing.T) []goldenEntry {
 }
 
 // goldenDense names the dense golden dataset: T10I6's generator over 12
-// items with |T|=8 and |I|=4, where at 30 % support figure 3's diffset
-// switch fires under every encoding.
+// items with |T|=8 and |I|=4, where at 30 % support figure 3 counts
+// classes and runs deep in the lattice.
 const goldenDense = "T8I4N12-800"
 
 // goldenDB rebuilds the deterministic seed datasets the goldens were
@@ -146,7 +145,6 @@ func statsOf(st *Stats) statsGold {
 		ShortCircuited: st.ShortCircuited,
 		IntersectOps:   st.IntersectOps,
 		Classes:        st.Classes,
-		DiffsetClasses: st.DiffsetClasses,
 		Kernel:         kernelOf(&st.Kernel),
 	}
 }

@@ -76,7 +76,6 @@ func TestOOCMatchesInCoreExactly(t *testing.T) {
 						st.ShortCircuited != wantSt.ShortCircuited ||
 						st.IntersectOps != wantSt.IntersectOps ||
 						st.Classes != wantSt.Classes ||
-						st.DiffsetClasses != wantSt.DiffsetClasses ||
 						st.Lookaheads != wantSt.Lookaheads ||
 						st.LookaheadHits != wantSt.LookaheadHits ||
 						st.Candidates != wantSt.Candidates ||

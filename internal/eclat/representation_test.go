@@ -11,7 +11,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/db"
 	"repro/internal/gen"
-	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/store"
 	"repro/internal/testutil"
@@ -253,49 +252,6 @@ func TestRoaringRunDispatchesContainerKernel(t *testing.T) {
 	_, st, _ = MineParallelLocal(context.Background(), d, 4, Options{Workers: 1, Representation: tidlist.ReprSparse})
 	if st.Kernel.RoaringIntersections() != 0 {
 		t.Fatal("explicit sparse run dispatched to the roaring kernel")
-	}
-}
-
-// TestDiffsetTransitionByDensity pins the dEclat gate's two sides: dense
-// classes (children retain most of their parent's support) must switch
-// sub-classes to diffsets and mine what brute force finds under every
-// representation, and sparse data must not switch.
-func TestDiffsetTransitionByDensity(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	// Each transaction keeps all but one of 6 items: every pair retains
-	// ~2/3 of the transactions and every extension ~3/4 of its parent,
-	// comfortably above the 0.5 break-even.
-	dense := &db.Database{NumItems: 6}
-	for i := 0; i < 200; i++ {
-		drop := rng.Intn(6)
-		var items []itemset.Item
-		for it := 0; it < 6; it++ {
-			if it != drop {
-				items = append(items, itemset.Item(it))
-			}
-		}
-		dense.Transactions = append(dense.Transactions, db.Transaction{
-			TID:   itemset.TID(i),
-			Items: itemset.New(items...),
-		})
-	}
-	want := testutil.BruteForce(dense, 2)
-	for _, r := range allReprs {
-		got, stOn, _ := MineParallelLocal(context.Background(), dense, 2, Options{Workers: 1, Representation: r})
-		if stOn.DiffsetClasses == 0 {
-			t.Fatalf("repr %v: dense data never crossed the diffset break-even", r)
-		}
-		if !mining.Equal(got, want) {
-			t.Fatalf("repr %v: diffset output differs from brute force:\n%s",
-				r, mining.Diff(got, want))
-		}
-	}
-	// Sparse data sits far below the break-even: the default must keep
-	// tid-lists so the §5.3 short-circuit stays in play.
-	sparse := testutil.RandomDB(rng, 4000, 120, 4)
-	_, st, _ := MineParallelLocal(context.Background(), sparse, 2, Options{Workers: 1, Representation: tidlist.ReprAuto})
-	if st.DiffsetClasses != 0 {
-		t.Fatalf("sparse data switched %d sub-classes to diffsets below the break-even", st.DiffsetClasses)
 	}
 }
 

@@ -74,27 +74,24 @@ func resultBytes(t *testing.T, res *mining.Result) []byte {
 // triangle and derive each class member's pair tid-list from item sets
 // when the class is mined, so in the same encoding the vertical path runs
 // exactly the horizontal path's intersections under every policy. A
-// return of the pairwise O(F²) L2 pass fails this. On the dense golden
-// dataset figure 3's diffset switch must fire in every such run, so the
-// diffset recursion is held to the same contract.
+// return of the pairwise O(F²) L2 pass fails this.
 func TestMineVerticalLocalMatchesHorizontal(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type dataset struct {
-		name     string
-		d        *db.Database
-		minsup   int
-		diffsets bool // figure 3's runs must switch sub-classes to diffsets
+		name   string
+		d      *db.Database
+		minsup int
 	}
 	var datasets []dataset
 	for _, numTx := range []int{60, 250} {
-		datasets = append(datasets, dataset{fmt.Sprintf("tx=%d", numTx), testutil.RandomDB(rng, numTx, 30, 8), 3, false})
+		datasets = append(datasets, dataset{fmt.Sprintf("tx=%d", numTx), testutil.RandomDB(rng, numTx, 30, 8), 3})
 	}
 	base := testutil.RandomDB(rng, 200, 30, 8)
 	dense := goldenDB(t, goldenDense)
 	datasets = append(datasets,
-		dataset{"offset-gaps", offsetTIDs(base, 1_000_000, 3), 3, false},
-		dataset{"offset-scattered", offsetTIDs(base, 70_000, 5_000), 3, false},
-		dataset{goldenDense, dense, dense.MinSupCount(30), true})
+		dataset{"offset-gaps", offsetTIDs(base, 1_000_000, 3), 3},
+		dataset{"offset-scattered", offsetTIDs(base, 70_000, 5_000), 3},
+		dataset{goldenDense, dense, dense.MinSupCount(30)})
 	queries := []struct {
 		name string
 		opts Options
@@ -145,9 +142,6 @@ func TestMineVerticalLocalMatchesHorizontal(t *testing.T) {
 						}
 						if st.Workers != workers {
 							t.Fatalf("%s: st.Workers = %d, want %d", name, st.Workers, workers)
-						}
-						if ds.diffsets && (q.name == "all" || q.name == "closed") && st.DiffsetClasses == 0 {
-							t.Fatalf("%s: no sub-class switched to diffsets", name)
 						}
 						// A top-k threshold rises in emission order, which
 						// only a sequential run shares with the reference.

@@ -59,8 +59,8 @@ func T5I2(numTransactions int) Config {
 }
 
 // T20I6 returns the densest standard workload (|T|=20, |I|=6): long
-// baskets with the paper's pattern length — the regime where vertical
-// representations and diffsets pay off most.
+// baskets with the paper's pattern length — the regime where the packed
+// vertical representations pay off most.
 func T20I6(numTransactions int) Config {
 	return family(numTransactions, 20, 6)
 }

@@ -12,8 +12,10 @@
 //   - the descent is short-circuited when too few transaction items remain
 //     to complete a k-subset ("short-circuited subset counting", [16]).
 //
-// Counting returns the number of node visits and subset checks performed,
-// which feeds the virtual-time cost model in internal/cluster.
+// Counts live outside the tree, in a CountState, so that many counters
+// (the simulated processors) can share one read-only tree. Counting
+// returns the number of node visits and subset checks performed, which
+// feeds the virtual-time cost model in internal/cluster.
 package hashtree
 
 import (
@@ -22,14 +24,11 @@ import (
 	"repro/internal/itemset"
 )
 
-// Candidate is a k-itemset stored in the tree with its running support
-// count.
+// Candidate is a k-itemset stored in the tree.
 type Candidate struct {
-	Set   itemset.Itemset
-	Count int
+	Set itemset.Itemset
 
-	index   int         // insertion position; indexes CountState vectors
-	lastTID itemset.TID // last transaction that incremented Count
+	index int // insertion position; indexes CountState vectors
 }
 
 // Index returns the candidate's insertion position, the index of its
@@ -97,13 +96,13 @@ func (t *Tree) Candidates() []*Candidate { return t.cands }
 
 func (t *Tree) hash(it itemset.Item) int { return int(it) % t.fanout }
 
-// Insert adds a candidate k-itemset with count 0. It panics if the itemset
-// has the wrong size, which would corrupt the descent logic.
+// Insert adds a candidate k-itemset. It panics if the itemset has the
+// wrong size, which would corrupt the descent logic.
 func (t *Tree) Insert(set itemset.Itemset) *Candidate {
 	if len(set) != t.k {
 		panic(fmt.Sprintf("hashtree: inserting %d-itemset into tree of k=%d", len(set), t.k))
 	}
-	c := &Candidate{Set: set, index: len(t.cands), lastTID: -1}
+	c := &Candidate{Set: set, index: len(t.cands)}
 	t.cands = append(t.cands, c)
 	t.insert(t.root, c, 0)
 	return c
@@ -163,48 +162,6 @@ func (t *Tree) Search(set itemset.Itemset) *Candidate {
 	return nil
 }
 
-// CountTransaction increments the count of every candidate contained in
-// the transaction's itemset. tid must be unique per transaction (it guards
-// against double counting along colliding descent paths). It returns the
-// number of tree-node visits plus candidate subset checks, the
-// compute-intensive step the paper's cost discussion centres on.
-func (t *Tree) CountTransaction(tid itemset.TID, tx itemset.Itemset) (ops int) {
-	if len(tx) < t.k {
-		return 0
-	}
-	return t.count(t.root, tid, tx, 0, 0)
-}
-
-func (t *Tree) count(n *node, tid itemset.TID, tx itemset.Itemset, start, depth int) (ops int) {
-	ops = 1
-	if n.children == nil { // leaf (possibly empty, e.g. a tree with no candidates)
-		for _, c := range n.leaf {
-			ops++
-			if c.lastTID == tid {
-				continue
-			}
-			// The first `depth` items of c were matched by the descent
-			// path in some order; the candidate may still differ from the
-			// path, so check full containment.
-			if c.Set.SubsetOf(tx) {
-				c.Count++
-				c.lastTID = tid
-			}
-		}
-		return ops
-	}
-	// Short-circuit: item at position i can extend to a full k-subset only
-	// if at least k-depth-1 items follow it.
-	limit := len(tx) - (t.k - depth) + 1
-	for i := start; i < limit; i++ {
-		child := n.children[t.hash(tx[i])]
-		if child != nil {
-			ops += t.count(child, tid, tx, i+1, depth+1)
-		}
-	}
-	return ops
-}
-
 // SizeBytes estimates the resident memory of the tree: interior hash
 // tables, leaf vectors and candidate itemsets. Count Distribution
 // replicates this structure on every processor ("since the entire hash
@@ -232,12 +189,13 @@ func (t *Tree) SizeBytes() int64 {
 	return size
 }
 
-// CountState holds support counters outside the tree, so that many
-// concurrent counters (the simulated processors) can share one read-only
-// tree structure. On the real machine each processor holds a private
-// replica — the cost model charges that replication through the paging
-// model; sharing the structure here only conserves the simulator's own
-// memory.
+// CountState holds the support counters of a tree's candidates, indexed
+// by insertion position, and each candidate's last-counted-TID marker.
+// Many concurrent counters (the simulated processors) can share one
+// read-only tree structure. On the real machine each processor holds a
+// private replica — the cost model charges that replication through the
+// paging model; sharing the structure here only conserves the
+// simulator's own memory.
 type CountState struct {
 	Counts  []int32
 	lastTID []itemset.TID
@@ -255,9 +213,13 @@ func (t *Tree) NewCountState() *CountState {
 	return st
 }
 
-// CountTransactionInto is CountTransaction recording into an external
-// CountState instead of the tree's own counters. The tree itself is not
-// written, so concurrent calls with distinct states are safe.
+// CountTransactionInto increments, in st, the count of every candidate
+// contained in the transaction's itemset. tid must be unique per
+// transaction (it guards against double counting along colliding descent
+// paths). It returns the number of tree-node visits plus candidate subset
+// checks, the compute-intensive step the paper's cost discussion centres
+// on. The tree itself is not written, so concurrent calls with distinct
+// states are safe.
 func (t *Tree) CountTransactionInto(st *CountState, tid itemset.TID, tx itemset.Itemset) (ops int) {
 	if len(tx) < t.k {
 		return 0
@@ -267,12 +229,15 @@ func (t *Tree) CountTransactionInto(st *CountState, tid itemset.TID, tx itemset.
 
 func (t *Tree) countInto(st *CountState, n *node, tid itemset.TID, tx itemset.Itemset, start, depth int) (ops int) {
 	ops = 1
-	if n.children == nil {
+	if n.children == nil { // leaf (possibly empty, e.g. a tree with no candidates)
 		for _, c := range n.leaf {
 			ops++
 			if st.lastTID[c.index] == tid {
 				continue
 			}
+			// The first `depth` items of c were matched by the descent
+			// path in some order; the candidate may still differ from the
+			// path, so check full containment.
 			if c.Set.SubsetOf(tx) {
 				st.Counts[c.index]++
 				st.lastTID[c.index] = tid
@@ -280,6 +245,8 @@ func (t *Tree) countInto(st *CountState, n *node, tid itemset.TID, tx itemset.It
 		}
 		return ops
 	}
+	// Short-circuit: item at position i can extend to a full k-subset only
+	// if at least k-depth-1 items follow it.
 	limit := len(tx) - (t.k - depth) + 1
 	for i := start; i < limit; i++ {
 		child := n.children[t.hash(tx[i])]
@@ -290,12 +257,12 @@ func (t *Tree) countInto(st *CountState, n *node, tid itemset.TID, tx itemset.It
 	return ops
 }
 
-// Frequent returns the candidates whose count meets minsup, in input
-// (insertion) order.
-func (t *Tree) Frequent(minsup int) []*Candidate {
+// Frequent returns the candidates whose count in st meets minsup, in
+// input (insertion) order.
+func (t *Tree) Frequent(st *CountState, minsup int) []*Candidate {
 	var out []*Candidate
 	for _, c := range t.cands {
-		if c.Count >= minsup {
+		if int(st.Counts[c.index]) >= minsup {
 			out = append(out, c)
 		}
 	}

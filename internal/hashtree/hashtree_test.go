@@ -52,13 +52,15 @@ func TestCountTransactionBasic(t *testing.T) {
 	bc := tr.Insert(itemset.New(2, 3))
 	xy := tr.Insert(itemset.New(8, 9))
 
-	tr.CountTransaction(0, itemset.New(1, 2, 3))
-	tr.CountTransaction(1, itemset.New(1, 2))
-	tr.CountTransaction(2, itemset.New(3))
-	tr.CountTransaction(3, itemset.New(1, 2, 3, 8, 9))
+	st := tr.NewCountState()
+	tr.CountTransactionInto(st, 0, itemset.New(1, 2, 3))
+	tr.CountTransactionInto(st, 1, itemset.New(1, 2))
+	tr.CountTransactionInto(st, 2, itemset.New(3))
+	tr.CountTransactionInto(st, 3, itemset.New(1, 2, 3, 8, 9))
 
-	if ab.Count != 3 || ac.Count != 2 || bc.Count != 2 || xy.Count != 1 {
-		t.Fatalf("counts ab=%d ac=%d bc=%d xy=%d", ab.Count, ac.Count, bc.Count, xy.Count)
+	count := func(c *Candidate) int32 { return st.Counts[c.Index()] }
+	if count(ab) != 3 || count(ac) != 2 || count(bc) != 2 || count(xy) != 1 {
+		t.Fatalf("counts ab=%d ac=%d bc=%d xy=%d", count(ab), count(ac), count(bc), count(xy))
 	}
 }
 
@@ -68,9 +70,10 @@ func TestNoDoubleCountUnderCollisions(t *testing.T) {
 	tr := New(2, WithFanout(1), WithLeafCap(1))
 	c := tr.Insert(itemset.New(1, 2))
 	tr.Insert(itemset.New(3, 4))
-	tr.CountTransaction(7, itemset.New(1, 2, 3, 4, 5))
-	if c.Count != 1 {
-		t.Fatalf("candidate counted %d times in one transaction", c.Count)
+	st := tr.NewCountState()
+	tr.CountTransactionInto(st, 7, itemset.New(1, 2, 3, 4, 5))
+	if n := st.Counts[c.Index()]; n != 1 {
+		t.Fatalf("candidate counted %d times in one transaction", n)
 	}
 }
 
@@ -78,13 +81,14 @@ func TestFrequent(t *testing.T) {
 	tr := New(1)
 	a := tr.Insert(itemset.New(1))
 	b := tr.Insert(itemset.New(2))
-	a.Count = 5
-	b.Count = 2
-	freq := tr.Frequent(3)
+	st := tr.NewCountState()
+	st.Counts[a.Index()] = 5
+	st.Counts[b.Index()] = 2
+	freq := tr.Frequent(st, 3)
 	if len(freq) != 1 || !freq[0].Set.Equal(itemset.New(1)) {
 		t.Fatalf("Frequent = %v", freq)
 	}
-	if len(tr.Frequent(100)) != 0 {
+	if len(tr.Frequent(st, 100)) != 0 {
 		t.Fatal("nothing should be frequent at minsup 100")
 	}
 }
@@ -92,7 +96,7 @@ func TestFrequent(t *testing.T) {
 func TestShortTransactionIsFree(t *testing.T) {
 	tr := New(3)
 	tr.Insert(itemset.New(1, 2, 3))
-	if ops := tr.CountTransaction(0, itemset.New(1, 2)); ops != 0 {
+	if ops := tr.CountTransactionInto(tr.NewCountState(), 0, itemset.New(1, 2)); ops != 0 {
 		t.Fatalf("transaction shorter than k should cost 0 ops, got %d", ops)
 	}
 }
@@ -139,6 +143,7 @@ func TestCountMatchesOracleQuick(t *testing.T) {
 				seen[s.Key()] = tr.Insert(s)
 			}
 			oracle := map[string]int{}
+			st := tr.NewCountState()
 			for tid := 0; tid < 40; tid++ {
 				n := rng.Intn(10)
 				items := make([]itemset.Item, n)
@@ -146,7 +151,7 @@ func TestCountMatchesOracleQuick(t *testing.T) {
 					items[j] = itemset.Item(rng.Intn(15))
 				}
 				tx := itemset.New(items...)
-				tr.CountTransaction(itemset.TID(tid), tx)
+				tr.CountTransactionInto(st, itemset.TID(tid), tx)
 				for key, c := range seen {
 					if c.Set.SubsetOf(tx) {
 						oracle[key]++
@@ -154,7 +159,7 @@ func TestCountMatchesOracleQuick(t *testing.T) {
 				}
 			}
 			for key, c := range seen {
-				if c.Count != oracle[key] {
+				if int(st.Counts[c.Index()]) != oracle[key] {
 					return false
 				}
 			}
@@ -199,14 +204,12 @@ func TestAccessors(t *testing.T) {
 }
 
 func TestCountStateSharedTree(t *testing.T) {
-	// Two counters over one read-only tree must not interfere, and each
-	// must match the tree's own counting.
+	// Two counters over one read-only tree must not interfere: state A's
+	// counts are {1,2}: 2 and {2,3}: 1 whether or not state B counts
+	// between its transactions, and B sees only its own.
 	tr := New(2)
 	tr.Insert(itemset.New(1, 2))
 	tr.Insert(itemset.New(2, 3))
-	own := New(2)
-	own.Insert(itemset.New(1, 2))
-	own.Insert(itemset.New(2, 3))
 
 	sA := tr.NewCountState()
 	sB := tr.NewCountState()
@@ -214,24 +217,15 @@ func TestCountStateSharedTree(t *testing.T) {
 	txsB := []itemset.Itemset{itemset.New(2, 3)}
 	for i, tx := range txsA {
 		tr.CountTransactionInto(sA, itemset.TID(i), tx)
-		own.CountTransaction(itemset.TID(i), tx)
-	}
-	for i, tx := range txsB {
-		tr.CountTransactionInto(sB, itemset.TID(i), tx)
-	}
-	for _, c := range own.Candidates() {
-		if sA.Counts[c.Index()] != int32(c.Count) {
-			t.Fatalf("state A count for %v = %d, want %d", c.Set, sA.Counts[c.Index()], c.Count)
+		if i < len(txsB) {
+			tr.CountTransactionInto(sB, itemset.TID(i), txsB[i])
 		}
+	}
+	if sA.Counts[0] != 2 || sA.Counts[1] != 1 {
+		t.Fatalf("state A counts = %v, want [2 1]", sA.Counts)
 	}
 	if sB.Counts[0] != 0 || sB.Counts[1] != 1 {
 		t.Fatalf("state B counts = %v", sB.Counts)
-	}
-	// The shared tree's own counters must be untouched by Into-counting.
-	for _, c := range tr.Candidates() {
-		if c.Count != 0 {
-			t.Fatal("CountTransactionInto wrote to the tree")
-		}
 	}
 	// Short transactions cost nothing.
 	if ops := tr.CountTransactionInto(sA, 99, itemset.New(5)); ops != 0 {
@@ -253,7 +247,7 @@ func TestCountStateCollisionGuard(t *testing.T) {
 func TestOpsAccounting(t *testing.T) {
 	tr := New(2)
 	tr.Insert(itemset.New(1, 2))
-	if ops := tr.CountTransaction(0, itemset.New(1, 2, 3)); ops <= 0 {
+	if ops := tr.CountTransactionInto(tr.NewCountState(), 0, itemset.New(1, 2, 3)); ops <= 0 {
 		t.Fatalf("ops should be positive, got %d", ops)
 	}
 }

@@ -89,15 +89,19 @@ func Mine(d *db.Database, minsup, numChunks int) (*mining.Result, Stats) {
 		}
 		byK[k].Insert(set)
 	}
+	states := make(map[int]*hashtree.CountState, len(byK))
+	for k, tree := range byK {
+		states[k] = tree.NewCountState()
+	}
 	for _, tx := range d.Transactions {
-		for _, tree := range byK {
-			tree.CountTransaction(tx.TID, tx.Items)
+		for k, tree := range byK {
+			tree.CountTransactionInto(states[k], tx.TID, tx.Items)
 		}
 	}
-	for _, tree := range byK {
-		for _, c := range tree.Candidates() {
-			if c.Count >= minsup {
-				res.Add(c.Set, c.Count)
+	for k, tree := range byK {
+		for i, c := range tree.Candidates() {
+			if n := int(states[k].Counts[i]); n >= minsup {
+				res.Add(c.Set, n)
 			} else {
 				st.FalseCandidates++
 			}

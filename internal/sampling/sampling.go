@@ -223,14 +223,18 @@ func countExact(d *db.Database, sets []itemset.Itemset, counts map[string]int) {
 		}
 		byK[s.K()].Insert(s)
 	}
+	states := make(map[int]*hashtree.CountState, len(byK))
+	for k, tree := range byK {
+		states[k] = tree.NewCountState()
+	}
 	for _, tx := range d.Transactions {
 		if needItems {
 			for _, it := range tx.Items {
 				itemCounts[it]++
 			}
 		}
-		for _, tree := range byK {
-			tree.CountTransaction(tx.TID, tx.Items)
+		for k, tree := range byK {
+			tree.CountTransactionInto(states[k], tx.TID, tx.Items)
 		}
 	}
 	for _, s := range sets {
@@ -238,9 +242,9 @@ func countExact(d *db.Database, sets []itemset.Itemset, counts map[string]int) {
 			counts[s.Key()] = itemCounts[s[0]]
 		}
 	}
-	for _, tree := range byK {
-		for _, c := range tree.Candidates() {
-			counts[c.Set.Key()] = c.Count
+	for k, tree := range byK {
+		for i, c := range tree.Candidates() {
+			counts[c.Set.Key()] = int(states[k].Counts[i])
 		}
 	}
 }

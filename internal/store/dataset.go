@@ -184,7 +184,8 @@ func CreateDatasetSeg(path string, meta Meta, d *db.Database, lists []tidlist.Li
 }
 
 // OpenDataset opens the dataset directory at path: loads and checks the
-// index, maps the bundle's committed extent (truncating any torn tail an
+// index against itself and against the horizontal database's header,
+// maps the bundle's committed extent (truncating any torn tail an
 // older build's crashed spill left behind), and checksum-verifies every
 // record before its bytes can be aliased as tid-lists. A malformed index
 // or corruption inside the committed extent returns an error matching
@@ -213,6 +214,9 @@ func openDataset(path string) (*Dataset, error) {
 		return nil, fmt.Errorf("%w: unsupported index version %d", ErrCorruptBundle, ds.idx.Version)
 	}
 	if err := ds.idx.check(); err != nil {
+		return nil, err
+	}
+	if err := ds.idx.matchHorizontal(path); err != nil {
 		return nil, err
 	}
 
@@ -277,6 +281,28 @@ func (idx *index) check() error {
 					ErrCorruptBundle, rec.Item, p.Offset, p.Length, idx.BundleBytes)
 			}
 		}
+	}
+	return nil
+}
+
+// matchHorizontal compares the index's item and transaction counts with
+// the header of the horizontal database the same CreateDataset call
+// wrote next to it, so that an index edited or damaged after the fact
+// is refused before decode allocates one list per indexed item. It
+// reads the header's 12 bytes and nothing else.
+func (idx *index) matchHorizontal(dir string) error {
+	f, err := os.Open(filepath.Join(dir, horizontalName))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	numItems, numTx, err := db.DecodeHeader(f)
+	if err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrCorruptBundle, horizontalName, err)
+	}
+	if numItems != idx.Meta.NumItems || numTx != idx.Meta.Transactions {
+		return fmt.Errorf("%w: index lists %d items and %d transactions, %s holds %d and %d",
+			ErrCorruptBundle, idx.Meta.NumItems, idx.Meta.Transactions, horizontalName, numItems, numTx)
 	}
 	return nil
 }

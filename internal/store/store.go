@@ -86,9 +86,6 @@ func Open(root string, logf func(format string, args ...any)) (*Store, error) {
 	return s, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 // Names returns the stored dataset names, sorted.
 func (s *Store) Names() []string {
 	s.mu.Lock()

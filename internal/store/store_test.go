@@ -285,6 +285,11 @@ func TestStoreCorruptIndexSkippedUntouched(t *testing.T) {
 		{"negative extent", func(idx *index) { idx.BundleBytes = -8 }},
 		{"extent inside header", func(idx *index) { idx.BundleBytes = 8 }},
 		{"record past extent", func(idx *index) { idx.BundleBytes -= 8 }},
+		// Item counts the horizontal header refutes: one past the real
+		// count, and one whose list slice exceeds the runtime's
+		// allocation limit.
+		{"one item too many", func(idx *index) { idx.Meta.NumItems++ }},
+		{"item count past allocation limit", func(idx *index) { idx.Meta.NumItems = 1 << 50 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			root := t.TempDir()

@@ -38,11 +38,6 @@ func benchTidList(rng *rand.Rand, n, universe int) List {
 // mines: one join of the two operands, given as lists, so it packs only
 // where the join saves more than packing both lists costs.
 //
-// The diffset row measures the dEclat difference kernel (DiffSets) on
-// the same operands in their adaptively chosen encoding — the cost of
-// the first diffset transition at that density, the number the
-// break-even rule in DESIGN.md §5 is derived from.
-//
 // scripts/bench_kernels.go runs this benchmark and writes the committed
 // BENCH_kernels.json snapshot.
 func BenchmarkIntersectKernels(b *testing.B) {
@@ -68,13 +63,11 @@ func BenchmarkIntersectKernels(b *testing.B) {
 		kernels := []struct {
 			name string
 			a, b Set
-			diff bool
 		}{
-			{"sparse", x, y, false},
-			{"bitset", dx, dy, false},
-			{"roaring", rx, ry, false},
-			{"adaptive", asRepr(x, auto), asRepr(y, auto), false},
-			{"diffset", asRepr(x, auto), asRepr(y, auto), true},
+			{"sparse", x, y},
+			{"bitset", dx, dy},
+			{"roaring", rx, ry},
+			{"adaptive", asRepr(x, auto), asRepr(y, auto)},
 		}
 		for _, k := range kernels {
 			b.Run(fmt.Sprintf("density=%s/kernel=%s", d.name, k.name), func(b *testing.B) {
@@ -82,14 +75,8 @@ func BenchmarkIntersectKernels(b *testing.B) {
 				var scratch Set
 				b.ReportAllocs()
 				b.ResetTimer()
-				if k.diff {
-					for i := 0; i < b.N; i++ {
-						scratch, _ = DiffSets(scratch, k.a, k.b, &ks)
-					}
-				} else {
-					for i := 0; i < b.N; i++ {
-						scratch, _ = IntersectSets(scratch, k.a, k.b, &ks)
-					}
+				for i := 0; i < b.N; i++ {
+					scratch, _ = IntersectSets(scratch, k.a, k.b, &ks)
 				}
 				b.ReportMetric(float64(scratch.Support()), "tids")
 			})

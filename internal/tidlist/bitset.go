@@ -12,9 +12,9 @@ const wordBits = 64
 // Bitset is the dense tid-set representation: 64 transaction identifiers
 // per machine word, anchored at a word-aligned base TID so a class whose
 // tids cluster far from zero stays compact. Intersection is word-wise
-// AND + popcount, difference is AND NOT — the vectorized kernels that
-// follow-up work (bitmap FIM on many-core, RDD-Eclat's bitset variants)
-// identifies as the lever behind the vertical layout's speed.
+// AND + popcount — the vectorized kernel that follow-up work (bitmap
+// FIM on many-core, RDD-Eclat's bitset variants) identifies as the lever
+// behind the vertical layout's speed.
 //
 // The zero value is the empty set. Bitsets are value-mutated only by the
 // kernel functions in this package; everywhere else they are treated as
@@ -195,28 +195,6 @@ func intersectBitsetSC(dst, a, b *Bitset, minsup int) (result *Bitset, ops int, 
 	}
 	dst.trim()
 	return dst, ops, true
-}
-
-// diffBitset computes a \ b into dst (reused, may be nil) as AND NOT,
-// returning the result and the words touched. Words of a outside b's
-// span are copied unchanged.
-func diffBitset(dst, a, b *Bitset) (*Bitset, int) {
-	n := len(a.words)
-	dst = reuseWords(dst, n)
-	dst.base = a.base
-	ai, bi, on := overlap(a, b)
-	count := 0
-	for i := 0; i < n; i++ {
-		w := a.words[i]
-		if i >= ai && i < ai+on {
-			w &^= b.words[bi+(i-ai)]
-		}
-		dst.words[i] = w
-		count += bits.OnesCount64(w)
-	}
-	dst.count = count
-	dst.trim()
-	return dst, n
 }
 
 // trim drops leading and trailing zero words, keeping base word-aligned.

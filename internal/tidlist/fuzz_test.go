@@ -75,27 +75,6 @@ func FuzzIntersectKernels(f *testing.F) {
 	})
 }
 
-// FuzzDiffKernels proves the difference kernels (merge, AND NOT, probe)
-// agree with the reference sparse difference for every operand pairing.
-func FuzzDiffKernels(f *testing.F) {
-	fuzzSeed(f)
-	f.Fuzz(func(t *testing.T, ra, rb []byte, sel, _ uint8) {
-		u := fuzzUniverse(sel)
-		a, b := fuzzList(ra, u), fuzzList(rb, u)
-		want := Diff(a, b)
-		for _, combo := range reprCombos {
-			var ks KernelStats
-			got, ops := DiffSets(nil, asRepr(a, combo[0]), asRepr(b, combo[1]), &ks)
-			if !equalTIDs(TIDsOf(got), want) {
-				t.Fatalf("combo %v/%v: got %v, want %v (a=%v b=%v)", combo[0], combo[1], TIDsOf(got), want, a, b)
-			}
-			if got.Support() != len(want) || ops < 0 {
-				t.Fatalf("combo %v/%v: support %d ops %d", combo[0], combo[1], got.Support(), ops)
-			}
-		}
-	})
-}
-
 // FuzzShortCircuitKernels proves the short-circuit contract holds for
 // every kernel: ok is exactly |a∩b| >= minsup, the content is the full
 // intersection when ok, and an aborted result is still safe to reuse as
@@ -260,7 +239,7 @@ func FuzzBuildPairs(f *testing.F) {
 			for i := range parts {
 				partials[i] = perPart[i][p]
 			}
-			if cat := ConcatPartitions(partials); !slices.Equal(cat, l) {
+			if cat := slices.Concat(partials...); !slices.Equal(cat, l) {
 				t.Fatalf("np=%d pair %v: concat %v, whole %v", nparts, p, cat, l)
 			}
 		}

@@ -468,45 +468,6 @@ func intersectRoaringSC(dst, a, b *Roaring, minsup int, ks *KernelStats) (result
 	return dst, ops, dst.count >= minsup
 }
 
-// diffRoaring computes a \ b into dst (reused, may be nil). Chunks of a
-// with no matching chunk in b are copied whole.
-func diffRoaring(dst, a, b *Roaring, ks *KernelStats) (*Roaring, int) {
-	dst = reuseRoaring(dst)
-	dst.ctrs = dst.ctrs[:0]
-	ops := 0
-	j := 0
-	for i, key := range a.keys {
-		for j < len(b.keys) && b.keys[j] < key {
-			j++
-		}
-		if j < len(b.keys) && b.keys[j] == key {
-			ops += ctrAndNot(dst.nextCtr(), &a.ctrs[i], &b.ctrs[j], ks)
-		} else {
-			ops += ctrCopy(dst.nextCtr(), &a.ctrs[i], ks)
-		}
-		dst.commitCtr(key)
-	}
-	return dst, ops
-}
-
-// ctrCopy copies src into dst, reusing dst's storage.
-func ctrCopy(dst, src *container, ks *KernelStats) int {
-	dst.kind, dst.card, dst.wlo = src.kind, src.card, src.wlo
-	dst.elems = append(dst.elems[:0], src.elems...)
-	if cap(dst.words) < len(src.words) {
-		dst.words = make([]uint64, len(src.words))
-	} else {
-		dst.words = dst.words[:len(src.words)]
-	}
-	copy(dst.words, src.words)
-	if src.kind == ctBitmap {
-		ks.roaringWords += int64(len(src.words))
-		return len(src.words)
-	}
-	ks.roaringElemOps += int64(len(src.elems))
-	return len(src.elems)
-}
-
 // setArray initializes dst as an empty array container ready to append.
 func (c *container) setArray() {
 	c.kind, c.card, c.wlo = ctArray, 0, 0
@@ -692,72 +653,6 @@ func andBitmapBitmap(dst, a, b *container) int {
 	dst.card = int32(cnt)
 	dst.trimBitmap()
 	return n
-}
-
-// ctrAndNot computes a \ b into dst (reusing dst's storage), recording
-// per-unit operations in ks like ctrAnd.
-func ctrAndNot(dst, a, b *container, ks *KernelStats) int {
-	switch {
-	case a.kind == ctArray && b.kind == ctArray:
-		dst.setArray()
-		i, j := 0, 0
-		for i < len(a.elems) {
-			switch {
-			case j >= len(b.elems) || a.elems[i] < b.elems[j]:
-				dst.elems = append(dst.elems, a.elems[i])
-				i++
-			case a.elems[i] > b.elems[j]:
-				j++
-			default:
-				i++
-				j++
-			}
-		}
-		dst.card = int32(len(dst.elems))
-		ops := len(a.elems) + len(b.elems)
-		ks.roaringElemOps += int64(ops)
-		return ops
-	case a.kind == ctArray: // \ bitmap
-		dst.setArray()
-		for _, v := range a.elems {
-			if !containerContains(b, v) {
-				dst.elems = append(dst.elems, v)
-			}
-		}
-		dst.card = int32(len(dst.elems))
-		ks.roaringElemOps += int64(len(a.elems))
-		return len(a.elems)
-	case b.kind == ctBitmap: // bitmap \ bitmap
-		n := len(a.words)
-		dst.setBitmap(int(a.wlo), n, false)
-		cnt := 0
-		for i, w := range a.words {
-			wi := int(a.wlo) + i - int(b.wlo)
-			if wi >= 0 && wi < len(b.words) {
-				w &^= b.words[wi]
-			}
-			dst.words[i] = w
-			cnt += bits.OnesCount64(w)
-		}
-		dst.card = int32(cnt)
-		dst.trimBitmap()
-		ks.roaringWords += int64(n)
-		return n
-	default: // bitmap \ array
-		ops := ctrCopy(dst, a, ks)
-		cnt := int(a.card)
-		for _, v := range b.elems {
-			wi := int(v)/wordBits - int(dst.wlo)
-			if wi >= 0 && wi < len(dst.words) && dst.words[wi]&(1<<(v%wordBits)) != 0 {
-				dst.words[wi] &^= 1 << (v % wordBits)
-				cnt--
-			}
-		}
-		ks.roaringElemOps += int64(len(b.elems))
-		dst.card = int32(cnt)
-		dst.trimBitmap()
-		return ops + len(b.elems)
-	}
 }
 
 // bitsetChunkView wraps the words of bs that fall inside chunk key as a

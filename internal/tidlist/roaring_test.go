@@ -118,34 +118,3 @@ func TestRoaringCloneIndependence(t *testing.T) {
 		t.Fatal("Clone shares storage with the original")
 	}
 }
-
-// TestRoaringDiffAllKindPairs drives ctrAndNot across every (a kind,
-// b kind) pairing by constructing shape-forcing operands in one chunk;
-// the consecutive operand is a bitmap that only partly overlaps the
-// alternating one.
-func TestRoaringDiffAllKindPairs(t *testing.T) {
-	shapes := map[string]List{
-		"array": {3, 700, 1400, 9000, 30000},
-		"bitmap": func() List {
-			var l List
-			for i := 0; i < 2048; i += 2 {
-				l = append(l, itemset.TID(i))
-			}
-			return l
-		}(),
-		"consecutive": seqList(500, 4000),
-	}
-	for an, a := range shapes {
-		for bn, b := range shapes {
-			var ks KernelStats
-			got, _ := DiffSets(nil, NewRoaring(a), NewRoaring(b), &ks)
-			if want := Diff(a, b); !equalTIDs(TIDsOf(got), want) {
-				t.Fatalf("%s \\ %s: got %d tids, want %d", an, bn, got.Support(), len(want))
-			}
-			gotI, _ := IntersectSets(nil, NewRoaring(a), NewRoaring(b), &ks)
-			if want := Intersect(a, b); !equalTIDs(TIDsOf(gotI), want) {
-				t.Fatalf("%s ∩ %s: got %d tids, want %d", an, bn, gotI.Support(), len(want))
-			}
-		}
-	}
-}

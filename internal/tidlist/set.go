@@ -146,10 +146,10 @@ func JoinNS(r Repr, c ClassShape) float64 {
 
 // Set is a tid-set under some representation. The mining recursion works
 // exclusively through this interface plus the kernel dispatch functions
-// (IntersectSets, IntersectSetsSC, DiffSets), so every eclat variant is
+// (IntersectSets, IntersectSetsSC), so every eclat variant is
 // representation-agnostic. IntersectSets has a kernel for every pair of
-// encodings; IntersectSetsSC and DiffSets have one per encoding and fall
-// back on a mixed pair.
+// encodings; IntersectSetsSC has one per encoding and falls back on a
+// mixed pair.
 type Set interface {
 	// Support returns the cardinality of the set.
 	Support() int
@@ -427,41 +427,6 @@ func IntersectSetsSC(scratch Set, a, b Set, minsup int, ks *KernelStats) (result
 	}
 	out, ops := IntersectSets(scratch, a, b, ks)
 	return out, ops, out.Support() >= minsup
-}
-
-// DiffSets computes a \ b through the representation-dispatched kernel
-// (AND NOT for dense operands), reusing scratch like IntersectSets. The
-// difference kernels run within one encoding, as the dEclat transition
-// and its recursion always call them; a mixed pair falls back to the
-// sparse merge of both sides' tid-lists.
-func DiffSets(scratch Set, a, b Set, ks *KernelStats) (Set, int) {
-	switch x := a.(type) {
-	case List:
-		if y, same := b.(List); same {
-			ks.sparseIntersections++
-			out := DiffInto(sparseScratch(scratch, len(x)), x, y)
-			ops := len(x) + len(y)
-			ks.sparseOps += int64(ops)
-			return out, ops
-		}
-	case *Bitset:
-		if y, same := b.(*Bitset); same {
-			ks.denseIntersections++
-			out, words := diffBitset(bitsetScratch(scratch), x, y)
-			ks.wordsTouched += int64(words)
-			return out, words
-		}
-	case *Roaring:
-		if y, same := b.(*Roaring); same {
-			ks.roaringIntersections++
-			return diffRoaring(roaringScratch(scratch), x, y, ks)
-		}
-	}
-	a2, b2 := TIDsOf(a), TIDsOf(b)
-	ks.sparseIntersections++
-	ops := len(a2) + len(b2)
-	ks.sparseOps += int64(ops)
-	return DiffInto(sparseScratch(scratch, len(a2)), a2, b2), ops
 }
 
 // probeIntersect intersects a sparse list with a bitset by probing each

@@ -162,28 +162,6 @@ func TestIntersectSetsAllCombos(t *testing.T) {
 	}
 }
 
-func TestDiffSetsAllCombos(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 200; trial++ {
-		a := randomList(rng, 60, 300)
-		b := randomList(rng, 60, 300)
-		want := Diff(a, b)
-		for _, combo := range reprCombos {
-			var ks KernelStats
-			got, ops := DiffSets(nil, asRepr(a, combo[0]), asRepr(b, combo[1]), &ks)
-			if !equalTIDs(TIDsOf(got), want) {
-				t.Fatalf("combo %v/%v: DiffSets = %v, want %v", combo[0], combo[1], TIDsOf(got), want)
-			}
-			if got.Support() != len(want) {
-				t.Fatalf("combo %v/%v: Support = %d, want %d", combo[0], combo[1], got.Support(), len(want))
-			}
-			if ops < 0 {
-				t.Fatalf("combo %v/%v: negative ops %d", combo[0], combo[1], ops)
-			}
-		}
-	}
-}
-
 // TestIntersectSetsSCContract pins the short-circuit contract for every
 // kernel: ok is exactly |a∩b| >= minsup, the content is the true
 // intersection when ok, and the operations performed before a mid-scan
@@ -257,13 +235,12 @@ func bernoulliList(rng *rand.Rand, span int, p float64) List {
 }
 
 // TestKernelsKeepOneEncoding: given two operands of one encoding, every
-// kernel returns that encoding — the plain intersection, the short
+// kernel returns that encoding — the plain intersection, and the short
 // circuit whether it keeps the result, aborts mid-scan or refuses up
-// front, and the difference — also when it reuses the previous result
-// as scratch. A class's members share one encoding (eclat's
-// TestClassMembersShareOneEncoding), so by induction every join and
-// difference below it pairs one encoding, and no mining call reaches the
-// mixed fallbacks of IntersectSetsSC and DiffSets. The operands span five
+// front — also when it reuses the previous result as scratch. A class's
+// members share one encoding (eclat's TestClassMembersShareOneEncoding),
+// so by induction every join below it pairs one encoding, and no mining
+// call reaches the mixed fallback of IntersectSetsSC. The operands span five
 // 64K-TID chunks, at densities that give the roaring sets array and
 // bitmap containers.
 func TestKernelsKeepOneEncoding(t *testing.T) {
@@ -302,13 +279,6 @@ func TestKernelsKeepOneEncoding(t *testing.T) {
 					t.Fatalf("%v operands, minsup %d: ok=%v with |∩|=%d", r, minsup, ok, len(full))
 				}
 				check(fmt.Sprintf("IntersectSetsSC(minsup %d, ok=%v)", minsup, ok), got)
-			}
-			for _, d := range [][2]Set{{a, b}, {b, a}} {
-				got, _ := DiffSets(scratch, d[0], d[1], &ks)
-				if !equalTIDs(TIDsOf(got), Diff(TIDsOf(d[0]), TIDsOf(d[1]))) {
-					t.Fatalf("%v operands: DiffSets content mismatch", r)
-				}
-				check("DiffSets", got)
 			}
 		}
 	}

@@ -5,11 +5,11 @@
 // of two of its (k-1)-subsets.
 //
 // The package provides plain and short-circuited intersections (section
-// 5.3, "Short-Circuited Intersections"), construction of item and
-// 2-itemset tid-lists from a horizontal partition, and ordered
-// concatenation of partial per-partition lists into global lists — valid
-// because block partitions carry disjoint, monotonically increasing TID
-// ranges (section 6.3).
+// 5.3, "Short-Circuited Intersections") and construction of item and
+// 2-itemset tid-lists from a horizontal partition. Block partitions carry
+// disjoint, monotonically increasing TID ranges (section 6.3), so the
+// partial lists of consecutive blocks concatenate into sorted global
+// lists.
 //
 // The sorted slice is one of three pluggable representations behind the
 // Set abstraction (see set.go): List (this file) keeps the paper's scalar
@@ -17,10 +17,10 @@
 // intersects with AND + popcount, and Roaring (roaring.go) picks a
 // container per 64K-TID chunk. ChooseRepr picks one per equivalence class
 // by pricing the class's C(s,2) joins under the merge kernel and under a
-// packed one, and the IntersectSets/DiffSets dispatchers let the mining
-// recursion stay representation-agnostic. Any two encodings intersect,
-// but the short-circuit and difference kernels run within one encoding:
-// a class's members share one, and every kernel keeps it.
+// packed one, and the IntersectSets/IntersectSetsSC dispatchers let the
+// mining recursion stay representation-agnostic. Any two encodings
+// intersect, but the short-circuit kernels run within one encoding: a
+// class's members share one, and every kernel keeps it.
 package tidlist
 
 import (
@@ -122,43 +122,11 @@ func IntersectShortCircuit(dst, a, b List, minsup int) (result List, ops int, ok
 	return dst, ops, true
 }
 
-// Diff returns the sorted difference a \ b. Difference lists ("diffsets")
-// are the representation of the dEclat refinement: deep in the lattice a
-// candidate's diffset is far smaller than its tid-list, because supports
-// shrink slowly within an equivalence class.
-func Diff(a, b List) List {
-	return DiffInto(make(List, 0, len(a)), a, b)
-}
-
-// DiffInto appends a \ b to dst (truncated first) and returns it.
-func DiffInto(dst, a, b List) List {
-	dst = dst[:0]
-	j := 0
-	for _, x := range a {
-		for j < len(b) && b[j] < x {
-			j++
-		}
-		if j < len(b) && b[j] == x {
-			continue
-		}
-		dst = append(dst, x)
-	}
-	return dst
-}
-
 // Pair keys a 2-itemset {A, B} with A < B, the granularity at which the
 // paper's vertical transformation operates (section 5.1 builds tid-lists
 // per frequent 2-itemset and, unlike ItemLists, never per item).
 type Pair struct {
 	A, B itemset.Item
-}
-
-// MakePair normalizes item order.
-func MakePair(a, b itemset.Item) Pair {
-	if a > b {
-		a, b = b, a
-	}
-	return Pair{a, b}
 }
 
 // Itemset returns the pair as a 2-itemset.
@@ -266,22 +234,6 @@ func ItemLists(d *db.Database, counts []int) []List {
 		}
 	}
 	return lists
-}
-
-// ConcatPartitions concatenates per-partition partial lists in partition
-// order. Because block partitions have disjoint increasing TID ranges, the
-// concatenation is already sorted; Validate is run in tests to prove it.
-// Nil partials are skipped (a partition may not contain the itemset).
-func ConcatPartitions(partials []List) List {
-	var total int
-	for _, p := range partials {
-		total += len(p)
-	}
-	out := make(List, 0, total)
-	for _, p := range partials {
-		out = append(out, p...)
-	}
-	return out
 }
 
 // SizeBytes returns the encoded size of the list (4 bytes per TID), used

@@ -2,6 +2,7 @@ package tidlist
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -124,51 +125,6 @@ func TestShortCircuitPaperExample(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	got := Diff(mk(1, 3, 5, 7), mk(3, 4, 7, 9))
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got.Support() != 2 || got[0] != 1 || got[1] != 5 {
-		t.Fatalf("Diff = %v, want [1 5]", got)
-	}
-	if len(Diff(nil, mk(1))) != 0 {
-		t.Fatal("nil \\ x should be empty")
-	}
-	if got := Diff(mk(1, 2), nil); got.Support() != 2 {
-		t.Fatalf("x \\ nil = %v", got)
-	}
-	same := mk(2, 4)
-	if len(Diff(same, same)) != 0 {
-		t.Fatal("x \\ x should be empty")
-	}
-}
-
-// Property: |a \ b| + |a ∩ b| == |a|, and Diff agrees with a set oracle.
-func TestDiffQuick(t *testing.T) {
-	f := func(ra, rb []uint16) bool {
-		a, b := toList(ra), toList(rb)
-		diff := Diff(a, b)
-		inter := Intersect(a, b)
-		if len(diff)+len(inter) != len(a) {
-			return false
-		}
-		inB := map[itemset.TID]bool{}
-		for _, x := range b {
-			inB[x] = true
-		}
-		for _, x := range diff {
-			if inB[x] {
-				return false
-			}
-		}
-		return diff.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	if err := mk(1, 2, 9).Validate(); err != nil {
 		t.Fatal(err)
@@ -181,15 +137,6 @@ func TestValidate(t *testing.T) {
 	}
 	if err := List(nil).Validate(); err != nil {
 		t.Fatal("nil list is valid")
-	}
-}
-
-func TestMakePair(t *testing.T) {
-	if MakePair(5, 2) != (Pair{2, 5}) {
-		t.Fatal("MakePair should normalize order")
-	}
-	if !MakePair(2, 5).Itemset().Equal(itemset.New(2, 5)) {
-		t.Fatal("Pair.Itemset wrong")
 	}
 }
 
@@ -224,19 +171,6 @@ func TestBuildPairs(t *testing.T) {
 	}
 }
 
-func TestConcatPartitions(t *testing.T) {
-	got := ConcatPartitions([]List{mk(1, 2), nil, mk(5, 9), mk(12)})
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got.Support() != 5 || got[4] != 12 {
-		t.Fatalf("Concat = %v", got)
-	}
-	if len(ConcatPartitions(nil)) != 0 {
-		t.Fatal("empty concat should be empty")
-	}
-}
-
 func TestConcatEqualsGlobalBuild(t *testing.T) {
 	// Building pair lists per block partition and concatenating must equal
 	// building them on the whole database — the key transformation-phase
@@ -261,7 +195,7 @@ func TestConcatEqualsGlobalBuild(t *testing.T) {
 			for i := range parts {
 				partials[i] = perPart[i][pr]
 			}
-			cat := ConcatPartitions(partials)
+			cat := slices.Concat(partials...)
 			if err := cat.Validate(); err != nil {
 				t.Fatalf("np=%d pair %v: %v", np, pr, err)
 			}
