@@ -100,15 +100,16 @@ func packedWords(s tidlist.Set) float64 {
 }
 
 // countScratch is one worker's scratch for counted expansions, reused
-// across classes: one chunk's transposition — its members' TIDs, the
-// row index over the chunk's part of the class span (CSR) and the
-// transposed member ranks; what a count fed by the run's rows needs —
-// the rank → member table, one filtered row and the prefix's TIDs; and
-// the triangles of the counted classes on the current recursion path,
-// innermost on top. The transposition is bounded by one 64K-TID chunk
-// whatever the class span. A counted class reads its triangle row by
-// row while its sub-classes are expanded, so a nested count stacks its
-// triangle above the parent's instead of overwriting it.
+// across classes and, in the run scratch, across mines: one chunk's
+// transposition — its members' TIDs, the row index over the chunk's
+// part of the class span (CSR) and the transposed member ranks; what a
+// count fed by the run's rows needs — the rank → member table, one
+// filtered row and the prefix's TIDs; and the triangles of the counted
+// classes on the current recursion path, innermost on top. The
+// transposition is bounded by one 64K-TID chunk whatever the class
+// span. A counted class reads its triangle row by row while its
+// sub-classes are expanded, so a nested count stacks its triangle above
+// the parent's instead of overwriting it.
 type countScratch struct {
 	tids   tidlist.List // the chunk's TIDs of every member, member after member
 	ends   []int        // ends[i]: end of member i's TIDs in tids
@@ -258,15 +259,6 @@ func (cs *countScratch) countChunk(members []member, key uint16, lo itemset.TID,
 	return incs
 }
 
-// grow returns buf resized to n, keeping its contents and reusing its
-// storage when large enough; cells past len(buf) are unspecified.
-func grow(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return append(buf, make([]int32, n-len(buf))...)
-	}
-	return buf[:n]
-}
-
 // countExpand is computeFrequent's counted branch, for a class whose
 // plan chose to count: one count fills the class's C(s,2) triangle with
 // the exact support of every member pair (from the worker's rows over
@@ -291,7 +283,6 @@ func (w *worker) countExpand(ctx context.Context, members []member, prefix tidli
 	defer func() { cs.cells = cs.cells[:base] }()
 	st.CountedClasses++
 	st.CountOps += incs
-	var scratch tidlist.Set
 	for i := 0; i < s-1; i++ {
 		if ctx.Err() != nil {
 			return
@@ -320,10 +311,10 @@ func (w *worker) countExpand(ctx context.Context, members []member, prefix tidli
 			if int(c) < minsup {
 				continue
 			}
-			tids, ops := tidlist.IntersectSets(scratch, members[i].tids, members[i+1+k].tids, &st.Kernel)
+			tids, ops := tidlist.IntersectSets(ar.scratch(members[i].tids, members[i+1+k].tids), members[i].tids, members[i+1+k].tids, &st.Kernel)
 			st.Intersections++
 			st.IntersectOps += int64(ops)
-			scratch = tids
+			ar.keep(tids)
 			next = append(next, member{
 				set:  members[i].set.Join(members[i+1+k].set),
 				tids: ar.cloneSet(tids),

@@ -17,6 +17,7 @@ package eclat
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/db"
@@ -261,12 +262,11 @@ func (w *worker) computeFrequent(ctx context.Context, members []member, prefixSu
 	// members[i].set, so the recursion needs no separate partitioning
 	// pass: the i-loop enumerates the next level's classes directly.
 	//
-	// scratch is whatever set the last kernel call returned; the dispatch
-	// functions recover its storage when the representation matches, so
-	// the buffer-reuse discipline of the sparse-only loop survives the
-	// abstraction.
+	// Each kernel call writes into the worker's buffer for its encoding
+	// (arena.scratch) and leaves its result there for the next call
+	// (arena.keep); the dispatch functions recover the storage, so no
+	// frame allocates a kernel result.
 	st, ar := w.st, w.ar
-	var scratch tidlist.Set
 	for i := 0; i < len(members)-1; i++ {
 		if ctx.Err() != nil {
 			return
@@ -279,6 +279,7 @@ func (w *worker) computeFrequent(ctx context.Context, members []member, prefixSu
 			var tids tidlist.Set
 			var ops int
 			var ok bool
+			scratch := ar.scratch(members[i].tids, members[j].tids)
 			if w.opts.NoShortCircuit {
 				tids, ops = tidlist.IntersectSets(scratch, members[i].tids, members[j].tids, &st.Kernel)
 				ok = tids.Support() >= minsup
@@ -286,11 +287,12 @@ func (w *worker) computeFrequent(ctx context.Context, members []member, prefixSu
 				tids, ops, ok = tidlist.IntersectSetsSC(scratch, members[i].tids, members[j].tids, minsup, &st.Kernel)
 			}
 			st.IntersectOps += int64(ops)
-			scratch = tids
 			if !ok {
+				ar.keep(tids) // aborted: only the next join's buffer
 				st.ShortCircuited++
 				continue
 			}
+			ar.keep(tids)
 			next = append(next, member{
 				set:  members[i].set.Join(members[j].set),
 				tids: ar.cloneSet(tids),
@@ -381,10 +383,16 @@ func classShape(members []member) tidlist.ClassShape {
 }
 
 // vertical is what the local entry points hand the mining core: the
-// result seeded with L1 and L2, the pruned equivalence classes, and the
-// item tid-sets every class derives its member tid-lists from (ooc.go).
+// result to assemble, the seeded L1 and L2, the pruned equivalence
+// classes, and the item tid-sets every class derives its member
+// tid-lists from (ooc.go). The seeds and classes live in the run's
+// scratch; run copies the seeds the result holds into it.
 type vertical struct {
-	res     *mining.Result
+	res *mining.Result
+	// seeds are L1 then L2, all of them whatever the targeted items, and
+	// sups their supports; the classes' members are views of the L2 part.
+	seeds   []itemset.Itemset
+	sups    []int
 	classes []eqclass.Class
 	sets    itemSets
 	// rows, when non-nil, are the rows the vertical L2 count was fed,
@@ -404,28 +412,44 @@ func (v *vertical) prefix(ci int) (sup int, tids tidlist.Set) {
 	return s.Support(), tids
 }
 
-// seedClasses adds L1 (the items whose itemSup reaches res.MinSup) and
-// the frequent pairs to res, only those holding every targeted item when
-// must is set, and returns the classes to mine: L2 partitioned by prefix,
-// singletons (which generate no candidates) and classes that cannot
-// contain must pruned. st.Classes is their number.
-func seedClasses(res *mining.Result, itemSup []int, pairs []paircount.FrequentPair, must []itemset.Item, st *Stats) []eqclass.Class {
+// seedClasses seeds the run with L1 (the items whose itemSup reaches
+// minsup) and the frequent pairs, and returns the seeds, their supports
+// and the classes to mine: L2 partitioned by prefix, singletons (which
+// generate no candidates) and classes that cannot contain must pruned.
+// The seeded itemsets are carved from one array the result owns; the
+// seeds and the classes, whose members are views of them, live in rs.
+// st.Classes is the classes' number.
+func (rs *runScratch) seedClasses(minsup int, itemSup []int, pairs []paircount.FrequentPair, must []itemset.Item, st *Stats) ([]itemset.Itemset, []int, []eqclass.Class) {
+	n1 := 0
+	for _, c := range itemSup {
+		if c >= minsup {
+			n1++
+		}
+	}
+	items := make(itemset.Itemset, n1+2*len(pairs))
+	carve := func(k int) itemset.Itemset {
+		set := items[:k:k]
+		items = items[k:]
+		return set
+	}
+	seeds := slices.Grow(rs.seeds[:0], n1+len(pairs))
+	sups := slices.Grow(rs.sups[:0], n1+len(pairs))
 	for it, c := range itemSup {
-		if c >= res.MinSup && (must == nil || containsAll(itemset.Itemset{itemset.Item(it)}, must)) {
-			res.Add(itemset.Itemset{itemset.Item(it)}, c)
+		if c >= minsup {
+			set := carve(1)
+			set[0] = itemset.Item(it)
+			seeds, sups = append(seeds, set), append(sups, c)
 		}
 	}
-	l2 := make([]itemset.Itemset, 0, len(pairs))
 	for _, fp := range pairs {
-		set := fp.Pair.Itemset()
-		if must == nil || containsAll(set, must) {
-			res.Add(set, fp.Count)
-		}
-		l2 = append(l2, set)
+		set := carve(2)
+		set[0], set[1] = fp.Pair.A, fp.Pair.B
+		seeds, sups = append(seeds, set), append(sups, fp.Count)
 	}
-	classes := filterClasses(eqclass.PruneSingletons(eqclass.Partition(l2)), must)
+	classes := filterClasses(eqclass.PruneSingletons(eqclass.AppendPartition(rs.classes[:0], seeds[n1:])), must)
+	rs.seeds, rs.sups, rs.classes = seeds, sups, classes
 	st.Classes = len(classes)
-	return classes
+	return seeds, sups, classes
 }
 
 // buildVertical runs the one-scan initialization (global 1- and 2-itemset
@@ -433,8 +457,9 @@ func seedClasses(res *mining.Result, itemSup []int, pairs []paircount.FrequentPa
 // tid-lists of the items the classes read), recording the two phases on
 // the ctx trace and charging st.Scans/st.Classes. A targeted query
 // (opts.MustContain) filters the seeded L1/L2 itemsets and drops the
-// equivalence classes whose prefix cannot contain the items.
-func buildVertical(ctx context.Context, d *db.Database, minsup int, st *Stats, opts Options) *vertical {
+// equivalence classes whose prefix cannot contain the items. Every
+// buffer but the result's comes from rs.
+func (rs *runScratch) buildVertical(ctx context.Context, d *db.Database, minsup int, st *Stats, opts Options) *vertical {
 	res := &mining.Result{MinSup: minsup, NumTransactions: d.Len()}
 	tr := obsv.TraceFrom(ctx)
 
@@ -442,34 +467,38 @@ func buildVertical(ctx context.Context, d *db.Database, minsup int, st *Stats, o
 	// triangular array.
 	sp := tr.Start("initialization")
 	st.Scans++
-	itemCounts := make([]int, d.NumItems)
-	pc := paircount.New(d.NumItems)
+	rs.itemSup = zeroed(rs.itemSup, d.NumItems)
+	itemCounts := rs.itemSup
+	rs.pc.Reset(d.NumItems)
 	for _, tx := range d.Transactions {
 		for _, it := range tx.Items {
 			itemCounts[it]++
 		}
-		pc.AddTransaction(tx.Items)
+		rs.pc.AddTransaction(tx.Items)
 	}
-	classes := seedClasses(res, itemCounts, pc.Frequent(minsup), canonMust(opts.MustContain), st)
+	rs.pairs = rs.pc.AppendFrequent(rs.pairs[:0], minsup)
+	seeds, sups, classes := rs.seedClasses(minsup, itemCounts, rs.pairs, canonMust(opts.MustContain), st)
 	sp.End()
 
 	// Transformation: tid-lists for the items of every class with at least
 	// two members, presized from their L1 counts.
 	sp = tr.Start("transformation")
-	need := make([]int, d.NumItems)
+	rs.need = zeroed(rs.need, d.NumItems)
+	need := rs.need
 	for ci := range classes {
 		for _, m := range classes[ci].Members {
 			need[m[0]], need[m[1]] = itemCounts[m[0]], itemCounts[m[1]]
 		}
 	}
 	st.Scans++
-	items := make([]tidlist.Set, d.NumItems)
-	for it, l := range tidlist.ItemLists(d, need) {
+	rs.lists, rs.tids = tidlist.ItemLists(rs.lists, rs.tids, d, need)
+	rs.items = zeroed(rs.items, d.NumItems)
+	for it, l := range rs.lists {
 		if l != nil {
-			items[it] = l
+			rs.items[it] = l
 		}
 	}
 	sp.End()
 
-	return &vertical{res: res, classes: classes, sets: itemSets{items: items}}
+	return &vertical{res: res, seeds: seeds, sups: sups, classes: classes, sets: itemSets{items: rs.items}}
 }

@@ -198,6 +198,17 @@ func (e *engine) wrapEmit(sink Emitter) Emitter {
 	return emit
 }
 
+// seeded calls f with each seeded L1 and L2 itemset the result holds:
+// every one, or under a targeted query those holding every targeted
+// item.
+func (e *engine) seeded(f func(set itemset.Itemset, sup int)) {
+	for i, set := range e.v.seeds {
+		if len(e.must) == 0 || containsAll(set, e.must) {
+			f(set, e.v.sups[i])
+		}
+	}
+}
+
 // finish is a local run's final reduction (§5.4), traced as its own
 // "reduction" phase after the asynchronous one: the run's closing
 // figures land in st and reduce shapes the collection into the policy's

@@ -1,9 +1,10 @@
 package eclat
 
 import (
+	"cmp"
 	"context"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,8 +47,11 @@ type classTask struct {
 // class (milliseconds to seconds), so deque operations are nowhere near
 // the contention regime that justifies a lock-free Chase-Lev deque.
 type wsDeque struct {
-	mu     sync.Mutex
+	mu sync.Mutex
+	// tasks[head:] are queued; the popped front stays in place, so the
+	// storage keeps its capacity for the next run.
 	tasks  []classTask
+	head   int
 	weight int64 // sum of queued task weights, guarded by mu
 }
 
@@ -55,11 +59,11 @@ type wsDeque struct {
 func (q *wsDeque) popFront() (classTask, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.tasks) == 0 {
+	if q.head == len(q.tasks) {
 		return classTask{}, false
 	}
-	t := q.tasks[0]
-	q.tasks = q.tasks[1:]
+	t := q.tasks[q.head]
+	q.head++
 	q.weight -= t.weight
 	return t, true
 }
@@ -88,7 +92,7 @@ func (q *wsDeque) stealInto(dst *wsDeque, qi, dsti int) int {
 	second.mu.Lock()
 	defer second.mu.Unlock()
 
-	n := (len(q.tasks) + 1) / 2
+	n := (len(q.tasks) - q.head + 1) / 2
 	if n == 0 {
 		return 0
 	}
@@ -96,6 +100,9 @@ func (q *wsDeque) stealInto(dst *wsDeque, qi, dsti int) int {
 	var moved int64
 	for _, t := range q.tasks[cut:] {
 		moved += t.weight
+	}
+	if dst.head == len(dst.tasks) {
+		dst.tasks, dst.head = dst.tasks[:0], 0
 	}
 	dst.tasks = append(dst.tasks, q.tasks[cut:]...)
 	dst.weight += moved
@@ -124,8 +131,8 @@ func (q *wsDeque) stealInto(dst *wsDeque, qi, dsti int) int {
 // On context cancellation every worker drains, the partial result is
 // discarded and ctx.Err() is returned; no goroutines outlive the call.
 func MineParallelLocal(ctx context.Context, d *db.Database, minsup int, opts Options) (*mining.Result, Stats, error) {
-	return mineLocal(ctx, minsup, opts, func(minsup int, opts Options, st *Stats) *vertical {
-		return buildVertical(ctx, d, minsup, st, opts)
+	return mineLocal(ctx, minsup, opts, func(minsup int, opts Options, st *Stats, rs *runScratch) *vertical {
+		return rs.buildVertical(ctx, d, minsup, st, opts)
 	})
 }
 
@@ -135,8 +142,9 @@ func MineParallelLocal(ctx context.Context, d *db.Database, minsup int, opts Opt
 // but PolicyAll, the only output contract their pruning is sound
 // against — then builds the run's vertical through build, mines every
 // class with the work-stealing driver and ends with the final
-// reduction.
-func mineLocal(ctx context.Context, minsup int, opts Options, build func(minsup int, opts Options, st *Stats) *vertical) (*mining.Result, Stats, error) {
+// reduction. The run's scratch comes from runPool and goes back once
+// the reduction is done, or the run is cut short.
+func mineLocal(ctx context.Context, minsup int, opts Options, build func(minsup int, opts Options, st *Stats, rs *runScratch) *vertical) (*mining.Result, Stats, error) {
 	if minsup < 1 {
 		minsup = 1
 	}
@@ -147,12 +155,14 @@ func mineLocal(ctx context.Context, minsup int, opts Options, build func(minsup 
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	st := Stats{Workers: opts.Workers}
-	v := build(minsup, opts, &st)
+	rs := runPool.Get().(*runScratch)
+	defer rs.release()
+	v := build(minsup, opts, &st, rs)
 	if err := ctx.Err(); err != nil {
 		return nil, st, err
 	}
 	eng := newEngine(v, minsup, opts)
-	if err := eng.run(ctx, &st); err != nil {
+	if err := eng.run(ctx, &st, rs); err != nil {
 		return nil, st, err
 	}
 	return eng.finish(ctx, &st), st, nil
@@ -161,21 +171,20 @@ func mineLocal(ctx context.Context, minsup int, opts Options, build func(minsup 
 // run is the engine's one driver, for every policy, entry point and
 // worker count: deal the top-level classes to per-worker deques and mine
 // them with stealing, each worker appending its emissions to its own
-// slice. Worker 0's slice starts as e.v.res.Itemsets; the others are
-// appended to it once every worker has joined. Worker counters are
-// folded into st; st.Steals is overwritten with the run's steal count.
-func (e *engine) run(ctx context.Context, st *Stats) error {
+// buffer in rs. Once every worker has joined, the seeds the result
+// holds and the emissions are copied into one slice of their total
+// length, the result's (nil when empty). Worker counters are folded into
+// st; st.Steals is overwritten with the run's steal count.
+func (e *engine) run(ctx context.Context, st *Stats, rs *runScratch) error {
 	v := e.v
 	if e.th.heap != nil {
 		// Seed the heap with the already-known L1/L2 supports so the
 		// effective threshold starts rising before the first class.
-		for _, f := range v.res.Itemsets {
-			e.th.heap.offer(f.Support)
-		}
+		e.seeded(func(_ itemset.Itemset, sup int) { e.th.heap.offer(sup) })
 	}
 	tr := obsv.TraceFrom(ctx)
 	sp := tr.Start("asynchronous")
-	workers := e.opts.Workers
+	workers := rs.forWorkers(e.opts.Workers)
 
 	// Deal classes to deques with the greedy weighted schedule, then order
 	// each deque heaviest-first so owners start on the big classes while
@@ -184,51 +193,41 @@ func (e *engine) run(ctx context.Context, st *Stats) error {
 	// worker takes one contiguous span (balanced by the same weights) and
 	// keeps it in order — sequential segment traversal beats
 	// heaviest-first when pages are the scarce resource.
-	deques := make([]*wsDeque, workers)
-	for w := range deques {
-		deques[w] = &wsDeque{}
-	}
 	if v.budgeted() {
-		for w, span := range spanSchedule(v.classes, workers) {
-			q := deques[w]
+		for w, span := range spanSchedule(v.classes, len(workers)) {
+			q := &workers[w].q
 			for _, ci := range span {
 				q.tasks = append(q.tasks, classTask{ci: ci, weight: v.classes[ci].Weight() + 1})
 				q.weight += q.tasks[len(q.tasks)-1].weight
 			}
 		}
 	} else {
-		sched := eqclass.Schedule(v.classes, workers)
-		for w := 0; w < workers; w++ {
-			q := deques[w]
-			for _, ci := range sched.ClassesOf(w) {
-				q.tasks = append(q.tasks, classTask{ci: ci, weight: v.classes[ci].Weight() + 1})
-				q.weight += q.tasks[len(q.tasks)-1].weight
-			}
-			sort.SliceStable(q.tasks, func(i, j int) bool { return q.tasks[i].weight > q.tasks[j].weight })
+		for ci, w := range eqclass.Schedule(v.classes, len(workers)).Owner {
+			q := &workers[w].q
+			q.tasks = append(q.tasks, classTask{ci: ci, weight: v.classes[ci].Weight() + 1})
+			q.weight += q.tasks[len(q.tasks)-1].weight
+		}
+		for _, ws := range workers {
+			slices.SortStableFunc(ws.q.tasks, func(a, b classTask) int { return cmp.Compare(b.weight, a.weight) })
 		}
 	}
 
-	// outs[w] receives worker w's itemsets once it stops mining; only
-	// worker w writes the slot, so no lock is needed.
-	outs := make([][]mining.FrequentItemset, workers)
-	outs[0] = v.res.Itemsets
-	workerStats := make([]Stats, workers)
+	workerStats := make([]Stats, len(workers))
 	var steals atomic.Int64
 
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range workers {
 		wg.Add(1)
 		go func(self int) {
 			defer wg.Done()
 			start := time.Now()
 			defer func() { mWorkerBusyNS.Observe(time.Since(start).Nanoseconds()) }()
 
-			wst := &workerStats[self]
+			ws, wst := workers[self], &workerStats[self]
 			var prev Stats
-			wk := &worker{st: wst, opts: e.opts, th: e.th, ar: &arena{}, cs: &countScratch{}, rows: v.rows}
-			acc := outs[self]
+			wk := &worker{st: wst, opts: e.opts, th: e.th, ar: &ws.ar, cs: &ws.cs, rows: v.rows}
 			emit := e.wrapEmit(func(set itemset.Itemset, sup int) {
-				acc = append(acc, mining.FrequentItemset{Set: set, Support: sup})
+				ws.out = append(ws.out, mining.FrequentItemset{Set: set, Support: sup})
 			})
 
 			mine := func(t classTask) {
@@ -243,25 +242,25 @@ func (e *engine) run(ctx context.Context, st *Stats) error {
 			}
 
 			for ctx.Err() == nil {
-				if t, ok := deques[self].popFront(); ok {
+				if t, ok := ws.q.popFront(); ok {
 					mine(t)
 					continue
 				}
 				// Own deque empty: pick the victim with the most queued
 				// weight and take the back half of its queue.
 				victim, best := -1, int64(0)
-				for i, q := range deques {
+				for i, o := range workers {
 					if i == self {
 						continue
 					}
-					if w := q.queuedWeight(); w > best {
+					if w := o.q.queuedWeight(); w > best {
 						victim, best = i, w
 					}
 				}
 				if victim < 0 {
 					break // every deque empty: no class left unowned
 				}
-				if n := deques[victim].stealInto(deques[self], victim, self); n > 0 {
+				if n := workers[victim].q.stealInto(&ws.q, victim, self); n > 0 {
 					steals.Add(1)
 					mSteals.Inc()
 				}
@@ -269,7 +268,6 @@ func (e *engine) run(ctx context.Context, st *Stats) error {
 				// the transfer) just rescans; the loop terminates because
 				// the top-level class set is fixed and never grows.
 			}
-			outs[self] = acc
 		}(w)
 	}
 	wg.Wait()
@@ -282,20 +280,20 @@ func (e *engine) run(ctx context.Context, st *Stats) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// Merge into one exactly sized slice: worker 0's when it has the
-	// room, else one allocation of the total.
 	n := 0
-	for _, out := range outs {
-		n += len(out)
+	e.seeded(func(itemset.Itemset, int) { n++ })
+	for _, ws := range workers {
+		n += len(ws.out)
 	}
-	merged := outs[0]
-	if cap(merged) < n {
-		merged = make([]mining.FrequentItemset, len(outs[0]), n)
-		copy(merged, outs[0])
+	if n > 0 {
+		all := make([]mining.FrequentItemset, 0, n)
+		e.seeded(func(set itemset.Itemset, sup int) {
+			all = append(all, mining.FrequentItemset{Set: set, Support: sup})
+		})
+		for _, ws := range workers {
+			all = append(all, ws.out...)
+		}
+		v.res.Itemsets = all
 	}
-	for _, out := range outs[1:] {
-		merged = append(merged, out...)
-	}
-	v.res.Itemsets = merged
 	return nil
 }

@@ -51,7 +51,6 @@ func computeMaximal(ctx context.Context, members []member, th *threshold, st *St
 	st.ShortCircuited++
 
 	// Bottom-up expansion, emitting members with no frequent extension.
-	var scratch tidlist.Set
 	for i := 0; i < len(members); i++ {
 		if ctx.Err() != nil {
 			return
@@ -60,13 +59,14 @@ func computeMaximal(ctx context.Context, members []member, th *threshold, st *St
 		next := ar.nextMembers(len(members) - 1 - i)
 		for j := i + 1; j < len(members); j++ {
 			st.Intersections++
-			tids, ops, ok := tidlist.IntersectSetsSC(scratch, members[i].tids, members[j].tids, minsup, &st.Kernel)
+			tids, ops, ok := tidlist.IntersectSetsSC(ar.scratch(members[i].tids, members[j].tids), members[i].tids, members[j].tids, minsup, &st.Kernel)
 			st.IntersectOps += int64(ops)
-			scratch = tids
 			if !ok {
+				ar.keep(tids) // aborted: only the next join's buffer
 				st.ShortCircuited++
 				continue
 			}
+			ar.keep(tids)
 			next = append(next, member{
 				set:  members[i].set.Join(members[j].set),
 				tids: ar.cloneSet(tids),

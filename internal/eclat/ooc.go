@@ -60,13 +60,13 @@ func (s *itemSets) classMembers(class *eqclass.Class, repr tidlist.Repr, st *Sta
 	if s.res != nil {
 		mClassRefetches.Inc()
 	}
-	var scratch tidlist.Set
 	out := ar.nextMembers(len(class.Members))
 	for _, set := range class.Members {
-		tids, ops := tidlist.IntersectSets(scratch, s.items[int(set[0])], s.items[int(set[1])], &st.Kernel)
+		a, b := s.items[int(set[0])], s.items[int(set[1])]
+		tids, ops := tidlist.IntersectSets(ar.scratch(a, b), a, b, &st.Kernel)
 		st.Intersections++
 		st.IntersectOps += int64(ops)
-		scratch = tids
+		ar.keep(tids)
 		out = append(out, member{set: set, tids: ar.cloneSet(tids)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].set.Less(out[j].set) })

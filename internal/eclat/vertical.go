@@ -70,8 +70,8 @@ func MineVerticalLocal(ctx context.Context, in VerticalInput, minsup int, opts O
 		// cut-short mine never leaves segments accounted resident.
 		defer in.Residency.Done()
 	}
-	return mineLocal(ctx, minsup, opts, func(minsup int, opts Options, st *Stats) *vertical {
-		return buildVerticalFromSets(ctx, in, minsup, st, opts)
+	return mineLocal(ctx, minsup, opts, func(minsup int, opts Options, st *Stats, rs *runScratch) *vertical {
+		return rs.buildVerticalFromSets(ctx, in, minsup, st, opts)
 	})
 }
 
@@ -84,15 +84,17 @@ func MineVerticalLocal(ctx context.Context, in VerticalInput, minsup int, opts O
 // minsup, L2 is filtered from the memo and the triangle is not counted.
 // When the triangle is counted, the rows it was fed stay on the vertical
 // for the counted classes, unless the mine is budgeted. The memo holds
-// the unfiltered L2 of a targeted query (opts.MustContain).
-func buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st *Stats, opts Options) *vertical {
+// the unfiltered L2 of a targeted query (opts.MustContain). Every
+// buffer but the result's, and a memo hit's L2, comes from rs.
+func (rs *runScratch) buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st *Stats, opts Options) *vertical {
 	res := &mining.Result{MinSup: minsup, NumTransactions: in.NumTransactions}
 	tr := obsv.TraceFrom(ctx)
 	sp := tr.Start("initialization")
 	defer sp.End()
 
-	var frequent []itemset.Item
-	itemSup := make([]int, len(in.Items))
+	frequent := rs.frequent[:0]
+	rs.itemSup = zeroed(rs.itemSup, len(in.Items))
+	itemSup := rs.itemSup
 	for it, s := range in.Items {
 		if s == nil {
 			continue
@@ -103,13 +105,14 @@ func buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st
 			frequent = append(frequent, itemset.Item(it))
 		}
 	}
+	rs.frequent = frequent
 
 	// A budgeted mine drops the count's rows: out-of-core mining must not
 	// hold a heap copy of the data.
 	var rows *txRows
 	count := func() []paircount.FrequentPair {
 		var pairs []paircount.FrequentPair
-		pairs, rows = frequentPairs(in.Items, frequent, minsup)
+		pairs, rows = rs.frequentPairs(in.Items, frequent, minsup)
 		if in.Residency != nil {
 			rows = nil
 		}
@@ -127,7 +130,7 @@ func buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st
 			mL2MemoMisses.Inc()
 		}
 	}
-	classes := seedClasses(res, itemSup, pairs, canonMust(opts.MustContain), st)
+	seeds, sups, classes := rs.seedClasses(minsup, itemSup, pairs, canonMust(opts.MustContain), st)
 	if in.Residency != nil {
 		// Store-aware scheduling: run classes in bundle-segment order
 		// (the canonical result sort makes class order invisible in the
@@ -136,7 +139,7 @@ func buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st
 		orderClassesByLocality(classes, in.Residency)
 		planResidency(classes, in.Residency)
 	}
-	return &vertical{res: res, classes: classes, sets: itemSets{items: in.Items, res: in.Residency}, rows: rows}
+	return &vertical{res: res, seeds: seeds, sups: sups, classes: classes, sets: itemSets{items: in.Items, res: in.Residency}, rows: rows}
 }
 
 // frequentPairs counts L2 at minsup over the frequent items' sets
@@ -144,13 +147,15 @@ func buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st
 // ids, in Counter.Frequent's order: ranks ascend with item ids, so the
 // pairs stay sorted by (A, B). It also returns the rows the count was
 // fed, nil when the TIDs were too scattered for a row index.
-func frequentPairs(items []tidlist.Set, frequent []itemset.Item, minsup int) ([]paircount.FrequentPair, *txRows) {
-	lists := make([]tidlist.List, len(frequent))
+func (rs *runScratch) frequentPairs(items []tidlist.Set, frequent []itemset.Item, minsup int) ([]paircount.FrequentPair, *txRows) {
+	sets := grow(rs.sets, len(frequent))
 	for r, it := range frequent {
-		lists[r] = tidlist.TIDsOf(items[it])
+		sets[r] = items[it]
 	}
-	pc, rows := pairCounts(lists)
-	pairs := pc.Frequent(minsup)
+	rs.sets = sets
+	rows := rs.pairCounts(sets)
+	pairs := rs.pc.AppendFrequent(rs.pairs[:0], minsup)
+	rs.pairs = pairs
 	for i, fp := range pairs {
 		pairs[i].Pair = tidlist.Pair{A: frequent[fp.Pair.A], B: frequent[fp.Pair.B]}
 	}
@@ -180,39 +185,50 @@ func (x *txRows) row(t itemset.TID) itemset.Itemset {
 }
 
 // pairCounts is the paper's one-pass L2 count (§5.1) run on vertical
-// data: the tid-lists of the frequent items (index = rank) are
+// data: the tid-sets of the frequent items (index = rank) are
 // transposed into per-transaction rows of ranks — CSR over TIDs, offset
-// by the smallest TID — and each row is fed to the upper-triangular
-// counter as a horizontal transaction would be. Ranks ascend within a
-// row because items are visited in rank order. It returns the rows with
-// the counter. When the TIDs are so scattered that a dense row index
-// would dwarf the data, the rows are grouped by sorting (tid, rank) keys
-// instead, and no rows are returned.
-func pairCounts(lists []tidlist.List) (*paircount.Counter, *txRows) {
-	pc := paircount.New(len(lists))
+// by the smallest TID — and each row is fed to rs's upper-triangular
+// counter, reset to the ranks, as a horizontal transaction would be.
+// Ranks ascend within a row because items are visited in rank order. A
+// sparse set is read in place; a packed one is written out one set at a
+// time, into one buffer, each time the transposition reads it. It
+// returns the rows, kept in rs. When the TIDs are so scattered that a
+// dense row index would dwarf the data, the rows are grouped by sorting
+// (tid, rank) keys instead, and no rows are returned.
+func (rs *runScratch) pairCounts(sets []tidlist.Set) *txRows {
+	pc := &rs.pc
+	pc.Reset(len(sets))
 	total := 0
 	lo, hi := itemset.TID(0), itemset.TID(0)
-	for _, l := range lists {
-		if len(l) == 0 {
+	for _, s := range sets {
+		l, h, ok := tidlist.Bounds(s)
+		if !ok {
 			continue
 		}
-		if total == 0 || l[0] < lo {
-			lo = l[0]
+		if total == 0 || l < lo {
+			lo = l
 		}
-		if total == 0 || l[len(l)-1] > hi {
-			hi = l[len(l)-1]
+		if total == 0 || h > hi {
+			hi = h
 		}
-		total += len(l)
+		total += s.Support()
 	}
-	if len(lists) < 2 || total == 0 {
-		return pc, nil
+	if len(sets) < 2 || total == 0 {
+		return nil
 	}
-	rows := make(itemset.Itemset, total)
+	tidsOf := func(s tidlist.Set) tidlist.List {
+		if l, ok := s.(tidlist.List); ok {
+			return l
+		}
+		rs.tids = s.AppendTIDs(rs.tids[:0])
+		return rs.tids
+	}
+	rows := grow(rs.rows.ranks, total)
 	span := int64(hi) - int64(lo) + 1
 	if span > 2*int64(total)+64 {
-		keys := make([]uint64, 0, total)
-		for r, l := range lists {
-			for _, t := range l {
+		keys := slices.Grow(rs.keys[:0], total)
+		for r, s := range sets {
+			for _, t := range tidsOf(s) {
 				keys = append(keys, uint64(t-lo)<<32|uint64(r))
 			}
 		}
@@ -225,15 +241,16 @@ func pairCounts(lists []tidlist.List) (*paircount.Counter, *txRows) {
 				start = i + 1
 			}
 		}
-		return pc, nil
+		rs.keys, rs.rows.ranks = keys, rows
+		return nil
 	}
 	// offs[0] is 0; end = offs[1:], where end[t] first counts row t's
 	// entries, then holds its start offset, and — advanced as the fill
 	// cursor — ends as its end offset, the next row's start.
-	offs := make([]int32, span+1)
+	offs := zeroed(rs.rows.offs, int(span)+1)
 	end := offs[1:]
-	for _, l := range lists {
-		for _, t := range l {
+	for _, s := range sets {
+		for _, t := range tidsOf(s) {
 			end[t-lo]++
 		}
 	}
@@ -242,8 +259,8 @@ func pairCounts(lists []tidlist.List) (*paircount.Counter, *txRows) {
 		end[t] = sum
 		sum += n
 	}
-	for r, l := range lists {
-		for _, t := range l {
+	for r, s := range sets {
+		for _, t := range tidsOf(s) {
 			rows[end[t-lo]] = itemset.Item(r)
 			end[t-lo]++
 		}
@@ -253,5 +270,6 @@ func pairCounts(lists []tidlist.List) (*paircount.Counter, *txRows) {
 		pc.AddTransaction(rows[start:e])
 		start = e
 	}
-	return pc, &txRows{lo: lo, offs: offs, ranks: rows}
+	rs.rows = txRows{lo: lo, offs: offs, ranks: rows}
+	return &rs.rows
 }

@@ -32,15 +32,20 @@ func (c *Class) Weight() int64 {
 // Partition splits the sorted itemsets (all of equal size k >= 2) into
 // equivalence classes by their (k-1)-prefix. Input order is preserved
 // inside classes, and classes come out in lexicographic prefix order.
-func Partition(sets []itemset.Itemset) []Class {
+func Partition(sets []itemset.Itemset) []Class { return AppendPartition(nil, sets) }
+
+// AppendPartition is Partition appending the classes to dst, so a caller
+// can partition into storage it reuses. A class's Prefix is a capped view
+// of its first member's leading items, and its Members a view of sets:
+// the classes own no memory of their own.
+func AppendPartition(dst []Class, sets []itemset.Itemset) []Class {
 	if len(sets) == 0 {
-		return nil
+		return dst
 	}
 	k := sets[0].K()
 	if k < 2 {
 		panic(fmt.Sprintf("eqclass: cannot partition %d-itemsets", k))
 	}
-	var out []Class
 	for lo := 0; lo < len(sets); {
 		if sets[lo].K() != k {
 			panic("eqclass: mixed itemset sizes")
@@ -49,13 +54,13 @@ func Partition(sets []itemset.Itemset) []Class {
 		for hi < len(sets) && sets[hi].K() == k && sets[hi].SharesPrefix(sets[lo]) {
 			hi++
 		}
-		out = append(out, Class{
-			Prefix:  sets[lo].Prefix(k - 1).Clone(),
+		dst = append(dst, Class{
+			Prefix:  sets[lo][: k-1 : k-1],
 			Members: sets[lo:hi],
 		})
 		lo = hi
 	}
-	return out
+	return dst
 }
 
 // PruneSingletons removes classes with a single member: they generate no

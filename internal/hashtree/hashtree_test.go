@@ -64,19 +64,6 @@ func TestCountTransactionBasic(t *testing.T) {
 	}
 }
 
-func TestNoDoubleCountUnderCollisions(t *testing.T) {
-	// fanout 1 forces every item into the same bucket; every descent path
-	// reaches the same leaves, stressing the lastTID guard.
-	tr := New(2, WithFanout(1), WithLeafCap(1))
-	c := tr.Insert(itemset.New(1, 2))
-	tr.Insert(itemset.New(3, 4))
-	st := tr.NewCountState()
-	tr.CountTransactionInto(st, 7, itemset.New(1, 2, 3, 4, 5))
-	if n := st.Counts[c.Index()]; n != 1 {
-		t.Fatalf("candidate counted %d times in one transaction", n)
-	}
-}
-
 func TestFrequent(t *testing.T) {
 	tr := New(1)
 	a := tr.Insert(itemset.New(1))
@@ -234,6 +221,8 @@ func TestCountStateSharedTree(t *testing.T) {
 }
 
 func TestCountStateCollisionGuard(t *testing.T) {
+	// fanout 1 forces every item into the same bucket; every descent path
+	// reaches the same leaves, stressing the lastTID guard.
 	tr := New(2, WithFanout(1), WithLeafCap(1))
 	tr.Insert(itemset.New(1, 2))
 	tr.Insert(itemset.New(3, 4))

@@ -20,8 +20,13 @@ const fuzzMaxTx = 200_000
 // header's low three bits give the length, its second byte a repeat
 // count of 1–256, and its top bit multiplies the repeat by 256, so some
 // inputs add more than math.MaxUint16 transactions and cross the fold.
-// It checks every pair's count, Frequent's order and threshold, the
-// Counts total and AddPartition's op count.
+//
+// The counter under test is a reused one, as a pooled triangle is: it
+// first counts the same transactions over another universe of 2–64
+// items, folding when they do, and is then Reset to the fuzzed one. It
+// checks every pair's count, Frequent's order and threshold, the Counts
+// total and AddPartition's op count against the oracle, and every cell,
+// Frequent and Counts against a New counter fed the same transactions.
 func FuzzCounter(f *testing.F) {
 	f.Add(uint8(0), []byte{2, 0, 0, 1}, uint32(1))
 	f.Add(uint8(3), []byte{3, 1, 0, 1, 2, 2, 4, 1, 3, 0x81, 0, 2}, uint32(2))
@@ -29,44 +34,76 @@ func FuzzCounter(f *testing.F) {
 	f.Add(uint8(10), []byte{0x82, 0xFF, 1, 4, 0x83, 0x0F, 0, 1, 4, 7, 0}, uint32(70000))
 	f.Fuzz(func(t *testing.T, mb uint8, data []byte, minsup uint32) {
 		m := 2 + int(mb)%63
-		c := New(m)
-		var txs []itemset.Itemset
+		other := 2 + (int(mb)+31)%63
+		var raws [][]byte
 		var repeats []int
-		var ops, wantOps int64
 		total := 0
 		for len(data) >= 2 && total < fuzzMaxTx {
 			hdr, rep := data[0], data[1]
 			data = data[2:]
-			raw := make([]itemset.Item, min(int(hdr&7), len(data)))
-			for i := range raw {
-				raw[i] = itemset.Item(int(data[i]) % m)
-			}
+			raw := data[:min(int(hdr&7), len(data))]
 			data = data[len(raw):]
-			items := itemset.New(raw...)
 			repeat := 1 + int(rep)
 			if hdr&0x80 != 0 {
 				repeat <<= 8
 			}
-			one := &db.Database{NumItems: m, Transactions: []db.Transaction{{Items: items}}}
-			for r := 0; r < repeat; r++ {
-				ops += c.AddPartition(one)
-			}
-			l := int64(len(items))
-			wantOps += int64(repeat) * l * (l - 1) / 2
-			txs = append(txs, items)
+			raws = append(raws, raw)
 			repeats = append(repeats, repeat)
 			total += repeat
+		}
+		over := func(raw []byte, m int) *db.Database {
+			items := make([]itemset.Item, len(raw))
+			for i, b := range raw {
+				items[i] = itemset.Item(int(b) % m)
+			}
+			return &db.Database{NumItems: m, Transactions: []db.Transaction{{Items: itemset.New(items...)}}}
+		}
+
+		c := New(other)
+		for i, raw := range raws {
+			one := over(raw, other)
+			for r := 0; r < repeats[i]; r++ {
+				c.AddPartition(one)
+			}
+		}
+		c.Reset(m)
+		fresh := New(m)
+		var txs []itemset.Itemset
+		var ops, wantOps int64
+		for i, raw := range raws {
+			one := over(raw, m)
+			for r := 0; r < repeats[i]; r++ {
+				ops += c.AddPartition(one)
+				fresh.AddPartition(one)
+			}
+			items := one.Transactions[0].Items
+			l := int64(len(items))
+			wantOps += int64(repeats[i]) * l * (l - 1) / 2
+			txs = append(txs, items)
 		}
 		if ops != wantOps {
 			t.Fatalf("AddPartition ops = %d, want %d", ops, wantOps)
 		}
 		oracle := pairOracle(txs, repeats)
 		checkCounts(t, "counted", c, oracle)
+		for a := itemset.Item(0); int(a) < m; a++ {
+			for b := a + 1; int(b) < m; b++ {
+				if got, want := c.Count(a, b), fresh.Count(a, b); got != want {
+					t.Fatalf("reset counter: Count(%d,%d) = %d, New counter %d", a, b, got, want)
+				}
+			}
+		}
 		for _, s := range []int{1, int(minsup % (fuzzMaxTx + math.MaxUint16 + 2)), math.MaxUint16 + 1} {
 			checkFrequent(t, "counted", c, oracle, s)
+			if got, want := c.Frequent(s), fresh.Frequent(s); !slices.Equal(got, want) {
+				t.Fatalf("reset counter: Frequent(%d) = %v, New counter %v", s, got, want)
+			}
 		}
 		if got, want := sumCounts(c), oracleTotal(oracle); got != want {
 			t.Fatalf("Counts sums to %d, oracle %d", got, want)
+		}
+		if got, want := c.Counts(), fresh.Counts(); !slices.Equal(got, want) {
+			t.Fatalf("reset counter: Counts = %v, New counter %v", got, want)
 		}
 		checkCounts(t, "after Counts", c, oracle)
 	})

@@ -23,11 +23,12 @@ type Memo struct {
 
 // Frequent returns every pair with count >= minsup, in the order count
 // produced them, and whether the memo answered. When minsup is at or
-// above the floor the pairs are filtered from the memo (a hit) and
-// count is not called. Otherwise count must return L2 at minsup — every
-// pair with count >= minsup, as Counter.Frequent does — and its pairs
-// become the memo if minsup is still below the floor when it returns.
-// Either way the returned slice is the caller's own.
+// above the floor the pairs are filtered from the memo (a hit), into a
+// slice of their exact number (nil for none), and count is not called.
+// Otherwise count must return L2 at minsup — every pair with count >=
+// minsup, as Counter.Frequent does — and its pairs become the memo if
+// minsup is still below the floor when it returns. Either way the
+// returned slice is the caller's own.
 //
 // Supports below 1 always count and are never stored: at 0, Counter's
 // Frequent returns pairs that never co-occur, which is not L2.
@@ -36,7 +37,16 @@ func (m *Memo) Frequent(minsup int, count func() []FrequentPair) ([]FrequentPair
 	floor, pairs := m.floor, m.pairs
 	m.mu.Unlock()
 	if floor > 0 && minsup >= floor {
-		var out []FrequentPair
+		n := 0
+		for _, p := range pairs {
+			if p.Count >= minsup {
+				n++
+			}
+		}
+		if n == 0 {
+			return nil, true
+		}
+		out := make([]FrequentPair, 0, n)
 		for _, p := range pairs {
 			if p.Count >= minsup {
 				out = append(out, p)

@@ -12,12 +12,15 @@
 // cells into an int32 vector of the same length, allocated at the first
 // fold, and clears them. That vector is the reduction vector the paper
 // sum-reduces over the Memory Channel, so Counts and Merge fold too. A
-// folded counter holds 6·C(m,2) bytes.
+// folded counter holds 6·C(m,2) bytes. Reset clears a counter for a new
+// universe in its own cells, so a local mine's pooled counter counts
+// without allocating its triangle again.
 package paircount
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/db"
 	"repro/internal/itemset"
@@ -39,10 +42,27 @@ type Counter struct {
 
 // New returns a zeroed counter for an m-item universe.
 func New(m int) *Counter {
+	c := new(Counter)
+	c.Reset(m)
+	return c
+}
+
+// Reset zeroes c and sets its universe to m items: afterwards c counts
+// exactly as New(m) does. It reuses c's cells when they hold C(m,2) and
+// drops the int32 vector, so a vector Counts handed out is never written
+// again.
+func (c *Counter) Reset(m int) {
 	if m < 0 {
 		panic(fmt.Sprintf("paircount: negative universe %d", m))
 	}
-	return &Counter{m: m, cells: make([]uint16, int64(m)*int64(m-1)/2)}
+	n := int(int64(m) * int64(m-1) / 2)
+	if cap(c.cells) < n {
+		c.cells = make([]uint16, n)
+	} else {
+		c.cells = c.cells[:n]
+		clear(c.cells)
+	}
+	c.m, c.folded, c.pending = m, nil, 0
 }
 
 // NumItems returns the universe size m.
@@ -141,10 +161,28 @@ func (c *Counter) Merge(other *Counter) {
 }
 
 // Frequent returns every pair with count >= minsup, in lexicographic
-// order, along with its count. It sweeps the triangle one row slice per
-// prefix item.
-func (c *Counter) Frequent(minsup int) []FrequentPair {
-	var out []FrequentPair
+// order, along with its count; nil when there is none.
+func (c *Counter) Frequent(minsup int) []FrequentPair { return c.AppendFrequent(nil, minsup) }
+
+// AppendFrequent appends Frequent(minsup) to dst and returns it. It
+// counts the pairs before it fills them, so dst grows at most once, to
+// the length they need; a caller that passes the same storage back
+// allocates nothing once it is large enough.
+func (c *Counter) AppendFrequent(dst []FrequentPair, minsup int) []FrequentPair {
+	n := 0
+	c.sweep(minsup, func(int, int, int) { n++ })
+	if n == 0 {
+		return dst
+	}
+	dst = slices.Grow(dst, n)
+	c.sweep(minsup, func(a, j, count int) { dst = append(dst, frequentPair(a, j, count)) })
+	return dst
+}
+
+// sweep calls hit, in lexicographic order, with every cell whose count
+// reaches minsup: the j-th cell of prefix a's row and its count. It
+// reads the triangle one row slice per prefix item.
+func (c *Counter) sweep(minsup int, hit func(a, j, count int)) {
 	base := 0
 	for a := 0; a+1 < c.m; a++ {
 		n := c.m - a - 1
@@ -152,20 +190,19 @@ func (c *Counter) Frequent(minsup int) []FrequentPair {
 		if c.folded == nil {
 			for j, v := range row {
 				if int(v) >= minsup {
-					out = append(out, frequentPair(a, j, int(v)))
+					hit(a, j, int(v))
 				}
 			}
 		} else {
 			vec := c.folded[base : base+n : base+n]
 			for j, v := range row {
 				if cnt := int(v) + int(vec[j]); cnt >= minsup {
-					out = append(out, frequentPair(a, j, cnt))
+					hit(a, j, cnt)
 				}
 			}
 		}
 		base += n
 	}
-	return out
 }
 
 // frequentPair is the j-th cell of prefix a's row: the pair {a, a+1+j}.

@@ -447,7 +447,8 @@ func VerticalLists(d *db.Database) []tidlist.List {
 			counts[it]++
 		}
 	}
-	return tidlist.ItemLists(d, counts)
+	lists, _ := tidlist.ItemLists(nil, nil, d, counts)
+	return lists
 }
 
 // partialPath is the temporary directory name CreateDataset stages into.

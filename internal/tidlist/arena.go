@@ -67,6 +67,15 @@ func (s *Stack[T]) Mark() StackMark { return StackMark{s.ci, s.off} }
 // longer be referenced.
 func (s *Stack[T]) Release(m StackMark) { s.ci, s.off = m.chunk, m.off }
 
+// Clear empties the stack and zeroes every chunk it keeps, so nothing an
+// earlier carve held stays reachable through it.
+func (s *Stack[T]) Clear() {
+	for _, c := range s.chunks {
+		clear(c)
+	}
+	s.ci, s.off = 0, 0
+}
+
 // Arena is a stack allocator for tid-set clones. The Eclat recursion's
 // member tid-sets live exactly as long as the sub-class they belong to —
 // a strict LIFO lifetime — so the mining loop brackets each sub-class

@@ -252,7 +252,8 @@ func FuzzBuildPairs(f *testing.F) {
 // of the transactions that hold it, in order; skipped items get nil;
 // every list is capped at its length, so appending to one leaves its
 // neighbour unchanged; and the all-items form equals a naive per-item
-// append build.
+// append build. The masked form is built in the all-items form's
+// storage, as a caller that reuses it builds.
 func FuzzItemLists(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0xF0, 1, 3, 0xF2, 2, 3, 0xF0, 1, 2, 3}, []byte{0x02}, uint8(5))
 	f.Add([]byte{0, 9, 0xF0, 9, 0, 5, 0xFF, 0xF0, 3}, []byte{0xA5, 0x01}, uint8(9))
@@ -274,8 +275,11 @@ func FuzzItemLists(f *testing.F) {
 				kept[it] = len(l)
 			}
 		}
+		// The second build reuses the first's storage.
+		var got []List
+		var tids List
 		for _, counts := range [][]int{all, kept} {
-			got := ItemLists(d, counts)
+			got, tids = ItemLists(got, tids, d, counts)
 			check := func(when string) {
 				t.Helper()
 				if len(got) != d.NumItems {

@@ -214,16 +214,29 @@ func BuildPairs(part *db.Database, want map[Pair]bool) map[Pair]List {
 // counts, each capped at its length, so appending to one never writes
 // into its neighbour. Transactions are visited in TID order, so every
 // list comes out sorted.
-func ItemLists(d *db.Database, counts []int) []List {
+//
+// lists and tids are storage to reuse, either possibly nil: ItemLists
+// builds the lists in lists and their backing in tids when they are
+// large enough, and returns both, so a caller that builds repeatedly can
+// pass them back.
+func ItemLists(lists []List, tids List, d *db.Database, counts []int) ([]List, List) {
 	total := 0
 	for _, c := range counts {
 		total += max(c, 0)
 	}
-	tids := make(List, total)
-	lists := make([]List, len(counts))
+	if cap(tids) < total {
+		tids = make(List, total)
+	}
+	tids = tids[:total]
+	if cap(lists) < len(counts) {
+		lists = make([]List, len(counts))
+	}
+	lists = lists[:len(counts)]
+	rest := tids
 	for it, c := range counts {
+		lists[it] = nil
 		if c > 0 {
-			lists[it], tids = tids[:0:c], tids[c:]
+			lists[it], rest = rest[:0:c], rest[c:]
 		}
 	}
 	for _, tx := range d.Transactions {
@@ -233,7 +246,7 @@ func ItemLists(d *db.Database, counts []int) []List {
 			}
 		}
 	}
-	return lists
+	return lists, tids
 }
 
 // SizeBytes returns the encoded size of the list (4 bytes per TID), used

@@ -17,10 +17,11 @@
 //
 // Usage (from the repository root):
 //
-//	go run scripts/bench_mine.go [-benchtime 3x] [-count 3] [-o BENCH_mine.json]
+//	go run scripts/bench_mine.go [-benchtime 3x] [-count 5] [-o BENCH_mine.json]
 //
-// With -count > 1 the fastest run per benchmark is kept, the usual way
-// to suppress scheduling noise in committed snapshots.
+// Each row keeps the median of its -count runs and records their
+// interquartile range (nsIQR): the fastest run, kept before, could not
+// tell a one-worker difference from the host's noise on a 2-vCPU host.
 package main
 
 import (
@@ -46,11 +47,14 @@ type MineResult struct {
 	Repr string `json:"repr"`
 	// Workers is the worker-goroutine count.
 	Workers int `json:"workers"`
-	// NsPerOp is the fastest observed time for one full mine.
+	// NsPerOp is the median time of one full mine over the runs, and
+	// NsIQR the interquartile range of those times.
 	NsPerOp float64 `json:"nsPerOp"`
+	NsIQR   float64 `json:"nsIQR"`
 	// Speedup is the same representation's workers=1 NsPerOp over this
 	// one (1.0 for workers=1 itself).
-	Speedup     float64 `json:"speedup"`
+	Speedup float64 `json:"speedup"`
+	// BytesPerOp and AllocsPerOp are the medians over the runs.
 	BytesPerOp  float64 `json:"bytesPerOp"`
 	AllocsPerOp float64 `json:"allocsPerOp"`
 }
@@ -62,6 +66,7 @@ type PolicyResult struct {
 	Variant string  `json:"variant"`
 	Workers int     `json:"workers"`
 	NsPerOp float64 `json:"nsPerOp"`
+	NsIQR   float64 `json:"nsIQR"`
 	// Speedup is the same variant's workers=1 NsPerOp over this one.
 	Speedup     float64 `json:"speedup"`
 	BytesPerOp  float64 `json:"bytesPerOp"`
@@ -80,6 +85,8 @@ type Snapshot struct {
 	Dataset    string `json:"dataset"`
 	SupportPct string `json:"supportPct"`
 	Benchtime  string `json:"benchtime"`
+	// Count is the number of runs each row's median and IQR are over.
+	Count int `json:"count"`
 	// Mine is the worker-scaling grid; Vertical the dense store-backed
 	// family mined from item sets (VerticalDataset); Variants the
 	// engine's maximal/closed/top-k scaling rows.
@@ -98,7 +105,7 @@ var (
 
 func main() {
 	benchtime := flag.String("benchtime", "3x", "go test -benchtime value")
-	count := flag.Int("count", 3, "go test -count value; the fastest run per benchmark is kept")
+	count := flag.Int("count", 5, "go test -count value; each row keeps the median run and the runs' IQR")
 	out := flag.String("o", "BENCH_mine.json", "output file")
 	flag.Parse()
 
@@ -112,42 +119,41 @@ func main() {
 		os.Exit(1)
 	}
 
-	// bestMine is keyed by benchmark (ParallelLocal or VerticalLocal),
-	// representation and worker count.
-	bestMine := map[[3]string]MineResult{}
-	bestVariant := map[[2]string]PolicyResult{}
+	// mineRuns is keyed by benchmark (ParallelLocal or VerticalLocal),
+	// representation and worker count; variantRuns by variant and worker
+	// count.
+	mineRuns := map[[3]string][]run{}
+	variantRuns := map[[2]string][]run{}
 	sc := bufio.NewScanner(bytes.NewReader(raw))
 	for sc.Scan() {
 		line := sc.Text()
 		if m := mineLine.FindStringSubmatch(line); m != nil {
-			ns, err := strconv.ParseFloat(m[4], 64)
-			if err != nil {
-				continue
-			}
-			workers, _ := strconv.Atoi(m[3])
-			r := MineResult{Repr: m[2], Workers: workers, NsPerOp: ns}
-			r.BytesPerOp, r.AllocsPerOp = parseMem(m[5])
-			key := [3]string{m[1], r.Repr, m[3]}
-			if prev, ok := bestMine[key]; !ok || r.NsPerOp < prev.NsPerOp {
-				bestMine[key] = r
+			if r, ok := parseRun(m[4], m[5]); ok {
+				key := [3]string{m[1], m[2], m[3]}
+				mineRuns[key] = append(mineRuns[key], r)
 			}
 			continue
 		}
 		if m := variantLine.FindStringSubmatch(line); m != nil {
-			ns, err := strconv.ParseFloat(m[3], 64)
-			if err != nil {
-				continue
-			}
-			workers, _ := strconv.Atoi(m[2])
-			r := PolicyResult{Variant: m[1], Workers: workers, NsPerOp: ns}
-			r.BytesPerOp, r.AllocsPerOp = parseMem(m[4])
-			key := [2]string{r.Variant, m[2]}
-			if prev, ok := bestVariant[key]; !ok || r.NsPerOp < prev.NsPerOp {
-				bestVariant[key] = r
+			if r, ok := parseRun(m[3], m[4]); ok {
+				key := [2]string{m[1], m[2]}
+				variantRuns[key] = append(variantRuns[key], r)
 			}
 		}
 	}
-	if len(bestMine) == 0 || len(bestVariant) == 0 {
+	mineRows := map[[3]string]MineResult{}
+	for key, runs := range mineRuns {
+		workers, _ := strconv.Atoi(key[2])
+		m := summarize(runs)
+		mineRows[key] = MineResult{Repr: key[1], Workers: workers, NsPerOp: m.ns, NsIQR: m.iqr, BytesPerOp: m.bytes, AllocsPerOp: m.allocs}
+	}
+	variantRows := map[[2]string]PolicyResult{}
+	for key, runs := range variantRuns {
+		workers, _ := strconv.Atoi(key[1])
+		m := summarize(runs)
+		variantRows[key] = PolicyResult{Variant: key[0], Workers: workers, NsPerOp: m.ns, NsIQR: m.iqr, BytesPerOp: m.bytes, AllocsPerOp: m.allocs}
+	}
+	if len(mineRows) == 0 || len(variantRows) == 0 {
 		fmt.Fprintln(os.Stderr, "bench_mine: no benchmark lines parsed")
 		os.Exit(1)
 	}
@@ -162,16 +168,17 @@ func main() {
 		SupportPct:      "0.25%",
 		VerticalDataset: "dense T20.I6 n=5000 N=200 (gen seed default), support 1.25%",
 		Benchtime:       *benchtime,
+		Count:           *count,
 	}
 	// Speedups are relative to the same benchmark and representation's
 	// workers=1 row.
 	seqNs := map[[2]string]float64{}
-	for key, r := range bestMine {
+	for key, r := range mineRows {
 		if r.Workers == 1 {
 			seqNs[[2]string{key[0], key[1]}] = r.NsPerOp
 		}
 	}
-	for key, r := range bestMine {
+	for key, r := range mineRows {
 		if base := seqNs[[2]string{key[0], key[1]}]; base > 0 && r.NsPerOp > 0 {
 			r.Speedup = base / r.NsPerOp
 		}
@@ -193,12 +200,12 @@ func main() {
 	}
 	// Variant speedups are relative to the same variant's workers=1 row.
 	variantBase := map[string]float64{}
-	for key, r := range bestVariant {
+	for key, r := range variantRows {
 		if r.Workers == 1 {
 			variantBase[key[0]] = r.NsPerOp
 		}
 	}
-	for _, r := range bestVariant {
+	for _, r := range variantRows {
 		if base := variantBase[r.Variant]; base > 0 && r.NsPerOp > 0 {
 			r.Speedup = base / r.NsPerOp
 		}
@@ -223,6 +230,55 @@ func main() {
 	}
 	fmt.Printf("wrote %s (%d mine, %d vertical, %d variant results)\n",
 		*out, len(snap.Mine), len(snap.Vertical), len(snap.Variants))
+}
+
+// run is one benchmark line's figures.
+type run struct{ ns, bytes, allocs float64 }
+
+// parseRun reads one line's ns/op and its memory tail.
+func parseRun(ns, tail string) (run, bool) {
+	v, err := strconv.ParseFloat(ns, 64)
+	if err != nil {
+		return run{}, false
+	}
+	r := run{ns: v}
+	r.bytes, r.allocs = parseMem(tail)
+	return r, true
+}
+
+// summary is a row's median figures and the interquartile range of its
+// times.
+type summary struct{ ns, iqr, bytes, allocs float64 }
+
+// summarize reduces one row's runs to their medians and the IQR of their
+// times.
+func summarize(runs []run) summary {
+	col := func(f func(run) float64) []float64 {
+		xs := make([]float64, len(runs))
+		for i, r := range runs {
+			xs[i] = f(r)
+		}
+		sort.Float64s(xs)
+		return xs
+	}
+	ns := col(func(r run) float64 { return r.ns })
+	return summary{
+		ns:     quantile(ns, 0.5),
+		iqr:    quantile(ns, 0.75) - quantile(ns, 0.25),
+		bytes:  quantile(col(func(r run) float64 { return r.bytes }), 0.5),
+		allocs: quantile(col(func(r run) float64 { return r.allocs }), 0.5),
+	}
+}
+
+// quantile is the q-quantile of the sorted xs, interpolated linearly
+// between neighbouring runs.
+func quantile(xs []float64, q float64) float64 {
+	pos := q * float64(len(xs)-1)
+	i := int(pos)
+	if i+1 >= len(xs) {
+		return xs[len(xs)-1]
+	}
+	return xs[i] + (pos-float64(i))*(xs[i+1]-xs[i])
 }
 
 // parseMem extracts "N B/op" and "M allocs/op" from the tail of a
