@@ -35,7 +35,7 @@ func viewAsScratch(dir string, ks *tidlist.KernelStats) {
 
 // aliasAsScratch: taint follows aliases and elements into IntersectSets.
 func aliasAsScratch(ds *store.Dataset, ks *tidlist.KernelStats) {
-	vs := ds.VerticalSets(nil)
+	vs := ds.VerticalSets()
 	alias := vs
 	tidlist.IntersectSets(alias[2], vs[0], vs[1], ks) // want `mmap-backed store view used as the scratch argument of tidlist\.IntersectSets;`
 }

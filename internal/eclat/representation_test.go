@@ -233,6 +233,89 @@ func TestAutoMatchesSparseOnT10Vertical(t *testing.T) {
 	}
 }
 
+// TestForcedRepresentationsMineTheItemView: a vertical source serves
+// one item view whatever representation a job forces, each item in its
+// smallest encoding (itemView). On dense data, whose view is bitsets,
+// and on T10 data, whose view mixes all three encodings, a mine of the
+// view under each forced representation outputs auto's bytes. Every
+// class derives its members from the view and converts exactly those
+// whose derived encoding differs from the forced one, and every
+// intersection of the recursion runs the forced encoding's kernel.
+func TestForcedRepresentationsMineTheItemView(t *testing.T) {
+	dense := gen.T10I6(1000)
+	dense.AvgTxLen, dense.NumItems = 20, 200
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		d    *db.Database
+		pct  float64
+	}{
+		{"dense-D1K", gen.MustGenerate(dense), 1.25},
+		{"T10I6-D2K", gen.MustGenerate(gen.T10I6(2000)), 0.5},
+	} {
+		minsup := tc.d.MinSupCount(tc.pct)
+		view := itemView(tc.d)
+		in := VerticalInput{NumTransactions: tc.d.Len(), Items: view}
+		res, _, err := MineVerticalLocal(ctx, in, minsup, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := resultBytes(t, res)
+		conversions := int64(0)
+		for _, r := range allReprs[:3] {
+			name := fmt.Sprintf("%s/repr=%v", tc.name, r)
+			got, st, err := MineVerticalLocal(ctx, in, minsup, Options{Representation: r, Workers: 1})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !bytes.Equal(resultBytes(t, got), want) {
+				t.Fatalf("%s: output differs from auto's", name)
+			}
+			// Derive every class's members from the view as the mine
+			// does, without converting them.
+			var derived tidlist.KernelStats
+			var members, differ int64
+			v := buildVerticalFromSets(ctx, in, minsup, &Stats{}, Options{Representation: r})
+			for _, c := range v.classes {
+				for _, set := range c.Members {
+					s, _ := tidlist.IntersectSets(nil, view[set[0]], view[set[1]], &derived)
+					members++
+					if s.Repr() != r {
+						differ++
+					}
+				}
+			}
+			if n := st.Kernel.Conversions(); n != differ {
+				t.Fatalf("%s: converted %d members, %d derive in another encoding", name, n, differ)
+			}
+			conversions += differ
+			recursion := st.Intersections - members
+			if recursion <= 0 {
+				t.Fatalf("%s: %d intersections for %d derived members, want a recursion", name, st.Intersections, members)
+			}
+			denseCalls := st.Kernel.DenseIntersections() - derived.DenseIntersections()
+			roaringCalls := st.Kernel.RoaringIntersections() - derived.RoaringIntersections()
+			switch r {
+			case tidlist.ReprSparse:
+				if denseCalls+roaringCalls != 0 {
+					t.Fatalf("%s: the recursion ran %d dense and %d roaring kernels", name, denseCalls, roaringCalls)
+				}
+			case tidlist.ReprBitset:
+				if denseCalls != recursion {
+					t.Fatalf("%s: %d of the recursion's %d intersections ran the dense kernel, want all", name, denseCalls, recursion)
+				}
+			case tidlist.ReprRoaring:
+				if roaringCalls != recursion {
+					t.Fatalf("%s: %d of the recursion's %d intersections ran the roaring kernel, want all", name, roaringCalls, recursion)
+				}
+			}
+		}
+		if conversions == 0 {
+			t.Fatalf("%s: no forced representation converted a member", tc.name)
+		}
+	}
+}
+
 // TestRoaringRunDispatchesContainerKernel is the roaring analog of the
 // dense-kernel guard: an explicit roaring run must record containerized
 // dispatches and container work, and a sparse run must record none.
@@ -304,18 +387,11 @@ func TestPayloadSplitAccounted(t *testing.T) {
 	}
 }
 
-// storeMixSets encodes each item of d the way the store's ReprAuto view
-// does: in whichever of the three encodings is smallest for that item.
-func storeMixSets(d *db.Database) []tidlist.Set {
-	sets := verticalSets(d, tidlist.ReprSparse)
-	var ks tidlist.KernelStats
-	for it, s := range sets {
-		if s != nil {
-			_, enc := tidlist.EncodedSize(s.(tidlist.List), tidlist.ReprAuto)
-			sets[it] = tidlist.Convert(s, enc, &ks)
-		}
-	}
-	return sets
+// itemView is the one item view the store and the service registry
+// serve of d: each item in whichever of the three encodings is smallest
+// for it.
+func itemView(d *db.Database) []tidlist.Set {
+	return tidlist.Encode(store.VerticalLists(d), tidlist.ReprAuto)
 }
 
 // TestClassMembersShareOneEncoding pins the invariant that lets the
@@ -348,16 +424,16 @@ func TestClassMembersShareOneEncoding(t *testing.T) {
 		{"items=sparse", func(d *db.Database) []tidlist.Set { return verticalSets(d, tidlist.ReprSparse) }},
 		{"items=bitset", func(d *db.Database) []tidlist.Set { return verticalSets(d, tidlist.ReprBitset) }},
 		{"items=roaring", func(d *db.Database) []tidlist.Set { return verticalSets(d, tidlist.ReprRoaring) }},
-		{"items=store-mix", storeMixSets},
+		{"items=view", itemView},
 	}
 	mix := map[tidlist.Repr]bool{}
-	for _, s := range storeMixSets(t10) {
+	for _, s := range itemView(t10) {
 		if s != nil {
 			mix[s.Repr()] = true
 		}
 	}
 	if len(mix) != 3 {
-		t.Fatalf("T10's store mix holds encodings %v, want all three", mix)
+		t.Fatalf("T10's item view holds encodings %v, want all three", mix)
 	}
 	ctx := context.Background()
 	for _, ds := range datasets {

@@ -12,17 +12,19 @@ import (
 )
 
 // VerticalInput is a dataset already in the paper's vertical layout: one
-// tid-set per item, as served zero-copy by the persistent store
-// (internal/store) or memoized by the service registry. Mining from it
-// skips the horizontal scans entirely — the property the store exists to
-// buy — and the sets are treated as immutable operands throughout (a
-// mapped view must never be written, so they are never used as kernel
+// tid-set per item, as served by the persistent store (internal/store)
+// or memoized by the service registry. Mining from it skips the
+// horizontal scans entirely — the property the store exists to buy —
+// and the sets are treated as immutable operands throughout (a mapped
+// view must never be written, so they are never used as kernel
 // scratch).
 type VerticalInput struct {
 	// NumTransactions is |D|, needed for percentage supports.
 	NumTransactions int
 	// Items holds the tid-set of each item (index = item id); nil entries
-	// are items with no transactions.
+	// are items with no transactions. Items may mix encodings: a class's
+	// members derive in the encoding their item sets produce and convert
+	// to the class's, so one input serves every Options.Representation.
 	Items []tidlist.Set
 	// Residency, when non-nil, switches the mine to the budgeted
 	// out-of-core protocol: classes are ordered by bundle locality and

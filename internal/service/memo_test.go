@@ -34,7 +34,7 @@ func uncachedConfig(workers int) Config {
 // served job.
 func freshBody(t testing.TB, ds *Dataset, req Request) []byte {
 	t.Helper()
-	sets, _ := ds.VerticalSets(req.Representation)
+	sets, _ := ds.VerticalSets()
 	res, _, err := repro.MineFrom(context.Background(), repro.VerticalSource(ds.NumTransactions(), sets), req.MineOptions)
 	if err != nil {
 		t.Fatal(err)

@@ -25,14 +25,14 @@ var ErrUnknownDataset = errors.New("service: unknown dataset")
 var ErrDatasetExists = errors.New("service: dataset already registered")
 
 // Dataset is one registered database, backed either by in-memory
-// horizontal data or by the persistent store's mapping. The vertical
-// tid-list transformation (one tid-list per item) is computed lazily on
-// first use and memoized, and so is each representation's encoding of
-// it, so repeated jobs never rescan the horizontal data and never
-// re-encode a view they already have. For store-backed datasets the
-// sparse transform is served zero-copy from the mapped bundle (no
-// horizontal pass at all), the packed encodings are built on the heap
-// from it, and the horizontal data is loaded from disk only if an
+// horizontal data or by the persistent store's mapping. Its one item
+// view — the vertical transform (one tid-set per item), each item in
+// its smallest encoding — is built lazily on first use and memoized, so
+// repeated jobs never rescan the horizontal data or re-encode it,
+// whatever representation they mine in. For store-backed datasets the
+// view's sparse items are served zero-copy from the mapped bundle (no
+// horizontal pass at all), its packed items are built on the heap from
+// them once, and the horizontal data is loaded from disk only if an
 // algorithm actually scans it.
 type Dataset struct {
 	// Name is the registry key.
@@ -47,10 +47,8 @@ type Dataset struct {
 	memDB  *db.Database
 	stored *store.Dataset
 
-	// vertical is the memoized per-item sparse transform; sets holds one
-	// memoized tidlist.Encode of it per representation.
-	vertical func() []tidlist.List
-	sets     [tidlist.ReprRoaring + 1]func() []tidlist.Set
+	// sets is the memoized item view.
+	sets func() []tidlist.Set
 
 	// pairs is the dataset's L2 memo, at the lowest support any job on
 	// it counted; it goes with the dataset on Remove.
@@ -61,15 +59,13 @@ type Dataset struct {
 // stored for a store-backed one.
 func newDataset(info DatasetInfo, memDB *db.Database, stored *store.Dataset) *Dataset {
 	ds := &Dataset{Name: info.Name, info: info, memDB: memDB, stored: stored}
-	ds.vertical = sync.OnceValue(func() []tidlist.List {
+	ds.sets = sync.OnceValue(func() []tidlist.Set {
 		if stored != nil {
-			return stored.SparseLists()
+			sets, _ := stored.VerticalSets()
+			return sets
 		}
-		return store.VerticalLists(memDB)
+		return tidlist.Encode(store.VerticalLists(memDB), tidlist.ReprAuto)
 	})
-	for r := range ds.sets {
-		ds.sets[r] = sync.OnceValue(func() []tidlist.Set { return tidlist.Encode(ds.vertical(), tidlist.Repr(r)) })
-	}
 	return ds
 }
 
@@ -120,38 +116,28 @@ func (ds *Dataset) Horizontal() (*db.Database, error) {
 	return ds.memDB, nil
 }
 
-// Vertical returns the memoized per-item tid-lists of the dataset — the
-// paper's vertical layout at the 1-itemset level. In-memory datasets pay
-// one pass over the horizontal data on first call; store-backed datasets
-// return views over the mapped bundle and never scan. The returned slice
-// and its lists are shared and must not be mutated (store-backed lists
-// alias read-only mapped memory).
-func (ds *Dataset) Vertical() []tidlist.List { return ds.vertical() }
-
-// VerticalSets returns the memoized vertical transform under the given
-// representation (see tidlist.Encode; ReprAuto, and any unknown value,
-// picks each item's smallest encoding). Each representation's slice is
-// built once and shared — must not be mutated. ok is always true (the
-// repro.Source contract): store-backed datasets serve views over the
-// mapping, in-memory datasets pay one memoized transform pass, so every
-// local Eclat job mines scan-free from here.
-func (ds *Dataset) VerticalSets(r tidlist.Repr) ([]tidlist.Set, bool) {
-	if int(r) >= len(ds.sets) {
-		r = tidlist.ReprAuto
-	}
-	return ds.sets[r](), true
-}
+// VerticalSets returns the memoized item view (tidlist.Encode under
+// ReprAuto), built once and shared — must not be mutated. ok is always
+// true (the repro.Source contract): store-backed datasets serve views
+// over the mapping, in-memory datasets pay one memoized transform pass,
+// so every local Eclat job mines scan-free from here, in whatever
+// representation.
+func (ds *Dataset) VerticalSets() ([]tidlist.Set, bool) { return ds.sets(), true }
 
 // VerticalSizes reports the encoded size of the whole vertical transform
 // under each representation — the dataset-detail figures that let a
 // caller see which encoding its tid-lists favor.
 func (ds *Dataset) VerticalSizes() (sparse, dense, roaring, auto int64) {
-	for _, l := range ds.Vertical() {
-		s, _ := tidlist.EncodedSize(l, tidlist.ReprSparse)
-		d, _ := tidlist.EncodedSize(l, tidlist.ReprBitset)
-		r, _ := tidlist.EncodedSize(l, tidlist.ReprRoaring)
-		a, _ := tidlist.EncodedSize(l, tidlist.ReprAuto)
-		sparse, dense, roaring, auto = sparse+s, dense+d, roaring+r, auto+a
+	for _, s := range ds.sets() {
+		if s == nil {
+			continue
+		}
+		l := tidlist.TIDsOf(s)
+		sp, _ := tidlist.EncodedSize(l, tidlist.ReprSparse)
+		de, _ := tidlist.EncodedSize(l, tidlist.ReprBitset)
+		ro, _ := tidlist.EncodedSize(l, tidlist.ReprRoaring)
+		au, _ := tidlist.EncodedSize(l, tidlist.ReprAuto)
+		sparse, dense, roaring, auto = sparse+sp, dense+de, roaring+ro, auto+au
 	}
 	return sparse, dense, roaring, auto
 }
@@ -163,13 +149,13 @@ type ItemSupport struct {
 }
 
 // TopItems returns the n most frequent items, by support descending then
-// item ascending, computed from the memoized vertical transform.
+// item ascending, computed from the memoized item view.
 func (ds *Dataset) TopItems(n int) []ItemSupport {
-	vert := ds.Vertical()
-	out := make([]ItemSupport, 0, len(vert))
-	for it, l := range vert {
-		if len(l) > 0 {
-			out = append(out, ItemSupport{Item: itemset.Item(it), Support: l.Support()})
+	sets := ds.sets()
+	out := make([]ItemSupport, 0, len(sets))
+	for it, s := range sets {
+		if s != nil {
+			out = append(out, ItemSupport{Item: itemset.Item(it), Support: s.Support()})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

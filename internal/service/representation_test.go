@@ -3,9 +3,12 @@ package service
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro"
+	"repro/internal/store"
 	"repro/internal/tidlist"
 )
 
@@ -15,7 +18,7 @@ import (
 func TestServiceRepresentationsDistinctEntriesSameResult(t *testing.T) {
 	s := newTestService(t, Config{Workers: 2, QueueDepth: 8}, 400)
 	var first []byte
-	for _, r := range []repro.Representation{repro.ReprSparse, repro.ReprBitset, repro.ReprAuto} {
+	for _, r := range []repro.Representation{repro.ReprSparse, repro.ReprBitset, repro.ReprRoaring, repro.ReprAuto} {
 		j, err := s.Submit(Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportPct: 2.0, Representation: r}})
 		if err != nil {
 			t.Fatal(err)
@@ -44,8 +47,8 @@ func TestServiceRepresentationsDistinctEntriesSameResult(t *testing.T) {
 			t.Fatalf("repr %v mined different itemsets", r)
 		}
 	}
-	if got := s.Cache().Len(); got != 3 {
-		t.Fatalf("cache entries = %d, want 3 (one per representation)", got)
+	if got := s.Cache().Len(); got != 4 {
+		t.Fatalf("cache entries = %d, want 4 (one per representation)", got)
 	}
 	// Resubmitting under the same representation hits its entry.
 	j, err := s.Submit(Request{Dataset: "t10", MineOptions: repro.MineOptions{SupportPct: 2.0, Representation: repro.ReprBitset}})
@@ -57,78 +60,78 @@ func TestServiceRepresentationsDistinctEntriesSameResult(t *testing.T) {
 	}
 }
 
-// TestDatasetVerticalSetsMemoizedPerRepresentation checks each
-// representation's transform is computed once and shared across
-// VerticalSets calls, that absent items get nil sets, and that every
-// representation of the transform carries the same tid-sets.
-func TestDatasetVerticalSetsMemoizedPerRepresentation(t *testing.T) {
-	r := NewRegistry()
-	ds, err := r.Add("t10", "generated", genDataset(t, 300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var views [4][]tidlist.Set
-	for i, repr := range []tidlist.Repr{tidlist.ReprSparse, tidlist.ReprBitset, tidlist.ReprRoaring, tidlist.ReprAuto} {
-		s1, ok := ds.VerticalSets(repr)
-		if !ok {
-			t.Fatal("VerticalSets must always serve the repro.Source vertical view")
-		}
-		if s2, _ := ds.VerticalSets(repr); &s1[0] != &s2[0] {
-			t.Fatalf("VerticalSets(%v) recomputed instead of memoized", repr)
-		}
-		views[i] = s1
-	}
-	sparse, dense, roaring, auto := views[0], views[1], views[2], views[3]
-	vert := ds.Vertical()
-	absent := 0
-	for it := range vert {
-		want := vert[it]
-		if len(want) == 0 {
-			absent++
-			for _, sets := range views {
-				if sets[it] != nil {
-					t.Fatalf("absent item %d: %v set, want nil", it, sets[it].Repr())
+// TestDatasetVerticalSetsOneView pins the dataset's one item view, on
+// an in-memory registry and on a store-backed one: it is memoized
+// across calls, it holds each item in its smallest encoding with the
+// item's tid-list, absent items are nil, a store-backed view's sparse
+// items alias the mapping, and its bytes are the VerticalSizes auto
+// figure.
+func TestDatasetVerticalSetsOneView(t *testing.T) {
+	d := genDataset(t, 2000)
+	want := store.VerticalLists(d)
+	for _, stored := range []bool{false, true} {
+		t.Run(fmt.Sprintf("stored=%v", stored), func(t *testing.T) {
+			r := NewRegistry()
+			if stored {
+				st, err := store.Open(t.TempDir(), t.Logf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { st.Close() })
+				if err := r.AttachStore(st); err != nil {
+					t.Fatal(err)
 				}
 			}
-			continue
-		}
-		for _, sets := range views {
-			got := tidlist.TIDsOf(sets[it])
-			if len(got) != len(want) {
-				t.Fatalf("item %d: %d tids, want %d", it, len(got), len(want))
+			ds, err := r.Add("t10", "generated", d)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("item %d: tid mismatch at %d", it, i)
+			if (ds.stored != nil) != stored {
+				t.Fatalf("dataset stored = %v, want %v", ds.stored != nil, stored)
+			}
+			sets, ok := ds.VerticalSets()
+			if !ok {
+				t.Fatal("VerticalSets must always serve the repro.Source vertical view")
+			}
+			if again, _ := ds.VerticalSets(); &again[0] != &sets[0] {
+				t.Fatal("VerticalSets recomputed instead of memoized")
+			}
+			if len(sets) != len(want) {
+				t.Fatalf("view holds %d items, want %d", len(sets), len(want))
+			}
+			encodings := map[tidlist.Repr]int{}
+			absent := 0
+			var size int64
+			for it, l := range want {
+				s := sets[it]
+				if len(l) == 0 {
+					absent++
+					if s != nil {
+						t.Fatalf("absent item %d: %v set, want nil", it, s.Repr())
+					}
+					continue
 				}
+				if _, enc := tidlist.EncodedSize(l, tidlist.ReprAuto); s.Repr() != enc {
+					t.Fatalf("item %d is %v, want its smallest encoding %v", it, s.Repr(), enc)
+				}
+				if !slices.Equal(tidlist.TIDsOf(s), l) {
+					t.Fatalf("item %d: view's tids differ from its tid-list", it)
+				}
+				if sl, ok := s.(tidlist.List); ok && stored && &sl[0] != &ds.stored.SparseLists()[it][0] {
+					t.Fatalf("item %d: sparse item is a copy, not a view over the mapping", it)
+				}
+				encodings[s.Repr()]++
+				size += s.SizeBytes()
 			}
-		}
-		if sparse[it].Repr() != tidlist.ReprSparse {
-			t.Fatalf("item %d: sparse transform has repr %v", it, sparse[it].Repr())
-		}
-		if dense[it].Repr() != tidlist.ReprBitset {
-			t.Fatalf("item %d: dense transform has repr %v", it, dense[it].Repr())
-		}
-		if roaring[it].Repr() != tidlist.ReprRoaring {
-			t.Fatalf("item %d: roaring transform has repr %v", it, roaring[it].Repr())
-		}
-	}
-	if absent == 0 {
-		t.Fatal("dataset has no absent item to check")
-	}
-	// The auto transform never ships an item in a more expensive
-	// encoding, so its total size is the VerticalSizes auto figure.
-	sp, de, ro, au := ds.VerticalSizes()
-	if au > sp || au > de || au > ro {
-		t.Fatalf("auto size %d exceeds sparse %d, dense %d, or roaring %d", au, sp, de, ro)
-	}
-	var autoSum int64
-	for _, s := range auto {
-		if s != nil {
-			autoSum += s.SizeBytes()
-		}
-	}
-	if autoSum != au {
-		t.Fatalf("auto transform totals %d bytes, VerticalSizes says %d", autoSum, au)
+			if absent == 0 {
+				t.Fatal("dataset has no absent item to check")
+			}
+			if len(encodings) != 3 {
+				t.Fatalf("view holds encodings %v, want all three", encodings)
+			}
+			if _, _, _, auto := ds.VerticalSizes(); size != auto {
+				t.Fatalf("view totals %d bytes, VerticalSizes says %d", size, auto)
+			}
+		})
 	}
 }

@@ -223,16 +223,16 @@ func TestDatasetVerticalIsMemoizedAndCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := ds.Vertical()
+	v1, _ := ds.VerticalSets()
 	if got := v1[1].Support(); got != 3 {
 		t.Fatalf("item 1 support = %d, want 3", got)
 	}
-	if got := v1[3].Support(); got != 0 {
-		t.Fatalf("item 3 support = %d, want 0", got)
+	if v1[3] != nil {
+		t.Fatalf("absent item 3 = %v, want nil", v1[3])
 	}
-	v2 := ds.Vertical()
+	v2, _ := ds.VerticalSets()
 	if &v1[0] != &v2[0] {
-		t.Fatal("Vertical recomputed instead of memoized")
+		t.Fatal("VerticalSets recomputed instead of memoized")
 	}
 	top := ds.TopItems(2)
 	if len(top) != 2 || top[0].Item != 1 || top[0].Support != 3 {
@@ -297,7 +297,7 @@ func BenchmarkServiceQueries(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ds.VerticalSets(repro.ReprAuto)
+			ds.VerticalSets()
 			runtime.GC()
 			b.StartTimer()
 			j, err := s.Submit(Request{Dataset: name, MineOptions: repro.MineOptions{SupportCount: 20 + i%64}})

@@ -82,7 +82,7 @@ func TestServiceStoreBackedMiningMatchesInMemory(t *testing.T) {
 	}
 
 	for _, variant := range []repro.Output{repro.OutputAll, repro.OutputMaximal, repro.OutputClosed} {
-		for _, repr := range []repro.Representation{repro.ReprAuto, repro.ReprSparse, repro.ReprBitset} {
+		for _, repr := range []repro.Representation{repro.ReprAuto, repro.ReprSparse, repro.ReprBitset, repro.ReprRoaring} {
 			for _, workers := range []int{1, 2, 4} {
 				// Distinct minsup per worker count keeps every run a cache miss
 				// (the cache key deliberately omits parallelism).

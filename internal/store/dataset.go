@@ -355,11 +355,11 @@ func (ds *Dataset) Meta() Meta { return ds.idx.Meta }
 // callers hand a stored dataset straight to repro.MineFrom.
 func (ds *Dataset) NumTransactions() int { return ds.idx.Meta.Transactions }
 
-// VerticalSets is Sets with the repro.Source ok contract: the store
-// always serves the vertical transform without a horizontal scan, so ok
-// is always true.
-func (ds *Dataset) VerticalSets(r tidlist.Repr) ([]tidlist.Set, bool) {
-	return ds.Sets(r), true
+// VerticalSets is the dataset's item view, Sets(tidlist.ReprAuto), with
+// the repro.Source ok contract: the store always serves the vertical
+// transform without a horizontal scan, so ok is always true.
+func (ds *Dataset) VerticalSets() ([]tidlist.Set, bool) {
+	return ds.Sets(tidlist.ReprAuto), true
 }
 
 // SparseLists returns the per-item sparse tid-lists as views over the

@@ -75,9 +75,10 @@ var (
 	// returned error also matches context.Canceled or
 	// context.DeadlineExceeded under errors.Is.
 	ErrCanceled = errors.New("repro: mining canceled")
-	// ErrInvalidRepresentation reports an unknown representation name
+	// ErrInvalidRepresentation reports an unknown representation: a name
 	// passed to ParseRepresentation (the -repr flag and the service's
-	// "representation" job field map it to HTTP 400).
+	// "representation" job field map it to HTTP 400), or a
+	// MineOptions.Representation past ReprRoaring.
 	ErrInvalidRepresentation = tidlist.ErrInvalidRepresentation
 	// ErrInvalidTopK reports an unusable MineOptions.TopK: a negative
 	// value, or a top-k request to an algorithm without the adaptive
@@ -350,7 +351,10 @@ type MineOptions struct {
 	// Representation selects the tid-set representation for the
 	// Eclat-family algorithms (AlgoEclat, AlgoEclatHybrid, and the
 	// maximal/closed outputs); the zero value ReprAuto adapts per
-	// equivalence class. Non-Eclat algorithms ignore it.
+	// equivalence class. It picks only each class's encoding, to which
+	// the class converts the members it derives from a source's items;
+	// values past ReprRoaring are ErrInvalidRepresentation. Non-Eclat
+	// algorithms ignore it.
 	Representation Representation
 	// Parallelism is the number of OS-level worker goroutines the real
 	// (non-simulated) Eclat path mines with on its work-stealing driver:
@@ -388,7 +392,9 @@ type MineOptions struct {
 	// budget is not part of the serving layer's cache identity. Sources
 	// without a store mapping, and mines that fit the budget, run in-core
 	// unchanged; negative budgets are rejected with
-	// ErrInvalidMemoryBudget.
+	// ErrInvalidMemoryBudget. It governs the mapping: the items a store
+	// source serves packed are heap copies, each no larger than the
+	// sparse record it replaces.
 	MemoryBudget int64
 }
 
@@ -584,17 +590,20 @@ func (o MineOptions) clusterConfig() ClusterConfig {
 // support threshold a mine of src would use, without mining. It is the
 // validation MineFrom runs, so options Check accepts are never refused by
 // MineFrom; the serving layer runs it at submission to turn bad jobs away
-// before they queue. The checks run in a fixed order — output and
-// algorithm, the TopK and MustContain path rules, MemoryBudget, the
-// cluster shape, support, Parallelism — and src.NumTransactions is read
-// only once all of them have passed, so options refused on their own
-// never touch the data.
+// before they queue. The checks run in a fixed order — output,
+// algorithm and representation, the TopK and MustContain path rules,
+// MemoryBudget, the cluster shape, support, Parallelism — and
+// src.NumTransactions is read only once all of them have passed, so
+// options refused on their own never touch the data.
 func (o MineOptions) Check(src Source) (minsup int, err error) {
 	if o.Output < OutputAll || o.Output > OutputClosed {
 		return 0, fmt.Errorf("repro: unknown output %d", int(o.Output))
 	}
 	if !o.localEclat() && (o.Algorithm < AlgoEclat || o.Algorithm > AlgoDHP) {
 		return 0, fmt.Errorf("%w: %v", ErrUnknownAlgorithm, o.Algorithm)
+	}
+	if o.Representation > ReprRoaring {
+		return 0, fmt.Errorf("%w: %v", ErrInvalidRepresentation, o.Representation)
 	}
 	if err := o.checkQuery(); err != nil {
 		return 0, err
@@ -647,9 +656,9 @@ func Mine(ctx context.Context, d *Database, opts MineOptions) (*Result, *RunInfo
 // Source supplies a dataset to MineFrom in whichever layout it exists:
 // horizontal transactions, the paper's vertical tid-set transform, or
 // both. The persistent store's Dataset and the service registry's
-// Dataset both implement it (serving vertical views zero-copy from the
-// mmap bundle), and HorizontalSource/VerticalSource adapt in-memory
-// data.
+// Dataset both implement it (serving each item in its smallest
+// encoding, sparse ones zero-copy from the mmap bundle), and
+// HorizontalSource/VerticalSource adapt in-memory data.
 type Source interface {
 	// NumTransactions is |D|, needed to resolve percentage supports
 	// without materializing either layout.
@@ -657,21 +666,20 @@ type Source interface {
 	// Horizontal materializes the horizontal transaction database.
 	Horizontal() (*Database, error)
 	// VerticalSets returns one immutable tid-set per item (index = item
-	// id, nil entries are absent items) under the given representation,
-	// and ok=true when the source can serve that view without a
-	// horizontal scan. ok=false routes MineFrom to the horizontal path.
-	VerticalSets(r Representation) ([]tidlist.Set, bool)
+	// id, nil entries are absent items), each in the encoding the source
+	// holds it in, and ok=true when the source can serve that view
+	// without a horizontal scan. ok=false routes MineFrom to the
+	// horizontal path.
+	VerticalSets() ([]tidlist.Set, bool)
 }
 
 // horizontalSource adapts an in-memory horizontal database as a Source
 // with no vertical view.
 type horizontalSource struct{ d *Database }
 
-func (s horizontalSource) NumTransactions() int           { return s.d.Len() }
-func (s horizontalSource) Horizontal() (*Database, error) { return s.d, nil }
-func (s horizontalSource) VerticalSets(Representation) ([]tidlist.Set, bool) {
-	return nil, false
-}
+func (s horizontalSource) NumTransactions() int                { return s.d.Len() }
+func (s horizontalSource) Horizontal() (*Database, error)      { return s.d, nil }
+func (s horizontalSource) VerticalSets() ([]tidlist.Set, bool) { return nil, false }
 
 // HorizontalSource adapts a horizontal database as a Source. MineFrom on
 // it behaves exactly like Mine.
@@ -688,9 +696,7 @@ func (s verticalSource) NumTransactions() int { return s.numTx }
 func (s verticalSource) Horizontal() (*Database, error) {
 	return nil, fmt.Errorf("repro: vertical source has no horizontal form")
 }
-func (s verticalSource) VerticalSets(Representation) ([]tidlist.Set, bool) {
-	return s.items, true
-}
+func (s verticalSource) VerticalSets() ([]tidlist.Set, bool) { return s.items, true }
 
 // VerticalSource adapts a dataset already in the paper's vertical layout
 // — one immutable tid-set per item (index = item id) plus the
@@ -737,7 +743,7 @@ func MineFrom(ctx context.Context, src Source, opts MineOptions) (*Result, *RunI
 	in := eclat.VerticalInput{NumTransactions: src.NumTransactions()}
 	vertical := false
 	if opts.localEclat() {
-		in.Items, vertical = src.VerticalSets(opts.Representation)
+		in.Items, vertical = src.VerticalSets()
 	}
 	var d *Database
 	if !vertical {

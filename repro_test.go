@@ -163,7 +163,7 @@ func (s refusingSource) Horizontal() (*Database, error) {
 	return nil, nil
 }
 
-func (s refusingSource) VerticalSets(Representation) ([]tidlist.Set, bool) {
+func (s refusingSource) VerticalSets() ([]tidlist.Set, bool) {
 	s.t.Fatal("refused options read the source")
 	return nil, false
 }
@@ -229,6 +229,7 @@ func TestCheck(t *testing.T) {
 		{MineOptions{SupportPct: math.NaN()}, ErrInvalidSupport},
 		{MineOptions{SupportPct: 100.5, TopK: 5}, ErrInvalidSupport},
 		{MineOptions{SupportPct: 1, Algorithm: AlgoDHP + 1}, ErrUnknownAlgorithm},
+		{MineOptions{SupportPct: 1, Representation: ReprRoaring + 1}, ErrInvalidRepresentation},
 		{MineOptions{SupportPct: 1, Parallelism: -1}, ErrInvalidParallelism},
 		{MineOptions{TopK: -1}, ErrInvalidTopK},
 		{MineOptions{SupportPct: 1, TopK: 5, Output: OutputMaximal}, ErrInvalidTopK},

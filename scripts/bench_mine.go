@@ -20,8 +20,7 @@
 //	go run scripts/bench_mine.go [-benchtime 3x] [-count 5] [-o BENCH_mine.json]
 //
 // Each row keeps the median of its -count runs and records their
-// interquartile range (nsIQR): the fastest run, kept before, could not
-// tell a one-worker difference from the host's noise on a 2-vCPU host.
+// interquartile range (nsIQR; see scripts/benchrow).
 package main
 
 import (
@@ -36,7 +35,8 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
+
+	"repro/scripts/benchrow"
 )
 
 // MineResult is one MineParallelLocal or MineVerticalLocal benchmark
@@ -122,20 +122,20 @@ func main() {
 	// mineRuns is keyed by benchmark (ParallelLocal or VerticalLocal),
 	// representation and worker count; variantRuns by variant and worker
 	// count.
-	mineRuns := map[[3]string][]run{}
-	variantRuns := map[[2]string][]run{}
+	mineRuns := map[[3]string][]benchrow.Run{}
+	variantRuns := map[[2]string][]benchrow.Run{}
 	sc := bufio.NewScanner(bytes.NewReader(raw))
 	for sc.Scan() {
 		line := sc.Text()
 		if m := mineLine.FindStringSubmatch(line); m != nil {
-			if r, ok := parseRun(m[4], m[5]); ok {
+			if r, ok := benchrow.ParseRun(m[4], m[5]); ok {
 				key := [3]string{m[1], m[2], m[3]}
 				mineRuns[key] = append(mineRuns[key], r)
 			}
 			continue
 		}
 		if m := variantLine.FindStringSubmatch(line); m != nil {
-			if r, ok := parseRun(m[3], m[4]); ok {
+			if r, ok := benchrow.ParseRun(m[3], m[4]); ok {
 				key := [2]string{m[1], m[2]}
 				variantRuns[key] = append(variantRuns[key], r)
 			}
@@ -144,14 +144,14 @@ func main() {
 	mineRows := map[[3]string]MineResult{}
 	for key, runs := range mineRuns {
 		workers, _ := strconv.Atoi(key[2])
-		m := summarize(runs)
-		mineRows[key] = MineResult{Repr: key[1], Workers: workers, NsPerOp: m.ns, NsIQR: m.iqr, BytesPerOp: m.bytes, AllocsPerOp: m.allocs}
+		m := benchrow.Summarize(runs)
+		mineRows[key] = MineResult{Repr: key[1], Workers: workers, NsPerOp: m.NS, NsIQR: m.IQR, BytesPerOp: m.Bytes, AllocsPerOp: m.Allocs}
 	}
 	variantRows := map[[2]string]PolicyResult{}
 	for key, runs := range variantRuns {
 		workers, _ := strconv.Atoi(key[1])
-		m := summarize(runs)
-		variantRows[key] = PolicyResult{Variant: key[0], Workers: workers, NsPerOp: m.ns, NsIQR: m.iqr, BytesPerOp: m.bytes, AllocsPerOp: m.allocs}
+		m := benchrow.Summarize(runs)
+		variantRows[key] = PolicyResult{Variant: key[0], Workers: workers, NsPerOp: m.NS, NsIQR: m.IQR, BytesPerOp: m.Bytes, AllocsPerOp: m.Allocs}
 	}
 	if len(mineRows) == 0 || len(variantRows) == 0 {
 		fmt.Fprintln(os.Stderr, "bench_mine: no benchmark lines parsed")
@@ -230,72 +230,4 @@ func main() {
 	}
 	fmt.Printf("wrote %s (%d mine, %d vertical, %d variant results)\n",
 		*out, len(snap.Mine), len(snap.Vertical), len(snap.Variants))
-}
-
-// run is one benchmark line's figures.
-type run struct{ ns, bytes, allocs float64 }
-
-// parseRun reads one line's ns/op and its memory tail.
-func parseRun(ns, tail string) (run, bool) {
-	v, err := strconv.ParseFloat(ns, 64)
-	if err != nil {
-		return run{}, false
-	}
-	r := run{ns: v}
-	r.bytes, r.allocs = parseMem(tail)
-	return r, true
-}
-
-// summary is a row's median figures and the interquartile range of its
-// times.
-type summary struct{ ns, iqr, bytes, allocs float64 }
-
-// summarize reduces one row's runs to their medians and the IQR of their
-// times.
-func summarize(runs []run) summary {
-	col := func(f func(run) float64) []float64 {
-		xs := make([]float64, len(runs))
-		for i, r := range runs {
-			xs[i] = f(r)
-		}
-		sort.Float64s(xs)
-		return xs
-	}
-	ns := col(func(r run) float64 { return r.ns })
-	return summary{
-		ns:     quantile(ns, 0.5),
-		iqr:    quantile(ns, 0.75) - quantile(ns, 0.25),
-		bytes:  quantile(col(func(r run) float64 { return r.bytes }), 0.5),
-		allocs: quantile(col(func(r run) float64 { return r.allocs }), 0.5),
-	}
-}
-
-// quantile is the q-quantile of the sorted xs, interpolated linearly
-// between neighbouring runs.
-func quantile(xs []float64, q float64) float64 {
-	pos := q * float64(len(xs)-1)
-	i := int(pos)
-	if i+1 >= len(xs) {
-		return xs[len(xs)-1]
-	}
-	return xs[i] + (pos-float64(i))*(xs[i+1]-xs[i])
-}
-
-// parseMem extracts "N B/op" and "M allocs/op" from the tail of a
-// benchmark line (absent when the run did not report allocations).
-func parseMem(tail string) (bytesPerOp, allocsPerOp float64) {
-	fields := strings.Fields(tail)
-	for i := 0; i+1 < len(fields); i++ {
-		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
-			continue
-		}
-		switch fields[i+1] {
-		case "B/op":
-			bytesPerOp = v
-		case "allocs/op":
-			allocsPerOp = v
-		}
-	}
-	return bytesPerOp, allocsPerOp
 }

@@ -11,11 +11,11 @@
 //
 // Usage (from the repository root):
 //
-//	go run scripts/bench_service.go [-benchtime 200x] [-count 3] [-o BENCH_service.json]
+//	go run scripts/bench_service.go [-benchtime 200x] [-count 5] [-o BENCH_service.json]
 //
-// With -count > 1 the fastest run per case is kept, the usual way to
-// suppress scheduling noise in committed snapshots. The snapshot records
-// the producing host's NumCPU, GOMAXPROCS and Go version.
+// Each case keeps the median of its -count runs and records their
+// interquartile range (nsIQR; see scripts/benchrow). The snapshot
+// records the producing host's NumCPU, GOMAXPROCS and Go version.
 package main
 
 import (
@@ -30,37 +30,42 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
+
+	"repro/scripts/benchrow"
 )
 
 // Result is one benchmark case of the snapshot.
 type Result struct {
 	// Case is the sub-benchmark: uncached, uncached-cold or cached.
 	Case string `json:"case"`
-	// NsPerOp is the fastest observed time per job.
+	// NsPerOp is the median time per job over the runs, and NsIQR the
+	// interquartile range of those times.
 	NsPerOp float64 `json:"nsPerOp"`
-	// BytesPerOp / AllocsPerOp come from -benchmem accounting.
+	NsIQR   float64 `json:"nsIQR"`
+	// BytesPerOp / AllocsPerOp come from -benchmem accounting, the
+	// medians over the runs.
 	BytesPerOp  float64 `json:"bytesPerOp"`
 	AllocsPerOp float64 `json:"allocsPerOp"`
 }
 
 // Snapshot is the BENCH_service.json document.
 type Snapshot struct {
-	GoVersion  string   `json:"goVersion"`
-	GOOS       string   `json:"goos"`
-	GOARCH     string   `json:"goarch"`
-	NumCPU     int      `json:"numCPU"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	Benchtime  string   `json:"benchtime"`
-	Count      int      `json:"count"`
-	Results    []Result `json:"results"`
+	GoVersion  string `json:"goVersion"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"numCPU"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Benchtime  string `json:"benchtime"`
+	// Count is the number of runs each case's median and IQR are over.
+	Count   int      `json:"count"`
+	Results []Result `json:"results"`
 }
 
 var benchLine = regexp.MustCompile(`^BenchmarkServiceQueries/([a-z-]+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
 
 func main() {
 	benchtime := flag.String("benchtime", "200x", "go test -benchtime value")
-	count := flag.Int("count", 3, "go test -count value; the fastest run per case is kept")
+	count := flag.Int("count", 5, "go test -count value; each case keeps the median run and the runs' IQR")
 	out := flag.String("o", "BENCH_service.json", "output file")
 	flag.Parse()
 
@@ -74,24 +79,18 @@ func main() {
 		os.Exit(1)
 	}
 
-	best := map[string]Result{}
+	runs := map[string][]benchrow.Run{}
 	sc := bufio.NewScanner(bytes.NewReader(raw))
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			continue
-		}
-		r := Result{Case: m[1], NsPerOp: ns}
-		r.BytesPerOp, r.AllocsPerOp = parseMem(m[3])
-		if prev, ok := best[r.Case]; !ok || r.NsPerOp < prev.NsPerOp {
-			best[r.Case] = r
+		if r, ok := benchrow.ParseRun(m[2], m[3]); ok {
+			runs[m[1]] = append(runs[m[1]], r)
 		}
 	}
-	if len(best) == 0 {
+	if len(runs) == 0 {
 		fmt.Fprintln(os.Stderr, "bench_service: no benchmark lines parsed")
 		os.Exit(1)
 	}
@@ -105,8 +104,9 @@ func main() {
 		Benchtime:  *benchtime,
 		Count:      *count,
 	}
-	for _, r := range best {
-		snap.Results = append(snap.Results, r)
+	for c, rs := range runs {
+		m := benchrow.Summarize(rs)
+		snap.Results = append(snap.Results, Result{Case: c, NsPerOp: m.NS, NsIQR: m.IQR, BytesPerOp: m.Bytes, AllocsPerOp: m.Allocs})
 	}
 	sort.Slice(snap.Results, func(i, j int) bool { return snap.Results[i].Case < snap.Results[j].Case })
 
@@ -121,23 +121,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s (%d results)\n", *out, len(snap.Results))
-}
-
-// parseMem extracts "N B/op" and "M allocs/op" from the tail of a
-// benchmark line.
-func parseMem(tail string) (bytesPerOp, allocsPerOp float64) {
-	fields := strings.Fields(tail)
-	for i := 0; i+1 < len(fields); i++ {
-		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
-			continue
-		}
-		switch fields[i+1] {
-		case "B/op":
-			bytesPerOp = v
-		case "allocs/op":
-			allocsPerOp = v
-		}
-	}
-	return bytesPerOp, allocsPerOp
 }

@@ -10,10 +10,11 @@
 //
 // Usage (from the repository root):
 //
-//	go run scripts/bench_store.go [-benchtime 20x] [-count 3] [-o BENCH_store.json]
+//	go run scripts/bench_store.go [-benchtime 20x] [-count 5] [-o BENCH_store.json]
 //
-// With -count > 1 the fastest run per benchmark is kept, the usual way
-// to suppress scheduling noise in committed snapshots.
+// Each row keeps the median of its -count runs and records their
+// interquartile range (nsIQR; see scripts/benchrow). The snapshot
+// records the producing host's NumCPU, GOMAXPROCS and Go version.
 package main
 
 import (
@@ -28,7 +29,8 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
+
+	"repro/scripts/benchrow"
 )
 
 // Result is one benchmark line of the snapshot.
@@ -42,20 +44,27 @@ type Result struct {
 	// for StoreMine, and the budget percentage (25/50/100 of the mapped
 	// bundle) for StoreMineOOC.
 	Case string `json:"case"`
-	// NsPerOp is the fastest observed time per operation.
+	// NsPerOp is the median time per operation over the runs, and NsIQR
+	// the interquartile range of those times.
 	NsPerOp float64 `json:"nsPerOp"`
-	// BytesPerOp / AllocsPerOp come from ReportAllocs accounting.
+	NsIQR   float64 `json:"nsIQR"`
+	// BytesPerOp / AllocsPerOp come from ReportAllocs accounting, the
+	// medians over the runs.
 	BytesPerOp  float64 `json:"bytesPerOp"`
 	AllocsPerOp float64 `json:"allocsPerOp"`
 }
 
 // Snapshot is the BENCH_store.json document.
 type Snapshot struct {
-	GoVersion string   `json:"goVersion"`
-	GOOS      string   `json:"goos"`
-	GOARCH    string   `json:"goarch"`
-	Benchtime string   `json:"benchtime"`
-	Results   []Result `json:"results"`
+	GoVersion  string `json:"goVersion"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"numCPU"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Benchtime  string `json:"benchtime"`
+	// Count is the number of runs each row's median and IQR are over.
+	Count   int      `json:"count"`
+	Results []Result `json:"results"`
 }
 
 var benchLine = regexp.MustCompile(
@@ -63,7 +72,7 @@ var benchLine = regexp.MustCompile(
 
 func main() {
 	benchtime := flag.String("benchtime", "20x", "go test -benchtime value")
-	count := flag.Int("count", 3, "go test -count value; the fastest run per benchmark is kept")
+	count := flag.Int("count", 5, "go test -count value; each row keeps the median run and the runs' IQR")
 	out := flag.String("o", "BENCH_store.json", "output file")
 	flag.Parse()
 
@@ -77,38 +86,38 @@ func main() {
 		os.Exit(1)
 	}
 
-	best := map[[3]string]Result{}
+	// runs is keyed by benchmark, transaction count and case.
+	runs := map[[3]string][]benchrow.Run{}
 	sc := bufio.NewScanner(bytes.NewReader(raw))
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[4], 64)
-		if err != nil {
-			continue
-		}
-		n, _ := strconv.Atoi(m[2])
-		r := Result{Benchmark: m[1], Transactions: n, Case: m[3], NsPerOp: ns}
-		r.BytesPerOp, r.AllocsPerOp = parseMem(m[5])
-		key := [3]string{r.Benchmark, m[2], r.Case}
-		if prev, ok := best[key]; !ok || r.NsPerOp < prev.NsPerOp {
-			best[key] = r
+		if r, ok := benchrow.ParseRun(m[4], m[5]); ok {
+			key := [3]string{m[1], m[2], m[3]}
+			runs[key] = append(runs[key], r)
 		}
 	}
-	if len(best) == 0 {
+	if len(runs) == 0 {
 		fmt.Fprintln(os.Stderr, "bench_store: no benchmark lines parsed")
 		os.Exit(1)
 	}
 
 	snap := Snapshot{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Benchtime: *benchtime,
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Benchtime:  *benchtime,
+		Count:      *count,
 	}
-	for _, r := range best {
-		snap.Results = append(snap.Results, r)
+	for key, rs := range runs {
+		n, _ := strconv.Atoi(key[1])
+		m := benchrow.Summarize(rs)
+		snap.Results = append(snap.Results, Result{Benchmark: key[0], Transactions: n, Case: key[2],
+			NsPerOp: m.NS, NsIQR: m.IQR, BytesPerOp: m.Bytes, AllocsPerOp: m.Allocs})
 	}
 	sort.Slice(snap.Results, func(i, j int) bool {
 		a, b := snap.Results[i], snap.Results[j]
@@ -132,23 +141,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s (%d results)\n", *out, len(snap.Results))
-}
-
-// parseMem extracts "N B/op" and "M allocs/op" from the tail of a
-// benchmark line (absent when the run did not report allocations).
-func parseMem(tail string) (bytesPerOp, allocsPerOp float64) {
-	fields := strings.Fields(tail)
-	for i := 0; i+1 < len(fields); i++ {
-		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
-			continue
-		}
-		switch fields[i+1] {
-		case "B/op":
-			bytesPerOp = v
-		case "allocs/op":
-			allocsPerOp = v
-		}
-	}
-	return bytesPerOp, allocsPerOp
 }
