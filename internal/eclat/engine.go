@@ -1,7 +1,9 @@
 package eclat
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,8 +30,9 @@ var (
 
 // Emitter receives one frequent itemset with its exact support. Each
 // worker calls its own emitter on its own goroutine, in the order it
-// mines its classes; the final reduction's canonical sort makes the
-// output independent of that order.
+// mines its classes; each class's emissions are sorted once the class
+// is done, and one merge of those runs puts the collection in canonical
+// order, so the output is independent of the order the classes ran in.
 type Emitter func(itemset.Itemset, int)
 
 // supportHeap is the concurrent top-k pruning hook: a bounded min-heap of
@@ -198,24 +201,30 @@ func (e *engine) wrapEmit(sink Emitter) Emitter {
 	return emit
 }
 
-// seeded calls f with each seeded L1 and L2 itemset the result holds:
-// every one, or under a targeted query those holding every targeted
-// item.
+// holds reports whether the result holds the seeded L1 or L2 itemset
+// set: every one does, or under a targeted query those holding every
+// targeted item.
+func (e *engine) holds(set itemset.Itemset) bool {
+	return len(e.must) == 0 || containsAll(set, e.must)
+}
+
+// seeded calls f with each seeded itemset the result holds.
 func (e *engine) seeded(f func(set itemset.Itemset, sup int)) {
 	for i, set := range e.v.seeds {
-		if len(e.must) == 0 || containsAll(set, e.must) {
+		if e.holds(set) {
 			f(set, e.v.sups[i])
 		}
 	}
 }
 
 // finish is a local run's final reduction (§5.4), traced as its own
-// "reduction" phase after the asynchronous one: the run's closing
-// figures land in st and reduce shapes the collection into the policy's
-// output.
-func (e *engine) finish(ctx context.Context, st *Stats) *mining.Result {
+// "reduction" phase after the asynchronous one: merge gathers the
+// collection, the run's closing figures land in st, and reduce shapes
+// the collection into the policy's output.
+func (e *engine) finish(ctx context.Context, st *Stats, rs *runScratch) *mining.Result {
 	sp := obsv.TraceFrom(ctx).Start("reduction")
 	defer sp.End()
+	e.v.res.Itemsets = e.merge(rs)
 	st.Candidates = len(e.v.res.Itemsets)
 	st.EffectiveMinSup = e.th.current()
 	if e.th.heap != nil {
@@ -224,15 +233,66 @@ func (e *engine) finish(ctx context.Context, st *Stats) *mining.Result {
 	return reduce(e.v.res, e.opts.Policy, e.opts.TopK)
 }
 
-// reduce shapes a run's collection — the seeded L1/L2 plus every
-// emission — into the policy's output, for the local and the
-// simulated-cluster entry points alike: the global subsumption filter
-// for PolicyMaximal (local filtering cannot be final: a set from one
-// class can be subsumed by a set from another), the closure filter for
-// PolicyClosed, then the canonical sort and, under top-k, the
-// support-ordered truncation. Both filters are independent of the
-// collection's order, which is what makes the output byte-identical at
-// every worker count and cluster shape.
+// merge returns the run's collection — the seeds the result holds and
+// every class's run in rs — in canonical order, in one slice of its
+// exact length (nil when empty): for each L1 item a, {a}, then a's L2
+// seeds merged with the run of the class prefixed by a. Classes
+// partition the longer itemsets by their first item, so this one linear
+// pass orders the collection whatever order the schedule, or a budget's
+// locality order, mined the classes in. A maximal class can re-emit an
+// L2 seed; the merge puts the two side by side, the seed first. It
+// reorders rs.runs by prefix.
+func (e *engine) merge(rs *runScratch) []mining.FrequentItemset {
+	workers := rs.workers[:e.opts.Workers]
+	n := 0
+	e.seeded(func(itemset.Itemset, int) { n++ })
+	for _, ws := range workers {
+		n += len(ws.out)
+	}
+	if n == 0 {
+		return nil
+	}
+	dst := make([]mining.FrequentItemset, 0, n)
+	runs := rs.runs
+	slices.SortFunc(runs, func(a, b classRun) int { return cmp.Compare(a.item, b.item) })
+	seeds, sups := e.v.seeds, e.v.sups
+	n1 := 0
+	for n1 < len(seeds) && len(seeds[n1]) == 1 {
+		n1++
+	}
+	l2 := n1
+	for i, set := range seeds[:n1] {
+		a := set[0]
+		if e.holds(set) {
+			dst = append(dst, mining.FrequentItemset{Set: set, Support: sups[i]})
+		}
+		var run []mining.FrequentItemset
+		if len(runs) > 0 && runs[0].item == a {
+			r := runs[0]
+			run, runs = workers[r.w].out[r.lo:r.hi], runs[1:]
+		}
+		for ; l2 < len(seeds) && seeds[l2][0] == a; l2++ {
+			if !e.holds(seeds[l2]) {
+				continue
+			}
+			for len(run) > 0 && itemset.Compare(run[0].Set, seeds[l2]) < 0 {
+				dst, run = append(dst, run[0]), run[1:]
+			}
+			dst = append(dst, mining.FrequentItemset{Set: seeds[l2], Support: sups[l2]})
+		}
+		dst = append(dst, run...)
+	}
+	return dst
+}
+
+// reduce shapes a local run's collection — the seeded L1/L2 and every
+// emission, in canonical order — into the policy's output: the global
+// subsumption filter for PolicyMaximal (local filtering cannot be
+// final: a set from one class can be subsumed by a set from another),
+// the closure filter for PolicyClosed and, under top-k, the
+// support-ordered truncation. Both filters keep the order they are
+// handed, so nothing sorts after them, and the output is byte-identical
+// at every worker count.
 func reduce(res *mining.Result, policy Policy, topK int) *mining.Result {
 	switch policy {
 	case PolicyMaximal:
@@ -240,13 +300,9 @@ func reduce(res *mining.Result, policy Policy, topK int) *mining.Result {
 	case PolicyClosed:
 		res.Itemsets = closedFilter(res.Itemsets)
 	}
-	if 0 < topK && topK < len(res.Itemsets) {
-		// The cut sorts by support itself, then restores the canonical
-		// order of the k it keeps.
-		res.TruncateTopK(topK)
-	} else {
-		res.Sort()
-	}
+	// The cut sorts by support itself, then restores the canonical order
+	// of the k it keeps; it leaves a result of at most k untouched.
+	res.TruncateTopK(topK)
 	return res
 }
 

@@ -125,8 +125,9 @@ func (q *wsDeque) stealInto(dst *wsDeque, qi, dsti int) int {
 // most queued weight, so one skewed class cannot serialize the run the
 // way it can under the paper's static schedule. The result is
 // byte-identical at every worker count: the classes partition the
-// itemset space, each class is mined single-threaded by one worker, and
-// the final reduction sorts the collection into its canonical order.
+// itemset space by prefix, each class is mined single-threaded by one
+// worker, which sorts its emissions, and one merge of those runs with
+// the seeded L1/L2 puts the collection in canonical order.
 //
 // On context cancellation every worker drains, the partial result is
 // discarded and ctx.Err() is returned; no goroutines outlive the call.
@@ -165,16 +166,16 @@ func mineLocal(ctx context.Context, minsup int, opts Options, build func(minsup 
 	if err := eng.run(ctx, &st, rs); err != nil {
 		return nil, st, err
 	}
-	return eng.finish(ctx, &st), st, nil
+	return eng.finish(ctx, &st, rs), st, nil
 }
 
 // run is the engine's one driver, for every policy, entry point and
 // worker count: deal the top-level classes to per-worker deques and mine
 // them with stealing, each worker appending its emissions to its own
-// buffer in rs. Once every worker has joined, the seeds the result
-// holds and the emissions are copied into one slice of their total
-// length, the result's (nil when empty). Worker counters are folded into
-// st; st.Steals is overwritten with the run's steal count.
+// buffer in rs, sorting each class's emissions, its run, once the class
+// is done, and recording the run's offsets in rs.runs. Worker counters
+// are folded into st; st.Steals is overwritten with the run's steal
+// count.
 func (e *engine) run(ctx context.Context, st *Stats, rs *runScratch) error {
 	v := e.v
 	if e.th.heap != nil {
@@ -185,6 +186,7 @@ func (e *engine) run(ctx context.Context, st *Stats, rs *runScratch) error {
 	tr := obsv.TraceFrom(ctx)
 	sp := tr.Start("asynchronous")
 	workers := rs.forWorkers(e.opts.Workers)
+	rs.runs = grow(rs.runs, len(v.classes))
 
 	// Deal classes to deques with the greedy weighted schedule, then order
 	// each deque heaviest-first so owners start on the big classes while
@@ -232,11 +234,14 @@ func (e *engine) run(ctx context.Context, st *Stats, rs *runScratch) error {
 
 			mine := func(t classTask) {
 				mark := wk.ar.mark()
+				lo := len(ws.out)
 				v.acquire(t.ci)
 				sup, prefix := v.prefix(t.ci)
 				wk.explore(ctx, v.sets.classMembers(&v.classes[t.ci], e.opts.Representation, wst, wk.ar), sup, prefix, emit)
 				v.release(t.ci)
 				wk.ar.release(mark)
+				slices.SortFunc(ws.out[lo:], mining.Compare)
+				rs.runs[t.ci] = classRun{item: v.classes[t.ci].Prefix[0], w: int32(self), lo: lo, hi: len(ws.out)}
 				flushStats(&prev, wst)
 				mClasses.Inc()
 			}
@@ -277,23 +282,5 @@ func (e *engine) run(ctx context.Context, st *Stats, rs *runScratch) error {
 		st.merge(&workerStats[w])
 	}
 	st.Steals = steals.Load()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	n := 0
-	e.seeded(func(itemset.Itemset, int) { n++ })
-	for _, ws := range workers {
-		n += len(ws.out)
-	}
-	if n > 0 {
-		all := make([]mining.FrequentItemset, 0, n)
-		e.seeded(func(set itemset.Itemset, sup int) {
-			all = append(all, mining.FrequentItemset{Set: set, Support: sup})
-		})
-		for _, ws := range workers {
-			all = append(all, ws.out...)
-		}
-		v.res.Itemsets = all
-	}
-	return nil
+	return ctx.Err()
 }

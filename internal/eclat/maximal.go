@@ -2,7 +2,6 @@ package eclat
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/itemset"
 	"repro/internal/mining"
@@ -81,45 +80,90 @@ func computeMaximal(ctx context.Context, members []member, th *threshold, st *St
 	}
 }
 
-// filterMaximal removes every candidate subsumed by another candidate,
-// returning the true maximal sets (deduplicated). The outcome is
-// independent of the candidate order (it sorts cands in place first),
-// which is what makes the maximal output byte-identical at every worker
-// count.
+// filterMaximal returns the candidates no other candidate subsumes —
+// the true maximal sets, deduplicated — in the canonical order cands is
+// in, where a duplicate sits next to its twin; it filters cands in
+// place. It visits the distinct candidates largest first, in a counting
+// sort over their sizes, and checks each against the larger keepers
+// indexed under its least-shared item: a superset holds every item of
+// the set it subsumes.
 func filterMaximal(cands []mining.FrequentItemset) []mining.FrequentItemset {
-	// Sort by size descending so keepers accumulate largest-first, and
-	// dedupe identical sets.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Set.K() != cands[j].Set.K() {
-			return cands[i].Set.K() > cands[j].Set.K()
-		}
-		return cands[i].Set.Less(cands[j].Set)
-	})
-	var out []mining.FrequentItemset
-	seen := map[string]bool{}
-	// byItem indexes kept sets by their first item: a subsuming superset
-	// of c must contain c[0], so only those keepers need a subset check.
-	byItem := map[itemset.Item][]int{}
+	if len(cands) == 0 {
+		return cands
+	}
+	maxK, maxItem := 0, itemset.Item(0)
 	for _, c := range cands {
-		if seen[c.Set.Key()] {
+		maxK, maxItem = max(maxK, len(c.Set)), max(maxItem, c.Set[len(c.Set)-1])
+	}
+	// bySize[k] counts the distinct k-sets, then is the cursor of their
+	// stretch of order, larger sizes first. start[it] counts the
+	// distinct sets holding item it, then is where its keepers begin in
+	// keepers, and end[it] where they end so far.
+	bySize := make([]int, maxK+1)
+	start := make([]int32, 2*int(maxItem)+2)
+	end := start[maxItem+1:]
+	dup := func(i int) bool { return i > 0 && cands[i].Set.Equal(cands[i-1].Set) }
+	distinct := 0
+	for i, c := range cands {
+		if dup(i) {
 			continue
 		}
-		seen[c.Set.Key()] = true
+		distinct++
+		bySize[len(c.Set)]++
+		for _, it := range c.Set {
+			start[it]++
+		}
+	}
+	var pos int
+	for k := maxK; k > 0; k-- {
+		bySize[k], pos = pos, pos+bySize[k]
+	}
+	order := make([]int32, distinct)
+	for i, c := range cands {
+		if dup(i) {
+			continue
+		}
+		order[bySize[len(c.Set)]] = int32(i)
+		bySize[len(c.Set)]++
+	}
+	var total int32
+	for it, n := range start[:maxItem+1] {
+		start[it], end[it] = total, total
+		total += n
+	}
+
+	keepers := make([]int32, total)
+	kept := make([]bool, len(cands))
+	for _, i := range order {
+		set := cands[i].Set
+		least := set[0]
+		for _, it := range set[1:] {
+			if end[it]-start[it] < end[least]-start[least] {
+				least = it
+			}
+		}
 		subsumed := false
-		for _, ki := range byItem[c.Set[0]] {
-			kept := out[ki]
-			if c.Set.K() < kept.Set.K() && c.Set.SubsetOf(kept.Set) {
+		for _, ki := range keepers[start[least]:end[least]] {
+			if sup := cands[ki].Set; len(set) < len(sup) && set.SubsetOf(sup) {
 				subsumed = true
 				break
 			}
 		}
-		if !subsumed {
-			idx := len(out)
-			out = append(out, c)
-			for _, it := range c.Set {
-				byItem[it] = append(byItem[it], idx)
-			}
+		if subsumed {
+			continue
+		}
+		kept[i] = true
+		for _, it := range set {
+			keepers[end[it]] = i
+			end[it]++
 		}
 	}
+	out := cands[:0]
+	for i, c := range cands {
+		if kept[i] {
+			out = append(out, c)
+		}
+	}
+	clear(cands[len(out):])
 	return out
 }

@@ -94,9 +94,9 @@ func classItems(c *eqclass.Class) []int {
 // orderClassesByLocality stably reorders classes so that classes whose
 // item tid-lists start in the same or adjacent bundle segments run
 // adjacently — sequential segment traversal instead of random paging.
-// Classes with no known segment sort last. The canonical Result.Sort
-// makes the output independent of class order, so this is purely a
-// paging optimization.
+// Classes with no known segment sort last. The final reduction merges
+// the classes' runs in prefix order, which makes the output independent
+// of class order, so this is purely a paging optimization.
 func orderClassesByLocality(classes []eqclass.Class, res Residency) {
 	keys := make([]int, len(classes))
 	for ci := range classes {

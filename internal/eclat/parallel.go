@@ -33,13 +33,13 @@ type pairList struct {
 // cluster. The database is block-partitioned across all T processors;
 // each processor executes the SPMD program, mining its classes with
 // figure 3's search, and the final reduction sorts the gathered
-// collection exactly as the local entry points do, so the result is
-// identical to MineParallelLocal's all-frequent output on the same
-// inputs. The transformation works in memory-mapped regions, paged once
-// the host's processors overflow its memory, or, with
-// ExternalTransform, through bounded disk buffers. Policy, TopK,
-// MustContain and Workers are ignored on the cluster forms (use the
-// local entry points).
+// collection into the canonical order the local entry points merge
+// theirs into, so the result is identical to MineParallelLocal's
+// all-frequent output on the same inputs. The transformation works in
+// memory-mapped regions, paged once the host's processors overflow its
+// memory, or, with ExternalTransform, through bounded disk buffers.
+// Policy, TopK, MustContain and Workers are ignored on the cluster forms
+// (use the local entry points).
 func MineOpts(cl *cluster.Cluster, d *db.Database, minsup int, opts Options) (*mining.Result, cluster.Report) {
 	return clusterMine(cl, d, minsup, opts, 1)
 }
@@ -277,7 +277,8 @@ func clusterMine(cl *cluster.Cluster, d *db.Database, minsup int, opts Options, 
 		cluster.Gather(p, localBytes, localBytes)
 	})
 
-	// Assemble the global collection as processor 0 gathers it.
+	// Assemble the global collection as processor 0 gathers it, and sort
+	// it into canonical order.
 	res := &mining.Result{MinSup: minsup, NumTransactions: d.Len()}
 	for it, c := range globalItems {
 		if c >= minsup {
@@ -290,9 +291,10 @@ func clusterMine(cl *cluster.Cluster, d *db.Database, minsup int, opts Options, 
 	for _, local := range locals {
 		res.Itemsets = append(res.Itemsets, local...)
 	}
+	res.Sort()
 	rep := cl.Report()
 	rep.Representation = opts.Representation.String()
-	return reduce(res, PolicyAll, 0), rep
+	return res, rep
 }
 
 // scheduleClasses deals the classes to n owners by section 5.2.1's

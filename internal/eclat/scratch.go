@@ -13,8 +13,9 @@ import (
 // runScratch is everything a local mine allocates that dies with the
 // run: the initialization's L2 triangle, item supports and frequent
 // pairs, the transformation's item lists, the vertical L2 count's inputs
-// and rows, the seeded L1/L2 itemsets and their supports, the classes,
-// and each worker's deque, arena, counting scratch and emission buffer.
+// and rows, the seeded L1/L2 itemsets and their supports, the classes
+// and the run each one's emissions form, and each worker's deque, arena,
+// counting scratch and emission buffer.
 // mineLocal takes one from runPool and release hands it back after the
 // final reduction, so a steady stream of mines allocates only its
 // results (DESIGN.md §8). Nothing a mine returns or keeps — its Result,
@@ -34,7 +35,18 @@ type runScratch struct {
 	seeds    []itemset.Itemset // L1 then L2
 	sups     []int             // their supports
 	classes  []eqclass.Class
+	runs     []classRun // per class: its sorted emissions
 	workers  []*workerScratch
+}
+
+// classRun locates one class's emissions, sorted canonically once the
+// class is mined: out[lo:hi] of worker w's buffer, for the class
+// prefixed by item. Offsets, not a sub-slice, so no run pins a backing
+// array the buffer has outgrown.
+type classRun struct {
+	item   itemset.Item
+	w      int32
+	lo, hi int
 }
 
 // workerScratch is one worker's share of a runScratch.

@@ -63,10 +63,12 @@ const boxBytes = 24
 // (DESIGN.md §8): once a first mine has grown it, a second mine of the
 // same data allocates its result, plus steadySlack and the boxes of its
 // sparse kernel calls, at one worker and at two, from horizontal and
-// from vertical input. The best of five tries is kept, as
-// TestMemberStackFirstChunkSmall keeps it: a sync.Pool can miss (after
-// two GCs, or when the put sits in another P's private slot), and a
-// mine that misses rebuilds its scratch.
+// from vertical input. A closed mine of the same data may allocate what
+// the all-frequent mine did plus steadySlack: the closure filter's
+// marks and its output, never a per-itemset key. The best of five
+// tries is kept, as TestMemberStackFirstChunkSmall keeps it: a
+// sync.Pool can miss (after two GCs, or when the put sits in another
+// P's private slot), and a mine that misses rebuilds its scratch.
 func TestSecondMineAllocatesOnlyItsResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops a quarter of sync.Pool's puts")
@@ -78,44 +80,61 @@ func TestSecondMineAllocatesOnlyItsResult(t *testing.T) {
 	in := VerticalInput{NumTransactions: dense.Len(), Items: verticalSets(dense, tidlist.ReprBitset)}
 	ctx := context.Background()
 	for _, workers := range []int{1, 2} {
-		opts := Options{Workers: workers}
 		for _, c := range []struct {
 			name string
-			mine func() (*mining.Result, Stats, error)
+			mine func(Options) (*mining.Result, Stats, error)
 		}{
-			{"heap", func() (*mining.Result, Stats, error) {
+			{"heap", func(opts Options) (*mining.Result, Stats, error) {
 				return MineParallelLocal(ctx, t10, t10.MinSupCount(0.5), opts)
 			}},
-			{"vertical", func() (*mining.Result, Stats, error) {
+			{"vertical", func(opts Options) (*mining.Result, Stats, error) {
 				return MineVerticalLocal(ctx, in, dense.MinSupCount(1.25), opts)
 			}},
 		} {
-			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
-				if _, _, err := c.mine(); err != nil {
-					t.Fatal(err)
+			// allBest is what the all-frequent mine allocated, the closed
+			// row's budget.
+			var allBest uint64
+			for _, policy := range []Policy{PolicyAll, PolicyClosed} {
+				name := fmt.Sprintf("%s/workers=%d", c.name, workers)
+				if policy == PolicyClosed {
+					name = fmt.Sprintf("%s-closed/workers=%d", c.name, workers)
 				}
-				var ms runtime.MemStats
-				best := uint64(1 << 62)
-				var res *mining.Result
-				var st Stats
-				for try := 0; try < 5; try++ {
-					runtime.ReadMemStats(&ms)
-					before := ms.TotalAlloc
-					r, s, err := c.mine()
-					runtime.ReadMemStats(&ms)
-					if err != nil {
+				opts := Options{Workers: workers, Policy: policy}
+				t.Run(name, func(t *testing.T) {
+					if _, _, err := c.mine(opts); err != nil {
 						t.Fatal(err)
 					}
-					best, res, st = min(best, ms.TotalAlloc-before), r, s
-				}
-				owned := ownedBytes(res)
-				sparse := st.Intersections - st.Kernel.DenseIntersections() - st.Kernel.RoaringIntersections()
-				boxes := 2 * boxBytes * uint64(sparse)
-				t.Logf("%d itemsets: mine allocated %d bytes; result owns %d, %d sparse kernel calls", len(res.Itemsets), best, owned, sparse)
-				if best > owned+boxes+steadySlack {
-					t.Fatalf("second mine allocated %d bytes, want at most its result's %d plus %d of boxes plus %d", best, owned, boxes, steadySlack)
-				}
-			})
+					var ms runtime.MemStats
+					best := uint64(1 << 62)
+					var res *mining.Result
+					var st Stats
+					for try := 0; try < 5; try++ {
+						runtime.ReadMemStats(&ms)
+						before := ms.TotalAlloc
+						r, s, err := c.mine(opts)
+						runtime.ReadMemStats(&ms)
+						if err != nil {
+							t.Fatal(err)
+						}
+						best, res, st = min(best, ms.TotalAlloc-before), r, s
+					}
+					if policy == PolicyClosed {
+						t.Logf("%d closed itemsets: mine allocated %d bytes; the all-frequent mine %d", len(res.Itemsets), best, allBest)
+						if allBest == 0 || best > allBest+steadySlack {
+							t.Fatalf("closed mine allocated %d bytes, want at most the all-frequent mine's %d plus %d", best, allBest, steadySlack)
+						}
+						return
+					}
+					allBest = best
+					owned := ownedBytes(res)
+					sparse := st.Intersections - st.Kernel.DenseIntersections() - st.Kernel.RoaringIntersections()
+					boxes := 2 * boxBytes * uint64(sparse)
+					t.Logf("%d itemsets: mine allocated %d bytes; result owns %d, %d sparse kernel calls", len(res.Itemsets), best, owned, sparse)
+					if best > owned+boxes+steadySlack {
+						t.Fatalf("second mine allocated %d bytes, want at most its result's %d plus %d of boxes plus %d", best, owned, boxes, steadySlack)
+					}
+				})
+			}
 		}
 	}
 }

@@ -62,7 +62,7 @@ var (
 // share one core). The result is byte-identical to mining the
 // corresponding horizontal database with the same minsup and options:
 // both paths produce the same L1/L2 and the same sorted pair tid-lists,
-// and the final reduction imposes the canonical order.
+// and the merge of the classes' sorted runs imposes the canonical order.
 //
 // Stats.Scans is always 0 — no horizontal pass happens — which is the
 // figure restart-without-rebuild tests assert on.
@@ -135,9 +135,10 @@ func (rs *runScratch) buildVerticalFromSets(ctx context.Context, in VerticalInpu
 	seeds, sups, classes := rs.seedClasses(minsup, itemSup, pairs, canonMust(opts.MustContain), st)
 	if in.Residency != nil {
 		// Store-aware scheduling: run classes in bundle-segment order
-		// (the canonical result sort makes class order invisible in the
-		// output), then hand the per-class item needs to the residency
-		// layer. Indices in the plan are final class indices.
+		// (the merge of the classes' runs in prefix order makes class
+		// order invisible in the output), then hand the per-class item
+		// needs to the residency layer. Indices in the plan are final
+		// class indices.
 		orderClassesByLocality(classes, in.Residency)
 		planResidency(classes, in.Residency)
 	}

@@ -16,34 +16,80 @@ import (
 //	# eclat-result minsup=<K> transactions=<N>
 //	<support>\t<item> <item> ...
 //
-// Itemsets appear in the result's current order. Each line is encoded
-// with strconv into one reused buffer, so a result of n itemsets costs n
-// buffered writes and no formatting.
+// Itemsets appear in the result's current order, which every miner
+// leaves canonical. Each line is encoded by appendLine into one reused
+// buffer, so a result of n itemsets costs n buffered writes and no
+// formatting.
 func Write(w io.Writer, res *Result) error {
 	bw := bufio.NewWriter(w)
-	line := append(make([]byte, 0, 64), "# eclat-result minsup="...)
-	line = strconv.AppendInt(line, int64(res.MinSup), 10)
-	line = append(line, " transactions="...)
-	line = strconv.AppendInt(line, int64(res.NumTransactions), 10)
-	line = append(line, '\n')
+	line := appendHeader(make([]byte, 0, 64), res)
 	if _, err := bw.Write(line); err != nil {
 		return err
 	}
 	for _, f := range res.Itemsets {
-		line = strconv.AppendInt(line[:0], int64(f.Support), 10)
-		line = append(line, '\t')
-		for i, it := range f.Set {
-			if i > 0 {
-				line = append(line, ' ')
-			}
-			line = strconv.AppendInt(line, int64(it), 10)
-		}
-		line = append(line, '\n')
+		line = appendLine(line[:0], f)
 		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// Encode returns Write's bytes for res in one slice of exactly their
+// length: the lines are sized first, then appended.
+func Encode(res *Result) []byte {
+	n := len(headerPrefix) + decLen(res.MinSup) + len(headerMid) + decLen(res.NumTransactions) + 1
+	for _, f := range res.Itemsets {
+		n += decLen(f.Support) + 1 + max(len(f.Set), 1) // the tab, the spaces, the newline
+		for _, it := range f.Set {
+			n += decLen(int(it))
+		}
+	}
+	buf := appendHeader(make([]byte, 0, n), res)
+	for _, f := range res.Itemsets {
+		buf = appendLine(buf, f)
+	}
+	return buf
+}
+
+const (
+	headerPrefix = "# eclat-result minsup="
+	headerMid    = " transactions="
+)
+
+// appendHeader appends the header line of res's encoding to dst.
+func appendHeader(dst []byte, res *Result) []byte {
+	dst = append(dst, headerPrefix...)
+	dst = strconv.AppendInt(dst, int64(res.MinSup), 10)
+	dst = append(dst, headerMid...)
+	dst = strconv.AppendInt(dst, int64(res.NumTransactions), 10)
+	return append(dst, '\n')
+}
+
+// appendLine appends f's line to dst: its support, a tab, its items
+// separated by spaces, and a newline.
+func appendLine(dst []byte, f FrequentItemset) []byte {
+	dst = strconv.AppendInt(dst, int64(f.Support), 10)
+	dst = append(dst, '\t')
+	for i, it := range f.Set {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendInt(dst, int64(it), 10)
+	}
+	return append(dst, '\n')
+}
+
+// decLen is the length of v in decimal, as strconv writes it.
+func decLen(v int) int {
+	n, u := 1, uint64(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }
 
 // Read parses the format written by Write.

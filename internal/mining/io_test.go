@@ -3,6 +3,8 @@ package mining
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -125,8 +127,9 @@ func fuzzResult(data []byte) *Result {
 
 // FuzzWrite: on byte-derived results — empty ones, single items,
 // supports and items up to the int32 range, negative supports — Write
-// produces the bytes of the fmt encoding it replaced, and Read gives
-// the result back.
+// produces the bytes of the fmt encoding it replaced, Encode the same
+// bytes in a slice of exactly their length, and Read gives the result
+// back.
 func FuzzWrite(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 10, 1, 0, 0, 0, 5, 0, 3, 0, 0, 0})
@@ -141,6 +144,9 @@ func FuzzWrite(f *testing.F) {
 		if want := writeFmt(res); !bytes.Equal(buf.Bytes(), want) {
 			t.Fatalf("Write:\n%q\nfmt encoding:\n%q", buf.Bytes(), want)
 		}
+		if enc := Encode(res); !bytes.Equal(enc, buf.Bytes()) || cap(enc) != len(enc) {
+			t.Fatalf("Encode (capacity %d):\n%q\nWrite:\n%q", cap(enc), enc, buf.Bytes())
+		}
 		back, err := Read(&buf)
 		if err != nil {
 			t.Fatal(err)
@@ -154,4 +160,40 @@ func FuzzWrite(f *testing.F) {
 			t.Fatalf("round trip: %+v, wrote %+v", back, res)
 		}
 	})
+}
+
+// TestEncodeSizesExtremes: Encode sizes the header and lines exactly at
+// the ends of the int range and for an itemset with no items, which no
+// miner emits but Write still encodes.
+func TestEncodeSizesExtremes(t *testing.T) {
+	for _, res := range []*Result{
+		{MinSup: math.MinInt, NumTransactions: math.MaxInt},
+		{MinSup: -1, NumTransactions: 0, Itemsets: []FrequentItemset{{Set: itemset.Itemset{}, Support: math.MinInt}}},
+		{MinSup: 9, NumTransactions: 10, Itemsets: []FrequentItemset{{Set: itemset.New(0, 9, 10, math.MaxInt32), Support: 10}}},
+	} {
+		var buf bytes.Buffer
+		if err := Write(&buf, res); err != nil {
+			t.Fatal(err)
+		}
+		if enc := Encode(res); !bytes.Equal(enc, buf.Bytes()) || cap(enc) != len(enc) {
+			t.Errorf("Encode (capacity %d):\n%q\nWrite:\n%q", cap(enc), enc, buf.Bytes())
+		}
+	}
+}
+
+// TestWriteReusesItsLineBuffer: Write's allocations do not grow with
+// the result, even when every line outgrows the line buffer's first
+// capacity.
+func TestWriteReusesItsLineBuffer(t *testing.T) {
+	res := &Result{MinSup: 1, NumTransactions: 100_000}
+	for i := 0; i < 1000; i++ {
+		set := make(itemset.Itemset, 30)
+		for k := range set {
+			set[k] = itemset.Item(10_000 + 10*k + i%10)
+		}
+		res.Add(set, 50_000+i)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { Write(io.Discard, res) }); allocs > 4 {
+		t.Fatalf("Write made %v allocations for 1,000 lines of 30 items, want at most 4", allocs)
+	}
 }

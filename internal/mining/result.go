@@ -36,13 +36,12 @@ func (r *Result) Add(set itemset.Itemset, support int) {
 	r.Itemsets = append(r.Itemsets, FrequentItemset{Set: set, Support: support})
 }
 
-// Sort orders the itemsets lexicographically (shorter prefixes first),
-// the canonical presentation order.
-func (r *Result) Sort() {
-	slices.SortFunc(r.Itemsets, func(a, b FrequentItemset) int {
-		return itemset.Compare(a.Set, b.Set)
-	})
-}
+// Compare orders frequent itemsets by their sets, lexicographically
+// with shorter prefixes first: the canonical presentation order.
+func Compare(a, b FrequentItemset) int { return itemset.Compare(a.Set, b.Set) }
+
+// Sort puts the itemsets in canonical order (see Compare).
+func (r *Result) Sort() { slices.SortFunc(r.Itemsets, Compare) }
 
 // TruncateTopK keeps only the k highest-support itemsets, breaking
 // support ties lexicographically (smaller itemsets win), then restores

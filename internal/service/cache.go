@@ -43,15 +43,10 @@ type Body struct {
 	Itemsets int
 }
 
-// encodeBody serializes res into its served form.
-func encodeBody(res *mining.Result) (Body, error) {
-	var buf bytes.Buffer
-	if err := mining.Write(&buf, res); err != nil {
-		return Body{}, err
-	}
-	// Copy out of the buffer's doubling growth so the body holds exactly
-	// the bytes it counts.
-	return Body{Data: bytes.Clone(buf.Bytes()), Itemsets: res.Len()}, nil
+// encodeBody serializes res into its served form, one allocation of
+// exactly the bytes the body counts.
+func encodeBody(res *mining.Result) Body {
+	return Body{Data: mining.Encode(res), Itemsets: res.Len()}
 }
 
 // Decode parses the body back into a result.

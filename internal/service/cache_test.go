@@ -1,11 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 
 	"repro"
+	"repro/internal/itemset"
+	"repro/internal/mining"
 )
 
 // bodyOfSize builds a body of exactly n bytes claiming n itemsets.
@@ -128,5 +131,41 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	}
 	if st.Entries > 8 {
 		t.Fatalf("entries %d exceed what the budget allows", st.Entries)
+	}
+}
+
+// TestEncodeBodyIsWriteInOneAllocation pins the served form: the body
+// holds exactly mining.Write's bytes, of an empty result, of one
+// itemset and of 70,000, and encoding it allocates only those bytes.
+func TestEncodeBodyIsWriteInOneAllocation(t *testing.T) {
+	large := &mining.Result{MinSup: 12, NumTransactions: 1_000_000}
+	for i := 0; i < 70_000; i++ {
+		set := make(itemset.Itemset, 1+i%6)
+		for k := range set {
+			set[k] = itemset.Item(i%997 + 1000*k)
+		}
+		large.Add(set, 12+i*31%100_000)
+	}
+	for _, c := range []struct {
+		name string
+		res  *mining.Result
+	}{
+		{"empty", &mining.Result{MinSup: 3, NumTransactions: 7}},
+		{"one", &mining.Result{MinSup: 2, NumTransactions: 10, Itemsets: []mining.FrequentItemset{{Set: itemset.New(4, 9), Support: 5}}}},
+		{"70000", large},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var want bytes.Buffer
+			if err := mining.Write(&want, c.res); err != nil {
+				t.Fatal(err)
+			}
+			body := encodeBody(c.res)
+			if !bytes.Equal(body.Data, want.Bytes()) || body.Itemsets != c.res.Len() {
+				t.Fatalf("body holds %d bytes and %d itemsets, want mining.Write's %d bytes and %d", len(body.Data), body.Itemsets, want.Len(), c.res.Len())
+			}
+			if allocs := testing.AllocsPerRun(5, func() { encodeBody(c.res) }); allocs != 1 {
+				t.Fatalf("encodeBody made %v allocations, want 1", allocs)
+			}
+		})
 	}
 }

@@ -210,11 +210,8 @@ func (s *Service) runJob(ctx context.Context, j *Job) (Body, *repro.RunInfo, err
 	// Encoding the result is part of the job's run time; its span keeps
 	// the job view's phases accounting for it.
 	sp := obsv.TraceFrom(ctx).Start("encode")
-	body, err := encodeBody(res)
+	body := encodeBody(res)
 	sp.End()
-	if err != nil {
-		return Body{}, nil, err
-	}
 	s.cache.Put(j.Key, body)
 	return body, info, nil
 }
