@@ -227,7 +227,7 @@ func run(args []string, stdout io.Writer) error {
 	if *stats {
 		printPhaseTable(stdout, tr.Spans(), time.Since(start))
 		if info.Parallelism > 0 {
-			fmt.Fprintf(stdout, "Local parallelism: %d workers, %d steals\n", info.Parallelism, info.Steals)
+			fmt.Fprintf(stdout, "Local parallelism: %d workers\n", info.Parallelism)
 		}
 	}
 

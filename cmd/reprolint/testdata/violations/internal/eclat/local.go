@@ -1,6 +1,6 @@
 // Package eclat is the seeded-violation copy of the work-stealing
-// engine: the same wsDeque / runParallel / supportHeap / arena shapes
-// as the production package, each with one of the concurrency bugs the
+// engine: the wsDeque / runParallel / supportHeap / arena shapes the
+// local package has run, each with one of the concurrency bugs the
 // v2 analyzers exist to catch.
 package eclat
 
@@ -15,7 +15,7 @@ type classTask struct {
 	weight int64
 }
 
-// wsDeque mirrors the production deque of internal/eclat/local.go.
+// wsDeque mirrors the deque internal/eclat/local.go once ran.
 type wsDeque struct {
 	mu     sync.Mutex
 	tasks  []classTask

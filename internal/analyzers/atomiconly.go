@@ -10,8 +10,8 @@ import (
 // §8): once a struct field or local variable is touched through atomic
 // operations anywhere in the package, every access must be atomic. A
 // single plain read ("it's just a stat") is still a data race — the
-// top-k threshold eff and the steal counters are exactly the fields the
-// race detector only catches under contention.
+// top-k threshold eff and the class-queue cursor are exactly the fields
+// the race detector only catches under contention.
 //
 // Two access styles are tracked:
 //

@@ -5,9 +5,8 @@ import (
 	"go/token"
 )
 
-// LockOrder enforces the deque-locking discipline of the work-stealing
-// engine (DESIGN.md §8). Two rules, both per function body over the
-// statement CFG:
+// LockOrder enforces the nested-locking discipline of DESIGN.md §7. Two
+// rules, both per function body over the statement CFG:
 //
 //  1. No self-deadlock: after mu.Lock(), another Lock() on the same
 //     receiver chain must not be reachable without a non-deferred
@@ -18,8 +17,9 @@ import (
 //     second mutex reached through the same final field (q.mu and
 //     dst.mu — "same-typed" in practice) is only legal when an
 //     index-ordering comparison (<, >, <=, >=) appears earlier in the
-//     function, the way wsDeque.stealInto compares deque indices
-//     before locking victim and destination in a fixed order.
+//     function, the way a work-stealing transfer compares deque indices
+//     before locking victim and destination in a fixed order (the
+//     stealInto fixture in testdata/src/lockorder).
 //
 // The analysis is syntactic: receiver chains are compared textually
 // (selectorChain), and any ordering comparison before the outer Lock
@@ -29,7 +29,7 @@ import (
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc: "nested mutex Lock calls on same-typed receivers need an index-ordering guard " +
-		"(as in wsDeque.stealInto), and no Lock may be reachable twice on one receiver " +
+		"(such as a comparison of deque indices), and no Lock may be reachable twice on one receiver " +
 		"without an intervening Unlock",
 	Run: runLockOrder,
 }
@@ -203,7 +203,7 @@ func checkLockOrderFunc(pass *Pass, body *ast.BlockStmt) {
 			if !hasOrderingGuardBefore(outer.call.Pos()) {
 				pass.Reportf(inner.call.Pos(),
 					"%s.Lock() while %s is held: same-typed mutexes must be acquired in index order "+
-						"behind an ordering comparison (see wsDeque.stealInto)", inner.chain, outer.chain)
+						"behind an ordering comparison", inner.chain, outer.chain)
 			}
 		}
 	}

@@ -7,7 +7,7 @@ type classTask struct {
 	weight int64
 }
 
-// wsDeque mirrors the production work-stealing deque of local.go.
+// wsDeque mirrors the work-stealing deque the local engine once ran.
 type wsDeque struct {
 	mu     sync.Mutex
 	tasks  []classTask
@@ -26,7 +26,7 @@ func (q *wsDeque) popFront() (classTask, bool) {
 	return t, true
 }
 
-// stealInto mirrors the production transfer: the index comparison
+// stealInto mirrors that deque's transfer: the index comparison
 // establishes the acquisition order before both locks are taken. Clean.
 func (q *wsDeque) stealInto(dst *wsDeque, qi, dsti int) int {
 	first, second := q, dst

@@ -4,7 +4,7 @@
 //   - internal/eclat — the Eclat algorithm itself (the four-phase
 //     parallel form of section 5 on the simulated cluster, whose
 //     program also runs the hybrid host-level variant, the local
-//     work-stealing engine, the external-memory transformation, and
+//     class-queue engine, the external-memory transformation, and
 //     the MaxEclat and closed extensions);
 //   - internal/eqclass — the equivalence-class itemset clustering and
 //     greedy scheduling of sections 4.1 and 5.2.1;

@@ -441,10 +441,10 @@ func BenchmarkClassCount(b *testing.B) {
 }
 
 // schedulingFree is st without the figures that depend on how a run
-// scheduled its classes (its worker count and steals): the part two runs
-// of the same mine must agree on.
+// scheduled its classes (its worker count): the part two runs of the
+// same mine must agree on.
 func schedulingFree(st Stats) Stats {
-	st.Workers, st.Steals = 0, 0
+	st.Workers = 0
 	return st
 }
 

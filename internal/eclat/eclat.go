@@ -4,7 +4,7 @@
 // transformation, asynchronous, final reduction) on the simulated
 // cluster — one SPMD program, which also runs the hybrid host-level
 // parallelization sketched as future work in section 8.1 — and in the
-// local work-stealing engine over the same class search.
+// local class-queue engine over the same class search.
 //
 // The mining core is Compute_Frequent (figure 3): within an equivalence
 // class, every pair of member tid-lists is intersected (short-circuited
@@ -79,8 +79,10 @@ type Options struct {
 	// NoShortCircuit disables the minimum-support short-circuiting of
 	// tid-list intersections (section 5.3).
 	NoShortCircuit bool
-	// RoundRobinSchedule replaces the greedy weighted class scheduling
-	// (section 5.2.1) with naive round-robin dealing.
+	// RoundRobinSchedule replaces the simulated cluster's greedy
+	// weighted class scheduling (section 5.2.1) with naive round-robin
+	// dealing. Like SupportWeightedSchedule, the local class queue
+	// ignores it.
 	RoundRobinSchedule bool
 	// SupportWeightedSchedule replaces the C(s,2) class weight with a
 	// support-aware estimate of the intersection work — sum over member
@@ -108,9 +110,10 @@ type Options struct {
 	// Policy selects the search and its output (see Policy). The zero
 	// value is the paper's all-frequent search.
 	Policy Policy
-	// Workers is the number of real goroutines the local entry points'
-	// work-stealing driver mines with; ≤ 0 means runtime.GOMAXPROCS(0).
-	// The simulated-cluster entry points ignore it.
+	// Workers is the number of real goroutines the local entry points
+	// mine with, each taking the next class from one shared heaviest-first
+	// queue; ≤ 0 means runtime.GOMAXPROCS(0). The simulated-cluster entry
+	// points ignore it: they deal their classes statically (section 5.2.1).
 	Workers int
 	// TopK, when > 0, mines the k highest-support itemsets instead of a
 	// fixed-threshold collection: the engine's support heap adaptively
@@ -170,8 +173,9 @@ type Stats struct {
 	Classes      int // top-level equivalence classes mined
 	// Workers is the number of mining goroutines the run used.
 	Workers int
-	// Steals counts the work-stealing events of the run (always 0 with
-	// one worker).
+	// Steals is always 0: the local driver hands every class out from one
+	// shared queue and steals none. The field stays because the
+	// benchmark module reports it as eclat.steals.
 	Steals int64
 	// DiffsetClasses is always 0: figure 3 expands every class by joins
 	// or a count and switches none to dEclat diffsets. The field stays
@@ -204,7 +208,7 @@ type Stats struct {
 }
 
 // merge folds a worker's counters into the run totals. Scans, Classes,
-// Workers, Steals, Candidates and EffectiveMinSup are run-level figures
+// Workers, Candidates and EffectiveMinSup are run-level figures
 // owned by the coordinator and are deliberately not summed.
 func (s *Stats) merge(w *Stats) {
 	s.Intersections += w.Intersections

@@ -160,7 +160,7 @@ func (w *worker) explore(ctx context.Context, members []member, prefixSup int, p
 }
 
 // engine is the class-task engine both local entry points run on: it
-// owns class iteration on the work-stealing deques, emit filtering
+// owns class iteration from the shared class queue, emit filtering
 // (targeted queries), top-k threshold raising, per-class stats flushing
 // and ctx checks.
 type engine struct {

@@ -178,9 +178,9 @@ var goldenKeys = map[Policy]string{
 // fingerprint of each policy, the all-frequent counters (which the
 // closed policy shares: it runs the same search) and the maximal
 // counters; then the fingerprints of the two simulated-cluster forms,
-// which mine the all-frequent output under every policy. Workers and
-// Steals are scheduling figures, not work counters, and are
-// deliberately outside the comparison.
+// which mine the all-frequent output under every policy. Workers is a
+// scheduling figure, not a work counter, and is deliberately outside
+// the comparison.
 func TestEngineMatchesGoldenStats(t *testing.T) {
 	dbs := map[string]*db.Database{}
 	for _, e := range loadGoldens(t) {

@@ -76,6 +76,35 @@ func TestHybridDeterministic(t *testing.T) {
 	}
 }
 
+// TestHybridTransformPagingCountsPartials: under tight host memory the
+// hybrid's transformation pages for all its host holds, the group's
+// lists once and each member's partial lists, as flat Eclat's does. A
+// host memory that fits the lists alone but not the partials beside them
+// must page.
+func TestHybridTransformPagingCountsPartials(t *testing.T) {
+	d := gen.MustGenerate(gen.T10I6(1200))
+	minsup := d.MinSupCount(1.0)
+	cfg := cluster.Default(2, 2)
+	_, ample := MineHybridOpts(cluster.New(cfg), d, minsup, Options{})
+	// Unpaged, each member writes its share of its group's lists, so the
+	// largest group's lists fit in g shares plus the rounding.
+	g := int64(cfg.ProcsPerHost)
+	big := 0
+	for i, b := range ample.PerProc {
+		if b.DiskBytesWritten > ample.PerProc[big].DiskBytesWritten {
+			big = i
+		}
+	}
+	cfg.HostMemBytes = g*ample.PerProc[big].DiskBytesWritten + g - 1
+	_, tight := MineHybridOpts(cluster.New(cfg), d, minsup, Options{})
+	host := big / cfg.ProcsPerHost
+	for i := host * cfg.ProcsPerHost; i < (host+1)*cfg.ProcsPerHost; i++ {
+		if w, a := tight.PerProc[i].DiskBytesWritten, ample.PerProc[i].DiskBytesWritten; w < 2*a {
+			t.Errorf("processor %d wrote %d bytes at %d bytes of host memory, %d unpaged: no page factor above 1", i, w, cfg.HostMemBytes, a)
+		}
+	}
+}
+
 // TestHybridOneProcPerHostIsFlat: the hybrid groups each host's
 // processors, so with one processor per host every group is one
 // processor and the hybrid must be flat Eclat, byte for byte and charge

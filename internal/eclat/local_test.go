@@ -150,31 +150,3 @@ func TestParallelLocalAlreadyCanceled(t *testing.T) {
 		t.Fatal("canceled mine returned a result")
 	}
 }
-
-func TestDequeStealMovesBackHalf(t *testing.T) {
-	var a, b wsDeque
-	for ci := 0; ci < 5; ci++ {
-		a.tasks = append(a.tasks, classTask{ci: ci, weight: int64(10 - ci)})
-		a.weight += int64(10 - ci)
-	}
-	if n := a.stealInto(&b, 0, 1); n != 3 {
-		t.Fatalf("stole %d tasks, want 3 (ceil of half)", n)
-	}
-	if len(a.tasks) != 2 || len(b.tasks) != 3 {
-		t.Fatalf("post-steal sizes: victim=%d thief=%d", len(a.tasks), len(b.tasks))
-	}
-	if b.tasks[0].ci != 2 {
-		t.Fatalf("steal must take the back of the victim's queue, got front task %d", b.tasks[0].ci)
-	}
-	wantA, wantB := int64(10+9), int64(8+7+6)
-	if a.weight != wantA || b.weight != wantB {
-		t.Fatalf("weights: victim=%d thief=%d, want %d/%d", a.weight, b.weight, wantA, wantB)
-	}
-	if _, ok := (&wsDeque{}).popFront(); ok {
-		t.Fatal("popFront on empty deque returned a task")
-	}
-	var empty wsDeque
-	if n := empty.stealInto(&a, 1, 0); n != 0 {
-		t.Fatalf("steal from empty deque moved %d tasks", n)
-	}
-}

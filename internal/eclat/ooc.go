@@ -130,31 +130,6 @@ func planResidency(classes []eqclass.Class, res Residency) {
 	res.Plan(plan)
 }
 
-// spanSchedule deals the locality-ordered classes to workers as
-// contiguous spans balanced by the same C(s,2)+1 weight the greedy
-// schedule uses. Under a residency budget the greedy deal is wrong: it
-// interleaves classes across workers, so every worker touches every
-// segment. Contiguous spans keep each worker inside a consecutive
-// segment range; work stealing still rebalances the tail, trading some
-// locality for utilization only when a worker actually runs dry.
-func spanSchedule(classes []eqclass.Class, workers int) [][]int {
-	out := make([][]int, workers)
-	var total int64
-	for i := range classes {
-		total += classes[i].Weight() + 1
-	}
-	var acc int64
-	w := 0
-	for ci := range classes {
-		if w < workers-1 && acc >= (total*int64(w+1)+int64(workers)-1)/int64(workers) {
-			w++
-		}
-		out[w] = append(out[w], ci)
-		acc += classes[ci].Weight() + 1
-	}
-	return out
-}
-
 // budgeted reports whether the run mines under a residency budget.
 func (v *vertical) budgeted() bool { return v.sets.res != nil }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -144,8 +145,11 @@ func TestOOCCancelReleasesResidency(t *testing.T) {
 }
 
 // fakeResidency records the call protocol for scheduling unit tests.
+// Its segments come from segs, and it is safe for concurrent use, so
+// any number of workers may share it.
 type fakeResidency struct {
 	segs     map[int]int
+	mu       sync.Mutex
 	acquired []int
 	released []int
 	planned  [][]int
@@ -159,9 +163,19 @@ func (f *fakeResidency) ItemSegment(item int) int {
 	return -1
 }
 func (f *fakeResidency) Plan(classes [][]int) { f.planned = classes }
-func (f *fakeResidency) Acquire(ci int)       { f.acquired = append(f.acquired, ci) }
-func (f *fakeResidency) Release(ci int)       { f.released = append(f.released, ci) }
 func (f *fakeResidency) Done()                { f.done = true }
+
+func (f *fakeResidency) Acquire(ci int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.acquired = append(f.acquired, ci)
+}
+
+func (f *fakeResidency) Release(ci int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.released = append(f.released, ci)
+}
 
 func classOf(items ...int) eqclass.Class {
 	var c eqclass.Class
@@ -188,33 +202,6 @@ func TestOrderClassesByLocality(t *testing.T) {
 		got := classes[i].Members[0]
 		if int(got[0]) != w[0] || int(got[1]) != w[1] {
 			t.Fatalf("position %d: class %v, want %v", i, got, w)
-		}
-	}
-}
-
-// TestSpanScheduleCoversAllClassesContiguously checks the OOC deal:
-// every class exactly once, in order, as contiguous per-worker spans.
-func TestSpanScheduleCoversAllClassesContiguously(t *testing.T) {
-	classes := make([]eqclass.Class, 13)
-	for i := range classes {
-		classes[i] = classOf(i, i+20, i+40)
-	}
-	for _, workers := range []int{1, 2, 3, 4, 16} {
-		sched := spanSchedule(classes, workers)
-		if len(sched) != workers {
-			t.Fatalf("workers=%d: %d spans", workers, len(sched))
-		}
-		next := 0
-		for w, span := range sched {
-			for _, ci := range span {
-				if ci != next {
-					t.Fatalf("workers=%d: worker %d got class %d, want %d (non-contiguous deal)", workers, w, ci, next)
-				}
-				next++
-			}
-		}
-		if next != len(classes) {
-			t.Fatalf("workers=%d: %d of %d classes dealt", workers, next, len(classes))
 		}
 	}
 }

@@ -200,43 +200,43 @@ func clusterMine(cl *cluster.Cluster, d *db.Database, minsup int, opts Options, 
 			// wire cost beyond the rendezvous).
 			lists = cluster.Gather(p, lists, 0)[leader]
 		}
-		var listBytes int64
+		var listBytes, partialBytes int64
 		for _, l := range lists {
 			n, _ := tidlist.EncodedSize(l, opts.Representation)
 			listBytes += n
+		}
+		for _, pl := range partials {
+			n, _ := tidlist.EncodedSize(pl, opts.Representation)
+			partialBytes += n
 		}
 		// The inverted database is written out to disk and read back at
 		// the start of the asynchronous phase (the third and last scan).
 		if g > 1 {
 			// A group writes its inverted block once, each member its
-			// share.
-			p.ChargeDiskWrite(listBytes*p.PageFactor(listBytes)/int64(g), p.HostProcs())
+			// share. The host holds the group's lists once and each
+			// member's partials, which with even chunks is flat Eclat's
+			// resident set below.
+			resident := listBytes + int64(p.HostProcs())*partialBytes
+			p.ChargeDiskWrite(listBytes*p.PageFactor(resident)/int64(g), p.HostProcs())
+		} else if opts.ExternalTransform {
+			// External-memory transformation: spill the partial lists
+			// to disk as they are built, then merge them into the
+			// owned global lists in one more sequential pass. No
+			// paging — only bounded buffers live in memory — at the
+			// price of writing and re-reading the partials once.
+			p.ChargeDiskWrite(partialBytes, p.HostProcs())
+			p.ChargeScan(partialBytes, p.HostProcs())
+			p.ChargeDiskWrite(listBytes, p.HostProcs())
 		} else {
-			var partialBytes int64
-			for _, pl := range partials {
-				n, _ := tidlist.EncodedSize(pl, opts.Representation)
-				partialBytes += n
-			}
-			if opts.ExternalTransform {
-				// External-memory transformation: spill the partial lists
-				// to disk as they are built, then merge them into the
-				// owned global lists in one more sequential pass. No
-				// paging — only bounded buffers live in memory — at the
-				// price of writing and re-reading the partials once.
-				p.ChargeDiskWrite(partialBytes, p.HostProcs())
-				p.ChargeScan(partialBytes, p.HostProcs())
-				p.ChargeDiskWrite(listBytes, p.HostProcs())
-			} else {
-				// The transformation works in anonymous memory-mapped
-				// regions — the algorithm's one acknowledged weakness
-				// ("the one disadvantage of our algorithm is the virtual
-				// memory it requires to perform the transformation"):
-				// each of the host's processors holds its partial and
-				// assembled lists, and overflowing physical memory turns
-				// the region traffic into swap traffic.
-				resident := int64(p.HostProcs()) * (listBytes + partialBytes)
-				p.ChargeDiskWrite(listBytes*p.PageFactor(resident), p.HostProcs())
-			}
+			// The transformation works in anonymous memory-mapped
+			// regions — the algorithm's one acknowledged weakness
+			// ("the one disadvantage of our algorithm is the virtual
+			// memory it requires to perform the transformation"):
+			// each of the host's processors holds its partial and
+			// assembled lists, and overflowing physical memory turns
+			// the region traffic into swap traffic.
+			resident := int64(p.HostProcs()) * (listBytes + partialBytes)
+			p.ChargeDiskWrite(listBytes*p.PageFactor(resident), p.HostProcs())
 		}
 
 		// ---- Asynchronous phase (section 5.3) ---------------------------

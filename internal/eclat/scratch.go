@@ -14,7 +14,7 @@ import (
 // run: the initialization's L2 triangle, item supports and frequent
 // pairs, the transformation's item lists, the vertical L2 count's inputs
 // and rows, the seeded L1/L2 itemsets and their supports, the classes
-// and the run each one's emissions form, and each worker's deque, arena,
+// and the run each one's emissions form, and each worker's arena,
 // counting scratch and emission buffer.
 // mineLocal takes one from runPool and release hands it back after the
 // final reduction, so a steady stream of mines allocates only its
@@ -51,7 +51,6 @@ type classRun struct {
 
 // workerScratch is one worker's share of a runScratch.
 type workerScratch struct {
-	q   wsDeque
 	ar  arena
 	cs  countScratch
 	out []mining.FrequentItemset // the worker's emissions
@@ -90,7 +89,6 @@ func (rs *runScratch) release() {
 	rs.seeds = clearAll(rs.seeds)
 	rs.classes = clearAll(rs.classes)
 	for _, ws := range rs.workers {
-		ws.q.tasks, ws.q.head, ws.q.weight = ws.q.tasks[:0], 0, 0
 		ws.ar.members.Clear()
 		ws.out = clearAll(ws.out)
 		if cap(ws.out) > maxPooledEmissions {

@@ -130,11 +130,9 @@ type View struct {
 	QueueWaitNS int64            `json:"queueWaitNs,omitempty"`
 	DurationNS  int64            `json:"durationNs,omitempty"`
 	Phases      []obsv.PhaseSpan `json:"phases,omitempty"`
-	// Parallelism is the worker count the run actually mined with and
-	// Steals its work-stealing transfers (both 0 until the run finishes,
-	// and for cache hits, which never ran).
-	Parallelism int   `json:"parallelism,omitempty"`
-	Steals      int64 `json:"steals,omitempty"`
+	// Parallelism is the worker count the run actually mined with (0
+	// until the run finishes, and for cache hits, which never ran).
+	Parallelism int `json:"parallelism,omitempty"`
 	// TopK / MustContain echo the request's query options; EffectiveMinSup
 	// is the support threshold the run ended at (raised above MinSup by a
 	// top-k run, 0 until the run finishes).
@@ -182,7 +180,6 @@ func (j *Job) Snapshot() View {
 	v.MustContain = append([]int(nil), j.Req.MustContain...)
 	if j.info != nil {
 		v.Parallelism = j.info.Parallelism
-		v.Steals = j.info.Steals
 		v.EffectiveMinSup = j.info.EffectiveMinSup
 		v.MemoryBudget = j.info.MemoryBudget
 		v.OutOfCore = j.info.OutOfCore

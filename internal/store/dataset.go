@@ -93,6 +93,11 @@ type Dataset struct {
 	horiz     *db.Database
 	horizErr  error
 
+	// segsOnce builds itemSegs, the residency segment index, on the
+	// dataset's first budgeted mine; every Residency shares it read-only.
+	segsOnce sync.Once
+	itemSegs [][]int
+
 	gaugeOnce sync.Once
 
 	closeOnce sync.Once

@@ -44,7 +44,7 @@ type Residency struct {
 	budget   int64
 	segBytes int64
 	pageSize int64
-	itemSegs [][]int // per item: segments its record parts touch, sorted
+	itemSegs [][]int // the dataset's segment index, shared read-only
 
 	mu       sync.Mutex
 	classes  [][]int // per class (set by Plan): segments needed, sorted
@@ -62,41 +62,62 @@ type Residency struct {
 // mapped, or that part already fits the budget (the in-core path is
 // strictly better then). For a v1 bundle it is one segment, so eviction
 // degenerates to everything-or-nothing but the accounting still holds.
+// The segment index is the dataset's, built once; a Residency owns only
+// its run's bookkeeping.
 func (ds *Dataset) NewResidency(budget int64) *Residency {
 	mapped := ds.BytesMapped()
 	if budget <= 0 || mapped == 0 || mapped <= budget {
 		return nil
 	}
-	segBytes := ds.idx.SegmentBytes
-	if segBytes <= 0 {
-		segBytes = mapped
-	}
-	numSegs := int((mapped + segBytes - 1) / segBytes)
-	r := &Residency{
+	segBytes, numSegs := ds.segments()
+	return &Residency{
 		ds:       ds,
 		budget:   budget,
 		segBytes: segBytes,
 		pageSize: int64(os.Getpagesize()),
-		itemSegs: make([][]int, ds.idx.Meta.NumItems),
+		itemSegs: ds.segmentIndex(),
 		refs:     make([]int, numSegs),
 		resident: make([]bool, numSegs),
 		touched:  make([]bool, numSegs),
 	}
-	for _, rec := range ds.idx.Records {
-		if rec.Enc != EncSparse {
-			continue // an older build's spill: never read
-		}
-		segs := r.itemSegs[rec.Item]
-		for _, p := range rec.parts() {
-			lo := int(p.Offset / segBytes)
-			hi := int((p.Offset + recordHeaderSize + paddedLen(p.Length) - 1) / segBytes)
-			for s := lo; s <= hi && s < numSegs; s++ {
-				segs = append(segs, s)
-			}
-		}
-		r.itemSegs[rec.Item] = dedupSegs(segs)
+}
+
+// segments returns the residency granularity and how many segments the
+// mined bytes divide into: the bundle's segments, or one spanning them
+// for a v1 bundle.
+func (ds *Dataset) segments() (segBytes int64, numSegs int) {
+	mapped := ds.BytesMapped()
+	segBytes = ds.idx.SegmentBytes
+	if segBytes <= 0 {
+		segBytes = mapped
 	}
-	return r
+	return segBytes, int((mapped + segBytes - 1) / segBytes)
+}
+
+// segmentIndex returns, per item, the segments its record parts touch,
+// sorted. It is built on the first call, so a dataset that is never
+// mined under a budget never builds it.
+func (ds *Dataset) segmentIndex() [][]int {
+	ds.segsOnce.Do(func() {
+		segBytes, numSegs := ds.segments()
+		itemSegs := make([][]int, ds.idx.Meta.NumItems)
+		for _, rec := range ds.idx.Records {
+			if rec.Enc != EncSparse {
+				continue // an older build's spill: never read
+			}
+			segs := itemSegs[rec.Item]
+			for _, p := range rec.parts() {
+				lo := int(p.Offset / segBytes)
+				hi := int((p.Offset + recordHeaderSize + paddedLen(p.Length) - 1) / segBytes)
+				for s := lo; s <= hi && s < numSegs; s++ {
+					segs = append(segs, s)
+				}
+			}
+			itemSegs[rec.Item] = dedupSegs(segs)
+		}
+		ds.itemSegs = itemSegs
+	})
+	return ds.itemSegs
 }
 
 // dedupSegs sorts segs and drops duplicates in place.

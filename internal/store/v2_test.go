@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/tidlist"
@@ -183,10 +185,28 @@ func TestResidencyLifecycle(t *testing.T) {
 	if r := ds.NewResidency(ds.BytesMapped()); r != nil {
 		t.Fatal("NewResidency(whole mapping) != nil")
 	}
+	if ds.itemSegs != nil {
+		t.Fatal("a declined budget built the segment index")
+	}
 
+	// Two residencies of one dataset share its one segment index and
+	// each keeps its own run's bookkeeping: the second runs the same
+	// protocol in lockstep with the first and must plan and evict alike.
 	r := ds.NewResidency(2 * segBytes)
 	if r == nil {
 		t.Fatal("NewResidency(2 segments) = nil")
+	}
+	r2 := ds.NewResidency(2 * segBytes)
+	if len(r.itemSegs) == 0 || &r.itemSegs[0] != &r2.itemSegs[0] || &r.itemSegs[0] != &ds.itemSegs[0] {
+		t.Fatal("two residencies of one dataset do not share its segment index")
+	}
+	lockstep := func(step string, f func(*Residency)) {
+		t.Helper()
+		f(r)
+		f(r2)
+		if a, b := r.ResidentSegments(), r2.ResidentSegments(); a != b {
+			t.Fatalf("after %s: %d and %d segments resident", step, a, b)
+		}
 	}
 	if r.NumSegments() < 3 {
 		t.Fatalf("only %d segments; dataset too small to exercise eviction", r.NumSegments())
@@ -214,14 +234,17 @@ func TestResidencyLifecycle(t *testing.T) {
 
 	evictionsBefore := storeEvictions.Value()
 	half := len(items) / 2
-	r.Plan([][]int{items[:half], items[half:]})
-	r.Acquire(0)
+	lockstep("Plan", func(r *Residency) { r.Plan([][]int{items[:half], items[half:]}) })
+	if !reflect.DeepEqual(r.classes, r2.classes) {
+		t.Fatalf("plans differ: %v and %v", r.classes, r2.classes)
+	}
+	lockstep("Acquire(0)", func(r *Residency) { r.Acquire(0) })
 	if n := r.ResidentSegments(); n == 0 {
 		t.Fatal("no segments resident after Acquire")
 	}
-	r.Release(0)
-	r.Acquire(1)
-	r.Release(1)
+	lockstep("Release(0)", func(r *Residency) { r.Release(0) })
+	lockstep("Acquire(1)", func(r *Residency) { r.Acquire(1) })
+	lockstep("Release(1)", func(r *Residency) { r.Release(1) })
 	// Every class released its claims, so class-death eviction has
 	// dropped everything.
 	if n := r.ResidentSegments(); n != 0 {
@@ -235,6 +258,29 @@ func TestResidencyLifecycle(t *testing.T) {
 	r.Done()
 	if n := r.ResidentSegments(); n != 0 {
 		t.Fatalf("%d segments resident after Done", n)
+	}
+	r2.Done()
+	if r3 := ds.NewResidency(2 * segBytes); &r3.itemSegs[0] != &r.itemSegs[0] {
+		t.Fatal("a later residency rebuilt the segment index")
+	}
+
+	// Concurrent jobs on a freshly opened dataset build its index once
+	// between them.
+	fresh, _ := createSeg(t, 300, segBytes)
+	rs := make([]*Residency, 4)
+	var wg sync.WaitGroup
+	for i := range rs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rs[i] = fresh.NewResidency(2 * segBytes)
+		}()
+	}
+	wg.Wait()
+	for _, c := range rs[1:] {
+		if &c.itemSegs[0] != &rs[0].itemSegs[0] {
+			t.Fatal("concurrent residencies built separate segment indexes")
+		}
 	}
 }
 

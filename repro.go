@@ -357,8 +357,9 @@ type MineOptions struct {
 	// algorithms ignore it.
 	Representation Representation
 	// Parallelism is the number of OS-level worker goroutines the real
-	// (non-simulated) Eclat path mines with on its work-stealing driver:
-	// 0 means runtime.GOMAXPROCS(0), N > 0 means N workers. Negative
+	// (non-simulated) Eclat path mines with, each taking the next class
+	// from one shared heaviest-first queue: 0 means
+	// runtime.GOMAXPROCS(0), N > 0 means N workers. Negative
 	// values are rejected with ErrInvalidParallelism. Simulated-cluster
 	// algorithms and the other sequential algorithms ignore it (their
 	// parallelism is the cluster shape). Because the output is
@@ -424,9 +425,6 @@ type RunInfo struct {
 	// (1 for sequential paths, 0 for simulated-cluster runs, whose scale
 	// is in Report).
 	Parallelism int
-	// Steals counts work-stealing transfers between workers (0 unless
-	// Parallelism > 1).
-	Steals int64
 	// TopK echoes the request's TopK (0 for a full mine).
 	TopK int
 	// MustContain echoes the request's targeted-query items (nil for an
@@ -816,7 +814,6 @@ func mineLocal(ctx context.Context, in eclat.VerticalInput, d *Database, minsup 
 	info.Algorithm = AlgoEclat
 	info.Scans = st.Scans
 	info.Parallelism = st.Workers
-	info.Steals = st.Steals
 	info.EffectiveMinSup = st.EffectiveMinSup
 	return res, nil
 }

@@ -8,7 +8,7 @@
 // sparse, bitset, roaring and auto; MineVerticalLocal on the dense family
 // under the same four at 1/2 workers; and the maximal/closed policies at
 // 1/2/4 workers plus a top-k row. Every row, workers=1 included, runs the
-// one work-stealing driver.
+// one class-queue driver.
 //
 // The snapshot records NumCPU and GOMAXPROCS of the machine that
 // produced it: speedup columns are only meaningful relative to the
